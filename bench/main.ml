@@ -340,14 +340,30 @@ let bench_trace_disabled =
            "formatting %d should not run %s" 42 "at all"))
 
 let bench_engine =
-  Test.make ~name:"sim/spawn-sleep-1000"
+  (* The event queue at steady state, with open-batched's measured mix:
+     about 2,000 pending events, 30% of schedules for the current instant.
+     1,120 timers re-arm one virtual second ahead; 840 pairs fire, queue a
+     same-instant child, and the child re-arms the pair. Phases are
+     staggered, so each run (one virtual second) executes exactly 2,800
+     events, 840 of them same-instant; run_micro reports the cost per
+     event. *)
+  let module Engine = Mdds_sim.Engine in
+  let engine = Engine.create ~seed:1 () in
+  let rec timer () = Engine.schedule engine ~at:(Engine.now engine +. 1.0) timer in
+  let rec pair () = Engine.schedule engine ~at:(Engine.now engine) child
+  and child () = Engine.schedule engine ~at:(Engine.now engine +. 1.0) pair in
+  let phases = 1960 in
+  for i = 0 to phases - 1 do
+    Engine.schedule engine
+      ~at:(float_of_int i /. float_of_int phases)
+      (if i mod 7 < 3 then pair else timer)
+  done;
+  (* Run bounds sit half a phase clear of every event time. *)
+  let horizon = ref (1.0 -. (0.5 /. float_of_int phases)) in
+  Test.make ~name:"sim/steady-2000-pending"
     (Staged.stage (fun () ->
-         let engine = Mdds_sim.Engine.create ~seed:1 () in
-         for i = 1 to 1000 do
-           Mdds_sim.Engine.spawn engine (fun () ->
-               Mdds_sim.Engine.sleep (float_of_int i *. 0.001))
-         done;
-         Mdds_sim.Engine.run engine))
+         Engine.run ~until:!horizon engine;
+         horizon := !horizon +. 1.0))
 
 let bench_rpc_call =
   (* Per-call overhead of the RPC layer: waiter registration, timeout
@@ -465,6 +481,7 @@ let micro_tests =
    every reported number is the per-operation cost the name promises. *)
 let micro_iterations = function
   | "micro/rpc/call-overhead" -> 100.0
+  | "micro/sim/steady-2000-pending" -> 2800.0
   | _ -> 1.0
 
 (* Returns [(name, ns_per_run option)] sorted by name, printing as it goes.

@@ -12,19 +12,25 @@ let create () = { versions = []; epoch = 0 }
 let epoch t = t.epoch
 let set_epoch t e = t.epoch <- e
 
+(* Keys strictly increasing: already normalized. *)
+let rec strictly_sorted = function
+  | (a, _) :: ((b, _) :: _ as rest) -> String.compare a b < 0 && strictly_sorted rest
+  | _ -> true
+
 let normalize value =
   (* Later bindings win: keep the last occurrence of each attribute.
-     [Hashtbl.replace] in list order leaves exactly the last binding per
-     key, and the final sort fixes the order, so this is O(n log n) where
-     the old [List.mem]-over-a-growing-seen-list walk was O(n²). *)
-  match value with
-  | [] -> []
-  | [ (_, _) ] as v -> v
-  | value ->
-      let tbl = Hashtbl.create (List.length value) in
-      List.iter (fun (k, v) -> Hashtbl.replace tbl k v) value;
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+     Writers almost always pass sorted, duplicate-free attributes, which
+     one allocation-free pass confirms. Otherwise [Hashtbl.replace] in list
+     order leaves exactly the last binding per key, and the final sort
+     fixes the order, so this is O(n log n) where the old
+     [List.mem]-over-a-growing-seen-list walk was O(n²). *)
+  if strictly_sorted value then value
+  else begin
+    let tbl = Hashtbl.create (List.length value) in
+    List.iter (fun (k, v) -> Hashtbl.replace tbl k v) value;
+    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  end
 
 let latest t = match t.versions with [] -> None | v :: _ -> Some v
 

@@ -80,23 +80,32 @@ let cut t src dst =
   | None -> false
   | Some groups -> groups.(src) <> groups.(dst)
 
+(* Gray-failure tables are keyed by (src, dst) tuples: each lookup is a
+   polymorphic hash. Fault-free runs leave them empty, so every lookup
+   first checks the (constant-time) table size. *)
+
 (* A flapping link alternates between up and down half-periods, phase
    anchored at injection time (deterministic in the clock, no RNG). The
    first half-period is up, so traffic right at injection still passes. *)
 let flap_down t src dst =
-  match Hashtbl.find_opt t.flaps (src, dst) with
-  | None -> false
-  | Some { period; since } ->
-      let phase = (Engine.now t.engine -. since) /. (period /. 2.0) in
-      int_of_float phase land 1 = 1
+  if Hashtbl.length t.flaps = 0 then false
+  else
+    match Hashtbl.find_opt t.flaps (src, dst) with
+    | None -> false
+    | Some { period; since } ->
+        let phase = (Engine.now t.engine -. since) /. (period /. 2.0) in
+        int_of_float phase land 1 = 1
 
 let oneway_blocked t src dst =
-  Hashtbl.mem t.oneway_cuts (src, dst) || flap_down t src dst
+  (Hashtbl.length t.oneway_cuts > 0 && Hashtbl.mem t.oneway_cuts (src, dst))
+  || flap_down t src dst
 
 let link t ~src ~dst =
-  match Hashtbl.find_opt t.overrides (src, dst) with
-  | Some link -> link
-  | None -> Topology.link t.topo src dst
+  if Hashtbl.length t.overrides = 0 then Topology.link t.topo src dst
+  else
+    match Hashtbl.find_opt t.overrides (src, dst) with
+    | Some link -> link
+    | None -> Topology.link t.topo src dst
 
 let override_link t ~src ~dst link = Hashtbl.replace t.overrides (src, dst) link
 

@@ -1,13 +1,24 @@
 open Effect
 open Effect.Deep
 
+(* Two lanes hold pending events. Events due at the current instant (mailbox
+   wakes, [suspend] wakes, spawns, [yield]) go to [ready], a FIFO ring:
+   O(1) and allocation-free. Future events go to the [events] heap, ordered
+   by (time, seq). [run] reproduces the single-heap (time, seq) order
+   exactly: every ring entry is due at [clock], and a heap entry due at
+   [clock] was pushed before the clock reached it, hence before (with a
+   smaller seq than) every ring entry, so heap-first at equal time is the
+   whole merge rule (DESIGN.md §2.1). *)
 type t = {
   mutable clock : float;
   mutable seq : int;
   events : (unit -> unit) Heap.t;
+  mutable ready : (unit -> unit) array;  (* ring; capacity a power of two *)
+  mutable ready_head : int;
+  mutable ready_len : int;
   random : Rng.t;
   mutable executed : int;
-  mutable dead : int;  (* cancelled timers still occupying heap slots *)
+  mutable dead : int;  (* cancelled timers still occupying queue slots *)
 }
 
 type _ Effect.t +=
@@ -22,23 +33,55 @@ type _ Effect.t +=
    between domains mid-run. *)
 let current : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
+let nop () = ()
+
 let create ?(seed = 42) () =
-  { clock = 0.0; seq = 0; events = Heap.create (); random = Rng.create seed;
-    executed = 0; dead = 0 }
+  { clock = 0.0; seq = 0; events = Heap.create ~filler:nop (); ready = [||];
+    ready_head = 0; ready_len = 0; random = Rng.create seed; executed = 0;
+    dead = 0 }
 
 let now t = t.clock
 let rng t = t.random
 let processed t = t.executed
-let pending t = Heap.length t.events - t.dead
+let pending t = Heap.length t.events + t.ready_len - t.dead
 
+let push_ready t f =
+  let cap = Array.length t.ready in
+  if t.ready_len = cap then begin
+    let ncap = max 16 (2 * cap) in
+    let ring = Array.make ncap nop in
+    for i = 0 to t.ready_len - 1 do
+      ring.(i) <- t.ready.((t.ready_head + i) land (cap - 1))
+    done;
+    t.ready <- ring;
+    t.ready_head <- 0
+  end;
+  t.ready.((t.ready_head + t.ready_len) land (Array.length t.ready - 1)) <- f;
+  t.ready_len <- t.ready_len + 1
+
+let pop_ready t =
+  let f = t.ready.(t.ready_head) in
+  t.ready.(t.ready_head) <- nop;
+  t.ready_head <- (t.ready_head + 1) land (Array.length t.ready - 1);
+  t.ready_len <- t.ready_len - 1;
+  f
+
+(* Past times are clamped to the current instant; a NaN fails both
+   comparisons and is rejected. *)
 let schedule t ~at f =
-  let at = if at < t.clock then t.clock else at in
-  t.seq <- t.seq + 1;
-  Heap.push t.events ~time:at ~seq:t.seq f
+  if at <= t.clock then push_ready t f
+  else if at > t.clock then begin
+    t.seq <- t.seq + 1;
+    Heap.push t.events ~time:at ~seq:t.seq f
+  end
+  else invalid_arg "Engine.schedule: NaN time"
 
 type timer = { mutable cancelled : bool; mutable fired : bool; owner : t }
 
+let check_delay name d = if Float.is_nan d then invalid_arg (name ^ ": NaN delay")
+
 let after t d f =
+  check_delay "Engine.after" d;
   let tm = { cancelled = false; fired = false; owner = t } in
   schedule t ~at:(t.clock +. d) (fun () ->
       tm.fired <- true;
@@ -83,6 +126,7 @@ let spawn ?at t f =
   schedule t ~at (fun () -> start_process t f)
 
 let sleep d =
+  check_delay "Engine.sleep" d;
   let t = engine_of_process () in
   perform (Sleep (t, d))
 
@@ -99,16 +143,23 @@ let run ?(until = infinity) t =
     ~finally:(fun () -> Domain.DLS.set current saved)
     (fun () ->
       let rec loop () =
-        match Heap.peek t.events with
-        | None -> ()
-        | Some (time, _, _) when time > until -> t.clock <- until
-        | Some _ ->
-            (match Heap.pop t.events with
-            | None -> assert false
-            | Some (time, _, f) ->
-                t.clock <- time;
-                t.executed <- t.executed + 1;
-                f ());
-            loop ()
+        if t.ready_len > 0 then begin
+          if t.clock <= until then
+            if (not (Heap.is_empty t.events)) && Heap.min_time t.events <= t.clock
+            then step (Heap.pop t.events)
+            else step (pop_ready t)
+        end
+        else if not (Heap.is_empty t.events) then begin
+          let time = Heap.min_time t.events in
+          if time <= until then begin
+            t.clock <- time;
+            step (Heap.pop t.events)
+          end
+          else if until > t.clock then t.clock <- until
+        end
+      and step f =
+        t.executed <- t.executed + 1;
+        f ();
+        loop ()
       in
       loop ())

@@ -31,15 +31,16 @@ val rng : t -> Rng.t
 
 val run : ?until:float -> t -> unit
 (** Execute events until the queue is empty (all processes finished or
-    blocked forever) or the clock would pass [until]. Can be called again
-    after adding more work. *)
+    blocked forever) or the clock would pass [until]; in the latter case the
+    clock advances to [until], never backwards. Can be called again after
+    adding more work. *)
 
 val processed : t -> int
 (** Number of events executed so far (debugging/telemetry). *)
 
 val pending : t -> int
-(** Live events currently queued — cancelled timers whose heap slot has
-    not yet drained are excluded. Used by tests guarding against timer
+(** Live events currently queued, in either lane — cancelled timers whose
+    slot has not yet drained are excluded. Used by tests guarding against timer
     leaks: a component that cancels its one-shot timers when the awaited
     event arrives keeps this bounded by its in-flight window, instead of
     growing with every call whose long timeout has not yet expired. *)
@@ -51,13 +52,15 @@ val spawn : ?at:float -> t -> (unit -> unit) -> unit
     escaping a process abort the simulation ([run] re-raises them). *)
 
 val schedule : t -> at:float -> (unit -> unit) -> unit
-(** Low-level: run a callback (not a blocking process) at the given time. *)
+(** Low-level: run a callback (not a blocking process) at the given time,
+    clamped to [now t]. Raises [Invalid_argument] on a NaN time. *)
 
 type timer
 (** Handle to a pending one-shot callback. *)
 
 val after : t -> float -> (unit -> unit) -> timer
-(** [after t d f] runs [f] once, [d] seconds from now, unless cancelled. *)
+(** [after t d f] runs [f] once, [d] seconds from now, unless cancelled.
+    Raises [Invalid_argument] on a NaN delay. *)
 
 val cancel : timer -> unit
 (** Cancel a pending timer; harmless if it already fired. *)
@@ -65,7 +68,8 @@ val cancel : timer -> unit
 (** {1 Blocking operations — valid only inside a process} *)
 
 val sleep : float -> unit
-(** Suspend the calling process for the given virtual duration. *)
+(** Suspend the calling process for the given virtual duration. Raises
+    [Invalid_argument] on a NaN duration. *)
 
 val suspend : (('a -> unit) -> unit) -> 'a
 (** [suspend register] blocks the calling process and calls

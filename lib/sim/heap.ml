@@ -1,87 +1,109 @@
-type 'a entry = { time : float; seq : int; item : 'a }
+(* Struct-of-arrays storage: entry [i] is [(times.(i), seqs.(i), items.(i))].
+   The times live unboxed in a [Float.Array], so no operation allocates
+   except growing the arrays. Sifts move a hole rather than swapping, so
+   each level costs one write per array instead of three. *)
+type 'a t = {
+  mutable times : Float.Array.t;
+  mutable seqs : int array;
+  mutable items : 'a array;
+  mutable size : int;
+  filler : 'a;
+      (* Vacated item slots are reset to this, so popped items (executed
+         event closures) are not retained until the end of the run. *)
+}
 
-(* Slots past [size] must not retain popped entries (their items are
-   executed-event closures that would otherwise live until the end of the
-   run), so the array holds an explicit [Empty] that vacated slots are
-   reset to. *)
-type 'a slot = Empty | Slot of 'a entry
-
-type 'a t = { mutable data : 'a slot array; mutable size : int }
-
-let create () = { data = [||]; size = 0 }
+let create ~filler () =
+  { times = Float.Array.create 0; seqs = [||]; items = [||]; size = 0; filler }
 
 let is_empty t = t.size = 0
 let length t = t.size
 
-let get t i =
-  match t.data.(i) with Slot e -> e | Empty -> assert false
-
-let less a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
-
 let grow t =
-  let cap = Array.length t.data in
-  if t.size = cap then begin
-    let ncap = max 16 (cap * 2) in
-    let nd = Array.make ncap Empty in
-    Array.blit t.data 0 nd 0 t.size;
-    t.data <- nd
-  end
+  let ncap = max 16 (2 * t.size) in
+  let times = Float.Array.create ncap in
+  Float.Array.blit t.times 0 times 0 t.size;
+  let seqs = Array.make ncap 0 in
+  Array.blit t.seqs 0 seqs 0 t.size;
+  let items = Array.make ncap t.filler in
+  Array.blit t.items 0 items 0 t.size;
+  t.times <- times;
+  t.seqs <- seqs;
+  t.items <- items
+
+(* Does slot [i] order strictly before the key [(time, seq)]? *)
+let[@inline] before t i time seq =
+  let ti = Float.Array.unsafe_get t.times i in
+  ti < time || (ti = time && Array.unsafe_get t.seqs i < seq)
+
+let[@inline] move t ~src ~dst =
+  Float.Array.unsafe_set t.times dst (Float.Array.unsafe_get t.times src);
+  Array.unsafe_set t.seqs dst (Array.unsafe_get t.seqs src);
+  Array.unsafe_set t.items dst (Array.unsafe_get t.items src)
+
+let[@inline] place t i time seq item =
+  Float.Array.unsafe_set t.times i time;
+  Array.unsafe_set t.seqs i seq;
+  Array.unsafe_set t.items i item
 
 let push t ~time ~seq item =
-  let e = { time; seq; item } in
-  grow t;
-  t.data.(t.size) <- Slot e;
+  if t.size = Array.length t.items then grow t;
+  let hole = ref t.size in
   t.size <- t.size + 1;
-  (* Sift up. *)
-  let i = ref (t.size - 1) in
   while
-    !i > 0
+    !hole > 0
     &&
-    let parent = (!i - 1) / 2 in
-    less (get t !i) (get t parent)
+    let parent = (!hole - 1) / 2 in
+    not (before t parent time seq)
   do
-    let parent = (!i - 1) / 2 in
-    let tmp = t.data.(!i) in
-    t.data.(!i) <- t.data.(parent);
-    t.data.(parent) <- tmp;
-    i := parent
-  done
+    let parent = (!hole - 1) / 2 in
+    move t ~src:parent ~dst:!hole;
+    hole := parent
+  done;
+  place t !hole time seq item
 
-let peek t =
-  if t.size = 0 then None
-  else
-    let e = get t 0 in
-    Some (e.time, e.seq, e.item)
+let min_time t =
+  if t.size = 0 then invalid_arg "Heap.min_time: empty";
+  Float.Array.unsafe_get t.times 0
+
+let min_seq t =
+  if t.size = 0 then invalid_arg "Heap.min_seq: empty";
+  Array.unsafe_get t.seqs 0
 
 let pop t =
-  if t.size = 0 then None
-  else begin
-    let top = get t 0 in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.data.(0) <- t.data.(t.size);
-      t.data.(t.size) <- Empty;
-      (* Sift down. *)
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < t.size && less (get t l) (get t !smallest) then smallest := l;
-        if r < t.size && less (get t r) (get t !smallest) then smallest := r;
-        if !smallest <> !i then begin
-          let tmp = t.data.(!i) in
-          t.data.(!i) <- t.data.(!smallest);
-          t.data.(!smallest) <- tmp;
-          i := !smallest
+  if t.size = 0 then invalid_arg "Heap.pop: empty";
+  let top = Array.unsafe_get t.items 0 in
+  let last = t.size - 1 in
+  t.size <- last;
+  let time = Float.Array.unsafe_get t.times last in
+  let seq = Array.unsafe_get t.seqs last in
+  let item = Array.unsafe_get t.items last in
+  Array.unsafe_set t.items last t.filler;
+  if last > 0 then begin
+    (* Sift the former last entry down from the root. *)
+    let hole = ref 0 in
+    let sifting = ref true in
+    while !sifting do
+      let l = (2 * !hole) + 1 in
+      if l >= last then sifting := false
+      else begin
+        let r = l + 1 in
+        let child =
+          if r < last
+             && before t r (Float.Array.unsafe_get t.times l) (Array.unsafe_get t.seqs l)
+          then r
+          else l
+        in
+        if before t child time seq then begin
+          move t ~src:child ~dst:!hole;
+          hole := child
         end
-        else continue := false
-      done
-    end
-    else t.data.(0) <- Empty;
-    Some (top.time, top.seq, top.item)
-  end
+        else sifting := false
+      end
+    done;
+    place t !hole time seq item
+  end;
+  top
 
 let clear t =
-  Array.fill t.data 0 t.size Empty;
+  Array.fill t.items 0 t.size t.filler;
   t.size <- 0

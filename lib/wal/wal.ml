@@ -77,10 +77,11 @@ let load_meta t c =
 let flush_meta t c =
   match
     Store.write t.store ~key:c.meta_key
+      (* Sorted by attribute, so [Row.normalize] keeps it as is. *)
       [
-        ("last", string_of_int c.last);
         ("applied", string_of_int c.applied);
         ("compacted", string_of_int c.compacted);
+        ("last", string_of_int c.last);
       ]
   with
   | Ok _ -> ()

@@ -60,7 +60,13 @@ let test_row_normalize () =
     (Row.normalize [ ("k", "1"); ("k", "2"); ("k", "3"); ("k", "4") ]);
   Alcotest.(check (list (pair string string))) "interleaved"
     [ ("a", "5"); ("b", "4"); ("c", "3") ]
-    (Row.normalize [ ("a", "1"); ("b", "2"); ("c", "3"); ("b", "4"); ("a", "5") ])
+    (Row.normalize [ ("a", "1"); ("b", "2"); ("c", "3"); ("b", "4"); ("a", "5") ]);
+  (* Already-normalized input is returned as is, without copying. *)
+  let sorted = [ ("a", "1"); ("b", "2"); ("c", "3") ] in
+  Alcotest.(check bool) "sorted input kept" true (Row.normalize sorted == sorted);
+  Alcotest.(check (list (pair string string))) "sorted with a duplicate"
+    [ ("a", "2"); ("b", "3") ]
+    (Row.normalize [ ("a", "1"); ("a", "2"); ("b", "3") ])
 
 (* Reference implementation of the normalize contract (the original
    quadratic walk); the optimized version must agree on any input. *)
@@ -78,6 +84,16 @@ let prop_normalize_matches_reference =
     QCheck.(
       list (pair (string_of_size Gen.(1 -- 4)) (string_of_size Gen.(0 -- 3))))
     (fun value -> Row.normalize value = reference_normalize value)
+
+let prop_normalize_sorted_fast_path =
+  (* Sorted, duplicate-free inputs take the fast path: the result is the
+     input itself, and still agrees with the reference. *)
+  QCheck.Test.make ~name:"normalize returns normalized input unchanged" ~count:300
+    QCheck.(
+      small_list (pair (string_of_size Gen.(1 -- 4)) (string_of_size Gen.(0 -- 3))))
+    (fun value ->
+      let value = reference_normalize value in
+      Row.normalize value == value)
 
 (* ------------------------------------------------------------------ *)
 (* Store.                                                               *)
@@ -365,5 +381,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_monotonic_read;
           QCheck_alcotest.to_alcotest prop_check_and_write_atomic;
           QCheck_alcotest.to_alcotest prop_normalize_matches_reference;
+          QCheck_alcotest.to_alcotest prop_normalize_sorted_fast_path;
         ] );
     ]

@@ -9,51 +9,96 @@ module Mailbox = Mdds_sim.Mailbox
 (* ------------------------------------------------------------------ *)
 (* Heap.                                                                *)
 
+let pop_all h = List.init (Heap.length h) (fun _ -> Heap.pop h)
+
 let test_heap_basic () =
-  let h = Heap.create () in
+  let h = Heap.create ~filler:"" () in
   Alcotest.(check bool) "empty" true (Heap.is_empty h);
   Heap.push h ~time:2.0 ~seq:1 "b";
   Heap.push h ~time:1.0 ~seq:2 "a";
   Heap.push h ~time:3.0 ~seq:3 "c";
   Alcotest.(check int) "length" 3 (Heap.length h);
-  (match Heap.peek h with
-  | Some (t, _, v) ->
-      Alcotest.(check (float 0.0)) "peek time" 1.0 t;
-      Alcotest.(check string) "peek item" "a" v
-  | None -> Alcotest.fail "peek");
-  let order = List.init 3 (fun _ -> match Heap.pop h with Some (_, _, v) -> v | None -> "?") in
-  Alcotest.(check (list string)) "pop order" [ "a"; "b"; "c" ] order;
-  Alcotest.(check bool) "drained" true (Heap.pop h = None)
+  Alcotest.(check (float 0.0)) "min time" 1.0 (Heap.min_time h);
+  Alcotest.(check int) "min seq" 2 (Heap.min_seq h);
+  Alcotest.(check (list string)) "pop order" [ "a"; "b"; "c" ] (pop_all h);
+  Alcotest.(check bool) "drained" true (Heap.is_empty h);
+  Alcotest.check_raises "pop empty" (Invalid_argument "Heap.pop: empty") (fun () ->
+      ignore (Heap.pop h));
+  Alcotest.check_raises "min_time empty" (Invalid_argument "Heap.min_time: empty")
+    (fun () -> ignore (Heap.min_time h))
 
 let test_heap_fifo_ties () =
-  let h = Heap.create () in
+  let h = Heap.create ~filler:0 () in
   for i = 1 to 10 do
     Heap.push h ~time:5.0 ~seq:i i
   done;
-  let order = List.init 10 (fun _ -> match Heap.pop h with Some (_, _, v) -> v | None -> -1) in
-  Alcotest.(check (list int)) "FIFO at equal time" [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ] order
+  Alcotest.(check (list int)) "FIFO at equal time" [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ]
+    (pop_all h)
 
 let test_heap_clear () =
-  let h = Heap.create () in
+  let h = Heap.create ~filler:() () in
   Heap.push h ~time:1.0 ~seq:1 ();
   Heap.clear h;
   Alcotest.(check bool) "cleared" true (Heap.is_empty h)
+
+let test_heap_no_allocation () =
+  (* Past its high-water mark the heap allocates nothing: pushing and
+     popping at steady state leaves the minor heap untouched. *)
+  let h = Heap.create ~filler:0 () in
+  (* Times are pre-boxed (tuple fields), so the loop itself boxes nothing. *)
+  let times = Array.init 97 (fun i -> (float_of_int (i * 7919 mod 1000), i)) in
+  for i = 1 to 1000 do
+    Heap.push h ~time:(fst times.(i mod 97)) ~seq:i i
+  done;
+  let before = Gc.minor_words () in
+  for i = 1001 to 11000 do
+    ignore (Sys.opaque_identity (Heap.pop h));
+    Heap.push h ~time:(fst times.(i mod 97)) ~seq:i i
+  done;
+  let words = Gc.minor_words () -. before in
+  (* [Gc.minor_words] itself boxes its result. *)
+  if words > 8.0 then Alcotest.failf "steady-state push/pop allocated %.0f words" words
+
+let test_heap_releases_popped () =
+  (* Neither the slot a pop vacates nor the root a pop empties may keep a
+     popped item reachable. *)
+  let h = Heap.create ~filler:(ref 0) () in
+  let collected = ref false in
+  (* Allocated out of line, so no stack slot of this frame keeps it. *)
+  let[@inline never] push_watched () =
+    let item = ref 2 in
+    Gc.finalise_last (fun () -> collected := true) item;
+    Heap.push h ~time:2.0 ~seq:2 item
+  in
+  Heap.push h ~time:1.0 ~seq:1 (ref 1);
+  push_watched ();
+  Alcotest.(check int) "first" 1 !(Heap.pop h);
+  Alcotest.(check int) "second" 2 !(Sys.opaque_identity (Heap.pop h));
+  Gc.full_major ();
+  Alcotest.(check bool) "popped item collected" true !collected;
+  (* Keeps the heap itself reachable across the collection. *)
+  Heap.push h ~time:3.0 ~seq:3 (ref 3);
+  Alcotest.(check int) "heap still usable" 1 (Heap.length h)
+
+(* Drain as [(time, seq)] keys, reading the key before each pop. *)
+let drain_keys h =
+  List.init (Heap.length h) (fun _ ->
+      let key = (Heap.min_time h, Heap.min_seq h) in
+      ignore (Heap.pop h);
+      key)
 
 let heap_sorted_prop =
   QCheck.Test.make ~name:"heap pops in nondecreasing (time, seq) order" ~count:200
     QCheck.(list (pair (float_bound_inclusive 1000.0) small_nat))
     (fun entries ->
-      let h = Heap.create () in
+      let h = Heap.create ~filler:0 () in
       List.iteri (fun i (t, _) -> Heap.push h ~time:t ~seq:i i) entries;
-      let rec drain prev =
-        match Heap.pop h with
-        | None -> true
-        | Some (t, s, _) -> (
-            match prev with
-            | Some (pt, ps) when t < pt || (t = pt && s < ps) -> false
-            | _ -> drain (Some (t, s)))
+      let rec sorted = function
+        | (t, s) :: ((t', s') :: _ as rest) ->
+            (t < t' || (t = t' && s < s')) && sorted rest
+        | _ -> true
       in
-      drain None)
+      sorted (drain_keys h))
 
 let heap_interleaved_prop =
   (* Interleaved push/pop: the popped sequence is exactly the sorted
@@ -64,7 +109,7 @@ let heap_interleaved_prop =
     ~count:200
     QCheck.(list (option (float_bound_inclusive 1000.0)))
     (fun script ->
-      let h = Heap.create () in
+      let h = Heap.create ~filler:0 () in
       let seq = ref 0 in
       let pushed = ref [] in
       let popped = ref [] in
@@ -75,37 +120,24 @@ let heap_interleaved_prop =
               incr seq;
               Heap.push h ~time:t ~seq:!seq !seq;
               pushed := (t, !seq) :: !pushed
-          | None -> (
-              match Heap.pop h with
-              | Some (t, s, v) ->
-                  popped := (t, s) :: !popped;
-                  if v <> s then QCheck.Test.fail_report "payload mismatch"
-              | None -> ()))
+          | None ->
+              if not (Heap.is_empty h) then begin
+                let key = (Heap.min_time h, Heap.min_seq h) in
+                if Heap.pop h <> snd key then QCheck.Test.fail_report "payload mismatch";
+                popped := key :: !popped
+              end)
         script;
-      let rec drain () =
-        match Heap.pop h with
-        | Some (t, s, _) ->
-            popped := (t, s) :: !popped;
-            drain ()
-        | None -> ()
-      in
-      drain ();
-      let sorted =
-        List.sort
-          (fun (t, s) (t', s') ->
-            match Float.compare t t' with 0 -> Int.compare s s' | c -> c)
-          !pushed
+      popped := List.rev_append (drain_keys h) !popped;
+      let by_key (t, s) (t', s') =
+        match Float.compare t t' with 0 -> Int.compare s s' | c -> c
       in
       (* Each pop run emits a nondecreasing subsequence; the multiset of
          all pops must equal the multiset pushed. Sorting the pops and
          comparing to the sorted pushes checks exactly that. *)
       List.equal
         (fun (t, s) (t', s') -> Float.equal t t' && s = s')
-        sorted
-        (List.sort
-           (fun (t, s) (t', s') ->
-             match Float.compare t t' with 0 -> Int.compare s s' | c -> c)
-           !popped))
+        (List.sort by_key !pushed)
+        (List.sort by_key !popped))
 
 (* ------------------------------------------------------------------ *)
 (* RNG.                                                                 *)
@@ -294,6 +326,385 @@ let test_engine_processed_counter () =
   Engine.run engine;
   Alcotest.(check int) "events processed" 5 (Engine.processed engine)
 
+let test_engine_rejects_nan () =
+  (* A NaN time compares false against everything and would silently
+     corrupt the queue order; every entry point refuses it instead. *)
+  let engine = Engine.create () in
+  Alcotest.check_raises "schedule" (Invalid_argument "Engine.schedule: NaN time")
+    (fun () -> Engine.schedule engine ~at:Float.nan ignore);
+  Alcotest.check_raises "spawn" (Invalid_argument "Engine.schedule: NaN time")
+    (fun () -> Engine.spawn ~at:Float.nan engine ignore);
+  Alcotest.check_raises "after" (Invalid_argument "Engine.after: NaN delay")
+    (fun () -> ignore (Engine.after engine Float.nan ignore));
+  Alcotest.(check int) "nothing queued" 0 (Engine.pending engine);
+  Engine.spawn engine (fun () -> Engine.sleep Float.nan);
+  Alcotest.check_raises "sleep" (Invalid_argument "Engine.sleep: NaN delay")
+    (fun () -> Engine.run engine);
+  Alcotest.(check int) "still nothing queued" 0 (Engine.pending engine)
+
+let test_engine_run_until_never_rewinds () =
+  (* [run ~until] below the current time is a no-op: it used to set the
+     clock backwards. *)
+  let engine = Engine.create () in
+  let fired = ref 0 in
+  Engine.schedule engine ~at:5.0 (fun () -> incr fired);
+  Engine.schedule engine ~at:9.0 (fun () -> incr fired);
+  Engine.run ~until:6.0 engine;
+  Alcotest.(check (float 0.0)) "advanced to bound" 6.0 (Engine.now engine);
+  Engine.run ~until:2.0 engine;
+  Alcotest.(check (float 0.0)) "earlier bound keeps clock" 6.0 (Engine.now engine);
+  (* Work due at the current instant does not run under an earlier bound. *)
+  Engine.schedule engine ~at:0.0 (fun () -> incr fired);
+  Engine.run ~until:3.0 engine;
+  Alcotest.(check int) "same-instant event held" 1 !fired;
+  Alcotest.(check (float 0.0)) "clock still kept" 6.0 (Engine.now engine);
+  Engine.run engine;
+  Alcotest.(check int) "all fired" 3 !fired;
+  Alcotest.(check (float 0.0)) "final clock" 9.0 (Engine.now engine)
+
+(* ------------------------------------------------------------------ *)
+(* Executable spec: the single-heap engine the two-lane queue replaced. *)
+
+(* The boxed binary heap the engine used before the struct-of-arrays
+   rewrite, kept as the order oracle. *)
+module Spec_heap = struct
+  type 'a entry = { time : float; seq : int; item : 'a }
+  type 'a slot = Empty | Slot of 'a entry
+  type 'a t = { mutable data : 'a slot array; mutable size : int }
+
+  let create () = { data = [||]; size = 0 }
+  let length t = t.size
+  let get t i = match t.data.(i) with Slot e -> e | Empty -> assert false
+  let less a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+
+  let swap t i j =
+    let tmp = t.data.(i) in
+    t.data.(i) <- t.data.(j);
+    t.data.(j) <- tmp
+
+  let push t ~time ~seq item =
+    if t.size = Array.length t.data then begin
+      let nd = Array.make (max 16 (2 * t.size)) Empty in
+      Array.blit t.data 0 nd 0 t.size;
+      t.data <- nd
+    end;
+    t.data.(t.size) <- Slot { time; seq; item };
+    t.size <- t.size + 1;
+    let i = ref (t.size - 1) in
+    while !i > 0 && less (get t !i) (get t ((!i - 1) / 2)) do
+      swap t !i ((!i - 1) / 2);
+      i := (!i - 1) / 2
+    done
+
+  let peek t =
+    if t.size = 0 then None
+    else
+      let e = get t 0 in
+      Some (e.time, e.seq, e.item)
+
+  let pop t =
+    match peek t with
+    | None -> None
+    | Some _ as top ->
+        t.size <- t.size - 1;
+        t.data.(0) <- t.data.(t.size);
+        t.data.(t.size) <- Empty;
+        let i = ref 0 and continue = ref true in
+        while !continue do
+          let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+          let smallest = ref !i in
+          if l < t.size && less (get t l) (get t !smallest) then smallest := l;
+          if r < t.size && less (get t r) (get t !smallest) then smallest := r;
+          if !smallest <> !i then begin
+            swap t !i !smallest;
+            i := !smallest
+          end
+          else continue := false
+        done;
+        top
+end
+
+(* Every event, same-instant or not, goes through one (time, seq) heap.
+   Only [run ~until] differs from the old engine: it carries the fix that
+   the clock never moves backwards. *)
+module Spec_engine = struct
+  open Effect
+  open Effect.Deep
+
+  type t = {
+    mutable clock : float;
+    mutable seq : int;
+    events : (unit -> unit) Spec_heap.t;
+    mutable executed : int;
+    mutable dead : int;
+  }
+
+  type timer = { mutable cancelled : bool; mutable fired : bool; owner : t }
+
+  type _ Effect.t +=
+    | Sleep : (t * float) -> unit Effect.t
+    | Suspend : (t * (('a -> unit) -> unit)) -> 'a Effect.t
+
+  let current = ref None
+
+  let create ?seed:_ () =
+    { clock = 0.0; seq = 0; events = Spec_heap.create (); executed = 0; dead = 0 }
+
+  let now t = t.clock
+  let processed t = t.executed
+  let pending t = Spec_heap.length t.events - t.dead
+
+  let schedule t ~at f =
+    let at = if at < t.clock then t.clock else at in
+    t.seq <- t.seq + 1;
+    Spec_heap.push t.events ~time:at ~seq:t.seq f
+
+  let after t d f =
+    let tm = { cancelled = false; fired = false; owner = t } in
+    schedule t ~at:(t.clock +. d) (fun () ->
+        tm.fired <- true;
+        if tm.cancelled then t.dead <- t.dead - 1 else f ());
+    tm
+
+  let cancel tm =
+    if not (tm.cancelled || tm.fired) then begin
+      tm.cancelled <- true;
+      tm.owner.dead <- tm.owner.dead + 1
+    end
+
+  let start_process f =
+    match_with f ()
+      {
+        retc = (fun () -> ());
+        exnc = raise;
+        effc =
+          (fun (type a) (eff : a Effect.t) ->
+            match eff with
+            | Sleep (t, d) ->
+                Some
+                  (fun (k : (a, unit) continuation) ->
+                    schedule t ~at:(t.clock +. d) (fun () -> continue k ()))
+            | Suspend (t, register) ->
+                Some
+                  (fun (k : (a, unit) continuation) ->
+                    register (fun v -> schedule t ~at:t.clock (fun () -> continue k v)))
+            | _ -> None);
+      }
+
+  let spawn ?at t f =
+    schedule t ~at:(Option.value at ~default:t.clock) (fun () -> start_process f)
+
+  let engine () = Option.get !current
+  let sleep d = perform (Sleep (engine (), d))
+  let suspend register = perform (Suspend (engine (), register))
+  let yield () = sleep 0.0
+
+  let run ?(until = infinity) t =
+    current := Some t;
+    let rec loop () =
+      match Spec_heap.peek t.events with
+      | None -> ()
+      | Some (time, _, _) when time > until -> t.clock <- Float.max t.clock until
+      | Some _ -> (
+          match Spec_heap.pop t.events with
+          | None -> assert false
+          | Some (time, _, f) ->
+              t.clock <- time;
+              t.executed <- t.executed + 1;
+              f ();
+              loop ())
+    in
+    loop ()
+end
+
+module type ENGINE = sig
+  type t
+  type timer
+
+  val create : ?seed:int -> unit -> t
+  val now : t -> float
+  val run : ?until:float -> t -> unit
+  val processed : t -> int
+  val pending : t -> int
+  val spawn : ?at:float -> t -> (unit -> unit) -> unit
+  val schedule : t -> at:float -> (unit -> unit) -> unit
+  val after : t -> float -> (unit -> unit) -> timer
+  val cancel : timer -> unit
+  val sleep : float -> unit
+  val suspend : (('a -> unit) -> unit) -> 'a
+  val yield : unit -> unit
+end
+
+(* A random engine program. Delays may be zero (same-instant children,
+   the ready lane) or negative (clamped to the current instant). Blocking
+   operations met outside a process are run in a freshly spawned one. *)
+type op =
+  | Note
+  | Schedule of float * op list
+  | Spawn of float * op list
+  | Sleep of float
+  | Yield
+  | Suspend of float option  (** [None]: woken from inside [register]. *)
+  | After of float * float option * op list
+      (** Timer, optionally cancelled that much later (negative: at once). *)
+
+let rec pp_op = function
+  | Note -> "note"
+  | Schedule (d, b) -> Printf.sprintf "schedule(%g,%s)" d (pp_ops b)
+  | Spawn (d, b) -> Printf.sprintf "spawn(%g,%s)" d (pp_ops b)
+  | Sleep d -> Printf.sprintf "sleep %g" d
+  | Yield -> "yield"
+  | Suspend None -> "suspend"
+  | Suspend (Some d) -> Printf.sprintf "suspend %g" d
+  | After (d, c, b) ->
+      Printf.sprintf "after(%g,%s,%s)" d
+        (match c with None -> "-" | Some c -> Printf.sprintf "cancel %g" c)
+        (pp_ops b)
+
+and pp_ops ops = "[" ^ String.concat "; " (List.map pp_op ops) ^ "]"
+
+module Interp (E : ENGINE) = struct
+  (* Every step logs its path label, the time and [pending]; the result is
+     the log with the final [processed] and [pending]. *)
+  let exec ~until prog =
+    let e = E.create () in
+    let log = Buffer.create 256 in
+    let note label = Printf.bprintf log "%s@%g/%d " label (E.now e) (E.pending e) in
+    let rec ops ~proc label body =
+      List.iteri (fun i op -> step ~proc (Printf.sprintf "%s.%d" label i) op) body
+    and step ~proc l op =
+      match op with
+      | Note -> note l
+      | Schedule (d, body) ->
+          E.schedule e ~at:(E.now e +. d) (fun () ->
+              note l;
+              ops ~proc:false l body)
+      | Spawn (d, body) ->
+          E.spawn ~at:(E.now e +. d) e (fun () ->
+              note l;
+              ops ~proc:true l body)
+      | (Sleep _ | Yield | Suspend _) when not proc ->
+          E.spawn e (fun () -> step ~proc:true l op)
+      | Sleep d ->
+          E.sleep d;
+          note l
+      | Yield ->
+          E.yield ();
+          note l
+      | Suspend None -> note (l ^ string_of_int (E.suspend (fun wake -> wake 1)))
+      | Suspend (Some d) ->
+          let v =
+            E.suspend (fun wake -> E.schedule e ~at:(E.now e +. d) (fun () -> wake 2))
+          in
+          note (l ^ string_of_int v)
+      | After (d, cancel, body) -> (
+          let tm =
+            E.after e d (fun () ->
+                note l;
+                ops ~proc:false l body)
+          in
+          match cancel with
+          | None -> ()
+          | Some c when c < 0.0 -> E.cancel tm
+          | Some c -> E.schedule e ~at:(E.now e +. c) (fun () -> E.cancel tm))
+    in
+    ops ~proc:false "r" prog;
+    E.run ~until e;
+    note "until";
+    E.run e;
+    note "end";
+    (Buffer.contents log, E.processed e, E.pending e)
+end
+
+module Run_spec = Interp (Spec_engine)
+module Run_engine = Interp (Engine)
+
+let program_gen =
+  let open QCheck.Gen in
+  let delay = oneofl [ 0.0; 0.0; 0.0; 0.5; 1.0; 1.0; 2.5; -1.0 ] in
+  let leaf =
+    frequency
+      [
+        (3, return Note);
+        (2, map (fun d -> Sleep d) delay);
+        (1, return Yield);
+        (1, map (fun d -> Suspend d) (opt delay));
+      ]
+  in
+  let op =
+    sized_size (int_bound 40)
+    @@ fix (fun self n ->
+           if n <= 0 then leaf
+           else
+             let body = list_size (int_bound 3) (self (n / 3)) in
+             frequency
+               [
+                 (3, leaf);
+                 (3, map2 (fun d b -> Schedule (d, b)) delay body);
+                 (2, map2 (fun d b -> Spawn (d, b)) delay body);
+                 ( 2,
+                   map3
+                     (fun d c b -> After (d, c, b))
+                     delay
+                     (opt (oneofl [ -1.0; 0.0; 0.5; 1.0; 3.0 ]))
+                     body );
+               ])
+  in
+  pair (oneofl [ 0.0; 0.5; 1.0; 2.0; 3.5 ]) (list_size (int_range 1 8) op)
+
+let two_lane_matches_spec_prop =
+  QCheck.Test.make ~name:"two-lane engine runs programs in the spec's order"
+    ~count:500
+    (QCheck.make program_gen ~print:(fun (until, prog) ->
+         Printf.sprintf "until %g: %s" until (pp_ops prog)))
+    (fun (until, prog) ->
+      let expected = Run_spec.exec ~until prog in
+      let got = Run_engine.exec ~until prog in
+      if got <> expected then begin
+        let (el, ep, eq), (gl, gp, gq) = (expected, got) in
+        QCheck.Test.fail_reportf "spec: %s(processed %d, pending %d)\ngot:  %s(processed %d, pending %d)"
+          el ep eq gl gp gq
+      end;
+      true)
+
+(* A fixed-seed 3-DC cluster run through a crash and recovery: the event
+   count and a digest of every audited outcome and timestamp, recorded
+   before the two-lane queue replaced the single heap. Any change to event
+   order moves at least one of them. *)
+let test_pinned_cluster_run () =
+  let module Cluster = Mdds_core.Cluster in
+  let module Audit = Mdds_core.Audit in
+  let cluster =
+    Cluster.create ~seed:2012 ~config:Mdds_core.Config.default
+      (Mdds_net.Topology.ec2 "VVV")
+  in
+  let engine = Cluster.engine cluster in
+  Engine.schedule engine ~at:20.0 (fun () -> Cluster.take_down cluster 2);
+  Engine.schedule engine ~at:35.0 (fun () -> Cluster.bring_up cluster 2);
+  let workload =
+    { Mdds_workload.Ycsb.default with total_txns = 120; threads = 4; rate = 2.0 }
+  in
+  ignore (Mdds_workload.Ycsb.run cluster workload);
+  Cluster.run cluster;
+  let outcome = function
+    | Audit.Committed { position; promotions; combined } ->
+        Printf.sprintf "C%d/%d/%b" position promotions combined
+    | Audit.Aborted { reason; promotions } ->
+        Format.asprintf "A%a/%d" Audit.pp_reason reason promotions
+    | Audit.Read_only_committed -> "R"
+    | Audit.Unknown -> "U"
+  in
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun (ev : Audit.event) ->
+      Printf.bprintf buf "%s %s %.9f %.9f;" ev.record.Mdds_types.Txn.txn_id
+        (outcome ev.outcome) ev.began_at ev.committed_at)
+    (Audit.events (Cluster.audit cluster));
+  Alcotest.(check int) "commits" 99 (Audit.commits (Cluster.audit cluster));
+  Alcotest.(check int) "events processed" 15271 (Engine.processed engine);
+  Alcotest.(check string) "outcome digest" "4e0d29e53a8cd64c4aec95ca69089d50"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 (* ------------------------------------------------------------------ *)
 (* Mailbox.                                                             *)
 
@@ -406,6 +817,9 @@ let () =
           Alcotest.test_case "basic order" `Quick test_heap_basic;
           Alcotest.test_case "FIFO on ties" `Quick test_heap_fifo_ties;
           Alcotest.test_case "clear" `Quick test_heap_clear;
+          Alcotest.test_case "no allocation at steady state" `Quick
+            test_heap_no_allocation;
+          Alcotest.test_case "releases popped items" `Quick test_heap_releases_popped;
           QCheck_alcotest.to_alcotest heap_sorted_prop;
           QCheck_alcotest.to_alcotest heap_interleaved_prop;
         ] );
@@ -432,7 +846,12 @@ let () =
           Alcotest.test_case "past schedule clamps" `Quick test_engine_past_schedule_clamps;
           Alcotest.test_case "zero sleep yields" `Quick test_engine_zero_sleep_runs_later_events_first;
           Alcotest.test_case "processed counter" `Quick test_engine_processed_counter;
+          Alcotest.test_case "rejects NaN times" `Quick test_engine_rejects_nan;
+          Alcotest.test_case "run until never rewinds" `Quick
+            test_engine_run_until_never_rewinds;
           QCheck_alcotest.to_alcotest determinism_prop;
+          QCheck_alcotest.to_alcotest two_lane_matches_spec_prop;
+          Alcotest.test_case "pinned cluster run" `Quick test_pinned_cluster_run;
         ] );
       ( "mailbox",
         [

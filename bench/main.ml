@@ -544,13 +544,18 @@ let time_run f =
   f ();
   Unix.gettimeofday () -. t0
 
+(* A long fill window (PROTOCOL.md §9): one position in flight, each
+   batch held open 50 ms or until [batch_max] are queued. *)
+let long_fill ~batch_max =
+  Mdds_harness.Throughput.batched ~batch_max ~pipeline_depth:1 ~fill:0.05 ()
+
 (* The PR-8 saturation comparison gating the bench guard's throughput
    floor: both modes at one over-saturated offered rate (well past the
    baseline's ~20 committed/s capacity on VVV), goodput measured by the
-   open-loop harness — plus the epoch-sealed mode (PROTOCOL.md §11) at
-   the same point, so the batching-vs-epoch head-to-head is recorded
-   honestly whichever discipline wins. Deterministic in (seed, txns), so
-   only the quota (txns) distinguishes a --quick run. *)
+   open-loop harness — plus a long fill window (fill bound 64) at the
+   same point, so the short-vs-long window head-to-head is recorded
+   honestly whichever wins. Deterministic in (seed, txns), so only the
+   quota (txns) distinguishes a --quick run. *)
 let run_throughput ~quick =
   let module Throughput = Mdds_harness.Throughput in
   let rate = 150.0 in
@@ -560,19 +565,19 @@ let run_throughput ~quick =
   let point mode = Throughput.run_point ~seed:42 ~mode ~rate ~txns () in
   let base = point Throughput.baseline in
   let batched = point (Throughput.batched ()) in
-  let epoch = point (Throughput.epoch ()) in
-  Throughput.pp_table Format.std_formatter [ base; batched; epoch ];
-  (rate, txns, base, batched, epoch)
+  let long = point (long_fill ~batch_max:64) in
+  Throughput.pp_table Format.std_formatter [ base; batched; long ];
+  (rate, txns, base, batched, long)
 
 (* Per-group drainers must multiply, not contend (ROADMAP): the same
-   over-saturated epoch-mode load on one group log vs spread over four.
-   The offered rate is far past one group's sealed-epoch capacity, so the
-   1-group cell saturates and the 4-group aggregate shows the scaling. *)
-let run_epoch_groups ~quick =
+   over-saturated long-fill load on one group log vs spread over four.
+   The offered rate is far past one group's capacity, so the 1-group
+   cell saturates and the 4-group aggregate shows the scaling. *)
+let run_groups ~quick =
   let module Throughput = Mdds_harness.Throughput in
   (* Composition only multiplies when a single group is consensus-round
-     bound: with a small fill bound a backlogged drainer seals epochs
-     back-to-back at ~fill/RTT committed/s, and independent per-group
+     bound: with a small fill bound a backlogged drainer proposes full
+     batches back-to-back at ~fill/RTT committed/s, and independent per-group
      logs overlap those rounds. (At fill 64 a lone group absorbs 2000/s
      by itself — apply-bound, nothing left for groups to multiply — and
      the run is too short to amortize the ~2s probe-loss stragglers that
@@ -580,11 +585,11 @@ let run_epoch_groups ~quick =
   let rate = 2000.0 in
   let txns = if quick then 1200 else 2400 in
   Printf.printf
-    "\n-- timing epoch group composition (%d txns at %.0f/s, 1 vs 4 groups) \
-     --\n%!"
+    "\n-- timing long-fill group composition (%d txns at %.0f/s, 1 vs 4 \
+     groups) --\n%!"
     txns rate;
   let point groups =
-    Throughput.run_point ~seed:42 ~groups ~mode:(Throughput.epoch ~fill:8 ())
+    Throughput.run_point ~seed:42 ~groups ~mode:(long_fill ~batch_max:8)
       ~rate ~txns ()
   in
   let g1 = point 1 in
@@ -597,7 +602,7 @@ let run_epoch_groups ~quick =
      else 0.);
   (rate, txns, g1, g4)
 
-let emit_json ~path ~jobs ~figures ~micro ~throughput ~epoch_groups =
+let emit_json ~path ~jobs ~figures ~micro ~throughput ~groups =
   let out = open_out path in
   let p fmt = Printf.fprintf out fmt in
   p "{\n";
@@ -615,7 +620,7 @@ let emit_json ~path ~jobs ~figures ~micro ~throughput ~epoch_groups =
     figures;
   p "  ],\n";
   (let module Throughput = Mdds_harness.Throughput in
-   let rate, txns, base, batched, epoch = throughput in
+   let rate, txns, base, batched, long = throughput in
    let cps (pt : Throughput.point) = pt.Throughput.committed_per_s in
    let p50 (pt : Throughput.point) =
      pt.Throughput.latency.Mdds_harness.Stats.p50 *. 1000.
@@ -629,19 +634,19 @@ let emit_json ~path ~jobs ~figures ~micro ~throughput ~epoch_groups =
      (if cps base > 0. then cps batched /. cps base else 0.)
      (p50 base) (p50 batched)
      (ok base && ok batched);
-   let g_rate, g_txns, g1, g4 = epoch_groups in
-   p "  \"epoch\": {\"rate\": %.1f, \"txns\": %d, \
-      \"epoch_committed_per_s\": %.3f, \"epoch_vs_baseline\": %.2f, \
-      \"epoch_vs_batched\": %.2f, \"epoch_p50_ms\": %.1f, \
-      \"epochs_sealed\": %d, \"groups_rate\": %.1f, \"groups_txns\": %d, \
+   let g_rate, g_txns, g1, g4 = groups in
+   p "  \"long_fill\": {\"rate\": %.1f, \"txns\": %d, \
+      \"committed_per_s\": %.3f, \"vs_baseline\": %.2f, \
+      \"vs_batched\": %.2f, \"p50_ms\": %.1f, \"batches\": %d, \
+      \"groups_rate\": %.1f, \"groups_txns\": %d, \
       \"groups1_committed_per_s\": %.3f, \"groups4_committed_per_s\": %.3f, \
       \"groups_scaling\": %.2f, \"verified\": %b},\n"
-     rate txns (cps epoch)
-     (if cps base > 0. then cps epoch /. cps base else 0.)
-     (if cps batched > 0. then cps epoch /. cps batched else 0.)
-     (p50 epoch) epoch.Throughput.epochs g_rate g_txns (cps g1) (cps g4)
+     rate txns (cps long)
+     (if cps base > 0. then cps long /. cps base else 0.)
+     (if cps batched > 0. then cps long /. cps batched else 0.)
+     (p50 long) long.Throughput.batches g_rate g_txns (cps g1) (cps g4)
      (if cps g1 > 0. then cps g4 /. cps g1 else 0.)
-     (ok epoch && ok g1 && ok g4));
+     (ok long && ok g1 && ok g4));
   p "  \"micro\": [\n";
   List.iteri
     (fun i (name, ns) ->
@@ -675,7 +680,7 @@ let run_json ~jobs ~quick ~out ids =
   Gc.compact ();
   let micro = run_micro ~quick () in
   let throughput = run_throughput ~quick in
-  let epoch_groups = run_epoch_groups ~quick in
+  let groups = run_groups ~quick in
   let figures =
     List.map
       (fun id ->
@@ -689,7 +694,7 @@ let run_json ~jobs ~quick ~out ids =
         (id, seq_s, par_s))
       ids
   in
-  emit_json ~path:out ~jobs ~figures ~micro ~throughput ~epoch_groups
+  emit_json ~path:out ~jobs ~figures ~micro ~throughput ~groups
 
 (* ------------------------------------------------------------------ *)
 

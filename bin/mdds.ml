@@ -260,10 +260,9 @@ let chaos_cmd =
       & info [ "throughput" ]
           ~doc:
             "Add the throughput schedule dimension: force the leader \
-             protocol and draw batch_max/pipeline_depth/epoch_interval \
-             per seed (DESIGN.md \xc2\xa714\xe2\x80\x93\xc2\xa715), so the soak \
-             exercises batched, pipelined and epoch-sealed commit under \
-             every fault kind.")
+             protocol and draw batch_max/pipeline_depth/batch_fill per \
+             seed (DESIGN.md \xc2\xa714), so the soak exercises batched, \
+             pipelined and long-fill commit under every fault kind.")
   in
   let groups_arg =
     Arg.(
@@ -443,23 +442,20 @@ let throughput_cmd =
          & info [ "baseline-only" ]
              ~doc:"Sweep only the unbatched baseline mode.")
   in
-  let epoch_arg =
-    Arg.(value & opt (some float) None
-         & info [ "epoch" ] ~docv:"SECONDS"
-             ~doc:"Also sweep an epoch-sealed mode (PROTOCOL.md \xc2\xa711) \
-                   sealing every $(docv) virtual seconds.")
-  in
-  let epoch_fill_arg =
-    Arg.(value & opt int 64
-         & info [ "epoch-fill" ] ~docv:"N"
-             ~doc:"Fill bound of the epoch mode: seal early once $(docv) \
-                   transactions are queued.")
+  let fill_ok v = Float.is_finite v && v > 0.0 in
+  let fill_arg =
+    Arg.(value & opt float Config.default.batch_fill
+         & info [ "fill" ] ~docv:"SECONDS"
+             ~doc:"batch_fill of the batched mode: how long the drainer \
+                   holds a batch open for more submissions. A long window \
+                   with a large --batch puts the whole window in one log \
+                   entry (PROTOCOL.md \xc2\xa79).")
   in
   let sweep_arg =
     Arg.(value & flag
          & info [ "sweep" ]
              ~doc:"Run the knob grid instead of the rate sweep: \
-                   batch_max x pipeline_depth x epoch_interval x topology \
+                   batch_max x pipeline_depth x batch_fill x topology \
                    at one offered rate (the ext-knobs family).")
   in
   let list_conv ~name ~of_string ~ok ~to_string =
@@ -483,9 +479,9 @@ let throughput_cmd =
     list_conv ~name:"int" ~of_string:int_of_string_opt ~ok:(fun v -> v >= 1)
       ~to_string:string_of_int
   in
-  let floats0_conv =
-    list_conv ~name:"float" ~of_string:float_of_string_opt
-      ~ok:(fun v -> v >= 0.0) ~to_string:(Printf.sprintf "%g")
+  let fills_conv =
+    list_conv ~name:"fill" ~of_string:float_of_string_opt ~ok:fill_ok
+      ~to_string:(Printf.sprintf "%g")
   in
   let strings_conv =
     list_conv ~name:"topology"
@@ -496,19 +492,18 @@ let throughput_cmd =
   let sweep_batches_arg =
     Arg.(value & opt ints_conv [ 1; 8 ]
          & info [ "sweep-batches" ] ~docv:"N1,N2,.."
-             ~doc:"batch_max values of the --sweep grid (epoch cells use \
-                   them as the fill bound).")
+             ~doc:"batch_max values of the --sweep grid.")
   in
   let sweep_depths_arg =
     Arg.(value & opt ints_conv [ 1; 4 ]
          & info [ "sweep-depths" ] ~docv:"K1,K2,.."
              ~doc:"pipeline_depth values of the --sweep grid.")
   in
-  let sweep_epochs_arg =
-    Arg.(value & opt floats0_conv [ 0.0; 0.05 ]
-         & info [ "sweep-epochs" ] ~docv:"S1,S2,.."
-             ~doc:"epoch_interval values of the --sweep grid (0 = batch \
-                   discipline).")
+  let sweep_fills_arg =
+    Arg.(value & opt fills_conv [ Config.default.batch_fill; 0.05 ]
+         & info [ "sweep-fills" ] ~docv:"S1,S2,.."
+             ~doc:"batch_fill values of the --sweep grid (positive \
+                   virtual seconds).")
   in
   let topologies_arg =
     Arg.(value & opt strings_conv [ "VVV"; "VVVOC" ]
@@ -545,9 +540,9 @@ let throughput_cmd =
     (* stderr, so jobs-1-vs-jobs-4 stdout diffs don't see the filenames *)
     Format.eprintf "wrote %s@." path
   in
-  let run topology seed txns rates batch depth baseline_only epoch epoch_fill
-      sweep sweep_batches sweep_depths sweep_epochs topologies sweep_rate csv
-      groups out jobs verbose =
+  let run topology seed txns rates batch depth baseline_only fill sweep
+      sweep_batches sweep_depths sweep_fills topologies sweep_rate csv groups
+      out jobs verbose =
     Mdds_parallel.Pool.set_jobs jobs;
     if batch < 1 || depth < 1 then (
       Format.eprintf "mdds: --batch and --depth must be positive@.";
@@ -555,26 +550,15 @@ let throughput_cmd =
     if groups < 1 then (
       Format.eprintf "mdds: --groups must be positive@.";
       exit 124);
-    (match epoch with
-    | Some e when e <= 0.0 ->
-        Format.eprintf
-          "mdds: --epoch must be positive virtual seconds (omit it to \
-           disable epoch sealing)@.";
-        exit 124
-    | _ -> ());
-    if epoch_fill < 1 then (
-      Format.eprintf "mdds: --epoch-fill must be positive@.";
-      exit 124);
-    if List.exists (fun e -> e < 0.0) sweep_epochs then (
-      Format.eprintf
-        "mdds: --sweep-epochs values must be >= 0 (0 = batch discipline)@.";
+    if not (fill_ok fill) then (
+      Format.eprintf "mdds: --fill must be positive, finite virtual seconds@.";
       exit 124);
     if sweep then begin
-      (* Knob grid: one rate, every batch x depth x epoch x topology cell. *)
+      (* Knob grid: one rate, every batch x depth x fill x topology cell. *)
       let cells =
         Throughput.knob_sweep ~seed ~groups ~topologies
-          ~batch_maxes:sweep_batches ~depths:sweep_depths
-          ~epoch_intervals:sweep_epochs ~rate:sweep_rate ~txns ()
+          ~batch_maxes:sweep_batches ~depths:sweep_depths ~fills:sweep_fills
+          ~rate:sweep_rate ~txns ()
       in
       Throughput.pp_knob_table Format.std_formatter cells;
       (match out with
@@ -595,12 +579,8 @@ let throughput_cmd =
         if baseline_only then [ Throughput.baseline ]
         else
           [ Throughput.baseline;
-            Throughput.batched ~batch_max:batch ~pipeline_depth:depth () ]
-          @
-          match epoch with
-          | None -> []
-          | Some interval ->
-              [ Throughput.epoch ~fill:epoch_fill ~interval () ]
+            Throughput.batched ~batch_max:batch ~pipeline_depth:depth ~fill ()
+          ]
       in
       let points =
         Throughput.sweep ~seed ~topology ~groups ~modes ~rates ~txns ()
@@ -627,8 +607,8 @@ let throughput_cmd =
   let term =
     Term.(
       const run $ topology_arg $ seed_arg $ tp_txns_arg $ rates_arg $ batch_arg
-      $ depth_arg $ baseline_only_arg $ epoch_arg $ epoch_fill_arg $ sweep_arg
-      $ sweep_batches_arg $ sweep_depths_arg $ sweep_epochs_arg
+      $ depth_arg $ baseline_only_arg $ fill_arg $ sweep_arg
+      $ sweep_batches_arg $ sweep_depths_arg $ sweep_fills_arg
       $ topologies_arg $ sweep_rate_arg $ csv_arg $ tp_groups_arg $ out_arg
       $ jobs_arg $ verbose_arg)
   in
@@ -637,11 +617,10 @@ let throughput_cmd =
        ~doc:
          "Open-loop saturation sweep: offered-rate curves for the unbatched \
           baseline vs throughput mode (transaction batching + k-deep \
-          pipelined log positions) and optionally the epoch-sealed mode \
-          (--epoch, PROTOCOL.md \xc2\xa711), with commit-latency percentiles \
-          and full oracle checking per point (DESIGN.md \xc2\xa714\xe2\x80\x93\xc2\xa715). \
-          --sweep runs the batch x depth x epoch x topology knob grid \
-          instead.")
+          pipelined log positions, --fill sets its fill window), with \
+          commit-latency percentiles and full oracle checking per point \
+          (DESIGN.md \xc2\xa714). --sweep runs the batch x depth x fill x \
+          topology knob grid instead.")
     term
 
 (* ------------------------------------------------------------------ *)

@@ -35,15 +35,14 @@ let default_config protocol =
     hedged_reads = true;
   }
 
-(* The throughput schedule dimension (PR 8, epoch sealing PR 10):
-   batched/pipelined/epoch-sealed commit under chaos. Drawn
-   deterministically from the seed on a stream distinct from both the
-   engine's (raw seed) and the fault schedule's (seed lxor 0x5DEECE66D);
-   never leaves both knobs at 1, because that would silently fall back to
-   the single path and test nothing new. The epoch draw comes after the
-   batch/depth draws, so seeds keep the batch/depth they had before the
-   epoch dimension existed; roughly half the seeds run epoch sealing
-   (PROTOCOL.md §11), with [batch_max] as the fill bound. *)
+(* The throughput schedule dimension: batched/pipelined commit under
+   chaos. Drawn deterministically from the seed on a stream distinct from
+   both the engine's (raw seed) and the fault schedule's
+   (seed lxor 0x5DEECE66D); never leaves both knobs at 1, because that
+   would silently fall back to the single path and test nothing new. The
+   fill draw comes last, so seeds keep the batch/depth they had before it
+   existed; roughly half the seeds run a long fill window (PROTOCOL.md
+   §9), the rest keep the config's own [batch_fill]. *)
 let throughput_config ~seed config =
   let rng = Mdds_sim.Rng.create (seed lxor 0x7F4A7C15) in
   let batch_max = [| 1; 2; 4; 8 |].(Mdds_sim.Rng.int rng 4) in
@@ -51,11 +50,14 @@ let throughput_config ~seed config =
     if batch_max = 1 then [| 2; 4 |].(Mdds_sim.Rng.int rng 2)
     else [| 1; 2; 4 |].(Mdds_sim.Rng.int rng 3)
   in
-  let epoch_interval = [| 0.0; 0.0; 0.05; 0.15 |].(Mdds_sim.Rng.int rng 4) in
+  let batch_fill =
+    let base = config.Config.batch_fill in
+    [| base; base; 0.05; 0.15 |].(Mdds_sim.Rng.int rng 4)
+  in
   { (Config.with_protocol Config.Leader config) with
     batch_max;
     pipeline_depth;
-    epoch_interval;
+    batch_fill;
   }
 
 (* Denser than the default soak workload: with the ~90 ms leader commit
@@ -510,16 +512,12 @@ let run ?schedule ?extra_oracle spec =
           batched_txns = acc.batched_txns + s.Service.batched_txns;
           pipelined_rounds = acc.pipelined_rounds + s.Service.pipelined_rounds;
           pipeline_stalls = acc.pipeline_stalls + s.Service.pipeline_stalls;
-          epochs_sealed = acc.epochs_sealed + s.Service.epochs_sealed;
-          epoch_txns = acc.epoch_txns + s.Service.epoch_txns;
         })
       {
         Service.batches = 0;
         batched_txns = 0;
         pipelined_rounds = 0;
         pipeline_stalls = 0;
-        epochs_sealed = 0;
-        epoch_txns = 0;
       }
       (Cluster.services cluster)
   in
@@ -575,7 +573,7 @@ let repro r =
     r.run_spec.seed r.run_spec.topology
     (Config.protocol_name r.run_spec.config.protocol)
     r.run_spec.duration
-    (* --throughput re-derives batch/depth/epoch from the seed, so the
+    (* --throughput re-derives batch/depth/fill from the seed, so the
        replay gets the same drainer discipline as the failing run. *)
     (if Config.throughput_mode r.run_spec.config then " --throughput" else "")
     (if r.run_spec.workload.Ycsb.cross_ratio > 0.0 then
@@ -612,21 +610,12 @@ let pp_report ppf r =
     r.dedup.Service.dup_submits r.hedges
     (up_windows r) (Array.length r.timeline) (max_ttr r)
     ((if Config.throughput_mode r.run_spec.config then
-        Printf.sprintf "batch%d/depth%d%s %d batches (%d txns, %d pipelined, \
-                        %d stalls%s)  "
+        Printf.sprintf "batch%d/depth%d %d batches (%d txns, %d pipelined, \
+                        %d stalls)  "
           r.run_spec.config.batch_max r.run_spec.config.pipeline_depth
-          (if Config.epoch_mode r.run_spec.config then
-             Printf.sprintf "/epoch%gms"
-               (r.run_spec.config.epoch_interval *. 1000.)
-           else "")
           r.throughput.Service.batches r.throughput.Service.batched_txns
           r.throughput.Service.pipelined_rounds
           r.throughput.Service.pipeline_stalls
-          (if Config.epoch_mode r.run_spec.config then
-             Printf.sprintf ", %d epochs sealed carrying %d"
-               r.throughput.Service.epochs_sealed
-               r.throughput.Service.epoch_txns
-           else "")
       else "")
     ^ (if
          r.run_spec.workload.Ycsb.cross_ratio > 0.0

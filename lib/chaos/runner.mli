@@ -83,15 +83,16 @@ val default_config : Mdds_core.Config.protocol -> Mdds_core.Config.t
     client machinery). *)
 
 val throughput_config : seed:int -> Mdds_core.Config.t -> Mdds_core.Config.t
-(** The throughput schedule dimension (DESIGN.md §14–§15): force the
+(** The throughput schedule dimension (DESIGN.md §14): force the
     leader protocol and draw [batch_max ∈ {1,2,4,8}],
-    [pipeline_depth ∈ {1,2,4}] and [epoch_interval ∈ {0, 0, 0.05, 0.15}]
-    deterministically from [seed] (on a stream distinct from the engine's
-    and the fault schedule's; the epoch draw is appended after the
-    batch/depth draws, so pre-epoch seeds keep their historical
-    batch/depth), never all off — so a soak over a seed range exercises
-    every batching/pipelining/epoch-sealing combination under every
-    fault kind. *)
+    [pipeline_depth ∈ {1,2,4}] and a fill window — the config's own
+    [batch_fill] on half the draws, a long 0.05 s or 0.15 s window on
+    the rest — deterministically from [seed] (on a stream distinct from
+    the engine's and the fault schedule's; the fill draw comes after the
+    batch/depth draws, so older seeds keep their historical
+    batch/depth), never batch and depth both 1 — so a soak over a seed
+    range exercises every batching/pipelining/fill combination under
+    every fault kind. *)
 
 val throughput_workload :
   dcs:int -> duration:float -> Mdds_workload.Ycsb.config
@@ -129,9 +130,8 @@ type report = {
       (** Batched-path counters summed over all services (all zero unless
           the spec's config enables {!Mdds_core.Config.throughput_mode},
           e.g. via {!throughput_config}): positions proposed by the
-          batched path, transactions they carried, pipelined rounds,
-          window stalls, and — when the seed drew epoch sealing — epochs
-          sealed and the transactions they admitted. *)
+          batched path, transactions they carried, pipelined rounds and
+          window stalls. *)
   twopc : Mdds_core.Service.twopc_stats;
       (** Multi-shot-commit counters summed over all services (all zero
           unless the workload's [cross_ratio] draws cross-group

@@ -265,16 +265,8 @@ let commit_leader t txn (record : Txn.record) =
     | None -> false
   in
   let submit dst =
-    (* Throughput mode adds queueing ahead of the proposal: the fill wait
-       plus up to [pipeline_depth] positions draining ahead of ours. The
-       default stays exactly the pre-existing 2×, byte-identical. *)
-    let timeout =
-      if Config.throughput_mode config then
-        (2.0 +. float_of_int config.pipeline_depth) *. config.rpc_timeout
-        +. config.batch_fill
-      else 2.0 *. config.rpc_timeout
-    in
-    Rpc.call t.env.Proposer.rpc ~src:t.env.Proposer.dc ~dst ~timeout
+    Rpc.call t.env.Proposer.rpc ~src:t.env.Proposer.dc ~dst
+      ~timeout:(Config.submit_timeout config)
       (Messages.Submit { group = txn.group; record })
   in
   let rec go attempts manager =
@@ -422,13 +414,8 @@ let manager_submit t ~group (record : Txn.record) =
     | None -> false
   in
   let submit dst =
-    let timeout =
-      if Config.throughput_mode config then
-        (2.0 +. float_of_int config.pipeline_depth) *. config.rpc_timeout
-        +. config.batch_fill
-      else 2.0 *. config.rpc_timeout
-    in
-    Rpc.call t.env.Proposer.rpc ~src:t.env.Proposer.dc ~dst ~timeout
+    Rpc.call t.env.Proposer.rpc ~src:t.env.Proposer.dc ~dst
+      ~timeout:(Config.submit_timeout config)
       (Messages.Submit { group; record })
   in
   let rec go attempts manager =

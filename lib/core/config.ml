@@ -23,7 +23,6 @@ type t = {
   batch_max : int;
   batch_fill : float;
   pipeline_depth : int;
-  epoch_interval : float;
 }
 
 let default =
@@ -50,7 +49,6 @@ let default =
     batch_max = 1;
     batch_fill = 0.005;
     pipeline_depth = 1;
-    epoch_interval = 0.0;
   }
 
 let basic = { default with protocol = Basic }
@@ -59,26 +57,28 @@ let with_protocol protocol t = { t with protocol }
 
 let leader = { default with protocol = Leader }
 
-let epoch_mode t = t.epoch_interval > 0.0
+let throughput_mode t = t.batch_max > 1 || t.pipeline_depth > 1
 
-let throughput_mode t =
-  t.batch_max > 1 || t.pipeline_depth > 1 || epoch_mode t
+let submit_timeout t =
+  if throughput_mode t then
+    ((2.0 +. float_of_int t.pipeline_depth) *. t.rpc_timeout) +. t.batch_fill
+  else 2.0 *. t.rpc_timeout
 
 (* Knob validation at construction: each of these combinations is not a
    tuning choice but a contradiction (a batcher that can hold no
-   transaction, a pipeline with no slots, a backoff window of negative
-   width, an adaptive floor above the cap it feeds). Catching them here
-   turns undefined downstream behavior — infinite defer loops, empty
-   windows, [Rng.uniform] on an inverted interval — into an immediate,
-   descriptive error. *)
+   transaction, a pipeline with no slots, a fill wait that is negative or
+   not finite, a backoff window of negative width, an adaptive floor above
+   the cap it feeds). Catching them here turns undefined downstream
+   behavior — infinite defer loops, empty windows, a NaN fill that
+   silently skips the wait, [Rng.uniform] on an inverted interval — into
+   an immediate, descriptive error. *)
 let validate t =
   let fail fmt = Printf.ksprintf invalid_arg ("Config.make: " ^^ fmt) in
   if t.batch_max < 1 then fail "batch_max = %d (must be >= 1)" t.batch_max;
   if t.pipeline_depth < 1 then
     fail "pipeline_depth = %d (must be >= 1)" t.pipeline_depth;
-  if t.epoch_interval < 0.0 then
-    fail "epoch_interval = %g (must be >= 0; 0 disables epoch sealing)"
-      t.epoch_interval;
+  if not (Float.is_finite t.batch_fill && t.batch_fill >= 0.0) then
+    fail "batch_fill = %g (must be finite and >= 0)" t.batch_fill;
   if t.backoff_min > t.backoff_max then
     fail "backoff_min = %g > backoff_max = %g" t.backoff_min t.backoff_max;
   if t.adaptive_floor > t.rpc_timeout then
@@ -87,7 +87,7 @@ let validate t =
   t
 
 let make ?(base = default) ?rpc_timeout ?backoff_min ?backoff_max
-    ?adaptive_floor ?batch_max ?pipeline_depth ?epoch_interval () =
+    ?adaptive_floor ?batch_max ?pipeline_depth ?batch_fill () =
   let field v = function Some v -> v | None -> v in
   validate
     {
@@ -98,21 +98,11 @@ let make ?(base = default) ?rpc_timeout ?backoff_min ?backoff_max
       adaptive_floor = field base.adaptive_floor adaptive_floor;
       batch_max = field base.batch_max batch_max;
       pipeline_depth = field base.pipeline_depth pipeline_depth;
-      epoch_interval = field base.epoch_interval epoch_interval;
+      batch_fill = field base.batch_fill batch_fill;
     }
 
 let throughput ?(batch_max = 8) ?(pipeline_depth = 4) t =
   validate { t with protocol = Leader; batch_max; pipeline_depth }
-
-let epoch ?(fill = 64) ?(pipeline_depth = 1) ?(interval = 0.05) t =
-  validate
-    {
-      t with
-      protocol = Leader;
-      batch_max = fill;
-      pipeline_depth;
-      epoch_interval = interval;
-    }
 
 let protocol_name = function
   | Basic -> "paxos"

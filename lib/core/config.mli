@@ -94,23 +94,15 @@ type t = {
       (** Fill-or-timeout: once the manager has at least one queued
           transaction but fewer than [batch_max], it waits at most this
           many seconds for more before proposing (only read when
-          [batch_max > 1]). *)
+          [batch_max > 1]). A long window with a large [batch_max] puts
+          everything submitted in the window into one log entry — one
+          consensus round amortized over the window (PROTOCOL.md §9). *)
   pipeline_depth : int;
       (** [Leader] protocol throughput mode: concurrent in-flight log
           positions the manager may keep open (Multi-Paxos pipelining;
           positions assigned eagerly, applies stay in log order via the
           WAL watermark, failures fall back to in-order single-position
           resolution). [1] (default) disables pipelining. *)
-  epoch_interval : float;
-      (** [Leader] protocol epoch-sealed commit (PROTOCOL.md §11): [> 0]
-          switches the per-group drainer from fill-or-timeout batching to
-          epoch sealing — submissions are admitted into the open epoch
-          under the batching predicates, the epoch seals after this many
-          seconds (or earlier when [batch_max], acting as the fill bound,
-          is reached), and the sealed epoch is proposed as one
-          multi-record log entry: one consensus round amortized over the
-          whole window. [0.0] (default) disables epoch sealing, so all
-          paper figures take the unchanged path. *)
 }
 
 val default : t
@@ -123,26 +115,21 @@ val leader : t
 (** [default] with [protocol = Leader]. *)
 
 val throughput_mode : t -> bool
-(** True iff batching, pipelining, or epoch sealing is enabled
-    ([batch_max > 1], [pipeline_depth > 1], or [epoch_interval > 0]).
+(** True iff batching or pipelining is enabled ([batch_max > 1] or
+    [pipeline_depth > 1]).
     Off in {!default}/{!basic}/{!leader}, so all paper figures take the
     unbatched path unchanged. *)
 
-val epoch_mode : t -> bool
-(** True iff epoch sealing is enabled ([epoch_interval > 0]). Implies
-    {!throughput_mode}. *)
+val submit_timeout : t -> float
+(** How long a leader-protocol client waits for a Submit reply:
+    [2 × rpc_timeout] on the unbatched path; in throughput mode the
+    queueing ahead of the proposal is added — up to [pipeline_depth]
+    positions draining ahead, plus the drainer's fill wait. *)
 
 val throughput : ?batch_max:int -> ?pipeline_depth:int -> t -> t
 (** Steady-state throughput mode: [Leader] protocol with batching
     (default [batch_max = 8]) and pipelining (default
     [pipeline_depth = 4]) enabled. Validates like {!make}. *)
-
-val epoch : ?fill:int -> ?pipeline_depth:int -> ?interval:float -> t -> t
-(** Epoch-sealed commit mode: [Leader] protocol with [epoch_interval]
-    set to [interval] (default 0.05 s), [batch_max] repurposed as the
-    epoch fill bound (default [fill = 64]) and [pipeline_depth]
-    (default 1: one epoch in flight at a time). Validates like
-    {!make}. *)
 
 val make :
   ?base:t ->
@@ -152,13 +139,13 @@ val make :
   ?adaptive_floor:float ->
   ?batch_max:int ->
   ?pipeline_depth:int ->
-  ?epoch_interval:float ->
+  ?batch_fill:float ->
   unit ->
   t
 (** [make ()] is {!default}; each optional argument overrides one field
     of [base] (default {!default}). Raises [Invalid_argument] with a
     descriptive message on contradictory knobs: [batch_max < 1],
-    [pipeline_depth < 1], [epoch_interval < 0],
+    [pipeline_depth < 1], a negative or non-finite [batch_fill],
     [backoff_min > backoff_max], or
     [adaptive_floor > rpc_timeout] — each of which would otherwise be
     undefined behavior downstream (empty batch windows, inverted

@@ -119,8 +119,6 @@ type t = {
   mutable batched_txns : int;
   mutable pipelined_rounds : int;
   mutable pipeline_stalls : int;
-  mutable epochs_sealed : int;
-  mutable epoch_txns : int;
   twopc : (string, (string, indoubt) Hashtbl.t) Hashtbl.t;
       (* In-doubt table per group, volatile: re-derived from the log by
          an incremental scan ({!scan_2pc}); reset and rebuilt on restart.
@@ -149,8 +147,6 @@ type throughput_stats = {
   batched_txns : int;
   pipelined_rounds : int;
   pipeline_stalls : int;
-  epochs_sealed : int;
-  epoch_txns : int;
 }
 
 type twopc_stats = {
@@ -177,8 +173,6 @@ let throughput_stats (t : t) =
     batched_txns = t.batched_txns;
     pipelined_rounds = t.pipelined_rounds;
     pipeline_stalls = t.pipeline_stalls;
-    epochs_sealed = t.epochs_sealed;
-    epoch_txns = t.epoch_txns;
   }
 
 let twopc_stats (t : t) =
@@ -531,14 +525,15 @@ let blocked_by_2pc t ~group (record : Txn.record) =
    in-flight positions above the applied watermark, throughput mode)
    block the same way; outcomes in the overhang release them. *)
 let blocked_by_overhang (record : Txn.record) overhang =
-  match Twopc.classify record with
-  | Twopc.Outcome _ | Twopc.Decision _ -> None
-  | Twopc.Prepare _ | Twopc.Plain ->
-      let own =
-        match Twopc.classify record with
-        | Twopc.Prepare { txid; _ } -> txid
-        | _ -> ""
-      in
+  let own =
+    match Twopc.classify record with
+    | Twopc.Outcome _ | Twopc.Decision _ -> None
+    | Twopc.Prepare { txid; _ } -> Some txid
+    | Twopc.Plain -> Some ""
+  in
+  match own with
+  | None -> None
+  | Some own ->
       let resolved =
         List.concat_map
           (fun (_, entry) ->
@@ -550,26 +545,20 @@ let blocked_by_overhang (record : Txn.record) overhang =
               entry)
           overhang
       in
-      List.fold_left
-        (fun acc (_, entry) ->
-          match acc with
-          | Some _ -> acc
-          | None ->
-              List.fold_left
-                (fun acc r ->
-                  match acc with
-                  | Some _ -> acc
-                  | None -> (
-                      match Twopc.classify r with
-                      | Twopc.Prepare { txid; _ }
-                        when (not (String.equal txid own))
-                             && (not (List.mem txid resolved))
-                             && footprint_conflict
-                                  ~footprint:(Txn.read_keys r) record ->
-                          Some txid
-                      | _ -> None))
-                None entry)
-        None overhang
+      List.find_map
+        (fun (_, entry) ->
+          List.find_map
+            (fun r ->
+              match Twopc.classify r with
+              | Twopc.Prepare { txid; _ }
+                when (not (String.equal txid own))
+                     && (not (List.mem txid resolved))
+                     && footprint_conflict ~footprint:(Txn.read_keys r) record
+                ->
+                  Some txid
+              | _ -> None)
+            entry)
+        overhang
 
 let arm_2pc_trap t f = t.trap_2pc <- Some f
 
@@ -587,6 +576,37 @@ let fire_2pc_trap t entry =
         Mdds_sim.Engine.spawn (Rpc.engine t.env.Proposer.rpc) f
       end
 
+(* A duplicated or replayed submission (duplicating link, client retry)
+   must not be sequenced a second time — the same transaction at two
+   positions is an L2 violation (found by gray-failure chaos seed 2:
+   dup-storm under the leader protocol). The log is the durable record of
+   what was already sequenced: answer from it. A committed record always
+   sits above its read position (positions up to it were decided when it
+   was built), so the scan up to [upto] is short. *)
+let logged_at t ~group ~upto (r : Txn.record) =
+  let rec find pos =
+    if pos > upto then None
+    else
+      match Wal.entry t.wal ~group ~pos with
+      | Some entry when Txn.mem_entry ~txn_id:r.Txn.txn_id entry -> Some pos
+      | _ -> find (pos + 1)
+  in
+  find (1 + max r.Txn.read_position (Wal.compacted_position t.wal ~group))
+
+(* Fine-grained conflict check against committed state (the §7 sketch:
+   "check each new transaction against previously committed
+   transactions"): a read is stale if its key was overwritten after the
+   transaction's read position, as of position [at]. Probes the
+   footprint's deduped read-set array directly: no per-submit
+   List.sort_uniq allocation. *)
+let stale_at t ~group ~at (r : Txn.record) =
+  Array.exists
+    (fun key ->
+      match Wal.data_version t.wal ~group ~key ~at with
+      | Some version -> version > r.Txn.read_position
+      | None -> false)
+    (Txn.read_keys r)
+
 let handle_submit_single t ~group (record : Txn.record) =
   Mdds_sim.Semaphore.with_permit (submit_lock t ~group) (fun () ->
       let rec attempt tries =
@@ -597,32 +617,7 @@ let handle_submit_single t ~group (record : Txn.record) =
           match ensure_applied t ~group ~upto:last with
           | Error _ -> Messages.Submit_reply { result = Messages.No_quorum }
           | Ok () -> (
-              (* A duplicated or replayed submission (duplicating link,
-                 client retry) must not be sequenced a second time — the
-                 same transaction at two positions is an L2 violation
-                 (found by gray-failure chaos seed 2: dup-storm under the
-                 leader protocol). The log is the durable record of what
-                 was already sequenced: answer from it. A committed record
-                 always sits above its read position (positions up to it
-                 were decided when it was built), so the scan is short. *)
-              let already_at =
-                let lo =
-                  1
-                  + max record.Txn.read_position
-                      (Wal.compacted_position t.wal ~group)
-                in
-                let rec find pos =
-                  if pos > last then None
-                  else
-                    match Wal.entry t.wal ~group ~pos with
-                    | Some entry
-                      when Txn.mem_entry ~txn_id:record.Txn.txn_id entry ->
-                        Some pos
-                    | _ -> find (pos + 1)
-                in
-                find lo
-              in
-              match already_at with
+              match logged_at t ~group ~upto:last record with
               | Some pos ->
                   t.dup_submits <- t.dup_submits + 1;
                   Messages.Submit_reply { result = Messages.Accepted_at pos }
@@ -637,22 +632,8 @@ let handle_submit_single t ~group (record : Txn.record) =
                   watch_2pc t ~group blocker;
                   Messages.Submit_reply { result = Messages.Stale_read }
               | None ->
-              (* Fine-grained conflict check against committed state: a
-                 read is stale if its key was overwritten after the
-                 transaction's read position (the §7 sketch: "check each
-                 new transaction against previously committed
-                 transactions"). *)
-              let stale =
-                (* Probe the footprint's deduped read-set array directly:
-                   no per-submit List.sort_uniq allocation. *)
-                Array.exists
-                  (fun key ->
-                    match Wal.data_version t.wal ~group ~key ~at:last with
-                    | Some version -> version > record.Txn.read_position
-                    | None -> false)
-                  (Txn.read_keys record)
-              in
-              if stale then Messages.Submit_reply { result = Messages.Stale_read }
+              if stale_at t ~group ~at:last record then
+                Messages.Submit_reply { result = Messages.Stale_read }
               else
                 let pos = last + 1 in
                 (* Multi-Paxos steady state: having decided the previous
@@ -825,21 +806,7 @@ let build_batch (t : t) b =
        | None -> ()
        | Some p ->
            let r = p.p_record in
-           let already_at =
-             let lo =
-               1 + max r.Txn.read_position (Wal.compacted_position t.wal ~group)
-             in
-             let rec find pos =
-               if pos > wal_last then None
-               else
-                 match Wal.entry t.wal ~group ~pos with
-                 | Some entry when Txn.mem_entry ~txn_id:r.Txn.txn_id entry ->
-                     Some pos
-                 | _ -> find (pos + 1)
-             in
-             find lo
-           in
-           (match already_at with
+           (match logged_at t ~group ~upto:wal_last r with
            | Some pos ->
                t.dup_submits <- t.dup_submits + 1;
                resolve_pending b p (Messages.Accepted_at pos)
@@ -853,14 +820,7 @@ let build_batch (t : t) b =
                in
                let stale =
                  blocked
-                 || Array.exists
-                      (fun key ->
-                        match
-                          Wal.data_version t.wal ~group ~key ~at:watermark
-                        with
-                        | Some version -> version > r.Txn.read_position
-                        | None -> false)
-                      (Txn.read_keys r)
+                 || stale_at t ~group ~at:watermark r
                  || List.exists
                       (fun (pos, entry) ->
                         pos > r.Txn.read_position
@@ -911,18 +871,20 @@ let propose_sync (t : t) b ~pos batch =
 
 (* A pipelined round failed (refused sequenced accept, timeout, or a rival
    bumped nextBal): stall the pipeline and resolve every open position in
-   log order through the full protocol. Each resolution adopts whatever
-   the prepare quorum reveals — except our own sequenced round-0 vote once
-   the prefix has diverged. Such a vote is provably unchosen: a sequenced
-   round-0 quorum at the position would need a round-0 quorum at the
-   previous position for the same leader, which the divergence rules out
-   (any rival decision's prepare quorum intersects every round-0 quorum
-   and would have adopted our value). Proposing it verbatim would commit
-   transactions whose stale-read checks ran against a prefix that never
-   committed, so we propose a re-validated subset instead — possibly the
-   empty no-op entry — at the higher ballot. This is the one deliberate
-   deviation from adopt-the-highest-vote, justified by the sequenced
-   invariant (PROTOCOL.md, "Batching and pipelining"). *)
+   log order through the full protocol. Each resolution adopts the highest
+   vote the prepare quorum reveals other than our own round-0 vote; with
+   none left it re-proposes our entry while the prefix held, and once the
+   prefix has diverged it re-validates instead. Our own round-0 vote is
+   then provably unchosen: a sequenced round-0 quorum at the position
+   would need a round-0 quorum at the previous position for the same
+   leader, which the divergence rules out (any rival decision's prepare
+   quorum intersects every round-0 quorum and would have adopted our
+   value). Proposing it verbatim would commit transactions whose
+   stale-read checks ran against a prefix that never committed, so we
+   propose a re-validated subset instead — possibly the empty no-op
+   entry — at the higher ballot. Skipping our own round-0 vote is the
+   one deliberate deviation from adopt-the-highest-vote (PROTOCOL.md §9,
+   "Resolution tie rule"). *)
 let resolve_window (t : t) b =
   t.pipeline_stalls <- t.pipeline_stalls + 1;
   let group = b.bt_group in
@@ -949,41 +911,36 @@ let resolve_window (t : t) b =
               let union = Txn.Write_union.create () in
               List.filter
                 (fun (r : Txn.record) ->
-                  let stale =
-                    Array.exists
-                      (fun key ->
-                        match
-                          Wal.data_version t.wal ~group ~key ~at:watermark
-                        with
-                        | Some version -> version > r.Txn.read_position
-                        | None -> false)
-                      (Txn.read_keys r)
-                  in
                   let ok =
-                    (not stale) && not (Txn.Write_union.reads_overlap union r)
+                    (not (stale_at t ~group ~at:watermark r))
+                    && not (Txn.Write_union.reads_overlap union r)
                   in
                   if ok then Txn.Write_union.add union r;
                   ok)
                 slot.sl_entry
             in
+            (* Our own round-0 vote is skipped wherever it sits in the
+               ballot order: a restart leaves the same fast ballot on two
+               entries (ours and the post-restart manager's), and the tie
+               must go to the other one, which may be chosen. *)
             let choose votes =
               let highest =
                 List.fold_left
                   (fun acc (r : Txn.entry Mdds_paxos.Tally.response) ->
                     match (acc, r.Mdds_paxos.Tally.vote) with
+                    | _, None -> acc
+                    | _, Some (bv, e)
+                      when Ballot.equal bv fast_ballot
+                           && Txn.equal_entry e slot.sl_entry ->
+                        acc
                     | None, v -> v
-                    | Some _, None -> acc
                     | Some (bb, _), (Some (bv, _) as v) ->
                         if Ballot.compare bv bb > 0 then v else acc)
                   None votes
               in
               match highest with
-              | Some (bb, e)
-                when not
-                       (Ballot.equal bb fast_ballot
-                       && Txn.equal_entry e slot.sl_entry) ->
-                  Proposer.Propose e
-              | _ ->
+              | Some (_, e) -> Proposer.Propose e
+              | None ->
                   if !prefix_ok then Proposer.Propose slot.sl_entry
                   else Proposer.Propose (revalidated ())
             in
@@ -1021,22 +978,15 @@ let rec drain (t : t) b =
         drain t b
       end
       else begin
-        (* Two sealing disciplines share the drainer. Batch mode
-           (fill-or-timeout): wait briefly for a fuller batch. Epoch mode
-           (PROTOCOL.md §11): hold the epoch open for the full
-           [epoch_interval] — submissions arriving during the sleep join
-           it — and seal early only when a whole fill bound ([batch_max])
-           is already waiting, so one consensus round amortizes over
-           everything admitted in the window. *)
-        (if Config.epoch_mode t.config then begin
-           if queued < t.config.Config.batch_max then
-             Mdds_sim.Engine.sleep t.config.Config.epoch_interval
-         end
-         else if
-           t.config.Config.batch_max > 1
-           && queued < t.config.Config.batch_max
-           && t.config.Config.batch_fill > 0.
-         then Mdds_sim.Engine.sleep t.config.Config.batch_fill);
+        (* Fill-or-timeout: unless a whole batch is already waiting, hold
+           the batch open for [batch_fill] — submissions arriving during
+           the sleep join it. A long window amortizes one consensus round
+           over everything admitted in it (PROTOCOL.md §9). *)
+        if
+          t.config.Config.batch_max > 1
+          && queued < t.config.Config.batch_max
+          && t.config.Config.batch_fill > 0.
+        then Mdds_sim.Engine.sleep t.config.Config.batch_fill;
         (* A restart during the fill sleep orphaned this batcher: the
            post-restart batcher owns the group's positions now, so one
            more launch from the pre-restart queues would race it at
@@ -1077,10 +1027,6 @@ and launch (t : t) b =
       b.bt_next_pos <- pos + 1;
       t.batches <- t.batches + 1;
       t.batched_txns <- t.batched_txns + List.length entry;
-      if Config.epoch_mode t.config then begin
-        t.epochs_sealed <- t.epochs_sealed + 1;
-        t.epoch_txns <- t.epoch_txns + List.length entry
-      end;
       (* The window holds only Sl_pending slots here, so: non-empty window
          ⇒ pipelined sequenced round; empty window ⇒ round-0 only on the
          Multi-Paxos streak, else the synchronous single-position path.
@@ -1703,8 +1649,6 @@ let start ?(storage = Store.Sync_always) ~rpc ~config ~dc ~dcs ~trace () =
       batched_txns = 0;
       pipelined_rounds = 0;
       pipeline_stalls = 0;
-      epochs_sealed = 0;
-      epoch_txns = 0;
       twopc = Hashtbl.create 4;
       twopc_scanned = Hashtbl.create 4;
       twopc_resolving = Hashtbl.create 8;

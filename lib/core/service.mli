@@ -84,17 +84,12 @@ type throughput_stats = {
   pipeline_stalls : int;
       (** Times a failed round forced the window to be resolved in log
           order through the full protocol before new positions opened. *)
-  epochs_sealed : int;
-      (** Epoch mode ({!Config.epoch_mode}): epochs sealed and proposed
-          as one multi-record log entry each (PROTOCOL.md §11). Every
-          sealed epoch is also counted in [batches]. *)
-  epoch_txns : int;  (** Transactions those sealed epochs carried. *)
 }
 
 val throughput_stats : t -> throughput_stats
-(** Throughput-mode telemetry (DESIGN.md §14–§15). All zero unless
+(** Throughput-mode telemetry (DESIGN.md §14). All zero unless
     {!Config.throughput_mode} — the batched path is never entered
-    otherwise; the epoch counters are zero unless {!Config.epoch_mode}. *)
+    otherwise. *)
 
 type twopc_stats = {
   twopc_prepares : int;

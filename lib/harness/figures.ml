@@ -913,68 +913,14 @@ let ext_cross_tp ?(seed = 42) () =
      group count on both paths; batching/pipelining (§14) and group-level\n\
      parallelism compose — each group's leader batches its own admissions."
 
-(* Epoch-sealed commit (PROTOCOL.md §11) vs per-position batching (§9) vs
-   the unbatched baseline: the honest head-to-head the roadmap asked for. *)
-let ext_epoch ?(seed = 42) () =
-  heading "Extension (PROTOCOL.md §11 x DESIGN.md §15)"
-    "epoch-sealed commit vs per-position batching, VVV, open loop";
-  let rates = [ 40.0; 80.0; 160.0 ] in
-  let modes =
-    [ Throughput.baseline; Throughput.batched (); Throughput.epoch () ]
-  in
-  let points = Throughput.sweep ~seed ~modes ~rates ~txns:300 () in
-  List.iter
-    (fun (p : Throughput.point) ->
-      match p.Throughput.verified with
-      | Ok () -> ()
-      | Error m ->
-          failwith
-            (Printf.sprintf "ext-epoch: %s rate=%.0f: %s"
-               p.Throughput.mode.Throughput.label p.Throughput.rate m))
-    points;
-  let find mode rate =
-    List.find
-      (fun (p : Throughput.point) ->
-        p.Throughput.mode.Throughput.label = mode.Throughput.label
-        && p.Throughput.rate = rate)
-      points
-  in
-  let rows =
-    List.map
-      (fun rate ->
-        let base = find Throughput.baseline rate in
-        let batched = find (Throughput.batched ()) rate in
-        let ep = find (Throughput.epoch ()) rate in
-        [
-          Printf.sprintf "%.0f" rate;
-          Printf.sprintf "%.1f" base.Throughput.committed_per_s;
-          Printf.sprintf "%.1f" batched.Throughput.committed_per_s;
-          Printf.sprintf "%.1f" ep.Throughput.committed_per_s;
-          Printf.sprintf "%.1f" (ep.Throughput.latency.Stats.p50 *. 1000.);
-          string_of_int ep.Throughput.epochs;
-        ])
-      rates
-  in
-  Table.print
-    ~header:
-      [ "offered/s"; "baseline goodput/s"; "batched goodput/s";
-        "epoch goodput/s"; "epoch p50(ms)"; "epochs" ]
-    rows;
-  footnote
-    "one consensus round per sealed epoch amortizes the cross-DC round trip\n\
-     over everything admitted in the window (§11); at saturation both\n\
-     disciplines multiply the baseline, and the table reports which one wins\n\
-     at each offered rate honestly — batching pipelines k positions, epochs\n\
-     put the whole window in one entry."
-
-(* The knob grid: batch_max x pipeline_depth x epoch_interval x topology. *)
+(* The knob grid: batch_max x pipeline_depth x batch_fill x topology. *)
 let ext_knobs ?(seed = 42) () =
-  heading "Extension (DESIGN.md §15.3)"
-    "throughput knob grid: batch x depth x epoch x topology, open loop at \
+  heading "Extension (DESIGN.md §14.3)"
+    "throughput knob grid: batch x depth x fill x topology, open loop at \
      120/s";
   let cells =
     Throughput.knob_sweep ~seed ~topologies:[ "VVV"; "VVVOC" ]
-      ~batch_maxes:[ 1; 8 ] ~depths:[ 1; 4 ] ~epoch_intervals:[ 0.0; 0.05 ]
+      ~batch_maxes:[ 1; 8 ] ~depths:[ 1; 4 ] ~fills:[ 0.005; 0.05 ]
       ~rate:120.0 ~txns:240 ()
   in
   List.iter
@@ -993,7 +939,7 @@ let ext_knobs ?(seed = 42) () =
           topology;
           string_of_int p.Throughput.mode.Throughput.batch_max;
           string_of_int p.Throughput.mode.Throughput.pipeline_depth;
-          Printf.sprintf "%.2f" p.Throughput.mode.Throughput.epoch_interval;
+          Printf.sprintf "%.3f" p.Throughput.mode.Throughput.batch_fill;
           Printf.sprintf "%.1f" p.Throughput.committed_per_s;
           Printf.sprintf "%.1f" (p.Throughput.latency.Stats.p50 *. 1000.);
         ])
@@ -1001,13 +947,13 @@ let ext_knobs ?(seed = 42) () =
   in
   Table.print
     ~header:
-      [ "topology"; "batch"; "depth"; "epoch(s)"; "goodput/s"; "p50(ms)" ]
+      [ "topology"; "batch"; "depth"; "fill(s)"; "goodput/s"; "p50(ms)" ]
     rows;
   footnote
     "every knob combination is measured at the same offered rate, so the grid\n\
-     shows which discipline pays where: depth without batching, batching\n\
-     without depth, epoch sealing with and without pipelining, and how the\n\
-     wide-area topology (VVVOC) moves the trade-off."
+     shows which knob pays where: depth without batching, batching without\n\
+     depth, a long fill window (one entry per window) with and without\n\
+     pipelining, and how the wide-area topology (VVVOC) moves the trade-off."
 
 (* Access skew: the paper evaluates uniform access; YCSB's zipfian knob is
    the natural extension (hot keys sharpen read/write conflicts). *)
@@ -1066,8 +1012,7 @@ let all =
     ("ext-groups", "scalability across transaction groups (§2.1)", fun () -> ext_groups ());
     ("ext-cross", "cross-group commit rate vs cross fraction (PROTOCOL.md §10)", fun () -> ext_cross ());
     ("ext-cross-tp", "aggregate throughput vs group count (§10 x §14)", fun () -> ext_cross_tp ());
-    ("ext-epoch", "epoch-sealed commit vs batching (PROTOCOL.md §11)", fun () -> ext_epoch ());
-    ("ext-knobs", "throughput knob grid: batch x depth x epoch x topology", fun () -> ext_knobs ());
+    ("ext-knobs", "throughput knob grid: batch x depth x fill x topology", fun () -> ext_knobs ());
   ]
 
 let run_ids ids =

@@ -10,31 +10,30 @@ type mode = {
   label : string;
   batch_max : int;
   pipeline_depth : int;
-  epoch_interval : float;
+  batch_fill : float;
 }
 
-let baseline =
-  { label = "baseline"; batch_max = 1; pipeline_depth = 1; epoch_interval = 0.0 }
+let default_fill = Config.default.Config.batch_fill
 
-let batched ?(batch_max = 8) ?(pipeline_depth = 4) () =
+let baseline =
   {
-    label = Printf.sprintf "batch%d/depth%d" batch_max pipeline_depth;
-    batch_max;
-    pipeline_depth;
-    epoch_interval = 0.0;
+    label = "baseline";
+    batch_max = 1;
+    pipeline_depth = 1;
+    batch_fill = default_fill;
   }
 
-let epoch ?(fill = 64) ?(pipeline_depth = 1) ?(interval = 0.05) () =
+let batched ?(batch_max = 8) ?(pipeline_depth = 4) ?(fill = default_fill) () =
   {
     label =
-      (if pipeline_depth = 1 then
-         Printf.sprintf "epoch%.0fms/f%d" (interval *. 1000.) fill
+      (if fill = default_fill then
+         Printf.sprintf "batch%d/depth%d" batch_max pipeline_depth
        else
-         Printf.sprintf "ep%.0fms/f%d/d%d" (interval *. 1000.) fill
-           pipeline_depth);
-    batch_max = fill;
+         Printf.sprintf "b%d/d%d/fill%gms" batch_max pipeline_depth
+           (fill *. 1000.));
+    batch_max;
     pipeline_depth;
-    epoch_interval = interval;
+    batch_fill = fill;
   }
 
 type point = {
@@ -48,7 +47,6 @@ type point = {
   latency : Stats.summary;
   batches : int;
   pipelined_rounds : int;
-  epochs : int;
   sim_duration : float;
   wall_seconds : float;
   verified : (unit, string) result;
@@ -63,15 +61,14 @@ let group_name ~groups gi =
   if groups = 1 then group else Printf.sprintf "%s-%d" group gi
 
 (* All modes run the leader protocol so the comparison isolates
-   batching/pipelining/epoch sealing; the baseline's
-   [batch_max = pipeline_depth = 1, epoch_interval = 0] keeps
-   [Config.throughput_mode] off, i.e. the verbatim single path. *)
+   batching/pipelining; the baseline's [batch_max = pipeline_depth = 1]
+   keeps [Config.throughput_mode] off, i.e. the verbatim single path. *)
 let config_of_mode mode =
   {
     Config.leader with
     batch_max = mode.batch_max;
     pipeline_depth = mode.pipeline_depth;
-    epoch_interval = mode.epoch_interval;
+    batch_fill = mode.batch_fill;
   }
 
 let run_point ?(seed = 42) ?(topology = "VVV") ?(conflict_every = 16)
@@ -124,14 +121,12 @@ let run_point ?(seed = 42) ?(topology = "VVV") ?(conflict_every = 16)
   let committed_per_s =
     if committed = 0 then 0.0 else float_of_int committed /. last_commit
   in
-  let batches, pipelined_rounds, epochs =
+  let batches, pipelined_rounds =
     List.fold_left
-      (fun (b, p, e) service ->
+      (fun (b, p) service ->
         let s = Service.throughput_stats service in
-        ( b + s.Service.batches,
-          p + s.Service.pipelined_rounds,
-          e + s.Service.epochs_sealed ))
-      (0, 0, 0) (Cluster.services cluster)
+        (b + s.Service.batches, p + s.Service.pipelined_rounds))
+      (0, 0) (Cluster.services cluster)
   in
   {
     mode;
@@ -144,7 +139,6 @@ let run_point ?(seed = 42) ?(topology = "VVV") ?(conflict_every = 16)
     latency = Stats.summarize (Audit.commit_latencies audit ~promotions:None);
     batches;
     pipelined_rounds;
-    epochs;
     sim_duration = Cluster.now cluster;
     wall_seconds = Unix.gettimeofday () -. started;
     verified =
@@ -184,24 +178,24 @@ let saturation points mode =
 
 let pp_point ppf p =
   Format.fprintf ppf
-    "%-14s rate %7.1f/s  committed %d/%d  goodput %7.1f/s  p50 %a p99 %a  \
-     batches %d  pipelined %d  epochs %d  %s"
+    "%-16s rate %7.1f/s  committed %d/%d  goodput %7.1f/s  p50 %a p99 %a  \
+     batches %d  pipelined %d  %s"
     p.mode.label p.rate p.committed p.txns p.committed_per_s Stats.pp_ms
     p.latency.Stats.p50 Stats.pp_ms p.latency.Stats.p99 p.batches
-    p.pipelined_rounds p.epochs
+    p.pipelined_rounds
     (match p.verified with Ok () -> "ok" | Error e -> "VIOLATION: " ^ e)
 
 let pp_table ppf points =
-  Format.fprintf ppf "%-14s %9s %9s %9s %10s %9s %9s %8s %9s %6s  %s@."
+  Format.fprintf ppf "%-16s %9s %9s %9s %10s %9s %9s %8s %9s  %s@."
     "mode" "rate/s" "offered" "committed" "goodput/s" "p50(ms)" "p99(ms)"
-    "batches" "pipelined" "epochs" "verify";
+    "batches" "pipelined" "verify";
   List.iter
     (fun p ->
       Format.fprintf ppf
-        "%-14s %9.1f %9d %9d %10.1f %9.1f %9.1f %8d %9d %6d  %s@."
+        "%-16s %9.1f %9d %9d %10.1f %9.1f %9.1f %8d %9d  %s@."
         p.mode.label p.rate p.txns p.committed p.committed_per_s
         (p.latency.Stats.p50 *. 1000.) (p.latency.Stats.p99 *. 1000.)
-        p.batches p.pipelined_rounds p.epochs
+        p.batches p.pipelined_rounds
         (match p.verified with Ok () -> "ok" | Error e -> "VIOLATION: " ^ e))
     points
 
@@ -214,53 +208,49 @@ let to_json points =
       Buffer.add_string buf
         (Printf.sprintf
            "    {\"mode\": %S, \"batch_max\": %d, \"pipeline_depth\": %d, \
-            \"epoch_interval\": %.3f, \"rate\": %.3f, \"txns\": %d, \
+            \"batch_fill\": %.3f, \"rate\": %.3f, \"txns\": %d, \
             \"committed\": %d, \"aborted\": %d, \
             \"unknown\": %d, \"committed_per_s\": %.3f, \"p50_ms\": %.3f, \
             \"p95_ms\": %.3f, \"p99_ms\": %.3f, \"mean_ms\": %.3f, \
-            \"batches\": %d, \"pipelined_rounds\": %d, \"epochs\": %d, \
+            \"batches\": %d, \"pipelined_rounds\": %d, \
             \"sim_duration\": %.3f, \"verified\": %b}"
            p.mode.label p.mode.batch_max p.mode.pipeline_depth
-           p.mode.epoch_interval p.rate p.txns
+           p.mode.batch_fill p.rate p.txns
            p.committed p.aborted p.unknown p.committed_per_s
            (p.latency.Stats.p50 *. 1000.) (p.latency.Stats.p95 *. 1000.)
            (p.latency.Stats.p99 *. 1000.) (p.latency.Stats.mean *. 1000.)
-           p.batches p.pipelined_rounds p.epochs p.sim_duration
+           p.batches p.pipelined_rounds p.sim_duration
            (match p.verified with Ok () -> true | Error _ -> false)))
     points;
   Buffer.add_string buf "\n  ]";
   Buffer.contents buf
 
 (* The knob-sweep family (ext-knobs / `mdds throughput --sweep`): the
-   full batch_max x pipeline_depth x epoch_interval x topology grid at
-   one offered rate. [epoch_interval = 0] cells run the fill-or-timeout
-   batch discipline (or the verbatim baseline when batch and depth are
-   both 1); [> 0] cells run epoch sealing with [batch_max] as the fill
-   bound. Cells are deterministic and fan out over the domain pool in
-   input order, so output is byte-identical whatever the job count. *)
-let knob_mode ~batch_max ~pipeline_depth ~epoch_interval =
-  if epoch_interval > 0.0 then
-    epoch ~fill:batch_max ~pipeline_depth ~interval:epoch_interval ()
-  else if batch_max = 1 && pipeline_depth = 1 then baseline
-  else batched ~batch_max ~pipeline_depth ()
+   full batch_max x pipeline_depth x batch_fill x topology grid at one
+   offered rate. Cells with batch and depth both 1 run the verbatim
+   baseline, whose single path never reads the fill. Cells are
+   deterministic and fan out over the domain pool in input order, so
+   output is byte-identical whatever the job count. *)
+let knob_mode ~batch_max ~pipeline_depth ~fill =
+  if batch_max = 1 && pipeline_depth = 1 then { baseline with batch_fill = fill }
+  else batched ~batch_max ~pipeline_depth ~fill ()
 
 let knob_sweep ?seed ?conflict_every ?groups
     ?(topologies = [ "VVV"; "VVVOC" ]) ?(batch_maxes = [ 1; 8 ])
-    ?(depths = [ 1; 4 ]) ?(epoch_intervals = [ 0.0; 0.05 ]) ~rate ~txns () =
+    ?(depths = [ 1; 4 ]) ?(fills = [ default_fill; 0.05 ]) ~rate ~txns () =
   let cells =
     List.concat_map
       (fun topology ->
         List.concat_map
-          (fun epoch_interval ->
+          (fun fill ->
             List.concat_map
               (fun batch_max ->
                 List.map
                   (fun pipeline_depth ->
-                    ( topology,
-                      knob_mode ~batch_max ~pipeline_depth ~epoch_interval ))
+                    (topology, knob_mode ~batch_max ~pipeline_depth ~fill))
                   depths)
               batch_maxes)
-          epoch_intervals)
+          fills)
       topologies
   in
   Mdds_parallel.Pool.map
@@ -271,15 +261,15 @@ let knob_sweep ?seed ?conflict_every ?groups
     cells
 
 let pp_knob_table ppf cells =
-  Format.fprintf ppf "%-6s %-14s %5s %5s %9s %9s %9s %10s %9s %9s  %s@."
-    "topo" "mode" "batch" "depth" "epoch(s)" "offered" "committed"
+  Format.fprintf ppf "%-6s %-16s %5s %5s %9s %9s %9s %10s %9s %9s  %s@."
+    "topo" "mode" "batch" "depth" "fill(s)" "offered" "committed"
     "goodput/s" "p50(ms)" "p99(ms)" "verify";
   List.iter
     (fun (topology, p) ->
       Format.fprintf ppf
-        "%-6s %-14s %5d %5d %9.3f %9d %9d %10.1f %9.1f %9.1f  %s@." topology
+        "%-6s %-16s %5d %5d %9.3f %9d %9d %10.1f %9.1f %9.1f  %s@." topology
         p.mode.label p.mode.batch_max p.mode.pipeline_depth
-        p.mode.epoch_interval p.txns p.committed p.committed_per_s
+        p.mode.batch_fill p.txns p.committed p.committed_per_s
         (p.latency.Stats.p50 *. 1000.) (p.latency.Stats.p99 *. 1000.)
         (match p.verified with Ok () -> "ok" | Error e -> "VIOLATION: " ^ e))
     cells
@@ -293,14 +283,14 @@ let knob_to_json cells =
       Buffer.add_string buf
         (Printf.sprintf
            "    {\"topology\": %S, \"mode\": %S, \"batch_max\": %d, \
-            \"pipeline_depth\": %d, \"epoch_interval\": %.3f, \
+            \"pipeline_depth\": %d, \"batch_fill\": %.3f, \
             \"rate\": %.3f, \"txns\": %d, \"committed\": %d, \
             \"committed_per_s\": %.3f, \"p50_ms\": %.3f, \"p99_ms\": %.3f, \
-            \"batches\": %d, \"epochs\": %d, \"verified\": %b}"
+            \"batches\": %d, \"verified\": %b}"
            topology p.mode.label p.mode.batch_max p.mode.pipeline_depth
-           p.mode.epoch_interval p.rate p.txns p.committed p.committed_per_s
+           p.mode.batch_fill p.rate p.txns p.committed p.committed_per_s
            (p.latency.Stats.p50 *. 1000.) (p.latency.Stats.p99 *. 1000.)
-           p.batches p.epochs
+           p.batches
            (match p.verified with Ok () -> true | Error _ -> false)))
     cells;
   Buffer.add_string buf "\n]";
@@ -309,16 +299,16 @@ let knob_to_json cells =
 let knob_to_csv cells =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
-    "topology,mode,batch_max,pipeline_depth,epoch_interval,rate,txns,\
-     committed,committed_per_s,p50_ms,p99_ms,batches,epochs,verified\n";
+    "topology,mode,batch_max,pipeline_depth,batch_fill,rate,txns,\
+     committed,committed_per_s,p50_ms,p99_ms,batches,verified\n";
   List.iter
     (fun (topology, p) ->
       Buffer.add_string buf
-        (Printf.sprintf "%s,%s,%d,%d,%.3f,%.3f,%d,%d,%.3f,%.3f,%.3f,%d,%d,%b\n"
+        (Printf.sprintf "%s,%s,%d,%d,%.3f,%.3f,%d,%d,%.3f,%.3f,%.3f,%d,%b\n"
            topology p.mode.label p.mode.batch_max p.mode.pipeline_depth
-           p.mode.epoch_interval p.rate p.txns p.committed p.committed_per_s
+           p.mode.batch_fill p.rate p.txns p.committed p.committed_per_s
            (p.latency.Stats.p50 *. 1000.) (p.latency.Stats.p99 *. 1000.)
-           p.batches p.epochs
+           p.batches
            (match p.verified with Ok () -> true | Error _ -> false)))
     cells;
   Buffer.contents buf

@@ -21,21 +21,20 @@ type mode = {
   label : string;
   batch_max : int;
   pipeline_depth : int;
-  epoch_interval : float;
+  batch_fill : float;
 }
 
 val baseline : mode
-(** [batch_max = 1], [pipeline_depth = 1], [epoch_interval = 0]: the
-    verbatim pre-PR-8 path. *)
+(** [batch_max = 1], [pipeline_depth = 1]: the verbatim pre-PR-8 path. *)
 
-val batched : ?batch_max:int -> ?pipeline_depth:int -> unit -> mode
-(** Throughput mode (defaults [batch_max = 8], [pipeline_depth = 4]). *)
-
-val epoch : ?fill:int -> ?pipeline_depth:int -> ?interval:float -> unit -> mode
-(** Epoch-sealed commit mode (PROTOCOL.md §11; defaults [fill = 64],
-    [pipeline_depth = 1], [interval = 0.05] s): the drainer holds each
-    epoch open for [interval] virtual seconds (sealing early at [fill]
-    queued transactions) and proposes it as one multi-record entry. *)
+val batched :
+  ?batch_max:int -> ?pipeline_depth:int -> ?fill:float -> unit -> mode
+(** Throughput mode (defaults [batch_max = 8], [pipeline_depth = 4],
+    [fill] = the config default's [batch_fill]). A long [fill] with a
+    large [batch_max] is the long-fill-window point of PROTOCOL.md §9:
+    the drainer holds each batch open for [fill] virtual seconds (or
+    until [batch_max] are queued) and proposes it as one multi-record
+    entry. *)
 
 type point = {
   mode : mode;
@@ -50,7 +49,6 @@ type point = {
   latency : Stats.summary;  (** Commit latency of committed txns. *)
   batches : int;  (** Log positions proposed by the batched path. *)
   pipelined_rounds : int;
-  epochs : int;  (** Epochs sealed (epoch mode only; each is one entry). *)
   sim_duration : float;  (** Virtual seconds until full drain. *)
   wall_seconds : float;
   verified : (unit, string) result;
@@ -104,19 +102,17 @@ val knob_sweep :
   ?topologies:string list ->
   ?batch_maxes:int list ->
   ?depths:int list ->
-  ?epoch_intervals:float list ->
+  ?fills:float list ->
   rate:float ->
   txns:int ->
   unit ->
   (string * point) list
-(** The batch_max x pipeline_depth x epoch_interval x topology grid at
-    one offered rate ([mdds throughput --sweep], figure [ext-knobs]),
-    tagged with the topology of each cell. [epoch_interval = 0] cells
-    run fill-or-timeout batching (the verbatim baseline when batch and
-    depth are both 1); [> 0] cells run epoch sealing with [batch_max]
-    as the fill bound. Defaults: topologies [VVV; VVVOC], batch_maxes
-    [1; 8], depths [1; 4], epoch_intervals [0.0; 0.05]. Deterministic
-    and byte-identical at any job count. *)
+(** The batch_max x pipeline_depth x batch_fill x topology grid at one
+    offered rate ([mdds throughput --sweep], figure [ext-knobs]), tagged
+    with the topology of each cell. Cells with batch and depth both 1
+    run the verbatim baseline. Defaults: topologies [VVV; VVVOC],
+    batch_maxes [1; 8], depths [1; 4], fills [0.005; 0.05].
+    Deterministic and byte-identical at any job count. *)
 
 val pp_knob_table : Format.formatter -> (string * point) list -> unit
 

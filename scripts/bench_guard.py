@@ -42,16 +42,15 @@ SLOP_NS = 500.0
 # below it is immune to host noise and can be tight.
 THROUGHPUT_FLOOR = 2.0
 
-# Epoch-mode floors (PR 10, PROTOCOL.md §11): epoch-sealed commit must
-# sustain at least EPOCH_FLOOR x the unbatched baseline at the same
-# saturation point, and spreading the same offered load over 4 groups
-# (one drainer per independent log) must lift aggregate goodput by at
-# least GROUPS_FLOOR x over one group. Both are virtual-time ratios —
-# deterministic, so tight floors are safe. epoch_vs_batched is recorded
-# in the JSON but deliberately not gated: whether a sealed epoch beats
-# fill-or-timeout batching at a given rate is a workload property the
-# harness reports honestly either way (see DESIGN.md §15).
-EPOCH_FLOOR = 2.0
+# Long-fill floors (PROTOCOL.md §9): a long fill window (fill bound 64,
+# depth 1, 50 ms) must also sustain THROUGHPUT_FLOOR x the unbatched
+# baseline at the same saturation point, and spreading an over-saturated
+# long-fill load over 4 groups (one drainer per independent log) must
+# lift aggregate goodput by at least GROUPS_FLOOR x over one group. Both
+# are virtual-time ratios — deterministic, so tight floors are safe.
+# vs_batched is recorded in the JSON but deliberately not gated: whether
+# a long window beats the default short one at a given rate is a
+# workload property the harness reports honestly either way.
 GROUPS_FLOOR = 1.8
 
 # Parallel-speedup floor, enforced only when the measuring host can
@@ -244,45 +243,43 @@ def check_throughput(doc):
     return ok
 
 
-def check_epoch(doc):
-    ep = doc.get("epoch")
-    if not ep:
+def check_long_fill(doc):
+    lf = doc.get("long_fill")
+    if not lf:
         print(
-            "\nepoch floor: no epoch section in fresh run; skipping "
+            "\nlong-fill floor: no long_fill section in fresh run; skipping "
             "(refresh the baseline with a current `bench --json` run to arm it)"
         )
         return True
 
-    base_ratio = ep.get("epoch_vs_baseline", 0.0)
-    batched_ratio = ep.get("epoch_vs_batched", 0.0)
-    scaling = ep.get("groups_scaling", 0.0)
+    base_ratio = lf.get("vs_baseline", 0.0)
+    scaling = lf.get("groups_scaling", 0.0)
     print(
-        f"\nepoch: {ep.get('epoch_committed_per_s', 0.0):.1f} committed/s at "
-        f"{ep.get('rate', 0):.0f} offered/s = {base_ratio:.2f}x baseline, "
-        f"{batched_ratio:.2f}x batched (informational), "
-        f"p50 {ep.get('epoch_p50_ms', 0.0):.1f}ms, "
-        f"{ep.get('epochs_sealed', 0)} epochs sealed"
+        f"\nlong fill: {lf.get('committed_per_s', 0.0):.1f} committed/s at "
+        f"{lf.get('rate', 0):.0f} offered/s = {base_ratio:.2f}x baseline, "
+        f"{lf.get('vs_batched', 0.0):.2f}x batched (informational), "
+        f"p50 {lf.get('p50_ms', 0.0):.1f}ms, {lf.get('batches', 0)} batches"
     )
     print(
-        f"epoch groups: {ep.get('groups1_committed_per_s', 0.0):.1f} -> "
-        f"{ep.get('groups4_committed_per_s', 0.0):.1f} committed/s from 1 to 4 "
-        f"groups at {ep.get('groups_rate', 0):.0f} offered/s = {scaling:.2f}x"
+        f"long-fill groups: {lf.get('groups1_committed_per_s', 0.0):.1f} -> "
+        f"{lf.get('groups4_committed_per_s', 0.0):.1f} committed/s from 1 to 4 "
+        f"groups at {lf.get('groups_rate', 0):.0f} offered/s = {scaling:.2f}x"
     )
     ok = True
-    if not ep.get("verified", False):
-        print("epoch floor: an epoch run failed its oracle check", file=sys.stderr)
+    if not lf.get("verified", False):
+        print("long-fill floor: a long-fill run failed its oracle check", file=sys.stderr)
         ok = False
-    if base_ratio < EPOCH_FLOOR:
+    if base_ratio < THROUGHPUT_FLOOR:
         print(
-            f"epoch floor: epoch-sealed commit sustains only {base_ratio:.2f}x "
-            f"the unbatched baseline at saturation (floor {EPOCH_FLOOR:.1f}x) — "
-            "sealing is not paying for itself.",
+            f"long-fill floor: a long fill window sustains only {base_ratio:.2f}x "
+            f"the unbatched baseline at saturation (floor "
+            f"{THROUGHPUT_FLOOR:.1f}x) — the window is not paying for itself.",
             file=sys.stderr,
         )
         ok = False
     if scaling < GROUPS_FLOOR:
         print(
-            f"epoch floor: 4 groups lift aggregate goodput only {scaling:.2f}x "
+            f"long-fill floor: 4 groups lift aggregate goodput only {scaling:.2f}x "
             f"over 1 group (floor {GROUPS_FLOOR:.1f}x) — per-group drainers "
             "are not composing.",
             file=sys.stderr,
@@ -290,8 +287,8 @@ def check_epoch(doc):
         ok = False
     if ok:
         print(
-            f"epoch floor: {base_ratio:.2f}x >= {EPOCH_FLOOR:.1f}x baseline and "
-            f"groups {scaling:.2f}x >= {GROUPS_FLOOR:.1f}x, all runs oracle-clean"
+            f"long-fill floor: {base_ratio:.2f}x >= {THROUGHPUT_FLOOR:.1f}x baseline "
+            f"and groups {scaling:.2f}x >= {GROUPS_FLOOR:.1f}x, all runs oracle-clean"
         )
     return ok
 
@@ -305,7 +302,7 @@ def main():
     ok = check_micros(micros(baseline), micros(fresh))
     ok = check_speedup(fresh) and ok
     ok = check_throughput(fresh) and ok
-    ok = check_epoch(fresh) and ok
+    ok = check_long_fill(fresh) and ok
     if not ok:
         sys.exit(1)
 

@@ -366,11 +366,12 @@ let test_restart_mid_propose_honesty () =
       Alcotest.failf "restart-mid-propose regression: %s@.repro: %s" v
         (Runner.repro report)
 
-(* The epoch draw (PR 10) is appended after the batch/depth draws on the
-   same stream, so pre-epoch seeds must keep their historical batch/depth
-   — a reordered draw would silently re-shuffle which seed exercised
-   which regression. Pin determinism, the value table, and the mix. *)
-let test_throughput_config_epoch_draw () =
+(* The fill draw (the former epoch-interval draw, now mapped onto
+   batch_fill) is appended after the batch/depth draws on the same
+   stream, so older seeds must keep their historical batch/depth — a
+   reordered draw would silently re-shuffle which seed exercised which
+   regression. Pin determinism, the value table, and the mix. *)
+let test_throughput_config_fill_draw () =
   let draw seed =
     Runner.throughput_config ~seed (Runner.default_config Config.Leader)
   in
@@ -382,12 +383,12 @@ let test_throughput_config_epoch_draw () =
         b.Config.batch_max;
       Alcotest.(check int) "pipeline_depth stable" a.Config.pipeline_depth
         b.Config.pipeline_depth;
-      Alcotest.(check (float 0.0)) "epoch_interval stable"
-        a.Config.epoch_interval b.Config.epoch_interval)
+      Alcotest.(check (float 0.0)) "batch_fill stable" a.Config.batch_fill
+        b.Config.batch_fill)
     [ 1; 42; 134; 300 ];
   (* Every draw lands in the documented tables and never leaves the
      whole throughput dimension off. *)
-  let epoch_on = ref 0 in
+  let long_fill = ref 0 in
   List.iter
     (fun seed ->
       let c = draw seed in
@@ -395,17 +396,17 @@ let test_throughput_config_epoch_draw () =
         (List.mem c.Config.batch_max [ 1; 2; 4; 8 ]);
       Alcotest.(check bool) "pipeline_depth in {1,2,4}" true
         (List.mem c.Config.pipeline_depth [ 1; 2; 4 ]);
-      Alcotest.(check bool) "epoch_interval in {0, 0.05, 0.15}" true
-        (List.mem c.Config.epoch_interval [ 0.0; 0.05; 0.15 ]);
+      Alcotest.(check bool) "batch_fill in {base, 0.05, 0.15}" true
+        (List.mem c.Config.batch_fill [ Config.default.batch_fill; 0.05; 0.15 ]);
       Alcotest.(check bool) "never all off" true
         (c.Config.batch_max > 1 || c.Config.pipeline_depth > 1);
-      if Config.epoch_mode c then incr epoch_on)
+      if c.Config.batch_fill > Config.default.batch_fill then incr long_fill)
     (List.init 300 (fun i -> i + 1));
-  (* Roughly half the seeds should run epoch sealing (2 of 4 table
-     entries are 0): with 300 seeds, anywhere outside [90, 210] means
-     the draw or the table changed. *)
-  Alcotest.(check bool) "epoch mix plausible" true
-    (!epoch_on >= 90 && !epoch_on <= 210)
+  (* Roughly half the seeds should run a long fill window (2 of 4 table
+     entries keep the base fill): with 300 seeds, anywhere outside
+     [90, 210] means the draw or the table changed. *)
+  Alcotest.(check bool) "long-fill mix plausible" true
+    (!long_fill >= 90 && !long_fill <= 210)
 
 let test_restart_warm_cache () =
   let spec = Runner.spec ~seed:42 "VVV" in
@@ -449,7 +450,7 @@ let () =
           Alcotest.test_case "restart mid-propose stays honest" `Quick
             test_restart_mid_propose_honesty;
           Alcotest.test_case "throughput config epoch draw pinned" `Quick
-            test_throughput_config_epoch_draw;
+            test_throughput_config_fill_draw;
         ] );
       ( "soak",
         [

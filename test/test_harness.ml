@@ -117,27 +117,29 @@ let test_commits_by_dc () =
   Alcotest.(check int) "totals add up" 30 total
 
 (* ------------------------------------------------------------------ *)
-(* Knob sweep (PROTOCOL.md §11): the grid behind [mdds throughput
+(* Knob sweep (DESIGN.md §14.3): the grid behind [mdds throughput
    --sweep] and the CI sweep artifact.                                  *)
 
 module Throughput = Mdds_harness.Throughput
 
 let small_grid () =
   Throughput.knob_sweep ~seed:5 ~topologies:[ "VVV" ] ~batch_maxes:[ 1; 2 ]
-    ~depths:[ 1 ] ~epoch_intervals:[ 0.0; 0.05 ] ~rate:40.0 ~txns:40 ()
+    ~depths:[ 1 ] ~fills:[ 0.005; 0.05 ] ~rate:40.0 ~txns:40 ()
 
 let test_knob_sweep_shape () =
   let cells = small_grid () in
   (* One cell per point of the cartesian product, every cell tagged with
      its topology and oracle-clean. *)
-  Alcotest.(check int) "topology x batch x depth x epoch" 4 (List.length cells);
+  Alcotest.(check int) "topology x batch x depth x fill" 4 (List.length cells);
+  Alcotest.(check (list (float 0.0))) "fill axis, in grid order"
+    [ 0.005; 0.005; 0.05; 0.05 ]
+    (List.map (fun (_, p) -> p.Throughput.mode.Throughput.batch_fill) cells);
   List.iter
     (fun (topo, (p : Throughput.point)) ->
       Alcotest.(check string) "topology tag" "VVV" topo;
       Alcotest.(check bool) "verified" true (p.Throughput.verified = Ok ());
-      Alcotest.(check bool) "epochs only in epoch cells" true
-        (p.Throughput.mode.Throughput.epoch_interval > 0.0
-        || p.Throughput.epochs = 0))
+      Alcotest.(check bool) "batches only in batched cells" true
+        (p.Throughput.mode.Throughput.batch_max > 1 || p.Throughput.batches = 0))
     cells
 
 let test_knob_sweep_deterministic () =
@@ -156,7 +158,7 @@ let test_knob_sweep_csv () =
   (match String.split_on_char '\n' (String.trim csv) with
   | header :: rows ->
       Alcotest.(check string) "csv header"
-        "topology,mode,batch_max,pipeline_depth,epoch_interval,rate,txns,committed,committed_per_s,p50_ms,p99_ms,batches,epochs,verified"
+        "topology,mode,batch_max,pipeline_depth,batch_fill,rate,txns,committed,committed_per_s,p50_ms,p99_ms,batches,verified"
         header;
       Alcotest.(check int) "one row per cell" (List.length cells)
         (List.length rows)

@@ -24,32 +24,27 @@ let committed = function
   | Audit.Committed _ | Audit.Read_only_committed -> true
   | Audit.Aborted _ | Audit.Unknown -> false
 
+(* Throughput mode with a [fill] window: batches of up to [batch_max],
+   [pipeline_depth] positions in flight. *)
+let fill_config ~batch_max ~pipeline_depth ~fill =
+  Config.make
+    ~base:(Config.throughput ~batch_max ~pipeline_depth Config.leader)
+    ~batch_fill:fill ()
+
 let make ?(seed = 42) ?(spec = "VVV") ?(batch_max = 8) ?(pipeline_depth = 4)
-    ?batch_fill ?epoch_interval () =
-  let config = Config.throughput ~batch_max ~pipeline_depth Config.leader in
-  let config =
-    match batch_fill with
-    | Some batch_fill -> { config with Config.batch_fill }
-    | None -> config
-  in
-  let config =
-    match epoch_interval with
-    | Some epoch_interval -> { config with Config.epoch_interval }
-    | None -> config
-  in
+    ?(batch_fill = Config.default.batch_fill) () =
+  let config = fill_config ~batch_max ~pipeline_depth ~fill:batch_fill in
   Cluster.create ~seed ~config (Topology.ec2 spec)
 
 let total_stats cluster =
   List.fold_left
-    (fun (b, t, p, s, e, et) svc ->
+    (fun (b, t, p, s) svc ->
       let st = Service.throughput_stats svc in
       ( b + st.Service.batches,
         t + st.Service.batched_txns,
         p + st.Service.pipelined_rounds,
-        s + st.Service.pipeline_stalls,
-        e + st.Service.epochs_sealed,
-        et + st.Service.epoch_txns ))
-    (0, 0, 0, 0, 0, 0) (Cluster.services cluster)
+        s + st.Service.pipeline_stalls ))
+    (0, 0, 0, 0) (Cluster.services cluster)
 
 (* ------------------------------------------------------------------ *)
 (* Batching.                                                            *)
@@ -88,7 +83,7 @@ let test_batched_commit_same_position () =
   (match log with
   | [ (_, entry) ] -> Alcotest.(check int) "one entry of 3" 3 (List.length entry)
   | _ -> Alcotest.failf "expected one log entry, got %d" (List.length log));
-  let batches, batched_txns, _, _, _, _ = total_stats cluster in
+  let batches, batched_txns, _, _ = total_stats cluster in
   Alcotest.(check int) "one batch" 1 batches;
   Alcotest.(check int) "three batched txns" 3 batched_txns;
   Verify.check_exn cluster ~group
@@ -167,7 +162,7 @@ let test_pipeline_overlaps_positions () =
   Alcotest.(check int) "all six commit" 6 (List.length positions);
   Alcotest.(check int) "six distinct positions" 6
     (List.length (List.sort_uniq Int.compare positions));
-  let _, _, pipelined, _, _, _ = total_stats cluster in
+  let _, _, pipelined, _ = total_stats cluster in
   Alcotest.(check bool) "sequenced rounds actually overlapped" true
     (pipelined > 0);
   Verify.check_exn cluster ~group
@@ -277,7 +272,7 @@ let test_restart_during_fill_window () =
   | None -> Alcotest.fail "late transaction never ran");
   (* Only the post-restart submission was ever proposed: the orphaned
      drainer launched nothing from the pre-restart queues. *)
-  let batches, batched_txns, _, _, _, _ = total_stats cluster in
+  let batches, batched_txns, _, _ = total_stats cluster in
   Alcotest.(check int) "no orphan launch after restart" 1 batches;
   Alcotest.(check int) "only the late txn batched" 1 batched_txns;
   Verify.check_exn cluster ~group
@@ -462,58 +457,34 @@ let test_mode_off_by_default () =
   Alcotest.(check bool) "leader preset off" false
     (Config.throughput_mode Config.leader);
   Alcotest.(check bool) "helper turns it on" true
-    (Config.throughput_mode (Config.throughput Config.default));
-  Alcotest.(check bool) "epoch off by default" false
-    (Config.epoch_mode Config.default);
-  Alcotest.(check bool) "epoch helper turns both on" true
-    (let c = Config.epoch Config.leader in
-     Config.epoch_mode c && Config.throughput_mode c);
-  Alcotest.check_raises "negative interval rejected"
-    (Invalid_argument
-       "Config.make: epoch_interval = -0.1 (must be >= 0; 0 disables epoch \
-        sealing)") (fun () ->
-      ignore (Config.make ~epoch_interval:(-0.1) ()))
+    (Config.throughput_mode (Config.throughput Config.default))
+
+(* The fill window is the one wait knob: a negative, infinite or NaN
+   window is refused at construction (NaN used to disable the wait
+   silently, since every comparison with it is false). *)
+let test_bad_fill_rejected () =
+  List.iter
+    (fun (fill, shown) ->
+      Alcotest.check_raises
+        (Printf.sprintf "batch_fill %s rejected" shown)
+        (Invalid_argument
+           (Printf.sprintf "Config.make: batch_fill = %s (must be finite and >= 0)"
+              shown))
+        (fun () -> ignore (Config.make ~batch_fill:fill ())))
+    [ (-0.1, "-0.1"); (Float.nan, "nan"); (Float.infinity, "inf") ];
+  Alcotest.(check (float 0.0)) "zero fill accepted" 0.0
+    (Config.make ~batch_fill:0.0 ()).Config.batch_fill
 
 (* ------------------------------------------------------------------ *)
-(* Epoch-sealed commit (PROTOCOL.md §11).                               *)
+(* Long fill windows (PROTOCOL.md §9). A large batch_max with a fill of
+   tens of milliseconds puts everything submitted in the window into one
+   log entry; this configuration used to be a separate discipline called
+   epoch sealing, hence the group's name.                              *)
 
-(* Three submissions inside one epoch interval seal into ONE multi-record
-   log entry at one position — one consensus round for the window. *)
-let test_epoch_seals_one_entry () =
-  let cluster = make ~batch_max:64 ~epoch_interval:0.15 () in
-  let outcomes = ref [] in
-  for i = 0 to 2 do
-    let client = Cluster.client cluster ~dc:0 in
-    Cluster.spawn cluster (fun () ->
-        let txn = Client.begin_ client ~group in
-        Client.write txn (Printf.sprintf "k%d" i) "v";
-        let outcome = Client.commit txn in
-        outcomes := outcome :: !outcomes)
-  done;
-  Cluster.run cluster;
-  let positions =
-    List.filter_map
-      (function Audit.Committed { position; _ } -> Some position | _ -> None)
-      !outcomes
-  in
-  Alcotest.(check int) "all three commit" 3 (List.length positions);
-  (match positions with
-  | [ a; b; c ] ->
-      Alcotest.(check bool) "one shared position" true (a = b && b = c)
-  | _ -> assert false);
-  (match Cluster.committed_log cluster ~group with
-  | [ (_, entry) ] ->
-      Alcotest.(check int) "one epoch entry of 3" 3 (List.length entry)
-  | log -> Alcotest.failf "expected one log entry, got %d" (List.length log));
-  let _, _, _, _, epochs, epoch_txns = total_stats cluster in
-  Alcotest.(check int) "one epoch sealed" 1 epochs;
-  Alcotest.(check int) "the epoch carried all three" 3 epoch_txns;
-  Verify.check_exn cluster ~group
-
-(* The epoch fill bound: a full window seals early, the overflow rides
-   the next epoch — positions stay dense and everything commits. *)
-let test_epoch_fill_bound_seals_early () =
-  let cluster = make ~batch_max:2 ~epoch_interval:0.15 () in
+(* The fill bound: a full batch leaves early, the overflow rides the next
+   window — positions stay dense and everything commits. *)
+let test_long_fill_bound () =
+  let cluster = make ~batch_max:2 ~pipeline_depth:1 ~batch_fill:0.15 () in
   let outcomes = ref [] in
   for i = 0 to 4 do
     let client = Cluster.client cluster ~dc:0 in
@@ -526,80 +497,36 @@ let test_epoch_fill_bound_seals_early () =
   Cluster.run cluster;
   Alcotest.(check int) "all five commit" 5
     (List.length (List.filter committed !outcomes));
-  let _, _, _, _, epochs, epoch_txns = total_stats cluster in
+  let batches, batched_txns, _, _ = total_stats cluster in
   Alcotest.(check bool)
-    (Printf.sprintf "fill bound 2 forces >= 3 epochs (got %d)" epochs)
-    true (epochs >= 3);
-  Alcotest.(check int) "epochs carried all five" 5 epoch_txns;
+    (Printf.sprintf "fill bound 2 forces >= 3 batches (got %d)" batches)
+    true (batches >= 3);
+  Alcotest.(check int) "batches carried all five" 5 batched_txns;
   Verify.check_exn cluster ~group
 
-(* Mirror of test_restart_during_fill_window for the epoch discipline: a
-   restart inside the epoch interval must resolve every orphaned pending
-   honestly (queued -> No_quorum, exposed -> In_doubt) and never let the
-   orphaned drainer seal one more epoch from the pre-restart queues. *)
-let test_restart_mid_epoch () =
-  let cluster = make ~batch_max:64 ~epoch_interval:0.2 () in
-  let service = Cluster.service cluster 0 in
-  let replies = Array.make 3 None in
-  for i = 0 to 2 do
-    let record =
-      Txn.make_record ~txn_id:(Printf.sprintf "t%d" i) ~origin:0
-        ~read_position:0 ~reads:[]
-        ~writes:[ { Txn.key = Printf.sprintf "k%d" i; value = "v" } ]
-    in
-    Cluster.spawn cluster (fun () ->
-        replies.(i) <-
-          Some (Service.handle service ~src:0 (Messages.Submit { group; record })))
-  done;
-  (* Lands inside the 0.2 s epoch interval, before the seal. *)
-  Engine.schedule (Cluster.engine cluster) ~at:0.05 (fun () ->
-      Cluster.restart cluster 0);
-  let late_outcome = ref None in
-  let late = Cluster.client cluster ~dc:0 in
-  Cluster.spawn ~at:5.0 cluster (fun () ->
-      let txn = Client.begin_ late ~group in
-      Client.write txn "late" "v";
-      late_outcome := Some (Client.commit txn));
-  Cluster.run cluster;
-  Array.iteri
-    (fun i reply ->
-      match reply with
-      | Some
-          (Messages.Submit_reply
-             { result = Messages.No_quorum | Messages.In_doubt }) ->
-          ()
-      | Some _ -> Alcotest.failf "submission %d: dishonest orphan outcome" i
-      | None -> Alcotest.failf "submission %d never resolved" i)
-    replies;
-  (match !late_outcome with
-  | Some o ->
-      Alcotest.(check bool) "manager serves after restart" true (committed o)
-  | None -> Alcotest.fail "late transaction never ran");
-  let _, _, _, _, epochs, epoch_txns = total_stats cluster in
-  Alcotest.(check int) "no orphan epoch sealed after restart" 1 epochs;
-  Alcotest.(check int) "only the late txn in an epoch" 1 epoch_txns;
-  Verify.check_exn cluster ~group
-
-(* Epoch mode must be outcome-IDENTICAL to the unbatched path on
-   disjoint workloads, exactly like the batched path (same property, new
-   discipline): same commit/abort states, same committed ids, same final
-   store. *)
-let prop_epoch_disjoint_equivalence =
+(* A long window must be outcome-IDENTICAL to the unbatched path on
+   disjoint workloads, exactly like the default window: same
+   commit/abort states, same committed ids, same final store. *)
+let prop_long_fill_disjoint_equivalence =
   QCheck.Test.make ~name:"epoch path = unbatched path on disjoint workloads"
     ~count:30
     (QCheck.make disjoint_gen)
     (fun txns ->
       let baseline = run_workload Config.leader ~seed:9 txns in
-      let sealed = run_workload (Config.epoch Config.leader) ~seed:9 txns in
+      let long =
+        run_workload
+          (fill_config ~batch_max:64 ~pipeline_depth:1 ~fill:0.05)
+          ~seed:9 txns
+      in
       let b_states, b_ids, b_final = baseline in
-      let e_states, e_ids, e_final = sealed in
-      b_states = e_states && b_ids = e_ids && b_final = e_final)
+      let l_states, l_ids, l_final = long in
+      b_states = l_states && b_ids = l_ids && b_final = l_final)
 
-(* Conflicting workloads under epoch sealing: a txn's home dc, delay and
+(* Conflicting workloads under a long window: a txn's home dc, delay and
    three ops over a 4-key space (read or write per coin). Admission must
-   defer intra-epoch conflicts, so the epoch history is always accepted
-   by the one-copy-serializability checker with honest audit outcomes —
-   the QCheck mirror of test_conflicting_workload_serializable. *)
+   defer intra-window conflicts, so the history is always accepted by
+   the one-copy-serializability checker with honest audit outcomes — the
+   QCheck mirror of test_conflicting_workload_serializable. *)
 type conflicting_txn = { cdc : int; cdelay : float; ops : (int * bool) list }
 
 let conflicting_gen =
@@ -610,12 +537,12 @@ let conflicting_gen =
          (int_range 0 2) (int_range 0 30)
          (list_size (int_range 1 3) (pair (int_range 0 3) bool))))
 
-let prop_epoch_conflicting_serializable =
+let prop_long_fill_conflicting_serializable =
   QCheck.Test.make
     ~name:"epoch histories stay 1SR on conflicting workloads" ~count:25
     (QCheck.make conflicting_gen)
     (fun txns ->
-      let config = Config.epoch ~fill:8 ~interval:0.05 Config.leader in
+      let config = fill_config ~batch_max:8 ~pipeline_depth:1 ~fill:0.05 in
       let cluster = Cluster.create ~seed:11 ~config (Topology.ec2 "VVV") in
       List.iteri
         (fun i { cdc; cdelay; ops } ->
@@ -639,14 +566,12 @@ let prop_epoch_conflicting_serializable =
       | Ok () -> true
       | Error v -> QCheck.Test.fail_reportf "%a" Checker.pp_violation v)
 
-(* The seeds battery of test_conflicting_workload_serializable, run under
-   the epoch discipline (including pipelined epochs). *)
-let test_epoch_conflicting_workload_serializable () =
+(* The seeds battery of test_conflicting_workload_serializable, run with
+   a long, pipelined window. *)
+let test_long_fill_conflicting_workload_serializable () =
   List.iter
     (fun seed ->
-      let config =
-        Config.epoch ~fill:4 ~pipeline_depth:2 ~interval:0.08 Config.leader
-      in
+      let config = fill_config ~batch_max:4 ~pipeline_depth:2 ~fill:0.08 in
       let cluster = Cluster.create ~seed ~config (Topology.ec2 "VOC") in
       let commits = ref 0 in
       for dc = 0 to 2 do
@@ -677,6 +602,112 @@ let test_epoch_conflicting_workload_serializable () =
         true (!commits > 0))
     [ 1; 2; 3; 4; 5 ]
 
+let pp_outcome ppf = function
+  | Audit.Committed { position; _ } -> Format.fprintf ppf "committed@%d" position
+  | Audit.Read_only_committed -> Format.pp_print_string ppf "read-only"
+  | Audit.Aborted { reason; _ } ->
+      Format.fprintf ppf "aborted(%a)" Audit.pp_reason reason
+  | Audit.Unknown -> Format.pp_print_string ppf "unknown"
+
+(* A contended, optionally faulted run: three clients, one per
+   datacenter, each running [txns] transactions of three coin-flip
+   read/write ops over [keys] keys and sleeping [0, 0.05) s between
+   them, each on its own split of the engine RNG. [faults]: a loss/jitter
+   storm from 1 s to 3 s, a restart of the manager at 4 s and a
+   duplication storm from 4.5 s to 6 s. *)
+let contention_run ?(txns = 25) ?(keys = 12) ?(faults = false) ~spec ~seed
+    config =
+  let cluster = Cluster.create ~seed ~config (Topology.ec2 spec) in
+  let outcomes = ref [] in
+  for dc = 0 to 2 do
+    let client = Cluster.client cluster ~id:(Printf.sprintf "c%d" dc) ~dc in
+    let rng = Rng.split (Engine.rng (Cluster.engine cluster)) in
+    Cluster.spawn cluster (fun () ->
+        for i = 1 to txns do
+          let outcome =
+            try
+              let txn = Client.begin_ client ~group in
+              for _ = 1 to 3 do
+                let key = Printf.sprintf "k%d" (Rng.int rng keys) in
+                if Rng.bool rng 0.5 then ignore (Client.read txn key)
+                else Client.write txn key (Client.txn_id txn)
+              done;
+              Format.asprintf "%a" pp_outcome (Client.commit txn)
+            with Client.Unavailable _ -> "unavailable"
+          in
+          outcomes := (Printf.sprintf "c%d/%d" dc i, outcome) :: !outcomes;
+          Engine.sleep (Rng.uniform rng 0.0 0.05)
+        done)
+  done;
+  if faults then begin
+    let at time f = Engine.schedule (Cluster.engine cluster) ~at:time f in
+    at 1.0 (fun () -> Cluster.storm cluster ~loss:0.2 ~jitter:0.3);
+    at 3.0 (fun () -> Cluster.calm cluster);
+    at 4.0 (fun () -> Cluster.restart cluster 0);
+    at 4.5 (fun () -> Cluster.dup_storm cluster ~prob:0.3);
+    at 6.0 (fun () -> Cluster.clear_duplication cluster)
+  end;
+  Cluster.run cluster;
+  (cluster, List.rev !outcomes)
+
+(* Everything a run decides, hashed: every client outcome, the committed
+   log, the final virtual clock and the number of events processed. *)
+let fingerprint (cluster, outcomes) =
+  let b = Buffer.create 512 in
+  List.iter (fun (id, o) -> Printf.bprintf b "%s=%s;" id o) outcomes;
+  List.iter
+    (fun (pos, entry) ->
+      Printf.bprintf b "%d:%s;" pos
+        (String.concat "," (List.map (fun r -> r.Txn.txn_id) entry)))
+    (Cluster.committed_log cluster ~group);
+  Printf.bprintf b "now=%h;processed=%d" (Cluster.now cluster)
+    (Engine.processed (Cluster.engine cluster));
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Regression (R1): after a manager restart the pre-restart drainer keeps
+   resolving its window. At position 11 its prepare saw two votes at the
+   tied fast ballot: its own entry and the post-restart manager's entry,
+   which was already chosen. Keeping whichever vote came first and
+   re-validating when that was its own proposed a different entry at a
+   chosen position (Wal.append: conflicting entry). *)
+let test_restart_tied_fast_votes () =
+  let config = fill_config ~batch_max:4 ~pipeline_depth:2 ~fill:0.08 in
+  let cluster, _ = contention_run ~faults:true ~spec:"VOC" ~seed:2 config in
+  Verify.check_exn cluster ~group;
+  match Checker.check_log (Cluster.committed_log cluster ~group) with
+  | Ok () -> ()
+  | Error v -> Alcotest.failf "serial checker: %a" Checker.pp_violation v
+
+(* Long-window runs pinned by fingerprint. The digests were recorded
+   from the same runs under the former epoch-sealing mode (the window
+   as its interval, [batch_max] as its fill bound), with the client's
+   Submit deadline already counting the epoch wait; a
+   QCheck property then showed 60 random (topology, fill bound, depth,
+   window, seed, faults) points identical between the two. Any change
+   here is a behaviour change of the drainer. *)
+let pinned_long_fill =
+  [
+    (("VVV", 64, 1, 0.05, 1, false), "baf98bef0b3a1b663d2740167f90fe65");
+    (("VVV", 8, 1, 0.05, 2, true), "d520a76f8032d9f314add39052178973");
+    (("VOC", 4, 2, 0.15, 3, false), "280846cc3f0ff1e9df50e2c9b751b702");
+    (("VVVOC", 2, 4, 0.02, 4, true), "af8ff1d94ee6d0f8d7924f1a8fc66e4a");
+    (("VVVOC", 64, 2, 0.15, 5, false), "164d5c97212caa4a30ada323adc3471f");
+    (("VOC", 1, 4, 0.05, 6, true), "1071f1c780f1d5c5b881b28c866cf3a2");
+    (("VVV", 2, 2, 0.08, 7, true), "9b93600e33b4ee7f549da62b3e2a543e");
+    (("VVVOC", 8, 4, 0.05, 8, true), "f862fba9808330de07c1d3384cb19451");
+  ]
+
+let test_long_fill_digests_pinned () =
+  List.iter
+    (fun ((spec, batch_max, pipeline_depth, fill, seed, faults), pinned) ->
+      let config = fill_config ~batch_max ~pipeline_depth ~fill in
+      Alcotest.(check string)
+        (Printf.sprintf "%s batch %d depth %d fill %g seed %d faults %b" spec
+           batch_max pipeline_depth fill seed faults)
+        pinned
+        (fingerprint (contention_run ~faults ~spec ~seed config)))
+    pinned_long_fill
+
 let () =
   Alcotest.run "throughput"
     [
@@ -701,6 +732,8 @@ let () =
             test_restart_during_fill_window;
           Alcotest.test_case "restart orphans batchers" `Quick
             test_restart_orphans_batchers;
+          Alcotest.test_case "restart with tied fast-ballot votes" `Quick
+            test_restart_tied_fast_votes;
         ] );
       ( "dedup",
         [
@@ -714,17 +747,18 @@ let () =
             test_conflicting_workload_serializable;
           Alcotest.test_case "mode off by default" `Quick
             test_mode_off_by_default;
+          Alcotest.test_case "bad fill window rejected" `Quick
+            test_bad_fill_rejected;
         ] );
       ( "epoch",
         [
-          Alcotest.test_case "epoch seals one multi-record entry" `Quick
-            test_epoch_seals_one_entry;
           Alcotest.test_case "fill bound seals early" `Quick
-            test_epoch_fill_bound_seals_early;
-          Alcotest.test_case "restart mid-epoch" `Quick test_restart_mid_epoch;
-          QCheck_alcotest.to_alcotest prop_epoch_disjoint_equivalence;
-          QCheck_alcotest.to_alcotest prop_epoch_conflicting_serializable;
+            test_long_fill_bound;
+          QCheck_alcotest.to_alcotest prop_long_fill_disjoint_equivalence;
+          QCheck_alcotest.to_alcotest prop_long_fill_conflicting_serializable;
           Alcotest.test_case "epoch conflicting workloads stay 1SR" `Quick
-            test_epoch_conflicting_workload_serializable;
+            test_long_fill_conflicting_workload_serializable;
+          Alcotest.test_case "long-fill runs match pinned digests" `Quick
+            test_long_fill_digests_pinned;
         ] );
     ]

@@ -39,7 +39,7 @@ let default_config protocol =
    chaos. Drawn deterministically from the seed on a stream distinct from
    both the engine's (raw seed) and the fault schedule's
    (seed lxor 0x5DEECE66D); never leaves both knobs at 1, because that
-   would silently fall back to the single path and test nothing new. The
+   is the plain leader soak ([-p leader]) and would test nothing new. The
    fill draw comes last, so seeds keep the batch/depth they had before it
    existed; roughly half the seeds run a long fill window (PROTOCOL.md
    §9), the rest keep the config's own [batch_fill]. *)

@@ -127,11 +127,9 @@ type report = {
           applies absorbed, replayed claims answered from the register,
           replayed submissions answered with their original position. *)
   throughput : Mdds_core.Service.throughput_stats;
-      (** Batched-path counters summed over all services (all zero unless
-          the spec's config enables {!Mdds_core.Config.throughput_mode},
-          e.g. via {!throughput_config}): positions proposed by the
-          batched path, transactions they carried, pipelined rounds and
-          window stalls. *)
+      (** Manager counters summed over all services (all zero unless the
+          leader protocol runs): positions proposed, transactions they
+          carried, pipelined rounds and window stalls. *)
   twopc : Mdds_core.Service.twopc_stats;
       (** Multi-shot-commit counters summed over all services (all zero
           unless the workload's [cross_ratio] draws cross-group

@@ -88,8 +88,8 @@ type t = {
       (** [Leader] protocol throughput mode: max queued transactions the
           manager combines into one log position ({!Mdds_core.Combine}'s
           validity rule orders them). [1] (default) disables batching —
-          every submission is proposed alone, byte-identical to the paper
-          path. *)
+          every submission is proposed alone, as in the paper's §7
+          manager. *)
   batch_fill : float;
       (** Fill-or-timeout: once the manager has at least one queued
           transaction but fewer than [batch_max], it waits at most this
@@ -116,15 +116,16 @@ val leader : t
 
 val throughput_mode : t -> bool
 (** True iff batching or pipelining is enabled ([batch_max > 1] or
-    [pipeline_depth > 1]).
-    Off in {!default}/{!basic}/{!leader}, so all paper figures take the
-    unbatched path unchanged. *)
+    [pipeline_depth > 1]). Off in {!default}/{!basic}/{!leader}. A label
+    only: every Submit runs through the same manager, which at
+    [batch_max = pipeline_depth = 1] proposes one transaction per
+    position, one position at a time. *)
 
 val submit_timeout : t -> float
 (** How long a leader-protocol client waits for a Submit reply:
-    [2 × rpc_timeout] on the unbatched path; in throughput mode the
-    queueing ahead of the proposal is added — up to [pipeline_depth]
-    positions draining ahead, plus the drainer's fill wait. *)
+    [2 × rpc_timeout] unbatched; in throughput mode the queueing ahead of
+    the proposal is added — up to [pipeline_depth] positions draining
+    ahead, plus the drainer's fill wait. *)
 
 val throughput : ?batch_max:int -> ?pipeline_depth:int -> t -> t
 (** Steady-state throughput mode: [Leader] protocol with batching

@@ -19,10 +19,9 @@ type acceptor_cached = {
 type group_keys = { paxos_prefix : string; claim_prefix : string }
 
 (* ------------------------------------------------------------------ *)
-(* Throughput mode (DESIGN.md §14): the manager's pending queue and
-   pipelined proposal window. All volatile — a restart drops it, exactly
-   like the submission locks; clients of orphaned submissions time out as
-   they would against a down manager. *)
+(* The manager's pending queue and pipelined proposal window (DESIGN.md
+   §14) — the one Submit path. All volatile: a restart drops it and
+   answers every submission it held (see {!restart}). *)
 
 (* One queued submission. The handler fiber that received the Submit
    suspends on [p_wakers]; whichever fiber resolves the outcome (a
@@ -84,7 +83,6 @@ type t = {
   store : Store.t;
   wal : Wal.t;
   env : Proposer.env;
-  submit_locks : (string, Mdds_sim.Semaphore.t) Hashtbl.t;
   won : (string, int) Hashtbl.t;  (* last position this manager decided *)
   acceptors : (string, (int, acceptor_cached) Hashtbl.t) Hashtbl.t;
       (* Write-through decoded view of the paxos/ rows, per group; dropped
@@ -112,9 +110,8 @@ type t = {
   mutable dup_claims : int;
   mutable dup_submits : int;
   batchers : (string, batcher) Hashtbl.t;
-      (* Throughput mode only (Config.throughput_mode): per-group pending
-         queue + pipelined window. Untouched — never even allocated into —
-         when the mode is off, so the default path stays byte-identical. *)
+      (* Per-group pending queue + pipelined window: every Submit, from
+         clients and from the 2PC resolvers, runs through one. *)
   mutable batches : int;
   mutable batched_txns : int;
   mutable pipelined_rounds : int;
@@ -408,22 +405,6 @@ let handle_claim t ~group ~pos ~claimant =
       else Messages.Claim_reply { first = owner () = Some claimant }
 
 (* ------------------------------------------------------------------ *)
-(* Long-term-leader transaction manager (§7–§8 future work).            *)
-
-(* Commit decisions for a group are serialized: the manager orders
-   transactions, so two concurrent submissions must not race for the same
-   log position. *)
-let submit_lock t ~group =
-  match Hashtbl.find_opt t.submit_locks group with
-  | Some lock -> lock
-  | None ->
-      let lock =
-        Mdds_sim.Semaphore.create (Mdds_net.Rpc.engine t.env.Proposer.rpc) 1
-      in
-      Hashtbl.replace t.submit_locks group lock;
-      lock
-
-(* ------------------------------------------------------------------ *)
 (* Multi-shot atomic commit, manager side (PROTOCOL.md §10): the in-doubt
    table, admission blocking, and resolver arming. All state here is
    volatile and re-derived from the log's marker records ({!Twopc}) —
@@ -498,7 +479,9 @@ let footprint_conflict ~footprint (r : Txn.record) =
    cross-group 1SR rests on the (prepare, outcome] window being
    exclusive in each participant group. The predicate is conservative
    (any footprint intersection blocks); outcome/decision records are
-   exempt, since they are what resolves the window. *)
+   exempt, since they are what resolves the window. A refusal re-arms the
+   resolver for the blocking transaction, so a dead coordinator cannot
+   wedge a key range forever. *)
 let blocked_in tbl ~own record =
   Hashtbl.fold
     (fun txid ind acc ->
@@ -512,18 +495,23 @@ let blocked_in tbl ~own record =
     tbl None
 
 let blocked_by_2pc t ~group (record : Txn.record) =
-  match Hashtbl.find_opt t.twopc group with
-  | None -> None
-  | Some tbl when Hashtbl.length tbl = 0 -> None
-  | Some tbl -> (
-      match Twopc.classify record with
-      | Twopc.Outcome _ | Twopc.Decision _ -> None
-      | Twopc.Prepare { txid = own; _ } -> blocked_in tbl ~own record
-      | Twopc.Plain -> blocked_in tbl ~own:"" record)
+  let blocker =
+    match Hashtbl.find_opt t.twopc group with
+    | None -> None
+    | Some tbl when Hashtbl.length tbl = 0 -> None
+    | Some tbl -> (
+        match Twopc.classify record with
+        | Twopc.Outcome _ | Twopc.Decision _ -> None
+        | Twopc.Prepare { txid = own; _ } -> blocked_in tbl ~own record
+        | Twopc.Plain -> blocked_in tbl ~own:"" record)
+  in
+  Option.iter (watch_2pc t ~group) blocker;
+  blocker <> None
 
 (* Prepares sitting in not-yet-scanned overhang entries (decided or
-   in-flight positions above the applied watermark, throughput mode)
-   block the same way; outcomes in the overhang release them. *)
+   in-flight positions above the applied watermark) block the same way;
+   outcomes in the overhang release them. Admission also runs it over the
+   prepares already in the batch being built. *)
 let blocked_by_overhang (record : Txn.record) overhang =
   let own =
     match Twopc.classify record with
@@ -576,6 +564,23 @@ let fire_2pc_trap t entry =
         Mdds_sim.Engine.spawn (Rpc.engine t.env.Proposer.rpc) f
       end
 
+(* ------------------------------------------------------------------ *)
+(* The long-term-leader transaction manager (§7–§8 future work; DESIGN.md
+   §14): the one Submit path, for clients and the in-process 2PC
+   resolvers alike.
+
+   One drainer fiber per group owns proposal order. Submissions queue;
+   the drainer drains them (fill-or-timeout) into Combine-valid batches,
+   one batch per log position, and — in the Multi-Paxos steady state —
+   keeps up to [pipeline_depth] positions in flight at once via
+   {!Proposer.run_fast}'s sequenced round-0 accepts. A failed round
+   stalls the pipeline: every open position is resolved in log order
+   through the full protocol before new positions open. Data applies
+   always stay in log order behind the WAL watermark regardless of the
+   order rounds complete in. At [batch_max = pipeline_depth = 1] this is
+   the paper's manager: one transaction per position, one position in
+   flight. *)
+
 (* A duplicated or replayed submission (duplicating link, client retry)
    must not be sequenced a second time — the same transaction at two
    positions is an L2 violation (found by gray-failure chaos seed 2:
@@ -606,96 +611,6 @@ let stale_at t ~group ~at (r : Txn.record) =
       | Some version -> version > r.Txn.read_position
       | None -> false)
     (Txn.read_keys r)
-
-let handle_submit_single t ~group (record : Txn.record) =
-  Mdds_sim.Semaphore.with_permit (submit_lock t ~group) (fun () ->
-      let rec attempt tries =
-        if tries <= 0 then Messages.Submit_reply { result = Messages.No_quorum }
-        else
-          (* Bring the manager's view of the log up to date first. *)
-          let last = Wal.last_position t.wal ~group in
-          match ensure_applied t ~group ~upto:last with
-          | Error _ -> Messages.Submit_reply { result = Messages.No_quorum }
-          | Ok () -> (
-              match logged_at t ~group ~upto:last record with
-              | Some pos ->
-                  t.dup_submits <- t.dup_submits + 1;
-                  Messages.Submit_reply { result = Messages.Accepted_at pos }
-              | None ->
-              (* Prepared-but-undecided cross-group footprints exclude
-                 conflicting admissions (PROTOCOL.md §10). The refusal
-                 also re-arms the resolver for the blocking transaction,
-                 so a dead coordinator cannot wedge a key range forever. *)
-              scan_2pc t ~group;
-              (match blocked_by_2pc t ~group record with
-              | Some blocker ->
-                  watch_2pc t ~group blocker;
-                  Messages.Submit_reply { result = Messages.Stale_read }
-              | None ->
-              if stale_at t ~group ~at:last record then
-                Messages.Submit_reply { result = Messages.Stale_read }
-              else
-                let pos = last + 1 in
-                (* Multi-Paxos steady state: having decided the previous
-                   position, the manager is the position's leader and
-                   skips the prepare phase; after a failover the first
-                   decision pays a full round. *)
-                let fast =
-                  if Hashtbl.find_opt t.won group = Some last then Some [ record ]
-                  else None
-                in
-                let exposed = ref (fast <> None) in
-                let choose votes =
-                  let entry =
-                    Mdds_paxos.Tally.find_winning votes ~own:[ record ]
-                  in
-                  if Txn.mem_entry ~txn_id:record.Txn.txn_id entry then
-                    exposed := true;
-                  Proposer.Propose entry
-                in
-                let result, _stats =
-                  Proposer.run t.env ~group ~pos ?fast ~choose ()
-                in
-                (match result with
-                | Proposer.Decided entry
-                  when Txn.mem_entry ~txn_id:record.Txn.txn_id entry ->
-                    Hashtbl.replace t.won group pos;
-                    (* A decided prepare enters the in-doubt table (and
-                       arms its resolver) immediately — the scan would
-                       catch it on the next submission, but there may
-                       never be one. The whole entry is absorbed so the
-                       scan watermark can advance past it without a
-                       second pass. *)
-                    List.iter (note_record_2pc t ~group ~pos) entry;
-                    if scanned_2pc t ~group = pos - 1 then
-                      Hashtbl.replace t.twopc_scanned group pos;
-                    Messages.Submit_reply { result = Messages.Accepted_at pos }
-                | Proposer.Decided _ | Proposer.Observed _ ->
-                    (* Another proposer (a rival manager after a failover,
-                       or a learner) took the position: refresh and retry
-                       at the next one. *)
-                    attempt (tries - 1)
-                | Proposer.Unavailable ->
-                    (* Gave up; if our accepts went out the transaction may
-                       still be completed by someone else. *)
-                    if !exposed then
-                      Messages.Submit_reply { result = Messages.In_doubt }
-                    else Messages.Submit_reply { result = Messages.No_quorum })))
-      in
-      attempt 5)
-
-(* ------------------------------------------------------------------ *)
-(* Throughput mode (DESIGN.md §14): the batched/pipelined submit path.
-
-   One drainer fiber per group owns proposal order. Submissions queue;
-   the drainer drains them (fill-or-timeout) into Combine-valid batches,
-   one batch per log position, and — in the Multi-Paxos steady state —
-   keeps up to [pipeline_depth] positions in flight at once via
-   {!Proposer.run_fast}'s sequenced round-0 accepts. A failed round
-   stalls the pipeline: every open position is resolved in log order
-   through the full protocol before new positions open. Data applies
-   always stay in log order behind the WAL watermark regardless of the
-   order rounds complete in. *)
 
 let batcher t ~group =
   match Hashtbl.find_opt t.batchers group with
@@ -741,12 +656,21 @@ let resolve_pending b p result =
 (* The submit handler's side: block until some drainer/slot fiber
    resolves the outcome. The client's own timeout bounds the wait. *)
 let await_pending p =
-  (match p.p_result with
-  | None -> Mdds_sim.Engine.suspend (fun wake -> p.p_wakers <- wake :: p.p_wakers)
-  | Some _ -> ());
-  match p.p_result with
-  | Some result -> Messages.Submit_reply { result }
-  | None -> Messages.Submit_reply { result = Messages.No_quorum }
+  if p.p_result = None then
+    Mdds_sim.Engine.suspend (fun wake -> p.p_wakers <- wake :: p.p_wakers);
+  Option.value p.p_result ~default:Messages.No_quorum
+
+(* Lost-position retries first, then fresh submissions. *)
+let take_pending b =
+  match Queue.take_opt b.bt_requeue with
+  | Some p -> Some p
+  | None -> Queue.take_opt b.bt_queue
+
+(* Giving up on a submission: a definite No_quorum unless an accept
+   carrying it went out, after which only In_doubt is honest. *)
+let give_up b p =
+  resolve_pending b p
+    (if p.p_exposed then Messages.In_doubt else Messages.No_quorum)
 
 (* Outcomes for a decided position: members commit at it; the rest lost
    the position and go back to the queue, where the next admission pass
@@ -769,9 +693,13 @@ let deliver_decided b ~pos entry pendings =
    not-yet-applied entry above the watermark — in-flight window slots
    included, since their writes are ahead of any position this batch can
    get; and the combination invariant (no record reads a key an earlier
-   batch member writes) is enforced with the PR-5 write-union. A record
-   failing only the combination rule is deferred to a later position, not
-   aborted — exactly the outcome it would get submitting alone. *)
+   batch member writes) is enforced with the PR-5 write-union. An
+   admitted prepare's footprint is in doubt from its own position on
+   (PROTOCOL.md §10), so later members it conflicts with are held back
+   too — the write-union cannot see that, since a prepare writes only its
+   marker. A record failing only these intra-batch rules is deferred to a
+   later position, not aborted — exactly the outcome it would get
+   submitting alone. *)
 let build_batch (t : t) b =
   let group = b.bt_group in
   let wal_last = Wal.last_position t.wal ~group in
@@ -790,19 +718,15 @@ let build_batch (t : t) b =
       (List.map (fun s -> (s.sl_pos, s.sl_entry)) b.bt_window)
   in
   let union = Txn.Write_union.create () in
+  let prepares = ref [] in
   let batch = ref [] in
   let size = ref 0 in
   let deferred = ref [] in
-  let take () =
-    match Queue.take_opt b.bt_requeue with
-    | Some p -> Some p
-    | None -> Queue.take_opt b.bt_queue
-  in
   let exception Full in
   (try
      let rec admit () =
        if !size >= t.config.Config.batch_max then raise Full;
-       match take () with
+       match take_pending b with
        | None -> ()
        | Some p ->
            let r = p.p_record in
@@ -811,15 +735,9 @@ let build_batch (t : t) b =
                t.dup_submits <- t.dup_submits + 1;
                resolve_pending b p (Messages.Accepted_at pos)
            | None ->
-               let blocked =
-                 match blocked_by_2pc t ~group r with
-                 | Some blocker ->
-                     watch_2pc t ~group blocker;
-                     true
-                 | None -> blocked_by_overhang r overhang <> None
-               in
                let stale =
-                 blocked
+                 blocked_by_2pc t ~group r
+                 || blocked_by_overhang r overhang <> None
                  || stale_at t ~group ~at:watermark r
                  || List.exists
                       (fun (pos, entry) ->
@@ -828,10 +746,16 @@ let build_batch (t : t) b =
                       overhang
                in
                if stale then resolve_pending b p Messages.Stale_read
-               else if Txn.Write_union.reads_overlap union r then
-                 deferred := p :: !deferred
+               else if
+                 Txn.Write_union.reads_overlap union r
+                 || (!prepares <> []
+                    && blocked_by_overhang r [ (0, !prepares) ] <> None)
+               then deferred := p :: !deferred
                else begin
                  Txn.Write_union.add union r;
+                 (match Twopc.classify r with
+                 | Twopc.Prepare _ -> prepares := r :: !prepares
+                 | _ -> ());
                  batch := p :: !batch;
                  incr size
                end);
@@ -842,9 +766,10 @@ let build_batch (t : t) b =
   List.iter (fun p -> Queue.push p b.bt_requeue) (List.rev !deferred);
   List.rev !batch
 
-(* No leadership streak: the single-position path, synchronous in the
-   drainer, with the batch as the proposed value — the same full protocol
-   (and the same exposure accounting) as the unbatched manager. *)
+(* No leadership streak (a fresh or failed-over manager, or a rival took
+   the previous position): the batch goes through the full protocol at
+   one position, synchronously in the drainer. A member is exposed once
+   an accept for a value carrying it can go out. *)
 let propose_sync (t : t) b ~pos batch =
   let group = b.bt_group in
   let entry = List.map (fun p -> p.p_record) batch in
@@ -862,12 +787,7 @@ let propose_sync (t : t) b ~pos batch =
       if Txn.equal_entry entry' entry then Hashtbl.replace t.won group pos;
       deliver_decided b ~pos entry' batch
   | Proposer.Observed entry', _ -> deliver_decided b ~pos entry' batch
-  | Proposer.Unavailable, _ ->
-      List.iter
-        (fun p ->
-          resolve_pending b p
-            (if p.p_exposed then Messages.In_doubt else Messages.No_quorum))
-        batch
+  | Proposer.Unavailable, _ -> List.iter (give_up b) batch
 
 (* A pipelined round failed (refused sequenced accept, timeout, or a rival
    bumped nextBal): stall the pipeline and resolve every open position in
@@ -906,13 +826,17 @@ let resolve_window (t : t) b =
           else begin
             ignore (ensure_applied t ~group ~upto:(slot.sl_pos - 1));
             let fast_ballot = Ballot.fast ~proposer:t.dc in
+            (* The same admission rules against what actually got decided,
+               in-doubt footprints included. *)
             let revalidated () =
               let watermark = Wal.apply_available t.wal ~group in
+              scan_2pc t ~group;
               let union = Txn.Write_union.create () in
               List.filter
                 (fun (r : Txn.record) ->
                   let ok =
-                    (not (stale_at t ~group ~at:watermark r))
+                    (not (blocked_by_2pc t ~group r))
+                    && (not (stale_at t ~group ~at:watermark r))
                     && not (Txn.Write_union.reads_overlap union r)
                   in
                   if ok then Txn.Write_union.add union r;
@@ -987,35 +911,49 @@ let rec drain (t : t) b =
           && queued < t.config.Config.batch_max
           && t.config.Config.batch_fill > 0.
         then Mdds_sim.Engine.sleep t.config.Config.batch_fill;
-        (* A restart during the fill sleep orphaned this batcher: the
-           post-restart batcher owns the group's positions now, so one
-           more launch from the pre-restart queues would race it at
-           overlapping positions with the same round-0 ballot. Bail out
-           (the loop head below observes bt_stopped and exits). *)
-        if not b.bt_stopped then launch t b;
+        launch t b;
         drain t b
       end
     end
   end
 
+(* A restart during the fill sleep — or, below, during the learner's
+   catch-up, which can block for seconds — orphans this batcher. The
+   restart has answered its submissions and the post-restart batcher owns
+   the group's positions: launching from the pre-restart queues would
+   race it at overlapping positions with the same round-0 ballot, and
+   commit transactions already reported aborted (cross-group soak seed
+   129). Hence [bt_stopped] is checked on entry and again after the
+   catch-up; the drain loop then observes it and exits. *)
 and launch (t : t) b =
   let group = b.bt_group in
-  if b.bt_stopped then ()
-  else begin
   (* Slots may have completed (or failed) during the fill wait: re-settle
      the window first. A failure means resolution must run before any new
      position opens — launching over an unresolved gap through the full
      protocol would decide a position whose admission checks assumed a
      prefix that may never commit. *)
   b.bt_window <- List.filter (fun s -> s.sl_state <> Sl_won) b.bt_window;
-  if List.exists (fun s -> s.sl_state = Sl_failed) b.bt_window then ()
+  if b.bt_stopped || List.exists (fun s -> s.sl_state = Sl_failed) b.bt_window
+  then ()
   else begin
     (* Only catch up through the learner when nothing of ours is in
        flight — learning one of our own open positions would race this
        manager against itself (a round-1 prepare killing its own
        round-0 accepts). *)
-    if b.bt_window = [] then
-      ignore (ensure_applied t ~group ~upto:(Wal.last_position t.wal ~group));
+    let caught_up =
+      b.bt_window <> []
+      || Result.is_ok
+           (ensure_applied t ~group ~upto:(Wal.last_position t.wal ~group))
+    in
+    if b.bt_stopped then ()
+    else if not caught_up then
+      (* An unlearnable gap below the head: admission cannot check a
+         record against entries it cannot see, so the next batch's worth
+         of submissions gives up instead of being proposed. *)
+      for _ = 1 to t.config.Config.batch_max do
+        Option.iter (give_up b) (take_pending b)
+      done
+    else begin
     let batch = build_batch t b in
     if batch <> [] then begin
       let entry = List.map (fun p -> p.p_record) batch in
@@ -1070,49 +1008,43 @@ and launch (t : t) b =
       end
       else propose_sync t b ~pos batch
     end
-  end
+    end
   end
 
-let handle_submit_batched t ~group (record : Txn.record) =
+let handle_submit t ~group (record : Txn.record) =
   let b = batcher t ~group in
-  match Hashtbl.find_opt b.bt_by_id record.Txn.txn_id with
-  | Some p ->
-      (* Duplicate Submit while the original is queued or in flight
-         (duplicating link, or a client retrying into the same manager):
-         attach as an extra waiter; the one resolution answers both. *)
-      t.dup_submits <- t.dup_submits + 1;
-      await_pending p
-  | None ->
-      let p =
-        {
-          p_record = record;
-          p_result = None;
-          p_wakers = [];
-          p_tries = 0;
-          p_exposed = false;
-        }
-      in
-      Queue.push p b.bt_queue;
-      Hashtbl.replace b.bt_by_id record.Txn.txn_id p;
-      if not b.bt_running then begin
-        b.bt_running <- true;
-        Mdds_sim.Engine.spawn (Rpc.engine t.env.Proposer.rpc) (fun () ->
-            drain t b)
-      end
-      else wake_batcher b;
-      await_pending p
-
-let handle_submit t ~group record =
-  let reply =
-    if Config.throughput_mode t.config then
-      handle_submit_batched t ~group record
-    else handle_submit_single t ~group record
+  let p =
+    match Hashtbl.find_opt b.bt_by_id record.Txn.txn_id with
+    | Some p ->
+        (* Duplicate Submit while the original is queued or in flight
+           (duplicating link, or a client retrying into the same manager):
+           attach as an extra waiter; the one resolution answers both. *)
+        t.dup_submits <- t.dup_submits + 1;
+        p
+    | None ->
+        let p =
+          {
+            p_record = record;
+            p_result = None;
+            p_wakers = [];
+            p_tries = 0;
+            p_exposed = false;
+          }
+        in
+        Queue.push p b.bt_queue;
+        Hashtbl.replace b.bt_by_id record.Txn.txn_id p;
+        if not b.bt_running then begin
+          b.bt_running <- true;
+          Mdds_sim.Engine.spawn (Rpc.engine t.env.Proposer.rpc) (fun () ->
+              drain t b)
+        end
+        else wake_batcher b;
+        p
   in
-  (match reply with
-  | Messages.Submit_reply { result = Messages.In_doubt } ->
-      t.in_doubt_replies <- t.in_doubt_replies + 1
-  | _ -> ());
-  reply
+  let result = await_pending p in
+  if result = Messages.In_doubt then
+    t.in_doubt_replies <- t.in_doubt_replies + 1;
+  Messages.Submit_reply { result }
 
 (* ------------------------------------------------------------------ *)
 (* In-doubt resolution (PROTOCOL.md §10). A resolver presumes abort for
@@ -1336,7 +1268,9 @@ let handle t ~src:_ request =
         fire_2pc_trap t entry;
         (* Every replica tracks in-doubt prepares from the applies it
            sees, so resolution does not depend on the manager that
-           admitted them surviving. Out-of-order or duplicated applies
+           admitted them surviving; the manager's own decided prepares
+           arrive here too, through the proposer's synchronous local
+           apply. Out-of-order or duplicated applies
            at or below the scan watermark are already absorbed (the
            scan is the authority; a late prepare must not resurrect a
            resolved transaction). *)
@@ -1423,8 +1357,8 @@ let recover_acceptors t ~group =
   (!dropped, List.sort_uniq Int.compare !damaged)
 
 (* Restart the service processes of this datacenter: volatile state (the
-   leadership-claim table, the manager's winning streak, submission locks,
-   and the decoded WAL/acceptor caches) is lost; everything durable lives
+   leadership-claim table, the manager's winning streak, its Submit queues
+   and window, and the decoded WAL/acceptor caches) is lost; everything durable lives
    in the key-value store and survives — in particular Paxos promises and
    votes, which is why Algorithm 1 keeps them there. The caches are
    rebuilt lazily from the durable rows, which the chaos coherence oracle
@@ -1438,7 +1372,6 @@ let recover_acceptors t ~group =
    re-learning from peers, never re-voted from the reverted state. *)
 let restart t =
   Hashtbl.reset t.won;
-  Hashtbl.reset t.submit_locks;
   Hashtbl.reset t.acceptors;
   Hashtbl.reset t.suspect;
   Hashtbl.reset t.relearning;
@@ -1463,7 +1396,9 @@ let restart t =
      chaos seed 134, storm + torn-write). Clients treat both as a
      down-manager window (Unknown/retry); decided-but-unreported
      positions are recovered from the durable log like any other
-     entry. *)
+     entry. The answered pendings stay in the stopped queues: the
+     orphaned drainer re-checks [bt_stopped] right before every
+     admission pass and never proposes from them. *)
   Hashtbl.iter
     (fun _ b ->
       b.bt_stopped <- true;
@@ -1630,7 +1565,6 @@ let start ?(storage = Store.Sync_always) ~rpc ~config ~dc ~dcs ~trace () =
       store;
       wal = Wal.create store;
       env;
-      submit_locks = Hashtbl.create 8;
       won = Hashtbl.create 8;
       acceptors = Hashtbl.create 4;
       group_keys = Hashtbl.create 4;

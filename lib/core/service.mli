@@ -87,9 +87,10 @@ type throughput_stats = {
 }
 
 val throughput_stats : t -> throughput_stats
-(** Throughput-mode telemetry (DESIGN.md §14). All zero unless
-    {!Config.throughput_mode} — the batched path is never entered
-    otherwise. *)
+(** Manager telemetry (DESIGN.md §14). Every Submit runs through the
+    batching manager, so [batches] counts every position this manager
+    proposed; with [batch_max = 1] it equals [batched_txns], and with
+    [pipeline_depth = 1] [pipelined_rounds] stays zero. *)
 
 type twopc_stats = {
   twopc_prepares : int;
@@ -124,11 +125,13 @@ val compact : t -> group:string -> upto:int -> (unit, [ `Not_applied ]) result
 
 val restart : t -> unit
 (** Simulate a service-process restart: volatile state (leadership claims,
-    the manager's fast-path streak, submission locks, and the decoded
-    WAL/acceptor caches) is dropped; durable state — the log and the Paxos
+    the manager's fast-path streak, its Submit queues and in-flight
+    window, and the decoded WAL/acceptor caches) is dropped; durable state — the log and the Paxos
     acceptor state in the key-value store — survives, so promises made
     before the restart are still honoured. The caches rebuild lazily from
-    the durable rows.
+    the durable rows. Submissions the manager held are answered at once:
+    [No_quorum] if no accept carrying them can have gone out, else
+    [In_doubt].
 
     Before serving again, the crash-consistency scan of PROTOCOL.md §7
     runs for every durable group: checksum-invalid (torn) versions are

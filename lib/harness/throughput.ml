@@ -46,6 +46,7 @@ type point = {
   committed_per_s : float;
   latency : Stats.summary;
   batches : int;
+  batched_txns : int;
   pipelined_rounds : int;
   sim_duration : float;
   wall_seconds : float;
@@ -62,7 +63,7 @@ let group_name ~groups gi =
 
 (* All modes run the leader protocol so the comparison isolates
    batching/pipelining; the baseline's [batch_max = pipeline_depth = 1]
-   keeps [Config.throughput_mode] off, i.e. the verbatim single path. *)
+   proposes one transaction per position, one position at a time. *)
 let config_of_mode mode =
   {
     Config.leader with
@@ -121,12 +122,14 @@ let run_point ?(seed = 42) ?(topology = "VVV") ?(conflict_every = 16)
   let committed_per_s =
     if committed = 0 then 0.0 else float_of_int committed /. last_commit
   in
-  let batches, pipelined_rounds =
+  let batches, batched_txns, pipelined_rounds =
     List.fold_left
-      (fun (b, p) service ->
+      (fun (b, n, p) service ->
         let s = Service.throughput_stats service in
-        (b + s.Service.batches, p + s.Service.pipelined_rounds))
-      (0, 0) (Cluster.services cluster)
+        ( b + s.Service.batches,
+          n + s.Service.batched_txns,
+          p + s.Service.pipelined_rounds ))
+      (0, 0, 0) (Cluster.services cluster)
   in
   {
     mode;
@@ -138,6 +141,7 @@ let run_point ?(seed = 42) ?(topology = "VVV") ?(conflict_every = 16)
     committed_per_s;
     latency = Stats.summarize (Audit.commit_latencies audit ~promotions:None);
     batches;
+    batched_txns;
     pipelined_rounds;
     sim_duration = Cluster.now cluster;
     wall_seconds = Unix.gettimeofday () -. started;
@@ -227,8 +231,8 @@ let to_json points =
 
 (* The knob-sweep family (ext-knobs / `mdds throughput --sweep`): the
    full batch_max x pipeline_depth x batch_fill x topology grid at one
-   offered rate. Cells with batch and depth both 1 run the verbatim
-   baseline, whose single path never reads the fill. Cells are
+   offered rate. Cells with batch and depth both 1 run the baseline,
+   whose drainer never waits on the fill. Cells are
    deterministic and fan out over the domain pool in input order, so
    output is byte-identical whatever the job count. *)
 let knob_mode ~batch_max ~pipeline_depth ~fill =

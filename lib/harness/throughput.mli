@@ -1,4 +1,4 @@
-(** Open-loop throughput measurement (DESIGN.md §14.4).
+(** Open-loop throughput measurement (DESIGN.md §14.3).
 
     A closed-loop workload (every thread waits for its commit before
     submitting the next) can never expose a saturation point: offered
@@ -25,7 +25,8 @@ type mode = {
 }
 
 val baseline : mode
-(** [batch_max = 1], [pipeline_depth = 1]: the verbatim pre-PR-8 path. *)
+(** [batch_max = 1], [pipeline_depth = 1]: one transaction per position,
+    one position at a time (the paper's manager). *)
 
 val batched :
   ?batch_max:int -> ?pipeline_depth:int -> ?fill:float -> unit -> mode
@@ -47,7 +48,8 @@ type point = {
       (** Committed transactions divided by the virtual time of the last
           commit — the measured goodput at this offered rate. *)
   latency : Stats.summary;  (** Commit latency of committed txns. *)
-  batches : int;  (** Log positions proposed by the batched path. *)
+  batches : int;  (** Log positions the managers proposed. *)
+  batched_txns : int;  (** Transactions those positions carried. *)
   pipelined_rounds : int;
   sim_duration : float;  (** Virtual seconds until full drain. *)
   wall_seconds : float;

@@ -366,6 +366,58 @@ let test_restart_mid_propose_honesty () =
       Alcotest.failf "restart-mid-propose regression: %s@.repro: %s" v
         (Runner.repro report)
 
+(* The cross-group soak's spec: [mdds chaos --groups 4 --cross-ratio
+   0.3], plus [--throughput] when [throughput]. *)
+let cross_spec ?(throughput = false) seed =
+  let duration = 20.0 in
+  let base = Runner.default_config Config.Leader in
+  let config =
+    if throughput then Runner.throughput_config ~seed base else base
+  in
+  let workload =
+    let w =
+      if throughput then Runner.throughput_workload ~dcs:3 ~duration
+      else Runner.default_workload ~dcs:3 ~duration
+    in
+    { w with Mdds_workload.Ycsb.groups = 4; cross_ratio = 0.3 }
+  in
+  Runner.spec ~config ~duration ~kinds:Schedule.cross_kinds ~workload ~seed
+    "VVV"
+
+let expect_clean what (r : Runner.report) =
+  match r.Runner.violation with
+  | None -> ()
+  | Some v -> Alcotest.failf "%s: %s@.repro: %s" what v (Runner.repro r)
+
+(* Regressions from the batched cross-group soak. Seeds 63, 105 and 219
+   broke L1: a restart answered queued submissions No_quorum while the
+   orphaned drainer, blocked in the learner, went on to commit them.
+   Seeds 71 and 249 broke window exclusivity: a batch admitted records
+   conflicting with an earlier batch-mate's prepare footprint. Seed 184
+   broke it through a window resolution that re-validated a diverged
+   entry without the in-doubt footprints. *)
+let test_throughput_cross_seeds () =
+  let seeds = [ 63; 71; 105; 184; 219; 249 ] in
+  List.iter2
+    (fun seed r ->
+      expect_clean (Printf.sprintf "throughput x cross seed %d" seed) r)
+    seeds
+    (Runner.run_many (List.map (cross_spec ~throughput:true) seeds))
+
+(* Shrunk repro (cross-group soak seed 129, unbatched leader): the same
+   orphaned-drainer L1 violation with batch 1 / depth 1. A drainer
+   blocked in the learner's catch-up survived the manager's restart,
+   which had already answered the queued submissions No_quorum, and then
+   admitted and committed one of them. *)
+let test_unbatched_restart_during_catch_up () =
+  let schedule =
+    Schedule.of_string
+      "((1.855 (crash 0)) (2.974 (mid-2pc 0 torn)) (4.494 (recover 0)) \
+       (4.659 (partition (1) (0 2))))"
+  in
+  expect_clean "unbatched restart during catch-up"
+    (Runner.run ~schedule (cross_spec 129))
+
 (* The fill draw (the former epoch-interval draw, now mapped onto
    batch_fill) is appended after the batch/depth draws on the same
    stream, so older seeds must keep their historical batch/depth — a
@@ -451,6 +503,10 @@ let () =
             test_restart_mid_propose_honesty;
           Alcotest.test_case "throughput config epoch draw pinned" `Quick
             test_throughput_config_fill_draw;
+          Alcotest.test_case "batched cross-group seeds stay clean" `Quick
+            test_throughput_cross_seeds;
+          Alcotest.test_case "unbatched restart during catch-up stays honest"
+            `Quick test_unbatched_restart_during_catch_up;
         ] );
       ( "soak",
         [

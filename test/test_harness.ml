@@ -138,8 +138,11 @@ let test_knob_sweep_shape () =
     (fun (topo, (p : Throughput.point)) ->
       Alcotest.(check string) "topology tag" "VVV" topo;
       Alcotest.(check bool) "verified" true (p.Throughput.verified = Ok ());
-      Alcotest.(check bool) "batches only in batched cells" true
-        (p.Throughput.mode.Throughput.batch_max > 1 || p.Throughput.batches = 0))
+      Alcotest.(check bool) "positions were proposed" true
+        (p.Throughput.batches > 0);
+      Alcotest.(check bool) "unbatched cells carry one txn per position" true
+        (p.Throughput.mode.Throughput.batch_max > 1
+        || p.Throughput.batched_txns = p.Throughput.batches))
     cells
 
 let test_knob_sweep_deterministic () =

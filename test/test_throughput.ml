@@ -1,8 +1,11 @@
 (* Tests for throughput mode (DESIGN.md §14): transaction batching and
-   k-deep pipelined log positions. The mode is opt-in
-   ({!Config.throughput}); everything here runs the batched/pipelined
-   submit path and checks it against the same oracles as the default
-   path — plus equivalence against the default path itself. *)
+   k-deep pipelined log positions. Every Submit runs through the one
+   batching manager; the knobs are opt-in ({!Config.throughput}) and at
+   batch 1 / depth 1 it proposes one transaction per position. Everything
+   here checks batched/pipelined settings against the same oracles as
+   that unbatched setting — plus equivalence against it, and the
+   unbatched leader against digests pinned from the former dedicated
+   unbatched Submit path. *)
 
 module Cluster = Mdds_core.Cluster
 module Client = Mdds_core.Client
@@ -342,7 +345,8 @@ let test_dup_submit_while_batched () =
   Verify.check_exn cluster ~group
 
 (* ------------------------------------------------------------------ *)
-(* Equivalence with the unbatched path (QCheck).                        *)
+(* Equivalence with the unbatched setting (QCheck): the same manager at
+   batch 1 / depth 1 ([Config.leader]).                                 *)
 
 (* A workload of [n] transactions: per txn a home datacenter, a start
    delay, its own private key (written; sometimes read first). Private
@@ -450,8 +454,9 @@ let test_conflicting_workload_serializable () =
         true (!commits > 0))
     [ 1; 2; 3; 4; 5 ]
 
-(* Figures stay byte-identical with the mode off: the config helpers do
-   not perturb the default. *)
+(* The presets keep batch 1 / depth 1 — one transaction per position,
+   the setting every paper figure runs — and only the helper turns the
+   knobs up. *)
 let test_mode_off_by_default () =
   Alcotest.(check bool) "default off" false (Config.throughput_mode Config.default);
   Alcotest.(check bool) "leader preset off" false
@@ -651,8 +656,9 @@ let contention_run ?(txns = 25) ?(keys = 12) ?(faults = false) ~spec ~seed
   (cluster, List.rev !outcomes)
 
 (* Everything a run decides, hashed: every client outcome, the committed
-   log, the final virtual clock and the number of events processed. *)
-let fingerprint (cluster, outcomes) =
+   log and — unless [clock] is false — the final virtual clock and the
+   number of events processed. *)
+let fingerprint ?(clock = true) (cluster, outcomes) =
   let b = Buffer.create 512 in
   List.iter (fun (id, o) -> Printf.bprintf b "%s=%s;" id o) outcomes;
   List.iter
@@ -660,9 +666,39 @@ let fingerprint (cluster, outcomes) =
       Printf.bprintf b "%d:%s;" pos
         (String.concat "," (List.map (fun r -> r.Txn.txn_id) entry)))
     (Cluster.committed_log cluster ~group);
-  Printf.bprintf b "now=%h;processed=%d" (Cluster.now cluster)
-    (Engine.processed (Cluster.engine cluster));
+  if clock then
+    Printf.bprintf b "now=%h;processed=%d" (Cluster.now cluster)
+      (Engine.processed (Cluster.engine cluster));
   Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Fault-free unbatched-leader runs ([Config.leader]: batch 1, depth 1)
+   pinned by outcomes and committed log. The digests were recorded when
+   this setting still had a Submit path of its own — a per-group lock
+   around one proposal at a time — before it was folded into the
+   batching manager; the fold kept every outcome and every log entry
+   (the clock and event count moved: the manager spawns its own drainer
+   and round fibers, so they are not pinned). (spec, keys, seed). *)
+let pinned_unbatched =
+  [
+    (("VVV", 12, 1), "06511e9994cd7473f11213d6d18d8926");
+    (("VOC", 12, 2), "fbd3d6a0082fd55da0a951debb2ccd17");
+    (("VVVOC", 12, 3), "a8c783fa828a83967199c4080279db5d");
+    (("VVV", 4, 4), "423665f59e959b51b9e6b6edf7c9dac0");
+    (("VOC", 4, 5), "33bfd1d633cee6dc8f9a17a118335693");
+    (("VVVOC", 4, 6), "78d4e4987c1e7375dd94e5671519360f");
+    (("VVV", 40, 7), "8d71f5e6b9e82ae4b6740f7b76314562");
+    (("VOC", 40, 8), "6e941ac51c54d3b87ffb4fe0e1e265a5");
+  ]
+
+let test_unbatched_digests_pinned () =
+  List.iter
+    (fun ((spec, keys, seed), pinned) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s keys %d seed %d" spec keys seed)
+        pinned
+        (fingerprint ~clock:false
+           (contention_run ~keys ~spec ~seed Config.leader)))
+    pinned_unbatched
 
 (* Regression (R1): after a manager restart the pre-restart drainer keeps
    resolving its window. At position 11 its prepare saw two votes at the
@@ -749,6 +785,8 @@ let () =
             test_mode_off_by_default;
           Alcotest.test_case "bad fill window rejected" `Quick
             test_bad_fill_rejected;
+          Alcotest.test_case "unbatched runs match pinned digests" `Quick
+            test_unbatched_digests_pinned;
         ] );
       ( "epoch",
         [

@@ -254,6 +254,33 @@ let test_workload_mix_verifies () =
   Alcotest.(check bool) "some cross-group transactions committed" true
     (cross_commits > 0)
 
+(* Regression (window exclusivity under batching): a prepare admitted
+   into a batch let later batch-mates that conflict with its footprint
+   into the same entry — inside its in-doubt window, since a prepare
+   writes only its marker and the write-union cannot see the conflict.
+   This run (the benchmark's cross-group workload, batched) failed
+   [check_cross] with a client outcome record at position 1030 of ycsb-1,
+   between prepare 1027 and outcome 1031. *)
+let test_batched_window_exclusive () =
+  let config = Config.throughput ~batch_max:8 ~pipeline_depth:4 Config.leader in
+  let cluster = make ~seed:7 ~config () in
+  let wl =
+    {
+      Ycsb.default with
+      total_txns = 4000;
+      groups = 4;
+      cross_ratio = 0.3;
+      threads = 6;
+      rate = 0.5;
+      client_dcs = [ 0; 1; 2 ];
+    }
+  in
+  ignore (Ycsb.run cluster wl);
+  Cluster.run cluster;
+  let groups = Ycsb.group_keys wl in
+  List.iter (fun group -> Verify.check_exn cluster ~group) groups;
+  Verify.check_cross_exn cluster ~groups
+
 (* ------------------------------------------------------------------ *)
 (* API misuse.                                                          *)
 
@@ -298,6 +325,8 @@ let () =
             test_mid_commit_restart_atomic;
           Alcotest.test_case "mixed workload passes every oracle" `Quick
             test_workload_mix_verifies;
+          Alcotest.test_case "batched prepares keep their window exclusive"
+            `Quick test_batched_window_exclusive;
         ] );
       ( "api",
         [ Alcotest.test_case "invalid arguments rejected" `Quick test_invalid_args ] );

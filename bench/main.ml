@@ -302,9 +302,8 @@ let bench_acceptor_load =
 
 (* Contention under VVV: three clients per run hammer one hot key in the
    same group without the fast path, so rival proposers repeatedly collide
-   on the same log position and pay the backoff ladder. Run with flat
-   (paper) and decorrelated backoff to compare the two policies'
-   contended-commit cost. *)
+   on the same log position and pay the backoff ladder (the paper's flat
+   uniform draw). *)
 let bench_contention name config =
   Test.make ~name
     (Staged.stage (fun () ->
@@ -326,9 +325,6 @@ let bench_contention name config =
 
 let contention_flat =
   { Mdds_core.Config.basic with enable_fast_path = false }
-
-let contention_decorrelated =
-  { contention_flat with backoff_decorrelated = true }
 
 let bench_trace_disabled =
   (* Disabled tracing must cost one branch, not a Printf.ksprintf render. *)
@@ -469,8 +465,6 @@ let micro_tests =
       bench_commit "e2e/one-commit-VVV-basic" "VVV" Mdds_core.Config.basic;
       bench_commit "e2e/one-commit-VVVOC" "VVVOC" Mdds_core.Config.default;
       bench_contention "e2e/contended-flat-backoff" contention_flat;
-      bench_contention "e2e/contended-decorrelated-backoff"
-        contention_decorrelated;
       bench_batch_fill;
       bench_commit_pipelined;
       bench_saturation_point;

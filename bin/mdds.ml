@@ -41,6 +41,41 @@ let print_scheduler_stats () =
   Format.eprintf "combine: %d budget cutovers to greedy@."
     (Mdds_core.Combine.cutovers ())
 
+(* Durations, rates and fill windows must be finite and positive: NaN,
+   infinities, zero and negatives are a cmdliner error (exit 124), never
+   an internal error, a silent no-op run or an invalid JSON number. *)
+let positive_ok v = Float.is_finite v && v > 0.0
+
+let positive_float =
+  let parse s =
+    match float_of_string_opt s with
+    | Some v when positive_ok v -> Ok v
+    | _ -> Error (`Msg (Printf.sprintf "%S is not a positive, finite number" s))
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
+(* Comma-separated lists whose every element passes [ok]. *)
+let list_conv ~name ~of_string ~ok ~to_string =
+  let parse s =
+    let parts =
+      String.split_on_char ',' s |> List.map String.trim
+      |> List.filter (fun r -> r <> "")
+    in
+    match List.map of_string parts with
+    | [] -> Error (`Msg (Printf.sprintf "empty %s list" name))
+    | l when List.for_all (function Some v -> ok v | None -> false) l ->
+        Ok (List.map Option.get l)
+    | _ -> Error (`Msg (Printf.sprintf "bad %s list %S" name s))
+  in
+  let print ppf l =
+    Format.pp_print_string ppf (String.concat "," (List.map to_string l))
+  in
+  Arg.conv (parse, print)
+
+let positive_floats_conv ~name =
+  list_conv ~name ~of_string:float_of_string_opt ~ok:positive_ok
+    ~to_string:(Printf.sprintf "%g")
+
 let topology_arg =
   let doc =
     "Datacenter spec: one character per datacenter, V = Virginia AZ, O = \
@@ -195,7 +230,7 @@ let chaos_cmd =
   in
   let duration_arg =
     Arg.(
-      value & opt float 20.0
+      value & opt positive_float 20.0
       & info [ "duration" ] ~docv:"SECONDS"
           ~doc:"Fault-injection window (virtual seconds); healing starts here.")
   in
@@ -392,24 +427,6 @@ let chaos_cmd =
 
 let throughput_cmd =
   let module Throughput = Mdds_harness.Throughput in
-  let rates_conv =
-    let parse s =
-      let parts =
-        String.split_on_char ',' s |> List.map String.trim
-        |> List.filter (fun r -> r <> "")
-      in
-      match List.map float_of_string_opt parts with
-      | [] -> Error (`Msg "empty rate list")
-      | l when List.for_all (function Some r -> r > 0.0 | None -> false) l ->
-          Ok (List.map Option.get l)
-      | _ -> Error (`Msg (Printf.sprintf "bad rate list %S (expected e.g. 10,40,160)" s))
-    in
-    let print ppf rs =
-      Format.pp_print_string ppf
-        (String.concat "," (List.map (Printf.sprintf "%g") rs))
-    in
-    Arg.conv (parse, print)
-  in
   let rates_arg =
     let doc =
       "Comma-separated offered rates (txns per virtual second). The sweep \
@@ -418,7 +435,7 @@ let throughput_cmd =
     in
     Arg.(
       value
-      & opt rates_conv [ 10.0; 20.0; 40.0; 80.0; 160.0 ]
+      & opt (positive_floats_conv ~name:"rate") [ 10.0; 20.0; 40.0; 80.0; 160.0 ]
       & info [ "rates" ] ~docv:"R1,R2,.." ~doc)
   in
   let tp_txns_arg =
@@ -442,9 +459,8 @@ let throughput_cmd =
          & info [ "baseline-only" ]
              ~doc:"Sweep only the unbatched baseline mode.")
   in
-  let fill_ok v = Float.is_finite v && v > 0.0 in
   let fill_arg =
-    Arg.(value & opt float Config.default.batch_fill
+    Arg.(value & opt positive_float Config.default.batch_fill
          & info [ "fill" ] ~docv:"SECONDS"
              ~doc:"batch_fill of the batched mode: how long the drainer \
                    holds a batch open for more submissions. A long window \
@@ -458,30 +474,9 @@ let throughput_cmd =
                    batch_max x pipeline_depth x batch_fill x topology \
                    at one offered rate (the ext-knobs family).")
   in
-  let list_conv ~name ~of_string ~ok ~to_string =
-    let parse s =
-      let parts =
-        String.split_on_char ',' s |> List.map String.trim
-        |> List.filter (fun r -> r <> "")
-      in
-      match List.map of_string parts with
-      | [] -> Error (`Msg (Printf.sprintf "empty %s list" name))
-      | l when List.for_all (function Some v -> ok v | None -> false) l ->
-          Ok (List.map Option.get l)
-      | _ -> Error (`Msg (Printf.sprintf "bad %s list %S" name s))
-    in
-    let print ppf l =
-      Format.pp_print_string ppf (String.concat "," (List.map to_string l))
-    in
-    Arg.conv (parse, print)
-  in
   let ints_conv =
     list_conv ~name:"int" ~of_string:int_of_string_opt ~ok:(fun v -> v >= 1)
       ~to_string:string_of_int
-  in
-  let fills_conv =
-    list_conv ~name:"fill" ~of_string:float_of_string_opt ~ok:fill_ok
-      ~to_string:(Printf.sprintf "%g")
   in
   let strings_conv =
     list_conv ~name:"topology"
@@ -500,7 +495,7 @@ let throughput_cmd =
              ~doc:"pipeline_depth values of the --sweep grid.")
   in
   let sweep_fills_arg =
-    Arg.(value & opt fills_conv [ Config.default.batch_fill; 0.05 ]
+    Arg.(value & opt (positive_floats_conv ~name:"fill") [ Config.default.batch_fill; 0.05 ]
          & info [ "sweep-fills" ] ~docv:"S1,S2,.."
              ~doc:"batch_fill values of the --sweep grid (positive \
                    virtual seconds).")
@@ -511,7 +506,7 @@ let throughput_cmd =
              ~doc:"Topologies of the --sweep grid.")
   in
   let sweep_rate_arg =
-    Arg.(value & opt float 120.0
+    Arg.(value & opt positive_float 120.0
          & info [ "sweep-rate" ] ~docv:"R"
              ~doc:"Offered rate of every --sweep cell (txns per virtual \
                    second).")
@@ -549,9 +544,6 @@ let throughput_cmd =
       exit 124);
     if groups < 1 then (
       Format.eprintf "mdds: --groups must be positive@.";
-      exit 124);
-    if not (fill_ok fill) then (
-      Format.eprintf "mdds: --fill must be positive, finite virtual seconds@.";
       exit 124);
     if sweep then begin
       (* Knob grid: one rate, every batch x depth x fill x topology cell. *)

@@ -96,6 +96,8 @@ let spec ?config ?(duration = 20.) ?(kinds = Schedule.all_kinds) ?workload
   let workload =
     Option.value workload ~default:(default_workload ~dcs ~duration)
   in
+  if not (Float.is_finite duration && duration > 0.) then
+    invalid_arg "Runner.spec: duration must be finite and positive";
   if probe_window <= 0. then invalid_arg "Runner.spec: probe_window <= 0";
   if max_heal_windows < 1 then invalid_arg "Runner.spec: max_heal_windows < 1";
   if workload.Ycsb.cross_ratio > 0.0 then begin
@@ -478,60 +480,44 @@ let run ?schedule ?extra_oracle spec =
       (Format.asprintf "%a" Trace.pp_event)
       (Trace.tail (Cluster.trace cluster) 40)
   in
-  let recovery =
-    let zero = { Service.recoveries = 0; scrubbed = 0; relearned = 0 } in
+  (* Cluster-wide totals of the per-service counters. *)
+  let sum stats field =
     List.fold_left
-      (fun (acc : Service.recovery_stats) service ->
-        let s = Service.recovery_stats service in
-        {
-          Service.recoveries = acc.recoveries + s.Service.recoveries;
-          scrubbed = acc.scrubbed + s.Service.scrubbed;
-          relearned = acc.relearned + s.Service.relearned;
-        })
-      zero
-      (Cluster.services cluster)
+      (fun acc s -> acc + field (stats s))
+      0 (Cluster.services cluster)
+  in
+  let recovery =
+    let sum = sum Service.recovery_stats in
+    {
+      Service.recoveries = sum (fun s -> s.Service.recoveries);
+      scrubbed = sum (fun s -> s.scrubbed);
+      relearned = sum (fun s -> s.relearned);
+    }
   in
   let dedup =
-    List.fold_left
-      (fun (acc : Service.dedup_stats) service ->
-        let s = Service.dedup_stats service in
-        {
-          Service.dup_applies = acc.dup_applies + s.Service.dup_applies;
-          dup_claims = acc.dup_claims + s.Service.dup_claims;
-          dup_submits = acc.dup_submits + s.Service.dup_submits;
-        })
-      { Service.dup_applies = 0; dup_claims = 0; dup_submits = 0 }
-      (Cluster.services cluster)
+    let sum = sum Service.dedup_stats in
+    {
+      Service.dup_applies = sum (fun s -> s.Service.dup_applies);
+      dup_claims = sum (fun s -> s.dup_claims);
+      dup_submits = sum (fun s -> s.dup_submits);
+    }
   in
   let throughput =
-    List.fold_left
-      (fun (acc : Service.throughput_stats) service ->
-        let s = Service.throughput_stats service in
-        {
-          Service.batches = acc.batches + s.Service.batches;
-          batched_txns = acc.batched_txns + s.Service.batched_txns;
-          pipelined_rounds = acc.pipelined_rounds + s.Service.pipelined_rounds;
-          pipeline_stalls = acc.pipeline_stalls + s.Service.pipeline_stalls;
-        })
-      {
-        Service.batches = 0;
-        batched_txns = 0;
-        pipelined_rounds = 0;
-        pipeline_stalls = 0;
-      }
-      (Cluster.services cluster)
+    let sum = sum Service.throughput_stats in
+    {
+      Service.batches = sum (fun s -> s.Service.batches);
+      batched_txns = sum (fun s -> s.batched_txns);
+      pipelined_rounds = sum (fun s -> s.pipelined_rounds);
+      pipeline_stalls = sum (fun s -> s.pipeline_stalls);
+    }
   in
   let twopc =
-    List.fold_left
-      (fun (acc : Service.twopc_stats) service ->
-        let s = Service.twopc_stats service in
-        {
-          Service.twopc_prepares = acc.twopc_prepares + s.Service.twopc_prepares;
-          twopc_resolved = acc.twopc_resolved + s.Service.twopc_resolved;
-          in_doubt_replies = acc.in_doubt_replies + s.Service.in_doubt_replies;
-        })
-      { Service.twopc_prepares = 0; twopc_resolved = 0; in_doubt_replies = 0 }
-      (Cluster.services cluster)
+    let sum = sum Service.twopc_stats in
+    {
+      Service.twopc_prepares = sum (fun s -> s.Service.twopc_prepares);
+      twopc_resolved = sum (fun s -> s.twopc_resolved);
+      in_doubt_replies = sum (fun s -> s.in_doubt_replies);
+    }
   in
   {
     run_spec = spec;

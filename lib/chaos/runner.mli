@@ -74,7 +74,8 @@ val spec :
     timeout + hedged failover machinery enabled, 20 s duration, all fault
     kinds, a workload with one thread per datacenter spread across all
     datacenters, [min_commits = 1], 1 s probe windows, an 8-window
-    bounded-unavailability budget. *)
+    bounded-unavailability budget. Raises [Invalid_argument] unless
+    [duration] is finite and positive. *)
 
 val default_config : Mdds_core.Config.protocol -> Mdds_core.Config.t
 (** The chaos-friendly config for a protocol (shorter timeouts than

@@ -1,0 +1,274 @@
+module Store = Mdds_kvstore.Store
+module Row = Mdds_kvstore.Row
+module Wal = Mdds_wal.Wal
+module Txn = Mdds_types.Txn
+module Ballot = Mdds_paxos.Ballot
+module Acceptor = Mdds_paxos.Acceptor
+module Codec = Mdds_codec.Codec
+
+(* Decoded acceptor state as cached per position: the durable row's
+   attributes are the truth; [nb] keeps the raw nextBal attribute so the
+   next conditional save tests against exactly what the store holds. *)
+type cached = { state : Txn.entry Acceptor.state; nb : string option }
+
+(* One group's interned row-key prefixes (replaces per-message sprintf)
+   and its write-through decoded view of the paxos/ rows. *)
+type group = {
+  paxos_prefix : string;
+  claim_prefix : string;
+  cache : (int, cached) Hashtbl.t;
+}
+
+type t = {
+  store : Store.t;
+  wal : Wal.t;
+  groups : (string, group) Hashtbl.t;
+      (* Volatile: dropped on restart and pruned with compaction. *)
+  mutable dup_claims : int;
+}
+
+let create ~store ~wal =
+  { store; wal; groups = Hashtbl.create 4; dup_claims = 0 }
+
+let dup_claims t = t.dup_claims
+let reset t = Hashtbl.reset t.groups
+
+let group t name =
+  Tbl.find_or_add t.groups name (fun () ->
+      {
+        paxos_prefix = "paxos/" ^ name ^ "/";
+        claim_prefix = "claim/" ^ name ^ "/";
+        cache = Hashtbl.create 64;
+      })
+
+let paxos_key g ~pos = g.paxos_prefix ^ string_of_int pos
+let claim_key g ~pos = g.claim_prefix ^ string_of_int pos
+
+(* ------------------------------------------------------------------ *)
+(* Acceptor state persistence (Algorithm 1's datastore state).         *)
+
+let vote_codec = Codec.(option (pair Ballot.codec Txn.entry_codec))
+
+let decode attrs =
+  let next_bal =
+    match Row.attribute attrs "nb" with
+    | None -> Ballot.bottom
+    | Some s -> Ballot.of_string s
+  in
+  let vote =
+    match Row.attribute attrs "vote" with
+    | None -> None
+    | Some s -> Codec.decode_exn vote_codec s
+  in
+  { state = { Acceptor.next_bal; vote }; nb = Row.attribute attrs "nb" }
+
+let load_fresh t g ~pos =
+  match Store.read t.store ~key:(paxos_key g ~pos) () with
+  | None -> { state = Acceptor.initial; nb = None }
+  | Some (_, attrs) -> decode attrs
+
+let load t g ~pos =
+  let c = Tbl.find_or_add g.cache pos (fun () -> load_fresh t g ~pos) in
+  (c.state, c.nb)
+
+(* Conditional save keyed on the nextBal attribute, mirroring Algorithm 1
+   lines 9 and 18: the write goes through only if nextBal has not changed
+   since we read the state. The cache follows the store: updated only when
+   the conditional write lands, dropped when it does not (someone else owns
+   the row's current value). *)
+let save t g ~pos ~expected_nb (state : Txn.entry Acceptor.state) =
+  let nb = Ballot.to_string state.next_bal in
+  let attrs = [ ("nb", nb); ("vote", Codec.encode vote_codec state.vote) ] in
+  let ok =
+    Store.check_and_write t.store ~key:(paxos_key g ~pos) ~test_attribute:"nb"
+      ~test_value:expected_nb attrs
+  in
+  (* Promises and votes are the durability the whole protocol rests on
+     (§4.1: an acceptor must come back remembering them): sync before the
+     reply leaves this datacenter. *)
+  if ok then begin
+    Store.sync t.store;
+    Hashtbl.replace g.cache pos { state; nb = Some nb }
+  end
+  else Hashtbl.remove g.cache pos;
+  ok
+
+let state t ~group:name ~pos = fst (load t (group t name) ~pos)
+
+let prepare t ~group:name ~pos ~ballot =
+  let g = group t name in
+  let rec go () =
+    let state, nb = load t g ~pos in
+    let state', reply = Acceptor.on_prepare state ballot in
+    match reply with
+    | Acceptor.Reject next_bal -> Messages.Prepare_reject { next_bal }
+    | Acceptor.Promise vote ->
+        if save t g ~pos ~expected_nb:nb state' then Messages.Promise { vote }
+        else go () (* state changed: retry *)
+  in
+  go ()
+
+(* Grant condition for a sequenced (pipelined) round-0 accept: our current
+   vote at the previous position is the very same round-0 ballot *for the
+   very entry the leader says it proposed there* ([prev], carried in the
+   Accept). Acceptors cast at most one round-0 vote per position, so a
+   quorum of sequenced grants at [pos] is a quorum of round-0 votes at
+   [pos - 1] for one value — i.e. proof the leader's previous in-flight
+   entry is chosen. That induction is what lets the manager keep
+   [pipeline_depth] positions open and still report completions out of
+   order (DESIGN.md §14). The entry match is load-bearing: the round-0
+   ballot is NOT single-use per position (after a given-up
+   exposed-but-undecided round the manager re-proposes a different batch
+   at the same position and ballot 0, and pre-restart accepts linger on
+   slow/duplicating links), so ballot-equal votes for different entries
+   can coexist at [pos - 1] and ballot equality alone would prove
+   nothing chosen. Anything else — no vote yet, an overwritten vote, a
+   different entry, a compacted predecessor — is refused; refusal costs
+   only the fast round, the window resolution recovers through the full
+   protocol. *)
+let sequenced_ok t g ~name ~pos ~ballot ~prev =
+  pos > 1
+  && pos - 1 > Wal.compacted_position t.wal ~group:name
+  &&
+  match (fst (load t g ~pos:(pos - 1))).Acceptor.vote with
+  | Some (pb, pe) -> Ballot.equal pb ballot && Txn.equal_entry pe prev
+  | None -> false
+
+let accept t ~group:name ~pos ~ballot ~entry ~sequenced =
+  let g = group t name in
+  let rec go () =
+    let refused =
+      match sequenced with
+      | None -> false
+      | Some prev -> not (sequenced_ok t g ~name ~pos ~ballot ~prev)
+    in
+    let state, nb = load t g ~pos in
+    if refused then
+      Messages.Accept_reply { ok = false; next_bal = state.Acceptor.next_bal }
+    else
+      let state', ok = Acceptor.on_accept state ballot entry in
+      if not ok then
+        Messages.Accept_reply { ok = false; next_bal = state.next_bal }
+      else if save t g ~pos ~expected_nb:nb state' then
+        Messages.Accept_reply { ok = true; next_bal = state'.next_bal }
+      else go ()
+  in
+  go ()
+
+(* ------------------------------------------------------------------ *)
+(* Leadership of the next log position (§4.1 optimization).            *)
+
+(* The claim registry is protocol-critical state, not a cache: the fast
+   path is only safe if at most one value is ever proposed at round 0 of
+   a position, and that uniqueness rests entirely on the registrar
+   granting [first] once. (The registrar's identity is view-consistent —
+   every claimant derives it from the decided entry at [pos - 1] — so a
+   durable first-wins register here is sufficient.) Keeping it in a
+   volatile table would let a service restart re-grant a claim and allow
+   two rival round-0 votes, which ballot order cannot arbitrate. *)
+let claim t ~group:name ~pos ~claimant =
+  let key = claim_key (group t name) ~pos in
+  let owner () =
+    match Store.read t.store ~key () with
+    | Some (_, attrs) -> Row.attribute attrs "owner"
+    | None -> None
+  in
+  match owner () with
+  | Some winner ->
+      (* A replayed claim from the registered owner (duplicated link or
+         client retry) re-reads the durable register; the answer is the
+         original grant, never a second one. *)
+      if String.equal winner claimant then t.dup_claims <- t.dup_claims + 1;
+      Messages.Claim_reply { first = String.equal winner claimant }
+  | None ->
+      if
+        Store.check_and_write t.store ~key ~test_attribute:"owner"
+          ~test_value:None
+          [ ("owner", claimant) ]
+      then begin
+        (* The claim is a durable first-wins register (see above): a grant
+           lost at a crash boundary could be re-granted to a rival. *)
+        Store.sync t.store;
+        Messages.Claim_reply { first = true }
+      end
+      else Messages.Claim_reply { first = owner () = Some claimant }
+
+(* ------------------------------------------------------------------ *)
+(* Compaction and crash recovery of the rows.                           *)
+
+(* A compacted position can never be proposed again, so its acceptor
+   state is dead weight: the rows go, and the decoded cache is pruned
+   with the rows it mirrors. *)
+let prune t ~group:name ~upto =
+  let g = group t name in
+  for pos = 1 to upto do
+    Store.delete t.store ~key:(paxos_key g ~pos);
+    Store.delete t.store ~key:(claim_key g ~pos);
+    Hashtbl.remove g.cache pos
+  done
+
+(* Scrub the group's Paxos and claim rows; positions whose rows held
+   checksum-invalid versions are the damage set — their durable state
+   reverted to an older promise/grant and must not be voted from. *)
+let scrub t ~group:name =
+  let g = group t name in
+  let dropped = ref 0 in
+  let damaged = ref [] in
+  let scan prefix key =
+    if String.starts_with ~prefix key then begin
+      let n = Store.scrub t.store ~key in
+      if n > 0 then begin
+        dropped := !dropped + n;
+        match
+          int_of_string_opt
+            (String.sub key (String.length prefix)
+               (String.length key - String.length prefix))
+        with
+        | Some pos -> damaged := pos :: !damaged
+        | None -> ()
+      end
+    end
+  in
+  List.iter
+    (fun key ->
+      scan g.paxos_prefix key;
+      scan g.claim_prefix key)
+    (Store.keys t.store);
+  (!dropped, List.sort_uniq Int.compare !damaged)
+
+(* ------------------------------------------------------------------ *)
+(* Cache coherence: the decoded view equals a fresh decode of the rows. *)
+
+let equal_vote a b =
+  match (a, b) with
+  | None, None -> true
+  | Some (ba, va), Some (bb, vb) -> Ballot.equal ba bb && Txn.equal_entry va vb
+  | _ -> false
+
+let equal_state (a : Txn.entry Acceptor.state) (b : Txn.entry Acceptor.state) =
+  Ballot.equal a.next_bal b.next_bal && equal_vote a.vote b.vote
+
+let coherent t ~group:name =
+  match Hashtbl.find_opt t.groups name with
+  | None -> Ok ()
+  | Some g ->
+      Hashtbl.fold
+        (fun pos cached acc ->
+          match acc with
+          | Error _ -> acc
+          | Ok () ->
+              let fresh = load_fresh t g ~pos in
+              if not (equal_state cached.state fresh.state) then
+                Error
+                  (Printf.sprintf
+                     "acceptor/%s/%d: cached state differs from durable decode"
+                     name pos)
+              else if cached.nb <> fresh.nb then
+                Error
+                  (Printf.sprintf
+                     "acceptor/%s/%d: cached nextBal attribute %s, store %s"
+                     name pos
+                     (Option.value cached.nb ~default:"<absent>")
+                     (Option.value fresh.nb ~default:"<absent>"))
+              else Ok ())
+        g.cache (Ok ())

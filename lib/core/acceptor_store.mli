@@ -1,0 +1,66 @@
+(** The acceptor side of Algorithm 1, kept in the key-value store.
+
+    Every piece of Paxos acceptor state lives in durable rows — one
+    [paxos/<group>/<pos>] row (nextBal and vote) and one
+    [claim/<group>/<pos>] row (the leadership-claim register) per log
+    position — and is updated only through [check_and_write] retry
+    loops, so any number of concurrent handlers are safe. A decoded
+    write-through cache of the paxos rows serves repeat reads; it is
+    volatile (see {!reset}) and always rebuildable from the rows.
+
+    The caller guards compacted and quarantined positions; everything
+    here answers from the rows as they stand. *)
+
+type t
+
+val create : store:Mdds_kvstore.Store.t -> wal:Mdds_wal.Wal.t -> t
+(** The acceptor rows of [store]; [wal] supplies the compaction point
+    a sequenced accept's predecessor must lie above. *)
+
+val prepare :
+  t ->
+  group:string ->
+  pos:int ->
+  ballot:Mdds_paxos.Ballot.t ->
+  Messages.response
+(** Algorithm 1, lines 5–14: promise (with the last vote) or reject with
+    the current nextBal. The promise is synced before it is returned. *)
+
+val accept :
+  t ->
+  group:string ->
+  pos:int ->
+  ballot:Mdds_paxos.Ballot.t ->
+  entry:Mdds_types.Txn.entry ->
+  sequenced:Mdds_types.Txn.entry option ->
+  Messages.response
+(** Algorithm 1, lines 15–22. A [sequenced] (pipelined round-0) accept
+    is granted only if this acceptor's vote at [pos - 1] is that very
+    ballot for that very entry (DESIGN.md §14). *)
+
+val claim : t -> group:string -> pos:int -> claimant:string -> Messages.response
+(** The durable first-wins leadership register (§4.1): [first] for
+    exactly one claimant, ever. A replay by the owner is answered from
+    the register and counted in {!dup_claims}. *)
+
+val state :
+  t -> group:string -> pos:int -> Mdds_types.Txn.entry Mdds_paxos.Acceptor.state
+(** The acceptor state persisted for a position (served from the cache). *)
+
+val prune : t -> group:string -> upto:int -> unit
+(** Compaction: delete the paxos and claim rows of positions 1..[upto]
+    and their cache entries. Does not sync. *)
+
+val scrub : t -> group:string -> int * int list
+(** Crash recovery: drop checksum-invalid versions from the group's
+    paxos and claim rows. Returns the versions dropped and the damaged
+    positions (ascending). *)
+
+val coherent : t -> group:string -> (unit, string) result
+(** Every cached entry equals a fresh decode of its row. Mutates nothing. *)
+
+val reset : t -> unit
+(** Restart: drop the decoded cache. *)
+
+val dup_claims : t -> int
+(** Claims replayed by their registered owner. *)

@@ -12,7 +12,6 @@ type t = {
   max_rounds : int;
   backoff_min : float;
   backoff_max : float;
-  backoff_decorrelated : bool;
   prepare_linger : float;
   read_attempts : int;
   initial_leader : int;
@@ -38,7 +37,6 @@ let default =
     max_rounds = 25;
     backoff_min = 0.002;
     backoff_max = 0.040;
-    backoff_decorrelated = false;
     prepare_linger = 0.01;
     read_attempts = 3;
     initial_leader = 0;

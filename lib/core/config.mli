@@ -45,15 +45,6 @@ type t = {
   backoff_max : float;
       (** Uniform random sleep bounds (seconds) before re-entering the
           prepare phase (Algorithm 2, lines 40 and 55). *)
-  backoff_decorrelated : bool;
-      (** [false] (paper behaviour, default): every retry sleeps a fresh
-          uniform draw from [[backoff_min, backoff_max]]. [true]:
-          decorrelated exponential jitter — each sleep is
-          [min backoff_max (uniform backoff_min (3 × previous))], so
-          rival proposers spread out quickly under contention while the
-          cap keeps worst-case latency at [backoff_max]. The flag only
-          changes the draw inside {!Proposer.run} retries; defaults
-          preserve byte-identical figures. *)
   prepare_linger : float;
       (** Extra seconds to keep collecting prepare responses after a
           quorum of promises, so the tally sees more than a bare majority

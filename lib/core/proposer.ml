@@ -57,26 +57,11 @@ type stats = { prepare_rounds : int; accept_rounds : int; fast_path_used : bool 
 let quorum env = Tally.majority (List.length env.dcs)
 
 (* Backoff before re-entering the prepare phase (Algorithm 2, lines 40 and
-   55). Flat mode draws uniformly from [min, max] — exactly the paper's
-   prototype, and exactly one RNG draw, so the default stream is
-   untouched. Decorrelated mode (config flag) grows the upper bound from
-   the previous sleep ([min(cap, uniform(min, 3·prev))]): consecutive
-   losers of a contended position spread out exponentially instead of
-   re-colliding inside the same fixed window. [prev] is per-[run] state —
-   contention is per position, so each proposal starts the ladder over. *)
-let backoff env prev =
-  let d =
-    if env.config.Config.backoff_decorrelated then begin
-      let d =
-        Float.min env.config.backoff_max
-          (Rng.uniform env.rng env.config.backoff_min (3.0 *. !prev))
-      in
-      prev := d;
-      d
-    end
-    else Rng.uniform env.rng env.config.backoff_min env.config.backoff_max
-  in
-  Engine.sleep d
+   55): a uniform draw from [min, max] — exactly the paper's prototype,
+   and exactly one RNG draw per retry. *)
+let backoff env =
+  Engine.sleep
+    (Rng.uniform env.rng env.config.Config.backoff_min env.config.backoff_max)
 
 (* Broadcast apply to every datacenter (Figure 3, step 6). Remote applies
    are one-way; the local one is confirmed synchronously so that the next
@@ -179,7 +164,6 @@ let run env ~group ~pos ?fast ~choose () =
   match fast_outcome with
   | Some r -> (r, !stats)
   | None ->
-      let slept = ref env.config.Config.backoff_min in
       let rec attempt ballot round =
         if round > env.config.max_rounds then begin
           Trace.record env.trace ~level:Trace.Warn ~source ~category:"giveup"
@@ -192,13 +176,13 @@ let run env ~group ~pos ?fast ~choose () =
             pos (Ballot.to_string ballot) round;
           match prepare_round env ~group ~pos ~ballot with
           | Error seen ->
-              backoff env slept;
+              backoff env;
               attempt (Ballot.next ~after:(if Ballot.compare seen ballot > 0 then seen else ballot) ~proposer:env.dc) (round + 1)
           | Ok votes -> (
               match choose votes with
               | Stop entry -> (Observed entry, !stats)
               | Retry ->
-                  backoff env slept;
+                  backoff env;
                   attempt (Ballot.next ~after:ballot ~proposer:env.dc) (round + 1)
               | Propose entry ->
                   bump_accept ();
@@ -211,7 +195,7 @@ let run env ~group ~pos ?fast ~choose () =
                     (Decided entry, !stats)
                   end
                   else begin
-                    backoff env slept;
+                    backoff env;
                     attempt
                       (Ballot.next ~after:(if Ballot.compare seen ballot > 0 then seen else ballot) ~proposer:env.dc)
                       (round + 1)

@@ -11,7 +11,11 @@
     Fault tolerance (§4.1): a read at a position this datacenter has not
     fully received runs the learner ({!Proposer.learn}) for each missing
     log entry before answering, which is also how a recovering datacenter
-    catches up. *)
+    catches up.
+
+    This module dispatches requests and orchestrates restarts; the work
+    is done by {!Acceptor_store}, {!Catchup}, {!Indoubt} and {!Manager},
+    in that dependency order (DESIGN.md §3.1). *)
 
 type t
 

@@ -74,7 +74,8 @@ let config_of_mode mode =
 
 let run_point ?(seed = 42) ?(topology = "VVV") ?(conflict_every = 16)
     ?(groups = 1) ~mode ~rate ~txns () =
-  if rate <= 0.0 then invalid_arg "Throughput.run_point: rate must be positive";
+  if not (Float.is_finite rate && rate > 0.0) then
+    invalid_arg "Throughput.run_point: rate must be finite and positive";
   if txns < 1 then invalid_arg "Throughput.run_point: txns must be positive";
   if groups < 1 then invalid_arg "Throughput.run_point: groups must be positive";
   let started = Unix.gettimeofday () in

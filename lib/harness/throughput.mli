@@ -72,7 +72,8 @@ val run_point :
     independent transaction groups — the per-group-log scaling axis of
     the aggregate-throughput figure; [groups = 1] keeps the historical
     single group name, so existing sweeps are byte-identical.
-    Deterministic in [(seed, topology, groups, mode, rate, txns)]. *)
+    Deterministic in [(seed, topology, groups, mode, rate, txns)].
+    Raises [Invalid_argument] unless [rate] is finite and positive. *)
 
 val sweep :
   ?seed:int ->

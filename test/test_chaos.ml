@@ -478,6 +478,14 @@ let test_restart_warm_cache () =
       Alcotest.failf "restart-with-warm-cache regression: %s@.repro: %s" v
         (Runner.repro report)
 
+(* The fault window must be finite and positive: NaN used to die inside
+   the engine's scheduler, zero and negative windows ran silently, and an
+   infinite one reported a bogus failure. *)
+let test_bad_duration_rejected duration () =
+  Alcotest.check_raises "rejected"
+    (Invalid_argument "Runner.spec: duration must be finite and positive")
+    (fun () -> ignore (Runner.spec ~duration ~seed:1 "VVV"))
+
 let () =
   Alcotest.run "chaos"
     [
@@ -508,6 +516,17 @@ let () =
           Alcotest.test_case "unbatched restart during catch-up stays honest"
             `Quick test_unbatched_restart_during_catch_up;
         ] );
+      ( "spec",
+        List.map
+          (fun (name, d) ->
+            Alcotest.test_case (name ^ " duration rejected") `Quick
+              (test_bad_duration_rejected d))
+          [
+            ("NaN", Float.nan);
+            ("negative", -5.0);
+            ("zero", 0.0);
+            ("infinite", Float.infinity);
+          ] );
       ( "soak",
         [
           Alcotest.test_case "battery: 21 seed/topology/protocol combos" `Slow

@@ -170,6 +170,15 @@ let test_knob_sweep_csv () =
   Alcotest.(check bool) "json is an array" true
     (String.length json > 0 && json.[0] = '[')
 
+(* An offered rate must be finite and positive: an infinite rate used to
+   run and write ["rate": inf], which is not JSON. *)
+let test_bad_rate_rejected rate () =
+  Alcotest.check_raises "rejected"
+    (Invalid_argument "Throughput.run_point: rate must be finite and positive")
+    (fun () ->
+      ignore
+        (Throughput.run_point ~mode:Throughput.baseline ~rate ~txns:10 ()))
+
 let () =
   Alcotest.run "harness"
     [
@@ -193,5 +202,9 @@ let () =
           Alcotest.test_case "grid shape and oracle" `Quick test_knob_sweep_shape;
           Alcotest.test_case "deterministic" `Quick test_knob_sweep_deterministic;
           Alcotest.test_case "csv/json artifacts" `Quick test_knob_sweep_csv;
+          Alcotest.test_case "infinite rate rejected" `Quick
+            (test_bad_rate_rejected Float.infinity);
+          Alcotest.test_case "NaN rate rejected" `Quick
+            (test_bad_rate_rejected Float.nan);
         ] );
     ]

@@ -1,0 +1,320 @@
+(* Unit tests for the service's modules, each driven on its own from a
+   bare store and log: no cluster, no peers answering. *)
+
+module Store = Mdds_kvstore.Store
+module Wal = Mdds_wal.Wal
+module Txn = Mdds_types.Txn
+module Ballot = Mdds_paxos.Ballot
+module Acceptor = Mdds_paxos.Acceptor
+module Engine = Mdds_sim.Engine
+module Config = Mdds_core.Config
+module Messages = Mdds_core.Messages
+module Proposer = Mdds_core.Proposer
+module Twopc = Mdds_core.Twopc
+module Acceptor_store = Mdds_core.Acceptor_store
+module Catchup = Mdds_core.Catchup
+module Indoubt = Mdds_core.Indoubt
+module Manager = Mdds_core.Manager
+
+let group = "g"
+let b round proposer = Ballot.make ~round ~proposer
+
+(* Datacenter 0's module stack over [store]. The network carries no
+   service, so anything sent to a peer times out. *)
+type stack = {
+  engine : Engine.t;
+  wal : Wal.t;
+  acceptors : Acceptor_store.t;
+  catchup : Catchup.t;
+  indoubt : Indoubt.t;
+  manager : Manager.t;
+}
+
+let stack ?(config = { Config.leader with rpc_timeout = 0.5; max_rounds = 2 })
+    ?(store = Store.create ()) () =
+  let engine = Engine.create ~seed:1 () in
+  let rpc =
+    Mdds_net.Rpc.create
+      (Mdds_net.Network.create engine (Mdds_net.Topology.ec2 "VVV"))
+  in
+  let env =
+    Proposer.make_env ~rpc ~config ~dc:0 ~dcs:[ 0; 1; 2 ]
+      ~rng:(Mdds_sim.Rng.split (Engine.rng engine))
+      ~trace:(Mdds_sim.Trace.create engine)
+  in
+  let wal = Wal.create store in
+  let acceptors = Acceptor_store.create ~store ~wal in
+  let catchup = Catchup.create ~env ~store ~wal ~acceptors ~source:"svc.dc0" in
+  let indoubt = Indoubt.create ~env ~wal ~catchup ~source:"svc.dc0" in
+  let manager = Manager.create ~env ~wal ~catchup ~indoubt in
+  { engine; wal; acceptors; catchup; indoubt; manager }
+
+(* Run [f] as a fiber of the stack's engine and return its result. *)
+let in_fiber s f =
+  let result = ref None in
+  Engine.spawn s.engine (fun () -> result := Some (f ()));
+  Engine.run s.engine;
+  Option.get !result
+
+let record ?(reads = []) ?(writes = []) txn_id =
+  Txn.make_record ~txn_id ~origin:0 ~read_position:0 ~reads
+    ~writes:(List.map (fun key -> { Txn.key; value = "v" }) writes)
+
+let coherent s =
+  match Acceptor_store.coherent s.acceptors ~group with
+  | Ok () -> true
+  | Error _ -> false
+
+(* ------------------------------------------------------------------ *)
+(* Acceptor_store.                                                      *)
+
+(* Two handler processes share one store. The second one's promise makes
+   the first one's cached row stale; the first one's conditional save
+   then fails, drops the cached entry, and the retry answers from the
+   row as it stands. *)
+let test_failed_save_drops_cache () =
+  let store = Store.create () in
+  let s1 = stack ~store () and s2 = stack ~store () in
+  let prepare s ballot =
+    Acceptor_store.prepare s.acceptors ~group ~pos:1 ~ballot
+  in
+  (match prepare s1 (b 1 1) with
+  | Messages.Promise _ -> ()
+  | r -> Alcotest.failf "first promise: %a" Messages.pp_response r);
+  ignore (prepare s2 (b 5 2));
+  Alcotest.(check bool) "rival write leaves the cache stale" false (coherent s1);
+  (match prepare s1 (b 3 1) with
+  | Messages.Prepare_reject { next_bal } ->
+      Alcotest.(check bool) "rejected with the stored nextBal" true
+        (Ballot.equal next_bal (b 5 2))
+  | r -> Alcotest.failf "expected a reject, got %a" Messages.pp_response r);
+  Alcotest.(check bool) "cache follows the row again" true (coherent s1)
+
+let test_replayed_claim_counted () =
+  let s = stack () in
+  let claim claimant =
+    match Acceptor_store.claim s.acceptors ~group ~pos:3 ~claimant with
+    | Messages.Claim_reply { first } -> first
+    | r -> Alcotest.failf "claim reply: %a" Messages.pp_response r
+  in
+  Alcotest.(check bool) "first claim granted" true (claim "a");
+  Alcotest.(check bool) "owner's replay answered from the register" true
+    (claim "a");
+  Alcotest.(check bool) "rival refused" false (claim "b");
+  Alcotest.(check int) "one replay counted" 1
+    (Acceptor_store.dup_claims s.acceptors)
+
+let test_prune_rows_and_cache () =
+  let store = Store.create () in
+  let s = stack ~store () in
+  for pos = 1 to 3 do
+    ignore (Acceptor_store.prepare s.acceptors ~group ~pos ~ballot:(b 2 1));
+    ignore (Acceptor_store.claim s.acceptors ~group ~pos ~claimant:"a")
+  done;
+  Acceptor_store.prune s.acceptors ~group ~upto:2;
+  let present key = Store.read store ~key () <> None in
+  Alcotest.(check (list bool)) "paxos rows 1-2 gone, 3 kept"
+    [ false; false; true ]
+    (List.map (fun p -> present (Printf.sprintf "paxos/g/%d" p)) [ 1; 2; 3 ]);
+  Alcotest.(check (list bool)) "claim rows 1-2 gone, 3 kept"
+    [ false; false; true ]
+    (List.map (fun p -> present (Printf.sprintf "claim/g/%d" p)) [ 1; 2; 3 ]);
+  (* A cache entry that outlived its row would now disagree with it. *)
+  Alcotest.(check bool) "coherent after pruning" true (coherent s);
+  Alcotest.(check bool) "pruned position reads blank" true
+    (Ballot.equal
+       (Acceptor_store.state s.acceptors ~group ~pos:1).Acceptor.next_bal
+       Ballot.bottom)
+
+(* ------------------------------------------------------------------ *)
+(* Indoubt.                                                             *)
+
+let no_submit ~group:_ _ = Messages.No_quorum
+
+let payload =
+  { Twopc.coordinator = "c"; participants = [ "c"; group ]; writes = [] }
+
+let prepare ?(keys = [ "k" ]) txid =
+  Twopc.prepare_record ~txid ~origin:0 ~read_position:0 ~reads:keys ~payload
+
+let outcome txid =
+  Twopc.outcome_record ~txid ~tag:"dc0" ~origin:0 ~prepare_position:1
+    ~verdict:Twopc.commit_verdict ~writes:[ ("k", "v") ]
+
+let blocked s r = Indoubt.blocked s.indoubt ~submit:no_submit ~group r
+
+let logged s entries =
+  List.iteri (fun i entry -> Wal.append s.wal ~group ~pos:(i + 1) entry) entries;
+  Indoubt.scan s.indoubt ~submit:no_submit ~group
+
+let test_outcome_releases_prepare () =
+  let s = stack () in
+  let writer = record ~writes:[ "k" ] "w" in
+  logged s [ [ prepare "x" ] ];
+  Alcotest.(check bool) "in doubt: conflicting write blocked" true
+    (blocked s writer);
+  Alcotest.(check bool) "disjoint write admitted" false
+    (blocked s (record ~writes:[ "other" ] "d"));
+  Wal.append s.wal ~group ~pos:2 [ outcome "x" ];
+  Indoubt.scan s.indoubt ~submit:no_submit ~group;
+  Alcotest.(check bool) "outcome released the footprint" false
+    (blocked s writer)
+
+let test_prepare_not_blocked_by_itself () =
+  let s = stack () in
+  logged s [ [ prepare "x" ] ];
+  Alcotest.(check bool) "own prepare admitted" false (blocked s (prepare "x"));
+  Alcotest.(check bool) "rival prepare blocked" true (blocked s (prepare "y"))
+
+let test_markers_exempt () =
+  let s = stack () in
+  logged s [ [ prepare "x" ] ];
+  Alcotest.(check bool) "outcome of another txn admitted" false
+    (blocked s (outcome "z"));
+  let decision =
+    Twopc.decision_record ~txid:"z" ~tag:"dc0" ~origin:0
+      ~verdict:Twopc.abort_verdict
+  in
+  let marker_keys = List.map (fun (w : Txn.write) -> w.key) decision.writes in
+  let covering = [ ("x", Array.of_list marker_keys) ] in
+  Alcotest.(check bool) "a plain read of the same keys is blocked" true
+    (Indoubt.conflicts covering (record ~reads:marker_keys "w"));
+  Alcotest.(check bool) "the decision itself is admitted" false
+    (Indoubt.conflicts covering decision)
+
+(* The unified conflict rule: the in-doubt table built by scanning a log
+   and the same log's entries read as not-yet-scanned overhang block
+   exactly the same records. As in any real log, a transaction prepares
+   at most once per group and its outcome follows its prepare. *)
+let prop_table_matches_overhang =
+  let keys = [| "a"; "b"; "c"; "d"; "e" |] in
+  let txids = [| "t0"; "t1"; "t2"; "t3" |] in
+  let gen_keys = QCheck.Gen.(list_size (int_range 0 3) (oneofa keys)) in
+  let gen_probe =
+    QCheck.Gen.(
+      oneof
+        [
+          map2 (fun reads writes -> record ~reads ~writes "p") gen_keys gen_keys;
+          map2 (fun txid keys -> prepare ~keys txid) (oneofa txids) gen_keys;
+        ])
+  in
+  let gen =
+    QCheck.Gen.(
+      triple
+        (list_size (int_range 0 4) (pair (oneofa txids) gen_keys))
+        (list_size (int_range 0 4) (oneofa txids))
+        gen_probe)
+  in
+  QCheck.Test.make ~count:500 ~name:"table and overhang blocking agree"
+    (QCheck.make gen) (fun (prepares, released, probe) ->
+      let prepares =
+        List.sort_uniq (fun (a, _) (b, _) -> String.compare a b) prepares
+      in
+      let entries =
+        List.map (fun (txid, keys) -> [ prepare ~keys txid ]) prepares
+        @ List.map (fun txid -> [ outcome txid ]) released
+      in
+      let s = stack () in
+      logged s entries;
+      let overhang = List.mapi (fun i e -> (i + 1, e)) entries in
+      blocked s probe = Indoubt.conflicts (Indoubt.unresolved overhang) probe)
+
+(* ------------------------------------------------------------------ *)
+(* Catchup.                                                             *)
+
+(* A torn paxos row quarantines its position; the quarantine set lives in
+   its own durable row, so a process that reopens the store — after the
+   scrub removed the damage itself — still refuses the position until it
+   is re-learned. *)
+let test_quarantine_survives_reopen () =
+  let store = Store.create ~mode:Store.Sync_explicit () in
+  let s = stack ~store () in
+  ignore (Acceptor_store.prepare s.acceptors ~group ~pos:2 ~ballot:(b 1 1));
+  ignore (Store.write store ~key:"paxos/g/2" [ ("nb", "x"); ("vote", "y") ]);
+  Store.crash ~torn:true store ~lose_unsynced:true;
+  Catchup.recover s.catchup ~group;
+  Alcotest.(check int) "torn version scrubbed" 1
+    (Catchup.recovery_stats s.catchup).scrubbed;
+  Store.crash store ~lose_unsynced:true;
+  let reopened = stack ~store () in
+  Catchup.recover reopened.catchup ~group;
+  Alcotest.(check int) "nothing left to scrub" 0
+    (Catchup.recovery_stats reopened.catchup).scrubbed;
+  Alcotest.(check bool) "still quarantined after reopen" true
+    (in_fiber reopened (fun () ->
+         Catchup.quarantined reopened.catchup ~group ~pos:2));
+  Alcotest.(check bool) "other positions open" false
+    (Catchup.quarantined reopened.catchup ~group ~pos:1);
+  Wal.append reopened.wal ~group ~pos:2 [ record "decided" ];
+  Alcotest.(check bool) "released once the entry is known" false
+    (Catchup.quarantined reopened.catchup ~group ~pos:2);
+  Alcotest.(check int) "release counted" 1
+    (Catchup.recovery_stats reopened.catchup).relearned;
+  Alcotest.(check bool) "quarantine row cleared" true
+    (Store.read store ~key:"recover/g" () = None)
+
+(* ------------------------------------------------------------------ *)
+(* Manager.                                                             *)
+
+let batched = Config.throughput ~batch_max:8 ~pipeline_depth:1 Config.leader
+
+(* A restart answers a submission still waiting in the queue at once, and
+   honestly: no accept carrying it went out, so No_quorum. *)
+let test_restart_answers_queued () =
+  let s = stack ~config:{ batched with batch_fill = 1.0 } () in
+  let result = ref None in
+  Engine.spawn s.engine (fun () ->
+      result := Some (Manager.submit s.manager ~group (record ~writes:[ "k" ] "q")));
+  Engine.schedule s.engine ~at:0.5 (fun () -> Manager.restart s.manager);
+  Engine.run s.engine;
+  Alcotest.(check bool) "answered No_quorum" true
+    (!result = Some Messages.No_quorum);
+  Alcotest.(check int) "nothing proposed" 0 (Wal.last_position s.wal ~group);
+  Alcotest.(check int) "no batch launched" 0 (Manager.stats s.manager).batches
+
+(* A replayed submission is answered from the log, never sequenced twice. *)
+let test_logged_submission_answered () =
+  let s = stack () in
+  let r = record ~writes:[ "k" ] "done" in
+  Wal.append s.wal ~group ~pos:1 [ r ];
+  Alcotest.(check bool) "answered with its position" true
+    (in_fiber s (fun () -> Manager.submit s.manager ~group r)
+    = Messages.Accepted_at 1);
+  Alcotest.(check int) "counted as a duplicate" 1 (Manager.dup_submits s.manager);
+  Alcotest.(check int) "log unchanged" 1 (Wal.last_position s.wal ~group)
+
+let () =
+  Alcotest.run "modules"
+    [
+      ( "acceptor_store",
+        [
+          Alcotest.test_case "failed save drops the cache entry" `Quick
+            test_failed_save_drops_cache;
+          Alcotest.test_case "replayed claim counted" `Quick
+            test_replayed_claim_counted;
+          Alcotest.test_case "prune drops rows and cache" `Quick
+            test_prune_rows_and_cache;
+        ] );
+      ( "catchup",
+        [
+          Alcotest.test_case "quarantine survives a reopen" `Quick
+            test_quarantine_survives_reopen;
+        ] );
+      ( "indoubt",
+        [
+          Alcotest.test_case "outcome releases its prepare" `Quick
+            test_outcome_releases_prepare;
+          Alcotest.test_case "prepare never blocks itself" `Quick
+            test_prepare_not_blocked_by_itself;
+          Alcotest.test_case "outcome and decision exempt" `Quick
+            test_markers_exempt;
+          QCheck_alcotest.to_alcotest prop_table_matches_overhang;
+        ] );
+      ( "manager",
+        [
+          Alcotest.test_case "restart answers queued submissions" `Quick
+            test_restart_answers_queued;
+          Alcotest.test_case "logged submission answered from the log" `Quick
+            test_logged_submission_answered;
+        ] );
+    ]

@@ -181,12 +181,14 @@ let clear_duplication t =
   fault t "duplication storm cleared";
   Network.clear_duplication t.net
 
-let logs_agree t ~group =
-  let logs = Array.map (fun s -> Wal.dump (Service.wal s) ~group) t.services in
+(* One dump per replica: the union of the logs by position, checking
+   (R1) on the way. The first conflict found, in datacenter order, is the
+   one reported. *)
+let agreed_log t ~group =
   let by_pos = Hashtbl.create 64 in
   let conflict = ref None in
   Array.iteri
-    (fun dc log ->
+    (fun dc s ->
       List.iter
         (fun (pos, entry) ->
           match Hashtbl.find_opt by_pos pos with
@@ -198,24 +200,21 @@ let logs_agree t ~group =
                     (Printf.sprintf
                        "position %d differs between %s and %s" pos
                        (Topology.name t.topo dc0) (Topology.name t.topo dc)))
-        log)
-    logs;
-  match !conflict with None -> Ok () | Some msg -> Error msg
-
-let committed_log t ~group =
-  (match logs_agree t ~group with
-  | Ok () -> ()
-  | Error msg -> failwith ("Cluster.committed_log: " ^ msg));
-  let by_pos = Hashtbl.create 64 in
-  Array.iter
-    (fun s ->
-      List.iter
-        (fun (pos, entry) ->
-          if not (Hashtbl.mem by_pos pos) then Hashtbl.replace by_pos pos entry)
         (Wal.dump (Service.wal s) ~group))
     t.services;
-  Hashtbl.fold (fun pos entry acc -> (pos, entry) :: acc) by_pos []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  match !conflict with
+  | Some msg -> Error msg
+  | None ->
+      Ok
+        (Hashtbl.fold (fun pos (_, entry) acc -> (pos, entry) :: acc) by_pos []
+        |> List.sort (fun (a, _) (b, _) -> Int.compare a b))
+
+let logs_agree t ~group = Result.map ignore (agreed_log t ~group)
+
+let committed_log t ~group =
+  match agreed_log t ~group with
+  | Ok log -> log
+  | Error msg -> failwith ("Cluster.committed_log: " ^ msg)
 
 let combined_entries t ~group =
   List.length

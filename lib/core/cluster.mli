@@ -123,6 +123,12 @@ val clear_duplication : t -> unit
 
 (** {1 Checking (test oracles)} *)
 
+val agreed_log :
+  t -> group:string -> ((int * Mdds_types.Txn.entry) list, string) result
+(** The union of all datacenter logs, sorted by position, reading each
+    datacenter's log once; [Error] names the first position where two
+    logs hold different entries, violating (R1). *)
+
 val logs_agree : t -> group:string -> (unit, string) result
 (** Replication property (R1): no two datacenter logs hold different
     entries for the same position. *)

@@ -91,7 +91,7 @@ let blocker prepares (record : Txn.record) =
   let own =
     match Twopc.classify record with
     | Twopc.Outcome _ | Twopc.Decision _ -> None
-    | Twopc.Prepare { txid; _ } -> Some txid
+    | Twopc.Prepare { txid } -> Some txid
     | Twopc.Plain -> Some ""
   in
   match own with
@@ -122,7 +122,7 @@ let unresolved entries =
   markers
     (fun r ->
       match Twopc.classify r with
-      | Twopc.Prepare { txid; _ } when not (List.mem txid released) ->
+      | Twopc.Prepare { txid } when not (List.mem txid released) ->
           Some (txid, Txn.read_keys r)
       | _ -> None)
     entries
@@ -156,10 +156,11 @@ let scanned_upto t ~group =
 
 let rec note t ~submit ~group ~pos (r : Txn.record) =
   match Twopc.classify r with
-  | Twopc.Prepare { txid; payload } ->
+  | Twopc.Prepare { txid } ->
       let tbl = table t ~group in
       if not (Hashtbl.mem tbl txid) then begin
-        Hashtbl.replace tbl txid { footprint = Txn.read_keys r; payload; pos };
+        Hashtbl.replace tbl txid
+          { footprint = Txn.read_keys r; payload = Twopc.payload r; pos };
         t.prepares <- t.prepares + 1;
         watch t ~submit ~group txid
       end

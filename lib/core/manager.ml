@@ -95,16 +95,11 @@ let in_doubt_replies t = t.in_doubt_replies
    dup-storm under the leader protocol). The log is the durable record of
    what was already sequenced: answer from it. A committed record always
    sits above its read position (positions up to it were decided when it
-   was built), so the scan up to [upto] is short. *)
+   was built), so the search starts there; the WAL's transaction id index
+   answers it without walking the log. *)
 let logged_at t ~group ~upto (r : Txn.record) =
-  let rec find pos =
-    if pos > upto then None
-    else
-      match Wal.entry t.wal ~group ~pos with
-      | Some entry when Txn.mem_entry ~txn_id:r.Txn.txn_id entry -> Some pos
-      | _ -> find (pos + 1)
-  in
-  find (1 + max r.Txn.read_position (Wal.compacted_position t.wal ~group))
+  Wal.logged_at t.wal ~group ~txn_id:r.Txn.txn_id
+    ~from:(r.Txn.read_position + 1) ~upto
 
 (* Fine-grained conflict check against committed state (the §7 sketch:
    "check each new transaction against previously committed
@@ -256,7 +251,7 @@ let build_batch (t : t) ~submit b =
                else begin
                  Txn.Write_union.add union r;
                  (match Twopc.classify r with
-                 | Twopc.Prepare { txid; _ } ->
+                 | Twopc.Prepare { txid } ->
                      prepares := (txid, Txn.read_keys r) :: !prepares
                  | _ -> ());
                  batch := p :: !batch;

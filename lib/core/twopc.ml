@@ -33,7 +33,7 @@ let payload_codec =
       (triple string (list string) (list (pair string string))))
 
 type kind =
-  | Prepare of { txid : string; payload : payload }
+  | Prepare of { txid : string }
   | Outcome of { txid : string; verdict : string }
   | Decision of { txid : string; verdict : string }
   | Plain
@@ -42,21 +42,25 @@ let strip prefix key =
   String.sub key (String.length prefix) (String.length key - String.length prefix)
 
 (* Marker records carry their marker as the first write (constructors
-   below), so classification is one prefix test on the hot path. *)
+   below), so classification is one prefix test on the hot path, and it
+   decodes nothing: a prepare's payload is read only by {!payload}. *)
 let classify (r : Txn.record) =
   match r.Txn.writes with
   | { Txn.key; value } :: _ when String.starts_with ~prefix:reserved_prefix key
     ->
       if String.starts_with ~prefix:prepare_prefix key then
-        Prepare
-          {
-            txid = strip prepare_prefix key;
-            payload = Codec.decode_exn payload_codec value;
-          }
+        Prepare { txid = strip prepare_prefix key }
       else if String.starts_with ~prefix:outcome_prefix key then
         Outcome { txid = strip outcome_prefix key; verdict = value }
       else Decision { txid = strip decision_prefix key; verdict = value }
   | _ -> Plain
+
+let payload (r : Txn.record) =
+  match r.Txn.writes with
+  | { Txn.key; value } :: _ when String.starts_with ~prefix:prepare_prefix key
+    ->
+      Codec.decode_exn payload_codec value
+  | _ -> invalid_arg "Twopc.payload: not a prepare record"
 
 let is_marker (r : Txn.record) =
   match r.Txn.writes with

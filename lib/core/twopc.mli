@@ -39,13 +39,18 @@ type payload = {
 val payload_codec : payload Mdds_codec.Codec.t
 
 type kind =
-  | Prepare of { txid : string; payload : payload }
+  | Prepare of { txid : string }
   | Outcome of { txid : string; verdict : string }
   | Decision of { txid : string; verdict : string }
   | Plain
 
 val classify : Txn.record -> kind
-(** Constant-time on plain records: markers are always the first write. *)
+(** Constant-time on plain records: markers are always the first write.
+    Decodes nothing; a prepare's payload is read by {!payload}. *)
+
+val payload : Txn.record -> payload
+(** Decode a prepare record's payload. Raises [Invalid_argument] on any
+    record {!classify} does not call a [Prepare]. *)
 
 val is_marker : Txn.record -> bool
 

@@ -66,8 +66,8 @@ let check ?(archive = []) cluster ~group =
     | Ok () -> Ok ()
     | Error v -> Error (Format.asprintf "%s: %a" what Checker.pp_violation v)
   in
-  let* () = Cluster.logs_agree cluster ~group in
-  let* log = merge_archive ~archive (Cluster.committed_log cluster ~group) in
+  let* log = Cluster.agreed_log cluster ~group in
+  let* log = merge_archive ~archive log in
   let* () = of_violation "L2" (Checker.unique_txn_ids log) in
   let log = effective_log log in
   let events =
@@ -123,11 +123,11 @@ let check_cross ?(archives = []) cluster ~groups =
     List.fold_left
       (fun acc group ->
         let* acc = acc in
-        let* () = Cluster.logs_agree cluster ~group in
+        let* log = Cluster.agreed_log cluster ~group in
         let archive =
           Option.value (List.assoc_opt group archives) ~default:[]
         in
-        let* log = merge_archive ~archive (Cluster.committed_log cluster ~group) in
+        let* log = merge_archive ~archive log in
         Ok ((group, log) :: acc))
       (Ok []) groups
   in
@@ -143,9 +143,10 @@ let check_cross ?(archives = []) cluster ~groups =
           List.iter
             (fun (r : Txn.record) ->
               match Twopc.classify r with
-              | Twopc.Prepare { txid; payload } ->
+              | Twopc.Prepare { txid } ->
                   if not (Hashtbl.mem prepares (txid, group)) then
-                    Hashtbl.add prepares (txid, group) (pos, r, payload)
+                    Hashtbl.add prepares (txid, group)
+                      (pos, r, Twopc.payload r)
               | Twopc.Outcome { txid; verdict } ->
                   if not (Hashtbl.mem outcomes (txid, group)) then
                     Hashtbl.add outcomes (txid, group) (pos, verdict, r)
@@ -243,55 +244,68 @@ let check_cross ?(archives = []) cluster ~groups =
   (* Window exclusivity — the 1SR linchpin: between a prepare and its
      first outcome, no other effective record may touch the prepared
      footprint in that group (the in-doubt table's admission blocking,
-     verified from the log after the fact). *)
+     verified from the log after the fact). Each window is walked
+     position by position through a per-group position table, so the
+     check costs the windows' total length, not one log pass per
+     prepare. *)
+  let at_pos =
+    List.map
+      (fun (group, log) ->
+        let tbl = Hashtbl.create (List.length log) in
+        List.iter (fun (pos, entry) -> Hashtbl.replace tbl pos entry) log;
+        (group, tbl))
+      logs
+  in
   let* () =
     fold_tbl prepares (fun (txid, group) (ppos, prep, _) ->
         match Hashtbl.find_opt outcomes (txid, group) with
         | Some (opos, _, _) when opos > ppos + 1 ->
             let footprint = Txn.read_keys prep in
             let in_footprint key = Array.exists (String.equal key) footprint in
-            let log = List.assoc group logs in
-            List.fold_left
-              (fun acc (pos, entry) ->
-                let* () = acc in
-                if pos <= ppos || pos >= opos then Ok ()
-                else
-                  List.fold_left
-                    (fun acc (r : Txn.record) ->
-                      let* () = acc in
-                      let effective =
-                        match Twopc.classify r with
-                        | Twopc.Plain -> true
-                        | Twopc.Prepare { txid = id; _ } ->
-                            (match Hashtbl.find_opt prepares (id, group) with
-                            | Some (p, _, _) -> p = pos
-                            | None -> false)
-                        | Twopc.Outcome { txid = id; _ } ->
-                            (match Hashtbl.find_opt outcomes (id, group) with
-                            | Some (p, _, _) -> p = pos
-                            | None -> false)
-                        | Twopc.Decision _ -> false (* marker-only writes *)
-                      in
-                      if not effective then Ok ()
-                      else
-                        let touched =
-                          Array.exists in_footprint (Txn.read_keys r)
-                          || List.exists
-                               (fun (w : Txn.write) ->
-                                 (not
-                                    (String.starts_with
-                                       ~prefix:Twopc.reserved_prefix w.Txn.key))
-                                 && in_footprint w.Txn.key)
-                               r.Txn.writes
-                        in
-                        if touched then
-                          errf
-                            "record %s at pos %d in %s inside the in-doubt \
-                             window of %s (prepare %d, outcome %d)"
-                            r.Txn.txn_id pos group txid ppos opos
-                        else Ok ())
-                    (Ok ()) entry)
-              (Ok ()) log
+            let at_pos = List.assoc group at_pos in
+            let check_record pos acc (r : Txn.record) =
+              let* () = acc in
+              let effective =
+                match Twopc.classify r with
+                | Twopc.Plain -> true
+                | Twopc.Prepare { txid = id } -> (
+                    match Hashtbl.find_opt prepares (id, group) with
+                    | Some (p, _, _) -> p = pos
+                    | None -> false)
+                | Twopc.Outcome { txid = id; _ } -> (
+                    match Hashtbl.find_opt outcomes (id, group) with
+                    | Some (p, _, _) -> p = pos
+                    | None -> false)
+                | Twopc.Decision _ -> false (* marker-only writes *)
+              in
+              let touched () =
+                Array.exists in_footprint (Txn.read_keys r)
+                || List.exists
+                     (fun (w : Txn.write) ->
+                       (not
+                          (String.starts_with ~prefix:Twopc.reserved_prefix
+                             w.Txn.key))
+                       && in_footprint w.Txn.key)
+                     r.Txn.writes
+              in
+              if effective && touched () then
+                errf
+                  "record %s at pos %d in %s inside the in-doubt window of %s \
+                   (prepare %d, outcome %d)"
+                  r.Txn.txn_id pos group txid ppos opos
+              else Ok ()
+            in
+            let rec walk pos =
+              if pos >= opos then Ok ()
+              else
+                let* () =
+                  match Hashtbl.find_opt at_pos pos with
+                  | Some entry -> List.fold_left (check_record pos) (Ok ()) entry
+                  | None -> Ok ()
+                in
+                walk (pos + 1)
+            in
+            walk (ppos + 1)
         | _ -> Ok ())
   in
   (* Outcome honesty against the pseudo-group audit events, and

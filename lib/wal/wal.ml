@@ -15,6 +15,9 @@ type group_cache = {
   data_prefix : string;  (* "data/<group>/" *)
   meta_key : string;  (* "logmeta/<group>" *)
   entries : (int, Txn.entry) Hashtbl.t;  (* decoded log entries by position *)
+  txids : (string, int list) Hashtbl.t;
+      (* Transaction id -> the positions in [entries] whose entry holds
+         it, so replay detection need not scan the log. *)
   mutable contiguous : int;
       (* Watermark: every position in [compacted+1 .. contiguous] is known
          present (decoded in [entries]), so gap scans start after it
@@ -44,6 +47,7 @@ let cache t ~group =
           data_prefix = "data/" ^ group ^ "/";
           meta_key = "logmeta/" ^ group;
           entries = Hashtbl.create 64;
+          txids = Hashtbl.create 64;
           contiguous = 0;
           last = 0;
           applied = 0;
@@ -94,6 +98,32 @@ let rec advance c =
     advance c
   end
 
+let held c txn_id = Option.value (Hashtbl.find_opt c.txids txn_id) ~default:[]
+
+(* Every change to [entries] goes through these two, which keep the
+   transaction id index in step with it. *)
+let cache_entry c pos e =
+  Hashtbl.replace c.entries pos e;
+  List.iter
+    (fun (r : Txn.record) ->
+      let held = held c r.Txn.txn_id in
+      if not (List.mem pos held) then
+        Hashtbl.replace c.txids r.Txn.txn_id (pos :: held))
+    e;
+  advance c
+
+let uncache_entry c pos =
+  match Hashtbl.find_opt c.entries pos with
+  | None -> ()
+  | Some e ->
+      Hashtbl.remove c.entries pos;
+      List.iter
+        (fun (r : Txn.record) ->
+          match List.filter (fun p -> p <> pos) (held c r.Txn.txn_id) with
+          | [] -> Hashtbl.remove c.txids r.Txn.txn_id
+          | rest -> Hashtbl.replace c.txids r.Txn.txn_id rest)
+        e
+
 let entry_in t c pos =
   match Hashtbl.find_opt c.entries pos with
   | Some _ as hit -> hit
@@ -102,8 +132,7 @@ let entry_in t c pos =
       | None -> None
       | Some encoded ->
           let e = Codec.decode_exn Txn.entry_codec encoded in
-          Hashtbl.replace c.entries pos e;
-          advance c;
+          cache_entry c pos e;
           Some e)
 
 let entry t ~group ~pos = entry_in t (cache t ~group) pos
@@ -121,9 +150,7 @@ let append t ~group ~pos e =
   | None -> (
       let encoded = Codec.encode Txn.entry_codec e in
       match Store.write t.store ~key:(log_key c pos) [ ("entry", encoded) ] with
-      | Ok _ ->
-          Hashtbl.replace c.entries pos e;
-          advance c
+      | Ok _ -> cache_entry c pos e
       | Error `Stale -> assert false));
   if pos > c.last then begin
     c.last <- pos;
@@ -150,6 +177,33 @@ let first_gap t ~group ~upto =
       match entry_in t c pos with None -> Some pos | Some _ -> go (pos + 1)
   in
   go 1
+
+(* Lowest position in [max from (compacted+1) .. upto] holding [txn_id],
+   exactly what a position-by-position scan would return, with the same
+   store probes. Everything up to [contiguous] is cached, so the index
+   answers for it; above it an uncached position may still hold the id,
+   so those below the index's answer are probed in order. *)
+let logged_at t ~group ~txn_id ~from ~upto =
+  let c = cache t ~group in
+  load_meta t c;
+  let from = max from (c.compacted + 1) in
+  let indexed =
+    List.fold_left
+      (fun best pos ->
+        if pos >= from && pos <= upto && pos < best then pos else best)
+      (upto + 1) (held c txn_id)
+  in
+  let rec probe pos =
+    if pos >= indexed then None
+    else if Hashtbl.mem c.entries pos then probe (pos + 1)
+    else
+      match entry_in t c pos with
+      | Some e when Txn.mem_entry ~txn_id e -> Some pos
+      | _ -> probe (pos + 1)
+  in
+  match probe (max from (c.contiguous + 1)) with
+  | Some _ as hit -> hit
+  | None -> if indexed <= upto then Some indexed else None
 
 let applied_position t ~group =
   let c = cache t ~group in
@@ -282,7 +336,7 @@ let compact t ~group ~upto =
   else begin
     for pos = c.compacted + 1 to upto do
       Store.delete t.store ~key:(log_key c pos);
-      Hashtbl.remove c.entries pos
+      uncache_entry c pos
     done;
     if upto > c.compacted then begin
       c.compacted <- upto;
@@ -406,6 +460,28 @@ let coherence t ~group =
                        (Codec.decode_exn Txn.entry_codec encoded))
                 then fail "cached entry at %d differs from durable decode" pos)
           c.entries;
+        Hashtbl.iter
+          (fun pos cached ->
+            List.iter
+              (fun (r : Txn.record) ->
+                if not (List.mem pos (held c r.Txn.txn_id)) then
+                  fail "txid %s at cached position %d is not indexed"
+                    r.Txn.txn_id pos)
+              cached)
+          c.entries;
+        Hashtbl.iter
+          (fun txn_id positions ->
+            if positions = [] then fail "txid %s indexed at no position" txn_id;
+            List.iter
+              (fun pos ->
+                match Hashtbl.find_opt c.entries pos with
+                | Some e when Txn.mem_entry ~txn_id e -> ()
+                | Some _ ->
+                    fail "txid %s indexed at %d, not in its entry" txn_id pos
+                | None ->
+                    fail "txid %s indexed at uncached position %d" txn_id pos)
+              positions)
+          c.txids;
         Hashtbl.iter
           (fun data_key row ->
             match Store.row_handle t.store ~key:(c.data_prefix ^ data_key) with

@@ -22,8 +22,10 @@
     view per group — log entries decoded once and cached by position, the
     [last]/[applied]/[compacted] watermarks as plain ints, a
     contiguous-prefix watermark that lets gap scans skip the known-present
-    prefix, and an index of the group's data rows (store row handles) so
-    snapshots and stale-read checks never scan the full store key set.
+    prefix, an index from transaction id to the cached positions holding
+    it (so {!logged_at} never scans the log), and an index of the group's
+    data rows (store row handles) so snapshots and stale-read checks never
+    scan the full store key set.
     Every mutation writes the store first, so the view always equals a
     fresh decode of the store; {!coherence} checks that invariant and the
     chaos engine asserts it after every fault event. {!invalidate} models a
@@ -57,6 +59,14 @@ val last_position : t -> group:string -> int
 
 val first_gap : t -> group:string -> upto:int -> int option
 (** Lowest position in [1..upto] with no local entry. *)
+
+val logged_at :
+  t -> group:string -> txn_id:string -> from:int -> upto:int -> int option
+(** Lowest position in [max from (compacted+1) .. upto] whose entry holds
+    [txn_id] — the replay detection behind (L2): a transaction occupies at
+    most one log position. Answered from the decoded view's transaction id
+    index; only positions above the contiguous watermark that are not
+    cached yet are probed in the store. *)
 
 (** {1 Applying entries to data rows} *)
 
@@ -119,9 +129,11 @@ val coherence : t -> group:string -> (unit, string) result
 (** Cache-coherence oracle: check that the group's decoded view equals a
     fresh decode of the durable rows — cached watermarks match the meta
     row, every cached entry decodes identically from its log row, the
-    contiguous watermark only covers cached positions, and the data index
-    holds exactly the group's live row handles. Reads the store directly
-    (never through the cache) and mutates nothing. *)
+    contiguous watermark only covers cached positions, the transaction id
+    index holds exactly the ids of the cached entries at exactly their
+    positions, and the data index holds exactly the group's live row
+    handles. Reads the store directly (never through the cache) and
+    mutates nothing. *)
 
 val coherent : t -> (unit, string) result
 (** {!coherence} over every group with a cached view. *)

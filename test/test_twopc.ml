@@ -46,11 +46,23 @@ let test_marker_codec () =
       ~reads:[ "x"; "y" ] ~payload
   in
   (match Twopc.classify prep with
-  | Twopc.Prepare { txid = "t1"; payload = p } ->
-      Alcotest.(check string) "coordinator" "a" p.Twopc.coordinator;
-      Alcotest.(check (list string)) "participants" [ "a"; "b" ] p.Twopc.participants;
-      Alcotest.(check (list (pair string string))) "writes" payload.Twopc.writes p.Twopc.writes
+  | Twopc.Prepare { txid = "t1" } -> ()
   | _ -> Alcotest.fail "prepare did not classify");
+  let p = Twopc.payload prep in
+  Alcotest.(check string) "coordinator" "a" p.Twopc.coordinator;
+  Alcotest.(check (list string)) "participants" [ "a"; "b" ] p.Twopc.participants;
+  Alcotest.(check (list (pair string string))) "writes" payload.Twopc.writes p.Twopc.writes;
+  (* Classification never decodes the payload: only {!Twopc.payload} does,
+     so a prepare carrying an undecodable payload still classifies. *)
+  let garbled =
+    Txn.make_record ~txn_id:"t1" ~origin:0 ~read_position:3 ~reads:[ "x" ]
+      ~writes:[ { Txn.key = Twopc.prepare_key "t1"; value = "\xff" } ]
+  in
+  (match Twopc.classify garbled with
+  | Twopc.Prepare { txid = "t1" } -> ()
+  | _ -> Alcotest.fail "garbled prepare did not classify");
+  Alcotest.(check bool) "payload decode happens on demand" true
+    (match Twopc.payload garbled with _ -> false | exception _ -> true);
   let out =
     Twopc.outcome_record ~txid:"t1" ~tag:"cli" ~origin:0 ~prepare_position:3
       ~verdict:Twopc.commit_verdict ~writes:[ ("x", "1") ]
@@ -74,6 +86,9 @@ let test_marker_codec () =
   in
   Alcotest.(check bool) "plain stays plain" true (Twopc.classify plain = Twopc.Plain);
   Alcotest.(check bool) "plain is no marker" false (Twopc.is_marker plain);
+  Alcotest.check_raises "payload of a non-prepare"
+    (Invalid_argument "Twopc.payload: not a prepare record") (fun () ->
+      ignore (Twopc.payload out));
   let ag = Twopc.audit_group [ "a"; "b" ] in
   Alcotest.(check string) "audit group" "cross:a+b" ag;
   Alcotest.(check bool) "audit group detected" true (Twopc.is_audit_group ag);
@@ -282,6 +297,48 @@ let test_batched_window_exclusive () =
   Verify.check_cross_exn cluster ~groups
 
 (* ------------------------------------------------------------------ *)
+(* Cross-group oracle on hand-built logs.                               *)
+
+(* The window-exclusivity check, fed a log through [~archives] (merged
+   with the cluster's empty live logs): a plain write to the prepared key
+   between the prepare and its outcome is reported by name and position;
+   the same write after the outcome, a disjoint write and the decision
+   inside the window are not. *)
+let test_window_violation_reported () =
+  let plain txn_id key =
+    Txn.make_record ~txn_id ~origin:0 ~read_position:0 ~reads:[]
+      ~writes:[ { Txn.key; value = txn_id } ]
+  in
+  let payload =
+    { Twopc.coordinator = "a"; participants = [ "a" ]; writes = [ ("k", "1") ] }
+  in
+  let log ~inside =
+    [
+      (1, [ Twopc.prepare_record ~txid:"t1" ~origin:0 ~read_position:0
+              ~reads:[ "k" ] ~payload ]);
+      (2, [ Twopc.decision_record ~txid:"t1" ~tag:"cli" ~origin:0
+              ~verdict:Twopc.commit_verdict ]);
+      (3, [ plain "disjoint" "z" ]);
+      (4, inside);
+      (5, [ Twopc.outcome_record ~txid:"t1" ~tag:"cli" ~origin:0
+              ~prepare_position:1 ~verdict:Twopc.commit_verdict
+              ~writes:[ ("k", "1") ] ]);
+      (6, [ plain "after" "k" ]);
+    ]
+  in
+  let check inside =
+    Verify.check_cross (make ()) ~groups:[ "a" ]
+      ~archives:[ ("a", log ~inside) ]
+  in
+  Alcotest.(check (result unit string)) "clean window passes" (Ok ())
+    (check [ plain "elsewhere" "y" ]);
+  Alcotest.(check (result unit string)) "write inside the window reported"
+    (Error
+       "cross: record w at pos 4 in a inside the in-doubt window of t1 \
+        (prepare 1, outcome 5)")
+    (check [ plain "w" "k" ])
+
+(* ------------------------------------------------------------------ *)
 (* API misuse.                                                          *)
 
 let test_invalid_args () =
@@ -327,6 +384,11 @@ let () =
             test_workload_mix_verifies;
           Alcotest.test_case "batched prepares keep their window exclusive"
             `Quick test_batched_window_exclusive;
+        ] );
+      ( "oracle",
+        [
+          Alcotest.test_case "window violation reported" `Quick
+            test_window_violation_reported;
         ] );
       ( "api",
         [ Alcotest.test_case "invalid arguments rejected" `Quick test_invalid_args ] );

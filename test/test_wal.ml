@@ -505,6 +505,119 @@ let prop_recover_preserves_synced_log =
       && Wal.durable_coherent wal ~group = Ok ()
       && Wal.coherence wal ~group = Ok ())
 
+(* Replay detection: [Wal.logged_at] answers from the transaction id index
+   exactly what the linear scan it replaced returns. The spec scans a cold
+   WAL over the same store, so it reads durable rows only and leaves the
+   view under test untouched. *)
+let scan_logged_at store ~txn_id ~from ~upto =
+  let cold = Wal.create store in
+  let rec find pos =
+    if pos > upto then None
+    else
+      match Wal.entry cold ~group ~pos with
+      | Some e when Txn.mem_entry ~txn_id e -> Some pos
+      | _ -> find (pos + 1)
+  in
+  find (max from (Wal.compacted_position cold ~group + 1))
+
+type index_op =
+  | Append of int * int list  (* gap before the position, txid picks *)
+  | Fill of int list  (* the lowest missing position above compaction *)
+  | Apply
+  | Compact
+  | Snapshot of int  (* install a snapshot this far past [applied] *)
+  | Invalidate
+  | Recover
+  | Query of int * int * int  (* txid, from, span *)
+
+let prop_logged_at_matches_scan =
+  let open QCheck in
+  let picks = Gen.(list_size (1 -- 3) (0 -- 5)) in
+  let op_gen =
+    Gen.frequency
+      [
+        (5, Gen.map2 (fun gap ids -> Append (gap, ids)) Gen.(0 -- 2) picks);
+        (2, Gen.map (fun ids -> Fill ids) picks);
+        (2, Gen.return Apply);
+        (2, Gen.return Compact);
+        (1, Gen.map (fun k -> Snapshot k) Gen.(0 -- 3));
+        (1, Gen.return Invalidate);
+        (1, Gen.return Recover);
+        (3, Gen.map3 (fun i f s -> Query (i, f, s)) Gen.(0 -- 6) Gen.(0 -- 20) Gen.(0 -- 20));
+      ]
+  in
+  let print = function
+    | Append (gap, ids) ->
+        Printf.sprintf "append+%d[%s]" gap
+          (String.concat "," (List.map string_of_int ids))
+    | Fill ids ->
+        Printf.sprintf "fill[%s]" (String.concat "," (List.map string_of_int ids))
+    | Apply -> "apply"
+    | Compact -> "compact"
+    | Snapshot k -> Printf.sprintf "snapshot+%d" k
+    | Invalidate -> "invalidate"
+    | Recover -> "recover"
+    | Query (i, f, s) -> Printf.sprintf "query t%d %d+%d" i f s
+  in
+  Test.make ~name:"logged_at equals the linear scan" ~count:300
+    (make ~print:(Print.list print) Gen.(list_size (1 -- 40) op_gen))
+    (fun ops ->
+      let store = Store.create () in
+      let wal = Wal.create store in
+      let n = ref 0 in
+      (* Ids repeat across positions on purpose: the index keeps every
+         position, the query returns the lowest in range. *)
+      let entry ids =
+        List.map
+          (fun i ->
+            incr n;
+            record (Printf.sprintf "t%d" i)
+              ~writes:[ ("k" ^ string_of_int (i mod 3), string_of_int !n) ])
+          (List.sort_uniq Int.compare ids)
+      in
+      let agree txn_id ~from ~upto =
+        let got = Wal.logged_at wal ~group ~txn_id ~from ~upto in
+        let want = scan_logged_at store ~txn_id ~from ~upto in
+        if got <> want then
+          Test.fail_reportf "logged_at %s %d..%d: index %s, scan %s" txn_id from
+            upto
+            (Option.fold ~none:"none" ~some:string_of_int got)
+            (Option.fold ~none:"none" ~some:string_of_int want)
+      in
+      List.iter
+        (fun op ->
+          let last = Wal.last_position wal ~group in
+          (match op with
+          | Append (gap, ids) -> Wal.append wal ~group ~pos:(last + 1 + gap) (entry ids)
+          | Fill ids ->
+              let rec missing pos =
+                if pos > last then None
+                else if Wal.entry wal ~group ~pos = None then Some pos
+                else missing (pos + 1)
+              in
+              Option.iter
+                (fun pos -> Wal.append wal ~group ~pos (entry ids))
+                (missing (Wal.compacted_position wal ~group + 1))
+          | Apply -> ignore (Wal.apply wal ~group ~upto:last)
+          | Compact ->
+              ignore (Wal.compact wal ~group ~upto:(Wal.applied_position wal ~group))
+          | Snapshot k ->
+              Wal.install_snapshot wal ~group
+                ~applied:(Wal.applied_position wal ~group + k) []
+          | Invalidate -> Wal.invalidate wal
+          | Recover -> ignore (Wal.recover wal ~group)
+          | Query (i, from, span) ->
+              agree (Printf.sprintf "t%d" i) ~from ~upto:(from + span - 1));
+          (match Wal.coherence wal ~group with
+          | Ok () -> ()
+          | Error e -> Test.fail_reportf "incoherent after %s: %s" (print op) e);
+          let last = Wal.last_position wal ~group in
+          for i = 0 to 6 do
+            agree (Printf.sprintf "t%d" i) ~from:0 ~upto:(last + 1)
+          done)
+        ops;
+      true)
+
 let test_recover_noop_on_sync_always () =
   (* In the default mode the scan finds nothing — restart stays cheap. *)
   let wal = fresh () in
@@ -541,6 +654,7 @@ let () =
           Alcotest.test_case "invalidate rebuilds from store" `Quick
             test_invalidate_rebuilds;
           QCheck_alcotest.to_alcotest prop_cache_coherent_under_interleavings;
+          QCheck_alcotest.to_alcotest prop_logged_at_matches_scan;
         ] );
       ( "recovery",
         [

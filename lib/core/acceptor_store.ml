@@ -17,10 +17,6 @@ type group = {
   paxos_prefix : string;
   claim_prefix : string;
   cache : (int, cached) Hashtbl.t;
-  mutable pruned : int;
-      (* Rows up to here are already deleted. Volatile like the cache:
-         after a restart the next prune starts from position 1 again,
-         which also sweeps rows a snapshot install left behind. *)
 }
 
 type t = {
@@ -43,7 +39,6 @@ let group t name =
         paxos_prefix = "paxos/" ^ name ^ "/";
         claim_prefix = "claim/" ^ name ^ "/";
         cache = Hashtbl.create 64;
-        pruned = 0;
       })
 
 let paxos_key g ~pos = g.paxos_prefix ^ string_of_int pos
@@ -203,16 +198,14 @@ let claim t ~group:name ~pos ~claimant =
 
 (* A compacted position can never be proposed again, so its acceptor
    state is dead weight: the rows go, and the decoded cache is pruned
-   with the rows it mirrors. Each compaction deletes only what the last
-   one in this process left. *)
+   with the rows it mirrors. *)
 let prune t ~group:name ~upto =
   let g = group t name in
-  for pos = g.pruned + 1 to upto do
+  for pos = 1 to upto do
     Store.delete t.store ~key:(paxos_key g ~pos);
     Store.delete t.store ~key:(claim_key g ~pos);
     Hashtbl.remove g.cache pos
-  done;
-  if upto > g.pruned then g.pruned <- upto
+  done
 
 (* Scrub the group's Paxos and claim rows; positions whose rows held
    checksum-invalid versions are the damage set — their durable state

@@ -49,10 +49,7 @@ val state :
 
 val prune : t -> group:string -> upto:int -> unit
 (** Compaction: delete the paxos and claim rows of positions 1..[upto]
-    and their cache entries. Starts after the highest position an earlier
-    prune in this process reached; after {!reset} the next prune starts
-    at 1 again, sweeping rows a snapshot install left behind. Does not
-    sync. *)
+    and their cache entries. Does not sync. *)
 
 val scrub : t -> group:string -> int * int list
 (** Crash recovery: drop checksum-invalid versions from the group's

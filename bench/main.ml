@@ -70,23 +70,15 @@ let bench_tally =
          ignore
            (Mdds_paxos.Tally.decide ~total:5 ~equal:Mdds_types.Txn.equal_entry votes)))
 
-let bench_combine =
-  let records = entry_of_size 5 in
-  let own = List.hd records and candidates = List.tl records in
-  Test.make ~name:"paxos-cp/combination-search"
-    (Staged.stage (fun () ->
-         ignore (Mdds_core.Combine.best ~own ~candidates ~exhaustive_limit:4 ())))
-
-(* Combination search at larger candidate counts. 8 candidates with a
-   raised limit keeps the incremental exhaustive planner on deep
-   insertion trees; 12 candidates with the production limit (4) measure
-   the dedup + footprint-greedy path a busy position actually takes. *)
-let bench_combine_at n ~exhaustive_limit =
+(* Combination search over [n] candidates at the client's limit (4): four
+   take the incremental exhaustive planner, twelve the dedup +
+   footprint-greedy path a busy position actually takes. *)
+let bench_combine ~name n =
   let records = entry_of_size (n + 1) in
   let own = List.hd records and candidates = List.tl records in
-  Test.make ~name:(Printf.sprintf "paxos-cp/combination-search-%d" n)
+  Test.make ~name
     (Staged.stage (fun () ->
-         ignore (Mdds_core.Combine.best ~own ~candidates ~exhaustive_limit ())))
+         ignore (Mdds_core.Combine.best ~own ~candidates ~exhaustive_limit:4)))
 
 (* Interner hot path: repeat lookups of already-interned keys, the shape
    every [make_record] takes after warm-up. Single-domain first, then the
@@ -447,9 +439,8 @@ let micro_tests =
       bench_row_normalize;
       bench_audit_stats;
       bench_tally;
-      bench_combine;
-      bench_combine_at 8 ~exhaustive_limit:8;
-      bench_combine_at 12 ~exhaustive_limit:4;
+      bench_combine ~name:"paxos-cp/combination-search" 4;
+      bench_combine ~name:"paxos-cp/combination-search-12" 12;
       bench_intern_hit;
       bench_intern_contended;
       bench_footprint_build;
@@ -653,13 +644,10 @@ let emit_json ~path ~jobs ~figures ~micro ~throughput ~groups =
   close_out out;
   Printf.printf "\nwrote %s\n" path
 
-(* Scheduler visibility (--verbose): cumulative pool stats and the combine
-   planner's budget cutover count, on stderr so stdout (figure tables, the
-   JSON progress lines) stays byte-comparable across runs. *)
-let print_verbose_stats () =
-  Pool.pp_stats Format.err_formatter (Pool.stats ());
-  Format.eprintf "combine: %d budget cutovers to greedy@."
-    (Mdds_core.Combine.cutovers ())
+(* Scheduler visibility (--verbose): cumulative pool stats, on stderr so
+   stdout (figure tables, the JSON progress lines) stays byte-comparable
+   across runs. *)
+let print_verbose_stats () = Pool.pp_stats Format.err_formatter (Pool.stats ())
 
 (* Time each figure twice — pinned to one domain, then on the pool — and
    record both; the parallel pass double-checks output identity is not our

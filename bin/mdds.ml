@@ -30,16 +30,13 @@ let jobs_arg =
 let verbose_arg =
   let doc =
     "After the run, print domain-pool scheduler statistics (tasks per \
-     domain, busy/idle time, batches) and the combination planner's \
-     budget-cutover count on stderr. Stdout is unaffected, so output \
-     stays byte-comparable."
+     domain, busy/idle time, batches) on stderr. Stdout is unaffected, so \
+     output stays byte-comparable."
   in
   Arg.(value & flag & info [ "verbose" ] ~doc)
 
 let print_scheduler_stats () =
-  Mdds_parallel.Pool.pp_stats Format.err_formatter (Mdds_parallel.Pool.stats ());
-  Format.eprintf "combine: %d budget cutovers to greedy@."
-    (Mdds_core.Combine.cutovers ())
+  Mdds_parallel.Pool.pp_stats Format.err_formatter (Mdds_parallel.Pool.stats ())
 
 (* Durations, rates and fill windows must be finite and positive: NaN,
    infinities, zero and negatives are a cmdliner error (exit 124), never
@@ -53,6 +50,25 @@ let positive_float =
     | _ -> Error (`Msg (Printf.sprintf "%S is not a positive, finite number" s))
   in
   Arg.conv (parse, Arg.conv_printer Arg.float)
+
+(* Probabilities lie in [0,1] (NaN fails both comparisons). *)
+let probability =
+  let parse s =
+    match float_of_string_opt s with
+    | Some v when v >= 0.0 && v <= 1.0 -> Ok v
+    | _ -> Error (`Msg (Printf.sprintf "%S is not a probability in [0,1]" s))
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
+(* Counts with a lower bound: below it a run would do nothing, or die
+   inside the library instead of at the command line. *)
+let int_at_least lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some v when v >= lo -> Ok v
+    | _ -> Error (`Msg (Printf.sprintf "%S is not an integer >= %d" s lo))
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
 
 (* Comma-separated lists whose every element passes [ok]. *)
 let list_conv ~name ~of_string ~ok ~to_string =
@@ -103,22 +119,22 @@ let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Simulation seed.")
 
 let txns_arg =
-  Arg.(value & opt int 500 & info [ "n"; "txns" ] ~docv:"N" ~doc:"Total transactions.")
+  Arg.(value & opt (int_at_least 1) 500 & info [ "n"; "txns" ] ~docv:"N" ~doc:"Total transactions.")
 
 let threads_arg =
-  Arg.(value & opt int 4 & info [ "threads" ] ~docv:"N" ~doc:"Concurrent worker threads.")
+  Arg.(value & opt (int_at_least 1) 4 & info [ "threads" ] ~docv:"N" ~doc:"Concurrent worker threads.")
 
 let rate_arg =
-  Arg.(value & opt float 1.0 & info [ "rate" ] ~docv:"TPS" ~doc:"Target txns/s per thread.")
+  Arg.(value & opt positive_float 1.0 & info [ "rate" ] ~docv:"TPS" ~doc:"Target txns/s per thread.")
 
 let attributes_arg =
-  Arg.(value & opt int 100 & info [ "attributes" ] ~docv:"N" ~doc:"Entity-group attributes.")
+  Arg.(value & opt (int_at_least 1) 100 & info [ "attributes" ] ~docv:"N" ~doc:"Entity-group attributes.")
 
 let ops_arg =
   Arg.(value & opt int 10 & info [ "ops" ] ~docv:"N" ~doc:"Operations per transaction.")
 
 let loss_arg =
-  Arg.(value & opt float 0.002 & info [ "loss" ] ~docv:"P" ~doc:"Message loss probability.")
+  Arg.(value & opt probability 0.002 & info [ "loss" ] ~docv:"P" ~doc:"Message loss probability.")
 
 let no_fast_arg =
   Arg.(value & flag & info [ "no-fast-path" ] ~doc:"Disable the leader fast path.")
@@ -128,7 +144,7 @@ let no_combination_arg =
 
 let max_promotions_arg =
   let doc = "Cap promotions (default: unlimited)." in
-  Arg.(value & opt (some int) None & info [ "max-promotions" ] ~docv:"N" ~doc)
+  Arg.(value & opt (some (int_at_least 0)) None & info [ "max-promotions" ] ~docv:"N" ~doc)
 
 let trace_arg =
   Arg.(value & opt (some int) None
@@ -151,6 +167,14 @@ let run_cmd =
       { Ycsb.default with total_txns = txns; threads; rate; attributes; ops_per_txn = ops }
     in
     let spec = Experiment.spec ~seed ~config ~workload ~loss topology in
+    (* A network too lossy for the preload to commit (e.g. --loss 1) is a
+       reportable outcome, not an internal error. *)
+    let simulate f =
+      try f ()
+      with Failure msg ->
+        Format.eprintf "mdds: %s@." msg;
+        exit 1
+    in
     (match trace with
     | None -> ()
     | Some n ->
@@ -161,11 +185,11 @@ let run_cmd =
         in
         Mdds_sim.Trace.enable (Mdds_core.Cluster.trace cluster);
         ignore (Ycsb.run cluster workload);
-        Mdds_core.Cluster.run cluster;
+        simulate (fun () -> Mdds_core.Cluster.run cluster);
         List.iter
           (fun e -> Format.printf "%a@." Mdds_sim.Trace.pp_event e)
           (Mdds_sim.Trace.tail (Mdds_core.Cluster.trace cluster) n));
-    let result = Experiment.run spec in
+    let result = simulate (fun () -> Experiment.run spec) in
     Format.printf "%a@." Experiment.pp_brief result;
     let rows =
       Array.to_list result.commits_by_round

@@ -18,10 +18,18 @@ type spec = {
   duration : float;
   kinds : Schedule.kind list;
   workload : Ycsb.config;
-  min_commits : int;
-  probe_window : float;
-  max_heal_windows : int;
 }
+
+(* Progress: the workload must commit at least this many transactions
+   (a majority is connected throughout). *)
+let min_commits = 1
+
+(* Width (seconds) of one availability-timeline sampling window. *)
+let probe_window = 1.0
+
+(* Bounded-unavailability budget: a probe commit must land within this
+   many probe windows of the final heal at [duration]. *)
+let max_heal_windows = 8
 
 (* Chaos runs turn the adaptive-timeout/hedged-failover machinery on
    (the figure harness keeps the paper's fixed-timeout defaults): gray
@@ -31,8 +39,7 @@ let default_config protocol =
   { (Config.with_protocol protocol Config.default) with
     rpc_timeout = 0.5;
     max_rounds = 8;
-    adaptive_timeouts = true;
-    hedged_reads = true;
+    adaptive = true;
   }
 
 (* The throughput schedule dimension: batched/pipelined commit under
@@ -89,8 +96,7 @@ let default_workload ~dcs ~duration =
   }
 
 let spec ?config ?(duration = 20.) ?(kinds = Schedule.all_kinds) ?workload
-    ?(min_commits = 1) ?(probe_window = 1.0) ?(max_heal_windows = 8) ~seed
-    topology =
+    ~seed topology =
   let config = Option.value config ~default:(default_config Config.Cp) in
   let dcs = Topology.size (Topology.ec2 topology) in
   let workload =
@@ -98,25 +104,13 @@ let spec ?config ?(duration = 20.) ?(kinds = Schedule.all_kinds) ?workload
   in
   if not (Float.is_finite duration && duration > 0.) then
     invalid_arg "Runner.spec: duration must be finite and positive";
-  if probe_window <= 0. then invalid_arg "Runner.spec: probe_window <= 0";
-  if max_heal_windows < 1 then invalid_arg "Runner.spec: max_heal_windows < 1";
   if workload.Ycsb.cross_ratio > 0.0 then begin
     if workload.Ycsb.groups < 2 then
       invalid_arg "Runner.spec: cross_ratio > 0 requires groups >= 2";
     if config.Config.protocol <> Config.Leader then
       invalid_arg "Runner.spec: cross_ratio > 0 requires the leader protocol"
   end;
-  {
-    seed;
-    topology;
-    config;
-    duration;
-    kinds;
-    workload;
-    min_commits;
-    probe_window;
-    max_heal_windows;
-  }
+  { seed; topology; config; duration; kinds; workload }
 
 type report = {
   run_spec : spec;
@@ -289,16 +283,15 @@ let run ?schedule ?extra_oracle spec =
      conflict with each other. A window is "up" iff some probe commit
      *completed* inside it; the completion times also give per-fault
      time-to-recovery and the bounded-unavailability oracle below. *)
-  let pw = spec.probe_window in
   let stop_probing =
-    spec.duration +. (float_of_int (spec.max_heal_windows + 2) *. pw)
+    spec.duration +. (float_of_int (max_heal_windows + 2) *. probe_window)
   in
-  let windows = int_of_float (Float.ceil (stop_probing /. pw)) in
+  let windows = int_of_float (Float.ceil (stop_probing /. probe_window)) in
   let successes = ref [] in
   (* newest first *)
   let probe_counter = ref 0 in
   for w = 0 to windows - 1 do
-    Cluster.spawn ~at:(float_of_int w *. pw) cluster (fun () ->
+    Cluster.spawn ~at:(float_of_int w *. probe_window) cluster (fun () ->
         incr probe_counter;
         let n = !probe_counter in
         (* Rotate the probing datacenter by window so a single slow or
@@ -382,7 +375,7 @@ let run ?schedule ?extra_oracle spec =
   let timeline = Array.make windows false in
   List.iter
     (fun s ->
-      let w = int_of_float (s /. pw) in
+      let w = int_of_float (s /. probe_window) in
       if w >= 0 && w < windows then timeline.(w) <- true)
     successes;
   let first_success_after t = List.find_opt (fun s -> s >= t) successes in
@@ -421,7 +414,7 @@ let run ?schedule ?extra_oracle spec =
              within [max_heal_windows] probe windows or recovery is
              unbounded. *)
           let deadline =
-            spec.duration +. (float_of_int spec.max_heal_windows *. pw)
+            spec.duration +. (float_of_int max_heal_windows *. probe_window)
           in
           if
             List.exists
@@ -433,17 +426,17 @@ let run ?schedule ?extra_oracle spec =
               (Printf.sprintf
                  "bounded unavailability: no probe commit within %d windows \
                   (%.3gs) of the final heal at %gs"
-                 spec.max_heal_windows
-                 (float_of_int spec.max_heal_windows *. pw)
+                 max_heal_windows
+                 (float_of_int max_heal_windows *. probe_window)
                  spec.duration));
         (fun () ->
-          if commits >= spec.min_commits then None
+          if commits >= min_commits then None
           else
             Some
               (Printf.sprintf
                  "progress: only %d workload commits (expected >= %d; a \
                   majority was connected throughout)"
-                 commits spec.min_commits));
+                 commits min_commits));
         (fun () ->
           List.fold_left
             (fun acc group ->
@@ -618,8 +611,7 @@ let pp_report ppf r =
     | Some v -> Printf.sprintf "VIOLATION: %s" v)
 
 let pp_timeline ppf r =
-  let pw = r.run_spec.probe_window in
-  Format.fprintf ppf "availability timeline (%gs windows): " pw;
+  Format.fprintf ppf "availability timeline (%gs windows): " probe_window;
   Array.iter (fun up -> Format.pp_print_char ppf (if up then '#' else '.')) r.timeline;
   Format.pp_print_newline ppf ();
   List.iter

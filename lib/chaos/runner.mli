@@ -8,12 +8,12 @@
     + {b availability} — after healing, a client in every datacenter can
       commit a probe transaction;
     + {b bounded unavailability} — a live prober samples commit success
-      in [probe_window]-second windows throughout the run (the
+      in {!probe_window}-second windows throughout the run (the
       availability timeline); after the final heal at [duration], some
-      probe commit must complete within [max_heal_windows] windows;
+      probe commit must complete within {!max_heal_windows} windows;
     + {b convergence} — every datacenter catches up to the global log
       head (snapshot installation included);
-    + {b progress} — the workload committed at least [min_commits]
+    + {b progress} — the workload committed at least {!min_commits}
       transactions (the generator keeps a connected majority at all
       times, so this must hold);
     + {b safety} — the full {!Mdds_core.Verify} oracle suite per group
@@ -50,38 +50,37 @@ type spec = {
   duration : float;  (** Fault window; healing starts here. *)
   kinds : Schedule.kind list;
   workload : Mdds_workload.Ycsb.config;
-  min_commits : int;
-  probe_window : float;
-      (** Width (seconds) of one availability-timeline sampling window. *)
-  max_heal_windows : int;
-      (** Bounded-unavailability budget: a probe commit must land within
-          this many probe windows of the final heal at [duration]. *)
 }
+
+val min_commits : int
+(** Workload commits the progress oracle requires (1). *)
+
+val probe_window : float
+(** Width (seconds) of one availability-timeline sampling window (1 s). *)
+
+val max_heal_windows : int
+(** Bounded-unavailability budget: a probe commit must land within this
+    many probe windows of the final heal at [duration] (8). *)
 
 val spec :
   ?config:Mdds_core.Config.t ->
   ?duration:float ->
   ?kinds:Schedule.kind list ->
   ?workload:Mdds_workload.Ycsb.config ->
-  ?min_commits:int ->
-  ?probe_window:float ->
-  ?max_heal_windows:int ->
   seed:int ->
   string ->
   spec
 (** [spec ~seed topology]. Defaults: Paxos-CP with chaos-friendly
     timeouts ([rpc_timeout = 0.5], [max_rounds = 8]) and the adaptive
-    timeout + hedged failover machinery enabled, 20 s duration, all fault
-    kinds, a workload with one thread per datacenter spread across all
-    datacenters, [min_commits = 1], 1 s probe windows, an 8-window
-    bounded-unavailability budget. Raises [Invalid_argument] unless
+    timeout + hedged failover machinery enabled ([adaptive = true]), 20 s
+    duration, all fault kinds, a workload with one thread per datacenter
+    spread across all datacenters. Raises [Invalid_argument] unless
     [duration] is finite and positive. *)
 
 val default_config : Mdds_core.Config.protocol -> Mdds_core.Config.t
 (** The chaos-friendly config for a protocol (shorter timeouts than
-    {!Mdds_core.Config.default} so runs drain quickly; adaptive timeouts
-    and hedged reads on, so every soak seed exercises the gray-failure
-    client machinery). *)
+    {!Mdds_core.Config.default} so runs drain quickly; [adaptive] on, so
+    every soak seed exercises the gray-failure client machinery). *)
 
 val throughput_config : seed:int -> Mdds_core.Config.t -> Mdds_core.Config.t
 (** The throughput schedule dimension (DESIGN.md §14): force the

@@ -86,7 +86,7 @@ val fast_path_rate : t -> float
 val note_hedge : t -> unit
 (** A service request ([begin]/[read]) was answered by a fallback
     datacenter after the local one failed or timed out — under
-    {!Config.t.hedged_reads} this is a hedged failover. Called by the
+    {!Config.t.adaptive} this is a hedged failover. Called by the
     client, counted here so the chaos report can surface it. *)
 
 val hedges : t -> int

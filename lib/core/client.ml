@@ -35,31 +35,32 @@ let now t = Engine.now (Rpc.engine t.env.Proposer.rpc)
 
 (* Datacenters to try for a service request: local first (the paper's
    co-location optimization), then the others in random order — or, under
-   [hedged_reads], nearest first by estimated RTT so a hedged retry lands
-   on the most likely responder. Unsampled destinations sort last (no
-   evidence ⇒ no preference); the sort is stable so they keep topology
-   order among themselves and draw no RNG. *)
-let service_order t =
-  let others =
-    Array.of_list (List.filter (fun d -> d <> t.env.Proposer.dc) t.env.Proposer.dcs)
-  in
-  (match (t.env.Proposer.config.Config.hedged_reads, t.env.Proposer.rtt) with
-  | true, Some rtt ->
-      let far = 2.0 *. t.env.Proposer.config.Config.rpc_timeout in
+   [Config.adaptive], nearest first by estimated RTT so a hedged retry
+   lands on the most likely responder. Unsampled destinations sort last
+   (no evidence ⇒ no preference); the sort is stable so they keep
+   topology order among themselves and draw no RNG. *)
+let service_order (env : Proposer.env) =
+  let others = Array.of_list (List.filter (fun d -> d <> env.dc) env.dcs) in
+  (match env.rtt with
+  | Some rtt ->
+      let far = 2.0 *. env.config.Config.rpc_timeout in
       let dist d = Option.value (Rtt.estimate rtt ~dst:d) ~default:far in
       Array.stable_sort (fun a b -> Float.compare (dist a) (dist b)) others
-  | _ -> Rng.shuffle t.env.Proposer.rng others);
-  t.env.Proposer.dc :: Array.to_list others
+  | None -> Rng.shuffle env.rng others);
+  env.dc :: Array.to_list others
+
+(* How many datacenters a client tries for [begin]/[read] before giving
+   up (local first, then the others; §2.2). *)
+let read_attempts = 3
 
 (* Issue a request with datacenter fallback (§2.2: "If a Transaction
    Client cannot access the Transaction Service within its own datacenter,
    it can access the Transaction Service in another datacenter"). Each
-   destination is given its adaptive timeout when the flag is on — the
+   destination is given its adaptive timeout under [Config.adaptive] — the
    hedged-failover delay — and the full fixed [rpc_timeout] otherwise.
    Replies feed the RTT estimator; a reply from a non-local datacenter is
    a counted failover. *)
 let request_with_fallback t req ~describe =
-  let config = t.env.Proposer.config in
   let rec go attempts = function
     | [] -> raise (Unavailable describe)
     | _ when attempts <= 0 -> raise (Unavailable describe)
@@ -77,7 +78,7 @@ let request_with_fallback t req ~describe =
             if dst <> t.env.Proposer.dc then Audit.note_hedge t.audit;
             resp)
   in
-  go config.read_attempts (service_order t)
+  go read_attempts (service_order t.env)
 
 let begin_txn t ~group ~txn_id =
   match request_with_fallback t (Messages.Get_read_position { group }) ~describe:"begin" with
@@ -187,6 +188,10 @@ let commit_basic t txn (record : Txn.record) =
       if !exposed then (Audit.Unknown, stats)
       else (Audit.Aborted { reason = Audit.Unavailable; promotions = 0 }, stats)
 
+(* Max candidate transactions for the exhaustive ordering search; beyond
+   it, the greedy single pass is used (§5). *)
+let exhaustive_combination_limit = 4
+
 let commit_cp t txn (record : Txn.record) =
   let config = t.env.Proposer.config in
   let own = [ record ] in
@@ -203,9 +208,9 @@ let commit_cp t txn (record : Txn.record) =
             let voted = List.filter_map (fun (r : _ Tally.response) ->
                 Option.map snd r.vote) votes
             in
-            Combine.best ~probe_budget:config.combine_probe_budget ~own:record
+            Combine.best ~own:record
               ~candidates:(Combine.candidates_of_votes ~own:record voted)
-              ~exhaustive_limit:config.exhaustive_combination_limit ()
+              ~exhaustive_limit:exhaustive_combination_limit
           else own
         in
         exposed := true;
@@ -247,46 +252,52 @@ let commit_cp t txn (record : Txn.record) =
   in
   go (txn.read_position + 1) 0 Audit.no_stats
 
-(* Long-term-leader protocol: probe a manager for liveness, then hand it
-   the whole transaction. A submission that times out after being sent is
-   in doubt — it may still commit at the manager — so the client reports
-   [Unknown] rather than guessing (the probe keeps this rare: an
-   unreachable manager is detected before anything is submitted). *)
-let commit_leader t txn (record : Txn.record) =
+(* Long-term-leader transport, under {!commit_leader} and every 2PC step:
+   probe a manager for liveness, then hand it the whole record; an
+   unreachable manager is skipped for the next datacenter (round-robin
+   from [initial_leader]). [`Unreachable] means nothing was submitted;
+   otherwise the raw Submit reply, [None] being a submission that timed
+   out — in doubt, it may still commit at the manager (the probe keeps
+   this rare: an unreachable manager is detected before anything is
+   submitted). *)
+let leader_submit t ~group (record : Txn.record) =
   let config = t.env.Proposer.config in
   let total = List.length t.env.Proposer.dcs in
-  let probe dst =
-    match
-      Rpc.call t.env.Proposer.rpc ~src:t.env.Proposer.dc ~dst
-        ~timeout:config.rpc_timeout
-        (Messages.Get_read_position { group = txn.group })
-    with
-    | Some _ -> true
-    | None -> false
-  in
-  let submit dst =
-    Rpc.call t.env.Proposer.rpc ~src:t.env.Proposer.dc ~dst
-      ~timeout:(Config.submit_timeout config)
-      (Messages.Submit { group = txn.group; record })
+  let call dst ~timeout msg =
+    Rpc.call t.env.Proposer.rpc ~src:t.env.Proposer.dc ~dst ~timeout msg
   in
   let rec go attempts manager =
-    if attempts <= 0 then Audit.Aborted { reason = Audit.Unavailable; promotions = 0 }
-    else if not (probe manager) then go (attempts - 1) ((manager + 1) mod total)
+    if attempts <= 0 then `Unreachable
     else
-      match submit manager with
-      | Some (Messages.Submit_reply { result = Messages.Accepted_at position }) ->
-          Audit.Committed { position; promotions = 0; combined = false }
-      | Some (Messages.Submit_reply { result = Messages.Stale_read }) ->
-          Audit.Aborted { reason = Audit.Conflict; promotions = 0 }
-      | Some (Messages.Submit_reply { result = Messages.In_doubt }) ->
-          Audit.Unknown
-      | Some (Messages.Submit_reply { result = Messages.No_quorum })
-      | Some (Messages.Failed _) ->
-          Audit.Aborted { reason = Audit.Unavailable; promotions = 0 }
-      | Some _ -> Audit.Aborted { reason = Audit.Unavailable; promotions = 0 }
-      | None -> Audit.Unknown (* in doubt: submitted but no reply *)
+      match
+        call manager ~timeout:config.rpc_timeout
+          (Messages.Get_read_position { group })
+      with
+      | None -> go (attempts - 1) ((manager + 1) mod total)
+      | Some _ ->
+          `Reply
+            (call manager ~timeout:(Config.submit_timeout config)
+               (Messages.Submit { group; record }))
   in
-  (go (total + 1) (config.initial_leader mod total), Audit.no_stats)
+  go (total + 1) (config.initial_leader mod total)
+
+(* Long-term-leader protocol: the manager's reply decides the outcome; a
+   submission left without a reply is in doubt and reported [Unknown]
+   rather than guessed. *)
+let commit_leader t txn (record : Txn.record) =
+  let outcome =
+    match leader_submit t ~group:txn.group record with
+    | `Reply (Some (Messages.Submit_reply { result = Messages.Accepted_at position })) ->
+        Audit.Committed { position; promotions = 0; combined = false }
+    | `Reply (Some (Messages.Submit_reply { result = Messages.Stale_read })) ->
+        Audit.Aborted { reason = Audit.Conflict; promotions = 0 }
+    | `Reply (Some (Messages.Submit_reply { result = Messages.In_doubt }))
+    | `Reply None ->
+        Audit.Unknown
+    | `Reply (Some _) | `Unreachable ->
+        Audit.Aborted { reason = Audit.Unavailable; promotions = 0 }
+  in
+  (outcome, Audit.no_stats)
 
 let commit txn =
   if txn.finished then invalid_arg "Client.commit: transaction already finished";
@@ -394,41 +405,19 @@ let part m ~group ~what =
 let read_in m ~group key = read (part m ~group ~what:"read_in") key
 let write_in m ~group key value = write (part m ~group ~what:"write_in") key value
 
-(* Submit one record through the leader protocol's probe/rotate loop —
-   the transport under every 2PC step. Unlike {!commit_leader} the caller
+(* Submit one record for a 2PC step. Unlike {!commit_leader} the caller
    needs to distinguish "the manager refused, nothing was logged"
    ([`Rejected]) from "the record may have been logged" ([`Maybe]):
    presumed abort is only sound in the former. A reply is only trusted as
    [`Rejected] when it is the manager's explicit admission refusal;
    everything else after a submission went out is [`Maybe]. *)
-let manager_submit t ~group (record : Txn.record) =
-  let config = t.env.Proposer.config in
-  let total = List.length t.env.Proposer.dcs in
-  let probe dst =
-    match
-      Rpc.call t.env.Proposer.rpc ~src:t.env.Proposer.dc ~dst
-        ~timeout:config.rpc_timeout
-        (Messages.Get_read_position { group })
-    with
-    | Some _ -> true
-    | None -> false
-  in
-  let submit dst =
-    Rpc.call t.env.Proposer.rpc ~src:t.env.Proposer.dc ~dst
-      ~timeout:(Config.submit_timeout config)
-      (Messages.Submit { group; record })
-  in
-  let rec go attempts manager =
-    if attempts <= 0 then `Unreachable
-    else if not (probe manager) then go (attempts - 1) ((manager + 1) mod total)
-    else
-      match submit manager with
-      | Some (Messages.Submit_reply { result = Messages.Accepted_at position }) ->
-          `Accepted position
-      | Some (Messages.Submit_reply { result = Messages.Stale_read }) -> `Rejected
-      | Some _ | None -> `Maybe
-  in
-  go (total + 1) (config.initial_leader mod total)
+let manager_submit t ~group record =
+  match leader_submit t ~group record with
+  | `Unreachable -> `Unreachable
+  | `Reply (Some (Messages.Submit_reply { result = Messages.Accepted_at position })) ->
+      `Accepted position
+  | `Reply (Some (Messages.Submit_reply { result = Messages.Stale_read })) -> `Rejected
+  | `Reply _ -> `Maybe
 
 let commit_multi m =
   if m.mfinished then

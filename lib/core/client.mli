@@ -17,8 +17,8 @@
 module Txn = Mdds_types.Txn
 
 exception Unavailable of string
-(** No Transaction Service in any datacenter answered (within the
-    configured attempts); raised by {!begin_} and {!read}. *)
+(** No Transaction Service answered within three datacenter attempts;
+    raised by {!begin_} and {!read}. *)
 
 type t
 
@@ -33,6 +33,13 @@ val create :
   t
 
 val dc : t -> int
+
+val service_order : Proposer.env -> int list
+(** The datacenters {!begin_} and {!read} try, in order: the local one
+    first, then the others — in random order (one shuffle of the env's
+    RNG) under the paper's default, or nearest first by estimated RTT
+    under [Config.adaptive], with unsampled datacenters last in topology
+    order. *)
 
 type txn
 

@@ -37,41 +37,7 @@ let candidates_of_votes ~own entries =
    first strictly-longer ordering wins — is exactly the pre-planner
    order, which keeps the selected ordering (and every figure downstream
    of it) byte-identical. *)
-exception Budget_exhausted
-
-(* Probe budget actually exceeded at a position (the paper's own greedy
-   fallback, §4.2/§5, then takes over). Cumulative and domain-safe: the
-   harness and the CLIs report it so a figure workload silently leaning on
-   the fallback is visible. *)
-let cutover_count = Atomic.make 0
-
-let cutovers () = Atomic.get cutover_count
-
-(* Sized from the planner's true worst case at the production
-   [exhaustive_limit = 4]: four mutually independent candidates price
-   3536 insertion probes (every subset in every insertion sequence stays
-   valid), so 8192 gives a >2x margin — figure workloads never cut over —
-   while still rejecting the ~10^7-probe trees that 8 independent
-   candidates at a raised limit produce. *)
-let default_probe_budget = 8192
-
-(* Worst-case probe count for [n] candidates: every partial ordering
-   valid, so level k has nodes(k) = nodes(k-1)·(n-k+1)·(k+1) insertion
-   sequences, each pricing (n-k)·(k+2) probes. Conflicts only prune, so
-   the actual search never exceeds this — which makes it a sound
-   cut-over predictor: if the worst case fits the budget, the search is
-   guaranteed to finish within it and [Budget_exhausted] cannot fire.
-   Computed in float (the count is factorial in [n]) and compared
-   against the budget by the caller. *)
-let worst_case_probes n =
-  let total = ref 0.0 and nodes = ref 1.0 in
-  for k = 0 to n - 1 do
-    total := !total +. (!nodes *. float_of_int ((n - k) * (k + 2)));
-    nodes := !nodes *. float_of_int ((n - k) * (k + 1))
-  done;
-  !total
-
-let exhaustive ?(budget = max_int) ~own candidates =
+let exhaustive ~own candidates =
   let all = Array.of_list (own :: candidates) in
   let n = Array.length all in
   (* rf.(i).(j): all.(i) reads a key all.(j) wrote. The diagonal is forced
@@ -80,10 +46,6 @@ let exhaustive ?(budget = max_int) ~own candidates =
     Array.init n (fun i ->
         Array.init n (fun j -> j <> i && Txn.reads_from all.(i) all.(j)))
   in
-  (* Insertion probes priced so far; raising [Budget_exhausted] abandons
-     the search tree wholesale — partial results are useless because the
-     enumeration order is load-bearing (first maximal ordering wins). *)
-  let probes = ref 0 in
   let best = ref [ 0 ] in
   let best_len = ref 1 in
   let rec go ordering len remaining =
@@ -108,8 +70,6 @@ let exhaustive ?(budget = max_int) ~own candidates =
         (* Forward pass: thread condition (a) incrementally, recursing at
            each admissible position in left-to-right order. *)
         let rec probe p prefix suffix =
-          incr probes;
-          if !probes > budget then raise Budget_exhausted;
           if not bad_after.(p) then
             go (List.rev_append prefix (x :: suffix)) (len + 1) rest;
           match suffix with
@@ -141,24 +101,7 @@ let greedy ~own candidates =
   in
   own :: List.rev kept
 
-let best ?(probe_budget = default_probe_budget) ~own ~candidates
-    ~exhaustive_limit () =
+let best ~own ~candidates ~exhaustive_limit =
   let candidates = distinct_candidates ~own candidates in
-  let n = List.length candidates in
-  if n > exhaustive_limit then greedy ~own candidates
-  else if worst_case_probes n > float_of_int probe_budget then begin
-    (* Predicted cutover: don't pay for a search that could blow the
-       budget — commit paths must not stall on adversarial conflict
-       shapes, and a search abandoned mid-tree is wasted work anyway
-       (the enumeration order is load-bearing, partial results are
-       unusable). *)
-    Atomic.incr cutover_count;
-    greedy ~own candidates
-  end
-  else
-    (* The worst case fits the budget, so the in-search guard cannot
-       fire; it stays as a backstop against the predictor rotting. *)
-    try exhaustive ~budget:probe_budget ~own candidates
-    with Budget_exhausted ->
-      Atomic.incr cutover_count;
-      greedy ~own candidates
+  if List.length candidates > exhaustive_limit then greedy ~own candidates
+  else exhaustive ~own candidates

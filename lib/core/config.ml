@@ -3,22 +3,12 @@ type protocol = Basic | Cp | Leader
 type t = {
   protocol : protocol;
   rpc_timeout : float;
-  processing_delay : float;
   max_promotions : int option;
   enable_combination : bool;
   enable_fast_path : bool;
-  exhaustive_combination_limit : int;
-  combine_probe_budget : int;
   max_rounds : int;
-  backoff_min : float;
-  backoff_max : float;
-  prepare_linger : float;
-  read_attempts : int;
   initial_leader : int;
-  adaptive_timeouts : bool;
-  adaptive_floor : float;
-  adaptive_multiplier : float;
-  hedged_reads : bool;
+  adaptive : bool;
   batch_max : int;
   batch_fill : float;
   pipeline_depth : int;
@@ -28,22 +18,12 @@ let default =
   {
     protocol = Cp;
     rpc_timeout = 2.0;
-    processing_delay = 0.02;
     max_promotions = None;
     enable_combination = true;
     enable_fast_path = true;
-    exhaustive_combination_limit = 4;
-    combine_probe_budget = Combine.default_probe_budget;
     max_rounds = 25;
-    backoff_min = 0.002;
-    backoff_max = 0.040;
-    prepare_linger = 0.01;
-    read_attempts = 3;
     initial_leader = 0;
-    adaptive_timeouts = false;
-    adaptive_floor = 0.05;
-    adaptive_multiplier = 3.0;
-    hedged_reads = false;
+    adaptive = false;
     batch_max = 1;
     batch_fill = 0.005;
     pipeline_depth = 1;
@@ -65,11 +45,10 @@ let submit_timeout t =
 (* Knob validation at construction: each of these combinations is not a
    tuning choice but a contradiction (a batcher that can hold no
    transaction, a pipeline with no slots, a fill wait that is negative or
-   not finite, a backoff window of negative width, an adaptive floor above
-   the cap it feeds). Catching them here turns undefined downstream
-   behavior — infinite defer loops, empty windows, a NaN fill that
-   silently skips the wait, [Rng.uniform] on an inverted interval — into
-   an immediate, descriptive error. *)
+   not finite, a timeout cap below the adaptive floor it clamps). Catching
+   them here turns undefined downstream behavior — infinite defer loops,
+   empty windows, a NaN fill that silently skips the wait — into an
+   immediate, descriptive error. *)
 let validate t =
   let fail fmt = Printf.ksprintf invalid_arg ("Config.make: " ^^ fmt) in
   if t.batch_max < 1 then fail "batch_max = %d (must be >= 1)" t.batch_max;
@@ -77,23 +56,18 @@ let validate t =
     fail "pipeline_depth = %d (must be >= 1)" t.pipeline_depth;
   if not (Float.is_finite t.batch_fill && t.batch_fill >= 0.0) then
     fail "batch_fill = %g (must be finite and >= 0)" t.batch_fill;
-  if t.backoff_min > t.backoff_max then
-    fail "backoff_min = %g > backoff_max = %g" t.backoff_min t.backoff_max;
-  if t.adaptive_floor > t.rpc_timeout then
-    fail "adaptive_floor = %g > rpc_timeout = %g (the floor feeds a timeout capped at rpc_timeout)"
-      t.adaptive_floor t.rpc_timeout;
+  if t.rpc_timeout < Rtt.floor then
+    fail "rpc_timeout = %g < adaptive floor %g (the floor feeds a timeout capped at rpc_timeout)"
+      t.rpc_timeout Rtt.floor;
   t
 
-let make ?(base = default) ?rpc_timeout ?backoff_min ?backoff_max
-    ?adaptive_floor ?batch_max ?pipeline_depth ?batch_fill () =
+let make ?(base = default) ?rpc_timeout ?batch_max ?pipeline_depth
+    ?batch_fill () =
   let field v = function Some v -> v | None -> v in
   validate
     {
       base with
       rpc_timeout = field base.rpc_timeout rpc_timeout;
-      backoff_min = field base.backoff_min backoff_min;
-      backoff_max = field base.backoff_max backoff_max;
-      adaptive_floor = field base.adaptive_floor adaptive_floor;
       batch_max = field base.batch_max batch_max;
       pipeline_depth = field base.pipeline_depth pipeline_depth;
       batch_fill = field base.batch_fill batch_fill;

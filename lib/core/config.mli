@@ -2,7 +2,12 @@
 
     The defaults reproduce the paper's prototype (§6): 2 s message-loss
     timeout, the leader-per-position fast path enabled, combination and
-    unlimited promotion for Paxos-CP. *)
+    unlimited promotion for Paxos-CP. Parameters the prototype fixes and
+    no caller varies are constants in the module that reads them: the
+    2–40 ms retry backoff and prepare linger ({!Proposer}), the read
+    attempts and combination search limit ({!Client}), the per-request
+    service cost ({!Service}) and the adaptive floor and multiplier
+    ({!Rtt}). *)
 
 type protocol =
   | Basic  (** The basic Paxos commit protocol (§4). *)
@@ -20,61 +25,30 @@ type t = {
   protocol : protocol;
   rpc_timeout : float;
       (** Seconds before an unanswered message counts as lost (paper: 2 s). *)
-  processing_delay : float;
-      (** Service-side processing time per request, seconds — stands in for
-          the HBase operation cost in the paper's prototype. *)
   max_promotions : int option;
       (** Promotion attempts before aborting; [None] = unlimited (paper). *)
   enable_combination : bool;  (** Paxos-CP combination enhancement. *)
   enable_fast_path : bool;
       (** Leader-per-log-position optimization (§4.1): skip the prepare
           phase when first at the position's leader. *)
-  exhaustive_combination_limit : int;
-      (** Max candidate transactions for the exhaustive ordering search;
-          beyond it, the greedy single pass is used (§5). *)
-  combine_probe_budget : int;
-      (** Insertion probes the exhaustive combination search may spend
-          before cutting over to the greedy pass (see {!Combine.best}).
-          The default never triggers at the default
-          [exhaustive_combination_limit]; it only guards raised limits. *)
   max_rounds : int;
       (** Ballot attempts per log position before reporting the system
           unavailable (liveness valve; Paxos alone cannot guarantee
           termination under contention). *)
-  backoff_min : float;
-  backoff_max : float;
-      (** Uniform random sleep bounds (seconds) before re-entering the
-          prepare phase (Algorithm 2, lines 40 and 55). *)
-  prepare_linger : float;
-      (** Extra seconds to keep collecting prepare responses after a
-          quorum of promises, so the tally sees more than a bare majority
-          (the combination window of §5 depends on it). *)
-  read_attempts : int;
-      (** How many datacenters a client tries for [begin]/[read] before
-          giving up (local first, then random others; §2.2). *)
   initial_leader : int;
       (** [Leader] protocol: the datacenter clients prefer as transaction
           manager; on unreachability they probe the next one (round-robin). *)
-  adaptive_timeouts : bool;
+  adaptive : bool;
       (** [false] (paper behaviour, default): every call and broadcast
-          waits the fixed [rpc_timeout]. [true]: per-destination adaptive
-          timeouts from an EWMA of observed RTTs ({!Rtt}), clamped to
-          [[adaptive_floor, rpc_timeout]] — a slow-but-alive or silent
+          waits the fixed [rpc_timeout], and [begin]/[read] fall back to
+          the other datacenters in random order. [true]: the client keeps
+          a per-destination EWMA of observed RTTs ({!Rtt}) and uses it
+          twice — as adaptive timeouts clamped to
+          [[Rtt.floor, rpc_timeout]], so a slow-but-alive or silent
           datacenter is given up on after a few believed RTTs instead of
-          the full fixed window. Off ⇒ byte-identical figures. *)
-  adaptive_floor : float;
-      (** Lower clamp of the adaptive timeout (seconds); guards against
-          an over-confident estimator starving a genuinely slow reply. *)
-  adaptive_multiplier : float;
-      (** Adaptive timeout = [adaptive_multiplier × ewma RTT], clamped. *)
-  hedged_reads : bool;
-      (** [false] (paper behaviour, default): [begin]/[read] fall back to
-          the other datacenters in random order after full timeouts.
-          [true]: fall back in nearest-first order (lowest estimated RTT
-          first) after the adaptive per-destination delay — the hedged
-          failover that keeps reads live while a local datacenter is slow
-          or half-cut. Requires {!adaptive_timeouts} to shorten the
-          per-destination wait; the ordering alone needs only samples. *)
+          the full fixed window, and as a nearest-first fallback order for
+          [begin]/[read] (hedged failover). Off ⇒ byte-identical
+          figures. *)
   batch_max : int;
       (** [Leader] protocol throughput mode: max queued transactions the
           manager combines into one log position ({!Mdds_core.Combine}'s
@@ -126,9 +100,6 @@ val throughput : ?batch_max:int -> ?pipeline_depth:int -> t -> t
 val make :
   ?base:t ->
   ?rpc_timeout:float ->
-  ?backoff_min:float ->
-  ?backoff_max:float ->
-  ?adaptive_floor:float ->
   ?batch_max:int ->
   ?pipeline_depth:int ->
   ?batch_fill:float ->
@@ -137,11 +108,10 @@ val make :
 (** [make ()] is {!default}; each optional argument overrides one field
     of [base] (default {!default}). Raises [Invalid_argument] with a
     descriptive message on contradictory knobs: [batch_max < 1],
-    [pipeline_depth < 1], a negative or non-finite [batch_fill],
-    [backoff_min > backoff_max], or
-    [adaptive_floor > rpc_timeout] — each of which would otherwise be
-    undefined behavior downstream (empty batch windows, inverted
-    backoff intervals, a timeout floor above its cap). *)
+    [pipeline_depth < 1], a negative or non-finite [batch_fill], or
+    [rpc_timeout] below {!Rtt.floor} — each of which would otherwise be
+    undefined behavior downstream (empty batch windows, a timeout floor
+    above its cap). *)
 
 val with_protocol : protocol -> t -> t
 

@@ -20,28 +20,23 @@ type env = {
 
 let make_env ~rpc ~config ~dc ~dcs ~rng ~trace =
   let rtt =
-    if config.Config.adaptive_timeouts || config.Config.hedged_reads then
+    if config.Config.adaptive then
       Some
-        (Rtt.create ~multiplier:config.Config.adaptive_multiplier
-           ~floor:config.Config.adaptive_floor ~cap:config.Config.rpc_timeout
-           ~dcs:(List.length dcs) ())
+        (Rtt.create ~floor:Rtt.floor ~cap:config.Config.rpc_timeout
+           ~dcs:(List.length dcs))
     else None
   in
   { rpc; config; dc; dcs; rng; trace; trace_source = Printf.sprintf "prop.dc%d" dc; rtt }
 
-(* Adaptive timeouts are only *used* when the flag is on; with only
-   hedged_reads set the estimator still collects samples (for ordering)
-   but every wait stays the paper's fixed rpc_timeout. *)
 let timeout_for env ~dst =
   match env.rtt with
-  | Some rtt when env.config.Config.adaptive_timeouts -> Rtt.timeout rtt ~dst
-  | _ -> env.config.Config.rpc_timeout
+  | Some rtt -> Rtt.timeout rtt ~dst
+  | None -> env.config.Config.rpc_timeout
 
 let broadcast_timeout env =
   match env.rtt with
-  | Some rtt when env.config.Config.adaptive_timeouts ->
-      Rtt.broadcast_timeout rtt ~dsts:env.dcs
-  | _ -> env.config.Config.rpc_timeout
+  | Some rtt -> Rtt.broadcast_timeout rtt ~dsts:env.dcs
+  | None -> env.config.Config.rpc_timeout
 
 let observer env =
   match env.rtt with
@@ -57,11 +52,17 @@ type stats = { prepare_rounds : int; accept_rounds : int; fast_path_used : bool 
 let quorum env = Tally.majority (List.length env.dcs)
 
 (* Backoff before re-entering the prepare phase (Algorithm 2, lines 40 and
-   55): a uniform draw from [min, max] — exactly the paper's prototype,
-   and exactly one RNG draw per retry. *)
-let backoff env =
-  Engine.sleep
-    (Rng.uniform env.rng env.config.Config.backoff_min env.config.backoff_max)
+   55): a uniform draw from [2 ms, 40 ms] — exactly the paper's
+   prototype, and exactly one RNG draw per retry. *)
+let backoff_min = 0.002
+let backoff_max = 0.040
+
+let backoff env = Engine.sleep (Rng.uniform env.rng backoff_min backoff_max)
+
+(* Extra seconds to keep collecting prepare responses after a quorum of
+   promises, so the tally sees more than a bare majority (the combination
+   window of §5 depends on it). *)
+let prepare_linger = 0.01
 
 (* Broadcast apply to every datacenter (Figure 3, step 6). Remote applies
    are one-way; the local one is confirmed synchronously so that the next
@@ -114,7 +115,7 @@ let prepare_round env ~group ~pos ~ballot =
   let replies =
     Rpc.broadcast env.rpc ~src:env.dc ~dsts:env.dcs
       ~timeout:(broadcast_timeout env) ?observe:(observer env)
-      ~linger:env.config.prepare_linger
+      ~linger:prepare_linger
       ~enough:(fun responses ->
         List.length
           (List.filter

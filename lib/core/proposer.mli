@@ -27,9 +27,9 @@ type env = {
       (** Interned trace source ("prop.dc<N>"): built once per env so the
           per-instance hot path never formats it. Use {!make_env}. *)
   rtt : Rtt.t option;
-      (** Per-destination RTT estimator; [Some] iff
-          [config.adaptive_timeouts || config.hedged_reads] (see
-          {!make_env}), [None] under the paper's fixed-timeout default. *)
+      (** Per-destination RTT estimator; [Some] iff [config.adaptive]
+          (see {!make_env}), [None] under the paper's fixed-timeout
+          default. *)
 }
 
 val make_env :
@@ -40,17 +40,17 @@ val make_env :
   rng:Mdds_sim.Rng.t ->
   trace:Mdds_sim.Trace.t ->
   env
-(** Build an env with its interned trace source (and, when the config
-    asks for adaptive timeouts or hedged reads, its RTT estimator). *)
+(** Build an env with its interned trace source (and, when
+    [config.adaptive], its RTT estimator). *)
 
 val timeout_for : env -> dst:int -> float
 (** The wait for a single call to [dst]: the adaptive per-destination
-    timeout when [config.adaptive_timeouts], else exactly
+    timeout when [rtt] is [Some], else exactly
     [config.rpc_timeout] (the paper's fixed 2 s). *)
 
 val broadcast_timeout : env -> float
 (** The wait for a quorum round: max adaptive timeout over all
-    datacenters when [config.adaptive_timeouts], else
+    datacenters when [rtt] is [Some], else
     [config.rpc_timeout]. *)
 
 type choice =

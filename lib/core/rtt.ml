@@ -1,31 +1,35 @@
-(* Per-destination EWMA round-trip estimator backing the adaptive timeout
-   (Config.adaptive_timeouts) and hedged-read ordering
-   (Config.hedged_reads). Pure arithmetic — no RNG, no clock — so
-   creating one never perturbs a deterministic run. *)
+(* Per-destination EWMA round-trip estimator backing the adaptive
+   timeouts and nearest-first fallback order of Config.adaptive. Pure
+   arithmetic — no RNG, no clock — so creating one never perturbs a
+   deterministic run. *)
 
 type t = {
   floor : float;
   cap : float;
-  alpha : float;
-  multiplier : float;
   ewma : float array; (* per destination; nan = no sample yet *)
 }
 
-let default_alpha = 0.125 (* TCP's 1/8: smooth but responsive *)
+(* Guards against an over-confident estimator starving a genuinely slow
+   reply: no adaptive timeout is shorter than 50 ms. *)
+let floor = 0.05
 
-let create ?(alpha = default_alpha) ?(multiplier = 3.0) ~floor ~cap ~dcs () =
+let alpha = 0.125 (* TCP's 1/8: smooth but responsive *)
+
+(* A timeout of a few believed RTTs: long enough for ordinary jitter,
+   short enough that a silent datacenter is given up on quickly. *)
+let multiplier = 3.0
+
+let create ~floor ~cap ~dcs =
   if floor <= 0.0 || cap < floor then
     invalid_arg "Rtt.create: need 0 < floor <= cap";
-  if alpha <= 0.0 || alpha > 1.0 then invalid_arg "Rtt.create: alpha not in (0,1]";
-  if multiplier < 1.0 then invalid_arg "Rtt.create: multiplier < 1";
-  { floor; cap; alpha; multiplier; ewma = Array.make dcs Float.nan }
+  { floor; cap; ewma = Array.make dcs Float.nan }
 
 let observe t ~dst sample =
   if sample >= 0.0 && dst >= 0 && dst < Array.length t.ewma then
     let old = t.ewma.(dst) in
     t.ewma.(dst) <-
       (if Float.is_nan old then sample
-       else ((1.0 -. t.alpha) *. old) +. (t.alpha *. sample))
+       else ((1.0 -. alpha) *. old) +. (alpha *. sample))
 
 let estimate t ~dst =
   if dst < 0 || dst >= Array.length t.ewma then None
@@ -40,7 +44,7 @@ let clamp t x = Float.min t.cap (Float.max t.floor x)
 let timeout t ~dst =
   match estimate t ~dst with
   | None -> t.cap
-  | Some e -> clamp t (t.multiplier *. e)
+  | Some e -> clamp t (multiplier *. e)
 
 let broadcast_timeout t ~dsts =
   List.fold_left (fun acc dst -> Float.max acc (timeout t ~dst)) t.floor dsts

@@ -5,26 +5,26 @@
     a fixed timeout either waits far too long (healthy RTTs are tens of
     milliseconds) or cannot be shortened safely. The estimator tracks an
     exponentially weighted moving average of observed RTTs per
-    destination and derives a timeout of [multiplier × ewma], clamped to
-    [[floor, cap]] where [cap] is {!Config.t.rpc_timeout} — so the
-    adaptive timeout is never longer than the paper's, and never shorter
-    than the floor. A destination with no samples gets the full [cap]:
-    adaptivity only tightens after evidence.
+    destination (weight 1/8 per new sample, TCP's smoothing constant)
+    and derives a timeout of [3 × ewma], clamped to [[floor, cap]] where
+    [cap] is {!Config.t.rpc_timeout} — so the adaptive timeout is never
+    longer than the paper's, and never shorter than the floor. A
+    destination with no samples gets the full [cap]: adaptivity only
+    tightens after evidence.
 
     Pure arithmetic — no RNG, no clock access — so creating and feeding
-    one never perturbs a deterministic run. Behind
-    {!Config.t.adaptive_timeouts}, which defaults to the paper's fixed
-    timeout. *)
+    one never perturbs a deterministic run. Behind {!Config.t.adaptive},
+    which defaults to the paper's fixed timeout. *)
 
 type t
 
-val create :
-  ?alpha:float -> ?multiplier:float -> floor:float -> cap:float -> dcs:int ->
-  unit -> t
-(** [alpha] is the EWMA weight of a new sample (default 1/8, TCP's
-    smoothing constant); [multiplier] scales the mean into a timeout
-    (default 3). Raises [Invalid_argument] unless
-    [0 < floor <= cap], [0 < alpha <= 1] and [multiplier >= 1]. *)
+val floor : float
+(** The floor every client estimator uses (0.05 s): no adaptive timeout
+    is shorter, so an over-confident estimate cannot starve a genuinely
+    slow reply. *)
+
+val create : floor:float -> cap:float -> dcs:int -> t
+(** Raises [Invalid_argument] unless [0 < floor <= cap]. *)
 
 val observe : t -> dst:int -> float -> unit
 (** Feed one observed round-trip time (seconds). Negative samples and

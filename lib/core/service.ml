@@ -202,6 +202,10 @@ let cache_coherent t ~group =
       | Error _ as e -> e
       | Ok () -> Acceptor_store.coherent t.acceptors ~group)
 
+(* Service-side processing time per request, seconds: stands in for the
+   HBase operation cost in the paper's prototype (§6). *)
+let processing_delay = 0.02
+
 let start ?(storage = Store.Sync_always) ~rpc ~config ~dc ~dcs ~trace () =
   let store = Store.create ~mode:storage () in
   let wal = Wal.create store in
@@ -228,6 +232,6 @@ let start ?(storage = Store.Sync_always) ~rpc ~config ~dc ~dcs ~trace () =
       dup_applies = 0;
     }
   in
-  Rpc.serve rpc ~node:dc ~processing:config.processing_delay (fun ~src request ->
+  Rpc.serve rpc ~node:dc ~processing:processing_delay (fun ~src request ->
       handle t ~src request);
   t

@@ -24,7 +24,17 @@ let rtt_between a b =
 
 let loopback_rtt = 0.0003
 
+(* A loss outside [0,1] or a negative jitter has no meaning (and a NaN
+   would silently poison every delay or drop draw). *)
+let check_link ~fn ~loss ~jitter =
+  if not (loss >= 0.0 && loss <= 1.0) then
+    invalid_arg (Printf.sprintf "Topology.%s: loss = %g (must be in [0,1])" fn loss);
+  if not (Float.is_finite jitter && jitter >= 0.0) then
+    invalid_arg
+      (Printf.sprintf "Topology.%s: jitter = %g (must be finite and >= 0)" fn jitter)
+
 let ec2 ?(loss = 0.002) ?(jitter = 0.1) spec =
+  check_link ~fn:"ec2" ~loss ~jitter;
   if String.length spec = 0 then invalid_arg "Topology.ec2: empty spec";
   String.iter
     (fun c ->
@@ -48,6 +58,7 @@ let ec2 ?(loss = 0.002) ?(jitter = 0.1) spec =
   make ~names ~link
 
 let uniform ~n ~rtt ?(loss = 0.0) ?(jitter = 0.0) () =
+  check_link ~fn:"uniform" ~loss ~jitter;
   let names = Array.init n (fun i -> Printf.sprintf "dc%d" i) in
   let link i j =
     if i = j then { delay = loopback_rtt /. 2.0; jitter; loss = 0.0 }

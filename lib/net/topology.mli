@@ -34,10 +34,12 @@ val ec2 : ?loss:float -> ?jitter:float -> string -> t
     ['O'] Oregon, ['C'] N. California. E.g. ["VVV"], ["COV"], ["VVVOC"].
     Latencies follow §6; [loss] (default 0.002) and [jitter] (default 0.1)
     apply to every non-loopback link. Raises [Invalid_argument] on other
-    characters or an empty spec. *)
+    characters, an empty spec, a [loss] outside [[0,1]] or a negative or
+    non-finite [jitter]. *)
 
 val uniform : n:int -> rtt:float -> ?loss:float -> ?jitter:float -> unit -> t
-(** A symmetric [n]-datacenter topology with the given inter-DC RTT. *)
+(** A symmetric [n]-datacenter topology with the given inter-DC RTT.
+    Rejects [loss] and [jitter] like {!ec2}. *)
 
 val rtt : t -> int -> int -> float
 (** Mean round-trip time i→j→i, seconds. *)

@@ -134,6 +134,9 @@ let run_worker cluster config handle ~index ~txns =
 let run cluster config =
   if config.threads <= 0 then invalid_arg "Ycsb.run: threads must be positive";
   if config.client_dcs = [] then invalid_arg "Ycsb.run: client_dcs empty";
+  if not (Float.is_finite config.rate && config.rate > 0.0) then
+    invalid_arg "Ycsb.run: rate must be finite and positive";
+  if config.attributes < 1 then invalid_arg "Ycsb.run: attributes must be positive";
   let handle = { begin_failures = 0; finished = 0 } in
   if config.preload then run_preload cluster config;
   let base = config.total_txns / config.threads in

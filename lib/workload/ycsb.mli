@@ -68,4 +68,6 @@ val preload_id : string
 val run : Mdds_core.Cluster.t -> config -> handle
 (** Spawn the preload (if any) and all worker processes; the caller then
     drives the simulation with {!Mdds_core.Cluster.run}. Outcomes land in
-    the cluster's audit trail. *)
+    the cluster's audit trail. Raises [Invalid_argument] unless [threads]
+    and [attributes] are positive, [client_dcs] is non-empty and [rate]
+    is finite and positive. *)

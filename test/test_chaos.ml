@@ -39,7 +39,7 @@ let test_battery () =
             (Config.protocol_name proto) seed v (Runner.repro report));
       Alcotest.(check bool)
         "made progress" true
-        (report.Runner.commits >= spec.Runner.min_commits))
+        (report.Runner.commits >= Runner.min_commits))
     battery_combos
 
 (* ------------------------------------------------------------------ *)
@@ -81,7 +81,7 @@ let test_throughput_battery () =
         (Config.throughput_mode r.Runner.run_spec.Runner.config);
       Alcotest.(check bool)
         "made progress" true
-        (r.Runner.commits >= r.Runner.run_spec.Runner.min_commits))
+        (r.Runner.commits >= Runner.min_commits))
     reports;
   let module Service = Mdds_core.Service in
   let batched, pipelined, stalls =
@@ -258,7 +258,7 @@ let test_gray_failures () =
   Alcotest.(check bool)
     "timeline covers run + heal windows" true
     (Array.length report.Runner.timeline
-    >= int_of_float (spec.Runner.duration /. spec.Runner.probe_window));
+    >= int_of_float (spec.Runner.duration /. Runner.probe_window));
   Alcotest.(check bool) "some windows were up" true (Runner.up_windows report > 0);
   Alcotest.(check int)
     "one ttr entry per fault"

@@ -218,14 +218,14 @@ let test_service_restart_keeps_promises () =
 
 let test_combine_includes_own () =
   let own = record "own" ~reads:[ "a" ] in
-  let result = Combine.best ~own ~candidates:[] ~exhaustive_limit:4 () in
+  let result = Combine.best ~own ~candidates:[] ~exhaustive_limit:4 in
   Alcotest.(check bool) "own alone" true (Txn.equal_entry result [ own ])
 
 let test_combine_compatible () =
   let own = record "own" ~reads:[ "a" ] ~writes:[ ("a", "1") ] in
   let c1 = record "c1" ~reads:[ "b" ] ~writes:[ ("b", "1") ] in
   let c2 = record "c2" ~reads:[ "c" ] ~writes:[ ("c", "1") ] in
-  let result = Combine.best ~own ~candidates:[ c1; c2 ] ~exhaustive_limit:4 () in
+  let result = Combine.best ~own ~candidates:[ c1; c2 ] ~exhaustive_limit:4 in
   Alcotest.(check int) "all three" 3 (List.length result);
   Alcotest.(check bool) "valid" true (Txn.valid_combination result);
   Alcotest.(check bool) "contains own" true (Txn.mem_entry ~txn_id:"own" result)
@@ -235,7 +235,7 @@ let test_combine_ordering_matters () =
      would drop it, the exhaustive search keeps it by reordering. *)
   let own = record "own" ~writes:[ ("a", "1") ] in
   let c = record "c" ~reads:[ "a" ] ~writes:[ ("b", "1") ] in
-  let result = Combine.best ~own ~candidates:[ c ] ~exhaustive_limit:4 () in
+  let result = Combine.best ~own ~candidates:[ c ] ~exhaustive_limit:4 in
   Alcotest.(check int) "both kept" 2 (List.length result);
   match result with
   | [ first; second ] ->
@@ -248,14 +248,14 @@ let test_combine_conflicting_dropped () =
      reads what they write — no valid two-element ordering. *)
   let own = record "own" ~reads:[ "x" ] ~writes:[ ("y", "1") ] in
   let cand = record "c" ~reads:[ "y" ] ~writes:[ ("x", "1") ] in
-  let result = Combine.best ~own ~candidates:[ cand ] ~exhaustive_limit:4 () in
+  let result = Combine.best ~own ~candidates:[ cand ] ~exhaustive_limit:4 in
   Alcotest.(check bool) "own only" true (Txn.equal_entry result [ own ])
 
 let test_combine_dedup () =
   let own = record "own" in
   let c = record "c" in
   let result =
-    Combine.best ~own ~candidates:[ c; c; record "own" ] ~exhaustive_limit:4 ()
+    Combine.best ~own ~candidates:[ c; c; record "own" ] ~exhaustive_limit:4
   in
   Alcotest.(check int) "deduplicated" 2 (List.length result)
 
@@ -265,42 +265,25 @@ let test_combine_greedy_beyond_limit () =
     List.init 8 (fun i ->
         record (Printf.sprintf "c%d" i) ~writes:[ (Printf.sprintf "k%d" i, "1") ])
   in
-  let result = Combine.best ~own ~candidates ~exhaustive_limit:4 () in
+  let result = Combine.best ~own ~candidates ~exhaustive_limit:4 in
   Alcotest.(check int) "greedy keeps all disjoint" 9 (List.length result);
   Alcotest.(check bool) "valid" true (Txn.valid_combination result)
 
 let test_combine_budget_cutover () =
-  (* 8 independent candidates at a raised limit: the exhaustive planner's
-     tree is ~10^6 probes, far past any sane budget, so [best] must abandon
-     it, count the cutover, and answer with the greedy pass — which keeps
-     every disjoint candidate here, so the answer is still maximal. *)
+  (* 8 independent candidates past the limit: [best] answers with the
+     greedy pass — the same answer as at limit 0, where candidates always
+     exceed it — which keeps every disjoint candidate here, so the answer
+     is still maximal. *)
   let own = record "own" ~writes:[ ("o", "1") ] in
   let candidates =
     List.init 8 (fun i ->
         record (Printf.sprintf "c%d" i) ~writes:[ (Printf.sprintf "k%d" i, "1") ])
   in
-  let before = Combine.cutovers () in
-  let budgeted =
-    Combine.best ~probe_budget:100 ~own ~candidates ~exhaustive_limit:8 ()
-  in
-  Alcotest.(check int) "cutover counted" (before + 1) (Combine.cutovers ());
-  Alcotest.(check bool) "budgeted answer = greedy answer" true
-    (Txn.equal_entry budgeted
-       (* greedy == best at limit 0 (candidates always exceed it) *)
-       (Combine.best ~own ~candidates ~exhaustive_limit:0 ()));
-  Alcotest.(check bool) "still valid" true (Txn.valid_combination budgeted);
-  Alcotest.(check int) "still maximal here" 9 (List.length budgeted);
-  (* The default budget is sized to never trigger at the production
-     exhaustive limit (worst case 3536 probes vs 8192): the same shape at
-     limit 4 — four independent candidates, the most expensive shape —
-     must stay on the exhaustive path. *)
-  let at_default = Combine.cutovers () in
-  ignore
-    (Combine.best ~own
-       ~candidates:(List.filteri (fun i _ -> i < 4) candidates)
-       ~exhaustive_limit:4 ());
-  Alcotest.(check int) "no cutover at the default limit" at_default
-    (Combine.cutovers ())
+  let answer = Combine.best ~own ~candidates ~exhaustive_limit:4 in
+  Alcotest.(check bool) "answer = greedy answer" true
+    (Txn.equal_entry answer (Combine.best ~own ~candidates ~exhaustive_limit:0));
+  Alcotest.(check bool) "still valid" true (Txn.valid_combination answer);
+  Alcotest.(check int) "still maximal here" 9 (List.length answer)
 
 let test_candidates_of_votes () =
   let own = record "own" in
@@ -368,7 +351,7 @@ let prop_combine_exhaustive_is_optimal =
       match records with
       | [] -> true
       | own :: candidates ->
-          let result = Combine.best ~own ~candidates ~exhaustive_limit:4 () in
+          let result = Combine.best ~own ~candidates ~exhaustive_limit:4 in
           List.length result = brute_force_best ~own ~candidates)
 
 let prop_combine_always_valid =
@@ -389,7 +372,7 @@ let prop_combine_always_valid =
       match records with
       | [] -> true
       | own :: candidates ->
-          let result = Combine.best ~own ~candidates ~exhaustive_limit:3 () in
+          let result = Combine.best ~own ~candidates ~exhaustive_limit:3 in
           Txn.valid_combination result
           && Txn.mem_entry ~txn_id:own.Txn.txn_id result)
 
@@ -488,7 +471,7 @@ let prop_combine_identical_ordering =
       match records with
       | [] -> true
       | own :: candidates ->
-          ordering_ids (Combine.best ~own ~candidates ~exhaustive_limit:4 ())
+          ordering_ids (Combine.best ~own ~candidates ~exhaustive_limit:4)
           = ordering_ids (ref_best ~own ~candidates ~exhaustive_limit:4))
 
 let prop_combine_identical_ordering_deep =
@@ -501,7 +484,7 @@ let prop_combine_identical_ordering_deep =
       match records with
       | [] -> true
       | own :: candidates ->
-          ordering_ids (Combine.best ~probe_budget:max_int ~own ~candidates ~exhaustive_limit:6 ())
+          ordering_ids (Combine.best ~own ~candidates ~exhaustive_limit:6)
           = ordering_ids (ref_best ~own ~candidates ~exhaustive_limit:6))
 
 (* ------------------------------------------------------------------ *)
@@ -621,7 +604,7 @@ let prop_rtt_bounded =
     QCheck.(list (pair (int_bound 4) (float_range 0.0 10.0)))
     (fun samples ->
       let floor = 0.05 and cap = 2.0 in
-      let rtt = Rtt.create ~floor ~cap ~dcs:3 () in
+      let rtt = Rtt.create ~floor ~cap ~dcs:3 in
       List.iter (fun (dst, s) -> Rtt.observe rtt ~dst s) samples;
       let dsts = [ 0; 1; 2 ] in
       let bounded t = t >= floor && t <= cap in
@@ -635,7 +618,7 @@ let prop_rtt_monotone =
   QCheck.Test.make ~name:"ewma timeout moves toward the samples" ~count:300
     QCheck.(pair (list (float_range 0.001 5.0)) (float_range 0.001 5.0))
     (fun (warmup, sample) ->
-      let rtt = Rtt.create ~floor:0.01 ~cap:10.0 ~dcs:1 () in
+      let rtt = Rtt.create ~floor:0.01 ~cap:10.0 ~dcs:1 in
       List.iter (fun s -> Rtt.observe rtt ~dst:0 s) warmup;
       let before = Rtt.timeout rtt ~dst:0 in
       let est = Rtt.estimate rtt ~dst:0 in
@@ -646,7 +629,7 @@ let prop_rtt_monotone =
       | Some e -> if sample >= e then after >= before else after <= before)
 
 let test_timeout_fallback_exact () =
-  (* With the flags off the client must behave byte-identically to the
+  (* With the flag off the client must behave byte-identically to the
      paper's fixed timeout: no estimator is built and [timeout_for]
      returns [rpc_timeout] exactly. *)
   let engine = Mdds_sim.Engine.create ~seed:1 () in
@@ -658,14 +641,14 @@ let test_timeout_fallback_exact () =
       ~trace:(Mdds_sim.Trace.create engine)
   in
   let off = mk Config.default in
-  Alcotest.(check bool) "no estimator when flags off" true (off.Proposer.rtt = None);
+  Alcotest.(check bool) "no estimator when flag off" true (off.Proposer.rtt = None);
   Alcotest.(check (float 0.0)) "timeout_for is exactly rpc_timeout"
     Config.default.Config.rpc_timeout
     (Proposer.timeout_for off ~dst:1);
   Alcotest.(check (float 0.0)) "broadcast_timeout is exactly rpc_timeout"
     Config.default.Config.rpc_timeout
     (Proposer.broadcast_timeout off);
-  let on = mk { Config.default with Config.adaptive_timeouts = true } in
+  let on = mk { Config.default with Config.adaptive = true } in
   (match on.Proposer.rtt with
   | None -> Alcotest.fail "estimator missing with flag on"
   | Some rtt ->
@@ -680,10 +663,44 @@ let test_timeout_fallback_exact () =
       Alcotest.(check bool) "samples tighten the timeout" true
         (Proposer.timeout_for on ~dst:1 < Config.default.Config.rpc_timeout);
       Alcotest.(check bool) "never below the floor" true
-        (Proposer.timeout_for on ~dst:1 >= Config.default.Config.adaptive_floor));
+        (Proposer.timeout_for on ~dst:1 >= Rtt.floor));
   Alcotest.check_raises "floor > cap rejected"
     (Invalid_argument "Rtt.create: need 0 < floor <= cap") (fun () ->
-      ignore (Rtt.create ~floor:3.0 ~cap:2.0 ~dcs:3 ()))
+      ignore (Rtt.create ~floor:3.0 ~cap:2.0 ~dcs:3));
+  Alcotest.check_raises "rpc_timeout below the adaptive floor rejected"
+    (Invalid_argument
+       "Config.make: rpc_timeout = 0.01 < adaptive floor 0.05 (the floor \
+        feeds a timeout capped at rpc_timeout)")
+    (fun () -> ignore (Config.make ~rpc_timeout:0.01 ()));
+  Alcotest.(check (float 0.0)) "rpc_timeout at the floor accepted" Rtt.floor
+    (Config.make ~rpc_timeout:Rtt.floor ()).Config.rpc_timeout
+
+let test_adaptive_fallback_order () =
+  (* Under [adaptive] the client tries its own datacenter first, then the
+     others nearest first by estimated RTT; unsampled ones come last, in
+     topology order, and no RNG is drawn for the ordering. *)
+  let engine = Mdds_sim.Engine.create ~seed:1 () in
+  let net = Mdds_net.Network.create engine (Topology.ec2 "VVVOC") in
+  let rpc = Mdds_net.Rpc.create net in
+  let env =
+    Proposer.make_env ~rpc
+      ~config:{ Config.default with Config.adaptive = true }
+      ~dc:2 ~dcs:[ 0; 1; 2; 3; 4 ] ~rng:(Mdds_sim.Rng.create 1)
+      ~trace:(Mdds_sim.Trace.create engine)
+  in
+  Alcotest.(check (list int)) "unsampled: topology order" [ 2; 0; 1; 3; 4 ]
+    (Client.service_order env);
+  (match env.Proposer.rtt with
+  | None -> Alcotest.fail "estimator missing with flag on"
+  | Some rtt ->
+      Rtt.observe rtt ~dst:2 0.5;
+      Rtt.observe rtt ~dst:4 0.2;
+      Rtt.observe rtt ~dst:1 0.01);
+  Alcotest.(check (list int)) "local, nearest first, unsampled last"
+    [ 2; 1; 4; 0; 3 ] (Client.service_order env);
+  Alcotest.(check int) "no RNG drawn"
+    (Mdds_sim.Rng.int (Mdds_sim.Rng.create 1) 1_000_000)
+    (Mdds_sim.Rng.int env.Proposer.rng 1_000_000)
 
 let test_service_duplicate_apply_idempotent () =
   (* A duplicated or replayed apply for an already-recorded position is
@@ -788,6 +805,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_rtt_monotone;
           Alcotest.test_case "exact fallback with flags off" `Quick
             test_timeout_fallback_exact;
+          Alcotest.test_case "fallback order nearest first" `Quick
+            test_adaptive_fallback_order;
         ] );
       ( "duplicate-delivery",
         [

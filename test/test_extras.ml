@@ -139,7 +139,7 @@ let test_runner_retries_conflicts_to_success () =
 let test_runner_gives_up_at_cap () =
   (* With everything down, the runner performs exactly max_attempts when
      asked to retry unavailability. *)
-  let config = { Config.default with rpc_timeout = 0.2; max_rounds = 2; read_attempts = 1 } in
+  let config = { Config.default with rpc_timeout = 0.2; max_rounds = 2 } in
   let cluster = Cluster.create ~seed:2 ~config (Topology.ec2 "VVV") in
   Cluster.take_down cluster 1;
   Cluster.take_down cluster 2;

@@ -28,7 +28,31 @@ let test_topology_invalid () =
   Alcotest.check_raises "bad region" (Invalid_argument "Topology.ec2: regions are V, O, C")
     (fun () -> ignore (Topology.ec2 "VX"));
   Alcotest.check_raises "empty" (Invalid_argument "Topology.ec2: empty spec")
-    (fun () -> ignore (Topology.ec2 ""))
+    (fun () -> ignore (Topology.ec2 ""));
+  (* Loss outside [0,1] and a negative or non-finite jitter, for both
+     constructors; the bounds themselves are valid. *)
+  let ec2 ~loss ~jitter = Topology.ec2 ~loss ~jitter "VVV" in
+  let uniform ~loss ~jitter = Topology.uniform ~n:3 ~rtt:0.1 ~loss ~jitter () in
+  List.iter
+    (fun (fn, build) ->
+      let rejects ~loss ~jitter msg =
+        Alcotest.check_raises msg
+          (Invalid_argument (Printf.sprintf "Topology.%s: %s" fn msg))
+          (fun () -> ignore (build ~loss ~jitter))
+      in
+      List.iter
+        (fun (loss, shown) ->
+          rejects ~loss ~jitter:0.1
+            (Printf.sprintf "loss = %s (must be in [0,1])" shown))
+        [ (1.5, "1.5"); (-0.1, "-0.1"); (Float.nan, "nan") ];
+      List.iter
+        (fun (jitter, shown) ->
+          rejects ~loss:0.0 ~jitter
+            (Printf.sprintf "jitter = %s (must be finite and >= 0)" shown))
+        [ (-0.1, "-0.1"); (Float.nan, "nan"); (Float.infinity, "inf") ];
+      ignore (build ~loss:0.0 ~jitter:0.0);
+      ignore (build ~loss:1.0 ~jitter:0.0))
+    [ ("ec2", ec2); ("uniform", uniform) ]
 
 let test_topology_uniform () =
   let t = Topology.uniform ~n:3 ~rtt:0.1 () in

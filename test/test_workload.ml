@@ -128,7 +128,17 @@ let test_invalid_configs () =
       ignore (Ycsb.run cluster { small with Ycsb.threads = 0 }));
   Alcotest.check_raises "no client dcs"
     (Invalid_argument "Ycsb.run: client_dcs empty") (fun () ->
-      ignore (Ycsb.run cluster { small with Ycsb.client_dcs = [] }))
+      ignore (Ycsb.run cluster { small with Ycsb.client_dcs = [] }));
+  List.iter
+    (fun rate ->
+      Alcotest.check_raises
+        (Printf.sprintf "rate %g" rate)
+        (Invalid_argument "Ycsb.run: rate must be finite and positive")
+        (fun () -> ignore (Ycsb.run cluster { small with Ycsb.rate })))
+    [ 0.0; -1.0; Float.nan; Float.infinity ];
+  Alcotest.check_raises "zero attributes"
+    (Invalid_argument "Ycsb.run: attributes must be positive") (fun () ->
+      ignore (Ycsb.run cluster { small with Ycsb.attributes = 0 }))
 
 let test_read_write_mix () =
   (* With read_fraction 0, every op is a write; with 1.0, every txn is

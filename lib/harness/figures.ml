@@ -1015,11 +1015,13 @@ let all =
     ("ext-knobs", "throughput knob grid: batch x depth x fill x topology", fun () -> ext_knobs ());
   ]
 
-let run_ids ids =
+let resolve ids =
   let ids = if ids = [] then List.map (fun (id, _, _) -> id) all else ids in
-  List.iter
+  List.map
     (fun id ->
       match List.find_opt (fun (id', _, _) -> id = id') all with
-      | Some (_, _, run) -> run ()
-      | None -> invalid_arg ("Figures.run_ids: unknown figure " ^ id))
+      | Some (_, _, run) -> (id, run)
+      | None -> invalid_arg ("Figures.resolve: unknown figure " ^ id))
     ids
+
+let run_ids ids = List.iter (fun (_, run) -> run ()) (resolve ids)

@@ -76,6 +76,11 @@ val ext_groups : ?seeds:int list -> unit -> unit
 val all : (string * string * (unit -> unit)) list
 (** [(id, description, run)] for every reproduction above. *)
 
+val resolve : string list -> (string * (unit -> unit)) list
+(** [(id, run)] for each named reproduction, in order, or for all of them
+    given [[]]. Raises [Invalid_argument] naming the first unknown id. *)
+
 val run_ids : string list -> unit
 (** Run the named reproductions ("fig4a" … "text-cp"), or all of them for
-    [[]]; unknown ids raise [Invalid_argument]. *)
+    [[]]. Every id is resolved before any runs, so an unknown id raises
+    [Invalid_argument] with nothing printed. *)

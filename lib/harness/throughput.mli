@@ -95,8 +95,7 @@ val pp_point : Format.formatter -> point -> unit
 val pp_table : Format.formatter -> point list -> unit
 
 val to_json : point list -> string
-(** The sweep as a JSON array (schema used by [mdds throughput --out]
-    and the ["throughput"] section of BENCH_harness.json). *)
+(** The sweep as a JSON array (schema used by [mdds throughput --out]). *)
 
 val knob_sweep :
   ?seed:int ->

@@ -179,6 +179,54 @@ let test_bad_rate_rejected rate () =
       ignore
         (Throughput.run_point ~mode:Throughput.baseline ~rate ~txns:10 ()))
 
+(* Saturation floors (DESIGN.md §14): virtual-time goodput ratios at
+   over-saturated offered rates, deterministic in the seed, so the floors
+   can be tight. At 150/s, far past the unbatched baseline's ~20
+   committed/s on VVV, batching and a long fill window (fill bound 64,
+   depth 1, 50 ms) must each sustain [throughput_floor] x the baseline.
+   At 2000/s a fill bound of 8 keeps one group consensus-round bound, so
+   four independent group logs must lift aggregate goodput by
+   [groups_floor] x. *)
+let throughput_floor = 2.0
+let groups_floor = 1.8
+
+let long_fill ~batch_max =
+  Throughput.batched ~batch_max ~pipeline_depth:1 ~fill:0.05 ()
+
+let test_saturation_floors ~txns ~groups_txns () =
+  let goodput ?groups ~rate ~txns mode =
+    let p = Throughput.run_point ~seed:42 ?groups ~mode ~rate ~txns () in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s at %.0f/s verified" mode.Throughput.label rate)
+      true
+      (p.Throughput.verified = Ok ());
+    p.Throughput.committed_per_s
+  in
+  let floor name ratio min =
+    if not (ratio >= min) then
+      Alcotest.failf "%s: %.2fx is below the %.1fx floor" name ratio min
+  in
+  let base = goodput ~rate:150.0 ~txns Throughput.baseline in
+  let batched = goodput ~rate:150.0 ~txns (Throughput.batched ()) in
+  let long = goodput ~rate:150.0 ~txns (long_fill ~batch_max:64) in
+  floor "batched / baseline" (batched /. base) throughput_floor;
+  floor "long fill / baseline" (long /. base) throughput_floor;
+  let groups n =
+    goodput ~groups:n ~rate:2000.0 ~txns:groups_txns (long_fill ~batch_max:8)
+  in
+  floor "4 groups / 1 group" (groups 4 /. groups 1) groups_floor
+
+(* Every id resolves before any figure runs: an unknown one is refused
+   without first printing the tables of the ids before it. *)
+let test_unknown_figure_rejected () =
+  let module Figures = Mdds_harness.Figures in
+  Alcotest.(check int) "no ids means every figure"
+    (List.length Figures.all)
+    (List.length (Figures.resolve []));
+  Alcotest.check_raises "unknown id"
+    (Invalid_argument "Figures.resolve: unknown figure nope")
+    (fun () -> Figures.run_ids [ "fig4a"; "nope" ])
+
 let () =
   Alcotest.run "harness"
     [
@@ -206,5 +254,17 @@ let () =
             (test_bad_rate_rejected Float.infinity);
           Alcotest.test_case "NaN rate rejected" `Quick
             (test_bad_rate_rejected Float.nan);
+        ] );
+      ( "saturation-floors",
+        [
+          Alcotest.test_case "short runs (300/1200 txns)" `Quick
+            (test_saturation_floors ~txns:300 ~groups_txns:1200);
+          Alcotest.test_case "long runs (1200/2400 txns)" `Quick
+            (test_saturation_floors ~txns:1200 ~groups_txns:2400);
+        ] );
+      ( "figures",
+        [
+          Alcotest.test_case "unknown id rejected before any runs" `Quick
+            test_unknown_figure_rejected;
         ] );
     ]

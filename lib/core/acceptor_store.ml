@@ -8,8 +8,14 @@ module Codec = Mdds_codec.Codec
 
 (* Decoded acceptor state as cached per position: the durable row's
    attributes are the truth; [nb] keeps the raw nextBal attribute so the
-   next conditional save tests against exactly what the store holds. *)
-type cached = { state : Txn.entry Acceptor.state; nb : string option }
+   next conditional save tests against exactly what the store holds, and
+   [vote] the raw vote attribute, so a prepare (which keeps the vote)
+   writes it back without re-encoding the entry. *)
+type cached = {
+  state : Txn.entry Acceptor.state;
+  nb : string option;
+  vote : string;
+}
 
 (* One group's interned row-key prefixes (replaces per-message sprintf)
    and its write-through decoded view of the paxos/ rows. *)
@@ -49,36 +55,44 @@ let claim_key g ~pos = g.claim_prefix ^ string_of_int pos
 
 let vote_codec = Codec.(option (pair Ballot.codec Txn.entry_codec))
 
+let no_vote = Codec.encode vote_codec None
+
+(* [Some (ballot, entry)] under [vote_codec], from the entry's
+   [Txn.entry_codec] bytes: the option tag, the ballot, then the entry
+   verbatim. *)
+let vote_bytes ballot ~encoded =
+  String.concat "" [ "\001"; Codec.encode Ballot.codec ballot; encoded ]
+
 let decode attrs =
+  let nb = Row.attribute attrs "nb" in
   let next_bal =
-    match Row.attribute attrs "nb" with
-    | None -> Ballot.bottom
-    | Some s -> Ballot.of_string s
+    match nb with None -> Ballot.bottom | Some s -> Ballot.of_string s
   in
+  let raw = Row.attribute attrs "vote" in
   let vote =
-    match Row.attribute attrs "vote" with
-    | None -> None
-    | Some s -> Codec.decode_exn vote_codec s
+    match raw with None -> None | Some s -> Codec.decode_exn vote_codec s
   in
-  { state = { Acceptor.next_bal; vote }; nb = Row.attribute attrs "nb" }
+  {
+    state = { Acceptor.next_bal; vote };
+    nb;
+    vote = Option.value raw ~default:no_vote;
+  }
 
 let load_fresh t g ~pos =
   match Store.read t.store ~key:(paxos_key g ~pos) () with
-  | None -> { state = Acceptor.initial; nb = None }
+  | None -> { state = Acceptor.initial; nb = None; vote = no_vote }
   | Some (_, attrs) -> decode attrs
 
-let load t g ~pos =
-  let c = Tbl.find_or_add g.cache pos (fun () -> load_fresh t g ~pos) in
-  (c.state, c.nb)
+let load t g ~pos = Tbl.find_or_add g.cache pos (fun () -> load_fresh t g ~pos)
 
 (* Conditional save keyed on the nextBal attribute, mirroring Algorithm 1
    lines 9 and 18: the write goes through only if nextBal has not changed
    since we read the state. The cache follows the store: updated only when
    the conditional write lands, dropped when it does not (someone else owns
-   the row's current value). *)
-let save t g ~pos ~expected_nb (state : Txn.entry Acceptor.state) =
+   the row's current value). [vote] is [state.vote] already encoded. *)
+let save t g ~pos ~expected_nb ~vote (state : Txn.entry Acceptor.state) =
   let nb = Ballot.to_string state.next_bal in
-  let attrs = [ ("nb", nb); ("vote", Codec.encode vote_codec state.vote) ] in
+  let attrs = [ ("nb", nb); ("vote", vote) ] in
   let ok =
     Store.check_and_write t.store ~key:(paxos_key g ~pos) ~test_attribute:"nb"
       ~test_value:expected_nb attrs
@@ -88,22 +102,23 @@ let save t g ~pos ~expected_nb (state : Txn.entry Acceptor.state) =
      reply leaves this datacenter. *)
   if ok then begin
     Store.sync t.store;
-    Hashtbl.replace g.cache pos { state; nb = Some nb }
+    Hashtbl.replace g.cache pos { state; nb = Some nb; vote }
   end
   else Hashtbl.remove g.cache pos;
   ok
 
-let state t ~group:name ~pos = fst (load t (group t name) ~pos)
+let state t ~group:name ~pos = (load t (group t name) ~pos).state
 
 let prepare t ~group:name ~pos ~ballot =
   let g = group t name in
   let rec go () =
-    let state, nb = load t g ~pos in
-    let state', reply = Acceptor.on_prepare state ballot in
+    let c = load t g ~pos in
+    let state', reply = Acceptor.on_prepare c.state ballot in
     match reply with
     | Acceptor.Reject next_bal -> Messages.Prepare_reject { next_bal }
     | Acceptor.Promise vote ->
-        if save t g ~pos ~expected_nb:nb state' then Messages.Promise { vote }
+        if save t g ~pos ~expected_nb:c.nb ~vote:c.vote state' then
+          Messages.Promise { vote }
         else go () (* state changed: retry *)
   in
   go ()
@@ -130,11 +145,11 @@ let sequenced_ok t g ~name ~pos ~ballot ~prev =
   pos > 1
   && pos - 1 > Wal.compacted_position t.wal ~group:name
   &&
-  match (fst (load t g ~pos:(pos - 1))).Acceptor.vote with
+  match (load t g ~pos:(pos - 1)).state.Acceptor.vote with
   | Some (pb, pe) -> Ballot.equal pb ballot && Txn.equal_entry pe prev
   | None -> false
 
-let accept t ~group:name ~pos ~ballot ~entry ~sequenced =
+let accept t ~group:name ~pos ~ballot ~entry ~encoded ~sequenced =
   let g = group t name in
   let rec go () =
     let refused =
@@ -142,14 +157,17 @@ let accept t ~group:name ~pos ~ballot ~entry ~sequenced =
       | None -> false
       | Some prev -> not (sequenced_ok t g ~name ~pos ~ballot ~prev)
     in
-    let state, nb = load t g ~pos in
+    let c = load t g ~pos in
     if refused then
-      Messages.Accept_reply { ok = false; next_bal = state.Acceptor.next_bal }
+      Messages.Accept_reply { ok = false; next_bal = c.state.Acceptor.next_bal }
     else
-      let state', ok = Acceptor.on_accept state ballot entry in
+      let state', ok = Acceptor.on_accept c.state ballot entry in
       if not ok then
-        Messages.Accept_reply { ok = false; next_bal = state.next_bal }
-      else if save t g ~pos ~expected_nb:nb state' then
+        Messages.Accept_reply { ok = false; next_bal = c.state.next_bal }
+      else if
+        save t g ~pos ~expected_nb:c.nb ~vote:(vote_bytes ballot ~encoded)
+          state'
+      then
         Messages.Accept_reply { ok = true; next_bal = state'.next_bal }
       else go ()
   in
@@ -270,5 +288,10 @@ let coherent t ~group:name =
                      name pos
                      (Option.value cached.nb ~default:"<absent>")
                      (Option.value fresh.nb ~default:"<absent>"))
+              else if not (String.equal cached.vote fresh.vote) then
+                Error
+                  (Printf.sprintf
+                     "acceptor/%s/%d: cached vote bytes differ from the store"
+                     name pos)
               else Ok ())
         g.cache (Ok ())

@@ -5,8 +5,9 @@
     [claim/<group>/<pos>] row (the leadership-claim register) per log
     position — and is updated only through [check_and_write] retry
     loops, so any number of concurrent handlers are safe. A decoded
-    write-through cache of the paxos rows serves repeat reads; it is
-    volatile (see {!reset}) and always rebuildable from the rows.
+    write-through cache of the paxos rows serves repeat reads, and keeps
+    each row's raw vote bytes so a promise rewrites them as they are; it
+    is volatile (see {!reset}) and always rebuildable from the rows.
 
     The caller guards compacted and quarantined positions; everything
     here answers from the rows as they stand. *)
@@ -32,11 +33,23 @@ val accept :
   pos:int ->
   ballot:Mdds_paxos.Ballot.t ->
   entry:Mdds_types.Txn.entry ->
+  encoded:string ->
   sequenced:Mdds_types.Txn.entry option ->
   Messages.response
 (** Algorithm 1, lines 15–22. A [sequenced] (pipelined round-0) accept
     is granted only if this acceptor's vote at [pos - 1] is that very
-    ballot for that very entry (DESIGN.md §14). *)
+    ballot for that very entry (DESIGN.md §14). [encoded] is [entry]
+    under {!Mdds_types.Txn.entry_codec}; the vote row is spliced from it
+    ({!vote_bytes}) instead of re-encoding the entry. *)
+
+val vote_codec :
+  (Mdds_paxos.Ballot.t * Mdds_types.Txn.entry) option Mdds_codec.Codec.t
+(** The encoding of the vote attribute of a paxos row. *)
+
+val vote_bytes : Mdds_paxos.Ballot.t -> encoded:string -> string
+(** [vote_bytes ballot ~encoded] equals
+    [Codec.encode vote_codec (Some (ballot, entry))] whenever [encoded]
+    is [Codec.encode Txn.entry_codec entry]. *)
 
 val claim : t -> group:string -> pos:int -> claimant:string -> Messages.response
 (** The durable first-wins leadership register (§4.1): [first] for

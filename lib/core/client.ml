@@ -3,6 +3,7 @@ module Tally = Mdds_paxos.Tally
 module Rpc = Mdds_net.Rpc
 module Engine = Mdds_sim.Engine
 module Rng = Mdds_sim.Rng
+module Trace = Mdds_sim.Trace
 
 exception Unavailable of string
 
@@ -98,7 +99,7 @@ let begin_txn t ~group ~txn_id =
 
 let begin_ t ~group =
   t.txn_counter <- t.txn_counter + 1;
-  let txn_id = Printf.sprintf "%s/%d" t.id t.txn_counter in
+  let txn_id = t.id ^ "/" ^ string_of_int t.txn_counter in
   begin_txn t ~group ~txn_id
 
 let txn_id txn = txn.txn_id
@@ -305,17 +306,20 @@ let commit txn =
   let t = txn.client in
   let commit_started_at = now t in
   let observed = List.rev txn.reads in
+  (* [Trace.record] skips the formatting when tracing is off, but not the
+     evaluation of its arguments: the outcome text is built only when on. *)
   let finish ?(stats = Audit.no_stats) record outcome =
-    Mdds_sim.Trace.record t.env.Proposer.trace
-      ~source:("cli." ^ t.id) ~category:"commit"
-      "%s: %s" txn.txn_id
-      (match outcome with
-      | Audit.Committed { position; promotions; _ } ->
-          Printf.sprintf "committed pos=%d promotions=%d" position promotions
-      | Audit.Aborted { reason; _ } ->
-          Format.asprintf "aborted (%a)" Audit.pp_reason reason
-      | Audit.Read_only_committed -> "read-only commit"
-      | Audit.Unknown -> "in doubt");
+    let trace = t.env.Proposer.trace in
+    if Trace.enabled trace then
+      Trace.record trace ~source:("cli." ^ t.id) ~category:"commit" "%s: %s"
+        txn.txn_id
+        (match outcome with
+        | Audit.Committed { position; promotions; _ } ->
+            Printf.sprintf "committed pos=%d promotions=%d" position promotions
+        | Audit.Aborted { reason; _ } ->
+            Format.asprintf "aborted (%a)" Audit.pp_reason reason
+        | Audit.Read_only_committed -> "read-only commit"
+        | Audit.Unknown -> "in doubt");
     Audit.record t.audit
       {
         Audit.group = txn.group;
@@ -391,7 +395,7 @@ let begin_multi t ~groups =
   let groups = List.sort_uniq String.compare groups in
   if groups = [] then invalid_arg "Client.begin_multi: no groups";
   t.txn_counter <- t.txn_counter + 1;
-  let txn_id = Printf.sprintf "%s/%d" t.id t.txn_counter in
+  let txn_id = t.id ^ "/" ^ string_of_int t.txn_counter in
   let mparts = List.map (fun group -> (group, begin_txn t ~group ~txn_id)) groups in
   { mclient = t; mtxn_id = txn_id; mbegan_at = now t; mparts; mfinished = false }
 
@@ -454,16 +458,18 @@ let commit_multi m =
                parts)
       in
       let finish outcome =
-        Mdds_sim.Trace.record t.env.Proposer.trace ~source:("cli." ^ t.id)
-          ~category:"commit" "%s: cross(%s) %s" txid
-          (String.concat "+" groups)
-          (match outcome with
-          | Audit.Committed { position; _ } ->
-              Printf.sprintf "committed decision-pos=%d" position
-          | Audit.Aborted { reason; _ } ->
-              Format.asprintf "aborted (%a)" Audit.pp_reason reason
-          | Audit.Read_only_committed -> "read-only commit"
-          | Audit.Unknown -> "in doubt");
+        let trace = t.env.Proposer.trace in
+        if Trace.enabled trace then
+          Trace.record trace ~source:("cli." ^ t.id) ~category:"commit"
+            "%s: cross(%s) %s" txid
+            (String.concat "+" groups)
+            (match outcome with
+            | Audit.Committed { position; _ } ->
+                Printf.sprintf "committed decision-pos=%d" position
+            | Audit.Aborted { reason; _ } ->
+                Format.asprintf "aborted (%a)" Audit.pp_reason reason
+            | Audit.Read_only_committed -> "read-only commit"
+            | Audit.Unknown -> "in doubt");
         Audit.record t.audit
           {
             Audit.group = Twopc.audit_group groups;

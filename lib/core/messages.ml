@@ -16,9 +16,10 @@ type request =
       pos : int;
       ballot : Ballot.t;
       entry : Txn.entry;
+      encoded : string;
       sequenced : Txn.entry option;
     }
-  | Apply of { group : string; pos : int; entry : Txn.entry }
+  | Apply of { group : string; pos : int; entry : Txn.entry; encoded : string }
   | Claim_leadership of { group : string; pos : int; claimant : string }
   | Submit of { group : string; record : Txn.record }
   | Get_snapshot of { group : string }
@@ -35,17 +36,28 @@ type response =
   | Snapshot_reply of { applied : int; rows : (string * int * string) list }
   | Failed of string
 
+let encode_entry entry = Mdds_codec.Codec.encode Txn.entry_codec entry
+
+let or_encode encoded entry =
+  match encoded with Some bytes -> bytes | None -> encode_entry entry
+
+let accept ~group ~pos ~ballot ?sequenced ?encoded entry =
+  Accept { group; pos; ballot; entry; encoded = or_encode encoded entry; sequenced }
+
+let apply ~group ~pos ?encoded entry =
+  Apply { group; pos; entry; encoded = or_encode encoded entry }
+
 let pp_request ppf = function
   | Get_read_position { group } -> Format.fprintf ppf "get_read_position(%s)" group
   | Read { group; key; position } ->
       Format.fprintf ppf "read(%s,%s@%d)" group key position
   | Prepare { group; pos; ballot } ->
       Format.fprintf ppf "prepare(%s,%d,%a)" group pos Ballot.pp ballot
-  | Accept { group; pos; ballot; entry; sequenced } ->
+  | Accept { group; pos; ballot; entry; sequenced; encoded = _ } ->
       Format.fprintf ppf "accept(%s,%d,%a,%a%s)" group pos Ballot.pp ballot
         Txn.pp_entry entry
         (if sequenced <> None then ",seq" else "")
-  | Apply { group; pos; entry } ->
+  | Apply { group; pos; entry; encoded = _ } ->
       Format.fprintf ppf "apply(%s,%d,%a)" group pos Txn.pp_entry entry
   | Claim_leadership { group; pos; claimant } ->
       Format.fprintf ppf "claim(%s,%d,%s)" group pos claimant

@@ -29,9 +29,15 @@ type request =
       pos : int;
       ballot : Ballot.t;
       entry : Txn.entry;
+      encoded : string;
       sequenced : Txn.entry option;
     }
-      (** [sequenced]: a pipelined round-0 accept (throughput mode),
+      (** [encoded]: [entry] under {!Txn.entry_codec}. The proposer
+          serializes an entry once and every acceptor splices these bytes
+          into its vote row, and every replica stores them as its log row
+          (see {!accept}, {!apply}).
+
+          [sequenced]: a pipelined round-0 accept (throughput mode),
           carrying the entry the leader proposed at [pos - 1]. The
           acceptor must grant it only if its current vote at [pos - 1] is
           this very ballot — the same leader's round-0 ballot — *for that
@@ -44,8 +50,9 @@ type request =
           linger on slow or duplicating links), so ballot-equal votes for
           different entries can coexist at [pos - 1] across a quorum.
           Ordinary accepts carry [None] and behave exactly as before. *)
-  | Apply of { group : string; pos : int; entry : Txn.entry }
-      (** One-way: write the decided entry to the log (Figure 3, step 6). *)
+  | Apply of { group : string; pos : int; entry : Txn.entry; encoded : string }
+      (** One-way: write the decided entry to the log (Figure 3, step 6).
+          [encoded] as in [Accept]. *)
   | Claim_leadership of { group : string; pos : int; claimant : string }
       (** Fast path: am I ([claimant] = txn id) the first client to start
           the commit protocol for this position at its leader? *)
@@ -79,6 +86,22 @@ type response =
   | Failed of string
       (** Service-side failure (e.g. could not learn a missing log entry
           because no quorum is reachable). *)
+
+val encode_entry : Txn.entry -> string
+(** [Codec.encode Txn.entry_codec]: the bytes [Accept] and [Apply] carry. *)
+
+val accept :
+  group:string ->
+  pos:int ->
+  ballot:Ballot.t ->
+  ?sequenced:Txn.entry ->
+  ?encoded:string ->
+  Txn.entry ->
+  request
+(** An [Accept]; [encoded] defaults to [encode_entry entry]. *)
+
+val apply : group:string -> pos:int -> ?encoded:string -> Txn.entry -> request
+(** An [Apply]; [encoded] defaults to [encode_entry entry]. *)
 
 val pp_request : Format.formatter -> request -> unit
 val pp_response : Format.formatter -> response -> unit

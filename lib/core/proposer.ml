@@ -51,6 +51,10 @@ type stats = { prepare_rounds : int; accept_rounds : int; fast_path_used : bool 
 
 let quorum env = Tally.majority (List.length env.dcs)
 
+(* A [%a] printer for trace formats, so a disabled trace never renders
+   the ballot. *)
+let show_ballot () ballot = Ballot.to_string ballot
+
 (* Backoff before re-entering the prepare phase (Algorithm 2, lines 40 and
    55): a uniform draw from [2 ms, 40 ms] — exactly the paper's
    prototype, and exactly one RNG draw per retry. *)
@@ -68,9 +72,10 @@ let prepare_linger = 0.01
    are one-way; the local one is confirmed synchronously so that the next
    transaction of this application instance sees the new read position
    (the paper's co-located-replica optimization: the client updates its
-   local store as part of commit). A local timeout is tolerated. *)
-let broadcast_apply env ~group ~pos entry =
-  let msg = Messages.Apply { group; pos; entry } in
+   local store as part of commit). A local timeout is tolerated.
+   [encoded] is the entry's bytes from its accept round, reused. *)
+let broadcast_apply env ~group ~pos ~encoded entry =
+  let msg = Messages.apply ~group ~pos ~encoded entry in
   List.iter
     (fun dst -> if dst <> env.dc then Rpc.notify env.rpc ~src:env.dc ~dst msg)
     env.dcs;
@@ -80,8 +85,10 @@ let broadcast_apply env ~group ~pos entry =
 
 (* One accept round: true iff a majority voted for (ballot, entry).
    Also returns the highest nextBal seen in rejections, for ballot
-   selection on retry. *)
-let accept_round ?sequenced env ~group ~pos ~ballot entry =
+   selection on retry. The entry is serialized once, here; every
+   acceptor's vote row and, if it is chosen, every replica's log row
+   reuse these bytes. *)
+let accept_round ?sequenced env ~group ~pos ~ballot ~encoded entry =
   let acks = ref 0 in
   let replies =
     Rpc.broadcast env.rpc ~src:env.dc ~dsts:env.dcs
@@ -93,7 +100,7 @@ let accept_round ?sequenced env ~group ~pos ~ballot entry =
                (function _, Messages.Accept_reply { ok = true; _ } -> true | _ -> false)
                responses);
         !acks >= quorum env)
-      (Messages.Accept { group; pos; ballot; entry; sequenced })
+      (Messages.accept ~group ~pos ~ballot ?sequenced ~encoded entry)
   in
   let oks, max_seen =
     List.fold_left
@@ -151,10 +158,14 @@ let run env ~group ~pos ?fast ~choose () =
         stats := { !stats with fast_path_used = true };
         bump_accept ();
         Trace.record env.trace ~source ~category:"fast" "pos %d: accept round at ballot 0" pos;
-        let ok, seen = accept_round env ~group ~pos ~ballot:(Ballot.fast ~proposer:env.dc) entry in
+        let encoded = Messages.encode_entry entry in
+        let ok, seen =
+          accept_round env ~group ~pos ~ballot:(Ballot.fast ~proposer:env.dc)
+            ~encoded entry
+        in
         if ok then begin
           Trace.record env.trace ~source ~category:"decide" "pos %d decided via fast path" pos;
-          broadcast_apply env ~group ~pos entry;
+          broadcast_apply env ~group ~pos ~encoded entry;
           Some (Decided entry)
         end
         else begin
@@ -173,8 +184,8 @@ let run env ~group ~pos ?fast ~choose () =
         end
         else begin
           bump_prepare ();
-          Trace.record env.trace ~source ~category:"prepare" "pos %d ballot %s round %d"
-            pos (Ballot.to_string ballot) round;
+          Trace.record env.trace ~source ~category:"prepare" "pos %d ballot %a round %d"
+            pos show_ballot ballot round;
           match prepare_round env ~group ~pos ~ballot with
           | Error seen ->
               backoff env;
@@ -187,12 +198,13 @@ let run env ~group ~pos ?fast ~choose () =
                   attempt (Ballot.next ~after:ballot ~proposer:env.dc) (round + 1)
               | Propose entry ->
                   bump_accept ();
-                  let ok, seen = accept_round env ~group ~pos ~ballot entry in
+                  let encoded = Messages.encode_entry entry in
+                  let ok, seen = accept_round env ~group ~pos ~ballot ~encoded entry in
                   if ok then begin
                     Trace.record env.trace ~source ~category:"decide"
-                      "pos %d decided at ballot %s (%d txns)" pos
-                      (Ballot.to_string ballot) (List.length entry);
-                    broadcast_apply env ~group ~pos entry;
+                      "pos %d decided at ballot %a (%d txns)" pos show_ballot
+                      ballot (List.length entry);
+                    broadcast_apply env ~group ~pos ~encoded entry;
                     (Decided entry, !stats)
                   end
                   else begin
@@ -222,14 +234,15 @@ let run_fast env ~group ~pos ~sequenced entry =
   Trace.record env.trace ~source:env.trace_source ~category:"fast"
     "pos %d: pipelined accept round at ballot 0%s" pos
     (if sequenced <> None then " (sequenced)" else "");
+  let encoded = Messages.encode_entry entry in
   let ok, _seen =
     accept_round ?sequenced env ~group ~pos
-      ~ballot:(Ballot.fast ~proposer:env.dc) entry
+      ~ballot:(Ballot.fast ~proposer:env.dc) ~encoded entry
   in
   if ok then begin
     Trace.record env.trace ~source:env.trace_source ~category:"decide"
       "pos %d decided via pipelined fast path (%d txns)" pos (List.length entry);
-    broadcast_apply env ~group ~pos entry
+    broadcast_apply env ~group ~pos ~encoded entry
   end;
   ok
 

@@ -108,15 +108,15 @@ let handle t ~src:_ request =
   | Messages.Prepare { group; pos; ballot } ->
       guarded t ~group ~pos (fun () ->
           Acceptor_store.prepare t.acceptors ~group ~pos ~ballot)
-  | Messages.Accept { group; pos; ballot; entry; sequenced } ->
+  | Messages.Accept { group; pos; ballot; entry; encoded; sequenced } ->
       guarded t ~group ~pos (fun () ->
           (* The chaos trap fires on the first prepare marker that crosses
              this service — here, possibly before the entry is decided:
              the rawest point of the prepare→decide window. *)
           Indoubt.fire_trap t.indoubt entry;
           Acceptor_store.accept t.acceptors ~group ~pos ~ballot ~entry
-            ~sequenced)
-  | Messages.Apply { group; pos; entry } ->
+            ~encoded ~sequenced)
+  | Messages.Apply { group; pos; entry; encoded } ->
       (* An apply at or below the compaction point is stale news: the
          entry's effects are already part of the checkpoint. Above it,
          [Wal.append] is idempotent — a duplicated or replayed apply for
@@ -125,7 +125,7 @@ let handle t ~src:_ request =
       if pos > Wal.compacted_position t.wal ~group then begin
         if Wal.entry t.wal ~group ~pos <> None then
           t.dup_applies <- t.dup_applies + 1;
-        Wal.append t.wal ~group ~pos entry;
+        Wal.append t.wal ~group ~pos ~encoded entry;
         Indoubt.fire_trap t.indoubt entry;
         Indoubt.note_applied t.indoubt ~submit:t.submit ~group ~pos entry
       end;

@@ -28,8 +28,8 @@ val start :
   trace:Mdds_sim.Trace.t ->
   unit ->
   t
-(** Create the datacenter's store/log and register the request handler on
-    the RPC service port. [storage] selects the store's durability model
+(** Create the datacenter's store/log and serve its requests over the
+    RPC layer. [storage] selects the store's durability model
     (default [Sync_always], the pre-existing always-durable behaviour; the
     chaos engine uses [Sync_explicit] to exercise dirty and torn
     crashes). *)

@@ -1,5 +1,4 @@
 module Engine = Mdds_sim.Engine
-module Mailbox = Mdds_sim.Mailbox
 module Rng = Mdds_sim.Rng
 
 type stats = {
@@ -18,7 +17,7 @@ type 'msg t = {
   engine : Engine.t;
   topo : Topology.t;
   rng : Rng.t;
-  boxes : (int * string, 'msg Mailbox.t) Hashtbl.t;
+  handlers : (src:int -> 'msg -> unit) array;
   down : bool array;
   overrides : (int * int, Topology.link) Hashtbl.t;
   mutable group_of : int array option; (* partition group per node, if any *)
@@ -43,7 +42,7 @@ let create engine topo =
     engine;
     topo;
     rng = Rng.split (Engine.rng engine);
-    boxes = Hashtbl.create 64;
+    handlers = Array.make (Topology.size topo) (fun ~src:_ _ -> ());
     down = Array.make (Topology.size topo) false;
     overrides = Hashtbl.create 16;
     oneway_cuts = Hashtbl.create 8;
@@ -67,13 +66,7 @@ let engine t = t.engine
 let topology t = t.topo
 let size t = Topology.size t.topo
 
-let endpoint t ~node ~port =
-  match Hashtbl.find_opt t.boxes (node, port) with
-  | Some box -> box
-  | None ->
-      let box = Mailbox.create t.engine in
-      Hashtbl.replace t.boxes (node, port) box;
-      box
+let listen t ~node handler = t.handlers.(node) <- handler
 
 let cut t src dst =
   match t.group_of with
@@ -121,7 +114,7 @@ let dup_prob t src dst =
    state is re-checked at delivery time: the destination may have failed,
    a partition or a directed cut may have appeared, or a flapping link
    may be in a down half-period, while the message was in flight. *)
-let deliver t ~src ~dst link box msg =
+let deliver t ~src ~dst link msg =
   let jitter = Rng.uniform t.rng (1.0 -. link.Topology.jitter) (1.0 +. link.Topology.jitter) in
   let delay = link.Topology.delay *. jitter *. t.slowdown.(src) *. t.slowdown.(dst) in
   Engine.schedule t.engine
@@ -134,10 +127,10 @@ let deliver t ~src ~dst link box msg =
       else begin
         t.delivered <- t.delivered + 1;
         t.delivered_to.(dst) <- t.delivered_to.(dst) + 1;
-        Mailbox.push box msg
+        t.handlers.(dst) ~src msg
       end)
 
-let send t ~src ~dst ~port msg =
+let send t ~src ~dst msg =
   t.sent <- t.sent + 1;
   t.sent_by.(src) <- t.sent_by.(src) + 1;
   if t.down.(src) || t.down.(dst) then t.dropped_down <- t.dropped_down + 1
@@ -148,21 +141,18 @@ let send t ~src ~dst ~port msg =
     let link = link t ~src ~dst in
     if Rng.bool t.rng link.loss then t.dropped_loss <- t.dropped_loss + 1
     else begin
-      let box = endpoint t ~node:dst ~port in
-      deliver t ~src ~dst link box msg;
+      deliver t ~src ~dst link msg;
       (* Duplicate delivery: an independently delayed second copy. The
          extra RNG draw only happens while some link has a non-zero dup
          probability, so fault-free runs keep a byte-identical stream. *)
       let p = dup_prob t src dst in
       if p > 0.0 && Rng.bool t.rng p then begin
         t.duplicated <- t.duplicated + 1;
-        deliver t ~src ~dst link box msg
+        deliver t ~src ~dst link msg
       end
     end
 
-let set_down t node =
-  t.down.(node) <- true;
-  Hashtbl.iter (fun (n, _) box -> if n = node then Mailbox.clear box) t.boxes
+let set_down t node = t.down.(node) <- true
 
 let set_up t node = t.down.(node) <- false
 

@@ -14,14 +14,15 @@
     outages, partitions and link-quality overrides; with none active, the
     transport's RNG stream is byte-identical to the clean model.
 
-    Messages are addressed to a (node, port) pair; each such pair owns a
-    {!Mdds_sim.Mailbox}. *)
+    Each node has one handler, and a message that survives its flight is
+    passed straight to the destination's handler inside the delivery
+    event: there is no queue in between. *)
 
 type 'msg t
 
 type stats = {
   sent : int;  (** Messages submitted to the transport. *)
-  delivered : int;  (** Messages pushed into a destination mailbox. *)
+  delivered : int;  (** Messages handed to a destination handler. *)
   dropped_loss : int;  (** Lost to random link loss. *)
   dropped_down : int;  (** Dropped because an endpoint was offline. *)
   dropped_cut : int;  (** Dropped by a partition. *)
@@ -37,10 +38,13 @@ val engine : 'msg t -> Mdds_sim.Engine.t
 val topology : 'msg t -> Topology.t
 val size : 'msg t -> int
 
-val endpoint : 'msg t -> node:int -> port:string -> 'msg Mdds_sim.Mailbox.t
-(** The mailbox for [(node, port)], created on first use. *)
+val listen : 'msg t -> node:int -> (src:int -> 'msg -> unit) -> unit
+(** Make [handler] the receiver of every message delivered to [node],
+    replacing the previous one (initially, delivered messages are
+    dropped). The handler runs inside the delivery event, so it must not
+    block; a handler that needs to block spawns a process. *)
 
-val send : 'msg t -> src:int -> dst:int -> port:string -> 'msg -> unit
+val send : 'msg t -> src:int -> dst:int -> 'msg -> unit
 (** Fire-and-forget send. Sampled delay; silently dropped on loss, outage
     of either endpoint, partition, directed cut or flap down-phase (all
     checked at send *and* delivery time). May deliver twice under an
@@ -49,8 +53,8 @@ val send : 'msg t -> src:int -> dst:int -> port:string -> 'msg -> unit
 (** {1 Fault injection} *)
 
 val set_down : 'msg t -> int -> unit
-(** Take a datacenter offline: its traffic is dropped and queued mail in
-    all its mailboxes is discarded (volatile state loss). *)
+(** Take a datacenter offline: its traffic is dropped, including
+    messages already in flight to it when they land. *)
 
 val set_up : 'msg t -> int -> unit
 val is_down : 'msg t -> int -> bool
@@ -128,5 +132,5 @@ val sent_by : 'msg t -> int -> int
 (** Messages this datacenter submitted (load it generated). *)
 
 val delivered_to : 'msg t -> int -> int
-(** Messages delivered into this datacenter's mailboxes (load it served) —
+(** Messages delivered to this datacenter's handler (load it served) —
     used to quantify the single-site bottleneck of leader-based designs. *)

@@ -1,107 +1,84 @@
 module Engine = Mdds_sim.Engine
-module Mailbox = Mdds_sim.Mailbox
+module Rng = Mdds_sim.Rng
+
+(* A caller's wait for one reply. The record travels inside the request
+   and back inside the response, so delivery resolves it in place; the
+   flag drops late and duplicate replies. *)
+type 'resp waiter = { mutable active : bool; resolve : 'resp -> unit }
 
 type ('req, 'resp) packet =
-  | Request of { id : int; reply_to : int; src : int; oneway : bool; payload : 'req }
-  | Response of { id : int; payload : 'resp }
+  | Request of { payload : 'req; reply : 'resp waiter option (* None: one-way *) }
+  | Response of { payload : 'resp; waiter : 'resp waiter }
 
-type 'resp pending = { mutable active : bool; deliver : 'resp -> unit }
-
-type ('req, 'resp) t = {
-  net : ('req, 'resp) packet Network.t;
-  pending : (int, 'resp pending) Hashtbl.t;
-  mutable next_id : int;
-}
-
-let service_port = "svc"
-let client_port = "cli"
+type ('req, 'resp) t = { net : ('req, 'resp) packet Network.t }
 
 let network t = t.net
 let engine t = Network.engine t.net
 
-let fresh_id t =
-  t.next_id <- t.next_id + 1;
-  t.next_id
-
-(* Per-node dispatcher routing responses to their waiting caller. *)
-let start_dispatcher t node =
-  let box = Network.endpoint t.net ~node ~port:client_port in
-  Engine.spawn (Network.engine t.net) (fun () ->
-      let rec loop () =
-        (match Mailbox.recv box with
-        | Response { id; payload } -> (
-            match Hashtbl.find_opt t.pending id with
-            | Some p when p.active ->
-                p.active <- false;
-                Hashtbl.remove t.pending id;
-                p.deliver payload
-            | _ -> () (* late or duplicate reply: drop *))
-        | Request _ -> () (* misrouted: drop, like a stray datagram *));
-        loop ()
-      in
-      loop ())
+(* Replies are resolved at any node; requests only where {!serve} runs. *)
+let receive ~src:_ = function
+  | Response { payload; waiter } when waiter.active ->
+      waiter.active <- false;
+      waiter.resolve payload
+  | Response _ -> () (* late or duplicate reply: drop *)
+  | Request _ -> () (* no service here: drop, like a stray datagram *)
 
 let create net =
-  let t = { net; pending = Hashtbl.create 64; next_id = 0 } in
   for node = 0 to Network.size net - 1 do
-    start_dispatcher t node
+    Network.listen net ~node receive
   done;
-  t
+  { net }
 
+(* The processing delay is drawn when the request lands, from the node's
+   own stream and in delivery order, and the handler process starts once
+   it has elapsed: one heap event per request (DESIGN.md §2.1). *)
 let serve t ~node ?(processing = 0.0) handler =
-  let box = Network.endpoint t.net ~node ~port:service_port in
-  let rng = Mdds_sim.Rng.split (Engine.rng (Network.engine t.net)) in
-  Engine.spawn (Network.engine t.net) (fun () ->
-      let rec loop () =
-        (match Mailbox.recv box with
-        | Request { id; reply_to; src; oneway; payload } ->
-            Engine.spawn (Network.engine t.net) (fun () ->
-                (* Store/OS work per request varies in practice; +/-50%
-                   jitter around the mean spreads acceptor vote times. *)
-                if processing > 0.0 then
-                  Engine.sleep (Mdds_sim.Rng.uniform rng (0.5 *. processing) (1.5 *. processing));
-                let resp = handler ~src payload in
-                if not oneway then
-                  Network.send t.net ~src:node ~dst:reply_to ~port:client_port
-                    (Response { id; payload = resp }))
-        | Response _ -> ());
-        loop ()
-      in
-      loop ())
-
-let register t id deliver =
-  let p = { active = true; deliver } in
-  Hashtbl.replace t.pending id p;
-  p
-
-let expire t id p =
-  if p.active then begin
-    p.active <- false;
-    Hashtbl.remove t.pending id
-  end
+  let engine = engine t in
+  let rng = Rng.split (Engine.rng engine) in
+  Network.listen t.net ~node (fun ~src packet ->
+      match packet with
+      | Request { payload; reply } ->
+          (* Store/OS work per request varies in practice; +/-50% jitter
+             around the mean spreads acceptor vote times. *)
+          let at =
+            if processing > 0.0 then
+              Engine.now engine
+              +. Rng.uniform rng (0.5 *. processing) (1.5 *. processing)
+            else Engine.now engine
+          in
+          Engine.spawn ~at engine (fun () ->
+              let resp = handler ~src payload in
+              match reply with
+              | Some waiter ->
+                  Network.send t.net ~src:node ~dst:src
+                    (Response { payload = resp; waiter })
+              | None -> ())
+      | Response _ -> receive ~src packet)
 
 let call t ~src ~dst ~timeout req =
-  let id = fresh_id t in
   Engine.suspend (fun wake ->
       (* The timeout timer dies with the call: a response must cancel it,
          or every completed call leaves a live timer in the event heap
          until its deadline (the heap then grows with the call rate ×
          timeout window instead of the in-flight window). *)
       let timer = ref None in
-      let p =
-        register t id (fun resp ->
-            Option.iter Engine.cancel !timer;
-            wake (Some resp))
+      let w =
+        {
+          active = true;
+          resolve =
+            (fun resp ->
+              Option.iter Engine.cancel !timer;
+              wake (Some resp));
+        }
       in
       timer :=
         Some
           (Engine.after (engine t) timeout (fun () ->
-               if p.active then begin
-                 expire t id p;
+               if w.active then begin
+                 w.active <- false;
                  wake None
                end));
-      Network.send t.net ~src ~dst ~port:service_port
-        (Request { id; reply_to = src; src; oneway = false; payload = req }))
+      Network.send t.net ~src ~dst (Request { payload = req; reply = Some w }))
 
 let broadcast t ~src ~dsts ~timeout ?(linger = 0.0) ?(enough = fun _ -> false)
     ?observe req =
@@ -109,21 +86,13 @@ let broadcast t ~src ~dsts ~timeout ?(linger = 0.0) ?(enough = fun _ -> false)
   let finished = ref false in
   let lingering = ref false in
   let started = Engine.now (engine t) in
+  let n = List.length dsts in
   Engine.suspend (fun wake ->
-      let ids = List.map (fun _ -> fresh_id t) dsts in
       let timers = ref [] in
-      let cleanup () =
-        List.iter
-          (fun id ->
-            match Hashtbl.find_opt t.pending id with
-            | Some p -> expire t id p
-            | None -> ())
-          ids
-      in
+      (* A reply after [finish] still resolves its waiter, and is ignored. *)
       let finish () =
         if not !finished then begin
           finished := true;
-          cleanup ();
           (* Fired timers ignore cancel; the others must not outlive the
              broadcast (same heap-growth argument as in {!call}). *)
           List.iter Engine.cancel !timers;
@@ -135,33 +104,30 @@ let broadcast t ~src ~dsts ~timeout ?(linger = 0.0) ?(enough = fun _ -> false)
          clients see "more than a simple majority" of responses because
          replies from equidistant datacenters arrive together. *)
       let satisfied () =
-        if List.length !results = List.length dsts then finish ()
+        if List.length !results = n then finish ()
         else if linger <= 0.0 then finish ()
         else if not !lingering then begin
           lingering := true;
           timers := Engine.after (engine t) linger (fun () -> finish ()) :: !timers
         end
       in
-      List.iter2
-        (fun dst id ->
-          ignore
-            (register t id (fun resp ->
-                 if not !finished then begin
-                   (match observe with
-                   | None -> ()
-                   | Some f -> f ~dst ~rtt:(Engine.now (engine t) -. started));
-                   results := (dst, resp) :: !results;
-                   if List.length !results = List.length dsts || enough !results
-                   then satisfied ()
-                 end));
-          Network.send t.net ~src ~dst ~port:service_port
-            (Request { id; reply_to = src; src; oneway = false; payload = req }))
-        dsts ids;
+      List.iter
+        (fun dst ->
+          let resolve resp =
+            if not !finished then begin
+              (match observe with
+              | None -> ()
+              | Some f -> f ~dst ~rtt:(Engine.now (engine t) -. started));
+              results := (dst, resp) :: !results;
+              if List.length !results = n || enough !results then satisfied ()
+            end
+          in
+          Network.send t.net ~src ~dst
+            (Request { payload = req; reply = Some { active = true; resolve } }))
+        dsts;
       timers := Engine.after (engine t) timeout (fun () -> finish ()) :: !timers;
       (* Degenerate broadcast: nothing to wait for. *)
       if dsts = [] then finish ())
 
 let notify t ~src ~dst req =
-  let id = fresh_id t in
-  Network.send t.net ~src ~dst ~port:service_port
-    (Request { id; reply_to = src; src; oneway = true; payload = req })
+  Network.send t.net ~src ~dst (Request { payload = req; reply = None })

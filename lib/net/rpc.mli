@@ -8,7 +8,13 @@
     send to every datacenter in parallel and collect replies until a quorum
     predicate is satisfied or the timeout fires (Algorithm 2).
 
-    ['req] and ['resp] are the application's request/response payloads. *)
+    ['req] and ['resp] are the application's request/response payloads.
+
+    Dispatch is direct: a request carries its caller's waiter record and
+    the response carries it back, so a reply's delivery resolves the
+    caller in place, with no request-id table and no dispatcher process.
+    A served request costs one event at delivery and one when its
+    handler starts (DESIGN.md §2.1). *)
 
 type ('req, 'resp) packet
 (** Wire format (opaque; exposed so the underlying network is typed). *)
@@ -16,8 +22,8 @@ type ('req, 'resp) packet
 type ('req, 'resp) t
 
 val create : ('req, 'resp) packet Network.t -> ('req, 'resp) t
-(** Wrap a network carrying RPC packets and start the per-node response
-    dispatchers. *)
+(** Wrap a network carrying RPC packets: every node's handler resolves
+    replies, and drops requests until {!serve} runs there. *)
 
 val network : ('req, 'resp) t -> ('req, 'resp) packet Network.t
 val engine : ('req, 'resp) t -> Mdds_sim.Engine.t
@@ -28,11 +34,13 @@ val serve :
   ?processing:float ->
   (src:int -> 'req -> 'resp) ->
   unit
-(** Start a service loop at [node]. Each incoming request is handled in its
+(** Serve requests at [node]. Each incoming request is handled in its
     own spawned process (the paper's stateless per-request service
     processes), after an optional randomized delay of mean [processing]
-    (uniform within +/-50%, modelling store/OS work). The handler may
-    block (e.g. perform nested RPCs). *)
+    (uniform within +/-50%, modelling store/OS work). The delay is drawn
+    at delivery, in delivery order, from a stream split off the engine's
+    root stream by this call. The handler may block (e.g. perform nested
+    RPCs). *)
 
 val call :
   ('req, 'resp) t -> src:int -> dst:int -> timeout:float -> 'req -> 'resp option

@@ -27,7 +27,7 @@ let is_bottom t = equal t bottom
 let is_fast t = t.round = 0
 
 let pp ppf t = Format.fprintf ppf "%d.%d" t.round t.proposer
-let to_string t = Printf.sprintf "%d.%d" t.round t.proposer
+let to_string t = string_of_int t.round ^ "." ^ string_of_int t.proposer
 
 let of_string s =
   match String.index_opt s '.' with

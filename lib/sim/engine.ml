@@ -1,8 +1,8 @@
 open Effect
 open Effect.Deep
 
-(* Two lanes hold pending events. Events due at the current instant (mailbox
-   wakes, [suspend] wakes, spawns, [yield]) go to [ready], a FIFO ring:
+(* Two lanes hold pending events. Events due at the current instant
+   ([suspend] wakes, spawns, [yield]) go to [ready], a FIFO ring:
    O(1) and allocation-free. Future events go to the [events] heap, ordered
    by (time, seq). [run] reproduces the single-heap (time, seq) order
    exactly: every ring entry is due at [clock], and a heap entry due at

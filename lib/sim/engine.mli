@@ -3,7 +3,7 @@
     The engine replaces the paper's EC2 testbed: datacenters, transaction
     services, clients and the network are all processes interleaved over a
     single virtual clock. A process is an ordinary OCaml function; when it
-    blocks ([sleep], [suspend], mailbox receive) an OCaml 5 effect captures
+    blocks ([sleep], [suspend]) an OCaml 5 effect captures
     its continuation and the engine resumes it later from the event queue.
 
     Determinism: events fire in (time, insertion-order) order and all

@@ -1,23 +1,30 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state lives unboxed in an 8-byte buffer: a boxed
+   [mutable int64] field would allocate a fresh box on every draw, while
+   [Bytes.get/set_int64_le] compile to plain loads and stores. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
-let copy t = { state = t.state }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 s;
+  t
+
+let create seed = of_state (Int64.of_int seed)
+let copy = Bytes.copy
 
 (* splitmix64 finalizer: Steele, Lea & Flood, "Fast splittable PRNGs". *)
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] int64 t =
+  let s = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
+  Bytes.set_int64_le t 0 s;
+  mix s
 
-let split t =
-  let seed = int64 t in
-  { state = seed }
+let split t = of_state (int64 t)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
@@ -25,12 +32,12 @@ let int t bound =
   let v = Int64.to_int (Int64.shift_right_logical (int64 t) 2) in
   v mod bound
 
-let float t bound =
+let[@inline] float t bound =
   (* 53 random bits into [0, 1). *)
   let bits = Int64.to_float (Int64.shift_right_logical (int64 t) 11) in
   bits /. 9007199254740992.0 *. bound
 
-let uniform t lo hi = lo +. float t (hi -. lo)
+let[@inline] uniform t lo hi = lo +. float t (hi -. lo)
 
 let bool t p = float t 1.0 < p
 

@@ -25,8 +25,11 @@ type write = { key : key; value : string }
    hashtable is never mutated after its pointer is published through an
    [Atomic], so concurrent readers race with nobody. Misses fall back to
    the stripe's small mutex-protected pending table; when the pending
-   table grows past a threshold it is merged into a fresh snapshot and
-   republished (geometric, so total copying is O(K log K) over K keys).
+   table reaches a quarter of the snapshot (plus one) it is merged into a
+   fresh snapshot and republished (geometric, so total copying is O(K)
+   over K keys). A fixed floor on that threshold would keep small key
+   universes, which spread a few keys over each stripe, on the locked
+   path forever.
 
    Ids are assigned in first-intern order, so they are not deterministic
    across runs — nothing may ever derive *output* from an id, only set
@@ -53,6 +56,9 @@ module Intern = struct
 
   let next = Atomic.make 0
 
+  (* Lookups that missed the snapshot and took a stripe lock. *)
+  let slow = Atomic.make 0
+
   (* Reverse table for [name]: ids are dense, so an array, grown under its
      own mutex. Never on the hot path — [name] is diagnostics only. *)
   let names_mutex = Mutex.create ()
@@ -71,6 +77,7 @@ module Intern = struct
   let stripe_of key = stripes.(Hashtbl.hash key land (stripe_count - 1))
 
   let id_slow s key =
+    Atomic.incr slow;
     Mutex.lock s.mutex;
     let r =
       match Hashtbl.find_opt s.pending key with
@@ -85,7 +92,7 @@ module Intern = struct
               Hashtbl.replace s.pending key id;
               record_name id key;
               let snap = Atomic.get s.snapshot in
-              if Hashtbl.length s.pending >= 16 + (Hashtbl.length snap / 4)
+              if Hashtbl.length s.pending >= 1 + (Hashtbl.length snap / 4)
               then begin
                 let merged =
                   Hashtbl.create
@@ -120,6 +127,7 @@ module Intern = struct
     r
 
   let count () = Atomic.get next
+  let slow_lookups () = Atomic.get slow
 end
 
 (* ------------------------------------------------------------------ *)

@@ -42,6 +42,11 @@ module Intern : sig
 
   val count : unit -> int
   (** Number of distinct keys interned so far. *)
+
+  val slow_lookups : unit -> int
+  (** Lookups so far that missed their stripe's published snapshot and
+      took the stripe lock (first sightings, and keys still pending a
+      merge). *)
 end
 
 type write = { key : key; value : string }

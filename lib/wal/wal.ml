@@ -137,7 +137,7 @@ let entry_in t c pos =
 
 let entry t ~group ~pos = entry_in t (cache t ~group) pos
 
-let append t ~group ~pos e =
+let append t ~group ~pos ?encoded e =
   let c = cache t ~group in
   load_meta t c;
   (match entry_in t c pos with
@@ -148,7 +148,11 @@ let append t ~group ~pos e =
            group pos)
   | Some _ -> () (* duplicate apply: idempotent *)
   | None -> (
-      let encoded = Codec.encode Txn.entry_codec e in
+      let encoded =
+        match encoded with
+        | Some bytes -> bytes
+        | None -> Codec.encode Txn.entry_codec e
+      in
       match Store.write t.store ~key:(log_key c pos) [ ("entry", encoded) ] with
       | Ok _ -> cache_entry c pos e
       | Error `Stale -> assert false));

@@ -45,8 +45,12 @@ val invalidate : t -> unit
 
 (** {1 The log} *)
 
-val append : t -> group:string -> pos:int -> Mdds_types.Txn.entry -> unit
+val append :
+  t -> group:string -> pos:int -> ?encoded:string -> Mdds_types.Txn.entry -> unit
 (** Record the decided entry for a position. Idempotent for equal entries.
+    [encoded], when given, must be the entry under
+    {!Mdds_types.Txn.entry_codec}: it becomes the log row verbatim
+    (replicas applying a decided entry reuse its accept-round bytes).
     Raises [Failure] if a *different* entry is already present — that would
     be a violation of replication property (R1) and indicates a protocol
     bug, so it must not be silently absorbed. *)

@@ -67,7 +67,18 @@ let run_preload cluster config =
         | _ -> failwith "Ycsb: preload transaction failed to commit"
       done)
 
-let run_worker cluster config handle ~index ~txns =
+(* [keys.(i)] caches [attribute_key i] for the run, filled on first use:
+   a sprintf per operation is a measurable share of simulation time, and
+   filling the whole array up front would move that work into set-up. *)
+let key_of keys i =
+  match keys.(i) with
+  | "" ->
+      let key = attribute_key i in
+      keys.(i) <- key;
+      key
+  | key -> key
+
+let run_worker cluster config handle ~keys ~index ~txns =
   let dc =
     List.nth config.client_dcs (index mod List.length config.client_dcs)
   in
@@ -102,14 +113,14 @@ let run_worker cluster config handle ~index ~txns =
              for op = 0 to config.ops_per_txn - 1 do
                let group = if op land 1 = 0 then g1 else g2 in
                let key =
-                 attribute_key
+                 key_of keys
                    (Distribution.sample config.distribution rng config.attributes)
                in
                if Rng.bool rng config.read_fraction then
                  ignore (Client.read_in m ~group key)
                else
                  Client.write_in m ~group key
-                   (Printf.sprintf "%s#%d" (Client.mtxn_id m) op)
+                   (Client.mtxn_id m ^ "#" ^ string_of_int op)
              done;
              ignore (Client.commit_multi m)
            end
@@ -117,13 +128,13 @@ let run_worker cluster config handle ~index ~txns =
              let txn = Client.begin_ client ~group:(group_key config _k) in
              for op = 0 to config.ops_per_txn - 1 do
                let key =
-                 attribute_key (Distribution.sample config.distribution rng config.attributes)
+                 key_of keys
+                   (Distribution.sample config.distribution rng config.attributes)
                in
                if Rng.bool rng config.read_fraction then
                  ignore (Client.read txn key)
                else
-                 Client.write txn key
-                   (Printf.sprintf "%s#%d" (Client.txn_id txn) op)
+                 Client.write txn key (Client.txn_id txn ^ "#" ^ string_of_int op)
              done;
              ignore (Client.commit txn)
            end
@@ -141,8 +152,9 @@ let run cluster config =
   if config.preload then run_preload cluster config;
   let base = config.total_txns / config.threads in
   let extra = config.total_txns mod config.threads in
+  let keys = Array.make config.attributes "" in
   for index = 0 to config.threads - 1 do
     let txns = base + if index < extra then 1 else 0 in
-    if txns > 0 then run_worker cluster config handle ~index ~txns
+    if txns > 0 then run_worker cluster config handle ~keys ~index ~txns
   done;
   handle

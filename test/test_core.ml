@@ -57,7 +57,7 @@ let test_service_accept_and_vote () =
       ignore (Service.handle service ~src:1 (Messages.Prepare { group; pos = 1; ballot = b 1 1 }));
       (match
          Service.handle service ~src:1
-           (Messages.Accept { group; pos = 1; ballot = b 1 1; entry; sequenced = None })
+           (Messages.accept ~group ~pos:1 ~ballot:(b 1 1) entry)
        with
       | Messages.Accept_reply { ok = true; _ } -> ()
       | _ -> Alcotest.fail "accept at promised ballot");
@@ -70,7 +70,7 @@ let test_service_accept_and_vote () =
       (* Stale accept refused. *)
       match
         Service.handle service ~src:1
-          (Messages.Accept { group; pos = 1; ballot = b 2 1; entry; sequenced = None })
+          (Messages.accept ~group ~pos:1 ~ballot:(b 2 1) entry)
       with
       | Messages.Accept_reply { ok = false; _ } -> ()
       | _ -> Alcotest.fail "stale accept must fail")
@@ -80,7 +80,7 @@ let test_service_fast_accept () =
       let entry = [ record "fast" ] in
       match
         Service.handle service ~src:0
-          (Messages.Accept { group; pos = 1; ballot = Ballot.fast ~proposer:0; entry; sequenced = None })
+          (Messages.accept ~group ~pos:1 ~ballot:(Ballot.fast ~proposer:0) entry)
       with
       | Messages.Accept_reply { ok = true; _ } -> ()
       | _ -> Alcotest.fail "round-0 accept on fresh position must succeed")
@@ -91,7 +91,7 @@ let test_service_apply_and_read_position () =
       | Messages.Read_position { position = 0; leader = None } -> ()
       | _ -> Alcotest.fail "empty log");
       let entry = [ record "t1" ~origin:2 ~writes:[ ("x", "1") ] ] in
-      (match Service.handle service ~src:0 (Messages.Apply { group; pos = 1; entry }) with
+      (match Service.handle service ~src:0 (Messages.apply ~group ~pos:1 entry) with
       | Messages.Applied -> ()
       | _ -> Alcotest.fail "apply");
       match Service.handle service ~src:0 (Messages.Get_read_position { group }) with
@@ -105,10 +105,10 @@ let test_service_read_serves_versions () =
   with_service (fun _cluster service ->
       ignore
         (Service.handle service ~src:0
-           (Messages.Apply { group; pos = 1; entry = [ record "t1" ~writes:[ ("x", "a") ] ] }));
+           (Messages.apply ~group ~pos:1 [ record "t1" ~writes:[ ("x", "a") ] ]));
       ignore
         (Service.handle service ~src:0
-           (Messages.Apply { group; pos = 2; entry = [ record "t2" ~rp:1 ~writes:[ ("x", "b") ] ] }));
+           (Messages.apply ~group ~pos:2 [ record "t2" ~rp:1 ~writes:[ ("x", "b") ] ]));
       (match Service.handle service ~src:0 (Messages.Read { group; key = "x"; position = 1 }) with
       | Messages.Value { value = Some "a" } -> ()
       | _ -> Alcotest.fail "snapshot read at 1");
@@ -158,8 +158,8 @@ let test_service_read_with_learn () =
                (Messages.Prepare { group; pos = 1; ballot = b 1 1 }));
           ignore
             (Service.handle service ~src:1
-               (Messages.Accept { group; pos = 1; ballot = b 1 1; entry; sequenced = None }));
-          ignore (Service.handle service ~src:1 (Messages.Apply { group; pos = 1; entry })))
+               (Messages.accept ~group ~pos:1 ~ballot:(b 1 1) entry));
+          ignore (Service.handle service ~src:1 (Messages.apply ~group ~pos:1 entry)))
         [ 1; 2 ];
       (* Now read through dc0 at position 1. *)
       (match
@@ -182,7 +182,7 @@ let test_service_restart_keeps_promises () =
       let entry = [ record "t1" ~writes:[ ("x", "1") ] ] in
       ignore
         (Service.handle service ~src:1
-           (Messages.Accept { group; pos = 1; ballot = b 5 1; entry; sequenced = None }));
+           (Messages.accept ~group ~pos:1 ~ballot:(b 5 1) entry));
       ignore (Service.handle service ~src:0 (Messages.Claim_leadership { group; pos = 2; claimant = "a" }));
       Service.restart service;
       (* Durable: the promise still blocks lower ballots, and the vote is
@@ -505,7 +505,7 @@ let test_proposer_adopts_existing_vote () =
           ignore (Service.handle s ~src:0 (Messages.Prepare { group; pos = 1; ballot = b 1 0 }));
           ignore
             (Service.handle s ~src:0
-               (Messages.Accept { group; pos = 1; ballot = b 1 0; entry = a_entry; sequenced = None })))
+               (Messages.accept ~group ~pos:1 ~ballot:(b 1 0) a_entry)))
         [ 0; 1 ];
       (* Now a fresh basic-protocol client tries to commit B at position 1:
          it must lose to A (the value is adopted and driven to a decision)
@@ -708,7 +708,7 @@ let test_service_duplicate_apply_idempotent () =
   with_service (fun _cluster service ->
       let entry = [ record "t1" ~writes:[ ("x", "1") ] ] in
       let apply () =
-        match Service.handle service ~src:1 (Messages.Apply { group; pos = 1; entry }) with
+        match Service.handle service ~src:1 (Messages.apply ~group ~pos:1 entry) with
         | Messages.Applied -> ()
         | _ -> Alcotest.fail "apply"
       in

@@ -192,7 +192,7 @@ let test_incomplete_instance_completed_by_learner () =
           ignore (Service.handle s ~src:0 (Mdds_core.Messages.Prepare { group; pos = 1; ballot = b }));
           ignore
             (Service.handle s ~src:0
-               (Mdds_core.Messages.Accept { group; pos = 1; ballot = b; entry; sequenced = None })))
+               (Mdds_core.Messages.accept ~group ~pos:1 ~ballot:b entry)))
         [ 0; 1 ];
       (* A fresh transaction begins: read position 0 (nothing applied),
          commits to position 1 — and must lose to the orphan, or land
@@ -376,8 +376,7 @@ let test_restart_preserves_promises_under_race () =
       | _ -> Alcotest.fail "promise lost across restart");
       match
         Service.handle service ~src:0
-          (Mdds_core.Messages.Accept
-             { group; pos = 1; ballot = b ~round:2 ~proposer:0; entry; sequenced = None })
+          (Mdds_core.Messages.accept ~group ~pos:1 ~ballot:(b ~round:2 ~proposer:0) entry)
       with
       | Mdds_core.Messages.Accept_reply { ok = true; _ } -> ()
       | _ -> Alcotest.fail "promised ballot's accept refused after restart");
@@ -623,7 +622,7 @@ let test_torn_damage_quarantines_until_relearned () =
           | _ -> Alcotest.fail "prepare refused");
           match
             Service.handle s ~src:0
-              (Messages.Accept { group; pos = 1; ballot = b; entry; sequenced = None })
+              (Messages.accept ~group ~pos:1 ~ballot:b entry)
           with
           | Messages.Accept_reply { ok = true; _ } -> ()
           | _ -> Alcotest.fail "accept refused")

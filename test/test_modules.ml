@@ -15,6 +15,7 @@ module Acceptor_store = Mdds_core.Acceptor_store
 module Catchup = Mdds_core.Catchup
 module Indoubt = Mdds_core.Indoubt
 module Manager = Mdds_core.Manager
+module Codec = Mdds_codec.Codec
 
 let group = "g"
 let b round proposer = Ballot.make ~round ~proposer
@@ -89,6 +90,62 @@ let test_failed_save_drops_cache () =
         (Ballot.equal next_bal (b 5 2))
   | r -> Alcotest.failf "expected a reject, got %a" Messages.pp_response r);
   Alcotest.(check bool) "cache follows the row again" true (coherent s1)
+
+(* The vote row written from the proposer's entry bytes, and rewritten
+   as it is by a later promise, is exactly what encoding the vote gives. *)
+let test_vote_bytes_spliced () =
+  let store = Store.create () in
+  let s = stack ~store () in
+  let entry = [ record ~reads:[ "x" ] ~writes:[ "y"; "z" ] "t1" ] in
+  let encoded = Messages.encode_entry entry in
+  let expected =
+    Codec.encode Acceptor_store.vote_codec (Some (b 2 1, entry))
+  in
+  let vote_row () = Store.attribute store ~key:"paxos/g/1" "vote" in
+  (match
+     Acceptor_store.accept s.acceptors ~group ~pos:1 ~ballot:(b 2 1) ~entry
+       ~encoded ~sequenced:None
+   with
+  | Messages.Accept_reply { ok = true; _ } -> ()
+  | r -> Alcotest.failf "accept: %a" Messages.pp_response r);
+  Alcotest.(check (option string)) "accepted vote row" (Some expected) (vote_row ());
+  ignore (Acceptor_store.prepare s.acceptors ~group ~pos:1 ~ballot:(b 3 2));
+  Alcotest.(check (option string)) "vote row kept by a promise" (Some expected)
+    (vote_row ());
+  Alcotest.(check bool) "cache matches the row" true (coherent s);
+  Acceptor_store.reset s.acceptors;
+  ignore (Acceptor_store.prepare s.acceptors ~group ~pos:1 ~ballot:(b 4 2));
+  Alcotest.(check (option string)) "kept by a promise after a reload"
+    (Some expected) (vote_row ());
+  Alcotest.(check bool) "cache matches the row after a reload" true
+    (coherent s)
+
+let prop_vote_bytes =
+  let open QCheck.Gen in
+  let key = oneofl [ "a"; "b"; "c"; "d"; "long/key/name" ] in
+  let record =
+    let* txn_id = map (Printf.sprintf "t%d") nat in
+    let* origin = int_bound 6 in
+    let* read_position = int_bound 100_000 in
+    let* reads = list_size (0 -- 4) key in
+    let* writes = list_size (0 -- 4) (pair key (string_size (0 -- 20))) in
+    return
+      (Txn.make_record ~txn_id ~origin ~read_position ~reads
+         ~writes:(List.map (fun (key, value) -> { Txn.key; value }) writes))
+  in
+  let ballot =
+    let* round = int_bound 1_000_000 in
+    let* proposer = int_bound 7 in
+    return
+      (if round = 0 then Ballot.fast ~proposer else Ballot.make ~round ~proposer)
+  in
+  QCheck.Test.make ~count:300
+    ~name:"spliced vote bytes equal the vote codec"
+    (QCheck.make (pair ballot (list_size (0 -- 5) record)))
+    (fun (ballot, entry) ->
+      String.equal
+        (Acceptor_store.vote_bytes ballot ~encoded:(Messages.encode_entry entry))
+        (Codec.encode Acceptor_store.vote_codec (Some (ballot, entry))))
 
 let test_replayed_claim_counted () =
   let s = stack () in
@@ -304,6 +361,9 @@ let () =
             test_failed_save_drops_cache;
           Alcotest.test_case "replayed claim counted" `Quick
             test_replayed_claim_counted;
+          Alcotest.test_case "vote bytes spliced and kept" `Quick
+            test_vote_bytes_spliced;
+          QCheck_alcotest.to_alcotest prop_vote_bytes;
           Alcotest.test_case "prune drops rows and cache" `Quick
             test_prune_rows_and_cache;
         ] );

@@ -2,7 +2,6 @@
    fault injection, and the RPC layer. *)
 
 module Engine = Mdds_sim.Engine
-module Mailbox = Mdds_sim.Mailbox
 module Topology = Mdds_net.Topology
 module Network = Mdds_net.Network
 module Rpc = Mdds_net.Rpc
@@ -87,14 +86,19 @@ let make_net ?(spec = "VVV") ?(loss = 0.0) ?(seed = 1) () =
   let net : string Network.t = Network.create engine (Topology.ec2 ~loss ~jitter:0.1 spec) in
   (engine, net)
 
+(* Everything delivered to [node], in delivery order. *)
+let inbox net ~node =
+  let box = Queue.create () in
+  Network.listen net ~node (fun ~src:_ msg -> Queue.push msg box);
+  box
+
 let test_delivery_and_latency () =
   let engine, net = make_net () in
-  let box = Network.endpoint net ~node:1 ~port:"svc" in
   let got = ref None in
-  Engine.spawn engine (fun () ->
-      let msg = Mailbox.recv box in
-      got := Some (msg, Engine.now engine));
-  Network.send net ~src:0 ~dst:1 ~port:"svc" "hello";
+  Network.listen net ~node:1 (fun ~src msg ->
+      got := Some (msg, Engine.now engine);
+      Alcotest.(check int) "sender" 0 src);
+  Network.send net ~src:0 ~dst:1 "hello";
   Engine.run engine;
   match !got with
   | Some ("hello", t) ->
@@ -104,13 +108,13 @@ let test_delivery_and_latency () =
 
 let test_loss_rate () =
   let engine, net = make_net ~loss:0.5 ~seed:3 () in
-  let box = Network.endpoint net ~node:1 ~port:"p" in
+  let box = inbox net ~node:1 in
   let n = 2000 in
   for i = 1 to n do
-    Network.send net ~src:0 ~dst:1 ~port:"p" (string_of_int i)
+    Network.send net ~src:0 ~dst:1 (string_of_int i)
   done;
   Engine.run engine;
-  let delivered = Mailbox.length box in
+  let delivered = Queue.length box in
   let p = float_of_int delivered /. float_of_int n in
   if p < 0.44 || p > 0.56 then Alcotest.failf "loss 0.5 delivered %f" p;
   let stats = Network.stats net in
@@ -120,56 +124,54 @@ let test_loss_rate () =
 
 let test_down_drops () =
   let engine, net = make_net () in
-  let box = Network.endpoint net ~node:1 ~port:"p" in
-  Mailbox.push box "stale";
+  let box = inbox net ~node:1 in
   Network.set_down net 1;
-  Alcotest.(check int) "mailboxes flushed on outage" 0 (Mailbox.length box);
   Alcotest.(check bool) "is_down" true (Network.is_down net 1);
-  Network.send net ~src:0 ~dst:1 ~port:"p" "lost";
-  Network.send net ~src:1 ~dst:0 ~port:"p" "also lost";
+  Network.send net ~src:0 ~dst:1 "lost";
+  Network.send net ~src:1 ~dst:0 "also lost";
   Engine.run engine;
-  Alcotest.(check int) "nothing delivered" 0 (Mailbox.length box);
+  Alcotest.(check int) "nothing delivered" 0 (Queue.length box);
   Alcotest.(check int) "drop accounting" 2 (Network.stats net).Network.dropped_down;
   Network.set_up net 1;
-  Network.send net ~src:0 ~dst:1 ~port:"p" "after" ;
+  Network.send net ~src:0 ~dst:1 "after";
   Engine.run engine;
-  Alcotest.(check int) "delivery resumes" 1 (Mailbox.length box)
+  Alcotest.(check int) "delivery resumes" 1 (Queue.length box)
 
 let test_down_during_flight () =
   (* A message in flight when the destination fails is lost. *)
   let engine, net = make_net ~spec:"VOV" () in
-  let box = Network.endpoint net ~node:1 ~port:"p" in
-  Network.send net ~src:0 ~dst:1 ~port:"p" "doomed";
+  let box = inbox net ~node:1 in
+  Network.send net ~src:0 ~dst:1 "doomed";
   (* V->O one-way is ~45ms; fail the destination at 1ms. *)
   Engine.schedule engine ~at:0.001 (fun () -> Network.set_down net 1);
   Engine.run engine;
-  Alcotest.(check int) "dropped at delivery" 0 (Mailbox.length box)
+  Alcotest.(check int) "dropped at delivery" 0 (Queue.length box)
 
 let test_partition_and_heal () =
   let engine, net = make_net ~spec:"VVVVV" () in
   Network.partition net [ [ 0; 1 ]; [ 2; 3; 4 ] ];
-  let box2 = Network.endpoint net ~node:2 ~port:"p" in
-  let box1 = Network.endpoint net ~node:1 ~port:"p" in
-  Network.send net ~src:0 ~dst:2 ~port:"p" "cross";
-  Network.send net ~src:0 ~dst:1 ~port:"p" "same-side";
+  let box2 = inbox net ~node:2 in
+  let box1 = inbox net ~node:1 in
+  Network.send net ~src:0 ~dst:2 "cross";
+  Network.send net ~src:0 ~dst:1 "same-side";
   Engine.run engine;
-  Alcotest.(check int) "cross-partition dropped" 0 (Mailbox.length box2);
-  Alcotest.(check int) "same side delivered" 1 (Mailbox.length box1);
+  Alcotest.(check int) "cross-partition dropped" 0 (Queue.length box2);
+  Alcotest.(check int) "same side delivered" 1 (Queue.length box1);
   Alcotest.(check int) "cut accounting" 1 (Network.stats net).Network.dropped_cut;
   Network.heal net;
-  Network.send net ~src:0 ~dst:2 ~port:"p" "healed";
+  Network.send net ~src:0 ~dst:2 "healed";
   Engine.run engine;
-  Alcotest.(check int) "after heal" 1 (Mailbox.length box2)
+  Alcotest.(check int) "after heal" 1 (Queue.length box2)
 
 let test_partition_singleton_default () =
   (* A node listed in no group is isolated. *)
   let engine, net = make_net ~spec:"VVV" () in
   Network.partition net [ [ 0; 1 ] ];
-  let box2 = Network.endpoint net ~node:2 ~port:"p" in
-  Network.send net ~src:0 ~dst:2 ~port:"p" "x";
-  Network.send net ~src:2 ~dst:0 ~port:"p" "y";
+  let box2 = inbox net ~node:2 in
+  Network.send net ~src:0 ~dst:2 "x";
+  Network.send net ~src:2 ~dst:0 "y";
   Engine.run engine;
-  Alcotest.(check int) "isolated" 0 (Mailbox.length box2);
+  Alcotest.(check int) "isolated" 0 (Queue.length box2);
   Alcotest.(check int) "both dropped" 2 (Network.stats net).Network.dropped_cut
 
 (* ------------------------------------------------------------------ *)
@@ -177,62 +179,57 @@ let test_partition_singleton_default () =
 
 let test_oneway_cut_asymmetric () =
   let engine, net = make_net () in
-  let box0 = Network.endpoint net ~node:0 ~port:"p" in
-  let box1 = Network.endpoint net ~node:1 ~port:"p" in
+  let box0 = inbox net ~node:0 in
+  let box1 = inbox net ~node:1 in
   Network.cut_oneway net ~src:0 ~dst:1;
-  Network.send net ~src:0 ~dst:1 ~port:"p" "blocked";
-  Network.send net ~src:1 ~dst:0 ~port:"p" "flows";
+  Network.send net ~src:0 ~dst:1 "blocked";
+  Network.send net ~src:1 ~dst:0 "flows";
   Engine.run engine;
-  Alcotest.(check int) "cut direction dropped" 0 (Mailbox.length box1);
-  Alcotest.(check int) "reverse direction delivered" 1 (Mailbox.length box0);
+  Alcotest.(check int) "cut direction dropped" 0 (Queue.length box1);
+  Alcotest.(check int) "reverse direction delivered" 1 (Queue.length box0);
   Alcotest.(check int) "oneway accounting" 1
     (Network.stats net).Network.dropped_oneway;
   Network.heal_oneway net ~src:0 ~dst:1;
-  Network.send net ~src:0 ~dst:1 ~port:"p" "after-heal";
+  Network.send net ~src:0 ~dst:1 "after-heal";
   Engine.run engine;
-  Alcotest.(check int) "healed" 1 (Mailbox.length box1)
+  Alcotest.(check int) "healed" 1 (Queue.length box1)
 
 let test_oneway_cut_in_flight () =
   (* A message in flight when the directed cut lands is dropped at
      delivery time, like outages and partitions. *)
   let engine, net = make_net ~spec:"VOV" () in
-  let box1 = Network.endpoint net ~node:1 ~port:"p" in
-  Network.send net ~src:0 ~dst:1 ~port:"p" "doomed";
+  let box1 = inbox net ~node:1 in
+  Network.send net ~src:0 ~dst:1 "doomed";
   Engine.schedule engine ~at:0.001 (fun () -> Network.cut_oneway net ~src:0 ~dst:1);
   Engine.run engine;
-  Alcotest.(check int) "dropped at delivery" 0 (Mailbox.length box1);
+  Alcotest.(check int) "dropped at delivery" 0 (Queue.length box1);
   Alcotest.(check int) "counted" 1 (Network.stats net).Network.dropped_oneway
 
 let test_duplication () =
   let engine, net = make_net () in
-  let box1 = Network.endpoint net ~node:1 ~port:"p" in
+  let box1 = inbox net ~node:1 in
   Network.set_duplication net ~src:0 ~dst:1 1.0;
-  Network.send net ~src:0 ~dst:1 ~port:"p" "twice";
+  Network.send net ~src:0 ~dst:1 "twice";
   Engine.run engine;
-  Alcotest.(check int) "delivered twice" 2 (Mailbox.length box1);
+  Alcotest.(check int) "delivered twice" 2 (Queue.length box1);
   Alcotest.(check int) "duplicated counter" 1 (Network.stats net).Network.duplicated;
   Network.clear_duplication net;
-  Network.send net ~src:0 ~dst:1 ~port:"p" "once";
+  Network.send net ~src:0 ~dst:1 "once";
   Engine.run engine;
-  Alcotest.(check int) "cleared: single delivery" 3 (Mailbox.length box1)
+  Alcotest.(check int) "cleared: single delivery" 3 (Queue.length box1)
 
 let test_slowdown_delays () =
   let engine, net = make_net () in
-  let box1 = Network.endpoint net ~node:1 ~port:"p" in
-  let normal = ref 0.0 and slowed = ref 0.0 in
-  Engine.spawn engine (fun () ->
-      ignore (Mailbox.recv box1);
-      normal := Engine.now engine;
-      ignore (Mailbox.recv box1);
-      slowed := Engine.now engine);
-  Network.send net ~src:0 ~dst:1 ~port:"p" "baseline";
+  let arrived = ref 0.0 in
+  Network.listen net ~node:1 (fun ~src:_ _ -> arrived := Engine.now engine);
+  Network.send net ~src:0 ~dst:1 "baseline";
   Engine.run engine;
-  let baseline = !normal in
+  let baseline = !arrived in
   Network.set_slowdown net 1 4.0;
   let sent_at = Engine.now engine in
-  Network.send net ~src:0 ~dst:1 ~port:"p" "slow";
+  Network.send net ~src:0 ~dst:1 "slow";
   Engine.run engine;
-  let slow_delay = !slowed -. sent_at in
+  let slow_delay = !arrived -. sent_at in
   (* Jitter is +/-10%, so a 4x multiplier is well outside noise. *)
   Alcotest.(check bool)
     (Printf.sprintf "slowdown multiplies delay (%.6f vs %.6f)" slow_delay baseline)
@@ -247,28 +244,28 @@ let test_flap_phases () =
   (* A flapping link is a square wave anchored at injection: up for the
      first half-period, down for the second. *)
   let engine, net = make_net () in
-  let box1 = Network.endpoint net ~node:1 ~port:"p" in
+  let box1 = inbox net ~node:1 in
   Engine.schedule engine ~at:1.0 (fun () ->
       Network.flap_link net ~src:0 ~dst:1 ~period:1.0);
   (* t=1.2: up phase (1.0..1.5). t=1.7: down phase (1.5..2.0). t=2.1: up
      again. The V-V delay (<1ms) keeps each send inside its phase. *)
   Engine.schedule engine ~at:1.2 (fun () ->
-      Network.send net ~src:0 ~dst:1 ~port:"p" "up-1");
+      Network.send net ~src:0 ~dst:1 "up-1");
   Engine.schedule engine ~at:1.7 (fun () ->
-      Network.send net ~src:0 ~dst:1 ~port:"p" "down");
+      Network.send net ~src:0 ~dst:1 "down");
   Engine.schedule engine ~at:2.1 (fun () ->
-      Network.send net ~src:0 ~dst:1 ~port:"p" "up-2");
+      Network.send net ~src:0 ~dst:1 "up-2");
   Engine.run engine;
   Alcotest.(check int) "up phases delivered, down phase dropped" 2
-    (Mailbox.length box1);
+    (Queue.length box1);
   Alcotest.(check int) "flap drop counted as oneway" 1
     (Network.stats net).Network.dropped_oneway;
   Network.clear_flap net ~src:0 ~dst:1;
   Engine.schedule engine ~at:2.7 (fun () ->
       (* Would be a down phase (2.5..3.0) were the flap still active. *)
-      Network.send net ~src:0 ~dst:1 ~port:"p" "cleared");
+      Network.send net ~src:0 ~dst:1 "cleared");
   Engine.run engine;
-  Alcotest.(check int) "cleared flap delivers" 3 (Mailbox.length box1)
+  Alcotest.(check int) "cleared flap delivers" 3 (Queue.length box1)
 
 (* ------------------------------------------------------------------ *)
 (* RPC.                                                                 *)

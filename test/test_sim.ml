@@ -1,10 +1,9 @@
-(* Tests for the discrete-event simulation engine: heap, RNG, engine
-   scheduling semantics, mailboxes. *)
+(* Tests for the discrete-event simulation engine: heap, RNG and engine
+   scheduling semantics. *)
 
 module Heap = Mdds_sim.Heap
 module Rng = Mdds_sim.Rng
 module Engine = Mdds_sim.Engine
-module Mailbox = Mdds_sim.Mailbox
 
 (* ------------------------------------------------------------------ *)
 (* Heap.                                                                *)
@@ -165,6 +164,58 @@ let test_rng_copy () =
   ignore (Rng.int64 a);
   let b = Rng.copy a in
   Alcotest.(check int64) "copy replays" (Rng.int64 a) (Rng.int64 b)
+
+(* Known answers for the splitmix64 stream: any change to the state
+   representation must keep every draw bit-identical, or every seeded run
+   in the repository moves. *)
+let test_rng_known_answers () =
+  let draws seed = let r = Rng.create seed in List.init 3 (fun _ -> Rng.int64 r) in
+  Alcotest.(check (list int64)) "seed 0"
+    [ -2152535657050944081L; 7960286522194355700L; 487617019471545679L ]
+    (draws 0);
+  Alcotest.(check (list int64)) "seed 42"
+    [ -4767286540954276203L; 2949826092126892291L; 5139283748462763858L ]
+    (draws 42);
+  List.iter
+    (fun (seed, child, parent_next) ->
+      let parent = Rng.create seed in
+      let c = Rng.split parent in
+      Alcotest.(check int64) (Printf.sprintf "split %d child" seed) child (Rng.int64 c);
+      Alcotest.(check int64)
+        (Printf.sprintf "split %d parent" seed)
+        parent_next (Rng.int64 parent))
+    [ (0, -6411193824288604561L, 7960286522194355700L);
+      (42, 6332618229526065668L, 2949826092126892291L) ];
+  List.iter
+    (fun (seed, ints, floats) ->
+      let r = Rng.create seed in
+      Alcotest.(check (list int)) (Printf.sprintf "int %d" seed) ints
+        (List.init 3 (fun _ -> Rng.int r 1000));
+      Alcotest.(check (list (float 0.0))) (Printf.sprintf "float %d" seed) floats
+        (List.init 2 (fun _ -> Rng.float r 1.0)))
+    [ (0, [ 883; 925; 419 ], [ 0.9708819781538285; 0.10634669156721244 ]);
+      (42, [ 853; 72; 964 ], [ 0.34419071652363753; 0.03803016854024621 ]) ]
+
+(* The state is updated in place: an integer or boolean draw allocates
+   nothing, and a float draw only boxes its result (2 words) when the
+   call is not inlined. *)
+let test_rng_no_allocation () =
+  let r = Rng.create 7 in
+  let low = ref 0 in
+  let words f =
+    let before = Gc.minor_words () in
+    for _ = 1 to 10_000 do
+      if f () then incr low
+    done;
+    Gc.minor_words () -. before
+  in
+  let ints = words (fun () -> Rng.int r 10 < 5 && Rng.bool r 0.5) in
+  let floats = words (fun () -> Rng.uniform r 0.5 1.5 < 1.0) in
+  ignore (Sys.opaque_identity !low);
+  (* [Gc.minor_words] itself boxes its result. *)
+  if ints > 8.0 then Alcotest.failf "10k int/bool draws allocated %.0f words" ints;
+  if floats > 20_008.0 then
+    Alcotest.failf "10k float draws allocated %.0f words" floats
 
 let test_rng_ranges () =
   let rng = Rng.create 11 in
@@ -667,10 +718,11 @@ let two_lane_matches_spec_prop =
       end;
       true)
 
-(* A fixed-seed 3-DC cluster run through a crash and recovery: the event
-   count and a digest of every audited outcome and timestamp, recorded
-   before the two-lane queue replaced the single heap. Any change to event
-   order moves at least one of them. *)
+(* A fixed-seed 3-DC cluster run through a crash and recovery: a digest
+   of every audited outcome and timestamp, which any change to the order
+   of events that do visible work moves, and, pinned on its own, the
+   event count, which an event doing no visible work also moves
+   (DESIGN.md §2.1). *)
 let test_pinned_cluster_run () =
   let module Cluster = Mdds_core.Cluster in
   let module Audit = Mdds_core.Audit in
@@ -701,94 +753,9 @@ let test_pinned_cluster_run () =
         (outcome ev.outcome) ev.began_at ev.committed_at)
     (Audit.events (Cluster.audit cluster));
   Alcotest.(check int) "commits" 99 (Audit.commits (Cluster.audit cluster));
-  Alcotest.(check int) "events processed" 15271 (Engine.processed engine);
   Alcotest.(check string) "outcome digest" "4e0d29e53a8cd64c4aec95ca69089d50"
-    (Digest.to_hex (Digest.string (Buffer.contents buf)))
-
-(* ------------------------------------------------------------------ *)
-(* Mailbox.                                                             *)
-
-let test_mailbox_fifo () =
-  let engine = Engine.create () in
-  let mb = Mailbox.create engine in
-  let got = ref [] in
-  Engine.spawn engine (fun () ->
-      for _ = 1 to 3 do
-        let msg = Mailbox.recv mb in
-        got := msg :: !got
-      done);
-  Engine.spawn engine (fun () ->
-      Mailbox.push mb 1;
-      Mailbox.push mb 2;
-      Engine.sleep 1.0;
-      Mailbox.push mb 3);
-  Engine.run engine;
-  Alcotest.(check (list int)) "fifo" [ 1; 2; 3 ] (List.rev !got)
-
-let test_mailbox_timeout_expires () =
-  let engine = Engine.create () in
-  let mb : int Mailbox.t = Mailbox.create engine in
-  let result = ref (Some 0) and finished_at = ref 0.0 in
-  Engine.spawn engine (fun () ->
-      result := Mailbox.recv_timeout mb ~timeout:2.0;
-      finished_at := Engine.now engine);
-  Engine.run engine;
-  Alcotest.(check bool) "timed out" true (!result = None);
-  Alcotest.(check (float 1e-9)) "at timeout" 2.0 !finished_at
-
-let test_mailbox_timeout_delivery () =
-  let engine = Engine.create () in
-  let mb = Mailbox.create engine in
-  let result = ref None in
-  Engine.spawn engine (fun () -> result := Mailbox.recv_timeout mb ~timeout:5.0);
-  Engine.schedule engine ~at:1.0 (fun () -> Mailbox.push mb "msg");
-  Engine.run engine;
-  Alcotest.(check (option string)) "delivered before timeout" (Some "msg") !result
-
-let test_mailbox_late_push_not_lost () =
-  (* After a timeout fires, a later push must go to the queue, not to the
-     dead waiter. *)
-  let engine = Engine.create () in
-  let mb = Mailbox.create engine in
-  let first = ref (Some "sentinel") and second = ref None in
-  Engine.spawn engine (fun () ->
-      first := Mailbox.recv_timeout mb ~timeout:1.0;
-      Engine.sleep 2.0;
-      second := Mailbox.recv_timeout mb ~timeout:1.0);
-  Engine.schedule engine ~at:1.5 (fun () -> Mailbox.push mb "late");
-  Engine.run engine;
-  Alcotest.(check (option string)) "first timed out" None !first;
-  Alcotest.(check (option string)) "second got queued msg" (Some "late") !second
-
-let test_mailbox_poll_and_clear () =
-  let engine = Engine.create () in
-  let mb = Mailbox.create engine in
-  Alcotest.(check (option int)) "poll empty" None (Mailbox.poll mb);
-  Mailbox.push mb 9;
-  Alcotest.(check int) "length" 1 (Mailbox.length mb);
-  Alcotest.(check (option int)) "poll" (Some 9) (Mailbox.poll mb);
-  Mailbox.push mb 1;
-  Mailbox.clear mb;
-  Alcotest.(check int) "cleared" 0 (Mailbox.length mb)
-
-let test_mailbox_multiple_waiters () =
-  let engine = Engine.create () in
-  let mb = Mailbox.create engine in
-  let got = ref [] in
-  for i = 1 to 2 do
-    Engine.spawn engine (fun () ->
-        let msg = Mailbox.recv mb in
-        got := (i, msg) :: !got)
-  done;
-  Engine.schedule engine ~at:1.0 (fun () ->
-      Mailbox.push mb "x";
-      Mailbox.push mb "y");
-  Engine.run engine;
-  (* Oldest waiter served first. *)
-  Alcotest.(check (list (pair int string)))
-    "waiters FIFO"
-    [ (1, "x"); (2, "y") ]
-    (List.sort compare !got)
+    (Digest.to_hex (Digest.string (Buffer.contents buf)));
+  Alcotest.(check int) "events processed" 9033 (Engine.processed engine)
 
 let determinism_prop =
   QCheck.Test.make ~name:"identical seeds give identical executions" ~count:20
@@ -828,10 +795,13 @@ let () =
           Alcotest.test_case "determinism" `Quick test_rng_determinism;
           Alcotest.test_case "split" `Quick test_rng_split;
           Alcotest.test_case "copy" `Quick test_rng_copy;
+          Alcotest.test_case "draws allocate nothing" `Quick test_rng_no_allocation;
           Alcotest.test_case "ranges" `Quick test_rng_ranges;
           Alcotest.test_case "bool bias" `Quick test_rng_bool_bias;
           Alcotest.test_case "shuffle and pick" `Quick test_rng_shuffle_pick;
         ] );
+      ( "rng-kat",
+        [ Alcotest.test_case "splitmix64 stream" `Quick test_rng_known_answers ] );
       ( "engine",
         [
           Alcotest.test_case "time and order" `Quick test_engine_time_and_order;
@@ -852,14 +822,5 @@ let () =
           QCheck_alcotest.to_alcotest determinism_prop;
           QCheck_alcotest.to_alcotest two_lane_matches_spec_prop;
           Alcotest.test_case "pinned cluster run" `Quick test_pinned_cluster_run;
-        ] );
-      ( "mailbox",
-        [
-          Alcotest.test_case "fifo" `Quick test_mailbox_fifo;
-          Alcotest.test_case "timeout expires" `Quick test_mailbox_timeout_expires;
-          Alcotest.test_case "timeout delivery" `Quick test_mailbox_timeout_delivery;
-          Alcotest.test_case "late push not lost" `Quick test_mailbox_late_push_not_lost;
-          Alcotest.test_case "poll and clear" `Quick test_mailbox_poll_and_clear;
-          Alcotest.test_case "multiple waiters" `Quick test_mailbox_multiple_waiters;
         ] );
     ]

@@ -57,12 +57,6 @@ let vote_codec = Codec.(option (pair Ballot.codec Txn.entry_codec))
 
 let no_vote = Codec.encode vote_codec None
 
-(* [Some (ballot, entry)] under [vote_codec], from the entry's
-   [Txn.entry_codec] bytes: the option tag, the ballot, then the entry
-   verbatim. *)
-let vote_bytes ballot ~encoded =
-  String.concat "" [ "\001"; Codec.encode Ballot.codec ballot; encoded ]
-
 let decode attrs =
   let nb = Row.attribute attrs "nb" in
   let next_bal =
@@ -149,7 +143,7 @@ let sequenced_ok t g ~name ~pos ~ballot ~prev =
   | Some (pb, pe) -> Ballot.equal pb ballot && Txn.equal_entry pe prev
   | None -> false
 
-let accept t ~group:name ~pos ~ballot ~entry ~encoded ~sequenced =
+let accept t ~group:name ~pos ~ballot ~entry ~vote ~sequenced =
   let g = group t name in
   let rec go () =
     let refused =
@@ -164,10 +158,7 @@ let accept t ~group:name ~pos ~ballot ~entry ~encoded ~sequenced =
       let state', ok = Acceptor.on_accept c.state ballot entry in
       if not ok then
         Messages.Accept_reply { ok = false; next_bal = c.state.next_bal }
-      else if
-        save t g ~pos ~expected_nb:c.nb ~vote:(vote_bytes ballot ~encoded)
-          state'
-      then
+      else if save t g ~pos ~expected_nb:c.nb ~vote state' then
         Messages.Accept_reply { ok = true; next_bal = state'.next_bal }
       else go ()
   in

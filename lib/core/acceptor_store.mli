@@ -33,23 +33,18 @@ val accept :
   pos:int ->
   ballot:Mdds_paxos.Ballot.t ->
   entry:Mdds_types.Txn.entry ->
-  encoded:string ->
+  vote:string ->
   sequenced:Mdds_types.Txn.entry option ->
   Messages.response
 (** Algorithm 1, lines 15–22. A [sequenced] (pipelined round-0) accept
     is granted only if this acceptor's vote at [pos - 1] is that very
-    ballot for that very entry (DESIGN.md §14). [encoded] is [entry]
-    under {!Mdds_types.Txn.entry_codec}; the vote row is spliced from it
-    ({!vote_bytes}) instead of re-encoding the entry. *)
+    ballot for that very entry (DESIGN.md §14). [vote] is
+    [Some (ballot, entry)] under {!vote_codec}, as {!Messages.accept}
+    built it; a granted accept stores and caches these bytes verbatim. *)
 
 val vote_codec :
   (Mdds_paxos.Ballot.t * Mdds_types.Txn.entry) option Mdds_codec.Codec.t
 (** The encoding of the vote attribute of a paxos row. *)
-
-val vote_bytes : Mdds_paxos.Ballot.t -> encoded:string -> string
-(** [vote_bytes ballot ~encoded] equals
-    [Codec.encode vote_codec (Some (ballot, entry))] whenever [encoded]
-    is [Codec.encode Txn.entry_codec entry]. *)
 
 val claim : t -> group:string -> pos:int -> claimant:string -> Messages.response
 (** The durable first-wins leadership register (§4.1): [first] for

@@ -16,7 +16,7 @@ type request =
       pos : int;
       ballot : Ballot.t;
       entry : Txn.entry;
-      encoded : string;
+      vote : string;
       sequenced : Txn.entry option;
     }
   | Apply of { group : string; pos : int; entry : Txn.entry; encoded : string }
@@ -41,8 +41,15 @@ let encode_entry entry = Mdds_codec.Codec.encode Txn.entry_codec entry
 let or_encode encoded entry =
   match encoded with Some bytes -> bytes | None -> encode_entry entry
 
+(* [Some (ballot, entry)] under the acceptor's vote codec, spliced from
+   the entry bytes: the option tag, the ballot, then the entry verbatim.
+   Built once per round; every acceptor stores these very bytes. *)
 let accept ~group ~pos ~ballot ?sequenced ?encoded entry =
-  Accept { group; pos; ballot; entry; encoded = or_encode encoded entry; sequenced }
+  let vote =
+    String.concat ""
+      [ "\001"; Mdds_codec.Codec.encode Ballot.codec ballot; or_encode encoded entry ]
+  in
+  Accept { group; pos; ballot; entry; vote; sequenced }
 
 let apply ~group ~pos ?encoded entry =
   Apply { group; pos; entry; encoded = or_encode encoded entry }
@@ -53,7 +60,7 @@ let pp_request ppf = function
       Format.fprintf ppf "read(%s,%s@%d)" group key position
   | Prepare { group; pos; ballot } ->
       Format.fprintf ppf "prepare(%s,%d,%a)" group pos Ballot.pp ballot
-  | Accept { group; pos; ballot; entry; sequenced; encoded = _ } ->
+  | Accept { group; pos; ballot; entry; sequenced; vote = _ } ->
       Format.fprintf ppf "accept(%s,%d,%a,%a%s)" group pos Ballot.pp ballot
         Txn.pp_entry entry
         (if sequenced <> None then ",seq" else "")

@@ -29,13 +29,14 @@ type request =
       pos : int;
       ballot : Ballot.t;
       entry : Txn.entry;
-      encoded : string;
+      vote : string;
       sequenced : Txn.entry option;
     }
-      (** [encoded]: [entry] under {!Txn.entry_codec}. The proposer
-          serializes an entry once and every acceptor splices these bytes
-          into its vote row, and every replica stores them as its log row
-          (see {!accept}, {!apply}).
+      (** [vote]: [Some (ballot, entry)] under the acceptor's vote codec
+          ({!Acceptor_store.vote_codec}), built once per round by
+          {!accept}. Every acceptor that grants the accept stores these
+          bytes verbatim as its vote attribute, so one round's acceptors
+          share one copy instead of each encoding its own.
 
           [sequenced]: a pipelined round-0 accept (throughput mode),
           carrying the entry the leader proposed at [pos - 1]. The
@@ -52,7 +53,8 @@ type request =
           Ordinary accepts carry [None] and behave exactly as before. *)
   | Apply of { group : string; pos : int; entry : Txn.entry; encoded : string }
       (** One-way: write the decided entry to the log (Figure 3, step 6).
-          [encoded] as in [Accept]. *)
+          [encoded]: [entry] under {!Txn.entry_codec}, serialized once by
+          the proposer; every replica stores these bytes as its log row. *)
   | Claim_leadership of { group : string; pos : int; claimant : string }
       (** Fast path: am I ([claimant] = txn id) the first client to start
           the commit protocol for this position at its leader? *)
@@ -98,7 +100,9 @@ val accept :
   ?encoded:string ->
   Txn.entry ->
   request
-(** An [Accept]; [encoded] defaults to [encode_entry entry]. *)
+(** An [Accept] whose [vote] bytes are spliced from [encoded] (the
+    entry's bytes, [encode_entry entry] by default) without re-encoding
+    the entry. *)
 
 val apply : group:string -> pos:int -> ?encoded:string -> Txn.entry -> request
 (** An [Apply]; [encoded] defaults to [encode_entry entry]. *)

@@ -85,9 +85,10 @@ let broadcast_apply env ~group ~pos ~encoded entry =
 
 (* One accept round: true iff a majority voted for (ballot, entry).
    Also returns the highest nextBal seen in rejections, for ballot
-   selection on retry. The entry is serialized once, here; every
-   acceptor's vote row and, if it is chosen, every replica's log row
-   reuse these bytes. *)
+   selection on retry. The entry is serialized once per round and its
+   vote bytes are built once from those ({!Messages.accept}): every
+   acceptor's vote row stores the vote bytes and, if the entry is chosen,
+   every replica's log row the entry bytes. *)
 let accept_round ?sequenced env ~group ~pos ~ballot ~encoded entry =
   let acks = ref 0 in
   let replies =

@@ -108,14 +108,14 @@ let handle t ~src:_ request =
   | Messages.Prepare { group; pos; ballot } ->
       guarded t ~group ~pos (fun () ->
           Acceptor_store.prepare t.acceptors ~group ~pos ~ballot)
-  | Messages.Accept { group; pos; ballot; entry; encoded; sequenced } ->
+  | Messages.Accept { group; pos; ballot; entry; vote; sequenced } ->
       guarded t ~group ~pos (fun () ->
           (* The chaos trap fires on the first prepare marker that crosses
              this service — here, possibly before the entry is decided:
              the rawest point of the prepare→decide window. *)
           Indoubt.fire_trap t.indoubt entry;
-          Acceptor_store.accept t.acceptors ~group ~pos ~ballot ~entry
-            ~encoded ~sequenced)
+          Acceptor_store.accept t.acceptors ~group ~pos ~ballot ~entry ~vote
+            ~sequenced)
   | Messages.Apply { group; pos; entry; encoded } ->
       (* An apply at or below the compaction point is stale news: the
          entry's effects are already part of the checkpoint. Above it,

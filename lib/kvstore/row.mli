@@ -39,8 +39,9 @@ val versions : t -> (int * value) list
 
 val restore : t -> (int * value) list -> unit
 (** Replace the whole version chain (newest first). Only
-    {!Mdds_kvstore.Store}'s crash/recovery machinery may call this: it
-    rewinds a row to a previously captured {!versions} snapshot. *)
+    {!Mdds_kvstore.Store} may call this: its crash/recovery machinery
+    rewinds a row to a previously captured {!versions} snapshot, and its
+    auto-stamped writes replace a register row's history. *)
 
 (**/**)
 

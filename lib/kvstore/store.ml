@@ -34,27 +34,30 @@ let mode t = t.mode
 
 let checksum_attr = "#sum"
 
+(* FNV-1a (32-bit constants) over [s], then a sentinel byte so ("ab","c")
+   and ("a","bc") digest differently. *)
+let feed h s =
+  let h = ref h in
+  for i = 0 to String.length s - 1 do
+    h := (!h lxor Char.code (String.unsafe_get s i)) * 0x01000193 land 0xffffffff
+  done;
+  (!h lxor 0xff) * 0x01000193 land 0xffffffff
+
+let hex_digits = "0123456789abcdef"
+
+(* The 32-bit digest as 8 lowercase hex digits, as [%08x] prints it. *)
+let hex8 h =
+  let b = Bytes.create 8 in
+  for i = 0 to 7 do
+    Bytes.unsafe_set b i hex_digits.[(h lsr (28 - (4 * i))) land 0xf]
+  done;
+  Bytes.unsafe_to_string b
+
 let checksum_body value =
-  (* FNV-1a (32-bit constants), attribute and value bytes separated by a
-     sentinel so ("ab","c") and ("a","bc") digest differently. *)
-  let h = ref 0x811c9dc5 in
-  let feed s =
-    String.iter
-      (fun c ->
-        h := !h lxor Char.code c;
-        h := !h * 0x01000193 land 0xffffffff)
-      s;
-    h := !h lxor 0xff;
-    h := !h * 0x01000193 land 0xffffffff
-  in
-  List.iter
-    (fun (k, v) ->
-      if k <> checksum_attr then begin
-        feed k;
-        feed v
-      end)
-    value;
-  Printf.sprintf "%08x" !h
+  hex8
+    (List.fold_left
+       (fun h (k, v) -> if String.equal k checksum_attr then h else feed (feed h k) v)
+       0x811c9dc5 value)
 
 let checksum_valid value =
   match Row.attribute value checksum_attr with
@@ -105,26 +108,48 @@ let read t ~key ?timestamp () =
   | None -> None
   | Some row -> Row.read row ?timestamp ()
 
-(* Write through a row handle: same per-row atomic write as {!write}, used
-   by the WAL fast path. In Sync_always mode this is exactly [Row.write]. *)
+(* Retention. A timestamped write is an MVCC data version and joins the
+   row's history, which [read ~timestamp] serves. An auto-stamped write is
+   a register update (WAL metadata and log rows, acceptor state, claims,
+   quarantine): every reader wants the newest version, so it replaces the
+   history. [Sync_explicit] keeps one predecessor, the version a damaged
+   newest one scrubs back to; older versions are unreachable, since the
+   undo journal holds its own snapshot of the row. When the row holds
+   only the predecessor its list is reused, so the write allocates what a
+   prepend does. *)
+let replace t row value =
+  let value = Row.normalize value in
+  match Row.versions row with
+  | [] ->
+      Row.restore row [ (1, value) ];
+      1
+  | ((ts, _) as prev) :: older as versions ->
+      let ts = ts + 1 in
+      Row.restore row
+        (match t.mode with
+        | Sync_always -> [ (ts, value) ]
+        | Sync_explicit ->
+            (ts, value) :: (match older with [] -> versions | _ -> [ prev ]));
+      ts
+
+let put t row ?timestamp value =
+  match timestamp with
+  | None -> Ok (replace t row value)
+  | Some timestamp -> Row.write row ~timestamp value
+
+(* Write through a row handle: the same per-row atomic write as {!write},
+   used by the WAL fast path. *)
 let write_row t row ?timestamp value =
-  if t.mode = Sync_always then Row.write row ?timestamp value
+  if t.mode = Sync_always then put t row ?timestamp value
   else begin
     note_mutation t row;
-    let result = Row.write row ?timestamp (stamp t value) in
+    let result = put t row ?timestamp (stamp t value) in
     (match result with Ok _ -> t.inflight <- Some row | Error `Stale -> ());
     result
   end
 
 let write t ~key ?timestamp value =
-  if t.mode = Sync_always then Row.write (find_or_create_row t key) ?timestamp value
-  else begin
-    let row = find_or_create_row t key in
-    note_mutation t row;
-    let result = Row.write row ?timestamp (stamp t value) in
-    (match result with Ok _ -> t.inflight <- Some row | Error `Stale -> ());
-    result
-  end
+  write_row t (find_or_create_row t key) ?timestamp value
 
 let check_and_write t ~key ~test_attribute ~test_value value =
   let current =

@@ -22,7 +22,23 @@
     carries a checksum attribute so torn writes are detectable on read
     ({!checksum_valid}, {!scrub}). The default mode [Sync_always] makes
     the whole layer a no-op — every write is durable as it lands, exactly
-    the pre-existing behaviour, so ordinary experiments are unaffected. *)
+    the pre-existing behaviour, so ordinary experiments are unaffected.
+
+    {b Retention.} A row is one of two kinds, by how it is written.
+    - A {e versioned} row takes timestamped writes ([~timestamp]): the
+      WAL's data applies and snapshot installs. Every version is kept, so
+      [read ~timestamp] serves any snapshot (§3.2).
+    - A {e register} row takes auto-stamped writes (no [~timestamp]): WAL
+      metadata and log rows, acceptor state, claims, the catch-up
+      quarantine. Every reader wants its newest version, so a write
+      replaces the row's history instead of growing it. In [Sync_always]
+      the row keeps only the new version. In [Sync_explicit] it also keeps
+      the version it replaced: that predecessor is what a damaged newest
+      version scrubs back to ({!scrub}). Older versions are unreachable —
+      a dirty crash rewinds to the write buffer's own snapshot of the row,
+      not to the row's history — so they are dropped.
+
+    HBase bounds cell versions per column family the same way. *)
 
 type t
 
@@ -40,7 +56,9 @@ val read : t -> key:string -> ?timestamp:int -> unit -> (int * value) option
     omitted); [None] if the row does not exist or has no such version. *)
 
 val write : t -> key:string -> ?timestamp:int -> value -> (int, [ `Stale ]) result
-(** Create a new version of the row (see {!Row.write}). *)
+(** Create a new version of the row (see {!Row.write}). Without
+    [timestamp] the version is stamped [latest + 1] and replaces the
+    row's history (see {e Retention} above). *)
 
 val check_and_write :
   t ->
@@ -54,7 +72,8 @@ val check_and_write :
     write [value] as a new auto-stamped version and return [true];
     otherwise return [false] and write nothing. This is the primitive that
     lets stateless service processes update Paxos state safely
-    (Algorithm 1, lines 9 and 18). *)
+    (Algorithm 1, lines 9 and 18). The write is auto-stamped, so it
+    replaces the row's history as {!write} does. *)
 
 val attribute : t -> key:string -> string -> string option
 (** Latest version's attribute, if any. *)

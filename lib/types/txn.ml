@@ -74,7 +74,11 @@ module Intern = struct
     !names.(id) <- key;
     Mutex.unlock names_mutex
 
-  let stripe_of key = stripes.(Hashtbl.hash key land (stripe_count - 1))
+  (* The stripe comes from the hash's high bits: each stripe's tables pick
+     their buckets from the low bits of the same hash, so a stripe chosen
+     by the low bits would fill only 1/64 of its buckets. *)
+  let stripe_of key =
+    stripes.((Hashtbl.hash key lsr 24) land (stripe_count - 1))
 
   let id_slow s key =
     Atomic.incr slow;
@@ -128,6 +132,12 @@ module Intern = struct
 
   let count () = Atomic.get next
   let slow_lookups () = Atomic.get slow
+
+  let longest_chain () =
+    Array.fold_left
+      (fun acc s ->
+        max acc (Hashtbl.stats (Atomic.get s.snapshot)).Hashtbl.max_bucket_length)
+      0 stripes
 end
 
 (* ------------------------------------------------------------------ *)

@@ -47,6 +47,10 @@ module Intern : sig
   (** Lookups so far that missed their stripe's published snapshot and
       took the stripe lock (first sightings, and keys still pending a
       merge). *)
+
+  val longest_chain : unit -> int
+  (** The longest bucket chain in any stripe's published snapshot: the
+      worst probe a lock-free lookup can pay. *)
 end
 
 type write = { key : key; value : string }

@@ -338,6 +338,254 @@ let prop_check_and_write_atomic =
           else (not ok) && Store.attribute store ~key:"r" "nb" = current)
         steps)
 
+(* ------------------------------------------------------------------ *)
+(* Checksums.                                                           *)
+
+(* The digest as first specified: FNV-1a (32-bit) over each attribute
+   name and value but the checksum's own, a 0xff sentinel after each,
+   printed as 8 lowercase hex digits. *)
+let reference_checksum value =
+  let h = ref 0x811c9dc5 in
+  let feed s =
+    String.iter
+      (fun c ->
+        h := !h lxor Char.code c;
+        h := !h * 0x01000193 land 0xffffffff)
+      s;
+    h := !h lxor 0xff;
+    h := !h * 0x01000193 land 0xffffffff
+  in
+  List.iter
+    (fun (k, v) ->
+      if k <> "#sum" then begin
+        feed k;
+        feed v
+      end)
+    value;
+  Printf.sprintf "%08x" !h
+
+let prop_checksum_matches_reference =
+  QCheck.Test.make ~name:"stamped checksums equal the reference FNV-1a" ~count:500
+    QCheck.(
+      small_list
+        (pair
+           (map (fun s -> "a" ^ s) (string_of_size Gen.(0 -- 4)))
+           (string_of_size Gen.(0 -- 40))))
+    (fun value ->
+      let store = Store.create ~mode:Store.Sync_explicit () in
+      ignore (Store.write store ~key:"k" value);
+      match Store.read store ~key:"k" () with
+      | None -> false
+      | Some (_, stored) ->
+          Row.attribute stored "#sum"
+          = Some (reference_checksum (Row.normalize value))
+          && Store.checksum_valid stored)
+
+(* ------------------------------------------------------------------ *)
+(* Retention: auto-stamped writes are register updates and replace the
+   row's history; timestamped writes are MVCC versions and keep it.     *)
+
+let version_count store key = Row.version_count (Store.row store ~key)
+
+let test_auto_stamped_writes_bounded () =
+  List.iter
+    (fun (mode, kept) ->
+      let store = Store.create ~mode () in
+      for i = 1 to 1000 do
+        ignore (Store.write store ~key:"reg" (value (string_of_int i)));
+        if i mod 7 = 0 then Store.sync store
+      done;
+      Alcotest.(check int) "versions kept" kept (version_count store "reg");
+      (match Store.read store ~key:"reg" () with
+      | Some (1000, attrs) ->
+          Alcotest.(check (option string)) "newest" (Some "1000")
+            (Row.attribute attrs "v")
+      | _ -> Alcotest.fail "newest version or its timestamp");
+      for i = 1 to 1000 do
+        ignore
+          (Store.check_and_write store ~key:"cas" ~test_attribute:"v"
+             ~test_value:(if i = 1 then None else Some (string_of_int (i - 1)))
+             (value (string_of_int i)))
+      done;
+      Alcotest.(check int) "check_and_write versions kept" kept
+        (version_count store "cas");
+      Alcotest.(check (option string)) "check_and_write newest" (Some "1000")
+        (Store.attribute store ~key:"cas" "v"))
+    [ (Store.Sync_always, 1); (Store.Sync_explicit, 2) ]
+
+let test_timestamped_writes_keep_history () =
+  List.iter
+    (fun mode ->
+      let store = Store.create ~mode () in
+      let row = Store.row store ~key:"data" in
+      for ts = 1 to 1000 do
+        let v = value (string_of_int ts) in
+        ignore
+          (if ts mod 2 = 0 then Store.write store ~key:"data" ~timestamp:ts v
+           else Store.write_row store row ~timestamp:ts v)
+      done;
+      Alcotest.(check int) "every version kept" 1000 (version_count store "data");
+      List.iter
+        (fun ts ->
+          match Store.read store ~key:"data" ~timestamp:ts () with
+          | Some (got, attrs) ->
+              Alcotest.(check int) "version timestamp" ts got;
+              Alcotest.(check (option string)) "version value"
+                (Some (string_of_int ts)) (Row.attribute attrs "v")
+          | None -> Alcotest.failf "no version at %d" ts)
+        [ 1; 2; 500; 999; 1000 ])
+    [ Store.Sync_always; Store.Sync_explicit ]
+
+(* A list model of the store that keeps every version: the reference the
+   retention rule must agree with on everything a reader can see. Each
+   key holds its versions, newest first ([] when the row is absent), and
+   the versions a dirty crash rewinds it to; [dirty] marks keys written
+   since the last sync point. *)
+type model_key = {
+  mutable cur : (int * Row.value) list;
+  mutable synced : (int * Row.value) list;
+  mutable dirty : bool;
+}
+
+type op =
+  | Write of int * string
+  | Cas of int * string option * string
+  | Sync
+  | Crash of bool * bool  (* torn, lose_unsynced *)
+  | Scrub of int
+
+let pp_op = function
+  | Write (k, v) -> Printf.sprintf "write k%d %s" k v
+  | Cas (k, e, v) ->
+      Printf.sprintf "cas k%d %s %s" k (Option.value e ~default:"-") v
+  | Sync -> "sync"
+  | Crash (torn, lose) -> Printf.sprintf "crash torn=%b lose=%b" torn lose
+  | Scrub k -> Printf.sprintf "scrub k%d" k
+
+let op_gen =
+  let open QCheck.Gen in
+  let k = int_bound 1 in
+  let v = map string_of_int (int_bound 5) in
+  frequency
+    [
+      (4, map2 (fun k v -> Write (k, v)) k v);
+      (3, map3 (fun k e v -> Cas (k, e, v)) k (opt v) v);
+      (2, return Sync);
+      (2, map2 (fun t l -> Crash (t, l)) bool bool);
+      (2, map (fun k -> Scrub k) k);
+    ]
+
+let model_valid (_, v) =
+  match Row.attribute v "#sum" with
+  | None -> true
+  | Some sum -> String.equal sum (reference_checksum v)
+
+let head = function v :: _ -> Some v | [] -> None
+let head_attr versions = Option.bind (head versions) (fun (_, v) -> Row.attribute v "a")
+
+let run_model mode ops =
+  let explicit = mode = Store.Sync_explicit in
+  let store = Store.create ~mode () in
+  let keys = [| "k0"; "k1" |] in
+  let model = Array.init 2 (fun _ -> { cur = []; synced = []; dirty = false }) in
+  let inflight = ref None in
+  (* Three attributes, so a torn version keeps a strict prefix. *)
+  let attrs v = [ ("a", v); ("b", v ^ v); ("c", "x") ] in
+  let stamp value =
+    if explicit then ("#sum", reference_checksum value) :: value else value
+  in
+  let model_write k value =
+    let m = model.(k) in
+    let ts = match m.cur with [] -> 1 | (ts, _) :: _ -> ts + 1 in
+    m.cur <- (ts, stamp value) :: m.cur;
+    if explicit then begin
+      m.dirty <- true;
+      inflight := Some k
+    end
+  in
+  let sync_point () =
+    Array.iter (fun m -> m.synced <- m.cur; m.dirty <- false) model;
+    inflight := None
+  in
+  let step = function
+    | Write (k, v) ->
+        ignore (Store.write store ~key:keys.(k) (attrs v));
+        model_write k (attrs v)
+    | Cas (k, expected, v) ->
+        let ok =
+          Store.check_and_write store ~key:keys.(k) ~test_attribute:"a"
+            ~test_value:expected (attrs v)
+        in
+        if ok <> (head_attr model.(k).cur = expected) then
+          failwith "check_and_write verdict";
+        if ok then model_write k (attrs v)
+    | Sync ->
+        Store.sync store;
+        if explicit then sync_point ()
+    | Crash (torn, lose_unsynced) ->
+        Store.crash ~torn store ~lose_unsynced;
+        if explicit then begin
+          if lose_unsynced then begin
+            let victim =
+              match !inflight with
+              | Some k when torn -> Option.map (fun v -> (model.(k), v)) (head model.(k).cur)
+              | _ -> None
+            in
+            Array.iter (fun m -> m.cur <- m.synced) model;
+            match victim with
+            | Some (m, (ts, value)) when m.cur <> [] ->
+                (* Re-persisted over the rewound row, then cut to a prefix;
+                   a row rewound to absent stays absent. *)
+                let rest =
+                  match m.cur with
+                  | (vts, _) :: rest when vts = ts -> rest
+                  | versions -> versions
+                in
+                let n = List.length value in
+                let value =
+                  if n >= 2 then List.filteri (fun i _ -> i < max 1 (n / 2)) value
+                  else value
+                in
+                m.cur <- (ts, value) :: rest
+            | _ -> ()
+          end;
+          sync_point ()
+        end
+    | Scrub k ->
+        ignore (Store.scrub store ~key:keys.(k));
+        let m = model.(k) in
+        m.cur <- List.filter model_valid m.cur;
+        (* Scrubs are not journaled: a clean row keeps the repair. *)
+        if not m.dirty then m.synced <- m.cur
+  in
+  let agree k =
+    let m = model.(k) and key = keys.(k) in
+    let durable = if explicit then List.filter model_valid m.synced else m.cur in
+    let versions =
+      match Store.row_handle store ~key with
+      | None -> []
+      | Some row -> Row.versions row
+    in
+    let valid = List.filter (fun (_, v) -> Store.checksum_valid v) versions in
+    Store.read store ~key () = head m.cur
+    && Store.attribute store ~key "a" = head_attr m.cur
+    && head (Store.durable_versions store ~key) = head durable
+    && head valid = head (List.filter model_valid m.cur)
+    && List.length valid <= if explicit then 2 else 1
+  in
+  List.for_all
+    (fun op ->
+      step op;
+      agree 0 && agree 1)
+    ops
+
+let prop_retention_matches_model mode name =
+  QCheck.Test.make ~name ~count:500
+    (QCheck.make ~shrink:QCheck.Shrink.list
+       ~print:(fun ops -> String.concat "; " (List.map pp_op ops))
+       QCheck.Gen.(list_size (1 -- 40) op_gen))
+    (run_model mode)
+
 let () =
   Alcotest.run "kvstore"
     [
@@ -382,5 +630,19 @@ let () =
           QCheck_alcotest.to_alcotest prop_check_and_write_atomic;
           QCheck_alcotest.to_alcotest prop_normalize_matches_reference;
           QCheck_alcotest.to_alcotest prop_normalize_sorted_fast_path;
+          QCheck_alcotest.to_alcotest prop_checksum_matches_reference;
+        ] );
+      ( "retention",
+        [
+          Alcotest.test_case "auto-stamped writes keep 1 or 2 versions" `Quick
+            test_auto_stamped_writes_bounded;
+          Alcotest.test_case "timestamped writes keep every version" `Quick
+            test_timestamped_writes_keep_history;
+          QCheck_alcotest.to_alcotest
+            (prop_retention_matches_model Store.Sync_always
+               "Sync_always agrees with the full-history model");
+          QCheck_alcotest.to_alcotest
+            (prop_retention_matches_model Store.Sync_explicit
+               "Sync_explicit agrees with the full-history model");
         ] );
     ]

@@ -91,24 +91,35 @@ let test_failed_save_drops_cache () =
   | r -> Alcotest.failf "expected a reject, got %a" Messages.pp_response r);
   Alcotest.(check bool) "cache follows the row again" true (coherent s1)
 
-(* The vote row written from the proposer's entry bytes, and rewritten
-   as it is by a later promise, is exactly what encoding the vote gives. *)
+(* The vote bytes an [Accept] carries. *)
+let vote_of = function
+  | Messages.Accept { vote; _ } -> vote
+  | r -> Alcotest.failf "not an accept: %a" Messages.pp_request r
+
+(* The vote row written from the round's vote bytes, and rewritten as it
+   is by a later promise, is exactly what encoding the vote gives. *)
 let test_vote_bytes_spliced () =
   let store = Store.create () in
   let s = stack ~store () in
   let entry = [ record ~reads:[ "x" ] ~writes:[ "y"; "z" ] "t1" ] in
-  let encoded = Messages.encode_entry entry in
+  let vote =
+    vote_of
+      (Messages.accept ~group ~pos:1 ~ballot:(b 2 1)
+         ~encoded:(Messages.encode_entry entry) entry)
+  in
   let expected =
     Codec.encode Acceptor_store.vote_codec (Some (b 2 1, entry))
   in
   let vote_row () = Store.attribute store ~key:"paxos/g/1" "vote" in
   (match
      Acceptor_store.accept s.acceptors ~group ~pos:1 ~ballot:(b 2 1) ~entry
-       ~encoded ~sequenced:None
+       ~vote ~sequenced:None
    with
   | Messages.Accept_reply { ok = true; _ } -> ()
   | r -> Alcotest.failf "accept: %a" Messages.pp_response r);
   Alcotest.(check (option string)) "accepted vote row" (Some expected) (vote_row ());
+  Alcotest.(check bool) "the round's bytes stored, not a copy" true
+    (match vote_row () with Some v -> v == vote | None -> false);
   ignore (Acceptor_store.prepare s.acceptors ~group ~pos:1 ~ballot:(b 3 2));
   Alcotest.(check (option string)) "vote row kept by a promise" (Some expected)
     (vote_row ());
@@ -143,9 +154,17 @@ let prop_vote_bytes =
     ~name:"spliced vote bytes equal the vote codec"
     (QCheck.make (pair ballot (list_size (0 -- 5) record)))
     (fun (ballot, entry) ->
+      let expected =
+        Codec.encode Acceptor_store.vote_codec (Some (ballot, entry))
+      in
       String.equal
-        (Acceptor_store.vote_bytes ballot ~encoded:(Messages.encode_entry entry))
-        (Codec.encode Acceptor_store.vote_codec (Some (ballot, entry))))
+        (vote_of (Messages.accept ~group ~pos:1 ~ballot entry))
+        expected
+      && String.equal
+           (vote_of
+              (Messages.accept ~group ~pos:1 ~ballot
+                 ~encoded:(Messages.encode_entry entry) entry))
+           expected)
 
 let test_replayed_claim_counted () =
   let s = stack () in

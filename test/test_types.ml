@@ -206,9 +206,9 @@ let test_intern_cross_domain () =
    stripe has merged: after [1 + count/4] further first sightings in the
    same stripe (the snapshot holds at most [count] keys), a merge has
    published it. Keys are routed to one stripe by the interner's own rule,
-   [Hashtbl.hash key land 63]. *)
+   [(Hashtbl.hash key lsr 24) land 63]. *)
 let test_intern_repeat_from_snapshot () =
-  let stripe_of key = Hashtbl.hash key land 63 in
+  let stripe_of key = (Hashtbl.hash key lsr 24) land 63 in
   let target = stripe_of "snap-key" in
   let fresh =
     let i = ref 0 in
@@ -242,6 +242,17 @@ let test_intern_repeat_from_snapshot () =
      threshold kept all 100 on the locked path. *)
   if slow > 40 then
     Alcotest.failf "%d of 100 repeated lookups took a stripe lock" slow
+
+(* Stripes and their tables must not pick from the same hash bits: a
+   stripe chosen by the bits its tables bucket by fills 1/64 of its
+   buckets, and every snapshot probe walks a chain tens of keys long. *)
+let test_intern_buckets_spread () =
+  for i = 1 to 4000 do
+    ignore (Txn.Intern.id (Printf.sprintf "spread/%d" i))
+  done;
+  let longest = Txn.Intern.longest_chain () in
+  if longest > 12 then
+    Alcotest.failf "a stripe snapshot has a %d-key bucket chain" longest
 
 let raw_record_gen =
   (* Raw construction inputs (not a built record): the point of the
@@ -302,6 +313,8 @@ let () =
             test_intern_cross_domain;
           Alcotest.test_case "repeated key served from the snapshot" `Quick
             test_intern_repeat_from_snapshot;
+          Alcotest.test_case "stripe snapshots spread over their buckets" `Quick
+            test_intern_buckets_spread;
           QCheck_alcotest.to_alcotest prop_cross_domain_footprints;
         ] );
     ]

@@ -1,14 +1,14 @@
 (* Figure parallel-speedup harness.
 
-   Times every selected figure twice — pinned to one domain, then on the
-   domain pool — and writes the wall clocks as JSON, e.g.
+   Times every selected figure twice — pinned to one domain, then on
+   --jobs domains — and writes the wall clocks as JSON, e.g.
 
      dune exec bench/main.exe -- --jobs 4 --out bench-jobs4.json fig4a
      python3 scripts/bench_guard.py bench-jobs4.json
 
-   Usage: main.exe [--jobs N] [--out PATH] [--verbose] [ID...]. With no
+   Usage: main.exe [--jobs N] [--out PATH] [ID...]. With no
    ids every figure is timed; see `mdds list` for the ids. --jobs N (or
-   MDDS_JOBS) sizes the pool; figure output is byte-identical whatever
+   MDDS_JOBS) sets the width; figure output is byte-identical whatever
    the value, so only the wall clock differs between the two passes.
    --out defaults to BENCH_harness.json. scripts/bench_guard.py enforces
    the speedup floor on the result. *)
@@ -57,12 +57,8 @@ let time_figures ~jobs figures =
 
 let () =
   let out = ref "BENCH_harness.json" in
-  let verbose = ref false in
   let rec parse (jobs, ids) = function
     | [] -> (jobs, List.rev ids)
-    | "--verbose" :: rest ->
-        verbose := true;
-        parse (jobs, ids) rest
     | "--out" :: path :: rest ->
         out := path;
         parse (jobs, ids) rest
@@ -89,6 +85,4 @@ let () =
   in
   Pool.set_jobs jobs;
   let jobs = Pool.get_jobs () in
-  emit_json ~path:!out ~jobs (time_figures ~jobs figures);
-  (* Cumulative pool stats, on stderr so stdout stays byte-comparable. *)
-  if !verbose then Pool.pp_stats Format.err_formatter (Pool.stats ())
+  emit_json ~path:!out ~jobs (time_figures ~jobs figures)

@@ -16,28 +16,6 @@ open Cmdliner
 (* ------------------------------------------------------------------ *)
 (* mdds run                                                            *)
 
-let jobs_arg =
-  let doc =
-    "Run independent trials (figure cells, chaos seeds) on $(docv) domains. \
-     Defaults to $(b,MDDS_JOBS) if set, else the machine's recommended \
-     domain count. Output is byte-identical whatever the value."
-  in
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "j"; "jobs" ] ~docv:"N" ~env:(Cmd.Env.info "MDDS_JOBS") ~doc)
-
-let verbose_arg =
-  let doc =
-    "After the run, print domain-pool scheduler statistics (tasks per \
-     domain, busy/idle time, batches) on stderr. Stdout is unaffected, so \
-     output stays byte-comparable."
-  in
-  Arg.(value & flag & info [ "verbose" ] ~doc)
-
-let print_scheduler_stats () =
-  Mdds_parallel.Pool.pp_stats Format.err_formatter (Mdds_parallel.Pool.stats ())
-
 (* Durations, rates and fill windows must be finite and positive: NaN,
    infinities, zero and negatives are a cmdliner error (exit 124), never
    an internal error, a silent no-op run or an invalid JSON number. *)
@@ -69,6 +47,17 @@ let int_at_least lo =
     | _ -> Error (`Msg (Printf.sprintf "%S is not an integer >= %d" s lo))
   in
   Arg.conv (parse, Arg.conv_printer Arg.int)
+
+let jobs_arg =
+  let doc =
+    "Run independent trials (figure cells, chaos seeds) on $(docv) domains. \
+     Defaults to $(b,MDDS_JOBS) if set, else the machine's recommended \
+     domain count. Output is byte-identical whatever the value."
+  in
+  Arg.(
+    value
+    & opt (some (int_at_least 1)) None
+    & info [ "j"; "jobs" ] ~docv:"N" ~env:(Cmd.Env.info "MDDS_JOBS") ~doc)
 
 (* Comma-separated lists whose every element passes [ok]. *)
 let list_conv ~name ~of_string ~ok ~to_string =
@@ -343,7 +332,7 @@ let chaos_cmd =
              schedule dimensions.")
   in
   let run topology protocol seed seeds duration faults explicit_schedule
-      shrink trace_tail throughput groups cross_ratio jobs verbose =
+      shrink trace_tail throughput groups cross_ratio jobs =
     Mdds_parallel.Pool.set_jobs jobs;
     let seeds = match seeds with None -> [ seed ] | Some s -> s in
     if groups < 1 then (
@@ -373,7 +362,7 @@ let chaos_cmd =
       Runner.default_config (if cross then Config.Leader else protocol)
     in
     let failures = ref 0 in
-    (* Independent seeds fan out over the domain pool; reporting (and any
+    (* Independent seeds fan out over domains; reporting (and any
        shrinking, which is sequential by nature) happens afterwards in
        seed order, so the output is identical to a sequential run. *)
     let workload =
@@ -422,7 +411,6 @@ let chaos_cmd =
             Format.printf "%a" Schedule.pp minimal;
             Format.printf "  repro:    %s@." (Runner.repro final))))
       specs reports;
-    if verbose then print_scheduler_stats ();
     if !failures > 0 then (
       Format.printf "%d of %d seeds FAILED@." !failures (List.length seeds);
       exit 1)
@@ -432,7 +420,7 @@ let chaos_cmd =
     Term.(
       const run $ topology_arg $ protocol_arg $ seed_arg $ seeds_arg
       $ duration_arg $ faults_arg $ schedule_arg $ shrink_arg $ trace_tail_arg
-      $ throughput_arg $ groups_arg $ cross_ratio_arg $ jobs_arg $ verbose_arg)
+      $ throughput_arg $ groups_arg $ cross_ratio_arg $ jobs_arg)
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -561,7 +549,7 @@ let throughput_cmd =
   in
   let run topology seed txns rates batch depth baseline_only fill sweep
       sweep_batches sweep_depths sweep_fills topologies sweep_rate csv groups
-      out jobs verbose =
+      out jobs =
     Mdds_parallel.Pool.set_jobs jobs;
     if batch < 1 || depth < 1 then (
       Format.eprintf "mdds: --batch and --depth must be positive@.";
@@ -583,7 +571,6 @@ let throughput_cmd =
       (match csv with
       | None -> ()
       | Some path -> write_file path (Throughput.knob_to_csv cells));
-      if verbose then print_scheduler_stats ();
       if
         List.exists
           (fun (_, p) -> Result.is_error p.Throughput.verified)
@@ -615,7 +602,6 @@ let throughput_cmd =
       (match out with
       | None -> ()
       | Some path -> write_file path (Throughput.to_json points));
-      if verbose then print_scheduler_stats ();
       if List.exists (fun p -> Result.is_error p.Throughput.verified) points
       then exit 1
     end
@@ -626,7 +612,7 @@ let throughput_cmd =
       $ depth_arg $ baseline_only_arg $ fill_arg $ sweep_arg
       $ sweep_batches_arg $ sweep_depths_arg $ sweep_fills_arg
       $ topologies_arg $ sweep_rate_arg $ csv_arg $ tp_groups_arg $ out_arg
-      $ jobs_arg $ verbose_arg)
+      $ jobs_arg)
   in
   Cmd.v
     (Cmd.info "throughput"
@@ -647,17 +633,16 @@ let figures_cmd =
     let doc = "Figure ids (default: all). See 'mdds list'." in
     Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc)
   in
-  let run ids jobs verbose =
+  let run ids jobs =
     Mdds_parallel.Pool.set_jobs jobs;
-    (try Figures.run_ids ids
-     with Invalid_argument msg ->
-       prerr_endline msg;
-       exit 2);
-    if verbose then print_scheduler_stats ()
+    try Figures.run_ids ids
+    with Invalid_argument msg ->
+      prerr_endline msg;
+      exit 2
   in
   Cmd.v
     (Cmd.info "figures" ~doc:"Reproduce figures from the paper's evaluation (§6).")
-    Term.(const run $ ids_arg $ jobs_arg $ verbose_arg)
+    Term.(const run $ ids_arg $ jobs_arg)
 
 let list_cmd =
   let run () =

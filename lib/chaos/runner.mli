@@ -167,8 +167,8 @@ val run_many :
   ?extra_oracle:(Mdds_core.Cluster.t -> (unit, string) result) ->
   spec list ->
   report list
-(** Run independent specs (typically a seed battery) on the
-    {!Mdds_parallel.Pool} domain pool, reports in input order. Results are
+(** Run independent specs (typically a seed battery) in parallel with
+    {!Mdds_parallel.Pool.map}, reports in input order. Results are
     identical to mapping {!run} sequentially — every run is deterministic
     in its spec. Shrinking is inherently sequential; do it on the returned
     failing reports. *)

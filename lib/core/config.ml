@@ -81,4 +81,3 @@ let protocol_name = function
   | Cp -> "paxos-cp"
   | Leader -> "leader"
 
-let pp_protocol ppf p = Format.pp_print_string ppf (protocol_name p)

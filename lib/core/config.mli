@@ -115,5 +115,4 @@ val make :
 
 val with_protocol : protocol -> t -> t
 
-val pp_protocol : Format.formatter -> protocol -> unit
 val protocol_name : protocol -> string

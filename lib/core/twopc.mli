@@ -23,7 +23,6 @@ val reserved_prefix : string
 (** ["__2pc/"] — workload keys must never start with this. *)
 
 val prepare_key : string -> string
-val outcome_key : string -> string
 val decision_key : string -> string
 (** Marker (and data-row) key for a transaction id. *)
 
@@ -36,7 +35,6 @@ type payload = {
   writes : (string * string) list;  (** buffered writes for this group *)
 }
 
-val payload_codec : payload Mdds_codec.Codec.t
 
 type kind =
   | Prepare of { txid : string }

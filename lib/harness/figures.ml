@@ -7,7 +7,7 @@ let default_seeds = [ 11; 22; 33 ]
 
 (* Every trial (one Experiment.run) owns its engine, cluster and RNG, so
    independent cells of a figure's (config × seed) grid run in parallel on
-   the domain pool; Pool.map preserves input order and each trial is a pure
+   several domains; Pool.map preserves input order and each trial is a pure
    function of its spec, so figures are byte-identical to a sequential run
    whatever the domain count.
 
@@ -173,7 +173,7 @@ let fig4 ?seeds () =
     (fun (label, topology) (basic, cp) -> (label, topology, basic, cp))
     replica_clusters pairs
 
-let fig4a ?seeds () =
+let print_fig4a grid =
   heading "Figure 4(a)" "commits out of 500 vs number of replicas";
   let rows =
     List.map
@@ -185,7 +185,7 @@ let fig4a ?seeds () =
           round_col cp 0; round_col cp 1; round_col cp 2;
           Table.fmt_f (late_commits cp);
         ])
-      (fig4 ?seeds ())
+      grid
   in
   Table.print
     ~header:[ "replicas"; "cluster"; "paxos"; "paxos-cp"; "cp r0"; "cp r1"; "cp r2"; "cp r3+" ]
@@ -194,7 +194,7 @@ let fig4a ?seeds () =
     "paper: basic 284..292 of 500 across replica counts; Paxos-CP total 434..445;\n\
      replica count has little effect on either; CP first-round commits below basic total."
 
-let fig4b ?seeds () =
+let print_fig4b grid =
   heading "Figure 4(b)" "commit latency (ms) of committed transactions, by promotion round";
   let rows =
     List.map
@@ -208,7 +208,7 @@ let fig4b ?seeds () =
           (if Array.length cp.lat_by_round > 1 then r cp.lat_by_round.(1) else "-");
           (if Array.length cp.lat_by_round > 2 then r cp.lat_by_round.(2) else "-");
         ])
-      (fig4 ?seeds ())
+      grid
   in
   Table.print
     ~header:[ "replicas"; "cluster"; "paxos"; "cp all"; "cp r0"; "cp r1"; "cp r2" ]
@@ -230,7 +230,7 @@ let fig5 ?seeds () =
   List.map2 (fun topology (basic, cp) -> (topology, basic, cp)) combo_clusters
     pairs
 
-let fig5a ?seeds () =
+let print_fig5a grid =
   heading "Figure 5(a)" "commits out of 500 for different datacenter combinations";
   let rows =
     List.map
@@ -242,7 +242,7 @@ let fig5a ?seeds () =
           round_col cp 0; round_col cp 1;
           Table.fmt_f (late_commits cp +. (if Array.length cp.by_round > 2 then cp.by_round.(2) else 0.));
         ])
-      (fig5 ?seeds ())
+      grid
   in
   Table.print
     ~header:[ "cluster"; "paxos"; "paxos-cp"; "cp r0"; "cp r1"; "cp r2+" ]
@@ -251,7 +251,7 @@ let fig5a ?seeds () =
     "paper: CP improvement over basic roughly constant across combinations,\n\
      despite location-induced latency differences (VV vs OV, VVV vs COV)."
 
-let fig5b ?seeds () =
+let print_fig5b grid =
   heading "Figure 5(b)" "average transaction latency (ms) per datacenter combination";
   let rows =
     List.map
@@ -266,7 +266,7 @@ let fig5b ?seeds () =
              Table.fmt_ms cp.lat_by_round.(0).Stats.mean
            else "-");
         ])
-      (fig5 ?seeds ())
+      grid
   in
   Table.print
     ~header:
@@ -275,6 +275,11 @@ let fig5b ?seeds () =
   footnote
     "paper: Virginia-only clusters (VV, VVV) significantly faster; quorums that\n\
      must cross regions (OV, COV) pay wide-area round trips."
+
+let fig4a ?seeds () = print_fig4a (fig4 ?seeds ())
+let fig4b ?seeds () = print_fig4b (fig4 ?seeds ())
+let fig5a ?seeds () = print_fig5a (fig5 ?seeds ())
+let fig5b ?seeds () = print_fig5b (fig5 ?seeds ())
 
 (* ------------------------------------------------------------------ *)
 (* Figure 6: data contention.                                           *)
@@ -993,12 +998,14 @@ let ext_skew ?seeds () =
 
 (* ------------------------------------------------------------------ *)
 
-let all =
+(* Figures 4(a)/(b) print the same grid, as do 5(a)/(b); [fig4] and [fig5]
+   say how a registry obtains it. *)
+let registry ~fig4 ~fig5 =
   [
-    ("fig4a", "commits vs replica count", fun () -> fig4a ());
-    ("fig4b", "commit latency vs replica count", fun () -> fig4b ());
-    ("fig5a", "commits per datacenter combination", fun () -> fig5a ());
-    ("fig5b", "latency per datacenter combination", fun () -> fig5b ());
+    ("fig4a", "commits vs replica count", fun () -> print_fig4a (fig4 ()));
+    ("fig4b", "commit latency vs replica count", fun () -> print_fig4b (fig4 ()));
+    ("fig5a", "commits per datacenter combination", fun () -> print_fig5a (fig5 ()));
+    ("fig5b", "latency per datacenter combination", fun () -> print_fig5b (fig5 ()));
     ("fig6", "commits vs data contention", fun () -> fig6 ());
     ("fig7", "commits vs concurrency", fun () -> fig7 ());
     ("fig8", "per-datacenter instances", fun () -> fig8 ());
@@ -1015,13 +1022,24 @@ let all =
     ("ext-knobs", "throughput knob grid: batch x depth x fill x topology", fun () -> ext_knobs ());
   ]
 
-let resolve ids =
-  let ids = if ids = [] then List.map (fun (id, _, _) -> id) all else ids in
+(* Every run computes its grid afresh. *)
+let all = registry ~fig4 ~fig5
+
+let resolve_in registry ids =
+  let ids = if ids = [] then List.map (fun (id, _, _) -> id) registry else ids in
   List.map
     (fun id ->
-      match List.find_opt (fun (id', _, _) -> id = id') all with
+      match List.find_opt (fun (id', _, _) -> id = id') registry with
       | Some (_, _, run) -> (id, run)
       | None -> invalid_arg ("Figures.resolve: unknown figure " ^ id))
     ids
 
-let run_ids ids = List.iter (fun (_, run) -> run ()) (resolve ids)
+let resolve = resolve_in all
+
+(* Within one call each shared grid runs at most once. *)
+let run_ids ids =
+  let fig4 = lazy (fig4 ()) and fig5 = lazy (fig5 ()) in
+  resolve_in
+    (registry ~fig4:(fun () -> Lazy.force fig4) ~fig5:(fun () -> Lazy.force fig5))
+    ids
+  |> List.iter (fun (_, run) -> run ())

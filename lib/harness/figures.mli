@@ -83,4 +83,5 @@ val resolve : string list -> (string * (unit -> unit)) list
 val run_ids : string list -> unit
 (** Run the named reproductions ("fig4a" … "text-cp"), or all of them for
     [[]]. Every id is resolved before any runs, so an unknown id raises
-    [Invalid_argument] with nothing printed. *)
+    [Invalid_argument] with nothing printed. Figures 4(a) and 4(b) print
+    one shared grid, as do 5(a) and 5(b): within one call it runs once. *)

@@ -52,7 +52,3 @@ let summarize xs =
       }
 
 let pp_ms ppf s = Format.fprintf ppf "%.1fms" (s *. 1000.)
-
-let pp_summary_ms ppf s =
-  Format.fprintf ppf "n=%d mean=%a p50=%a p95=%a p99=%a max=%a" s.count pp_ms
-    s.mean pp_ms s.p50 pp_ms s.p95 pp_ms s.p99 pp_ms s.max

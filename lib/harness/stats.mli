@@ -26,4 +26,3 @@ val percentile : float list -> float -> float
 val pp_ms : Format.formatter -> float -> unit
 (** Seconds rendered as milliseconds ("12.3ms"). *)
 
-val pp_summary_ms : Format.formatter -> summary -> unit

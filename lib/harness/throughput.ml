@@ -160,7 +160,7 @@ let run_point ?(seed = 42) ?(topology = "VVV") ?(conflict_every = 16)
 
 let sweep ?seed ?topology ?conflict_every ?groups
     ?(modes = [ baseline; batched () ]) ~rates ~txns () =
-  (* Independent cells fan out over the domain pool; each point is
+  (* Independent cells fan out over domains (Pool.map); each point is
      deterministic in its parameters and results come back in input
      order, so output is byte-identical whatever the job count. *)
   let cells =
@@ -180,15 +180,6 @@ let saturation points mode =
         | Some b when b.committed_per_s >= p.committed_per_s -> best
         | _ -> Some p)
     None points
-
-let pp_point ppf p =
-  Format.fprintf ppf
-    "%-16s rate %7.1f/s  committed %d/%d  goodput %7.1f/s  p50 %a p99 %a  \
-     batches %d  pipelined %d  %s"
-    p.mode.label p.rate p.committed p.txns p.committed_per_s Stats.pp_ms
-    p.latency.Stats.p50 Stats.pp_ms p.latency.Stats.p99 p.batches
-    p.pipelined_rounds
-    (match p.verified with Ok () -> "ok" | Error e -> "VIOLATION: " ^ e)
 
 let pp_table ppf points =
   Format.fprintf ppf "%-16s %9s %9s %9s %10s %9s %9s %8s %9s  %s@."
@@ -234,7 +225,7 @@ let to_json points =
    full batch_max x pipeline_depth x batch_fill x topology grid at one
    offered rate. Cells with batch and depth both 1 run the baseline,
    whose drainer never waits on the fill. Cells are
-   deterministic and fan out over the domain pool in input order, so
+   deterministic and fan out over domains in input order, so
    output is byte-identical whatever the job count. *)
 let knob_mode ~batch_max ~pipeline_depth ~fill =
   if batch_max = 1 && pipeline_depth = 1 then { baseline with batch_fill = fill }

@@ -91,7 +91,6 @@ val sweep :
 val saturation : point list -> mode -> point option
 (** The point of peak committed throughput for a mode within a sweep. *)
 
-val pp_point : Format.formatter -> point -> unit
 val pp_table : Format.formatter -> point list -> unit
 
 val to_json : point list -> string

@@ -28,7 +28,6 @@ type 'msg t = {
   mutable dup_active : int; (* links with dup > 0: gates the extra RNG draw *)
   mutable sent : int;
   mutable delivered : int;
-  sent_by : int array;
   delivered_to : int array;
   mutable dropped_loss : int;
   mutable dropped_down : int;
@@ -50,7 +49,6 @@ let create engine topo =
     slowdown = Array.make (Topology.size topo) 1.0;
     dup_links = Hashtbl.create 8;
     dup_active = 0;
-    sent_by = Array.make (Topology.size topo) 0;
     delivered_to = Array.make (Topology.size topo) 0;
     group_of = None;
     sent = 0;
@@ -102,8 +100,6 @@ let link t ~src ~dst =
 
 let override_link t ~src ~dst link = Hashtbl.replace t.overrides (src, dst) link
 
-let clear_link_override t ~src ~dst = Hashtbl.remove t.overrides (src, dst)
-
 let clear_overrides t = Hashtbl.reset t.overrides
 
 let dup_prob t src dst =
@@ -132,7 +128,6 @@ let deliver t ~src ~dst link msg =
 
 let send t ~src ~dst msg =
   t.sent <- t.sent + 1;
-  t.sent_by.(src) <- t.sent_by.(src) + 1;
   if t.down.(src) || t.down.(dst) then t.dropped_down <- t.dropped_down + 1
   else if cut t src dst then t.dropped_cut <- t.dropped_cut + 1
   else if oneway_blocked t src dst then
@@ -229,5 +224,4 @@ let stats t =
     duplicated = t.duplicated;
   }
 
-let sent_by t node = t.sent_by.(node)
 let delivered_to t node = t.delivered_to.(node)

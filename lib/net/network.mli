@@ -77,7 +77,6 @@ val link : 'msg t -> src:int -> dst:int -> Topology.link
 (** The link parameters currently in effect for [src → dst]. *)
 
 val override_link : 'msg t -> src:int -> dst:int -> Topology.link -> unit
-val clear_link_override : 'msg t -> src:int -> dst:int -> unit
 
 val clear_overrides : 'msg t -> unit
 (** Drop every link override (end of a storm). *)
@@ -127,9 +126,6 @@ val set_duplication_all : 'msg t -> float -> unit
 val clear_duplication : 'msg t -> unit
 
 val stats : 'msg t -> stats
-
-val sent_by : 'msg t -> int -> int
-(** Messages this datacenter submitted (load it generated). *)
 
 val delivered_to : 'msg t -> int -> int
 (** Messages delivered to this datacenter's handler (load it served) —

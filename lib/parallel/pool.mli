@@ -1,4 +1,4 @@
-(** Persistent domain pool for embarrassingly parallel trials.
+(** Order-preserving parallel map for embarrassingly parallel trials.
 
     Simulation trials (experiment cells, chaos seeds) are independent: each
     builds its own engine, cluster and RNG from a seed, so trials can run on
@@ -6,83 +6,41 @@
     provides the one primitive the harness needs: an order-preserving
     parallel {!map} over a list of such trials.
 
-    The pool is process-persistent: worker domains are started lazily on
-    the first parallel [map], parked between batches, and reused until
-    {!shutdown} (also registered [at_exit]) — no Domain.spawn/join cost per
-    call. Workers enlarge their minor heap on entry (default 4M words;
-    [MDDS_MINOR_HEAP] overrides in words, and an explicit [s=...] in
-    [OCAMLRUNPARAM] is always respected), because on OCaml 5 every minor
-    collection synchronizes all domains and trial code allocates heavily.
-
     Determinism contract: [map f xs] returns exactly what [List.map f xs]
     returns (same values, same order), provided [f] is deterministic per
     element — which every simulator trial is, being a pure function of its
     seed. Parallel figure regeneration is therefore byte-identical to
     sequential regeneration, whatever the domain count or dispatch order. *)
 
-val default_domains : unit -> int
-(** Domains used when {!map} is called without [?domains]: the value set by
-    {!set_jobs} if any, else the [MDDS_JOBS] environment variable if it
-    parses as a positive integer, else [Domain.recommended_domain_count ()].
-    Always at least 1. *)
-
 val set_jobs : int option -> unit
-(** Process-wide override for {!default_domains} ([--jobs] knob of the CLIs).
-    [None] clears the override. Values below 1 are clamped to 1. Call it from
-    the main domain before any parallel work; it is a plain write, not
-    synchronized. Lowering it parks surplus workers, it does not stop them. *)
+(** Process-wide width for {!map} calls without [?domains] (the [--jobs]
+    knob of the CLIs). [None] clears it. Values below 1 are clamped to 1.
+    Call it from the main domain before any parallel work; it is a plain
+    write, not synchronized. *)
 
 val get_jobs : unit -> int
-(** [default_domains ()], for telemetry. *)
+(** Width used by {!map} without [?domains]: the value set by {!set_jobs}
+    if any, else the [MDDS_JOBS] environment variable, else
+    [Domain.recommended_domain_count ()]. Always at least 1. Raises
+    [Invalid_argument] if [MDDS_JOBS] is consulted and is not an integer
+    [>= 1]. *)
 
 val map : ?domains:int -> ?cost:('a -> float) -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ?domains ?cost f xs] applies [f] to every element of [xs] and
-    returns the results in input order.
+    returns the results in input order. The width is
+    [min (length xs) domains], with [domains] defaulting to {!get_jobs}.
 
-    - With [domains <= 1], a list shorter than 2, or when called from inside
-      a pool worker (nested use), it is exactly [List.map f xs] on the
-      calling domain — no worker is involved.
-    - Otherwise at most [min domains (length xs) - 1] pool workers (started
-      on demand, reused across calls) work alongside the calling domain;
-      elements are dispensed from a shared cursor.
+    - With width [<= 1], or when called from inside another [map]'s [f],
+      it is exactly [List.map f xs] on the calling domain.
+    - Otherwise it starts [width - 1] helper domains for this call only
+      and joins them before returning; the caller works alongside them.
+      Helpers run with a 4M-word minor heap. If the runtime refuses a
+      domain, the batch runs on those already started.
     - [?cost] is a per-element work estimate: when given, elements are
       dispensed longest-estimated-first (ties by input index), so one
       expensive trial cannot tail-bound the batch by being dispensed last.
       The result list is unaffected — only wall-clock time changes.
     - If one or more applications raise, the exception of the {e smallest
-      failing index} is re-raised (with its backtrace) after the batch
-      drains — the same exception a sequential [List.map] would have
-      raised. Remaining undispensed elements are skipped once a failure is
-      seen, but every element dispensed before the failure still runs to
-      completion. A failure does not poison the pool: the next [map]
-      reuses the same workers. *)
-
-val shutdown : unit -> unit
-(** Join all pool workers. Idempotent; also registered [at_exit]. The pool
-    restarts lazily on the next {!map}, so an explicit shutdown mid-process
-    only costs the respawn. Call from the main domain only, never from
-    inside a [map]. *)
-
-val worker_count : unit -> int
-(** Live worker domains (excluding the calling domain). *)
-
-(** {1 Scheduler statistics}
-
-    Cumulative since process start or {!reset_stats}. Slot 0 of the
-    per-domain arrays is the calling domain; slot [k >= 1] is worker [k]. *)
-
-type stats = {
-  batches : int;  (** Parallel [map] batches executed. *)
-  tasks_by_domain : int array;  (** Tasks pulled from the shared cursor. *)
-  busy_by_domain : float array;  (** Seconds spent inside [f]. *)
-  batch_wall_seconds : float;  (** Wall seconds inside parallel sections. *)
-  spawned : int;  (** Worker domains ever spawned (reuse keeps this flat). *)
-  workers_live : int;
-}
-
-val stats : unit -> stats
-val reset_stats : unit -> unit
-
-val pp_stats : Format.formatter -> stats -> unit
-(** Human-readable dump ([--verbose] of the CLIs prints it to stderr so
-    stdout byte-identity guarantees are unaffected). *)
+      failing index} is re-raised (with its backtrace) after every helper
+      is joined. Undispensed elements are skipped once a failure is seen;
+      every element already dispensed runs to completion. *)

@@ -14,8 +14,8 @@ type write = { key : key; value : string }
    comparisons into int comparisons over small sorted arrays.
 
    The table is process-global and *sharded*: records are built on
-   whatever domain runs the trial (the harness fans trials out over a
-   domain pool), and a footprint must mean the same thing on every domain
+   whatever domain runs the trial (the harness fans trials out over
+   domains), and a footprint must mean the same thing on every domain
    that can observe the record, so ids come from one global atomic counter
    — dense, unique, identical on every domain. The original single
    mutex-protected table serialized every concurrent [make_record]; keys

@@ -150,6 +150,5 @@ val equal_entry : entry -> entry -> bool
 val pp_record : Format.formatter -> record -> unit
 val pp_entry : Format.formatter -> entry -> unit
 
-val write_codec : write Mdds_codec.Codec.t
 val record_codec : record Mdds_codec.Codec.t
 val entry_codec : entry Mdds_codec.Codec.t

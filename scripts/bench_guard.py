@@ -4,7 +4,7 @@
 Usage: bench_guard.py FRESH.json
 
 Reads the "figures" array written by `bench/main.exe` (wall seconds per
-figure, sequential and on the domain pool). When the run used >= 4
+figure, sequential and on --jobs domains). When the run used >= 4
 domains on a machine that actually has >= 4 cores (its recorded
 "domains_recommended"), the aggregate sequential/parallel wall-clock
 ratio must be >= 1.5x and no single figure may be slower in parallel
@@ -22,7 +22,7 @@ import sys
 # plausibly meet it (jobs >= 4 and >= 4 recommended domains).
 AGGREGATE_FLOOR = 1.5
 PER_FIGURE_FLOOR = 1.0
-# A figure finishing in under a second is dominated by pool wake-up and
+# A figure finishing in under a second is dominated by domain spawn/join and
 # measurement noise; give those a 15% grace on the per-figure floor.
 PER_FIGURE_TOLERANCE = 0.85
 MIN_JOBS = 4
@@ -89,7 +89,7 @@ def check_speedup(doc):
         print(
             f"speedup floor: {fig_id} runs {ratio:.2f}x sequential speed in "
             f"parallel (floor {floor:.2f}x) — a figure must never lose from "
-            "the pool.",
+            "running in parallel.",
             file=sys.stderr,
         )
         ok = False

@@ -1,4 +1,4 @@
-(* Tests for the domain pool and the domain-safety of the simulator:
+(* Tests for the parallel map and the domain-safety of the simulator:
    ordering and exception contracts of Pool.map, nested use, engines
    running concurrently on separate domains, and byte-identical figure
    output whatever the domain count. *)
@@ -32,57 +32,49 @@ let test_map_exception () =
       (* The smallest failing index wins: the exception a sequential
          List.map would have raised. *)
       Alcotest.(check string) "smallest failing index" "boom57" m);
-  (* The pool stays usable after a failure. *)
-  Alcotest.(check (list int)) "pool usable after failure" [ 2; 4 ]
+  (* The next map is unaffected by the failure. *)
+  Alcotest.(check (list int)) "usable after failure" [ 2; 4 ]
     (Pool.map ~domains:2 (fun x -> 2 * x) [ 1; 2 ])
 
 let test_map_nested () =
-  (* A map inside a pool worker must not spawn recursively; it degrades to
-     a sequential map with identical results. *)
+  (* A map inside another map's [f] must not spawn recursively; it
+     degrades to a sequential map with identical results. *)
   let inner x = Pool.map ~domains:2 (fun y -> (x * 10) + y) [ 1; 2; 3 ] in
   Alcotest.(check (list (list int))) "nested map"
     [ [ 11; 12; 13 ]; [ 21; 22; 23 ]; [ 31; 32; 33 ] ]
     (Pool.map ~domains:2 inner [ 1; 2; 3 ])
 
-let test_pool_reuse () =
-  (* The pool is persistent: consecutive maps at the same width reuse the
-     worker domains instead of spawning fresh ones per call. *)
-  Pool.shutdown ();
-  Pool.reset_stats ();
-  let spawned0 = (Pool.stats ()).Pool.spawned in
-  let r1 = Pool.map ~domains:4 (fun x -> x + 1) (List.init 50 Fun.id) in
-  let after_first = (Pool.stats ()).Pool.spawned in
-  let r2 = Pool.map ~domains:4 (fun x -> x * 2) (List.init 50 Fun.id) in
-  let r3 = Pool.map ~domains:4 (fun x -> x - 3) (List.init 50 Fun.id) in
-  let after_third = (Pool.stats ()).Pool.spawned in
-  Alcotest.(check (list int)) "first map" (List.init 50 (fun x -> x + 1)) r1;
-  Alcotest.(check (list int)) "second map" (List.init 50 (fun x -> x * 2)) r2;
-  Alcotest.(check (list int)) "third map" (List.init 50 (fun x -> x - 3)) r3;
-  Alcotest.(check int) "first map spawned the workers" (spawned0 + 3) after_first;
-  Alcotest.(check int) "later maps spawned none" after_first after_third;
-  Alcotest.(check int) "workers stay parked between maps" 3 (Pool.worker_count ())
+let test_beyond_domain_limit () =
+  (* 200 exceeds the runtime's domain limit: spawning stops at the first
+     refusal and the batch finishes on the domains already running; the
+     next map is unaffected. *)
+  let xs = List.init 200 Fun.id in
+  let f x = (x * 7) + 1 in
+  Alcotest.(check (list int)) "domains=200" (List.map f xs)
+    (Pool.map ~domains:200 f xs);
+  Alcotest.(check (list int)) "next map still works" (List.map f xs)
+    (Pool.map ~domains:4 f xs)
 
-let test_pool_failure_not_poisoned () =
-  (* An exception in one batch must not kill or wedge the parked workers:
-     the same domains serve the next batch. *)
-  ignore (Pool.map ~domains:4 Fun.id [ 0; 1 ]);
-  let before = (Pool.stats ()).Pool.spawned in
-  (try ignore (Pool.map ~domains:4 (fun _ -> failwith "boom") (List.init 20 Fun.id))
-   with Failure _ -> ());
-  let r = Pool.map ~domains:4 (fun x -> x + 10) (List.init 20 Fun.id) in
-  Alcotest.(check (list int)) "map after failure" (List.init 20 (fun x -> x + 10)) r;
-  Alcotest.(check int) "no respawn after failure" before (Pool.stats ()).Pool.spawned
-
-let test_shutdown_idempotent () =
-  ignore (Pool.map ~domains:3 Fun.id [ 1; 2; 3; 4 ]);
-  Pool.shutdown ();
-  Alcotest.(check int) "workers joined" 0 (Pool.worker_count ());
-  Pool.shutdown ();
-  Pool.shutdown ();
-  Alcotest.(check int) "shutdown idempotent" 0 (Pool.worker_count ());
-  (* And the pool restarts on the next map. *)
-  Alcotest.(check (list int)) "restart after shutdown" [ 2; 3; 4; 5 ]
-    (Pool.map ~domains:3 (fun x -> x + 1) [ 1; 2; 3; 4 ])
+let test_helper_minor_heap () =
+  (* Element 0 waits until element 1 has started, so the two run on
+     different domains: one of them is a helper. *)
+  let started = Atomic.make false in
+  let f i =
+    if i = 1 then Atomic.set started true
+    else begin
+      let deadline = Unix.gettimeofday () +. 10. in
+      while (not (Atomic.get started)) && Unix.gettimeofday () < deadline do
+        Domain.cpu_relax ()
+      done
+    end;
+    ((Domain.self () :> int), (Gc.get ()).Gc.minor_heap_size)
+  in
+  let caller = (Domain.self () :> int) in
+  match List.filter (fun (d, _) -> d <> caller) (Pool.map ~domains:2 f [ 0; 1 ]) with
+  | [ (_, words) ] ->
+      Alcotest.(check bool) "helper minor heap >= 4M words" true
+        (words >= 4 * 1024 * 1024)
+  | _ -> Alcotest.fail "expected exactly one element on a helper domain"
 
 let test_cost_hint_equivalence () =
   (* A cost estimate reorders dispatch only; results are input-ordered and
@@ -135,7 +127,7 @@ let test_engines_in_domains () =
   let par1 = Domain.join d1 and par2 = Domain.join d2 in
   Alcotest.(check bool) "seed 1 unaffected by concurrent engine" true (seq1 = par1);
   Alcotest.(check bool) "seed 2 unaffected by concurrent engine" true (seq2 = par2);
-  (* And through the pool, which also interleaves with the caller domain. *)
+  (* And through Pool.map, which also interleaves with the caller domain. *)
   let pooled = Pool.map ~domains:4 engine_trial [ 1; 2; 3; 4 ] in
   Alcotest.(check bool) "pooled trials = sequential trials" true
     (pooled = List.map engine_trial [ 1; 2; 3; 4 ])
@@ -217,11 +209,9 @@ let () =
           Alcotest.test_case "map ordering" `Quick test_map_ordering;
           Alcotest.test_case "exception propagation" `Quick test_map_exception;
           Alcotest.test_case "nested use" `Quick test_map_nested;
-          Alcotest.test_case "worker reuse across maps" `Quick test_pool_reuse;
-          Alcotest.test_case "failure does not poison workers" `Quick
-            test_pool_failure_not_poisoned;
-          Alcotest.test_case "shutdown idempotent and restartable" `Quick
-            test_shutdown_idempotent;
+          Alcotest.test_case "beyond the domain limit" `Quick
+            test_beyond_domain_limit;
+          Alcotest.test_case "helper minor heap" `Quick test_helper_minor_heap;
           Alcotest.test_case "cost hint preserves results" `Quick
             test_cost_hint_equivalence;
           Alcotest.test_case "jobs knob" `Quick test_jobs_knob;

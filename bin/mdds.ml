@@ -164,21 +164,10 @@ let run_cmd =
         Format.eprintf "mdds: %s@." msg;
         exit 1
     in
-    (match trace with
-    | None -> ()
-    | Some n ->
-        (* Re-run the workload on a dedicated traced cluster first: the
-           Experiment runner owns its own cluster. *)
-        let cluster =
-          Mdds_core.Cluster.create ~seed ~config (Mdds_net.Topology.ec2 ~loss topology)
-        in
-        Mdds_sim.Trace.enable (Mdds_core.Cluster.trace cluster);
-        ignore (Ycsb.run cluster workload);
-        simulate (fun () -> Mdds_core.Cluster.run cluster);
-        List.iter
-          (fun e -> Format.printf "%a@." Mdds_sim.Trace.pp_event e)
-          (Mdds_sim.Trace.tail (Mdds_core.Cluster.trace cluster) n));
-    let result = simulate (fun () -> Experiment.run spec) in
+    let result = simulate (fun () -> Experiment.run ?trace spec) in
+    List.iter
+      (fun e -> Format.printf "%a@." Mdds_sim.Trace.pp_event e)
+      result.trace_tail;
     Format.printf "%a@." Experiment.pp_brief result;
     let rows =
       Array.to_list result.commits_by_round

@@ -345,30 +345,8 @@ let run ?schedule ?extra_oracle spec =
         []
     else []
   in
-  let is_harness_txn (e : Audit.event) =
-    let id = e.record.txn_id in
-    String.starts_with ~prefix:"probe-" id
-    || String.starts_with ~prefix:Ycsb.preload_id id
-  in
-  let workload_events =
-    List.filter
-      (fun e -> not (is_harness_txn e))
-      (Audit.events (Cluster.audit cluster))
-  in
-  let count p = List.length (List.filter p workload_events) in
-  let commits =
-    count (fun (e : Audit.event) ->
-        match e.outcome with
-        | Audit.Committed _ | Audit.Read_only_committed -> true
-        | _ -> false)
-  in
-  let aborts =
-    count (fun (e : Audit.event) ->
-        match e.outcome with Audit.Aborted _ -> true | _ -> false)
-  in
-  let unknowns =
-    count (fun (e : Audit.event) ->
-        match e.outcome with Audit.Unknown -> true | _ -> false)
+  let outcomes =
+    Audit.summarize (Ycsb.workload_events (Audit.events (Cluster.audit cluster)))
   in
   if !crashed = None then check_coherence "after drain";
   let successes = List.sort Float.compare !successes in
@@ -430,13 +408,13 @@ let run ?schedule ?extra_oracle spec =
                  (float_of_int max_heal_windows *. probe_window)
                  spec.duration));
         (fun () ->
-          if commits >= min_commits then None
+          if outcomes.commits >= min_commits then None
           else
             Some
               (Printf.sprintf
                  "progress: only %d workload commits (expected >= %d; a \
                   majority was connected throughout)"
-                 commits min_commits));
+                 outcomes.commits min_commits));
         (fun () ->
           List.fold_left
             (fun acc group ->
@@ -515,9 +493,9 @@ let run ?schedule ?extra_oracle spec =
   {
     run_spec = spec;
     schedule;
-    commits;
-    aborts;
-    unknowns;
+    commits = outcomes.commits;
+    aborts = outcomes.aborts;
+    unknowns = outcomes.unknowns;
     begin_failures = handle.begin_failures;
     faults = Nemesis.faults_injected nemesis;
     net_stats = Mdds_net.Network.stats (Cluster.network cluster);

@@ -29,110 +29,93 @@ type event = {
   stats : protocol_stats;
 }
 
-(* All statistics are maintained incrementally by [record]: the harness
-   reads each of them once per experiment (and the latency ones once per
-   promotion round), which used to cost one full pass over the event list
-   per statistic. Lists accumulate newest-first and are reversed on read so
-   accessors return the exact (chronological) order the fold-based
-   implementation did — float sums depend on order, so this keeps outputs
-   bit-identical. *)
 type t = {
   mutable events : event list; (* newest first *)
-  mutable count : int;
-  mutable commits : int; (* Committed + Read_only_committed *)
-  mutable aborts : int;
-  mutable unknowns : int;
-  mutable max_promotions : int; (* over Committed and Aborted *)
-  commits_by_promotions : (int, int) Hashtbl.t;
-  aborts_by_reason : (abort_reason, int) Hashtbl.t;
-  mutable commit_lats : float list; (* Committed only, newest first *)
-  commit_lats_by_promotions : (int, float list) Hashtbl.t;
-  mutable txn_lats : float list; (* all events, newest first *)
-  mutable rounds_total : int; (* prepare+accept over Committed *)
-  mutable committed_rw : int; (* Committed only (not read-only) *)
-  mutable fast_paths : int; (* Committed with fast_path *)
   mutable hedges : int; (* service requests answered by a fallback dc *)
 }
 
-let create () =
-  {
-    events = [];
-    count = 0;
-    commits = 0;
-    aborts = 0;
-    unknowns = 0;
-    max_promotions = 0;
-    commits_by_promotions = Hashtbl.create 8;
-    aborts_by_reason = Hashtbl.create 4;
-    commit_lats = [];
-    commit_lats_by_promotions = Hashtbl.create 8;
-    txn_lats = [];
-    rounds_total = 0;
-    committed_rw = 0;
-    fast_paths = 0;
-    hedges = 0;
-  }
+let create () = { events = []; hedges = 0 }
 
 let note_hedge t = t.hedges <- t.hedges + 1
 
 let hedges t = t.hedges
 
-let bump tbl key by =
-  Hashtbl.replace tbl key (by + Option.value (Hashtbl.find_opt tbl key) ~default:0)
-
-let record t e =
-  t.events <- e :: t.events;
-  t.count <- t.count + 1;
-  t.txn_lats <- (e.committed_at -. e.began_at) :: t.txn_lats;
-  match e.outcome with
-  | Committed { promotions; _ } ->
-      t.commits <- t.commits + 1;
-      t.committed_rw <- t.committed_rw + 1;
-      t.max_promotions <- max t.max_promotions promotions;
-      bump t.commits_by_promotions promotions 1;
-      let lat = e.committed_at -. e.commit_started_at in
-      t.commit_lats <- lat :: t.commit_lats;
-      Hashtbl.replace t.commit_lats_by_promotions promotions
-        (lat
-        :: Option.value
-             (Hashtbl.find_opt t.commit_lats_by_promotions promotions)
-             ~default:[]);
-      t.rounds_total <-
-        t.rounds_total + e.stats.prepare_rounds + e.stats.accept_rounds;
-      if e.stats.fast_path then t.fast_paths <- t.fast_paths + 1
-  | Read_only_committed -> t.commits <- t.commits + 1
-  | Aborted { reason; promotions } ->
-      t.aborts <- t.aborts + 1;
-      t.max_promotions <- max t.max_promotions promotions;
-      bump t.aborts_by_reason reason 1
-  | Unknown -> t.unknowns <- t.unknowns + 1
+let record t e = t.events <- e :: t.events
 
 let events t = List.rev t.events
 
-let total t = t.count
+type summary = {
+  total : int;
+  commits : int;
+  aborts : int;
+  unknowns : int;
+  aborts_by_reason : (abort_reason * int) list;
+  max_promotions : int;
+  commits_by_round : int array;
+  commit_lats : float list;
+  lats_by_round : float list array;
+  txn_lats : float list;
+  last_commit : float;
+  mean_rounds : float;
+  fast_path_rate : float;
+}
 
-let commits t = t.commits
+let promotions e =
+  match e.outcome with
+  | Committed { promotions; _ } | Aborted { promotions; _ } -> promotions
+  | Read_only_committed | Unknown -> 0
 
-let unknowns t = t.unknowns
-
-let aborts t = t.aborts
-
-let commits_with_promotions t n =
-  Option.value (Hashtbl.find_opt t.commits_by_promotions n) ~default:0
-
-let max_promotions_seen t = t.max_promotions
-
-let abort_count t reason =
-  Option.value (Hashtbl.find_opt t.aborts_by_reason reason) ~default:0
-
-let commit_latencies t ~promotions =
-  match promotions with
-  | None -> List.rev t.commit_lats
-  | Some p ->
-      List.rev
-        (Option.value (Hashtbl.find_opt t.commit_lats_by_promotions p) ~default:[])
-
-let txn_latencies t = List.rev t.txn_lats
+let summarize events =
+  let max_promotions = List.fold_left (fun m e -> max m (promotions e)) 0 events in
+  let commits_by_round = Array.make (max_promotions + 1) 0 in
+  let lats_by_round = Array.make (max_promotions + 1) [] in
+  let commits = ref 0 and unknowns = ref 0 and reasons = ref [] in
+  let commit_lats = ref [] and txn_lats = ref [] and last_commit = ref 0.0 in
+  let rounds = ref 0 and fast_paths = ref 0 in
+  (* Walk newest-first so that consing leaves every list in completion
+     order: float sums depend on order, and the printed tables on them. *)
+  List.iter
+    (fun e ->
+      txn_lats := (e.committed_at -. e.began_at) :: !txn_lats;
+      match e.outcome with
+      | Committed { promotions; _ } ->
+          incr commits;
+          last_commit := Float.max !last_commit e.committed_at;
+          commits_by_round.(promotions) <- commits_by_round.(promotions) + 1;
+          let lat = e.committed_at -. e.commit_started_at in
+          commit_lats := lat :: !commit_lats;
+          lats_by_round.(promotions) <- lat :: lats_by_round.(promotions);
+          rounds := !rounds + e.stats.prepare_rounds + e.stats.accept_rounds;
+          if e.stats.fast_path then incr fast_paths
+      | Read_only_committed ->
+          incr commits;
+          last_commit := Float.max !last_commit e.committed_at
+      | Aborted { reason; _ } -> reasons := reason :: !reasons
+      | Unknown -> incr unknowns)
+    (List.rev events);
+  let per_commit n =
+    match List.length !commit_lats with
+    | 0 -> 0.0
+    | committed -> float_of_int n /. float_of_int committed
+  in
+  {
+    total = List.length events;
+    commits = !commits;
+    aborts = List.length !reasons;
+    unknowns = !unknowns;
+    aborts_by_reason =
+      List.map
+        (fun r -> (r, List.length (List.filter (( = ) r) !reasons)))
+        [ Conflict; Lost_position; Promotion_limit; Unavailable ];
+    max_promotions;
+    commits_by_round;
+    commit_lats = !commit_lats;
+    lats_by_round;
+    txn_lats = !txn_lats;
+    last_commit = !last_commit;
+    mean_rounds = per_commit !rounds;
+    fast_path_rate = per_commit !fast_paths;
+  }
 
 let pp_reason ppf r =
   Format.pp_print_string ppf
@@ -141,11 +124,3 @@ let pp_reason ppf r =
     | Lost_position -> "lost-position"
     | Promotion_limit -> "promotion-limit"
     | Unavailable -> "unavailable")
-
-let mean_rounds t =
-  if t.committed_rw = 0 then 0.0
-  else float_of_int t.rounds_total /. float_of_int t.committed_rw
-
-let fast_path_rate t =
-  if t.committed_rw = 0 then 0.0
-  else float_of_int t.fast_paths /. float_of_int t.committed_rw

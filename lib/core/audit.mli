@@ -1,8 +1,9 @@
 (** Execution audit trail — the test oracle's ground truth.
 
     Clients report every finished transaction here together with the values
-    they actually observed, and the harness reads commit/abort/latency
-    statistics from it. Nothing in the protocol depends on the audit; it is
+    they actually observed. The trail is an append-only log; the harness
+    derives every commit/abort/latency statistic from its events with
+    {!summarize}. Nothing in the protocol depends on the audit; it is
     pure instrumentation, the simulated analogue of the paper's measurement
     framework plus the data needed to check one-copy serializability after
     the fact. *)
@@ -52,36 +53,48 @@ type event = {
 }
 
 type t
+(** The audit trail: every recorded event, plus the hedge count. *)
 
 val create : unit -> t
 val record : t -> event -> unit
 val events : t -> event list
 (** In completion order. *)
 
-(** {1 Aggregates} *)
+(** {1 Outcome statistics} *)
 
-val total : t -> int
-val commits : t -> int
-val aborts : t -> int
-val unknowns : t -> int
-val commits_with_promotions : t -> int -> int
-(** Transactions committed after exactly [n] promotions. *)
+type summary = {
+  total : int;  (** Events summarized. *)
+  commits : int;  (** [Committed] and [Read_only_committed]. *)
+  aborts : int;
+  unknowns : int;
+  aborts_by_reason : (abort_reason * int) list;
+      (** Every reason, in declaration order. *)
+  max_promotions : int;  (** Over committed and aborted transactions. *)
+  commits_by_round : int array;
+      (** [commits_by_round.(n)]: committed after exactly [n] promotions;
+          length [max_promotions + 1]. Read-only commits are not counted. *)
+  commit_lats : float list;
+      (** Commit-protocol latency (commit call → outcome) of [Committed]
+          transactions. *)
+  lats_by_round : float list array;
+      (** [commit_lats] split by promotions; length [max_promotions + 1]. *)
+  txn_lats : float list;  (** Begin → outcome latency, every event. *)
+  last_commit : float;
+      (** Latest completion time of a commit (read-only included); 0 with
+          none. *)
+  mean_rounds : float;
+      (** Mean prepare+accept broadcasts per [Committed] transaction: the
+          measured message-round cost (the §4.1 fast path targets 1 accept
+          round). *)
+  fast_path_rate : float;
+      (** Fraction of [Committed] transactions that attempted the fast
+          path. *)
+}
+(** Every latency list keeps the order of the events it came from. *)
 
-val max_promotions_seen : t -> int
-val abort_count : t -> abort_reason -> int
-val commit_latencies : t -> promotions:int option -> float list
-(** Commit-protocol latency (commit call → outcome) of committed
-    transactions, optionally only those with exactly [promotions]. *)
-
-val txn_latencies : t -> float list
-(** Begin → outcome latency, all transactions. *)
-
-val mean_rounds : t -> float
-(** Mean prepare+accept broadcasts per committed transaction: the measured
-    message-round cost (the §4.1 fast path targets 1 accept round). *)
-
-val fast_path_rate : t -> float
-(** Fraction of committed transactions that attempted the fast path. *)
+val summarize : event list -> summary
+(** Pure: the statistics of [events], which are taken to be in completion
+    order, as {!events} returns them. *)
 
 val note_hedge : t -> unit
 (** A service request ([begin]/[read]) was answered by a fallback

@@ -32,116 +32,73 @@ type result = {
   aborts_conflict : int;
   aborts_lost : int;
   aborts_unavailable : int;
-  unknowns : int;
   max_promotions : int;
   combined_entries : int;
   commit_latency : Stats.summary;
   latency_by_round : Stats.summary array;
-  txn_latency : Stats.summary;
   sim_duration : float;
   wall_seconds : float;
   events : Audit.event list;
   messages_sent : int;
-  messages_delivered : int;
   leader_share : float;
   mean_rounds : float;
   fast_path_rate : float;
   verified : (unit, string) Stdlib.result;
+  trace_tail : Mdds_sim.Trace.event list;
 }
 
-let run spec =
+let run ?trace spec =
   let started = Unix.gettimeofday () in
   let topo = Topology.ec2 ~loss:spec.loss spec.topology in
   let cluster = Cluster.create ~seed:spec.seed ~config:spec.config topo in
+  if trace <> None then Mdds_sim.Trace.enable (Cluster.trace cluster);
   let _handle = Ycsb.run cluster spec.workload in
   Cluster.run cluster;
   (* Workload statistics exclude the preload transaction; the correctness
      oracle below still checks the full execution. *)
-  let audit = Audit.create () in
-  let preload_prefix = Ycsb.preload_id ^ "/" in
-  List.iter
-    (fun (e : Audit.event) ->
-      if not (String.starts_with ~prefix:preload_prefix e.record.txn_id) then
-        Audit.record audit e)
-    (Audit.events (Cluster.audit cluster));
-  let rounds = Audit.max_promotions_seen audit in
-  let commits_by_round =
-    Array.init (rounds + 1) (fun r -> Audit.commits_with_promotions audit r)
-  in
-  let latency_by_round =
-    Array.init (rounds + 1) (fun r ->
-        Stats.summarize (Audit.commit_latencies audit ~promotions:(Some r)))
-  in
-  let net_stats = Mdds_net.Network.stats (Cluster.network cluster) in
+  let events = Ycsb.workload_events (Audit.events (Cluster.audit cluster)) in
+  let s = Audit.summarize events in
+  let aborted reason = List.assoc reason s.aborts_by_reason in
+  let net = Cluster.network cluster in
+  let net_stats = Mdds_net.Network.stats net in
   {
     spec;
-    total = Audit.total audit;
-    commits = Audit.commits audit;
-    commits_by_round;
-    aborts = Audit.aborts audit;
-    aborts_conflict = Audit.abort_count audit Audit.Conflict;
-    aborts_lost = Audit.abort_count audit Audit.Lost_position;
-    aborts_unavailable = Audit.abort_count audit Audit.Unavailable;
-    unknowns = Audit.unknowns audit;
-    max_promotions = rounds;
+    total = s.total;
+    commits = s.commits;
+    commits_by_round = s.commits_by_round;
+    aborts = s.aborts;
+    aborts_conflict = aborted Audit.Conflict;
+    aborts_lost = aborted Audit.Lost_position;
+    aborts_unavailable = aborted Audit.Unavailable;
+    max_promotions = s.max_promotions;
     combined_entries =
       List.fold_left
         (fun acc group -> acc + Cluster.combined_entries cluster ~group)
         0
         (Ycsb.group_keys spec.workload);
-    commit_latency = Stats.summarize (Audit.commit_latencies audit ~promotions:None);
-    latency_by_round;
-    txn_latency = Stats.summarize (Audit.txn_latencies audit);
+    commit_latency = Stats.summarize s.commit_lats;
+    latency_by_round = Array.map Stats.summarize s.lats_by_round;
     sim_duration = Cluster.now cluster;
     wall_seconds = Unix.gettimeofday () -. started;
-    events = Audit.events audit;
+    events;
     messages_sent = net_stats.Mdds_net.Network.sent;
-    messages_delivered = net_stats.Mdds_net.Network.delivered;
     leader_share =
-      (let net = Cluster.network cluster in
-       let leader_dc = spec.config.Config.initial_leader in
-       float_of_int (Mdds_net.Network.delivered_to net leader_dc)
-       /. float_of_int (max 1 net_stats.Mdds_net.Network.delivered));
-    mean_rounds = Audit.mean_rounds audit;
-    fast_path_rate = Audit.fast_path_rate audit;
+      float_of_int
+        (Mdds_net.Network.delivered_to net spec.config.Config.initial_leader)
+      /. float_of_int (max 1 net_stats.Mdds_net.Network.delivered);
+    mean_rounds = s.mean_rounds;
+    fast_path_rate = s.fast_path_rate;
     verified =
       List.fold_left
         (fun acc group ->
           match acc with Error _ -> acc | Ok () -> Verify.check cluster ~group)
         (Ok ())
         (Ycsb.group_keys spec.workload);
+    trace_tail =
+      (match trace with
+      | None -> []
+      | Some n -> Mdds_sim.Trace.tail (Cluster.trace cluster) n);
   }
-
-let commits_by_dc result =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (e : Audit.event) ->
-      let committed =
-        match e.outcome with
-        | Audit.Committed _ | Audit.Read_only_committed -> 1
-        | Audit.Aborted _ | Audit.Unknown -> 0
-      in
-      let c, t =
-        Option.value (Hashtbl.find_opt tbl e.client_dc) ~default:(0, 0)
-      in
-      Hashtbl.replace tbl e.client_dc (c + committed, t + 1))
-    result.events;
-  Hashtbl.fold (fun dc (c, t) acc -> (dc, c, t) :: acc) tbl []
-  |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
-
-let commit_latency_by_dc result =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (e : Audit.event) ->
-      match e.outcome with
-      | Audit.Committed _ ->
-          let prev = Option.value (Hashtbl.find_opt tbl e.client_dc) ~default:[] in
-          Hashtbl.replace tbl e.client_dc
-            ((e.committed_at -. e.commit_started_at) :: prev)
-      | _ -> ())
-    result.events;
-  Hashtbl.fold (fun dc xs acc -> (dc, Stats.summarize xs) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 let pp_brief ppf r =
   Format.fprintf ppf

@@ -40,17 +40,16 @@ type result = {
   aborts_conflict : int;
   aborts_lost : int;
   aborts_unavailable : int;
-  unknowns : int;  (** In-doubt submissions (leader protocol only). *)
   max_promotions : int;
   combined_entries : int;  (** Log entries with more than one transaction. *)
   commit_latency : Stats.summary;  (** Committed transactions only. *)
   latency_by_round : Stats.summary array;
-  txn_latency : Stats.summary;  (** Begin → outcome, all transactions. *)
   sim_duration : float;  (** Virtual seconds. *)
   wall_seconds : float;  (** Real time the simulation took. *)
   events : Audit.event list;
+      (** The workload's audit events ({!Ycsb.workload_events}): every
+          count and latency above is their {!Audit.summarize}. *)
   messages_sent : int;  (** Total datagrams submitted to the network. *)
-  messages_delivered : int;
   leader_share : float;
       (** Fraction of delivered messages handled by the configured leader
           datacenter — the single-site load concentration of leader-based
@@ -59,13 +58,13 @@ type result = {
       (** Mean prepare+accept broadcasts per committed transaction. *)
   fast_path_rate : float;  (** Committed transactions that tried the fast path. *)
   verified : (unit, string) Stdlib.result;
+  trace_tail : Mdds_sim.Trace.event list;
+      (** The last [n] protocol trace events of a [run ~trace:n]; empty
+          otherwise. *)
 }
 
-val run : spec -> result
-
-val commits_by_dc : result -> (int * int * int) list
-(** [(dc, commits, total)] per client datacenter (for Figure 8). *)
-
-val commit_latency_by_dc : result -> (int * Stats.summary) list
+val run : ?trace:int -> spec -> result
+(** Simulate [spec] to completion and verify every group. [~trace:n]
+    enables the cluster's protocol trace and keeps its last [n] events. *)
 
 val pp_brief : Format.formatter -> result -> unit

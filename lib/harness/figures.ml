@@ -20,16 +20,13 @@ let trial_cost (s : Experiment.spec) =
   float_of_int s.Experiment.workload.Ycsb.total_txns
   *. float_of_int (String.length s.Experiment.topology)
 
-let run_trials specs = Pool.map ~cost:trial_cost Experiment.run specs
-
-(* Run several groups of specs as ONE pool batch and slice the results
+(* Run several groups of inputs as ONE pool batch and slice the results
    back per group. Figures used to put each cell (or each protocol) on the
    pool separately, which serialized a figure into many small barriers;
    flattening the whole grid lets the cost-aware scheduler fill every
    domain across cell boundaries. Order within and across groups is
    preserved, so aggregation sees exactly the sequences it used to. *)
-let run_grouped groups =
-  let flat = run_trials (List.concat groups) in
+let run_grouped ?cost f groups =
   let rec slice flat = function
     | [] -> []
     | g :: rest ->
@@ -37,15 +34,15 @@ let run_grouped groups =
         List.filteri (fun i _ -> i < k) flat
         :: slice (List.filteri (fun i _ -> i >= k) flat) rest
   in
-  slice flat groups
+  slice (Pool.map ?cost f (List.concat groups)) groups
+
+let run_trials groups = run_grouped ~cost:trial_cost Experiment.run groups
 
 (* ------------------------------------------------------------------ *)
 (* Aggregation over seeds.                                              *)
 
 type agg = {
-  runs : Experiment.result list;
   commits : float;
-  total : float;
   by_round : float array;  (* mean commits with exactly r promotions *)
   aborts_conflict : float;
   combined : float;
@@ -60,6 +57,9 @@ let mean_of f runs =
   List.fold_left (fun acc r -> acc +. f r) 0. runs
   /. float_of_int (List.length runs)
 
+(* Counts are pooled over runs and divided by the run count: the sum of
+   small integers is exact in floating point, so this equals the mean of
+   the per-run counts. *)
 let aggregate runs =
   List.iter
     (fun (r : Experiment.result) ->
@@ -70,56 +70,22 @@ let aggregate runs =
             (Printf.sprintf "experiment %s: serializability violated: %s"
                r.spec.Experiment.name msg))
     runs;
-  let rounds =
-    1 + List.fold_left (fun m (r : Experiment.result) -> max m r.max_promotions) 0 runs
+  let s =
+    Audit.summarize
+      (List.concat_map (fun (r : Experiment.result) -> r.events) runs)
   in
-  let by_round =
-    Array.init rounds (fun i ->
-        mean_of
-          (fun (r : Experiment.result) ->
-            if i < Array.length r.commits_by_round then
-              float_of_int r.commits_by_round.(i)
-            else 0.)
-          runs)
-  in
-  (* One pass over all events builds the pooled all-rounds, per-round and
-     transaction latency lists together (the per-round rescan was
-     O(rounds × events)). Accumulate newest-first, reverse at the end: the
-     lists come out in the exact order the old per-round scans produced,
-     which keeps float summations — and hence printed tables — identical. *)
-  let lat_all = ref [] in
-  let lat_round = Array.make rounds [] in
-  let txn_lats = ref [] in
-  List.iter
-    (fun (r : Experiment.result) ->
-      List.iter
-        (fun (e : Audit.event) ->
-          (match e.outcome with
-          | Audit.Committed { promotions; _ } ->
-              let l = e.committed_at -. e.commit_started_at in
-              lat_all := l :: !lat_all;
-              if promotions < rounds then
-                lat_round.(promotions) <- l :: lat_round.(promotions)
-          | _ -> ());
-          txn_lats := (e.committed_at -. e.began_at) :: !txn_lats)
-        r.events)
-    runs;
+  let per_run n = float_of_int n /. float_of_int (List.length runs) in
   {
-    runs;
-    commits = mean_of (fun r -> float_of_int r.Experiment.commits) runs;
-    total = mean_of (fun r -> float_of_int r.Experiment.total) runs;
-    by_round;
-    aborts_conflict =
-      mean_of (fun r -> float_of_int r.Experiment.aborts_conflict) runs;
+    commits = per_run s.commits;
+    by_round = Array.map per_run s.commits_by_round;
+    aborts_conflict = per_run (List.assoc Audit.Conflict s.aborts_by_reason);
     combined = mean_of (fun r -> float_of_int r.Experiment.combined_entries) runs;
     combined_max =
       List.fold_left (fun m (r : Experiment.result) -> max m r.combined_entries) 0 runs;
-    max_promotions =
-      List.fold_left (fun m (r : Experiment.result) -> max m r.max_promotions) 0 runs;
-    lat_all = Stats.summarize (List.rev !lat_all);
-    lat_by_round =
-      Array.init rounds (fun i -> Stats.summarize (List.rev lat_round.(i)));
-    txn_lat = Stats.summarize (List.rev !txn_lats);
+    max_promotions = s.max_promotions;
+    lat_all = Stats.summarize s.commit_lats;
+    lat_by_round = Array.map Stats.summarize s.lats_by_round;
+    txn_lat = Stats.summarize s.txn_lats;
   }
 
 (* One (topology, workload, loss) cell of a figure grid -> (basic, cp)
@@ -143,7 +109,7 @@ let run_pairs ?(seeds = default_seeds) cells =
     | [] -> []
     | [ _ ] -> assert false
   in
-  pair_up (run_grouped groups)
+  pair_up (run_trials groups)
 
 (* Commits with >= 3 promotions, for compact "r3+" columns. *)
 let late_commits agg =
@@ -368,55 +334,45 @@ let fig8 ?(seeds = default_seeds) () =
   let specs config =
     List.map (fun seed -> Experiment.spec ~seed ~config ~workload "VOC") seeds
   in
-  let results = run_trials (specs Config.basic @ specs Config.default) in
-  let n = List.length seeds in
-  let basic_runs = List.filteri (fun i _ -> i < n) results in
-  let cp_runs = List.filteri (fun i _ -> i >= n) results in
+  let basic_runs, cp_runs =
+    match run_trials [ specs Config.basic; specs Config.default ] with
+    | [ b; c ] -> (b, c)
+    | _ -> assert false
+  in
   List.iter
     (fun (r : Experiment.result) ->
       match r.verified with
       | Ok () -> ()
       | Error m -> failwith ("fig8: serializability violated: " ^ m))
     (basic_runs @ cp_runs);
-  let per_dc runs =
-    let commits = Hashtbl.create 4 and lats = Hashtbl.create 4 in
-    List.iter
-      (fun r ->
-        List.iter
-          (fun (dc, c, t) ->
-            let c0, t0 = Option.value (Hashtbl.find_opt commits dc) ~default:(0, 0) in
-            Hashtbl.replace commits dc (c0 + c, t0 + t))
-          (Experiment.commits_by_dc r);
-        List.iter
-          (fun (dc, (s : Stats.summary)) ->
-            let prev = Option.value (Hashtbl.find_opt lats dc) ~default:[] in
-            Hashtbl.replace lats dc (s.Stats.mean :: prev))
-          (Experiment.commit_latency_by_dc r))
-      runs;
-    (commits, lats)
+  (* Per run, the outcomes of the clients in [dc]. *)
+  let at_dc dc runs =
+    List.map
+      (fun (r : Experiment.result) ->
+        Audit.summarize
+          (List.filter (fun (e : Audit.event) -> e.client_dc = dc) r.events))
+      runs
   in
-  let b_commits, b_lats = per_dc basic_runs in
-  let c_commits, c_lats = per_dc cp_runs in
-  let n_seeds = List.length seeds in
+  let commits summaries =
+    let n = List.fold_left (fun acc (s : Audit.summary) -> acc + s.commits) 0 summaries in
+    Table.fmt_f (float_of_int n /. float_of_int (List.length seeds))
+  in
+  (* Mean over the runs with a commit at [dc] of their mean latency. *)
+  let lat summaries =
+    match
+      List.filter_map
+        (fun (s : Audit.summary) ->
+          if s.commit_lats = [] then None else Some (Stats.mean s.commit_lats))
+        summaries
+    with
+    | [] -> "-"
+    | means -> Table.fmt_ms (Stats.mean means)
+  in
   let rows =
     List.map
       (fun (dc, name) ->
-        let avg tbl =
-          let c, _ = Option.value (Hashtbl.find_opt tbl dc) ~default:(0, 0) in
-          float_of_int c /. float_of_int n_seeds
-        in
-        let lat tbl =
-          match Hashtbl.find_opt tbl dc with
-          | Some xs -> Table.fmt_ms (Stats.mean xs)
-          | None -> "-"
-        in
-        [
-          name;
-          Table.fmt_f (avg b_commits);
-          Table.fmt_f (avg c_commits);
-          lat b_lats;
-          lat c_lats;
-        ])
+        let basic = at_dc dc basic_runs and cp = at_dc dc cp_runs in
+        [ name; commits basic; commits cp; lat basic; lat cp ])
       [ (0, "V"); (1, "O"); (2, "C") ]
   in
   Table.print
@@ -432,14 +388,18 @@ let fig8 ?(seeds = default_seeds) () =
 
 let text_stats ?(seeds = default_seeds) () =
   heading "Text (§6)" "Paxos-CP combination and promotion profile, VVV, 100 attributes";
-  let runs =
-    run_trials
-      (List.map
-         (fun seed ->
-           Experiment.spec ~seed ~config:Config.default ~workload:Ycsb.default "VVV")
-         seeds)
+  let agg =
+    aggregate
+      (List.concat
+         (run_trials
+            [
+              List.map
+                (fun seed ->
+                  Experiment.spec ~seed ~config:Config.default
+                    ~workload:Ycsb.default "VVV")
+                seeds;
+            ]))
   in
-  let agg = aggregate runs in
   Printf.printf "combined log entries per experiment: mean %.1f, max %d (paper: 6.8, 24)\n"
     agg.combined agg.combined_max;
   Printf.printf "max promotions before outcome: %d (paper: 7)\n" agg.max_promotions;
@@ -461,7 +421,7 @@ let text_messages ?(seeds = default_seeds) () =
   heading "Text (§5)"
     "message complexity: Paxos-CP requires no extra messages per log position";
   let grouped =
-    run_grouped
+    run_trials
       (List.map
          (fun config ->
            List.map
@@ -528,7 +488,7 @@ let ext_leader ?(seeds = default_seeds) () =
       [ "VVV"; "VOC" ]
   in
   let grouped =
-    run_grouped
+    run_trials
       (List.map
          (fun (topology, _, config) ->
            List.map
@@ -583,7 +543,7 @@ let ablation_configs =
 let ext_ablation ?(seeds = default_seeds) () =
   heading "Extension" "Paxos-CP mechanism ablation, VVV, 100 attributes";
   let grouped =
-    run_grouped
+    run_trials
       (List.map
          (fun (_, config) ->
            List.map
@@ -699,20 +659,16 @@ let ext_retry ?(seeds = default_seeds) () =
   in
   (* Both strategies' seeds go to the pool as one batch; every trial has
      the same intents × threads load, so no cost estimate is needed. *)
-  let flat =
-    Pool.map
+  let grouped =
+    run_grouped
       (fun (config, seed) -> run_one config seed)
-      (List.concat_map
+      (List.map
          (fun (_, config) -> List.map (fun seed -> (config, seed)) seeds)
          strategies)
   in
-  let n = List.length seeds in
   let rows =
-    List.mapi
-      (fun i (name, _) ->
-        let runs =
-          List.filteri (fun j _ -> j >= i * n && j < (i + 1) * n) flat
-        in
+    List.map2
+      (fun (name, _) runs ->
         let avg f = Stats.mean (List.map f runs) in
         [
           name;
@@ -720,7 +676,7 @@ let ext_retry ?(seeds = default_seeds) () =
           Table.fmt_f (avg (fun (_, a, _) -> a));
           Table.fmt_ms (avg (fun (_, _, d) -> d));
         ])
-      strategies
+      strategies grouped
   in
   Table.print
     ~header:[ "strategy"; "eventual commits"; "attempts/intent"; "time-to-commit ms" ]
@@ -801,55 +757,41 @@ let ext_cross ?(seeds = default_seeds) () =
     let groups = Ycsb.group_keys wl in
     List.iter (fun group -> Verify.check_exn cluster ~group) groups;
     Verify.check_cross_exn cluster ~groups;
-    let events =
-      List.filter
-        (fun (e : Audit.event) ->
-          not (String.starts_with ~prefix:Ycsb.preload_id e.record.txn_id))
-        (Audit.events (Cluster.audit cluster))
+    let cross, single =
+      List.partition
+        (fun (e : Audit.event) -> Twopc.is_audit_group e.group)
+        (Ycsb.workload_events (Audit.events (Cluster.audit cluster)))
     in
-    let count p = List.length (List.filter p events) in
-    let is_cross (e : Audit.event) = Twopc.is_audit_group e.group in
-    let committed (e : Audit.event) =
-      match e.outcome with
-      | Audit.Committed _ | Audit.Read_only_committed -> true
-      | _ -> false
-    in
+    (* Read-only cross commits count here, unlike in [commit_lats]. *)
     let lats =
       List.filter_map
         (fun (e : Audit.event) ->
-          if is_cross e && committed e then
-            Some (e.committed_at -. e.commit_started_at)
-          else None)
-        events
+          match e.outcome with
+          | Audit.Committed _ | Audit.Read_only_committed ->
+              Some (e.committed_at -. e.commit_started_at)
+          | Audit.Aborted _ | Audit.Unknown -> None)
+        cross
     in
-    ( count is_cross,
-      count (fun e -> is_cross e && committed e),
-      count (fun e -> not (is_cross e)),
-      count (fun e -> (not (is_cross e)) && committed e),
-      lats )
+    (Audit.summarize cross, Audit.summarize single, lats)
   in
-  let cells =
-    List.concat_map (fun r -> List.map (fun s -> (r, s)) seeds) ratios
+  let grouped =
+    run_grouped run_one
+      (List.map (fun r -> List.map (fun s -> (r, s)) seeds) ratios)
   in
-  let flat = Pool.map run_one cells in
-  let n = List.length seeds in
   let rows =
-    List.mapi
-      (fun i ratio ->
-        let runs =
-          List.filteri (fun j _ -> j >= i * n && j < (i + 1) * n) flat
-        in
+    List.map2
+      (fun ratio runs ->
         let avg f = Stats.mean (List.map (fun x -> float_of_int (f x)) runs) in
-        let cross_lats = List.concat_map (fun (_, _, _, _, l) -> l) runs in
+        let cross_lats = List.concat_map (fun (_, _, l) -> l) runs in
         [
           Printf.sprintf "%.0f%%" (100. *. ratio);
-          Table.fmt_f (avg (fun (c, _, _, _, _) -> c));
-          Table.fmt_f (avg (fun (_, cc, _, _, _) -> cc));
-          Table.fmt_f (avg (fun (_, _, s, _, _) -> s));
-          Table.fmt_f (avg (fun (_, _, _, sc, _) -> sc));
+          Table.fmt_f (avg (fun (c, _, _) -> c.Audit.total));
+          Table.fmt_f (avg (fun (c, _, _) -> c.Audit.commits));
+          Table.fmt_f (avg (fun (_, s, _) -> s.Audit.total));
+          Table.fmt_f (avg (fun (_, s, _) -> s.Audit.commits));
           (if cross_lats = [] then "-" else Table.fmt_ms (Stats.mean cross_lats));
         ])
-      ratios
+      ratios grouped
   in
   Table.print
     ~header:
@@ -869,36 +811,28 @@ let ext_cross_tp ?(seed = 42) () =
     "aggregate throughput vs transaction-group count, VVV, open loop at 60/s";
   let counts = [ 1; 2; 4; 8 ] in
   let modes = [ Throughput.baseline; Throughput.batched () ] in
-  let cells =
-    List.concat_map (fun g -> List.map (fun m -> (g, m)) modes) counts
-  in
-  let points =
-    Pool.map
+  let grouped =
+    run_grouped
       (fun (groups, mode) ->
-        (groups, Throughput.run_point ~seed ~groups ~mode ~rate:60.0 ~txns:300 ()))
-      cells
+        Throughput.run_point ~seed ~groups ~mode ~rate:60.0 ~txns:300 ())
+      (List.map (fun g -> List.map (fun m -> (g, m)) modes) counts)
   in
-  List.iter
-    (fun (groups, (p : Throughput.point)) ->
-      match p.Throughput.verified with
-      | Ok () -> ()
-      | Error m ->
-          failwith (Printf.sprintf "ext-cross-tp: groups=%d: %s" groups m))
-    points;
-  let find groups mode =
-    List.assoc groups
-      (List.filter_map
-         (fun (g, (p : Throughput.point)) ->
-           if g = groups && p.Throughput.mode.Throughput.label = mode.Throughput.label
-           then Some (g, p)
-           else None)
-         points)
-  in
+  List.iter2
+    (fun groups points ->
+      List.iter
+        (fun (p : Throughput.point) ->
+          match p.Throughput.verified with
+          | Ok () -> ()
+          | Error m ->
+              failwith (Printf.sprintf "ext-cross-tp: groups=%d: %s" groups m))
+        points)
+    counts grouped;
   let rows =
-    List.map
-      (fun groups ->
-        let base = find groups Throughput.baseline in
-        let batched = find groups (Throughput.batched ()) in
+    List.map2
+      (fun groups points ->
+        let base, batched =
+          match points with [ b; p ] -> (b, p) | _ -> assert false
+        in
         [
           string_of_int groups;
           Printf.sprintf "%.1f" base.Throughput.committed_per_s;
@@ -906,7 +840,7 @@ let ext_cross_tp ?(seed = 42) () =
           string_of_int batched.Throughput.batches;
           string_of_int batched.Throughput.pipelined_rounds;
         ])
-      counts
+      counts grouped
   in
   Table.print
     ~header:

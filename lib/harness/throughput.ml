@@ -108,20 +108,9 @@ let run_point ?(seed = 42) ?(topology = "VVV") ?(conflict_every = 16)
         ignore (Client.commit txn))
   done;
   Cluster.run cluster;
-  let audit = Cluster.audit cluster in
-  let events = Audit.events audit in
-  let committed, aborted, unknown, last_commit =
-    List.fold_left
-      (fun (c, a, u, last) (e : Audit.event) ->
-        match e.outcome with
-        | Audit.Committed _ | Audit.Read_only_committed ->
-            (c + 1, a, u, Float.max last e.committed_at)
-        | Audit.Aborted _ -> (c, a + 1, u, last)
-        | Audit.Unknown -> (c, a, u + 1, last))
-      (0, 0, 0, 0.0) events
-  in
+  let s = Audit.summarize (Audit.events (Cluster.audit cluster)) in
   let committed_per_s =
-    if committed = 0 then 0.0 else float_of_int committed /. last_commit
+    if s.commits = 0 then 0.0 else float_of_int s.commits /. s.last_commit
   in
   let batches, batched_txns, pipelined_rounds =
     List.fold_left
@@ -136,11 +125,11 @@ let run_point ?(seed = 42) ?(topology = "VVV") ?(conflict_every = 16)
     mode;
     rate;
     txns;
-    committed;
-    aborted;
-    unknown;
+    committed = s.commits;
+    aborted = s.aborts;
+    unknown = s.unknowns;
     committed_per_s;
-    latency = Stats.summarize (Audit.commit_latencies audit ~promotions:None);
+    latency = Stats.summarize s.commit_lats;
     batches;
     batched_txns;
     pipelined_rounds;

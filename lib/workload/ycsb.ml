@@ -54,6 +54,16 @@ let preload_duration = 1.0
 
 let preload_id = "preload"
 
+(* The chaos runner's availability probes use client ids "probe-...". *)
+let workload_events events =
+  let harness id =
+    String.starts_with ~prefix:(preload_id ^ "/") id
+    || String.starts_with ~prefix:"probe-" id
+  in
+  List.filter
+    (fun (e : Mdds_core.Audit.event) -> not (harness e.record.txn_id))
+    events
+
 let run_preload cluster config =
   let client = Cluster.client cluster ~id:preload_id ~dc:(List.hd config.client_dcs) in
   Cluster.spawn cluster (fun () ->

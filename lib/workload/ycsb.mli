@@ -62,8 +62,12 @@ val group_keys : config -> string list
 
 val preload_id : string
 (** Client id of the preload transaction (its audit events carry
-    transaction ids prefixed [preload/]; harnesses exclude them from
-    workload statistics). *)
+    transaction ids prefixed [preload/]). *)
+
+val workload_events : Mdds_core.Audit.event list -> Mdds_core.Audit.event list
+(** [events] without the harness's own transactions: the preload's and
+    those of chaos availability probes (client ids prefixed [probe-]).
+    Every harness reports workload statistics over this list. *)
 
 val run : Mdds_core.Cluster.t -> config -> handle
 (** Spawn the preload (if any) and all worker processes; the caller then

@@ -5,7 +5,8 @@
     same key, at least one write, ordered by schedule position) and search
     it for cycles. Used to unit-test the theory itself and as a reference
     for the log-based checker: a one-copy serializable execution projected
-    onto committed transactions must always pass this test. *)
+    onto committed transactions must always pass this test. It is an
+    executable specification: only [test_serial] runs it. *)
 
 type action = Read of string | Write of string
 (** Operation on a key. *)

@@ -7,8 +7,9 @@
     is exponential, so it is only usable for small histories.
 
     Its purpose is cross-validation: the practical log-based oracle
-    ({!Checker}) must agree with this definitional decision procedure on
-    every history small enough to check both ways. *)
+    ({!Mdds_serial.Checker}) must agree with this definitional decision
+    procedure on every history small enough to check both ways. It is an
+    executable specification: only [test_serial] runs it. *)
 
 type txn = {
   id : string;

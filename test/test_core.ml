@@ -561,37 +561,124 @@ let test_config () =
   let c = Config.with_protocol Config.Basic Config.default in
   Alcotest.(check bool) "with_protocol" true (c.Config.protocol = Config.Basic)
 
+let audit_event ?(stats = Audit.no_stats) ?(began_at = 0.0) ?(commit_started_at = 1.0)
+    ?(committed_at = 2.0) outcome =
+  {
+    Audit.group = "g";
+    record = record "t";
+    observed = [];
+    outcome;
+    began_at;
+    committed_at;
+    commit_started_at;
+    client_dc = 0;
+    stats;
+  }
+
 let test_audit_aggregates () =
   let audit = Audit.create () in
-  let ev outcome =
-    {
-      Audit.group = "g";
-      record = record "t";
-      observed = [];
-      outcome;
-      began_at = 0.0;
-      committed_at = 2.0;
-      commit_started_at = 1.0;
-      client_dc = 0;
-      stats = Audit.no_stats;
-    }
+  List.iter
+    (fun outcome -> Audit.record audit (audit_event outcome))
+    [
+      Audit.Committed { position = 1; promotions = 0; combined = false };
+      Audit.Committed { position = 2; promotions = 2; combined = true };
+      Audit.Aborted { reason = Audit.Conflict; promotions = 1 };
+      Audit.Read_only_committed;
+    ];
+  let s = Audit.summarize (Audit.events audit) in
+  Alcotest.(check int) "total" 4 s.total;
+  Alcotest.(check int) "commits" 3 s.commits;
+  Alcotest.(check int) "aborts" 1 s.aborts;
+  Alcotest.(check (array int)) "commits by round" [| 1; 0; 1 |] s.commits_by_round;
+  Alcotest.(check int) "max promotions" 2 s.max_promotions;
+  Alcotest.(check int) "conflict aborts" 1 (List.assoc Audit.Conflict s.aborts_by_reason);
+  Alcotest.(check int) "latencies all" 2 (List.length s.commit_lats);
+  Alcotest.(check int) "latencies round 2" 1 (List.length s.lats_by_round.(2));
+  Alcotest.(check int) "txn latencies" 4 (List.length s.txn_lats)
+
+(* [Audit.summarize] against one plain fold per statistic. Latency lists
+   must match element for element and in order: the harness's float sums
+   depend on it. *)
+let prop_summarize_matches_reference =
+  let gen_event =
+    let open QCheck.Gen in
+    let* promotions = int_bound 4 in
+    let* outcome =
+      oneof
+        [
+          map
+            (fun position -> Audit.Committed { position; promotions; combined = false })
+            (int_range 1 50);
+          map
+            (fun reason -> Audit.Aborted { reason; promotions })
+            (oneofl
+               [ Audit.Conflict; Audit.Lost_position; Audit.Promotion_limit; Audit.Unavailable ]);
+          return Audit.Read_only_committed;
+          return Audit.Unknown;
+        ]
+    in
+    let* began_at = float_bound_inclusive 100.0 in
+    let* exec = float_bound_inclusive 5.0 in
+    let* commit = float_bound_inclusive 5.0 in
+    let* prepare_rounds = int_bound 3 and* accept_rounds = int_bound 3 in
+    let+ fast_path = bool in
+    audit_event outcome ~began_at ~commit_started_at:(began_at +. exec)
+      ~committed_at:(began_at +. exec +. commit)
+      ~stats:{ Audit.prepare_rounds; accept_rounds; fast_path; instances = 1 }
   in
-  Audit.record audit (ev (Audit.Committed { position = 1; promotions = 0; combined = false }));
-  Audit.record audit (ev (Audit.Committed { position = 2; promotions = 2; combined = true }));
-  Audit.record audit (ev (Audit.Aborted { reason = Audit.Conflict; promotions = 1 }));
-  Audit.record audit (ev Audit.Read_only_committed);
-  Alcotest.(check int) "total" 4 (Audit.total audit);
-  Alcotest.(check int) "commits" 3 (Audit.commits audit);
-  Alcotest.(check int) "aborts" 1 (Audit.aborts audit);
-  Alcotest.(check int) "round 0" 1 (Audit.commits_with_promotions audit 0);
-  Alcotest.(check int) "round 2" 1 (Audit.commits_with_promotions audit 2);
-  Alcotest.(check int) "max promotions" 2 (Audit.max_promotions_seen audit);
-  Alcotest.(check int) "conflict aborts" 1 (Audit.abort_count audit Audit.Conflict);
-  Alcotest.(check int) "latencies all" 2
-    (List.length (Audit.commit_latencies audit ~promotions:None));
-  Alcotest.(check int) "latencies round 2" 1
-    (List.length (Audit.commit_latencies audit ~promotions:(Some 2)));
-  Alcotest.(check int) "txn latencies" 4 (List.length (Audit.txn_latencies audit))
+  QCheck.Test.make ~name:"summarize equals per-statistic folds" ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_bound 40) gen_event))
+    (fun events ->
+      let s = Audit.summarize events in
+      let count p = List.length (List.filter p events) in
+      let committed (e : Audit.event) =
+        match e.outcome with Audit.Committed _ -> true | _ -> false
+      in
+      let promotions (e : Audit.event) =
+        match e.outcome with
+        | Audit.Committed { promotions; _ } | Audit.Aborted { promotions; _ } -> promotions
+        | Audit.Read_only_committed | Audit.Unknown -> 0
+      in
+      let lat (e : Audit.event) = e.committed_at -. e.commit_started_at in
+      let max_promotions = List.fold_left (fun m e -> max m (promotions e)) 0 events in
+      let in_round r e = committed e && promotions e = r in
+      let committed_rw = count committed in
+      let per_commit f =
+        if committed_rw = 0 then 0.0
+        else
+          float_of_int (List.fold_left (fun acc e -> if committed e then acc + f e else acc) 0 events)
+          /. float_of_int committed_rw
+      in
+      let ok_commit (e : Audit.event) =
+        match e.outcome with
+        | Audit.Committed _ | Audit.Read_only_committed -> true
+        | _ -> false
+      in
+      s.total = List.length events
+      && s.commits = count ok_commit
+      && s.aborts = count (fun e -> match e.outcome with Audit.Aborted _ -> true | _ -> false)
+      && s.unknowns = count (fun e -> e.outcome = Audit.Unknown)
+      && List.for_all
+           (fun (reason, n) ->
+             n
+             = count (fun e ->
+                   match e.outcome with Audit.Aborted a -> a.reason = reason | _ -> false))
+           s.aborts_by_reason
+      && List.length s.aborts_by_reason = 4
+      && s.max_promotions = max_promotions
+      && s.commits_by_round = Array.init (max_promotions + 1) (fun r -> count (in_round r))
+      && s.commit_lats = List.map lat (List.filter committed events)
+      && s.lats_by_round
+         = Array.init (max_promotions + 1) (fun r ->
+               List.map lat (List.filter (in_round r) events))
+      && s.txn_lats = List.map (fun (e : Audit.event) -> e.committed_at -. e.began_at) events
+      && s.last_commit
+         = List.fold_left
+             (fun m (e : Audit.event) -> if ok_commit e then Float.max m e.committed_at else m)
+             0.0 events
+      && s.mean_rounds
+         = per_commit (fun e -> e.stats.prepare_rounds + e.stats.accept_rounds)
+      && s.fast_path_rate = per_commit (fun e -> if e.stats.fast_path then 1 else 0))
 
 (* ------------------------------------------------------------------ *)
 (* Adaptive timeouts and duplicate-delivery idempotence.                *)
@@ -798,6 +885,7 @@ let () =
         [
           Alcotest.test_case "config" `Quick test_config;
           Alcotest.test_case "audit aggregates" `Quick test_audit_aggregates;
+          QCheck_alcotest.to_alcotest prop_summarize_matches_reference;
         ] );
       ( "adaptive-timeouts",
         [

@@ -5,6 +5,7 @@ module Stats = Mdds_harness.Stats
 module Table = Mdds_harness.Table
 module Experiment = Mdds_harness.Experiment
 module Config = Mdds_core.Config
+module Audit = Mdds_core.Audit
 module Ycsb = Mdds_workload.Ycsb
 
 (* ------------------------------------------------------------------ *)
@@ -111,9 +112,16 @@ let test_commits_by_dc () =
   let r =
     Experiment.run (Experiment.spec ~seed:3 ~config:Config.default ~workload "VVV")
   in
-  let per_dc = Experiment.commits_by_dc r in
-  Alcotest.(check int) "three datacenters" 3 (List.length per_dc);
-  let total = List.fold_left (fun acc (_, _, t) -> acc + t) 0 per_dc in
+  let per_dc =
+    List.map
+      (fun dc ->
+        Audit.summarize
+          (List.filter (fun (e : Audit.event) -> e.client_dc = dc) r.Experiment.events))
+      [ 0; 1; 2 ]
+  in
+  Alcotest.(check bool) "three datacenters" true
+    (List.for_all (fun (s : Audit.summary) -> s.total > 0) per_dc);
+  let total = List.fold_left (fun acc (s : Audit.summary) -> acc + s.total) 0 per_dc in
   Alcotest.(check int) "totals add up" 30 total
 
 (* ------------------------------------------------------------------ *)

@@ -1,7 +1,6 @@
 (* Tests for the serializability theory: the SCSV history tester and the
    log-based one-copy serializability checker. *)
 
-module History = Mdds_serial.History
 module Checker = Mdds_serial.Checker
 module Txn = Mdds_types.Txn
 
@@ -284,8 +283,6 @@ let test_check_read_only () =
 
 (* ------------------------------------------------------------------ *)
 (* Mvmc: the definitional (Definition 1) decision procedure.             *)
-
-module Mvmc = Mdds_serial.Mvmc
 
 let mtxn id reads writes = { Mvmc.id; reads; writes }
 

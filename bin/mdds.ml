@@ -81,12 +81,28 @@ let positive_floats_conv ~name =
   list_conv ~name ~of_string:float_of_string_opt ~ok:positive_ok
     ~to_string:(Printf.sprintf "%g")
 
+(* A datacenter spec is checked by building it, so a bad one is refused
+   here instead of dying inside the run. *)
+let topology_ok spec =
+  match Mdds_net.Topology.ec2 spec with
+  | _ -> true
+  | exception Invalid_argument _ -> false
+
+let topology =
+  let parse s =
+    if topology_ok s then Ok s
+    else
+      Error
+        (`Msg (Printf.sprintf "%S is not a datacenter spec (V, O or C each)" s))
+  in
+  Arg.conv (parse, Format.pp_print_string)
+
 let topology_arg =
   let doc =
     "Datacenter spec: one character per datacenter, V = Virginia AZ, O = \
      Oregon, C = N. California (e.g. VVV, COV, VVVOC)."
   in
-  Arg.(value & opt string "VVV" & info [ "t"; "topology" ] ~docv:"SPEC" ~doc)
+  Arg.(value & opt topology "VVV" & info [ "t"; "topology" ] ~docv:"SPEC" ~doc)
 
 let protocol_arg =
   let doc = "Commit protocol: 'paxos' (basic), 'cp' (Paxos-CP) or 'leader'." in
@@ -120,7 +136,7 @@ let attributes_arg =
   Arg.(value & opt (int_at_least 1) 100 & info [ "attributes" ] ~docv:"N" ~doc:"Entity-group attributes.")
 
 let ops_arg =
-  Arg.(value & opt int 10 & info [ "ops" ] ~docv:"N" ~doc:"Operations per transaction.")
+  Arg.(value & opt (int_at_least 1) 10 & info [ "ops" ] ~docv:"N" ~doc:"Operations per transaction.")
 
 let loss_arg =
   Arg.(value & opt probability 0.002 & info [ "loss" ] ~docv:"P" ~doc:"Message loss probability.")
@@ -136,7 +152,7 @@ let max_promotions_arg =
   Arg.(value & opt (some (int_at_least 0)) None & info [ "max-promotions" ] ~docv:"N" ~doc)
 
 let trace_arg =
-  Arg.(value & opt (some int) None
+  Arg.(value & opt (some (int_at_least 1)) None
        & info [ "trace" ] ~docv:"N"
            ~doc:"Print the last N protocol trace events after the run.")
 
@@ -287,7 +303,7 @@ let chaos_cmd =
   in
   let trace_tail_arg =
     Arg.(
-      value & opt int 15
+      value & opt (int_at_least 0) 15
       & info [ "trace-tail" ] ~docv:"N"
           ~doc:"Trace events to print after a violation.")
   in
@@ -303,7 +319,7 @@ let chaos_cmd =
   in
   let groups_arg =
     Arg.(
-      value & opt int 1
+      value & opt (int_at_least 1) 1
       & info [ "groups" ] ~docv:"N"
           ~doc:
             "Spread the workload over $(docv) independent transaction \
@@ -311,7 +327,7 @@ let chaos_cmd =
   in
   let cross_ratio_arg =
     Arg.(
-      value & opt float 0.0
+      value & opt probability 0.0
       & info [ "cross-ratio" ] ~docv:"R"
           ~doc:
             "Fraction of workload transactions that span two transaction \
@@ -324,12 +340,6 @@ let chaos_cmd =
       shrink trace_tail throughput groups cross_ratio jobs =
     Mdds_parallel.Pool.set_jobs jobs;
     let seeds = match seeds with None -> [ seed ] | Some s -> s in
-    if groups < 1 then (
-      Format.eprintf "mdds: --groups must be positive@.";
-      exit 124);
-    if cross_ratio < 0.0 || cross_ratio > 1.0 then (
-      Format.eprintf "mdds: --cross-ratio must be in [0,1]@.";
-      exit 124);
     let cross = cross_ratio > 0.0 in
     if cross && groups < 2 then (
       Format.eprintf "mdds: --cross-ratio requires --groups >= 2@.";
@@ -444,14 +454,14 @@ let throughput_cmd =
       "Transactions offered per measured point (the open-loop generator \
        scales to 1e4..1e6; CI smoke uses a few hundred)."
     in
-    Arg.(value & opt int 400 & info [ "n"; "txns" ] ~docv:"N" ~doc)
+    Arg.(value & opt (int_at_least 1) 400 & info [ "n"; "txns" ] ~docv:"N" ~doc)
   in
   let batch_arg =
-    Arg.(value & opt int 8
+    Arg.(value & opt (int_at_least 1) 8
          & info [ "batch" ] ~docv:"N" ~doc:"batch_max of the batched mode.")
   in
   let depth_arg =
-    Arg.(value & opt int 4
+    Arg.(value & opt (int_at_least 1) 4
          & info [ "depth" ] ~docv:"K"
              ~doc:"pipeline_depth of the batched mode.")
   in
@@ -479,10 +489,8 @@ let throughput_cmd =
     list_conv ~name:"int" ~of_string:int_of_string_opt ~ok:(fun v -> v >= 1)
       ~to_string:string_of_int
   in
-  let strings_conv =
-    list_conv ~name:"topology"
-      ~of_string:(fun s -> Some s)
-      ~ok:(fun s -> s <> "")
+  let topologies_conv =
+    list_conv ~name:"topology" ~of_string:Option.some ~ok:topology_ok
       ~to_string:Fun.id
   in
   let sweep_batches_arg =
@@ -502,7 +510,7 @@ let throughput_cmd =
                    virtual seconds).")
   in
   let topologies_arg =
-    Arg.(value & opt strings_conv [ "VVV"; "VVVOC" ]
+    Arg.(value & opt topologies_conv [ "VVV"; "VVVOC" ]
          & info [ "topologies" ] ~docv:"T1,T2,.."
              ~doc:"Topologies of the --sweep grid.")
   in
@@ -523,7 +531,7 @@ let throughput_cmd =
              ~doc:"Also write the sweep as a JSON array to $(docv).")
   in
   let tp_groups_arg =
-    Arg.(value & opt int 1
+    Arg.(value & opt (int_at_least 1) 1
          & info [ "groups" ] ~docv:"N"
              ~doc:"Spread transactions round-robin over $(docv) independent \
                    transaction groups (aggregate-throughput scaling axis).")
@@ -540,12 +548,6 @@ let throughput_cmd =
       sweep_batches sweep_depths sweep_fills topologies sweep_rate csv groups
       out jobs =
     Mdds_parallel.Pool.set_jobs jobs;
-    if batch < 1 || depth < 1 then (
-      Format.eprintf "mdds: --batch and --depth must be positive@.";
-      exit 124);
-    if groups < 1 then (
-      Format.eprintf "mdds: --groups must be positive@.";
-      exit 124);
     if sweep then begin
       (* Knob grid: one rate, every batch x depth x fill x topology cell. *)
       let cells =

@@ -3,6 +3,7 @@ module Client = Mdds_core.Client
 module Service = Mdds_core.Service
 module Config = Mdds_core.Config
 module Audit = Mdds_core.Audit
+module Counters = Mdds_core.Counters
 module Verify = Mdds_core.Verify
 module Messages = Mdds_core.Messages
 module Topology = Mdds_net.Topology
@@ -121,11 +122,7 @@ type report = {
   begin_failures : int;
   faults : int;
   net_stats : Mdds_net.Network.stats;
-  recovery : Service.recovery_stats;
-  dedup : Service.dedup_stats;
-  throughput : Service.throughput_stats;
-  twopc : Service.twopc_stats;
-  hedges : int;
+  counters : Counters.t;
   timeline : bool array;
   recovery_times : (Schedule.event * float option) list;
   violation : string option;
@@ -451,45 +448,6 @@ let run ?schedule ?extra_oracle spec =
       (Format.asprintf "%a" Trace.pp_event)
       (Trace.tail (Cluster.trace cluster) 40)
   in
-  (* Cluster-wide totals of the per-service counters. *)
-  let sum stats field =
-    List.fold_left
-      (fun acc s -> acc + field (stats s))
-      0 (Cluster.services cluster)
-  in
-  let recovery =
-    let sum = sum Service.recovery_stats in
-    {
-      Service.recoveries = sum (fun s -> s.Service.recoveries);
-      scrubbed = sum (fun s -> s.scrubbed);
-      relearned = sum (fun s -> s.relearned);
-    }
-  in
-  let dedup =
-    let sum = sum Service.dedup_stats in
-    {
-      Service.dup_applies = sum (fun s -> s.Service.dup_applies);
-      dup_claims = sum (fun s -> s.dup_claims);
-      dup_submits = sum (fun s -> s.dup_submits);
-    }
-  in
-  let throughput =
-    let sum = sum Service.throughput_stats in
-    {
-      Service.batches = sum (fun s -> s.Service.batches);
-      batched_txns = sum (fun s -> s.batched_txns);
-      pipelined_rounds = sum (fun s -> s.pipelined_rounds);
-      pipeline_stalls = sum (fun s -> s.pipeline_stalls);
-    }
-  in
-  let twopc =
-    let sum = sum Service.twopc_stats in
-    {
-      Service.twopc_prepares = sum (fun s -> s.Service.twopc_prepares);
-      twopc_resolved = sum (fun s -> s.twopc_resolved);
-      in_doubt_replies = sum (fun s -> s.in_doubt_replies);
-    }
-  in
   {
     run_spec = spec;
     schedule;
@@ -499,11 +457,8 @@ let run ?schedule ?extra_oracle spec =
     begin_failures = handle.begin_failures;
     faults = Nemesis.faults_injected nemesis;
     net_stats = Mdds_net.Network.stats (Cluster.network cluster);
-    recovery;
-    dedup;
-    throughput;
-    twopc;
-    hedges = Audit.hedges (Cluster.audit cluster);
+    counters =
+      Counters.sum (List.map Service.counters (Cluster.services cluster));
     timeline;
     recovery_times;
     violation;
@@ -549,6 +504,7 @@ let max_ttr r =
     0.0 r.recovery_times
 
 let pp_report ppf r =
+  let count = Counters.get r.counters in
   Format.fprintf ppf
     "seed %d  %s/%s  %d faults  %d commits  %d aborts  %d unknown  %d \
      begin-failures  drops %d/%d/%d/%d  dup %d  recoveries %d (%d scrubbed, \
@@ -561,27 +517,25 @@ let pp_report ppf r =
     r.net_stats.Mdds_net.Network.dropped_down
     r.net_stats.Mdds_net.Network.dropped_cut
     r.net_stats.Mdds_net.Network.dropped_oneway
-    r.net_stats.Mdds_net.Network.duplicated r.recovery.Service.recoveries
-    r.recovery.Service.scrubbed r.recovery.Service.relearned
-    r.dedup.Service.dup_applies r.dedup.Service.dup_claims
-    r.dedup.Service.dup_submits r.hedges
+    r.net_stats.Mdds_net.Network.duplicated (count Recoveries)
+    (count Scrubbed) (count Relearned) (count Dup_applies) (count Dup_claims)
+    (count Dup_submits) (count Hedges)
     (up_windows r) (Array.length r.timeline) (max_ttr r)
     ((if Config.throughput_mode r.run_spec.config then
         Printf.sprintf "batch%d/depth%d %d batches (%d txns, %d pipelined, \
                         %d stalls)  "
           r.run_spec.config.batch_max r.run_spec.config.pipeline_depth
-          r.throughput.Service.batches r.throughput.Service.batched_txns
-          r.throughput.Service.pipelined_rounds
-          r.throughput.Service.pipeline_stalls
+          (count Batches) (count Batched_txns) (count Pipelined_rounds)
+          (count Pipeline_stalls)
       else "")
     ^ (if
          r.run_spec.workload.Ycsb.cross_ratio > 0.0
-         || r.twopc.Service.twopc_prepares > 0
-         || r.twopc.Service.in_doubt_replies > 0
+         || count Twopc_prepares > 0
+         || count In_doubt_replies > 0
        then
          Printf.sprintf "2pc %d prepares (%d resolved, %d in-doubt replies)  "
-           r.twopc.Service.twopc_prepares r.twopc.Service.twopc_resolved
-           r.twopc.Service.in_doubt_replies
+           (count Twopc_prepares) (count Twopc_resolved)
+           (count In_doubt_replies)
        else "")
     ^
     match r.violation with

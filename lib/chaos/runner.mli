@@ -118,28 +118,10 @@ type report = {
   net_stats : Mdds_net.Network.stats;
       (** Transport counters, including messages dropped to loss, outages
           and partitions. *)
-  recovery : Mdds_core.Service.recovery_stats;
-      (** Crash-recovery counters summed over all services: recovery scans
-          that found damage, torn versions scrubbed, quarantined positions
-          re-learned. *)
-  dedup : Mdds_core.Service.dedup_stats;
-      (** Duplicate-delivery counters summed over all services: replayed
-          applies absorbed, replayed claims answered from the register,
-          replayed submissions answered with their original position. *)
-  throughput : Mdds_core.Service.throughput_stats;
-      (** Manager counters summed over all services (all zero unless the
-          leader protocol runs): positions proposed, transactions they
-          carried, pipelined rounds and window stalls. *)
-  twopc : Mdds_core.Service.twopc_stats;
-      (** Multi-shot-commit counters summed over all services (all zero
-          unless the workload's [cross_ratio] draws cross-group
-          transactions): prepare markers absorbed into in-doubt tables,
-          in-doubt transactions settled by resolvers, and honest
-          [In_doubt] submit replies returned to clients. *)
-  hedges : int;
-      (** Service requests answered by a fallback datacenter
-          ({!Mdds_core.Audit.hedges}): hedged failovers under the default
-          chaos config. *)
+  counters : Mdds_core.Counters.t;
+      (** The services' {!Mdds_core.Counters}, summed over the cluster:
+          crash recovery, duplicate delivery, hedged failover, the
+          manager's batches and pipeline, and the multi-shot commit. *)
   timeline : bool array;
       (** Availability timeline: element [w] is true iff a live probe
           commit completed inside window

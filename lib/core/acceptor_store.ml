@@ -30,13 +30,12 @@ type t = {
   wal : Wal.t;
   groups : (string, group) Hashtbl.t;
       (* Volatile: dropped on restart and pruned with compaction. *)
-  mutable dup_claims : int;
+  counters : Counters.t;
 }
 
-let create ~store ~wal =
-  { store; wal; groups = Hashtbl.create 4; dup_claims = 0 }
+let create ~store ~wal ~counters =
+  { store; wal; groups = Hashtbl.create 4; counters }
 
-let dup_claims t = t.dup_claims
 let reset t = Hashtbl.reset t.groups
 
 let group t name =
@@ -187,7 +186,7 @@ let claim t ~group:name ~pos ~claimant =
       (* A replayed claim from the registered owner (duplicated link or
          client retry) re-reads the durable register; the answer is the
          original grant, never a second one. *)
-      if String.equal winner claimant then t.dup_claims <- t.dup_claims + 1;
+      if String.equal winner claimant then Counters.incr t.counters Dup_claims;
       Messages.Claim_reply { first = String.equal winner claimant }
   | None ->
       if

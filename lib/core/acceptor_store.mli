@@ -14,7 +14,8 @@
 
 type t
 
-val create : store:Mdds_kvstore.Store.t -> wal:Mdds_wal.Wal.t -> t
+val create :
+  store:Mdds_kvstore.Store.t -> wal:Mdds_wal.Wal.t -> counters:Counters.t -> t
 (** The acceptor rows of [store]; [wal] supplies the compaction point
     a sequenced accept's predecessor must lie above. *)
 
@@ -49,7 +50,7 @@ val vote_codec :
 val claim : t -> group:string -> pos:int -> claimant:string -> Messages.response
 (** The durable first-wins leadership register (§4.1): [first] for
     exactly one claimant, ever. A replay by the owner is answered from
-    the register and counted in {!dup_claims}. *)
+    the register and counted as {!Counters.Dup_claims}. *)
 
 val state :
   t -> group:string -> pos:int -> Mdds_types.Txn.entry Mdds_paxos.Acceptor.state
@@ -69,6 +70,3 @@ val coherent : t -> group:string -> (unit, string) result
 
 val reset : t -> unit
 (** Restart: drop the decoded cache. *)
-
-val dup_claims : t -> int
-(** Claims replayed by their registered owner. *)

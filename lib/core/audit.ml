@@ -29,16 +29,9 @@ type event = {
   stats : protocol_stats;
 }
 
-type t = {
-  mutable events : event list; (* newest first *)
-  mutable hedges : int; (* service requests answered by a fallback dc *)
-}
+type t = { mutable events : event list (* newest first *) }
 
-let create () = { events = []; hedges = 0 }
-
-let note_hedge t = t.hedges <- t.hedges + 1
-
-let hedges t = t.hedges
+let create () = { events = [] }
 
 let record t e = t.events <- e :: t.events
 

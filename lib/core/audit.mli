@@ -53,7 +53,7 @@ type event = {
 }
 
 type t
-(** The audit trail: every recorded event, plus the hedge count. *)
+(** The audit trail: every recorded event. *)
 
 val create : unit -> t
 val record : t -> event -> unit
@@ -95,13 +95,5 @@ type summary = {
 val summarize : event list -> summary
 (** Pure: the statistics of [events], which are taken to be in completion
     order, as {!events} returns them. *)
-
-val note_hedge : t -> unit
-(** A service request ([begin]/[read]) was answered by a fallback
-    datacenter after the local one failed or timed out — under
-    {!Config.t.adaptive} this is a hedged failover. Called by the
-    client, counted here so the chaos report can surface it. *)
-
-val hedges : t -> int
 
 val pp_reason : Format.formatter -> abort_reason -> unit

@@ -3,8 +3,6 @@ module Wal = Mdds_wal.Wal
 module Rpc = Mdds_net.Rpc
 module Trace = Mdds_sim.Trace
 
-type recovery_stats = { recoveries : int; scrubbed : int; relearned : int }
-
 type t = {
   env : Proposer.env;
   store : Store.t;
@@ -25,12 +23,10 @@ type t = {
          spawn a new learner and the recursion would never bottom out
          while peers are unreachable. Re-entrant messages for a position
          already being re-learned are refused immediately instead. *)
-  mutable learns : int;
-  mutable snapshots : int;
-  mutable recovery : recovery_stats;
+  counters : Counters.t;
 }
 
-let create ~env ~store ~wal ~acceptors ~source =
+let create ~env ~store ~wal ~acceptors ~counters ~source =
   {
     env;
     store;
@@ -39,14 +35,8 @@ let create ~env ~store ~wal ~acceptors ~source =
     source;
     suspect = Hashtbl.create 4;
     relearning = Hashtbl.create 4;
-    learns = 0;
-    snapshots = 0;
-    recovery = { recoveries = 0; scrubbed = 0; relearned = 0 };
+    counters;
   }
-
-let learns t = t.learns
-let snapshots t = t.snapshots
-let recovery_stats t = t.recovery
 
 let reset t =
   Hashtbl.reset t.suspect;
@@ -72,7 +62,7 @@ let fetch_snapshot t ~group ~at_least =
         | Some (Messages.Snapshot_reply { applied; rows })
           when applied >= at_least ->
             Wal.install_snapshot t.wal ~group ~applied rows;
-            t.snapshots <- t.snapshots + 1;
+            Counters.incr t.counters Snapshots;
             Trace.record env.trace ~source:t.source ~category:"snapshot"
               "installed snapshot from dc%d (applied=%d, %d rows)" peer applied
               (List.length rows);
@@ -89,7 +79,7 @@ type fill = Learned | Installed | Unfilled
 let fill t ~group ~pos =
   match Proposer.learn t.env ~group ~pos with
   | Some entry ->
-      t.learns <- t.learns + 1;
+      Counters.incr t.counters Learns;
       Trace.record t.env.trace ~source:t.source ~category:"learn"
         "learned entry for pos %d" pos;
       Wal.append t.wal ~group ~pos entry;
@@ -153,8 +143,7 @@ let quarantined t ~group ~pos =
         in
         let release () =
           Hashtbl.remove tbl pos;
-          let s = t.recovery in
-          t.recovery <- { s with relearned = s.relearned + 1 };
+          Counters.incr t.counters Relearned;
           save_quarantine t ~group tbl;
           Trace.record t.env.trace ~source:t.source ~category:"recover"
             "re-entered quarantined position %d" pos;
@@ -190,17 +179,17 @@ let recover t ~group =
   let damaging =
     repaired > 0 || r.Wal.truncated <> None || r.Wal.reapplied > 0
   in
-  let s = t.recovery in
-  let recoveries = s.recoveries + if damaging then 1 else 0 in
-  t.recovery <- { s with recoveries; scrubbed = s.scrubbed + repaired };
-  if damaging then
+  Counters.add t.counters Scrubbed repaired;
+  if damaging then begin
+    Counters.incr t.counters Recoveries;
     Trace.record t.env.trace ~source:t.source ~category:"recover"
       "recovery scan for %s: %d torn versions scrubbed, %d entries \
        re-applied%s"
       group repaired r.Wal.reapplied
       (match r.Wal.truncated with
       | None -> ""
-      | Some pos -> Printf.sprintf ", log truncated at %d" pos);
+      | Some pos -> Printf.sprintf ", log truncated at %d" pos)
+  end;
   let carried = load_quarantine t ~group in
   if damaged <> [] || carried <> [] then begin
     let tbl = Tbl.find_or_add t.suspect group (fun () -> Hashtbl.create 8) in

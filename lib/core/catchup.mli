@@ -18,6 +18,7 @@ val create :
   store:Mdds_kvstore.Store.t ->
   wal:Mdds_wal.Wal.t ->
   acceptors:Acceptor_store.t ->
+  counters:Counters.t ->
   source:string ->
   t
 (** [source] is the trace source of the owning service. *)
@@ -43,17 +44,3 @@ val recover : t -> group:string -> unit
 val reset : t -> unit
 (** Restart: drop the volatile quarantine view and running ladders (the
     durable set comes back through {!recover}). *)
-
-val learns : t -> int
-(** Missing log entries learned through Paxos. *)
-
-val snapshots : t -> int
-(** Peer snapshots installed. *)
-
-type recovery_stats = {
-  recoveries : int;
-  scrubbed : int;
-  relearned : int;
-}
-
-val recovery_stats : t -> recovery_stats

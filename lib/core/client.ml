@@ -10,6 +10,7 @@ exception Unavailable of string
 type t = {
   env : Proposer.env;
   audit : Audit.t;
+  counters : Counters.t;
   id : string;
   mutable txn_counter : int;
 }
@@ -26,9 +27,15 @@ type txn = {
   mutable finished : bool;
 }
 
-let create ~rpc ~config ~dc ~dcs ~audit ~id ~trace =
+let create ~rpc ~config ~dc ~dcs ~audit ~counters ~id ~trace =
   let rng = Rng.split (Engine.rng (Rpc.engine rpc)) in
-  { env = Proposer.make_env ~rpc ~config ~dc ~dcs ~rng ~trace; audit; id; txn_counter = 0 }
+  {
+    env = Proposer.make_env ~rpc ~config ~dc ~dcs ~rng ~trace;
+    audit;
+    counters;
+    id;
+    txn_counter = 0;
+  }
 
 let dc t = t.env.Proposer.dc
 
@@ -76,7 +83,7 @@ let request_with_fallback t req ~describe =
             (match t.env.Proposer.rtt with
             | Some rtt -> Rtt.observe rtt ~dst (now t -. started)
             | None -> ());
-            if dst <> t.env.Proposer.dc then Audit.note_hedge t.audit;
+            if dst <> t.env.Proposer.dc then Counters.incr t.counters Hedges;
             resp)
   in
   go read_attempts (service_order t.env)

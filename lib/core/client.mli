@@ -28,9 +28,12 @@ val create :
   dc:int ->
   dcs:int list ->
   audit:Audit.t ->
+  counters:Counters.t ->
   id:string ->
   trace:Mdds_sim.Trace.t ->
   t
+(** [counters] is the client's datacenter's; a [begin]/[read] answered
+    by another datacenter counts as {!Counters.Hedges} there. *)
 
 val dc : t -> int
 

@@ -57,7 +57,9 @@ let client ?id t ~dc =
   in
   Client.create ~rpc:t.rpc ~config:t.config ~dc
     ~dcs:(List.init (size t) Fun.id)
-    ~audit:t.audit ~id ~trace:t.trace
+    ~audit:t.audit
+    ~counters:(Service.counters t.services.(dc))
+    ~id ~trace:t.trace
 
 let spawn ?at t f = Engine.spawn ?at t.engine f
 let run ?until t = Engine.run ?until t.engine

@@ -37,11 +37,10 @@ type t = {
       (* One-shot chaos trap: fired when a prepare marker crosses this
          service (accept or apply) — the nemesis arms it to aim faults at
          the prepare→decide window. *)
-  mutable prepares : int;
-  mutable resolved : int;
+  counters : Counters.t;
 }
 
-let create ~env ~wal ~catchup ~source =
+let create ~env ~wal ~catchup ~counters ~source =
   {
     env;
     wal;
@@ -52,12 +51,8 @@ let create ~env ~wal ~catchup ~source =
     resolving = Hashtbl.create 8;
     epoch = 0;
     trap = None;
-    prepares = 0;
-    resolved = 0;
+    counters;
   }
-
-let prepares t = t.prepares
-let resolved t = t.resolved
 
 (* 2PC state is volatile and log-derived: restart drops it and orphans
    every resolver fiber (the epoch bump makes them exit at their next
@@ -161,7 +156,7 @@ let rec note t ~submit ~group ~pos (r : Txn.record) =
       if not (Hashtbl.mem tbl txid) then begin
         Hashtbl.replace tbl txid
           { footprint = Txn.read_keys r; payload = Twopc.payload r; pos };
-        t.prepares <- t.prepares + 1;
+        Counters.incr t.counters Twopc_prepares;
         watch t ~submit ~group txid
       end
   | Twopc.Outcome { txid; _ } -> Hashtbl.remove (table t ~group) txid
@@ -229,7 +224,7 @@ and resolve t ~submit ~group txid ind =
           match submit ~group orec with
           | Messages.Accepted_at _ ->
               Hashtbl.remove (table t ~group) txid;
-              t.resolved <- t.resolved + 1;
+              Counters.incr t.counters Twopc_resolved;
               Trace.record t.env.trace ~source:t.source ~category:"2pc"
                 "resolved in-doubt %s in %s: %s" txid group verdict;
               true

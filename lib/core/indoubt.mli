@@ -22,6 +22,7 @@ val create :
   env:Proposer.env ->
   wal:Mdds_wal.Wal.t ->
   catchup:Catchup.t ->
+  counters:Counters.t ->
   source:string ->
   t
 (** [source] is the trace source of the owning service. *)
@@ -65,9 +66,3 @@ val arm_trap : t -> (unit -> unit) -> unit
 
 val fire_trap : t -> Mdds_types.Txn.entry -> unit
 (** Fire (and disarm) the trap if the entry carries a prepare marker. *)
-
-val prepares : t -> int
-(** Prepare markers absorbed into the table. *)
-
-val resolved : t -> int
-(** In-doubt transactions this service's resolvers settled. *)

@@ -45,13 +45,6 @@ type batcher = {
   mutable bt_stopped : bool;  (* set by restart; orphaned drainer exits *)
 }
 
-type stats = {
-  batches : int;
-  batched_txns : int;
-  pipelined_rounds : int;
-  pipeline_stalls : int;
-}
-
 type t = {
   env : Proposer.env;
   wal : Wal.t;
@@ -61,12 +54,10 @@ type t = {
   batchers : (string, batcher) Hashtbl.t;
       (* Per-group pending queue + pipelined window: every Submit, from
          clients and from the 2PC resolvers, runs through one. *)
-  mutable stats : stats;
-  mutable dup_submits : int;
-  mutable in_doubt_replies : int;
+  counters : Counters.t;
 }
 
-let create ~env ~wal ~catchup ~indoubt =
+let create ~env ~wal ~catchup ~indoubt ~counters =
   {
     env;
     wal;
@@ -74,20 +65,8 @@ let create ~env ~wal ~catchup ~indoubt =
     indoubt;
     won = Hashtbl.create 8;
     batchers = Hashtbl.create 4;
-    stats =
-      {
-        batches = 0;
-        batched_txns = 0;
-        pipelined_rounds = 0;
-        pipeline_stalls = 0;
-      };
-    dup_submits = 0;
-    in_doubt_replies = 0;
+    counters;
   }
-
-let stats t = t.stats
-let dup_submits t = t.dup_submits
-let in_doubt_replies t = t.in_doubt_replies
 
 (* A duplicated or replayed submission (duplicating link, client retry)
    must not be sequenced a second time — the same transaction at two
@@ -230,7 +209,7 @@ let build_batch (t : t) ~submit b =
            let r = p.p_record in
            (match logged_at t ~group ~upto:wal_last r with
            | Some pos ->
-               t.dup_submits <- t.dup_submits + 1;
+               Counters.incr t.counters Dup_submits;
                resolve_pending b p (Messages.Accepted_at pos)
            | None ->
                let stale =
@@ -304,7 +283,7 @@ let propose_sync (t : t) b ~pos batch =
    one deliberate deviation from adopt-the-highest-vote (PROTOCOL.md §9,
    "Resolution tie rule"). *)
 let resolve_window (t : t) ~submit b =
-  t.stats <- { t.stats with pipeline_stalls = t.stats.pipeline_stalls + 1 };
+  Counters.incr t.counters Pipeline_stalls;
   let group = b.bt_group in
   let slots =
     List.sort (fun a b -> Int.compare a.sl_pos b.sl_pos) b.bt_window
@@ -350,21 +329,10 @@ let resolve_window (t : t) ~submit b =
                entries (ours and the post-restart manager's), and the tie
                must go to the other one, which may be chosen. *)
             let choose votes =
-              let highest =
-                List.fold_left
-                  (fun acc (r : Txn.entry Mdds_paxos.Tally.response) ->
-                    match (acc, r.Mdds_paxos.Tally.vote) with
-                    | _, None -> acc
-                    | _, Some (bv, e)
-                      when Ballot.equal bv fast_ballot
-                           && Txn.equal_entry e slot.sl_entry ->
-                        acc
-                    | None, v -> v
-                    | Some (bb, _), (Some (bv, _) as v) ->
-                        if Ballot.compare bv bb > 0 then v else acc)
-                  None votes
+              let own bv e =
+                Ballot.equal bv fast_ballot && Txn.equal_entry e slot.sl_entry
               in
-              match highest with
+              match Mdds_paxos.Tally.highest ~skip:own votes with
               | Some (_, e) -> Proposer.Propose e
               | None ->
                   if !prefix_ok then Proposer.Propose slot.sl_entry
@@ -465,9 +433,8 @@ and launch (t : t) ~submit b =
           else b.bt_next_pos
         in
         b.bt_next_pos <- pos + 1;
-        let s = t.stats and n = List.length entry in
-        t.stats <-
-          { s with batches = s.batches + 1; batched_txns = s.batched_txns + n };
+        Counters.incr t.counters Batches;
+        Counters.add t.counters Batched_txns (List.length entry);
         (* The window holds only Sl_pending slots here, so: non-empty window
            ⇒ pipelined sequenced round; empty window ⇒ round-0 only on the
            Multi-Paxos streak, else the synchronous single-position path.
@@ -489,9 +456,7 @@ and launch (t : t) ~submit b =
           in
           b.bt_window <- b.bt_window @ [ slot ];
           b.bt_prev <- Some entry;
-          if sequenced <> None then
-            t.stats <-
-              { t.stats with pipelined_rounds = t.stats.pipelined_rounds + 1 };
+          if sequenced <> None then Counters.incr t.counters Pipelined_rounds;
           List.iter (fun p -> p.p_exposed <- true) batch;
           Engine.spawn (Rpc.engine t.env.rpc) (fun () ->
               let ok = Proposer.run_fast t.env ~group ~pos ~sequenced entry in
@@ -525,7 +490,7 @@ let rec submit t ~group (record : Txn.record) =
         (* Duplicate Submit while the original is queued or in flight
            (duplicating link, or a client retrying into the same manager):
            attach as an extra waiter; the one resolution answers both. *)
-        t.dup_submits <- t.dup_submits + 1;
+        Counters.incr t.counters Dup_submits;
         p
     | None ->
         let p =
@@ -548,8 +513,7 @@ let rec submit t ~group (record : Txn.record) =
         p
   in
   let result = await_pending p in
-  if result = Messages.In_doubt then
-    t.in_doubt_replies <- t.in_doubt_replies + 1;
+  if result = Messages.In_doubt then Counters.incr t.counters In_doubt_replies;
   result
 
 (* Batchers are volatile: orphan every drainer and resolve every pending

@@ -23,6 +23,7 @@ val create :
   wal:Mdds_wal.Wal.t ->
   catchup:Catchup.t ->
   indoubt:Indoubt.t ->
+  counters:Counters.t ->
   t
 
 val submit : t -> Indoubt.submit
@@ -34,19 +35,3 @@ val restart : t -> unit
 (** Drop every queue, window and streak, and answer each held
     submission at once: [No_quorum] if no accept carrying it can have
     gone out, else [In_doubt]. Orphaned drainers exit without proposing. *)
-
-type stats = {
-  batches : int;
-  batched_txns : int;
-  pipelined_rounds : int;
-  pipeline_stalls : int;
-}
-
-val stats : t -> stats
-
-val dup_submits : t -> int
-(** Submissions answered from the log or attached to an in-flight
-    original instead of being sequenced again. *)
-
-val in_doubt_replies : t -> int
-(** [In_doubt] outcomes returned by {!submit}. *)

@@ -11,18 +11,12 @@ type t = {
   indoubt : Indoubt.t;
   manager : Manager.t;
   submit : Indoubt.submit;  (* [Manager.submit]: clients and resolvers *)
-  mutable dup_applies : int;
+  counters : Counters.t;
 }
 
-type recovery_stats = Catchup.recovery_stats = {
-  recoveries : int;
-  scrubbed : int;
-  relearned : int;
-}
+type recovery_stats = { recoveries : int; scrubbed : int; relearned : int }
 
-type dedup_stats = { dup_applies : int; dup_claims : int; dup_submits : int }
-
-type throughput_stats = Manager.stats = {
+type throughput_stats = {
   batches : int;
   batched_txns : int;
   pipelined_rounds : int;
@@ -38,23 +32,29 @@ type twopc_stats = {
 let dc t = t.dc
 let store t = t.store
 let wal t = t.wal
-let learns t = Catchup.learns t.catchup
-let snapshots t = Catchup.snapshots t.catchup
-let recovery_stats t = Catchup.recovery_stats t.catchup
-let throughput_stats t = Manager.stats t.manager
+let counters t = t.counters
+let learns t = Counters.get t.counters Learns
+let snapshots t = Counters.get t.counters Snapshots
 
-let dedup_stats (t : t) =
+let recovery_stats t =
+  let get = Counters.get t.counters in
+  { recoveries = get Recoveries; scrubbed = get Scrubbed; relearned = get Relearned }
+
+let throughput_stats t =
+  let get = Counters.get t.counters in
   {
-    dup_applies = t.dup_applies;
-    dup_claims = Acceptor_store.dup_claims t.acceptors;
-    dup_submits = Manager.dup_submits t.manager;
+    batches = get Batches;
+    batched_txns = get Batched_txns;
+    pipelined_rounds = get Pipelined_rounds;
+    pipeline_stalls = get Pipeline_stalls;
   }
 
 let twopc_stats t =
+  let get = Counters.get t.counters in
   {
-    twopc_prepares = Indoubt.prepares t.indoubt;
-    twopc_resolved = Indoubt.resolved t.indoubt;
-    in_doubt_replies = Manager.in_doubt_replies t.manager;
+    twopc_prepares = get Twopc_prepares;
+    twopc_resolved = get Twopc_resolved;
+    in_doubt_replies = get In_doubt_replies;
   }
 
 let arm_2pc_trap t f = Indoubt.arm_trap t.indoubt f
@@ -124,7 +124,7 @@ let handle t ~src:_ request =
          applied twice (safety under duplicating links). *)
       if pos > Wal.compacted_position t.wal ~group then begin
         if Wal.entry t.wal ~group ~pos <> None then
-          t.dup_applies <- t.dup_applies + 1;
+          Counters.incr t.counters Dup_applies;
         Wal.append t.wal ~group ~pos ~encoded entry;
         Indoubt.fire_trap t.indoubt entry;
         Indoubt.note_applied t.indoubt ~submit:t.submit ~group ~pos entry
@@ -215,10 +215,11 @@ let start ?(storage = Store.Sync_always) ~rpc ~config ~dc ~dcs ~trace () =
       ~trace
   in
   let source = Printf.sprintf "svc.dc%d" dc in
-  let acceptors = Acceptor_store.create ~store ~wal in
-  let catchup = Catchup.create ~env ~store ~wal ~acceptors ~source in
-  let indoubt = Indoubt.create ~env ~wal ~catchup ~source in
-  let manager = Manager.create ~env ~wal ~catchup ~indoubt in
+  let counters = Counters.create () in
+  let acceptors = Acceptor_store.create ~store ~wal ~counters in
+  let catchup = Catchup.create ~env ~store ~wal ~acceptors ~counters ~source in
+  let indoubt = Indoubt.create ~env ~wal ~catchup ~counters ~source in
+  let manager = Manager.create ~env ~wal ~catchup ~indoubt ~counters in
   let t =
     {
       store;
@@ -229,7 +230,7 @@ let start ?(storage = Store.Sync_always) ~rpc ~config ~dc ~dcs ~trace () =
       indoubt;
       manager;
       submit = Manager.submit manager;
-      dup_applies = 0;
+      counters;
     }
   in
   Rpc.serve rpc ~node:dc ~processing:processing_delay (fun ~src request ->

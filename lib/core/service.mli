@@ -38,81 +38,37 @@ val dc : t -> int
 val store : t -> Mdds_kvstore.Store.t
 val wal : t -> Mdds_wal.Wal.t
 
+val counters : t -> Counters.t
+(** The datacenter's telemetry, shared by every module of the service
+    and by its clients; it survives {!restart}. *)
+
+(** {2 Views over {!counters}}
+
+    Read by the end-to-end benchmark. *)
+
 val learns : t -> int
-(** How many missing log entries this service has learned (telemetry). *)
-
 val snapshots : t -> int
-(** How many peer snapshots this service installed during catch-up. *)
 
-type recovery_stats = {
-  recoveries : int;
-      (** Restarts whose recovery scan found damage (torn versions
-          scrubbed or the log truncated). *)
-  scrubbed : int;  (** Checksum-invalid versions dropped across restarts. *)
-  relearned : int;
-      (** Quarantined positions re-entered after their decided value was
-          re-learned from peers (or checkpointed past). *)
-}
+type recovery_stats = { recoveries : int; scrubbed : int; relearned : int }
 
 val recovery_stats : t -> recovery_stats
-(** Crash-recovery telemetry (PROTOCOL.md §7), reported by the chaos
-    runner. *)
-
-type dedup_stats = {
-  dup_applies : int;
-      (** Apply notifications for a position the log already holds —
-          duplicated one-way messages (or proposer retries) absorbed by
-          {!Mdds_wal.Wal.append}'s idempotence instead of applied twice. *)
-  dup_claims : int;
-      (** Leadership claims replayed by the registered owner; answered
-          from the durable first-wins register, never re-granted. *)
-  dup_submits : int;
-      (** Submissions whose transaction the log already holds — a
-          duplicated or replayed [Submit] is answered with the original
-          position instead of being sequenced twice (an L2 violation;
-          found by gray-failure chaos under the leader protocol). *)
-}
-
-val dedup_stats : t -> dedup_stats
-(** Duplicate-delivery telemetry (gray-failure chaos: duplicating links),
-    reported by the chaos runner. *)
 
 type throughput_stats = {
   batches : int;
-      (** Log positions proposed by the batched path (each holds a
-          Combine-validated batch of 1..[batch_max] transactions). *)
-  batched_txns : int;  (** Transactions those positions carried. *)
+  batched_txns : int;
   pipelined_rounds : int;
-      (** Sequenced round-0 accept rounds launched with earlier positions
-          still in flight (the k-deep pipeline actually overlapping). *)
   pipeline_stalls : int;
-      (** Times a failed round forced the window to be resolved in log
-          order through the full protocol before new positions opened. *)
 }
 
 val throughput_stats : t -> throughput_stats
-(** Manager telemetry (DESIGN.md §14). Every Submit runs through the
-    batching manager, so [batches] counts every position this manager
-    proposed; with [batch_max = 1] it equals [batched_txns], and with
-    [pipeline_depth = 1] [pipelined_rounds] stays zero. *)
 
 type twopc_stats = {
   twopc_prepares : int;
-      (** Prepare marker records this service absorbed into its in-doubt
-          table (from its own admissions, applies it received, and
-          restart rescans — observations, not distinct transactions). *)
   twopc_resolved : int;
-      (** In-doubt transactions this service's resolver settled by
-          logging a decision and outcome (PROTOCOL.md §10). *)
   in_doubt_replies : int;
-      (** [In_doubt] submit replies returned to clients: the submission
-          was exposed to acceptors but its fate was unknown when the
-          manager gave up (honest "unknown", never a silent drop). *)
 }
 
 val twopc_stats : t -> twopc_stats
-(** Multi-shot-commit telemetry, reported by the chaos runner. All zero
-    when no cross-group transactions run. *)
 
 val arm_2pc_trap : t -> (unit -> unit) -> unit
 (** Chaos hook: fire [f] (in a fresh fiber) the next time an entry

@@ -2,6 +2,7 @@ module Config = Mdds_core.Config
 module Audit = Mdds_core.Audit
 module Cluster = Mdds_core.Cluster
 module Client = Mdds_core.Client
+module Counters = Mdds_core.Counters
 module Service = Mdds_core.Service
 module Verify = Mdds_core.Verify
 module Topology = Mdds_net.Topology
@@ -112,14 +113,9 @@ let run_point ?(seed = 42) ?(topology = "VVV") ?(conflict_every = 16)
   let committed_per_s =
     if s.commits = 0 then 0.0 else float_of_int s.commits /. s.last_commit
   in
-  let batches, batched_txns, pipelined_rounds =
-    List.fold_left
-      (fun (b, n, p) service ->
-        let s = Service.throughput_stats service in
-        ( b + s.Service.batches,
-          n + s.Service.batched_txns,
-          p + s.Service.pipelined_rounds ))
-      (0, 0, 0) (Cluster.services cluster)
+  let count =
+    Counters.get
+      (Counters.sum (List.map Service.counters (Cluster.services cluster)))
   in
   {
     mode;
@@ -130,9 +126,9 @@ let run_point ?(seed = 42) ?(topology = "VVV") ?(conflict_every = 16)
     unknown = s.unknowns;
     committed_per_s;
     latency = Stats.summarize s.commit_lats;
-    batches;
-    batched_txns;
-    pipelined_rounds;
+    batches = count Batches;
+    batched_txns = count Batched_txns;
+    pipelined_rounds = count Pipelined_rounds;
     sim_duration = Cluster.now cluster;
     wall_seconds = Unix.gettimeofday () -. started;
     verified =

@@ -4,18 +4,19 @@ let majority d = (d / 2) + 1
 
 let is_quorum ~total n = n >= majority total
 
+let highest ?(skip = fun _ _ -> false) responses =
+  List.fold_left
+    (fun acc r ->
+      match (acc, r.vote) with
+      | _, None -> acc
+      | _, Some (b, v) when skip b v -> acc
+      | None, vote -> vote
+      | Some (best, _), (Some (b, _) as vote) ->
+          if Ballot.compare b best > 0 then vote else acc)
+    None responses
+
 let find_winning responses ~own =
-  let best =
-    List.fold_left
-      (fun acc r ->
-        match (acc, r.vote) with
-        | None, v -> v
-        | Some _, None -> acc
-        | Some (bb, _), (Some (b, _) as v) ->
-            if Ballot.compare b bb > 0 then v else acc)
-      None responses
-  in
-  match best with None -> own | Some (_, v) -> v
+  match highest responses with None -> own | Some (_, v) -> v
 
 type 'v decision = Free | Chosen of 'v | Constrained of 'v
 
@@ -53,15 +54,6 @@ let decide ~total ~equal responses =
     | Some v when max_votes > total / 2 -> Chosen v
     | _ -> (
         (* Neither free nor decidedly chosen: basic Paxos constraint. *)
-        match
-          List.fold_left
-            (fun acc r ->
-              match (acc, r.vote) with
-              | None, v -> v
-              | Some _, None -> acc
-              | Some (bb, _), (Some (b, _) as v) ->
-                  if Ballot.compare b bb > 0 then v else acc)
-            None responses
-        with
+        match highest responses with
         | Some (_, v) -> Constrained v
         | None -> Free)

@@ -22,9 +22,15 @@ val majority : int -> int
 
 val is_quorum : total:int -> int -> bool
 
+val highest :
+  ?skip:(Ballot.t -> 'v -> bool) -> 'v response list -> (Ballot.t * 'v) option
+(** The vote at the maximum ballot, the first one on a tie; [None] if
+    every response carries a null vote. Votes [skip] holds for are left
+    out. *)
+
 val find_winning : 'v response list -> own:'v -> 'v
-(** [findWinningVal]: the value voted at the maximum ballot, or [own] if
-    every response carries a null vote. *)
+(** [findWinningVal]: the value of {!highest}, or [own] if every response
+    carries a null vote. *)
 
 type 'v decision =
   | Free

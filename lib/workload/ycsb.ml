@@ -64,17 +64,37 @@ let workload_events events =
     (fun (e : Mdds_core.Audit.event) -> not (harness e.record.txn_id))
     events
 
+(* A preload attempt that does not commit (a fault landed on it) is
+   retried with a fresh transaction one virtual second later. The preload
+   writes a constant and reads nothing, so an earlier attempt that still
+   commits (an [Unknown] outcome) is just one more blind write of it. *)
+let preload_attempts = 64
+
 let run_preload cluster config =
   let client = Cluster.client cluster ~id:preload_id ~dc:(List.hd config.client_dcs) in
+  let commit_once group =
+    try
+      let txn = Client.begin_ client ~group in
+      for i = 0 to config.attributes - 1 do
+        Client.write txn (attribute_key i) "init"
+      done;
+      match Client.commit txn with
+      | Mdds_core.Audit.Committed _ -> true
+      | _ -> false
+    with Client.Unavailable _ -> false
+  in
+  let rec preload group attempt =
+    if not (commit_once group) then
+      if attempt >= preload_attempts then
+        failwith "Ycsb: preload transaction failed to commit"
+      else begin
+        Engine.sleep 1.0;
+        preload group (attempt + 1)
+      end
+  in
   Cluster.spawn cluster (fun () ->
       for g = 0 to max 0 (config.groups - 1) do
-        let txn = Client.begin_ client ~group:(group_key config g) in
-        for i = 0 to config.attributes - 1 do
-          Client.write txn (attribute_key i) "init"
-        done;
-        match Client.commit txn with
-        | Mdds_core.Audit.Committed _ -> ()
-        | _ -> failwith "Ycsb: preload transaction failed to commit"
+        preload (group_key config g) 1
       done)
 
 (* [keys.(i)] caches [attribute_key i] for the run, filled on first use:

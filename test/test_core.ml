@@ -2,6 +2,7 @@
    (Algorithm 1), the combination search, configuration, and audit. *)
 
 module Cluster = Mdds_core.Cluster
+module Counters = Mdds_core.Counters
 module Client = Mdds_core.Client
 module Verify = Mdds_core.Verify
 module Service = Mdds_core.Service
@@ -803,7 +804,7 @@ let test_service_duplicate_apply_idempotent () =
       apply ();
       apply ();
       Alcotest.(check int) "replays counted" 2
-        (Service.dedup_stats service).Service.dup_applies;
+        (Counters.get (Service.counters service) Dup_applies);
       (match Service.handle service ~src:0 (Messages.Get_read_position { group }) with
       | Messages.Read_position { position = 1; _ } -> ()
       | _ -> Alcotest.fail "log advanced past the duplicate");
@@ -829,7 +830,7 @@ let test_service_duplicate_submit_same_position () =
       let replay = submit () in
       Alcotest.(check int) "same position, not a second slot" first replay;
       Alcotest.(check int) "replay counted" 1
-        (Service.dedup_stats service).Service.dup_submits)
+        (Counters.get (Service.counters service) Dup_submits))
 
 let test_service_duplicate_claim_first_wins () =
   (* The leadership claim is a durable first-wins register: a replayed
@@ -847,8 +848,8 @@ let test_service_duplicate_claim_first_wins () =
       Alcotest.(check bool) "first claim granted" true (claim "dc1");
       Alcotest.(check bool) "replayed claim re-granted, not re-won" true (claim "dc1");
       Alcotest.(check bool) "rival refused" false (claim "dc2");
-      let stats = Service.dedup_stats service in
-      Alcotest.(check int) "replay counted" 1 stats.Service.dup_claims)
+      Alcotest.(check int) "replay counted" 1
+        (Counters.get (Service.counters service) Dup_claims))
 
 let () =
   Alcotest.run "core"

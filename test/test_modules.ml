@@ -15,6 +15,7 @@ module Acceptor_store = Mdds_core.Acceptor_store
 module Catchup = Mdds_core.Catchup
 module Indoubt = Mdds_core.Indoubt
 module Manager = Mdds_core.Manager
+module Counters = Mdds_core.Counters
 module Codec = Mdds_codec.Codec
 
 let group = "g"
@@ -29,6 +30,7 @@ type stack = {
   catchup : Catchup.t;
   indoubt : Indoubt.t;
   manager : Manager.t;
+  counters : Counters.t;
 }
 
 let stack ?(config = { Config.leader with rpc_timeout = 0.5; max_rounds = 2 })
@@ -44,11 +46,13 @@ let stack ?(config = { Config.leader with rpc_timeout = 0.5; max_rounds = 2 })
       ~trace:(Mdds_sim.Trace.create engine)
   in
   let wal = Wal.create store in
-  let acceptors = Acceptor_store.create ~store ~wal in
-  let catchup = Catchup.create ~env ~store ~wal ~acceptors ~source:"svc.dc0" in
-  let indoubt = Indoubt.create ~env ~wal ~catchup ~source:"svc.dc0" in
-  let manager = Manager.create ~env ~wal ~catchup ~indoubt in
-  { engine; wal; acceptors; catchup; indoubt; manager }
+  let counters = Counters.create () in
+  let source = "svc.dc0" in
+  let acceptors = Acceptor_store.create ~store ~wal ~counters in
+  let catchup = Catchup.create ~env ~store ~wal ~acceptors ~counters ~source in
+  let indoubt = Indoubt.create ~env ~wal ~catchup ~counters ~source in
+  let manager = Manager.create ~env ~wal ~catchup ~indoubt ~counters in
+  { engine; wal; acceptors; catchup; indoubt; manager; counters }
 
 (* Run [f] as a fiber of the stack's engine and return its result. *)
 let in_fiber s f =
@@ -178,7 +182,7 @@ let test_replayed_claim_counted () =
     (claim "a");
   Alcotest.(check bool) "rival refused" false (claim "b");
   Alcotest.(check int) "one replay counted" 1
-    (Acceptor_store.dup_claims s.acceptors)
+    (Counters.get s.counters Dup_claims)
 
 let test_prune_rows_and_cache () =
   let store = Store.create () in
@@ -322,12 +326,12 @@ let test_quarantine_survives_reopen () =
   Store.crash ~torn:true store ~lose_unsynced:true;
   Catchup.recover s.catchup ~group;
   Alcotest.(check int) "torn version scrubbed" 1
-    (Catchup.recovery_stats s.catchup).scrubbed;
+    (Counters.get s.counters Scrubbed);
   Store.crash store ~lose_unsynced:true;
   let reopened = stack ~store () in
   Catchup.recover reopened.catchup ~group;
   Alcotest.(check int) "nothing left to scrub" 0
-    (Catchup.recovery_stats reopened.catchup).scrubbed;
+    (Counters.get reopened.counters Scrubbed);
   Alcotest.(check bool) "still quarantined after reopen" true
     (in_fiber reopened (fun () ->
          Catchup.quarantined reopened.catchup ~group ~pos:2));
@@ -337,7 +341,7 @@ let test_quarantine_survives_reopen () =
   Alcotest.(check bool) "released once the entry is known" false
     (Catchup.quarantined reopened.catchup ~group ~pos:2);
   Alcotest.(check int) "release counted" 1
-    (Catchup.recovery_stats reopened.catchup).relearned;
+    (Counters.get reopened.counters Relearned);
   Alcotest.(check bool) "quarantine row cleared" true
     (Store.read store ~key:"recover/g" () = None)
 
@@ -358,7 +362,7 @@ let test_restart_answers_queued () =
   Alcotest.(check bool) "answered No_quorum" true
     (!result = Some Messages.No_quorum);
   Alcotest.(check int) "nothing proposed" 0 (Wal.last_position s.wal ~group);
-  Alcotest.(check int) "no batch launched" 0 (Manager.stats s.manager).batches
+  Alcotest.(check int) "no batch launched" 0 (Counters.get s.counters Batches)
 
 (* A replayed submission is answered from the log, never sequenced twice. *)
 let test_logged_submission_answered () =
@@ -368,7 +372,7 @@ let test_logged_submission_answered () =
   Alcotest.(check bool) "answered with its position" true
     (in_fiber s (fun () -> Manager.submit s.manager ~group r)
     = Messages.Accepted_at 1);
-  Alcotest.(check int) "counted as a duplicate" 1 (Manager.dup_submits s.manager);
+  Alcotest.(check int) "counted as a duplicate" 1 (Counters.get s.counters Dup_submits);
   Alcotest.(check int) "log unchanged" 1 (Wal.last_position s.wal ~group)
 
 let () =

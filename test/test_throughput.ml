@@ -9,6 +9,7 @@
 
 module Cluster = Mdds_core.Cluster
 module Client = Mdds_core.Client
+module Counters = Mdds_core.Counters
 module Config = Mdds_core.Config
 module Service = Mdds_core.Service
 module Messages = Mdds_core.Messages
@@ -39,9 +40,30 @@ let make ?(seed = 42) ?(spec = "VVV") ?(batch_max = 8) ?(pipeline_depth = 4)
   let config = fill_config ~batch_max ~pipeline_depth ~fill:batch_fill in
   Cluster.create ~seed ~config (Topology.ec2 spec)
 
+(* Each of [Service]'s record views reads its own slots. *)
+let check_views svc =
+  let count = Counters.get (Service.counters svc) in
+  let check name counter v = Alcotest.(check int) name (count counter) v in
+  check "learns view" Learns (Service.learns svc);
+  check "snapshots view" Snapshots (Service.snapshots svc);
+  let r = Service.recovery_stats svc in
+  check "recoveries view" Recoveries r.Service.recoveries;
+  check "scrubbed view" Scrubbed r.Service.scrubbed;
+  check "relearned view" Relearned r.Service.relearned;
+  let b = Service.throughput_stats svc in
+  check "batches view" Batches b.Service.batches;
+  check "batched_txns view" Batched_txns b.Service.batched_txns;
+  check "pipelined_rounds view" Pipelined_rounds b.Service.pipelined_rounds;
+  check "pipeline_stalls view" Pipeline_stalls b.Service.pipeline_stalls;
+  let x = Service.twopc_stats svc in
+  check "twopc_prepares view" Twopc_prepares x.Service.twopc_prepares;
+  check "twopc_resolved view" Twopc_resolved x.Service.twopc_resolved;
+  check "in_doubt_replies view" In_doubt_replies x.Service.in_doubt_replies
+
 let total_stats cluster =
   List.fold_left
     (fun (b, t, p, s) svc ->
+      check_views svc;
       let st = Service.throughput_stats svc in
       ( b + st.Service.batches,
         t + st.Service.batched_txns,
@@ -338,7 +360,7 @@ let test_dup_submit_while_batched () =
   Alcotest.(check int) "dup learns the same position" p1 p2;
   Alcotest.(check int) "post-commit replay answered from log" p1 p3;
   Alcotest.(check int) "both dups counted" 2
-    (Service.dedup_stats service).Service.dup_submits;
+    (Counters.get (Service.counters service) Dup_submits);
   let log = Cluster.committed_log cluster ~group in
   Alcotest.(check int) "sequenced exactly once" 1
     (List.length (List.concat_map snd log));

@@ -36,6 +36,7 @@ let create () = { events = [] }
 let record t e = t.events <- e :: t.events
 
 let events t = List.rev t.events
+let newest_first t = t.events
 
 type summary = {
   total : int;

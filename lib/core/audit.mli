@@ -60,6 +60,10 @@ val record : t -> event -> unit
 val events : t -> event list
 (** In completion order. *)
 
+val newest_first : t -> event list
+(** In reverse completion order: the trail as stored, without the copy
+    {!events} makes. *)
+
 (** {1 Outcome statistics} *)
 
 type summary = {

@@ -183,33 +183,46 @@ let clear_duplication t =
   fault t "duplication storm cleared";
   Network.clear_duplication t.net
 
-(* One dump per replica: the union of the logs by position, checking
-   (R1) on the way. The first conflict found, in datacenter order, is the
-   one reported. *)
+(* The union of the replicas' logs, built in one position-major pass from
+   the highest position down (so the list needs no reversal and no sort),
+   reading each replica only at positions up to its own last one. (R1) is
+   checked on the way: each replica's entry is compared with that of the
+   lowest datacenter holding the position, and the conflict reported is
+   the first in datacenter-major order — the lowest differing datacenter,
+   then its lowest differing position. *)
 let agreed_log t ~group =
-  let by_pos = Hashtbl.create 64 in
+  let wals = Array.map Service.wal t.services in
+  let lasts = Array.map (fun w -> Wal.last_position w ~group) wals in
+  let top = Array.fold_left max 0 lasts in
   let conflict = ref None in
-  Array.iteri
-    (fun dc s ->
-      List.iter
-        (fun (pos, entry) ->
-          match Hashtbl.find_opt by_pos pos with
-          | None -> Hashtbl.replace by_pos pos (dc, entry)
-          | Some (dc0, entry0) ->
-              if not (Txn.equal_entry entry0 entry) && !conflict = None then
-                conflict :=
-                  Some
-                    (Printf.sprintf
-                       "position %d differs between %s and %s" pos
-                       (Topology.name t.topo dc0) (Topology.name t.topo dc)))
-        (Wal.dump (Service.wal s) ~group))
-    t.services;
+  let rec collect pos log =
+    if pos < 1 then log
+    else begin
+      let held_by = ref (-1) and held = ref [] in
+      for dc = 0 to Array.length wals - 1 do
+        if pos <= lasts.(dc) then
+          match Wal.entry wals.(dc) ~group ~pos with
+          | None -> ()
+          | Some entry ->
+              if !held_by < 0 then begin
+                held_by := dc;
+                held := entry
+              end
+              else if not (Txn.equal_entry !held entry) then
+                match !conflict with
+                | Some (first, _, _) when first < dc -> ()
+                | _ -> conflict := Some (dc, pos, !held_by)
+      done;
+      collect (pos - 1) (if !held_by < 0 then log else (pos, !held) :: log)
+    end
+  in
+  let log = collect top [] in
   match !conflict with
-  | Some msg -> Error msg
-  | None ->
-      Ok
-        (Hashtbl.fold (fun pos (_, entry) acc -> (pos, entry) :: acc) by_pos []
-        |> List.sort (fun (a, _) (b, _) -> Int.compare a b))
+  | Some (dc, pos, dc0) ->
+      Error
+        (Printf.sprintf "position %d differs between %s and %s" pos
+           (Topology.name t.topo dc0) (Topology.name t.topo dc))
+  | None -> Ok log
 
 let logs_agree t ~group = Result.map ignore (agreed_log t ~group)
 

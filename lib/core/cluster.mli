@@ -125,9 +125,11 @@ val clear_duplication : t -> unit
 
 val agreed_log :
   t -> group:string -> ((int * Mdds_types.Txn.entry) list, string) result
-(** The union of all datacenter logs, sorted by position, reading each
-    datacenter's log once; [Error] names the first position where two
-    logs hold different entries, violating (R1). *)
+(** The union of all datacenter logs, sorted by position, built in one
+    pass over the positions without copying any replica's log. [Error]
+    names a position where a datacenter's entry differs from that of the
+    lowest datacenter holding it, violating (R1): of all such, the lowest
+    differing datacenter's lowest position. *)
 
 val logs_agree : t -> group:string -> (unit, string) result
 (** Replication property (R1): no two datacenter logs hold different

@@ -2,108 +2,122 @@ module Checker = Mdds_serial.Checker
 module Txn = Mdds_types.Txn
 
 (* Merge an archived log (entries captured before compaction discarded
-   them) with the live union log. An archived entry must agree with any
-   surviving live entry at the same position — (R1) extended across
-   time. *)
+   them) with the live union log: one linear merge of two position-sorted
+   lists. An archived entry must agree with any surviving live entry at
+   the same position — (R1) extended across time. *)
 let merge_archive ~archive live =
-  let ( let* ) = Result.bind in
-  let by_pos = Hashtbl.create 64 in
-  List.iter (fun (pos, entry) -> Hashtbl.replace by_pos pos entry) live;
-  let* () =
-    List.fold_left
-      (fun acc (pos, entry) ->
-        let* () = acc in
-        match Hashtbl.find_opt by_pos pos with
-        | Some live_entry when not (Txn.equal_entry live_entry entry) ->
-            Error
-              (Printf.sprintf
-                 "R1: archived entry for position %d differs from the live log"
-                 pos)
-        | Some _ -> Ok ()
-        | None ->
-            Hashtbl.replace by_pos pos entry;
-            Ok ())
-      (Ok ()) archive
+  let rec merge merged archive live =
+    match (archive, live) with
+    | [], rest | rest, [] -> Ok (List.rev_append merged rest)
+    | ((apos, aentry) as a) :: arest, ((lpos, lentry) as l) :: lrest ->
+        if apos < lpos then merge (a :: merged) arest live
+        else if lpos < apos then merge (l :: merged) archive lrest
+        else if Txn.equal_entry lentry aentry then merge (l :: merged) arest lrest
+        else
+          Error
+            (Printf.sprintf
+               "R1: archived entry for position %d differs from the live log"
+               apos)
   in
-  Ok
-    (Hashtbl.fold (fun pos entry acc -> (pos, entry) :: acc) by_pos []
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b))
+  match archive with [] -> Ok live | _ -> merge [] archive live
 
 (* Mirror the WAL's write-once rule (PROTOCOL.md §10) before handing the
    log to the serial checkers: a 2PC marker record whose marker key was
    already written by an earlier record (log order, then entry order)
    applied nothing — first decision/outcome wins, duplicates are inert —
-   so the checkers must not count its writes either. Identity on logs
-   without marker records, i.e. on every single-group run. *)
-let marker_key (r : Txn.record) =
-  match Twopc.classify r with
-  | Twopc.Plain -> None
-  | Twopc.Prepare _ | Twopc.Outcome _ | Twopc.Decision _ -> (
-      (* Marker records carry the marker as their first write. *)
-      match r.Txn.writes with w :: _ -> Some w.Txn.key | [] -> None)
-
-let effective_log log =
+   so the checkers must not count its writes either. [dropped] sees each
+   inert record. Every entry without an inert record is shared, not
+   copied, and a log without marker records (every single-group run) is
+   returned as it is. *)
+let effective_log ?(dropped = ignore) log =
   let seen = Hashtbl.create 16 in
-  List.map
-    (fun (pos, entry) ->
-      ( pos,
-        List.filter
-          (fun (r : Txn.record) ->
-            match marker_key r with
-            | None -> true
-            | Some key ->
-                if Hashtbl.mem seen key then false
-                else begin
-                  Hashtbl.add seen key ();
-                  true
-                end)
-          entry ))
-    log
+  (* Marker records carry the marker as their first write. *)
+  let inert (r : Txn.record) =
+    match r.Txn.writes with
+    | w :: _ when Twopc.is_marker r ->
+        Hashtbl.mem seen w.Txn.key || (Hashtbl.add seen w.Txn.key (); false)
+    | _ -> false
+  in
+  let rec effective = function
+    | [] -> []
+    | r :: rest as entry ->
+        if inert r then begin
+          dropped r;
+          effective rest
+        end
+        else
+          let kept = effective rest in
+          if kept == rest then entry else r :: kept
+  in
+  if not (List.exists (fun (_, entry) -> List.exists Twopc.is_marker entry) log)
+  then log
+  else
+    List.map
+      (fun ((pos, entry) as slot) ->
+        let kept = effective entry in
+        if kept == entry then slot else (pos, kept))
+      log
+
+let violation what v = Format.asprintf "%s: %a" what Checker.pp_violation v
+
+(* [found], else [result]'s violation. *)
+let first found result =
+  match (found, result) with
+  | Some _, _ | None, Ok () -> found
+  | None, Error v -> Some v
 
 let check ?(archive = []) cluster ~group =
   let ( let* ) = Result.bind in
-  let of_violation what = function
-    | Ok () -> Ok ()
-    | Error v -> Error (Format.asprintf "%s: %a" what Checker.pp_violation v)
-  in
   let* log = Cluster.agreed_log cluster ~group in
   let* log = merge_archive ~archive log in
-  let* () = of_violation "L2" (Checker.unique_txn_ids log) in
-  let log = effective_log log in
-  let events =
-    List.filter
-      (fun (e : Audit.event) -> String.equal e.group group)
-      (Audit.events (Cluster.audit cluster))
+  let* positions =
+    Result.map_error (violation "L2") (Checker.positions log)
   in
-  let committed, aborted =
+  (* L1 asks where the effective log holds a transaction. L2 holds, so an
+     inert record's id is nowhere else in it. *)
+  let log =
+    effective_log ~dropped:(fun r -> Hashtbl.remove positions r.Txn.txn_id) log
+  in
+  (* One pass over the group's audit events, newest first: L1 reports the
+     newest dishonest commit, else the newest dishonest abort; a
+     transaction's observed values are those of its newest event; the
+     readers come out in completion order. *)
+  let observed = Hashtbl.create 256 in
+  let committed, aborted, readers =
     List.fold_left
-      (fun (cs, abs) (e : Audit.event) ->
-        match e.outcome with
-        | Audit.Committed { position; _ } ->
-            ((e.record.txn_id, position) :: cs, abs)
-        | Audit.Aborted _ -> (cs, e.record.txn_id :: abs)
-        | Audit.Read_only_committed | Audit.Unknown -> (cs, abs))
-      ([], []) events
+      (fun ((committed, aborted, readers) as acc) (e : Audit.event) ->
+        if not (String.equal e.group group) then acc
+        else begin
+          let txn_id = e.record.txn_id in
+          if not (Hashtbl.mem observed txn_id) then
+            Hashtbl.add observed txn_id e.observed;
+          match e.outcome with
+          | Audit.Committed { position; _ } ->
+              ( first committed
+                  (Checker.committed_at positions ~txn_id ~pos:position),
+                aborted,
+                readers )
+          | Audit.Aborted _ ->
+              ( committed,
+                first aborted (Checker.aborted positions ~txn_id),
+                readers )
+          | Audit.Read_only_committed ->
+              ( committed,
+                aborted,
+                (txn_id, e.record.read_position, e.observed) :: readers )
+          | Audit.Unknown -> acc
+        end)
+      (None, None, [])
+      (Audit.newest_first (Cluster.audit cluster))
   in
-  let* () = of_violation "L1" (Checker.check_audit ~log ~committed ~aborted) in
-  let* () = of_violation "L3" (Checker.check_log log) in
-  let observed_tbl = Hashtbl.create 256 in
-  List.iter
-    (fun (e : Audit.event) -> Hashtbl.replace observed_tbl e.record.txn_id e.observed)
-    events;
   let* () =
-    of_violation "replay" (Checker.replay log ~observed:(Hashtbl.find_opt observed_tbl))
+    match (committed, aborted) with
+    | Some v, _ | None, Some v -> Error (violation "L1" v)
+    | None, None -> Ok ()
   in
-  let readers =
-    List.filter_map
-      (fun (e : Audit.event) ->
-        match e.outcome with
-        | Audit.Read_only_committed ->
-            Some (e.record.txn_id, e.record.read_position, e.observed)
-        | _ -> None)
-      events
-  in
-  of_violation "read-only" (Checker.check_read_only log ~readers)
+  Result.map_error
+    (fun (stage, v) -> violation (Checker.stage_name stage) v)
+    (Checker.serial log ~observed:(Hashtbl.find_opt observed) ~readers)
 
 let check_exn ?archive cluster ~group =
   match check ?archive cluster ~group with Ok () -> () | Error msg -> failwith msg
@@ -115,6 +129,18 @@ let check_exn ?archive cluster ~group =
    records ({!Twopc}) are the protocol's only durable state — plus the
    pseudo-group audit events for outcome honesty. The effective
    (write-once, first-wins) marker per key is the one that took. *)
+
+(* An outcome's writes, less its markers, are exactly the prepared
+   [(key, value)] writes, in order. *)
+let rec applies_exactly (writes : Txn.write list) prepared =
+  match (writes, prepared) with
+  | w :: rest, _ when String.starts_with ~prefix:Twopc.reserved_prefix w.key ->
+      applies_exactly rest prepared
+  | w :: rest, (key, value) :: more ->
+      String.equal w.key key && String.equal w.value value
+      && applies_exactly rest more
+  | [], [] -> true
+  | _ -> false
 
 let check_cross ?(archives = []) cluster ~groups =
   let ( let* ) = Result.bind in
@@ -133,35 +159,38 @@ let check_cross ?(archives = []) cluster ~groups =
   in
   let logs = List.rev logs in
   (* Effective (first in log order) marker record per (txid, group). *)
-  let prepares = Hashtbl.create 64 in (* -> pos, record, payload *)
+  let prepares = Hashtbl.create 64 in (* -> pos, record, payload, later log *)
   let outcomes = Hashtbl.create 64 in (* -> pos, verdict, record *)
   let decisions = Hashtbl.create 64 in (* -> verdict *)
   List.iter
     (fun (group, log) ->
-      List.iter
-        (fun (pos, entry) ->
-          List.iter
-            (fun (r : Txn.record) ->
-              match Twopc.classify r with
-              | Twopc.Prepare { txid } ->
-                  if not (Hashtbl.mem prepares (txid, group)) then
-                    Hashtbl.add prepares (txid, group)
-                      (pos, r, Twopc.payload r)
-              | Twopc.Outcome { txid; verdict } ->
-                  if not (Hashtbl.mem outcomes (txid, group)) then
-                    Hashtbl.add outcomes (txid, group) (pos, verdict, r)
-              | Twopc.Decision { txid; verdict } ->
-                  if not (Hashtbl.mem decisions (txid, group)) then
-                    Hashtbl.add decisions (txid, group) verdict
-              | Twopc.Plain -> ())
-            entry)
-        log)
+      let rec scan = function
+        | [] -> ()
+        | (pos, entry) :: later ->
+            List.iter
+              (fun (r : Txn.record) ->
+                match Twopc.classify r with
+                | Twopc.Prepare { txid } ->
+                    if not (Hashtbl.mem prepares (txid, group)) then
+                      Hashtbl.add prepares (txid, group)
+                        (pos, r, Twopc.payload r, later)
+                | Twopc.Outcome { txid; verdict } ->
+                    if not (Hashtbl.mem outcomes (txid, group)) then
+                      Hashtbl.add outcomes (txid, group) (pos, verdict, r)
+                | Twopc.Decision { txid; verdict } ->
+                    if not (Hashtbl.mem decisions (txid, group)) then
+                      Hashtbl.add decisions (txid, group) verdict
+                | Twopc.Plain -> ())
+              entry;
+            scan later
+      in
+      scan log)
     logs;
   let fold_tbl tbl f = Hashtbl.fold (fun k v acc -> let* () = acc in f k v) tbl (Ok ()) in
   (* Every logged prepare is resolved, by an outcome agreeing with the
      decision logged in its coordinator's group — never an invented one. *)
   let* () =
-    fold_tbl prepares (fun (txid, group) (pos, _, payload) ->
+    fold_tbl prepares (fun (txid, group) (pos, _, payload, _) ->
         match Hashtbl.find_opt outcomes (txid, group) with
         | None ->
             errf "prepare %s in %s (pos %d) left unresolved: no outcome logged"
@@ -182,13 +211,13 @@ let check_cross ?(archives = []) cluster ~groups =
      a committed transaction prepared — and committed — everywhere, with
      the outcome applying exactly the prepared writes. *)
   let* () =
-    fold_tbl prepares (fun (txid, group) (_, _, payload) ->
+    fold_tbl prepares (fun (txid, group) (_, _, payload, _) ->
         let* () =
           List.fold_left
             (fun acc g ->
               let* () = acc in
               match Hashtbl.find_opt prepares (txid, g) with
-              | Some (_, _, other)
+              | Some (_, _, other, _)
                 when other.Twopc.coordinator <> payload.Twopc.coordinator
                      || other.Twopc.participants <> payload.Twopc.participants
                 ->
@@ -213,27 +242,17 @@ let check_cross ?(archives = []) cluster ~groups =
                   | _, None ->
                       errf "%s committed but participant %s has no outcome"
                         txid g
-                  | Some (_, _, pl), Some (opos, verdict, o) ->
+                  | Some (_, _, pl, _), Some (opos, verdict, o) ->
                       if not (String.equal verdict Twopc.commit_verdict) then
                         errf "%s committed but %s logged outcome %s" txid g
                           verdict
-                      else
-                        let applied =
-                          List.filter_map
-                            (fun (w : Txn.write) ->
-                              if
-                                String.starts_with
-                                  ~prefix:Twopc.reserved_prefix w.Txn.key
-                              then None
-                              else Some (w.Txn.key, w.Txn.value))
-                            o.Txn.writes
-                        in
-                        if applied <> pl.Twopc.writes then
-                          errf
-                            "%s commit outcome in %s (pos %d) does not apply \
-                             the prepared writes"
-                            txid g opos
-                        else Ok ())
+                      else if not (applies_exactly o.Txn.writes pl.Twopc.writes)
+                      then
+                        errf
+                          "%s commit outcome in %s (pos %d) does not apply the \
+                           prepared writes"
+                          txid g opos
+                      else Ok ())
                 (Ok ()) payload.Twopc.participants
           | _ -> Ok ()
         in
@@ -244,25 +263,15 @@ let check_cross ?(archives = []) cluster ~groups =
   (* Window exclusivity — the 1SR linchpin: between a prepare and its
      first outcome, no other effective record may touch the prepared
      footprint in that group (the in-doubt table's admission blocking,
-     verified from the log after the fact). Each window is walked
-     position by position through a per-group position table, so the
-     check costs the windows' total length, not one log pass per
-     prepare. *)
-  let at_pos =
-    List.map
-      (fun (group, log) ->
-        let tbl = Hashtbl.create (List.length log) in
-        List.iter (fun (pos, entry) -> Hashtbl.replace tbl pos entry) log;
-        (group, tbl))
-      logs
-  in
+     verified from the log after the fact). Each window is walked along
+     the log from just after its prepare, so the check costs the windows'
+     total length, not one log pass per prepare. *)
   let* () =
-    fold_tbl prepares (fun (txid, group) (ppos, prep, _) ->
+    fold_tbl prepares (fun (txid, group) (ppos, prep, _, later) ->
         match Hashtbl.find_opt outcomes (txid, group) with
         | Some (opos, _, _) when opos > ppos + 1 ->
             let footprint = Txn.read_keys prep in
             let in_footprint key = Array.exists (String.equal key) footprint in
-            let at_pos = List.assoc group at_pos in
             let check_record pos acc (r : Txn.record) =
               let* () = acc in
               let effective =
@@ -270,7 +279,7 @@ let check_cross ?(archives = []) cluster ~groups =
                 | Twopc.Plain -> true
                 | Twopc.Prepare { txid = id } -> (
                     match Hashtbl.find_opt prepares (id, group) with
-                    | Some (p, _, _) -> p = pos
+                    | Some (p, _, _, _) -> p = pos
                     | None -> false)
                 | Twopc.Outcome { txid = id; _ } -> (
                     match Hashtbl.find_opt outcomes (id, group) with
@@ -295,17 +304,13 @@ let check_cross ?(archives = []) cluster ~groups =
                   r.Txn.txn_id pos group txid ppos opos
               else Ok ()
             in
-            let rec walk pos =
-              if pos >= opos then Ok ()
-              else
-                let* () =
-                  match Hashtbl.find_opt at_pos pos with
-                  | Some entry -> List.fold_left (check_record pos) (Ok ()) entry
-                  | None -> Ok ()
-                in
-                walk (pos + 1)
+            let rec walk = function
+              | (pos, entry) :: later when pos < opos ->
+                  let* () = List.fold_left (check_record pos) (Ok ()) entry in
+                  walk later
+              | _ -> Ok ()
             in
-            walk (ppos + 1)
+            walk later
         | _ -> Ok ())
   in
   (* Outcome honesty against the pseudo-group audit events, and
@@ -314,9 +319,11 @@ let check_cross ?(archives = []) cluster ~groups =
      client observed at its per-group read position (the prepare record
      in that log carries the footprint and read position). *)
   let events =
-    List.filter
-      (fun (e : Audit.event) -> Twopc.is_audit_group e.group)
-      (Audit.events (Cluster.audit cluster))
+    List.fold_left
+      (fun events (e : Audit.event) ->
+        if Twopc.is_audit_group e.group then e :: events else events)
+      []
+      (Audit.newest_first (Cluster.audit cluster))
   in
   let* () =
     List.fold_left
@@ -342,9 +349,9 @@ let check_cross ?(archives = []) cluster ~groups =
   in
   let observed_in group =
     let tbl = Hashtbl.create 64 in
+    let prefix = group ^ "/" in
     List.iter
       (fun (e : Audit.event) ->
-        let prefix = group ^ "/" in
         let mine =
           List.filter_map
             (fun (qkey, v) ->

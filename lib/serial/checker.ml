@@ -6,171 +6,192 @@ let pp_violation ppf v =
   Format.fprintf ppf "txn %s at position %d: %s" v.txn_id v.position v.message
 
 let violation txn_id position fmt =
-  Printf.ksprintf (fun message -> Error { txn_id; position; message }) fmt
+  Printf.ksprintf (fun message -> { txn_id; position; message }) fmt
 
-(* Walk the log in serial order, tracking the log position of the last
-   write to each key; a record must see no write to its read set after its
-   read position. *)
-let check_log log =
-  let last_write : (Txn.key, int * string) Hashtbl.t = Hashtbl.create 256 in
-  let rec entries = function
-    | [] -> Ok ()
-    | (pos, entry) :: rest ->
-        let rec records = function
-          | [] -> entries rest
-          | (r : Txn.record) :: more -> (
-              (* The footprint's deduped read array, in the same sorted
-                 order [read_set] used to return, so the first stale key
-                 found — and hence the violation message — is unchanged. *)
-              let stale =
-                Array.find_opt
-                  (fun key ->
-                    match Hashtbl.find_opt last_write key with
-                    | Some (wpos, _) when wpos > r.read_position -> true
-                    | _ -> false)
-                  (Txn.read_keys r)
-              in
-              match stale with
-              | Some key ->
-                  let wpos, writer = Hashtbl.find last_write key in
-                  violation r.txn_id pos
-                    "stale read of %s: wrote at position %d by %s, read position %d"
-                    key wpos writer r.read_position
-              | None ->
-                  Array.iter
-                    (fun key -> Hashtbl.replace last_write key (pos, r.txn_id))
-                    (Txn.write_keys r);
-                  records more)
-        in
-        records entry
-  in
-  entries log
+(* ------------------------------------------------------------------ *)
+(* (L1)/(L2): where each transaction is logged.                         *)
 
-let replay log ~observed =
-  let current : (Txn.key, string) Hashtbl.t = Hashtbl.create 256 in
-  let rec entries = function
-    | [] -> Ok ()
-    | (pos, entry) :: rest ->
-        let rec records = function
-          | [] -> entries rest
-          | (r : Txn.record) :: more -> (
-              let mismatch =
-                match observed r.txn_id with
-                | None -> None
-                | Some pairs ->
-                    List.find_opt
-                      (fun (key, seen) -> Hashtbl.find_opt current key <> seen)
-                      pairs
-              in
-              match mismatch with
-              | Some (key, seen) ->
-                  violation r.txn_id pos
-                    "read %s = %s but the serial execution holds %s" key
-                    (match seen with None -> "<none>" | Some v -> Printf.sprintf "%S" v)
-                    (match Hashtbl.find_opt current key with
-                    | None -> "<none>"
-                    | Some v -> Printf.sprintf "%S" v)
-              | None ->
-                  List.iter
-                    (fun (w : Txn.write) -> Hashtbl.replace current w.key w.value)
-                    r.writes;
-                  records more)
-        in
-        records entry
-  in
-  entries log
+type positions = (string, int) Hashtbl.t
 
-let unique_txn_ids log =
+let positions log =
   let seen = Hashtbl.create 256 in
   let rec go = function
-    | [] -> Ok ()
+    | [] -> Ok seen
     | (pos, entry) :: rest ->
         let rec records = function
           | [] -> go rest
           | (r : Txn.record) :: more -> (
               match Hashtbl.find_opt seen r.txn_id with
               | Some first ->
-                  violation r.txn_id pos "also appears at position %d (L2 violation)"
-                    first
+                  Error
+                    (violation r.txn_id pos
+                       "also appears at position %d (L2 violation)" first)
               | None ->
-                  Hashtbl.replace seen r.txn_id pos;
+                  Hashtbl.add seen r.txn_id pos;
                   records more)
         in
         records entry
   in
   go log
 
-let check_read_only log ~readers =
-  let current : (Txn.key, string) Hashtbl.t = Hashtbl.create 256 in
-  let readers =
-    List.sort (fun (_, a, _) (_, b, _) -> Int.compare a b) readers
-  in
-  let check_reader (txn_id, rp, pairs) =
-    match
-      List.find_opt (fun (key, seen) -> Hashtbl.find_opt current key <> seen) pairs
-    with
-    | None -> Ok ()
-    | Some (key, seen) ->
-        violation txn_id rp "read-only txn read %s = %s but position %d holds %s"
-          key
-          (match seen with None -> "<none>" | Some v -> Printf.sprintf "%S" v)
-          rp
-          (match Hashtbl.find_opt current key with
-          | None -> "<none>"
-          | Some v -> Printf.sprintf "%S" v)
-  in
-  let apply_entry entry =
-    List.iter
-      (fun (r : Txn.record) ->
-        List.iter
-          (fun (w : Txn.write) -> Hashtbl.replace current w.key w.value)
-          r.writes)
-      entry
-  in
-  (* Walk positions in order, checking the readers whose read position has
-     just been fully applied. *)
-  let rec go readers log =
-    match readers with
-    | [] -> Ok ()
-    | (_, rp, _) :: _ -> (
-        match log with
-        | (pos, entry) :: rest when pos <= rp ->
-            apply_entry entry;
-            go readers rest
-        | _ -> (
-            (* All entries <= rp applied (or the log is exhausted). *)
-            match check_reader (List.hd readers) with
-            | Error _ as e -> e
-            | Ok () -> go (List.tl readers) log))
-  in
-  go readers log
+let committed_at positions ~txn_id ~pos =
+  match Hashtbl.find_opt positions txn_id with
+  | None ->
+      Error
+        (violation txn_id pos "reported committed but absent from the log (L1)")
+  | Some p when p <> pos ->
+      Error
+        (violation txn_id pos "reported committed at %d but logged at %d" pos p)
+  | Some _ -> Ok ()
 
-let check_audit ~log ~committed ~aborted =
-  let position_of = Hashtbl.create 256 in
+let aborted positions ~txn_id =
+  match Hashtbl.find_opt positions txn_id with
+  | Some p ->
+      Error (violation txn_id p "reported aborted but present in the log (L1)")
+  | None -> Ok ()
+
+let check_audit ~log ~committed ~aborted:abs =
+  let positions = Hashtbl.create 256 in
   List.iter
     (fun (pos, entry) ->
       List.iter
-        (fun (r : Txn.record) -> Hashtbl.replace position_of r.txn_id pos)
+        (fun (r : Txn.record) -> Hashtbl.replace positions r.txn_id pos)
         entry)
     log;
-  let rec check_committed = function
+  let rec first check = function
     | [] -> Ok ()
-    | (txn_id, pos) :: rest -> (
-        match Hashtbl.find_opt position_of txn_id with
-        | None ->
-            violation txn_id pos "reported committed but absent from the log (L1)"
-        | Some p when p <> pos ->
-            violation txn_id pos "reported committed at %d but logged at %d" pos p
-        | Some _ -> check_committed rest)
+    | x :: rest -> (
+        match check x with Error _ as e -> e | Ok () -> first check rest)
   in
-  let rec check_aborted = function
-    | [] -> Ok ()
-    | txn_id :: rest -> (
-        match Hashtbl.find_opt position_of txn_id with
-        | Some p ->
-            violation txn_id p "reported aborted but present in the log (L1)"
-        | None -> check_aborted rest)
-  in
-  match check_committed committed with
+  match
+    first (fun (txn_id, pos) -> committed_at positions ~txn_id ~pos) committed
+  with
   | Error _ as e -> e
-  | Ok () -> check_aborted aborted
+  | Ok () -> first (fun txn_id -> aborted positions ~txn_id) abs
+
+(* ------------------------------------------------------------------ *)
+(* (L3), replay and read-only: one walk in serial order.                *)
+
+type stage = L3 | Replay | Read_only
+
+let stage_name = function
+  | L3 -> "L3"
+  | Replay -> "replay"
+  | Read_only -> "read-only"
+
+(* A key's last write in serial order: its position, writer and value. *)
+type cell = {
+  mutable wpos : int;
+  mutable writer : string;
+  mutable value : string;
+}
+
+let show = function None -> "<none>" | Some v -> Printf.sprintf "%S" v
+
+let serial ?(structural = true) ?(observed = fun _ -> None) ?(readers = []) log =
+  let cells : (Txn.key, cell) Hashtbl.t = Hashtbl.create 256 in
+  let current key =
+    match Hashtbl.find_opt cells key with Some c -> Some c.value | None -> None
+  in
+  let mismatch pairs =
+    List.find_opt (fun (key, seen) -> current key <> seen) pairs
+  in
+  (* Checked before any record at a later position applies. *)
+  let readers =
+    ref (List.stable_sort (fun (_, a, _) (_, b, _) -> Int.compare a b) readers)
+  in
+  let replay_found = ref None and read_only_found = ref None in
+  let rec check_readers upto =
+    match !readers with
+    | (txn_id, rp, pairs) :: rest when rp < upto ->
+        readers := rest;
+        (if Option.is_none !read_only_found then
+           match mismatch pairs with
+           | None -> ()
+           | Some (key, seen) ->
+               read_only_found :=
+                 Some
+                   (violation txn_id rp
+                      "read-only txn read %s = %s but position %d holds %s" key
+                      (show seen) rp (show (current key))));
+        check_readers upto
+    | _ -> ()
+  in
+  let write pos (r : Txn.record) (w : Txn.write) =
+    match Hashtbl.find_opt cells w.key with
+    | Some c ->
+        c.wpos <- pos;
+        c.writer <- r.txn_id;
+        c.value <- w.value
+    | None ->
+        Hashtbl.add cells w.key { wpos = pos; writer = r.txn_id; value = w.value }
+  in
+  (* A record must see no write to its read set after its read position
+     (the footprint's sorted read keys, so the first stale key found is
+     always the same one), and must have observed the values the serial
+     execution holds at this point. *)
+  let rec entries = function
+    | [] -> None
+    | (pos, entry) :: rest ->
+        check_readers pos;
+        let rec records = function
+          | [] -> entries rest
+          | (r : Txn.record) :: more -> (
+              let stale =
+                if not structural then None
+                else
+                  Array.find_opt
+                    (fun key ->
+                      match Hashtbl.find_opt cells key with
+                      | Some c -> c.wpos > r.read_position
+                      | None -> false)
+                    (Txn.read_keys r)
+              in
+              match stale with
+              | Some key ->
+                  let c = Hashtbl.find cells key in
+                  Some
+                    ( L3,
+                      violation r.txn_id pos
+                        "stale read of %s: wrote at position %d by %s, read \
+                         position %d"
+                        key c.wpos c.writer r.read_position )
+              | None ->
+                  (if Option.is_none !replay_found then
+                     match observed r.txn_id with
+                     | None -> ()
+                     | Some pairs -> (
+                         match mismatch pairs with
+                         | None -> ()
+                         | Some (key, seen) ->
+                             replay_found :=
+                               Some
+                                 (violation r.txn_id pos
+                                    "read %s = %s but the serial execution \
+                                     holds %s"
+                                    key (show seen) (show (current key)))));
+                  List.iter (write pos r) r.writes;
+                  records more)
+        in
+        records entry
+  in
+  let found =
+    match entries log with
+    | Some _ as l3 -> l3
+    | None -> (
+        check_readers max_int;
+        match (!replay_found, !read_only_found) with
+        | Some e, _ -> Some (Replay, e)
+        | None, Some e -> Some (Read_only, e)
+        | None, None -> None)
+  in
+  match found with None -> Ok () | Some found -> Error found
+
+let without_stage = Result.map_error snd
+
+let check_log log = without_stage (serial log)
+
+let replay log ~observed = without_stage (serial ~structural:false ~observed log)
+
+let check_read_only log ~readers =
+  without_stage (serial ~structural:false ~readers log)

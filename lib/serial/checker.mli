@@ -6,19 +6,26 @@
     {!Mdds_core.Cluster.logs_agree} checks (R1); this module checks the
     rest against a replicated log and the audit trail:
 
-    - {!check_log}: the serial history defined by the log (positions in
-      order, records within an entry in order) gives every transaction
-      exactly the reads it was entitled to: no key in its read set was
-      written between its read position and its commit position, nor by a
-      preceding record in its own entry — the union of (L3)'s admission
-      rules for combination and promotion, verified independently of the
-      protocol's own checks.
-    - {!replay}: stronger, value-level: re-execute the log serially and
-      confirm every value each client actually observed equals the value a
-      serial execution would have produced at its commit point.
-    - {!check_audit}: (L1)/(L2) plus outcome honesty — every transaction
-      reported committed appears in the log exactly once, at the reported
-      position, and no aborted transaction appears at all. *)
+    - {!positions}: (L2), every transaction in at most one log slot; the
+      table it returns answers (L1)'s questions ({!committed_at},
+      {!aborted}) without a second pass over the log.
+    - {!serial}: one walk of the serial history defined by the log
+      (positions in order, records within an entry in order) over one
+      per-key table, checking three things at once:
+      + (L3): every transaction got exactly the reads it was entitled to:
+        no key in its read set was written between its read position and
+        its commit position, nor by a preceding record in its own entry —
+        the union of (L3)'s admission rules for combination and
+        promotion, verified independently of the protocol's own checks;
+      + replay: every value each client actually observed equals the
+        value the serial execution holds at its commit point;
+      + read-only: every read-only transaction saw the state the serial
+        execution holds at its read position.
+
+      When the history breaks more than one, the first (L3) violation in
+      log order is reported; else the first replay violation; else the
+      first read-only one. {!check_log}, {!replay} and {!check_read_only}
+      run the walk for one of them. *)
 
 module Txn = Mdds_types.Txn
 
@@ -30,33 +37,65 @@ type violation = {
 
 val pp_violation : Format.formatter -> violation -> unit
 
-val check_log : (int * Txn.entry) list -> (unit, violation) result
-(** The log must be sorted by position (as {!Mdds_core.Cluster.committed_log}
-    returns it) and gap-free from its first position. *)
+(** {1 (L1) and (L2)} *)
 
-val replay :
-  (int * Txn.entry) list ->
-  observed:(string -> (Txn.key * string option) list option) ->
-  (unit, violation) result
-(** [observed txn_id] returns the key/value pairs the client's reads
-    actually returned ([None] if unknown — such transactions get only the
-    structural check). *)
+type positions = (string, int) Hashtbl.t
+(** Transaction id -> the log position holding it. *)
+
+val positions : (int * Txn.entry) list -> (positions, violation) result
+(** (L2): no transaction occupies two log slots. [Error] names the first
+    repeat in log order. *)
+
+val committed_at : positions -> txn_id:string -> pos:int -> (unit, violation) result
+(** (L1) and outcome honesty: a transaction reported committed at [pos]
+    is logged exactly there. *)
+
+val aborted : positions -> txn_id:string -> (unit, violation) result
+(** Outcome honesty: a transaction reported aborted is not logged. *)
 
 val check_audit :
   log:(int * Txn.entry) list ->
   committed:(string * int) list ->
   aborted:string list ->
   (unit, violation) result
-(** [committed] is [(txn_id, position)] as reported to clients. *)
+(** {!committed_at} for each of [committed] ([(txn_id, position)] as
+    reported to clients), then {!aborted} for each of [aborted]: the
+    first violation in that order. *)
 
-val unique_txn_ids : (int * Txn.entry) list -> (unit, violation) result
-(** (L2): no transaction occupies two log slots. *)
+(** {1 (L3), replay and read-only} *)
+
+type stage = L3 | Replay | Read_only
+
+val stage_name : stage -> string
+(** ["L3"], ["replay"], ["read-only"]. *)
+
+val serial :
+  ?structural:bool ->
+  ?observed:(string -> (Txn.key * string option) list option) ->
+  ?readers:(string * int * (Txn.key * string option) list) list ->
+  (int * Txn.entry) list ->
+  (unit, stage * violation) result
+(** The log must be sorted by position (as {!Mdds_core.Cluster.committed_log}
+    returns it).
+    - [structural] (default [true]) checks (L3).
+    - [observed txn_id] returns the key/value pairs the client's reads
+      actually returned ([None], the default for every id: unknown — such
+      transactions get only the structural check).
+    - [readers] are the read-only transactions [(txn_id, read_position,
+      observed)], which are not logged: Theorem 1 serializes each one
+      immediately after the last transaction of its read position. *)
+
+val check_log : (int * Txn.entry) list -> (unit, violation) result
+(** (L3) alone: {!serial} with no observed values and no readers. *)
+
+val replay :
+  (int * Txn.entry) list ->
+  observed:(string -> (Txn.key * string option) list option) ->
+  (unit, violation) result
+(** Replay alone: {!serial} [~structural:false ~observed]. *)
 
 val check_read_only :
   (int * Txn.entry) list ->
   readers:(string * int * (Txn.key * string option) list) list ->
   (unit, violation) result
-(** Read-only transactions are not logged; Theorem 1 serializes each one
-    immediately after the last transaction of its read position. Verify
-    that each reader [(txn_id, read_position, observed)] saw exactly the
-    state the log replay produces at that position. *)
+(** Read-only alone: {!serial} [~structural:false ~readers]. *)

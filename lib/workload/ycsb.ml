@@ -40,13 +40,23 @@ type handle = { mutable begin_failures : int; mutable finished : int }
 
 let attribute_key i = Printf.sprintf "a%03d" i
 
-let group_keys config =
-  if config.groups <= 1 then [ config.group ]
-  else List.init config.groups (fun i -> Printf.sprintf "%s-%d" config.group i)
-
-let group_key config i =
+let group_name config i =
   if config.groups <= 1 then config.group
-  else Printf.sprintf "%s-%d" config.group (i mod config.groups)
+  else Printf.sprintf "%s-%d" config.group i
+
+let group_keys config = List.init (max 1 config.groups) (group_name config)
+
+(* [names.(i)] caches [make i] for the run, filled on first use: a sprintf
+   per operation or transaction is a measurable share of simulation time,
+   and filling the whole array up front would move that work into
+   set-up. *)
+let cached names make i =
+  match names.(i) with
+  | "" ->
+      let name = make i in
+      names.(i) <- name;
+      name
+  | name -> name
 
 (* Preload: one transaction writing every attribute, committed before any
    worker starts; gives reads a defined initial value at log position 1. *)
@@ -70,7 +80,7 @@ let workload_events events =
    commits (an [Unknown] outcome) is just one more blind write of it. *)
 let preload_attempts = 64
 
-let run_preload cluster config =
+let run_preload cluster config ~group_key =
   let client = Cluster.client cluster ~id:preload_id ~dc:(List.hd config.client_dcs) in
   let commit_once group =
     try
@@ -94,21 +104,10 @@ let run_preload cluster config =
   in
   Cluster.spawn cluster (fun () ->
       for g = 0 to max 0 (config.groups - 1) do
-        preload (group_key config g) 1
+        preload (group_key g) 1
       done)
 
-(* [keys.(i)] caches [attribute_key i] for the run, filled on first use:
-   a sprintf per operation is a measurable share of simulation time, and
-   filling the whole array up front would move that work into set-up. *)
-let key_of keys i =
-  match keys.(i) with
-  | "" ->
-      let key = attribute_key i in
-      keys.(i) <- key;
-      key
-  | key -> key
-
-let run_worker cluster config handle ~keys ~index ~txns =
+let run_worker cluster config handle ~group_key ~keys ~index ~txns =
   let dc =
     List.nth config.client_dcs (index mod List.length config.client_dcs)
   in
@@ -138,12 +137,12 @@ let run_worker cluster config handle ~keys ~index ~txns =
                 other, operations alternating between them. *)
              let gi = _k mod config.groups in
              let gj = (gi + 1 + Rng.int rng (config.groups - 1)) mod config.groups in
-             let g1 = group_key config gi and g2 = group_key config gj in
+             let g1 = group_key gi and g2 = group_key gj in
              let m = Client.begin_multi client ~groups:[ g1; g2 ] in
              for op = 0 to config.ops_per_txn - 1 do
                let group = if op land 1 = 0 then g1 else g2 in
                let key =
-                 key_of keys
+                 cached keys attribute_key
                    (Distribution.sample config.distribution rng config.attributes)
                in
                if Rng.bool rng config.read_fraction then
@@ -155,10 +154,10 @@ let run_worker cluster config handle ~keys ~index ~txns =
              ignore (Client.commit_multi m)
            end
            else begin
-             let txn = Client.begin_ client ~group:(group_key config _k) in
+             let txn = Client.begin_ client ~group:(group_key _k) in
              for op = 0 to config.ops_per_txn - 1 do
                let key =
-                 key_of keys
+                 cached keys attribute_key
                    (Distribution.sample config.distribution rng config.attributes)
                in
                if Rng.bool rng config.read_fraction then
@@ -179,12 +178,15 @@ let run cluster config =
     invalid_arg "Ycsb.run: rate must be finite and positive";
   if config.attributes < 1 then invalid_arg "Ycsb.run: attributes must be positive";
   let handle = { begin_failures = 0; finished = 0 } in
-  if config.preload then run_preload cluster config;
+  let names = Array.make (max 1 config.groups) "" in
+  let make = group_name config in
+  let group_key i = cached names make (i mod Array.length names) in
+  if config.preload then run_preload cluster config ~group_key;
   let base = config.total_txns / config.threads in
   let extra = config.total_txns mod config.threads in
   let keys = Array.make config.attributes "" in
   for index = 0 to config.threads - 1 do
     let txns = base + if index < extra then 1 else 0 in
-    if txns > 0 then run_worker cluster config handle ~keys ~index ~txns
+    if txns > 0 then run_worker cluster config handle ~group_key ~keys ~index ~txns
   done;
   handle

@@ -328,6 +328,134 @@ let test_oracle_catches_wrong_observed_value () =
   | Error _ -> ()
   | Ok () -> Alcotest.fail "oracle missed: corrupted observed value"
 
+(* ------------------------------------------------------------------ *)
+(* Oracle reporting order: with several violations in one history, the
+   oracles name the same one whatever order they walk the logs in. *)
+
+let forged ?(reads = []) ?(writes = []) ~rp txn_id =
+  Txn.make_record ~txn_id ~origin:0 ~read_position:rp ~reads
+    ~writes:(List.map (fun (key, value) -> { Txn.key; value }) writes)
+
+(* A cluster that never runs, with the given entries appended straight
+   into datacenter [dc]'s log. *)
+let forged_cluster logs =
+  let cluster = Cluster.create (Topology.ec2 "VVV") in
+  List.iter
+    (fun (dc, log) ->
+      let wal = Service.wal (Cluster.service cluster dc) in
+      List.iter (fun (pos, entry) -> Wal.append wal ~group ~pos entry) log)
+    logs;
+  cluster
+
+let same_everywhere log = forged_cluster [ (0, log); (1, log); (2, log) ]
+
+let check_error what expected = function
+  | Error msg -> Alcotest.(check string) what expected msg
+  | Ok () -> Alcotest.failf "%s: no violation reported" what
+
+(* dc1 differs from dc0 at position 2 and dc2 at position 1: the first
+   conflict in datacenter-major order is dc1's, though dc2's has the
+   lower position. *)
+let test_order_first_conflict () =
+  let a1 = [ forged "a1" ~rp:0 ] and a2 = [ forged "a2" ~rp:1 ] in
+  let cluster =
+    forged_cluster
+      [
+        (0, [ (1, a1); (2, a2) ]);
+        (1, [ (1, a1); (2, [ forged "b2" ~rp:1 ]) ]);
+        (2, [ (1, [ forged "b1" ~rp:0 ]); (2, a2) ]);
+      ]
+  in
+  let name = Topology.name (Cluster.topology cluster) in
+  check_error "logs_agree"
+    (Printf.sprintf "position 2 differs between %s and %s" (name 0) (name 1))
+    (Cluster.logs_agree cluster ~group)
+
+let test_order_archive_conflict () =
+  let log =
+    [
+      (1, [ forged "t1" ~rp:0 ~writes:[ ("x", "1") ] ]);
+      (2, [ forged "t2" ~rp:1 ~writes:[ ("x", "2") ] ]);
+      (3, [ forged "t3" ~rp:2 ~writes:[ ("x", "3") ] ]);
+    ]
+  in
+  let archive =
+    [
+      (1, [ forged "t1" ~rp:0 ~writes:[ ("x", "1") ] ]);
+      (2, [ forged "other2" ~rp:1 ]);
+      (3, [ forged "other3" ~rp:2 ]);
+    ]
+  in
+  check_error "archive"
+    "R1: archived entry for position 2 differs from the live log"
+    (Verify.check ~archive (same_everywhere log) ~group)
+
+(* t1 occupies two positions (L2) and t2 read x at 0 though t1 wrote it
+   at 1 (L3): L2 is reported, though the stale read comes first. *)
+let test_order_l2_before_l3 () =
+  let t1 = [ forged "t1" ~rp:0 ~writes:[ ("x", "1") ] ] in
+  let log =
+    [ (1, t1); (2, [ forged "t2" ~rp:0 ~reads:[ "x" ] ]); (3, t1) ]
+  in
+  check_error "L2 first"
+    "L2: txn t1 at position 3: also appears at position 1 (L2 violation)"
+    (Verify.check (same_everywhere log) ~group)
+
+let audited cluster ?(observed = []) outcome record =
+  Audit.record (Cluster.audit cluster)
+    {
+      Audit.group;
+      record;
+      observed;
+      outcome;
+      began_at = 0.0;
+      committed_at = 1.0;
+      commit_started_at = 0.5;
+      client_dc = 0;
+      stats = Audit.no_stats;
+    }
+
+let committed position =
+  Audit.Committed { position; promotions = 0; combined = false }
+
+(* t2 at 2 observed a value the serial execution never held (replay);
+   t3 at 3 read x at 0 though t1 wrote it at 1 (L3): L3 is reported. *)
+let test_order_l3_before_replay () =
+  let t2 = forged "t2" ~rp:1 ~reads:[ "x" ] ~writes:[ ("y", "2") ] in
+  let log =
+    [
+      (1, [ forged "t1" ~rp:0 ~writes:[ ("x", "1") ] ]);
+      (2, [ t2 ]);
+      (3, [ forged "t3" ~rp:0 ~reads:[ "x" ] ]);
+    ]
+  in
+  let cluster = same_everywhere log in
+  audited cluster ~observed:[ ("x", Some "wrong") ] (committed 2) t2;
+  check_error "L3 first"
+    "L3: txn t3 at position 3: stale read of x: wrote at position 1 by t1, \
+     read position 0"
+    (Verify.check cluster ~group)
+
+(* A read-only transaction at 1 saw a wrong value, and t3 at 3 observed
+   one the serial execution never held: replay is reported. *)
+let test_order_replay_before_read_only () =
+  let t3 = forged "t3" ~rp:2 ~reads:[ "x" ] ~writes:[ ("y", "3") ] in
+  let log =
+    [
+      (1, [ forged "t1" ~rp:0 ~writes:[ ("x", "1") ] ]);
+      (2, [ forged "t2" ~rp:1 ~writes:[ ("x", "2") ] ]);
+      (3, [ t3 ]);
+    ]
+  in
+  let cluster = same_everywhere log in
+  audited cluster ~observed:[ ("x", Some "0") ] Audit.Read_only_committed
+    (forged "r" ~rp:1 ~reads:[ "x" ]);
+  audited cluster ~observed:[ ("x", Some "1") ] (committed 3) t3;
+  check_error "replay first"
+    "replay: txn t3 at position 3: read x = \"1\" but the serial execution \
+     holds \"2\""
+    (Verify.check cluster ~group)
+
 let () =
   Alcotest.run "extras"
     [
@@ -360,5 +488,16 @@ let () =
           Alcotest.test_case "dishonest outcome (L1)" `Quick test_oracle_catches_dishonest_outcome;
           Alcotest.test_case "corrupted observed value" `Quick
             test_oracle_catches_wrong_observed_value;
+        ] );
+      ( "oracle-order",
+        [
+          Alcotest.test_case "first conflict, datacenter-major" `Quick
+            test_order_first_conflict;
+          Alcotest.test_case "archive conflict, lowest position" `Quick
+            test_order_archive_conflict;
+          Alcotest.test_case "L2 before L3" `Quick test_order_l2_before_l3;
+          Alcotest.test_case "L3 before replay" `Quick test_order_l3_before_replay;
+          Alcotest.test_case "replay before read-only" `Quick
+            test_order_replay_before_read_only;
         ] );
     ]

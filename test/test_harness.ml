@@ -224,6 +224,123 @@ let test_saturation_floors ~txns ~groups_txns () =
   in
   floor "4 groups / 1 group" (groups 4 /. groups 1) groups_floor
 
+(* Allocation budget: minor words per commit, which unlike CPU time do
+   not move with the host, for one small instance of each benchmark
+   shape. The simulation and the oracle phase
+   ([Verify.check] per group, plus [Verify.check_cross] on cross-group)
+   are counted separately, on one domain. Each instance runs once
+   unmeasured first, so the process-wide key interner holds its keys
+   whatever ran before it, then twice measured: the two counts must be
+   identical. A ceiling holds for the compiler it was recorded with
+   (minor words depend on code generation); it only ever goes down, in
+   the change that cuts the allocation. *)
+module Cluster = Mdds_core.Cluster
+module Verify = Mdds_core.Verify
+module Topology = Mdds_net.Topology
+
+let recorded_on = "5.1.1"
+
+(* Per commit at most [recorded * (1 + headroom)]. *)
+let headroom = 0.02
+
+(* shape, simulation words/commit, oracle words/commit *)
+let ceilings =
+  [
+    ("ycsb-cp", 5510.3, 137.2);
+    ("batched leader", 6594.8, 137.5);
+    ("failover", 9209.6, 148.7);
+    ("cross-group", 11794.4, 887.7);
+  ]
+
+let batched = Config.throughput ~batch_max:8 ~pipeline_depth:4 Config.leader
+
+(* Each shape: a cluster set up with its workload, its groups, and
+   whether it runs cross-group transactions. *)
+let budget_shapes =
+  let ycsb ?storage ?(topology = Topology.ec2 "VVV") ~config workload () =
+    let cluster = Cluster.create ~seed:3 ~config ?storage topology in
+    ignore (Ycsb.run cluster workload);
+    (cluster, Ycsb.group_keys workload, workload.Ycsb.cross_ratio > 0.0)
+  in
+  [
+    ( "ycsb-cp",
+      ycsb ~config:Config.default { Ycsb.default with total_txns = 120 } );
+    ( "batched leader",
+      ycsb ~config:batched ~topology:(Topology.ec2 ~loss:0.0 "VVV")
+        { Ycsb.default with total_txns = 200; rate = 20.0 } );
+    ( "failover",
+      fun () ->
+        let ((cluster, _, _) as shape) =
+          ycsb ~config:batched ~storage:Mdds_kvstore.Store.Sync_explicit
+            ~topology:(Topology.ec2 "VVVOC")
+            {
+              Ycsb.default with
+              total_txns = 150;
+              threads = 5;
+              rate = 2.0;
+              client_dcs = [ 0; 1; 2; 3; 4 ];
+            }
+            ()
+        in
+        Cluster.spawn cluster ~at:5.0 (fun () ->
+            Cluster.take_down cluster 0;
+            Mdds_sim.Engine.sleep 4.0;
+            Cluster.bring_up cluster 0;
+            Cluster.dirty_restart cluster 0);
+        shape );
+    ( "cross-group",
+      ycsb ~config:Config.leader
+        {
+          Ycsb.default with
+          total_txns = 120;
+          groups = 4;
+          cross_ratio = 0.3;
+          threads = 6;
+          rate = 0.5;
+          client_dcs = [ 0; 1; 2 ];
+        } );
+  ]
+
+(* Minor words per commit of the simulation and of the oracles. *)
+let words_per_commit setup =
+  let cluster, groups, cross = setup () in
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let sim = words (fun () -> Cluster.run cluster) in
+  let oracle =
+    words (fun () ->
+        List.iter (fun group -> Verify.check_exn cluster ~group) groups;
+        if cross then Verify.check_cross_exn cluster ~groups)
+  in
+  let commits =
+    float_of_int (Audit.summarize (Audit.events (Cluster.audit cluster))).commits
+  in
+  (commits, sim /. commits, oracle /. commits)
+
+let test_alloc_budget name setup () =
+  Mdds_parallel.Pool.set_jobs (Some 1);
+  ignore (words_per_commit setup);
+  let ((commits, sim, oracle) as first) = words_per_commit setup in
+  Alcotest.(check (triple (float 0.0) (float 0.0) (float 0.0)))
+    "identical words on a second run" first (words_per_commit setup);
+  let _, sim_ceiling, oracle_ceiling =
+    List.find (fun (n, _, _) -> String.equal n name) ceilings
+  in
+  Printf.printf "%s on OCaml %s, %.0f commits: simulate %.1f, oracle %.1f words/commit\n"
+    name Sys.ocaml_version commits sim oracle;
+  if String.equal Sys.ocaml_version recorded_on then begin
+    let within what words ceiling =
+      if words > ceiling *. (1.0 +. headroom) then
+        Alcotest.failf "%s: %s %.1f words/commit is above its ceiling %.1f (+%.0f%%)"
+          name what words ceiling (100.0 *. headroom)
+    in
+    within "simulate" sim sim_ceiling;
+    within "oracle" oracle oracle_ceiling
+  end
+
 (* Every id resolves before any figure runs: an unknown one is refused
    without first printing the tables of the ids before it. *)
 let test_unknown_figure_rejected () =
@@ -270,6 +387,11 @@ let () =
           Alcotest.test_case "long runs (1200/2400 txns)" `Quick
             (test_saturation_floors ~txns:1200 ~groups_txns:2400);
         ] );
+      ( "alloc-budget",
+        List.map
+          (fun (name, setup) ->
+            Alcotest.test_case name `Quick (test_alloc_budget name setup))
+          budget_shapes );
       ( "figures",
         [
           Alcotest.test_case "unknown id rejected before any runs" `Quick

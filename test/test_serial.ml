@@ -235,11 +235,13 @@ let test_replay_initial_none () =
   | Ok () -> Alcotest.fail "phantom initial value accepted"
 
 let test_unique_ids () =
-  (match Checker.unique_txn_ids ok_log with
-  | Ok () -> ()
+  (match Checker.positions ok_log with
+  | Ok positions ->
+      Alcotest.(check (option int)) "t4's position" (Some 3)
+        (Hashtbl.find_opt positions "t4")
   | Error _ -> Alcotest.fail "unique ids rejected");
   let log = [ (1, [ record "t1" ~rp:0 ]); (2, [ record "t1" ~rp:1 ]) ] in
-  match Checker.unique_txn_ids log with
+  match Checker.positions log with
   | Error { txn_id = "t1"; position = 2; _ } -> ()
   | _ -> Alcotest.fail "duplicate id not detected"
 

@@ -4,22 +4,31 @@ module Txn = Mdds_types.Txn
 (* Merge an archived log (entries captured before compaction discarded
    them) with the live union log: one linear merge of two position-sorted
    lists. An archived entry must agree with any surviving live entry at
-   the same position — (R1) extended across time. *)
+   the same position — (R1) extended across time. An archive out of
+   position order, or holding a position twice, is refused rather than
+   merged into a log the checkers would misread. *)
 let merge_archive ~archive live =
-  let rec merge merged archive live =
+  let rec merge merged prev archive live =
     match (archive, live) with
-    | [], rest | rest, [] -> Ok (List.rev_append merged rest)
+    | [], rest -> Ok (List.rev_append merged rest)
+    | (apos, _) :: _, _ when apos <= prev ->
+        Error
+          (Printf.sprintf
+             "archive: position %d after position %d (positions must increase)"
+             apos prev)
+    | ((apos, _) as a) :: arest, [] -> merge (a :: merged) apos arest []
     | ((apos, aentry) as a) :: arest, ((lpos, lentry) as l) :: lrest ->
-        if apos < lpos then merge (a :: merged) arest live
-        else if lpos < apos then merge (l :: merged) archive lrest
-        else if Txn.equal_entry lentry aentry then merge (l :: merged) arest lrest
+        if apos < lpos then merge (a :: merged) apos arest live
+        else if lpos < apos then merge (l :: merged) prev archive lrest
+        else if Txn.equal_entry lentry aentry then
+          merge (l :: merged) apos arest lrest
         else
           Error
             (Printf.sprintf
                "R1: archived entry for position %d differs from the live log"
                apos)
   in
-  match archive with [] -> Ok live | _ -> merge [] archive live
+  match archive with [] -> Ok live | _ -> merge [] min_int archive live
 
 (* Mirror the WAL's write-once rule (PROTOCOL.md §10) before handing the
    log to the serial checkers: a 2PC marker record whose marker key was
@@ -58,7 +67,8 @@ let effective_log ?(dropped = ignore) log =
         if kept == entry then slot else (pos, kept))
       log
 
-let violation what v = Format.asprintf "%s: %a" what Checker.pp_violation v
+let describe (v : Checker.violation) =
+  Format.asprintf "%s: %a" v.property Checker.pp_violation v
 
 (* [found], else [result]'s violation. *)
 let first found result =
@@ -70,9 +80,7 @@ let check ?(archive = []) cluster ~group =
   let ( let* ) = Result.bind in
   let* log = Cluster.agreed_log cluster ~group in
   let* log = merge_archive ~archive log in
-  let* positions =
-    Result.map_error (violation "L2") (Checker.positions log)
-  in
+  let* positions = Result.map_error describe (Checker.positions log) in
   (* L1 asks where the effective log holds a transaction. L2 holds, so an
      inert record's id is nowhere else in it. *)
   let log =
@@ -112,12 +120,11 @@ let check ?(archive = []) cluster ~group =
   in
   let* () =
     match (committed, aborted) with
-    | Some v, _ | None, Some v -> Error (violation "L1" v)
+    | Some v, _ | None, Some v -> Error (describe v)
     | None, None -> Ok ()
   in
-  Result.map_error
-    (fun (stage, v) -> violation (Checker.stage_name stage) v)
-    (Checker.serial log ~observed:(Hashtbl.find_opt observed) ~readers)
+  Result.map_error describe
+    (Checker.check_log log ~observed:(Hashtbl.find_opt observed) ~readers)
 
 let check_exn ?archive cluster ~group =
   match check ?archive cluster ~group with Ok () -> () | Error msg -> failwith msg
@@ -371,12 +378,14 @@ let check_cross ?(archives = []) cluster ~groups =
     (fun acc (group, log) ->
       let* () = acc in
       let tbl = observed_in group in
-      match Checker.replay (effective_log log) ~observed:(Hashtbl.find_opt tbl) with
+      match
+        Checker.check_log (effective_log log) ~observed:(Hashtbl.find_opt tbl)
+      with
       | Ok () -> Ok ()
       | Error v ->
           Error
-            (Format.asprintf "cross: replay in %s: %a" group Checker.pp_violation
-               v))
+            (Format.asprintf "cross: %s in %s: %a" v.property group
+               Checker.pp_violation v))
     (Ok ()) logs
 
 let check_cross_exn ?archives cluster ~groups =

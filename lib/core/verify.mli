@@ -22,7 +22,9 @@ val check :
     them from every replica (the chaos engine archives a datacenter's log
     prefix whenever it injects a compaction). They are merged with the
     live union log — and must agree with it — so the oracles still see the
-    complete history. Verification of uncompacted runs needs no archive. *)
+    complete history. [archive] must be sorted by position with no
+    position twice; an archive that is not is reported as an error.
+    Verification of uncompacted runs needs no archive. *)
 
 val check_exn :
   ?archive:(int * Mdds_types.Txn.entry) list -> Cluster.t -> group:string -> unit
@@ -45,12 +47,12 @@ val check_cross :
       group (the guarantee cross-group 1SR rests on);
     + outcome honesty: a client-reported commit ⇔ a logged commit
       decision (write-once, first wins);
-    + value-level: each group's effective log, replayed serially,
-      reproduces every value the cross-group transaction observed at its
-      per-group read position.
+    + value-level: each group's effective log, replayed serially (and
+      checked for (L3) on the way), reproduces every value the
+      cross-group transaction observed at its per-group read position.
 
     [archives] maps a group name to log entries archived before
-    compaction, exactly as {!check}'s [archive]. *)
+    compaction, sorted as {!check}'s [archive] must be. *)
 
 val check_cross_exn :
   ?archives:(string * (int * Mdds_types.Txn.entry) list) list ->

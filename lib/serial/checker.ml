@@ -1,12 +1,17 @@
 module Txn = Mdds_types.Txn
 
-type violation = { txn_id : string; position : int; message : string }
+type violation = {
+  txn_id : string;
+  position : int;
+  message : string;
+  property : string;
+}
 
 let pp_violation ppf v =
   Format.fprintf ppf "txn %s at position %d: %s" v.txn_id v.position v.message
 
-let violation txn_id position fmt =
-  Printf.ksprintf (fun message -> { txn_id; position; message }) fmt
+let violation property txn_id position fmt =
+  Printf.ksprintf (fun message -> { txn_id; position; message; property }) fmt
 
 (* ------------------------------------------------------------------ *)
 (* (L1)/(L2): where each transaction is logged.                         *)
@@ -24,7 +29,7 @@ let positions log =
               match Hashtbl.find_opt seen r.txn_id with
               | Some first ->
                   Error
-                    (violation r.txn_id pos
+                    (violation "L2" r.txn_id pos
                        "also appears at position %d (L2 violation)" first)
               | None ->
                   Hashtbl.add seen r.txn_id pos;
@@ -38,46 +43,20 @@ let committed_at positions ~txn_id ~pos =
   match Hashtbl.find_opt positions txn_id with
   | None ->
       Error
-        (violation txn_id pos "reported committed but absent from the log (L1)")
+        (violation "L1" txn_id pos "reported committed but absent from the log (L1)")
   | Some p when p <> pos ->
       Error
-        (violation txn_id pos "reported committed at %d but logged at %d" pos p)
+        (violation "L1" txn_id pos "reported committed at %d but logged at %d" pos p)
   | Some _ -> Ok ()
 
 let aborted positions ~txn_id =
   match Hashtbl.find_opt positions txn_id with
   | Some p ->
-      Error (violation txn_id p "reported aborted but present in the log (L1)")
+      Error (violation "L1" txn_id p "reported aborted but present in the log (L1)")
   | None -> Ok ()
-
-let check_audit ~log ~committed ~aborted:abs =
-  let positions = Hashtbl.create 256 in
-  List.iter
-    (fun (pos, entry) ->
-      List.iter
-        (fun (r : Txn.record) -> Hashtbl.replace positions r.txn_id pos)
-        entry)
-    log;
-  let rec first check = function
-    | [] -> Ok ()
-    | x :: rest -> (
-        match check x with Error _ as e -> e | Ok () -> first check rest)
-  in
-  match
-    first (fun (txn_id, pos) -> committed_at positions ~txn_id ~pos) committed
-  with
-  | Error _ as e -> e
-  | Ok () -> first (fun txn_id -> aborted positions ~txn_id) abs
 
 (* ------------------------------------------------------------------ *)
 (* (L3), replay and read-only: one walk in serial order.                *)
-
-type stage = L3 | Replay | Read_only
-
-let stage_name = function
-  | L3 -> "L3"
-  | Replay -> "replay"
-  | Read_only -> "read-only"
 
 (* A key's last write in serial order: its position, writer and value. *)
 type cell = {
@@ -88,7 +67,7 @@ type cell = {
 
 let show = function None -> "<none>" | Some v -> Printf.sprintf "%S" v
 
-let serial ?(structural = true) ?(observed = fun _ -> None) ?(readers = []) log =
+let check_log ?(observed = fun _ -> None) ?(readers = []) log =
   let cells : (Txn.key, cell) Hashtbl.t = Hashtbl.create 256 in
   let current key =
     match Hashtbl.find_opt cells key with Some c -> Some c.value | None -> None
@@ -111,7 +90,7 @@ let serial ?(structural = true) ?(observed = fun _ -> None) ?(readers = []) log 
            | Some (key, seen) ->
                read_only_found :=
                  Some
-                   (violation txn_id rp
+                   (violation "read-only" txn_id rp
                       "read-only txn read %s = %s but position %d holds %s" key
                       (show seen) rp (show (current key))));
         check_readers upto
@@ -126,6 +105,14 @@ let serial ?(structural = true) ?(observed = fun _ -> None) ?(readers = []) log 
     | None ->
         Hashtbl.add cells w.key { wpos = pos; writer = r.txn_id; value = w.value }
   in
+  (* The first of [keys] from [i] on written after [rp]. *)
+  let rec stale keys rp i =
+    if i = Array.length keys then None
+    else
+      match Hashtbl.find cells keys.(i) with
+      | c when c.wpos > rp -> Some (keys.(i), c)
+      | _ | (exception Not_found) -> stale keys rp (i + 1)
+  in
   (* A record must see no write to its read set after its read position
      (the footprint's sorted read keys, so the first stale key found is
      always the same one), and must have observed the values the serial
@@ -137,25 +124,13 @@ let serial ?(structural = true) ?(observed = fun _ -> None) ?(readers = []) log 
         let rec records = function
           | [] -> entries rest
           | (r : Txn.record) :: more -> (
-              let stale =
-                if not structural then None
-                else
-                  Array.find_opt
-                    (fun key ->
-                      match Hashtbl.find_opt cells key with
-                      | Some c -> c.wpos > r.read_position
-                      | None -> false)
-                    (Txn.read_keys r)
-              in
-              match stale with
-              | Some key ->
-                  let c = Hashtbl.find cells key in
+              match stale (Txn.read_keys r) r.read_position 0 with
+              | Some (key, c) ->
                   Some
-                    ( L3,
-                      violation r.txn_id pos
-                        "stale read of %s: wrote at position %d by %s, read \
-                         position %d"
-                        key c.wpos c.writer r.read_position )
+                    (violation "L3" r.txn_id pos
+                       "stale read of %s: wrote at position %d by %s, read \
+                        position %d"
+                       key c.wpos c.writer r.read_position)
               | None ->
                   (if Option.is_none !replay_found then
                      match observed r.txn_id with
@@ -166,7 +141,7 @@ let serial ?(structural = true) ?(observed = fun _ -> None) ?(readers = []) log 
                          | Some (key, seen) ->
                              replay_found :=
                                Some
-                                 (violation r.txn_id pos
+                                 (violation "replay" r.txn_id pos
                                     "read %s = %s but the serial execution \
                                      holds %s"
                                     key (show seen) (show (current key)))));
@@ -175,23 +150,10 @@ let serial ?(structural = true) ?(observed = fun _ -> None) ?(readers = []) log 
         in
         records entry
   in
-  let found =
-    match entries log with
-    | Some _ as l3 -> l3
-    | None -> (
-        check_readers max_int;
-        match (!replay_found, !read_only_found) with
-        | Some e, _ -> Some (Replay, e)
-        | None, Some e -> Some (Read_only, e)
-        | None, None -> None)
-  in
-  match found with None -> Ok () | Some found -> Error found
-
-let without_stage = Result.map_error snd
-
-let check_log log = without_stage (serial log)
-
-let replay log ~observed = without_stage (serial ~structural:false ~observed log)
-
-let check_read_only log ~readers =
-  without_stage (serial ~structural:false ~readers log)
+  match entries log with
+  | Some v -> Error v
+  | None -> (
+      check_readers max_int;
+      match (!replay_found, !read_only_found) with
+      | Some v, _ | None, Some v -> Error v
+      | None, None -> Ok ())

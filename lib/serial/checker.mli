@@ -9,7 +9,7 @@
     - {!positions}: (L2), every transaction in at most one log slot; the
       table it returns answers (L1)'s questions ({!committed_at},
       {!aborted}) without a second pass over the log.
-    - {!serial}: one walk of the serial history defined by the log
+    - {!check_log}: one walk of the serial history defined by the log
       (positions in order, records within an entry in order) over one
       per-key table, checking three things at once:
       + (L3): every transaction got exactly the reads it was entitled to:
@@ -24,8 +24,7 @@
 
       When the history breaks more than one, the first (L3) violation in
       log order is reported; else the first replay violation; else the
-      first read-only one. {!check_log}, {!replay} and {!check_read_only}
-      run the walk for one of them. *)
+      first read-only one. *)
 
 module Txn = Mdds_types.Txn
 
@@ -33,6 +32,9 @@ type violation = {
   txn_id : string;
   position : int;
   message : string;
+  property : string;
+      (** What was broken: ["L1"], ["L2"], ["L3"], ["replay"] or
+          ["read-only"]. {!pp_violation} does not print it. *)
 }
 
 val pp_violation : Format.formatter -> violation -> unit
@@ -53,49 +55,18 @@ val committed_at : positions -> txn_id:string -> pos:int -> (unit, violation) re
 val aborted : positions -> txn_id:string -> (unit, violation) result
 (** Outcome honesty: a transaction reported aborted is not logged. *)
 
-val check_audit :
-  log:(int * Txn.entry) list ->
-  committed:(string * int) list ->
-  aborted:string list ->
-  (unit, violation) result
-(** {!committed_at} for each of [committed] ([(txn_id, position)] as
-    reported to clients), then {!aborted} for each of [aborted]: the
-    first violation in that order. *)
-
 (** {1 (L3), replay and read-only} *)
 
-type stage = L3 | Replay | Read_only
-
-val stage_name : stage -> string
-(** ["L3"], ["replay"], ["read-only"]. *)
-
-val serial :
-  ?structural:bool ->
+val check_log :
   ?observed:(string -> (Txn.key * string option) list option) ->
   ?readers:(string * int * (Txn.key * string option) list) list ->
   (int * Txn.entry) list ->
-  (unit, stage * violation) result
+  (unit, violation) result
 (** The log must be sorted by position (as {!Mdds_core.Cluster.committed_log}
     returns it).
-    - [structural] (default [true]) checks (L3).
     - [observed txn_id] returns the key/value pairs the client's reads
       actually returned ([None], the default for every id: unknown — such
-      transactions get only the structural check).
+      transactions get only the (L3) check).
     - [readers] are the read-only transactions [(txn_id, read_position,
       observed)], which are not logged: Theorem 1 serializes each one
       immediately after the last transaction of its read position. *)
-
-val check_log : (int * Txn.entry) list -> (unit, violation) result
-(** (L3) alone: {!serial} with no observed values and no readers. *)
-
-val replay :
-  (int * Txn.entry) list ->
-  observed:(string -> (Txn.key * string option) list option) ->
-  (unit, violation) result
-(** Replay alone: {!serial} [~structural:false ~observed]. *)
-
-val check_read_only :
-  (int * Txn.entry) list ->
-  readers:(string * int * (Txn.key * string option) list) list ->
-  (unit, violation) result
-(** Read-only alone: {!serial} [~structural:false ~readers]. *)

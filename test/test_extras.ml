@@ -324,7 +324,7 @@ let test_oracle_catches_wrong_observed_value () =
   List.iter
     (fun (e : Audit.event) -> Hashtbl.replace observed_tbl e.record.txn_id e.observed)
     (Audit.events tampered);
-  match Mdds_serial.Checker.replay log ~observed:(Hashtbl.find_opt observed_tbl) with
+  match Mdds_serial.Checker.check_log log ~observed:(Hashtbl.find_opt observed_tbl) with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "oracle missed: corrupted observed value"
 
@@ -389,6 +389,19 @@ let test_order_archive_conflict () =
   check_error "archive"
     "R1: archived entry for position 2 differs from the live log"
     (Verify.check ~archive (same_everywhere log) ~group)
+
+(* An archive out of position order, or holding a position twice, is
+   refused even where every copy agrees with the live log. *)
+let test_order_archive_unsorted () =
+  let t1 = [ forged "t1" ~rp:0 ~writes:[ ("x", "1") ] ]
+  and t2 = [ forged "t2" ~rp:1 ~writes:[ ("x", "2") ] ] in
+  let cluster = same_everywhere [ (1, t1); (2, t2) ] in
+  check_error "unsorted"
+    "archive: position 1 after position 2 (positions must increase)"
+    (Verify.check ~archive:[ (2, t2); (1, t1) ] cluster ~group);
+  check_error "repeated"
+    "archive: position 1 after position 1 (positions must increase)"
+    (Verify.check ~archive:[ (1, t1); (1, t1) ] cluster ~group)
 
 (* t1 occupies two positions (L2) and t2 read x at 0 though t1 wrote it
    at 1 (L3): L2 is reported, though the stale read comes first. *)
@@ -495,6 +508,8 @@ let () =
             test_order_first_conflict;
           Alcotest.test_case "archive conflict, lowest position" `Quick
             test_order_archive_conflict;
+          Alcotest.test_case "archive out of order refused" `Quick
+            test_order_archive_unsorted;
           Alcotest.test_case "L2 before L3" `Quick test_order_l2_before_l3;
           Alcotest.test_case "L3 before replay" `Quick test_order_l3_before_replay;
           Alcotest.test_case "replay before read-only" `Quick

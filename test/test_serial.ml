@@ -214,23 +214,23 @@ let test_replay_values () =
     | "t5" -> Some [ ("x", Some "2") ]
     | _ -> Some []
   in
-  (match Checker.replay ok_log ~observed with
+  (match Checker.check_log ok_log ~observed with
   | Ok () -> ()
   | Error v -> Alcotest.failf "replay: %s" (Format.asprintf "%a" Checker.pp_violation v));
   (* A wrong observed value is caught. *)
   let observed = function "t2" -> Some [ ("x", Some "stale") ] | _ -> None in
-  match Checker.replay ok_log ~observed with
+  match Checker.check_log ok_log ~observed with
   | Error { txn_id = "t2"; _ } -> ()
   | _ -> Alcotest.fail "wrong value not detected"
 
 let test_replay_initial_none () =
   let log = [ (1, [ record "t1" ~rp:0 ~reads:[ "q" ] ~writes:[ ("q", "1") ] ]) ] in
   let observed = function "t1" -> Some [ ("q", None) ] | _ -> None in
-  (match Checker.replay log ~observed with
+  (match Checker.check_log log ~observed with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "initial None mismatch");
   let observed = function "t1" -> Some [ ("q", Some "ghost") ] | _ -> None in
-  match Checker.replay log ~observed with
+  match Checker.check_log log ~observed with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "phantom initial value accepted"
 
@@ -247,16 +247,24 @@ let test_unique_ids () =
 
 let test_check_audit () =
   let log = [ (1, [ record "t1" ~rp:0 ~writes:[ ("x", "1") ] ]) ] in
-  (match Checker.check_audit ~log ~committed:[ ("t1", 1) ] ~aborted:[ "t9" ] with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "honest audit rejected");
-  (match Checker.check_audit ~log ~committed:[ ("t2", 1) ] ~aborted:[] with
+  let positions =
+    match Checker.positions log with
+    | Ok positions -> positions
+    | Error _ -> Alcotest.fail "unique ids rejected"
+  in
+  (match
+     ( Checker.committed_at positions ~txn_id:"t1" ~pos:1,
+       Checker.aborted positions ~txn_id:"t9" )
+   with
+  | Ok (), Ok () -> ()
+  | _ -> Alcotest.fail "honest audit rejected");
+  (match Checker.committed_at positions ~txn_id:"t2" ~pos:1 with
   | Error { txn_id = "t2"; _ } -> ()
   | _ -> Alcotest.fail "phantom commit not detected");
-  (match Checker.check_audit ~log ~committed:[ ("t1", 3) ] ~aborted:[] with
+  (match Checker.committed_at positions ~txn_id:"t1" ~pos:3 with
   | Error { txn_id = "t1"; _ } -> ()
   | _ -> Alcotest.fail "wrong position not detected");
-  match Checker.check_audit ~log ~committed:[] ~aborted:[ "t1" ] with
+  match Checker.aborted positions ~txn_id:"t1" with
   | Error { txn_id = "t1"; _ } -> ()
   | _ -> Alcotest.fail "aborted-but-logged not detected"
 
@@ -269,7 +277,7 @@ let test_check_read_only () =
   in
   (* A reader at position 1 must see x=1; at 2, x=2; at 0, nothing. *)
   (match
-     Checker.check_read_only log
+     Checker.check_log log
        ~readers:
          [
            ("r0", 0, [ ("x", None) ]);
@@ -279,7 +287,7 @@ let test_check_read_only () =
    with
   | Ok () -> ()
   | Error v -> Alcotest.failf "read-only: %s" (Format.asprintf "%a" Checker.pp_violation v));
-  match Checker.check_read_only log ~readers:[ ("r1", 1, [ ("x", Some "2") ]) ] with
+  match Checker.check_log log ~readers:[ ("r1", 1, [ ("x", Some "2") ]) ] with
   | Error { txn_id = "r1"; _ } -> ()
   | _ -> Alcotest.fail "stale read-only not detected"
 
@@ -439,6 +447,7 @@ let ref_check_log log =
                     {
                       Checker.txn_id = r.Txn.txn_id;
                       position = pos;
+                      property = "L3";
                       message =
                         Printf.sprintf
                           "stale read of %s: wrote at position %d by %s, read \

@@ -17,11 +17,11 @@ type cached = {
   vote : string;
 }
 
-(* One group's interned row-key prefixes (replaces per-message sprintf)
+(* One group's row families (its paxos/ and claim/ rows, by position)
    and its write-through decoded view of the paxos/ rows. *)
 type group = {
-  paxos_prefix : string;
-  claim_prefix : string;
+  paxos : Store.family;
+  claim : Store.family;
   cache : (int, cached) Hashtbl.t;
 }
 
@@ -41,13 +41,10 @@ let reset t = Hashtbl.reset t.groups
 let group t name =
   Tbl.find_or_add t.groups name (fun () ->
       {
-        paxos_prefix = "paxos/" ^ name ^ "/";
-        claim_prefix = "claim/" ^ name ^ "/";
+        paxos = Store.family t.store ~prefix:("paxos/" ^ name ^ "/");
+        claim = Store.family t.store ~prefix:("claim/" ^ name ^ "/");
         cache = Hashtbl.create 64;
       })
-
-let paxos_key g ~pos = g.paxos_prefix ^ string_of_int pos
-let claim_key g ~pos = g.claim_prefix ^ string_of_int pos
 
 (* ------------------------------------------------------------------ *)
 (* Acceptor state persistence (Algorithm 1's datastore state).         *)
@@ -71,12 +68,12 @@ let decode attrs =
     vote = Option.value raw ~default:no_vote;
   }
 
-let load_fresh t g ~pos =
-  match Store.read t.store ~key:(paxos_key g ~pos) () with
+let load_fresh g ~pos =
+  match Store.read_at g.paxos pos with
   | None -> { state = Acceptor.initial; nb = None; vote = no_vote }
   | Some (_, attrs) -> decode attrs
 
-let load t g ~pos = Tbl.find_or_add g.cache pos (fun () -> load_fresh t g ~pos)
+let load g ~pos = Tbl.find_or_add g.cache pos (fun () -> load_fresh g ~pos)
 
 (* Conditional save keyed on the nextBal attribute, mirroring Algorithm 1
    lines 9 and 18: the write goes through only if nextBal has not changed
@@ -87,7 +84,7 @@ let save t g ~pos ~expected_nb ~vote (state : Txn.entry Acceptor.state) =
   let nb = Ballot.to_string state.next_bal in
   let attrs = [ ("nb", nb); ("vote", vote) ] in
   let ok =
-    Store.check_and_write t.store ~key:(paxos_key g ~pos) ~test_attribute:"nb"
+    Store.check_and_write_at g.paxos pos ~test_attribute:"nb"
       ~test_value:expected_nb attrs
   in
   (* Promises and votes are the durability the whole protocol rests on
@@ -100,12 +97,12 @@ let save t g ~pos ~expected_nb ~vote (state : Txn.entry Acceptor.state) =
   else Hashtbl.remove g.cache pos;
   ok
 
-let state t ~group:name ~pos = (load t (group t name) ~pos).state
+let state t ~group:name ~pos = (load (group t name) ~pos).state
 
 let prepare t ~group:name ~pos ~ballot =
   let g = group t name in
   let rec go () =
-    let c = load t g ~pos in
+    let c = load g ~pos in
     let state', reply = Acceptor.on_prepare c.state ballot in
     match reply with
     | Acceptor.Reject next_bal -> Messages.Prepare_reject { next_bal }
@@ -138,7 +135,7 @@ let sequenced_ok t g ~name ~pos ~ballot ~prev =
   pos > 1
   && pos - 1 > Wal.compacted_position t.wal ~group:name
   &&
-  match (load t g ~pos:(pos - 1)).state.Acceptor.vote with
+  match (load g ~pos:(pos - 1)).state.Acceptor.vote with
   | Some (pb, pe) -> Ballot.equal pb ballot && Txn.equal_entry pe prev
   | None -> false
 
@@ -150,7 +147,7 @@ let accept t ~group:name ~pos ~ballot ~entry ~vote ~sequenced =
       | None -> false
       | Some prev -> not (sequenced_ok t g ~name ~pos ~ballot ~prev)
     in
-    let c = load t g ~pos in
+    let c = load g ~pos in
     if refused then
       Messages.Accept_reply { ok = false; next_bal = c.state.Acceptor.next_bal }
     else
@@ -175,9 +172,9 @@ let accept t ~group:name ~pos ~ballot ~entry ~vote ~sequenced =
    volatile table would let a service restart re-grant a claim and allow
    two rival round-0 votes, which ballot order cannot arbitrate. *)
 let claim t ~group:name ~pos ~claimant =
-  let key = claim_key (group t name) ~pos in
+  let claims = (group t name).claim in
   let owner () =
-    match Store.read t.store ~key () with
+    match Store.read_at claims pos with
     | Some (_, attrs) -> Row.attribute attrs "owner"
     | None -> None
   in
@@ -190,7 +187,7 @@ let claim t ~group:name ~pos ~claimant =
       Messages.Claim_reply { first = String.equal winner claimant }
   | None ->
       if
-        Store.check_and_write t.store ~key ~test_attribute:"owner"
+        Store.check_and_write_at claims pos ~test_attribute:"owner"
           ~test_value:None
           [ ("owner", claimant) ]
       then begin
@@ -210,8 +207,8 @@ let claim t ~group:name ~pos ~claimant =
 let prune t ~group:name ~upto =
   let g = group t name in
   for pos = 1 to upto do
-    Store.delete t.store ~key:(paxos_key g ~pos);
-    Store.delete t.store ~key:(claim_key g ~pos);
+    Store.delete_at g.paxos pos;
+    Store.delete_at g.claim pos;
     Hashtbl.remove g.cache pos
   done
 
@@ -222,26 +219,18 @@ let scrub t ~group:name =
   let g = group t name in
   let dropped = ref 0 in
   let damaged = ref [] in
-  let scan prefix key =
-    if String.starts_with ~prefix key then begin
-      let n = Store.scrub t.store ~key in
-      if n > 0 then begin
-        dropped := !dropped + n;
-        match
-          int_of_string_opt
-            (String.sub key (String.length prefix)
-               (String.length key - String.length prefix))
-        with
-        | Some pos -> damaged := pos :: !damaged
-        | None -> ()
-      end
-    end
+  let scan rows =
+    List.iter
+      (fun pos ->
+        let n = Store.scrub_at rows pos in
+        if n > 0 then begin
+          dropped := !dropped + n;
+          damaged := pos :: !damaged
+        end)
+      (Store.positions rows)
   in
-  List.iter
-    (fun key ->
-      scan g.paxos_prefix key;
-      scan g.claim_prefix key)
-    (Store.keys t.store);
+  scan g.paxos;
+  scan g.claim;
   (!dropped, List.sort_uniq Int.compare !damaged)
 
 (* ------------------------------------------------------------------ *)
@@ -265,7 +254,7 @@ let coherent t ~group:name =
           match acc with
           | Error _ -> acc
           | Ok () ->
-              let fresh = load_fresh t g ~pos in
+              let fresh = load_fresh g ~pos in
               if not (equal_state cached.state fresh.state) then
                 Error
                   (Printf.sprintf

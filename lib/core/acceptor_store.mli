@@ -4,7 +4,10 @@
     [paxos/<group>/<pos>] row (nextBal and vote) and one
     [claim/<group>/<pos>] row (the leadership-claim register) per log
     position — and is updated only through [check_and_write] retry
-    loops, so any number of concurrent handlers are safe. A decoded
+    loops, so any number of concurrent handlers are safe. Both kinds of
+    row are positional families of the store
+    ({!Mdds_kvstore.Store.family}): they are read and written by position,
+    with no key built, but their keys are the ones above. A decoded
     write-through cache of the paxos rows serves repeat reads, and keeps
     each row's raw vote bytes so a promise rewrites them as they are; it
     is volatile (see {!reset}) and always rebuildable from the rows.

@@ -2,17 +2,41 @@ type value = Row.value
 
 type mode = Sync_always | Sync_explicit
 
+(* Named rows: one table keyed by the full key. Its equality is
+   [String.equal] rather than the polymorphic [compare_val]; its hash is
+   the polymorphic table's, so bucket order is what it was. *)
+module Rows = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
+(* A positional row family: the rows whose key is [prefix ^ string_of_int
+   pos], kept in a dense array indexed by [pos] — no key string and no
+   bucket per row. [absent] marks an empty slot. *)
+type family = {
+  owner : t;
+  prefix : string;
+  mutable slots : Row.t array;
+  mutable live : int;  (* slots holding a row *)
+}
+
+(* Where a row lives, as the undo journal records it. *)
+and loc = Key of string | Slot of family * int
+
 (* Undo log for the volatile write buffer: each record captures the state
-   of one key *before* the first buffered operation that touched it, so
+   of one row *before* the first buffered operation that touched it, so
    replaying the journal newest-first rewinds the store to exactly its
    state at the last sync point. *)
-type undo =
+and undo =
   | Mutated of Row.t * (int * value) list  (* row existed: restore versions *)
-  | Created of string  (* row did not exist: remove it *)
-  | Deleted of string * Row.t * (int * value) list  (* row removed: re-insert *)
+  | Created of loc  (* row did not exist: remove it *)
+  | Deleted of loc * Row.t * (int * value) list  (* row removed: re-insert *)
 
-type t = {
-  rows : (string, Row.t) Hashtbl.t;
+and t = {
+  rows : Row.t Rows.t;  (* every row outside a family *)
+  mutable families : family list;  (* a few per group *)
   mode : mode;
   mutable journal : undo list;  (* newest first; empty in Sync_always *)
   mutable epoch : int;  (* bumped at each sync point (journal dedup) *)
@@ -20,7 +44,14 @@ type t = {
 }
 
 let create ?(mode = Sync_always) () =
-  { rows = Hashtbl.create 256; mode; journal = []; epoch = 1; inflight = None }
+  {
+    rows = Rows.create 256;
+    families = [];
+    mode;
+    journal = [];
+    epoch = 1;
+    inflight = None;
+  }
 
 let mode t = t.mode
 
@@ -72,12 +103,156 @@ let stamp t value =
       (checksum_attr, checksum_body value) :: value
 
 (* ------------------------------------------------------------------ *)
-(* Journaling. Each key is snapshotted at most once per epoch: rows carry
+(* Row families and key routing. A string key reaches a family row when
+   its tail after the last '/' is the canonical decimal of a position
+   (digits, no leading zero, below [max_position]) and the part up to
+   and including that '/' is an opened family's prefix. Every other key
+   is a named row. *)
+
+(* One row stands for every empty slot; it is never written nor handed
+   out. *)
+let absent = Row.create ()
+
+(* A key spelling a larger number stays a named row, so no stray key
+   sizes an array. *)
+let max_position = 1 lsl 22
+
+let is_digit c = c >= '0' && c <= '9'
+
+let parse_position key i =
+  let pos = ref 0 in
+  for j = i to String.length key - 1 do
+    pos := (!pos * 10) + Char.code (String.unsafe_get key j) - Char.code '0'
+  done;
+  !pos
+
+(* The index where [key]'s position starts (just after its last '/'),
+   or -1 when its tail spells no family position. Allocates nothing, so
+   named keys pay one backward scan over their trailing digits. *)
+let tail_start key =
+  let n = String.length key in
+  let rec back i =
+    if i > 0 && is_digit (String.unsafe_get key (i - 1)) then back (i - 1) else i
+  in
+  let i = back n in
+  let digits = n - i in
+  if
+    digits = 0 || digits > 7 || i = 0
+    || key.[i - 1] <> '/'
+    || (digits > 1 && key.[i] = '0')
+    || parse_position key i >= max_position
+  then -1
+  else i
+
+(* The family whose prefix is [key]'s first [n] bytes, compared in place
+   so a named key with a numeric tail allocates nothing either. *)
+let rec same_bytes a b i =
+  i < 0
+  || (String.unsafe_get a i = String.unsafe_get b i && same_bytes a b (i - 1))
+
+let rec owner_of families key n =
+  match families with
+  | [] -> None
+  | f :: rest ->
+      if String.length f.prefix = n && same_bytes f.prefix key (n - 1) then
+        Some f
+      else owner_of rest key n
+
+(* A lookup's route. Unlike [loc], its named case is an immediate, so
+   routing a named key allocates nothing. *)
+type route = Named | At of family * int
+
+let route t key =
+  let i = tail_start key in
+  if i < 0 then Named
+  else
+    match owner_of t.families key i with
+    | None -> Named
+    | Some f -> At (f, parse_position key i)
+
+let loc_of_key t key =
+  match route t key with Named -> Key key | At (f, pos) -> Slot (f, pos)
+
+let checked pos =
+  if pos < 0 || pos >= max_position then
+    invalid_arg (Printf.sprintf "Store: family position %d out of range" pos);
+  pos
+
+let slot f pos =
+  if pos < Array.length f.slots then Array.unsafe_get f.slots pos else absent
+
+let set_slot f pos row =
+  let n = Array.length f.slots in
+  if pos >= n then begin
+    let size = min max_position (max (pos + 1) (max 64 (2 * n))) in
+    let slots = Array.make size absent in
+    Array.blit f.slots 0 slots 0 n;
+    f.slots <- slots
+  end;
+  if f.slots.(pos) == absent then f.live <- f.live + 1;
+  f.slots.(pos) <- row
+
+let clear_slot f pos =
+  if slot f pos != absent then begin
+    f.slots.(pos) <- absent;
+    f.live <- f.live - 1
+  end
+
+(* The row a key names, [absent] if none. *)
+let lookup t key =
+  match route t key with
+  | Named -> (
+      match Rows.find_opt t.rows key with Some row -> row | None -> absent)
+  | At (f, pos) -> slot f pos
+
+let insert t loc row =
+  match loc with
+  | Key key -> Rows.replace t.rows key row
+  | Slot (f, pos) -> set_slot f pos row
+
+let remove t loc =
+  match loc with
+  | Key key -> Rows.remove t.rows key
+  | Slot (f, pos) -> clear_slot f pos
+
+let family t ~prefix =
+  let n = String.length prefix in
+  match owner_of t.families prefix n with
+  | Some f -> f
+  | None ->
+      if n = 0 || prefix.[n - 1] <> '/' then
+        invalid_arg ("Store.family: prefix " ^ prefix ^ " does not end in '/'");
+      let f = { owner = t; prefix; slots = [||]; live = 0 } in
+      t.families <- f :: t.families;
+      (* Adopt the rows already stored under the prefix. *)
+      Rows.fold
+        (fun key row acc ->
+          if tail_start key = n && String.starts_with ~prefix key then
+            (key, row) :: acc
+          else acc)
+        t.rows []
+      |> List.iter (fun (key, row) ->
+             Rows.remove t.rows key;
+             set_slot f (parse_position key n) row);
+      (* Journal records say where a row lived; re-point those the family
+         now owns, so a rollback puts them back in its slots. *)
+      let move = function Key key -> loc_of_key t key | Slot _ as loc -> loc in
+      t.journal <-
+        List.map
+          (function
+            | Created loc -> Created (move loc)
+            | Deleted (loc, row, versions) -> Deleted (move loc, row, versions)
+            | Mutated _ as u -> u)
+          t.journal;
+      f
+
+(* ------------------------------------------------------------------ *)
+(* Journaling. Each row is snapshotted at most once per epoch: rows carry
    the epoch of their last journal entry, so the hot path pays one integer
-   compare. [Created]/[Deleted] records need the key (they change the row
-   table); [Mutated] records are matched by row handle, which is what lets
-   the WAL's handle-based fast path write through the buffer without
-   rebuilding key strings. *)
+   compare. [Created]/[Deleted] records name the row's location (they
+   change the row table or a family slot); [Mutated] records are matched
+   by row handle, which is what lets the WAL's handle-based fast path
+   write through the buffer without rebuilding key strings. *)
 
 let note_mutation t row =
   if t.mode <> Sync_always && Row.epoch row <> t.epoch then begin
@@ -85,28 +260,35 @@ let note_mutation t row =
     t.journal <- Mutated (row, Row.versions row) :: t.journal
   end
 
-let find_row t key = Hashtbl.find_opt t.rows key
+(* A new, empty row at [loc]. *)
+let create_row t loc =
+  let row = Row.create () in
+  if t.mode <> Sync_always then begin
+    Row.set_epoch row t.epoch;
+    t.journal <- Created loc :: t.journal
+  end;
+  insert t loc row;
+  row
 
-let find_or_create_row t key =
-  match Hashtbl.find_opt t.rows key with
-  | Some row -> row
-  | None ->
-      let row = Row.create () in
-      if t.mode <> Sync_always then begin
-        Row.set_epoch row t.epoch;
-        t.journal <- Created key :: t.journal
-      end;
-      Hashtbl.replace t.rows key row;
-      row
+let row_handle t ~key =
+  let row = lookup t key in
+  if row == absent then None else Some row
 
-let row_handle t ~key = find_row t key
+let row t ~key =
+  let row = lookup t key in
+  if row != absent then row else create_row t (loc_of_key t key)
 
-let row t ~key = find_or_create_row t key
+let row_at f pos =
+  let row = slot f pos in
+  if row != absent then row else create_row f.owner (Slot (f, pos))
 
 let read t ~key ?timestamp () =
-  match find_row t key with
-  | None -> None
-  | Some row -> Row.read row ?timestamp ()
+  let row = lookup t key in
+  if row == absent then None else Row.read row ?timestamp ()
+
+let read_at f pos =
+  let row = slot f (checked pos) in
+  if row == absent then None else Row.latest row
 
 (* Retention. A timestamped write is an MVCC data version and joins the
    row's history, which [read ~timestamp] serves. An auto-stamped write is
@@ -148,42 +330,83 @@ let write_row t row ?timestamp value =
     result
   end
 
-let write t ~key ?timestamp value =
-  write_row t (find_or_create_row t key) ?timestamp value
+let write t ~key ?timestamp value = write_row t (row t ~key) ?timestamp value
+
+let write_at f pos value =
+  match write_row f.owner (row_at f (checked pos)) value with
+  | Ok _ -> ()
+  | Error `Stale -> assert false (* auto-stamped writes cannot be stale *)
+
+let latest_attribute row name =
+  match Row.versions row with [] -> None | (_, v) :: _ -> Row.attribute v name
 
 let check_and_write t ~key ~test_attribute ~test_value value =
-  let current =
-    match find_row t key with
-    | None -> None
-    | Some row -> (
-        match Row.latest row with
-        | None -> None
-        | Some (_, v) -> Row.attribute v test_attribute)
-  in
-  if current = test_value then
-    match write t ~key value with Ok _ -> true | Error `Stale -> false
-  else false
+  Option.equal String.equal
+    (latest_attribute (lookup t key) test_attribute)
+    test_value
+  && match write t ~key value with Ok _ -> true | Error `Stale -> false
 
-let attribute t ~key name =
-  match read t ~key () with
-  | None -> None
-  | Some (_, v) -> Row.attribute v name
+let check_and_write_at f pos ~test_attribute ~test_value value =
+  Option.equal String.equal
+    (latest_attribute (slot f (checked pos)) test_attribute)
+    test_value
+  && (write_at f pos value; true)
+
+let attribute t ~key name = latest_attribute (lookup t key) name
+
+let forget t loc row =
+  if t.mode <> Sync_always then begin
+    Row.set_epoch row t.epoch;
+    t.journal <- Deleted (loc, row, Row.versions row) :: t.journal
+  end;
+  remove t loc
 
 let delete t ~key =
-  (if t.mode <> Sync_always then
-     match Hashtbl.find_opt t.rows key with
-     | None -> ()
-     | Some row ->
-         Row.set_epoch row t.epoch;
-         t.journal <- Deleted (key, row, Row.versions row) :: t.journal);
-  Hashtbl.remove t.rows key
+  let row = lookup t key in
+  if row != absent then forget t (loc_of_key t key) row
 
-let keys t = Hashtbl.fold (fun k _ acc -> k :: acc) t.rows []
+let delete_at f pos =
+  let row = slot f (checked pos) in
+  if row != absent then forget f.owner (Slot (f, pos)) row
 
-let row_count t = Hashtbl.length t.rows
+let positions f =
+  let acc = ref [] in
+  for pos = Array.length f.slots - 1 downto 0 do
+    if Array.unsafe_get f.slots pos != absent then acc := pos :: !acc
+  done;
+  !acc
+
+let keys ?(prefix = "") t =
+  let named =
+    Rows.fold
+      (fun key _ acc ->
+        if String.starts_with ~prefix key then key :: acc else acc)
+      t.rows []
+  in
+  List.fold_left
+    (fun acc f ->
+      if
+        String.starts_with ~prefix f.prefix
+        || String.starts_with ~prefix:f.prefix prefix
+      then
+        List.fold_left
+          (fun acc pos ->
+            let key = f.prefix ^ string_of_int pos in
+            if String.starts_with ~prefix key then key :: acc else acc)
+          acc (positions f)
+      else acc)
+    named t.families
+
+let row_count t =
+  List.fold_left (fun n f -> n + f.live) (Rows.length t.rows) t.families
 
 let reset t =
-  Hashtbl.reset t.rows;
+  Rows.reset t.rows;
+  List.iter
+    (fun f ->
+      f.slots <- [||];
+      f.live <- 0)
+    t.families;
   t.journal <- [];
   t.inflight <- None;
   t.epoch <- t.epoch + 1
@@ -206,10 +429,10 @@ let rollback t =
   List.iter
     (function
       | Mutated (row, versions) -> Row.restore row versions
-      | Created key -> Hashtbl.remove t.rows key
-      | Deleted (key, row, versions) ->
+      | Created loc -> remove t loc
+      | Deleted (loc, row, versions) ->
           Row.restore row versions;
-          Hashtbl.replace t.rows key row)
+          insert t loc row)
     t.journal
 
 (* Tear the in-flight write: its newest version keeps only a prefix of its
@@ -267,18 +490,21 @@ let crash ?(torn = false) t ~lose_unsynced =
    key — the journal rolled back, checksum-invalid versions dropped. Used
    by the {!Mdds_wal.Wal.durable_coherent} oracle; mutates nothing. *)
 
-let durable_versions t ~key =
+let same_loc a b =
+  match (a, b) with
+  | Key x, Key y -> String.equal x y
+  | Slot (f, p), Slot (g, q) -> f == g && p = q
+  | Key _, Slot _ | Slot _, Key _ -> false
+
+let durable_versions_of t loc row =
   let state =
-    ref
-      (match Hashtbl.find_opt t.rows key with
-      | None -> None
-      | Some row -> Some (row, Row.versions row))
+    ref (if row == absent then None else Some (row, Row.versions row))
   in
   List.iter
     (fun u ->
       match u with
-      | Created k when String.equal k key -> state := None
-      | Deleted (k, row, versions) when String.equal k key ->
+      | Created l when same_loc l loc -> state := None
+      | Deleted (l, row, versions) when same_loc l loc ->
           state := Some (row, versions)
       | Mutated (row, versions) -> (
           match !state with
@@ -290,20 +516,28 @@ let durable_versions t ~key =
   | None -> []
   | Some (_, versions) -> List.filter (fun (_, v) -> checksum_valid v) versions
 
+let durable_versions t ~key =
+  durable_versions_of t (loc_of_key t key) (lookup t key)
+
+let durable_versions_at f pos =
+  durable_versions_of f.owner (Slot (f, checked pos)) (slot f pos)
+
 (* ------------------------------------------------------------------ *)
 (* Recovery-time scrub: drop checksum-invalid versions of a row, deleting
    the row if nothing survives. Runs right after a crash (empty journal);
    the repair is authoritative — it is not journaled, and becomes durable
    at the recovery scan's closing {!sync}. *)
 
-let scrub t ~key =
-  match Hashtbl.find_opt t.rows key with
-  | None -> 0
-  | Some row ->
-      let versions = Row.versions row in
-      let valid = List.filter (fun (_, v) -> checksum_valid v) versions in
-      let dropped = List.length versions - List.length valid in
-      if dropped > 0 then
-        if valid = [] then Hashtbl.remove t.rows key
-        else Row.restore row valid;
-      dropped
+let scrub_row t loc row =
+  if row == absent then 0
+  else
+    let versions = Row.versions row in
+    let valid = List.filter (fun (_, v) -> checksum_valid v) versions in
+    let dropped = List.length versions - List.length valid in
+    if dropped > 0 then
+      if valid = [] then remove t loc else Row.restore row valid;
+    dropped
+
+let scrub t ~key = scrub_row t (loc_of_key t key) (lookup t key)
+
+let scrub_at f pos = scrub_row f.owner (Slot (f, checked pos)) (slot f pos)

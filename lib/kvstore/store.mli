@@ -105,14 +105,67 @@ val write_row :
 val delete : t -> key:string -> unit
 (** Drop a row and all its versions (used by log compaction). *)
 
-val keys : t -> string list
-(** All row keys (unordered). *)
+val keys : ?prefix:string -> t -> string list
+(** All row keys starting with [prefix] (default: every key), unordered.
+    Family rows are listed under the key they answer to. *)
 
 val row_count : t -> int
 
 val reset : t -> unit
 (** Drop all rows (simulates a datacenter losing and re-provisioning its
-    store; used by recovery tests). *)
+    store; used by recovery tests). Family handles stay valid, with
+    every position empty. *)
+
+(** {1 Positional row families}
+
+    The transaction tier keeps one row per log position and group for
+    its log entries, acceptor state and leadership claims
+    ([log/<group>/<pos>], [paxos/<group>/<pos>], [claim/<group>/<pos>]).
+    A {e family} holds the rows whose key is [prefix ^ string_of_int pos]
+    in a dense array indexed by [pos]: no key string, no hash-table bucket,
+    and an access that neither builds nor hashes a key.
+
+    A family changes where rows live, never what the store holds:
+    - A string key reaches a family row when its tail after the last
+      ['/'] is the canonical decimal of a position (no leading zero,
+      below 2{^22}) and the part through that ['/'] is a family's prefix.
+      ["log/g/7"] and position 7 of family ["log/g/"] are one row;
+      ["log/g/07"] and ["log/g/x"] stay named rows.
+    - Opening a family adopts the rows already stored under its prefix.
+    - Every operation behaves exactly as its string-key counterpart on
+      the key the position spells: retention, the write buffer's journal,
+      dirty and torn crashes, {!scrub} and {!durable_versions}. {!keys}
+      and {!row_count} count family rows like any other.
+
+    Positional calls raise [Invalid_argument] for a position outside
+    [0, 2{^22}). *)
+
+type family
+
+val family : t -> prefix:string -> family
+(** The family of [prefix] (which must end in ['/']), opened on first
+    use and the same handle afterwards. It stays valid across {!reset}. *)
+
+val read_at : family -> int -> (int * value) option
+(** The latest version at a position ({!read} without [timestamp]). *)
+
+val write_at : family -> int -> value -> unit
+(** An auto-stamped {!write} at a position. *)
+
+val check_and_write_at :
+  family ->
+  int ->
+  test_attribute:string ->
+  test_value:string option ->
+  value ->
+  bool
+(** {!check_and_write} at a position. *)
+
+val delete_at : family -> int -> unit
+(** {!delete} at a position. *)
+
+val positions : family -> int list
+(** The positions that hold a row, ascending. *)
 
 (** {1 Sync points and crashes (crash-consistency model)} *)
 
@@ -148,3 +201,9 @@ val durable_versions : t -> key:string -> (int * value) list
 (** The versions a [crash ~lose_unsynced:true] would leave for this key:
     the write buffer rolled back, checksum-invalid versions dropped.
     Mutates nothing (the {!Mdds_wal.Wal.durable_coherent} oracle). *)
+
+val scrub_at : family -> int -> int
+(** {!scrub} at a position. *)
+
+val durable_versions_at : family -> int -> (int * value) list
+(** {!durable_versions} at a position. *)

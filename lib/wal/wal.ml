@@ -11,13 +11,16 @@ module Codec = Mdds_codec.Codec
    chaos engine checks it after every fault event). [invalidate] drops the
    whole view (a process restart); it is rebuilt lazily from the store. *)
 type group_cache = {
-  log_prefix : string;  (* "log/<group>/" *)
+  log : Store.family;  (* rows "log/<group>/<pos>", by position *)
   data_prefix : string;  (* "data/<group>/" *)
   meta_key : string;  (* "logmeta/<group>" *)
   entries : (int, Txn.entry) Hashtbl.t;  (* decoded log entries by position *)
   txids : (string, int list) Hashtbl.t;
       (* Transaction id -> the positions in [entries] whose entry holds
-         it, so replay detection need not scan the log. *)
+         it, so replay detection need not scan the log. Only the leader's
+         replay check reads it, so it is built on a group's first
+         {!logged_at} and kept write-through from then on. *)
+  mutable txids_indexed : bool;  (* [txids] covers every cached entry *)
   mutable contiguous : int;
       (* Watermark: every position in [compacted+1 .. contiguous] is known
          present (decoded in [entries]), so gap scans start after it
@@ -43,11 +46,12 @@ let cache t ~group =
   | None ->
       let c =
         {
-          log_prefix = "log/" ^ group ^ "/";
+          log = Store.family t.store ~prefix:("log/" ^ group ^ "/");
           data_prefix = "data/" ^ group ^ "/";
           meta_key = "logmeta/" ^ group;
           entries = Hashtbl.create 64;
           txids = Hashtbl.create 64;
+          txids_indexed = false;
           contiguous = 0;
           last = 0;
           applied = 0;
@@ -61,8 +65,6 @@ let cache t ~group =
       c
 
 let invalidate t = Hashtbl.reset t.groups
-
-let log_key c pos = c.log_prefix ^ string_of_int pos
 
 let meta_attr t c name =
   match Store.attribute t.store ~key:c.meta_key name with
@@ -100,16 +102,19 @@ let rec advance c =
 
 let held c txn_id = Option.value (Hashtbl.find_opt c.txids txn_id) ~default:[]
 
-(* Every change to [entries] goes through these two, which keep the
-   transaction id index in step with it. *)
-let cache_entry c pos e =
-  Hashtbl.replace c.entries pos e;
+let index_entry c pos e =
   List.iter
     (fun (r : Txn.record) ->
       let held = held c r.Txn.txn_id in
       if not (List.mem pos held) then
         Hashtbl.replace c.txids r.Txn.txn_id (pos :: held))
-    e;
+    e
+
+(* Every change to [entries] goes through these two, which keep the
+   transaction id index, once built, in step with it. *)
+let cache_entry c pos e =
+  Hashtbl.replace c.entries pos e;
+  if c.txids_indexed then index_entry c pos e;
   advance c
 
 let uncache_entry c pos =
@@ -117,30 +122,43 @@ let uncache_entry c pos =
   | None -> ()
   | Some e ->
       Hashtbl.remove c.entries pos;
-      List.iter
-        (fun (r : Txn.record) ->
-          match List.filter (fun p -> p <> pos) (held c r.Txn.txn_id) with
-          | [] -> Hashtbl.remove c.txids r.Txn.txn_id
-          | rest -> Hashtbl.replace c.txids r.Txn.txn_id rest)
-        e
+      if c.txids_indexed then
+        List.iter
+          (fun (r : Txn.record) ->
+            match List.filter (fun p -> p <> pos) (held c r.Txn.txn_id) with
+            | [] -> Hashtbl.remove c.txids r.Txn.txn_id
+            | rest -> Hashtbl.replace c.txids r.Txn.txn_id rest)
+          e
 
-let entry_in t c pos =
+let ensure_txids c =
+  if not c.txids_indexed then begin
+    Hashtbl.iter (index_entry c) c.entries;
+    c.txids_indexed <- true
+  end
+
+let decode_log_row = function
+  | None -> None
+  | Some (_, attrs) -> (
+      match Row.attribute attrs "entry" with
+      | None -> None
+      | Some encoded -> Some (Codec.decode_exn Txn.entry_codec encoded))
+
+let entry_in c pos =
   match Hashtbl.find_opt c.entries pos with
   | Some _ as hit -> hit
   | None -> (
-      match Store.attribute t.store ~key:(log_key c pos) "entry" with
+      match decode_log_row (Store.read_at c.log pos) with
       | None -> None
-      | Some encoded ->
-          let e = Codec.decode_exn Txn.entry_codec encoded in
+      | Some e as hit ->
           cache_entry c pos e;
-          Some e)
+          hit)
 
-let entry t ~group ~pos = entry_in t (cache t ~group) pos
+let entry t ~group ~pos = entry_in (cache t ~group) pos
 
 let append t ~group ~pos ?encoded e =
   let c = cache t ~group in
   load_meta t c;
-  (match entry_in t c pos with
+  (match entry_in c pos with
   | Some existing when not (Txn.equal_entry existing e) ->
       failwith
         (Printf.sprintf
@@ -153,9 +171,8 @@ let append t ~group ~pos ?encoded e =
         | Some bytes -> bytes
         | None -> Codec.encode Txn.entry_codec e
       in
-      match Store.write t.store ~key:(log_key c pos) [ ("entry", encoded) ] with
-      | Ok _ -> cache_entry c pos e
-      | Error `Stale -> assert false));
+      Store.write_at c.log pos [ ("entry", encoded) ];
+      cache_entry c pos e));
   if pos > c.last then begin
     c.last <- pos;
     flush_meta t c
@@ -178,7 +195,7 @@ let first_gap t ~group ~upto =
       (* Known-present prefix: skip to the first unknown position. *)
       go (c.contiguous + 1)
     else
-      match entry_in t c pos with None -> Some pos | Some _ -> go (pos + 1)
+      match entry_in c pos with None -> Some pos | Some _ -> go (pos + 1)
   in
   go 1
 
@@ -190,6 +207,7 @@ let first_gap t ~group ~upto =
 let logged_at t ~group ~txn_id ~from ~upto =
   let c = cache t ~group in
   load_meta t c;
+  ensure_txids c;
   let from = max from (c.compacted + 1) in
   let indexed =
     List.fold_left
@@ -201,7 +219,7 @@ let logged_at t ~group ~txn_id ~from ~upto =
     if pos >= indexed then None
     else if Hashtbl.mem c.entries pos then probe (pos + 1)
     else
-      match entry_in t c pos with
+      match entry_in c pos with
       | Some e when Txn.mem_entry ~txn_id e -> Some pos
       | _ -> probe (pos + 1)
   in
@@ -246,19 +264,15 @@ let find_data_row t c key =
 
 let ensure_data_index t c =
   if not c.data_indexed then begin
+    let n = String.length c.data_prefix in
     List.iter
       (fun key ->
-        if String.starts_with ~prefix:c.data_prefix key then
-          let data_key =
-            String.sub key
-              (String.length c.data_prefix)
-              (String.length key - String.length c.data_prefix)
-          in
-          if not (Hashtbl.mem c.data_rows data_key) then
-            match Store.row_handle t.store ~key with
-            | Some row -> Hashtbl.replace c.data_rows data_key row
-            | None -> ())
-      (Store.keys t.store);
+        let data_key = String.sub key n (String.length key - n) in
+        if not (Hashtbl.mem c.data_rows data_key) then
+          match Store.row_handle t.store ~key with
+          | Some row -> Hashtbl.replace c.data_rows data_key row
+          | None -> ())
+      (Store.keys ~prefix:c.data_prefix t.store);
     c.data_indexed <- true
   end
 
@@ -311,7 +325,7 @@ let apply t ~group ~upto =
   let rec go pos =
     if pos > upto then Ok ()
     else
-      match entry_in t c pos with
+      match entry_in c pos with
       | None -> Error (`Gap pos)
       | Some e ->
           apply_entry t c ~pos e;
@@ -339,7 +353,7 @@ let compact t ~group ~upto =
   if upto > c.applied then Error `Not_applied
   else begin
     for pos = c.compacted + 1 to upto do
-      Store.delete t.store ~key:(log_key c pos);
+      Store.delete_at c.log pos;
       uncache_entry c pos
     done;
     if upto > c.compacted then begin
@@ -418,7 +432,7 @@ let dump t ~group =
   let rec go pos acc =
     if pos < 1 then acc
     else
-      match entry_in t c pos with
+      match entry_in c pos with
       | None -> go (pos - 1) acc
       | Some e -> go (pos - 1) ((pos, e) :: acc)
   in
@@ -455,15 +469,13 @@ let coherence t ~group =
         done;
         Hashtbl.iter
           (fun pos cached ->
-            match Store.attribute t.store ~key:(log_key c pos) "entry" with
+            match decode_log_row (Store.read_at c.log pos) with
             | None -> fail "cached entry at %d has no durable row" pos
-            | Some encoded ->
-                if
-                  not
-                    (Txn.equal_entry cached
-                       (Codec.decode_exn Txn.entry_codec encoded))
-                then fail "cached entry at %d differs from durable decode" pos)
+            | Some stored ->
+                if not (Txn.equal_entry cached stored) then
+                  fail "cached entry at %d differs from durable decode" pos)
           c.entries;
+        if c.txids_indexed then begin
         Hashtbl.iter
           (fun pos cached ->
             List.iter
@@ -485,7 +497,8 @@ let coherence t ~group =
                 | None ->
                     fail "txid %s indexed at uncached position %d" txn_id pos)
               positions)
-          c.txids;
+          c.txids
+        end;
         Hashtbl.iter
           (fun data_key row ->
             match Store.row_handle t.store ~key:(c.data_prefix ^ data_key) with
@@ -493,18 +506,15 @@ let coherence t ~group =
             | Some _ -> fail "data index for %s aliases a replaced row" data_key
             | None -> fail "data index for %s has no durable row" data_key)
           c.data_rows;
-        if c.data_indexed then
+        if c.data_indexed then begin
+          let n = String.length c.data_prefix in
           List.iter
             (fun key ->
-              if String.starts_with ~prefix:c.data_prefix key then
-                let data_key =
-                  String.sub key
-                    (String.length c.data_prefix)
-                    (String.length key - String.length c.data_prefix)
-                in
-                if not (Hashtbl.mem c.data_rows data_key) then
-                  fail "durable data row %s missing from the index" data_key)
-            (Store.keys t.store);
+              let data_key = String.sub key n (String.length key - n) in
+              if not (Hashtbl.mem c.data_rows data_key) then
+                fail "durable data row %s missing from the index" data_key)
+            (Store.keys ~prefix:c.data_prefix t.store)
+        end;
         Ok ()
       with Incoherent msg -> Error msg)
 
@@ -551,7 +561,7 @@ let durable_coherent t ~group =
         end;
         Hashtbl.iter
           (fun pos cached ->
-            let durable = Store.durable_versions t.store ~key:(log_key c pos) in
+            let durable = Store.durable_versions_at c.log pos in
             let reproducible =
               List.exists
                 (fun (_, v) ->
@@ -589,31 +599,17 @@ let recover t ~group =
   (* Decode from scratch: recovery must trust nothing volatile. *)
   Hashtbl.remove t.groups group;
   let c = cache t ~group in
-  let scrubbed = ref 0 in
-  let positions = ref [] in
-  let log_len = String.length c.log_prefix in
+  let scrubbed = ref (Store.scrub t.store ~key:c.meta_key) in
+  let scrub key = scrubbed := !scrubbed + Store.scrub t.store ~key in
+  List.iter scrub (Store.keys ~prefix:c.data_prefix t.store);
   List.iter
-    (fun key ->
-      let is_log = String.starts_with ~prefix:c.log_prefix key in
-      if
-        is_log || key = c.meta_key
-        || String.starts_with ~prefix:c.data_prefix key
-      then begin
-        scrubbed := !scrubbed + Store.scrub t.store ~key;
-        if is_log && Store.row_handle t.store ~key <> None then
-          match
-            int_of_string_opt
-              (String.sub key log_len (String.length key - log_len))
-          with
-          | Some pos -> positions := pos :: !positions
-          | None -> ()
-      end)
-    (Store.keys t.store);
+    (fun pos -> scrubbed := !scrubbed + Store.scrub_at c.log pos)
+    (Store.positions c.log);
   load_meta t c;
   let claimed = c.last in
   (* [last] re-derived from the surviving entries: a torn meta row may
      over- or under-state it. *)
-  let last = List.fold_left max c.compacted !positions in
+  let last = List.fold_left max c.compacted (Store.positions c.log) in
   c.last <- last;
   (* Longest valid durable prefix, and the lazy data state re-derived
      from it (idempotent per-position overwrites). The surviving applied
@@ -626,7 +622,7 @@ let recover t ~group =
   let reapplied = ref 0 in
   let rec go pos =
     if pos <= last then
-      match entry_in t c pos with
+      match entry_in c pos with
       | None -> ()
       | Some e ->
           apply_entry t c ~pos e;

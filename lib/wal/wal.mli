@@ -17,13 +17,20 @@
     - ["logmeta/<group>"]: attributes ["last"], ["applied"], ["compacted"];
     - ["data/<group>/<key>"]: attribute ["v"], versioned by log position.
 
+    The log rows are a positional family of the store
+    ({!Mdds_kvstore.Store.family}, prefix ["log/<group>/"]): the WAL reads
+    and writes them by position and never builds their keys, but the keys
+    and the rows under them are the ones listed above.
+
     {b Decoded view vs durable truth.} The encoded rows are the sole source
     of truth; on top of them the WAL keeps a volatile, write-through decoded
     view per group — log entries decoded once and cached by position, the
     [last]/[applied]/[compacted] watermarks as plain ints, a
     contiguous-prefix watermark that lets gap scans skip the known-present
     prefix, an index from transaction id to the cached positions holding
-    it (so {!logged_at} never scans the log), and an index of the group's
+    it (so {!logged_at} never scans the log; built from the cached entries
+    on a group's first {!logged_at}, which only a leader calls, and kept
+    write-through from then on), and an index of the group's
     data rows (store row handles) so snapshots and stale-read checks never
     scan the full store key set.
     Every mutation writes the store first, so the view always equals a
@@ -134,9 +141,9 @@ val coherence : t -> group:string -> (unit, string) result
     fresh decode of the durable rows — cached watermarks match the meta
     row, every cached entry decodes identically from its log row, the
     contiguous watermark only covers cached positions, the transaction id
-    index holds exactly the ids of the cached entries at exactly their
-    positions, and the data index holds exactly the group's live row
-    handles. Reads the store directly (never through the cache) and
+    index (once built) holds exactly the ids of the cached entries at
+    exactly their positions, and the data index holds exactly the group's
+    live row handles. Reads the store directly (never through the cache) and
     mutates nothing. *)
 
 val coherent : t -> (unit, string) result

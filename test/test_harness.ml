@@ -249,10 +249,10 @@ let headroom = 0.02
 (* shape, simulation words/commit, oracle words/commit *)
 let ceilings =
   [
-    ("ycsb-cp", 5510.3, 115.5);
-    ("batched leader", 6594.8, 116.5);
-    ("failover", 9209.6, 127.0);
-    ("cross-group", 11794.4, 846.0);
+    ("ycsb-cp", 5398.6, 115.5);
+    ("batched leader", 6521.8, 116.5);
+    ("failover", 9095.6, 127.0);
+    ("cross-group", 11756.5, 846.0);
   ]
 
 let batched = Config.throughput ~batch_max:8 ~pipeline_depth:4 Config.leader

@@ -586,6 +586,228 @@ let prop_retention_matches_model mode name =
        QCheck.Gen.(list_size (1 -- 40) op_gen))
     (run_model mode)
 
+(* ------------------------------------------------------------------ *)
+(* Positional row families: where a row lives, never what the store
+   holds.                                                              *)
+
+let sorted_keys store = List.sort String.compare (Store.keys store)
+
+let latest_v = function
+  | None -> None
+  | Some (_, attrs) -> Row.attribute attrs "v"
+
+let test_family_adopts_rows () =
+  let store = Store.create () in
+  ignore (Store.write store ~key:"log/g/3" (value "three"));
+  ignore (Store.write store ~key:"log/g/10" (value "ten"));
+  ignore (Store.write store ~key:"logmeta/g" (value "meta"));
+  let before = sorted_keys store in
+  let log = Store.family store ~prefix:"log/g/" in
+  Alcotest.(check (option string)) "adopted 3" (Some "three") (latest_v (Store.read_at log 3));
+  Alcotest.(check (option string)) "adopted 10" (Some "ten") (latest_v (Store.read_at log 10));
+  Alcotest.(check (list int)) "positions" [ 3; 10 ] (Store.positions log);
+  Alcotest.(check (list string)) "same keys" before (sorted_keys store);
+  Alcotest.(check int) "same count" 3 (Store.row_count store);
+  Alcotest.(check bool) "reopening gives the same handle" true
+    (Store.family store ~prefix:"log/g/" == log)
+
+let test_family_leading_zero_is_named () =
+  let store = Store.create () in
+  let log = Store.family store ~prefix:"log/g/" in
+  ignore (Store.write store ~key:"log/g/07" (value "named"));
+  ignore (Store.write store ~key:"log/g/x" (value "x"));
+  Alcotest.(check bool) "position 7 empty" true (Store.read_at log 7 = None);
+  Alcotest.(check (list int)) "no positions" [] (Store.positions log);
+  Store.write_at log 7 (value "seven");
+  Alcotest.(check (option string)) "named row kept" (Some "named") (read_attr store "log/g/07");
+  Alcotest.(check (option string)) "position row" (Some "seven") (read_attr store "log/g/7");
+  Alcotest.(check (list string)) "three rows"
+    [ "log/g/07"; "log/g/7"; "log/g/x" ] (sorted_keys store);
+  Alcotest.(check int) "count" 3 (Store.row_count store)
+
+let test_family_survives_reset () =
+  let store = Store.create () in
+  let log = Store.family store ~prefix:"log/g/" in
+  Store.write_at log 1 (value "a");
+  Store.reset store;
+  Alcotest.(check bool) "emptied" true (Store.read_at log 1 = None);
+  Alcotest.(check int) "no rows" 0 (Store.row_count store);
+  Store.write_at log 2 (value "b");
+  Alcotest.(check (option string)) "handle still writes" (Some "b") (read_attr store "log/g/2");
+  Alcotest.(check (list string)) "keys" [ "log/g/2" ] (sorted_keys store)
+
+let test_family_one_row_two_names () =
+  let store = explicit () in
+  let paxos = Store.family store ~prefix:"paxos/g/" in
+  ignore (Store.write store ~key:"paxos/g/5" [ ("nb", "1") ]);
+  Alcotest.(check bool) "positional cas sees the keyed write" true
+    (Store.check_and_write_at paxos 5 ~test_attribute:"nb" ~test_value:(Some "1")
+       [ ("nb", "2") ]);
+  Alcotest.(check (option string)) "keyed read sees it" (Some "2")
+    (Store.attribute store ~key:"paxos/g/5" "nb");
+  (match (Store.row_handle store ~key:"paxos/g/5", Store.row store ~key:"paxos/g/5") with
+  | Some a, b -> Alcotest.(check bool) "one handle" true (a == b)
+  | None, _ -> Alcotest.fail "no handle");
+  Store.sync store;
+  Store.delete_at paxos 5;
+  Alcotest.(check bool) "keyed read sees the delete" true
+    (Store.read store ~key:"paxos/g/5" () = None);
+  Store.crash store ~lose_unsynced:true;
+  Alcotest.(check (option string)) "rollback restores the slot" (Some "2")
+    (Option.bind (Store.read_at paxos 5) (fun (_, v) -> Row.attribute v "nb"));
+  Alcotest.(check int) "one row" 1 (Store.row_count store)
+
+(* A store with families must answer every question exactly as one that
+   opened none, whichever API reached each row. [Open] may come late, so
+   adoption of rows (and of their journal records) is exercised too. *)
+let fam_prefixes = [| "log/g/"; "paxos/g/" |]
+
+(* Key, and the (family, position) it spells. *)
+let fam_keys =
+  [|
+    ("log/g/0", Some (0, 0));
+    ("log/g/1", Some (0, 1));
+    ("log/g/7", Some (0, 7));
+    ("paxos/g/1", Some (1, 1));
+    ("paxos/g/3", Some (1, 3));
+    ("log/g/07", None);
+    ("log/g/x", None);
+    ("logmeta/g", None);
+    ("paxos/h/1", None);
+  |]
+
+type fop =
+  | Open of int
+  | Fwrite of int * string * bool  (* key, value, positional *)
+  | Fwrite_ts of int * int * string
+  | Fcas of int * string option * string * bool
+  | Fdelete of int * bool
+  | Fsync
+  | Fcrash of bool * bool
+  | Fscrub of int * bool
+  | Freset
+
+let pp_fop = function
+  | Open f -> Printf.sprintf "open %s" fam_prefixes.(f)
+  | Fwrite (k, v, p) -> Printf.sprintf "write %s %s%s" (fst fam_keys.(k)) v (if p then " @" else "")
+  | Fwrite_ts (k, ts, v) -> Printf.sprintf "write %s ts=%d %s" (fst fam_keys.(k)) ts v
+  | Fcas (k, e, v, p) ->
+      Printf.sprintf "cas %s %s %s%s" (fst fam_keys.(k)) (Option.value e ~default:"-") v
+        (if p then " @" else "")
+  | Fdelete (k, p) -> Printf.sprintf "delete %s%s" (fst fam_keys.(k)) (if p then " @" else "")
+  | Fsync -> "sync"
+  | Fcrash (torn, lose) -> Printf.sprintf "crash torn=%b lose=%b" torn lose
+  | Fscrub (k, p) -> Printf.sprintf "scrub %s%s" (fst fam_keys.(k)) (if p then " @" else "")
+  | Freset -> "reset"
+
+let fop_gen =
+  let open QCheck.Gen in
+  let k = int_bound (Array.length fam_keys - 1) in
+  let v = map string_of_int (int_bound 5) in
+  frequency
+    [
+      (2, map (fun f -> Open f) (int_bound 1));
+      (5, map3 (fun k v p -> Fwrite (k, v, p)) k v bool);
+      (1, map3 (fun k ts v -> Fwrite_ts (k, ts, v)) k (int_bound 6) v);
+      (4, map3 (fun (k, p) e v -> Fcas (k, e, v, p)) (pair k bool) (opt v) v);
+      (2, map2 (fun k p -> Fdelete (k, p)) k bool);
+      (2, return Fsync);
+      (2, map2 (fun t l -> Fcrash (t, l)) bool bool);
+      (1, map2 (fun k p -> Fscrub (k, p)) k bool);
+      (1, return Freset);
+    ]
+
+let run_family_model mode ops =
+  let plain = Store.create ~mode () and store = Store.create ~mode () in
+  let opened = Array.make (Array.length fam_prefixes) None in
+  let attrs v = [ ("a", v); ("b", v ^ v); ("c", "x") ] in
+  (* The positional handle for key [k], when asked for and opened. *)
+  let at k positional =
+    match snd fam_keys.(k) with
+    | Some (f, pos) when positional -> Option.map (fun fam -> (fam, pos)) opened.(f)
+    | _ -> None
+  in
+  let same what a b = if a <> b then failwith (what ^ " differs") in
+  let step op =
+    match op with
+    | Open f ->
+        if opened.(f) = None then
+          opened.(f) <- Some (Store.family store ~prefix:fam_prefixes.(f))
+    | Fwrite (k, v, p) -> (
+        let key = fst fam_keys.(k) in
+        let expected = Store.write plain ~key (attrs v) in
+        match at k p with
+        | Some (fam, pos) -> Store.write_at fam pos (attrs v)
+        | None -> same "write" expected (Store.write store ~key (attrs v)))
+    | Fwrite_ts (k, timestamp, v) ->
+        let key = fst fam_keys.(k) in
+        same "timestamped write"
+          (Store.write plain ~key ~timestamp (attrs v))
+          (Store.write store ~key ~timestamp (attrs v))
+    | Fcas (k, test_value, v, p) ->
+        let key = fst fam_keys.(k) in
+        let expected =
+          Store.check_and_write plain ~key ~test_attribute:"a" ~test_value (attrs v)
+        in
+        same "check_and_write" expected
+          (match at k p with
+          | Some (fam, pos) ->
+              Store.check_and_write_at fam pos ~test_attribute:"a" ~test_value (attrs v)
+          | None -> Store.check_and_write store ~key ~test_attribute:"a" ~test_value (attrs v))
+    | Fdelete (k, p) -> (
+        let key = fst fam_keys.(k) in
+        Store.delete plain ~key;
+        match at k p with
+        | Some (fam, pos) -> Store.delete_at fam pos
+        | None -> Store.delete store ~key)
+    | Fsync ->
+        Store.sync plain;
+        Store.sync store
+    | Fcrash (torn, lose_unsynced) ->
+        Store.crash ~torn plain ~lose_unsynced;
+        Store.crash ~torn store ~lose_unsynced
+    | Fscrub (k, p) ->
+        let key = fst fam_keys.(k) in
+        same "scrub" (Store.scrub plain ~key)
+          (match at k p with
+          | Some (fam, pos) -> Store.scrub_at fam pos
+          | None -> Store.scrub store ~key)
+    | Freset ->
+        Store.reset plain;
+        Store.reset store
+  in
+  let agree () =
+    Array.iteri
+      (fun k (key, _) ->
+        let read = Store.read plain ~key () in
+        same ("read " ^ key) read (Store.read store ~key ());
+        same ("durable " ^ key) (Store.durable_versions plain ~key)
+          (Store.durable_versions store ~key);
+        match at k true with
+        | Some (fam, pos) ->
+            same ("read_at " ^ key) read (Store.read_at fam pos);
+            same ("durable_at " ^ key) (Store.durable_versions plain ~key)
+              (Store.durable_versions_at fam pos)
+        | None -> ())
+      fam_keys;
+    same "keys" (sorted_keys plain) (sorted_keys store);
+    same "row_count" (Store.row_count plain) (Store.row_count store);
+    same "unsynced" (Store.unsynced plain) (Store.unsynced store)
+  in
+  List.iter
+    (fun op ->
+      step op;
+      agree ())
+    ops;
+  true
+
+let prop_family_matches_plain mode name =
+  QCheck.Test.make ~name ~count:500
+    (QCheck.make ~shrink:QCheck.Shrink.list
+       ~print:(fun ops -> String.concat "; " (List.map pp_fop ops))
+       QCheck.Gen.(list_size (1 -- 40) fop_gen))
+    (run_family_model mode)
+
 let () =
   Alcotest.run "kvstore"
     [
@@ -631,6 +853,21 @@ let () =
           QCheck_alcotest.to_alcotest prop_normalize_matches_reference;
           QCheck_alcotest.to_alcotest prop_normalize_sorted_fast_path;
           QCheck_alcotest.to_alcotest prop_checksum_matches_reference;
+        ] );
+      ( "families",
+        [
+          Alcotest.test_case "opening adopts stored rows" `Quick test_family_adopts_rows;
+          Alcotest.test_case "leading zero stays a named row" `Quick
+            test_family_leading_zero_is_named;
+          Alcotest.test_case "handle survives reset" `Quick test_family_survives_reset;
+          Alcotest.test_case "key and position reach one row" `Quick
+            test_family_one_row_two_names;
+          QCheck_alcotest.to_alcotest
+            (prop_family_matches_plain Store.Sync_always
+               "Sync_always families agree with a plain store");
+          QCheck_alcotest.to_alcotest
+            (prop_family_matches_plain Store.Sync_explicit
+               "Sync_explicit families agree with a plain store");
         ] );
       ( "retention",
         [

@@ -1,88 +1,121 @@
 module Store = Mdds_kvstore.Store
-module Row = Mdds_kvstore.Row
+module Slots = Mdds_kvstore.Slots
+module Strtbl = Mdds_kvstore.Strtbl
 module Wal = Mdds_wal.Wal
 module Txn = Mdds_types.Txn
 module Ballot = Mdds_paxos.Ballot
 module Acceptor = Mdds_paxos.Acceptor
 module Codec = Mdds_codec.Codec
 
-(* Decoded acceptor state as cached per position: the durable row's
-   attributes are the truth; [nb] keeps the raw nextBal attribute so the
-   next conditional save tests against exactly what the store holds, and
-   [vote] the raw vote attribute, so a prepare (which keeps the vote)
+(* Decoded acceptor state as cached per position, in one flat record:
+   Algorithm 1's nextBal and vote, decoded, next to the durable row's raw
+   attributes, which are the truth. [nb] is the raw nextBal attribute, so
+   the next conditional save tests against exactly what the store holds,
+   and [raw] the raw vote attribute, so a prepare (which keeps the vote)
    writes it back without re-encoding the entry. *)
 type cached = {
-  state : Txn.entry Acceptor.state;
+  next_bal : Ballot.t;
+  vote : (Ballot.t * Txn.entry) option;
   nb : string option;
-  vote : string;
+  raw : string;
 }
 
-(* One group's row families (its paxos/ and claim/ rows, by position)
-   and its write-through decoded view of the paxos/ rows. *)
+(* One group's row families (its paxos/ and claim/ rows, by position),
+   its write-through decoded view of the paxos/ rows, and how far
+   compaction has pruned them since this process started. *)
 type group = {
+  name : string;
   paxos : Store.family;
   claim : Store.family;
-  cache : (int, cached) Hashtbl.t;
+  cache : cached Slots.t;
+  mutable pruned : int;  (* rows at 1..pruned are gone *)
 }
-
-type t = {
-  store : Store.t;
-  wal : Wal.t;
-  groups : (string, group) Hashtbl.t;
-      (* Volatile: dropped on restart and pruned with compaction. *)
-  counters : Counters.t;
-}
-
-let create ~store ~wal ~counters =
-  { store; wal; groups = Hashtbl.create 4; counters }
-
-let reset t = Hashtbl.reset t.groups
-
-let group t name =
-  Tbl.find_or_add t.groups name (fun () ->
-      {
-        paxos = Store.family t.store ~prefix:("paxos/" ^ name ^ "/");
-        claim = Store.family t.store ~prefix:("claim/" ^ name ^ "/");
-        cache = Hashtbl.create 64;
-      })
-
-(* ------------------------------------------------------------------ *)
-(* Acceptor state persistence (Algorithm 1's datastore state).         *)
 
 let vote_codec = Codec.(option (pair Ballot.codec Txn.entry_codec))
 
 let no_vote = Codec.encode vote_codec None
 
-let decode attrs =
-  let nb = Row.attribute attrs "nb" in
-  let next_bal =
-    match nb with None -> Ballot.bottom | Some s -> Ballot.of_string s
-  in
-  let raw = Row.attribute attrs "vote" in
-  let vote =
-    match raw with None -> None | Some s -> Codec.decode_exn vote_codec s
-  in
-  {
-    state = { Acceptor.next_bal; vote };
-    nb;
-    vote = Option.value raw ~default:no_vote;
-  }
+(* The state of a position with no row (or no attributes yet). *)
+let blank = { next_bal = Ballot.bottom; vote = None; nb = None; raw = no_vote }
+
+(* The empty slot of a group's cache: a copy of [blank], so a block no
+   load returns. *)
+let absent = { blank with vote = None }
+
+type t = {
+  store : Store.t;
+  wal : Wal.t;
+  groups : group Strtbl.t;
+      (* Volatile: dropped on restart and pruned with compaction. *)
+  mutable recent : group option;  (* the group resolved last *)
+  counters : Counters.t;
+}
+
+let create ~store ~wal ~counters =
+  { store; wal; groups = Strtbl.create 4; recent = None; counters }
+
+let reset t =
+  Strtbl.reset t.groups;
+  t.recent <- None
+
+let group t name =
+  match t.recent with
+  | Some g when String.equal g.name name -> g
+  | _ ->
+      let g =
+        match Strtbl.find_opt t.groups name with
+        | Some g -> g
+        | None ->
+            let g =
+              {
+                name;
+                paxos = Store.family t.store ~prefix:("paxos/" ^ name ^ "/");
+                claim = Store.family t.store ~prefix:("claim/" ^ name ^ "/");
+                cache = Slots.create absent;
+                pruned = 0;
+              }
+            in
+            Strtbl.replace t.groups name g;
+            g
+      in
+      t.recent <- Some g;
+      g
 
 let load_fresh g ~pos =
-  match Store.read_at g.paxos pos with
-  | None -> { state = Acceptor.initial; nb = None; vote = no_vote }
-  | Some (_, attrs) -> decode attrs
+  let nb = Store.attribute_at g.paxos pos "nb" in
+  match (nb, Store.attribute_at g.paxos pos "vote") with
+  | None, None -> blank
+  | nb, raw ->
+      {
+        next_bal =
+          (match nb with None -> Ballot.bottom | Some s -> Ballot.of_string s);
+        vote =
+          (match raw with None -> None | Some s -> Codec.decode_exn vote_codec s);
+        nb;
+        raw = Option.value raw ~default:no_vote;
+      }
 
-let load g ~pos = Tbl.find_or_add g.cache pos (fun () -> load_fresh g ~pos)
+let load g ~pos =
+  let c = Slots.get g.cache pos in
+  if c != absent then c
+  else
+    let c = load_fresh g ~pos in
+    Slots.set g.cache pos c;
+    c
+
+let state_of c = { Acceptor.next_bal = c.next_bal; vote = c.vote }
+
+(* ------------------------------------------------------------------ *)
+(* Acceptor state persistence (Algorithm 1's datastore state).         *)
 
 (* Conditional save keyed on the nextBal attribute, mirroring Algorithm 1
    lines 9 and 18: the write goes through only if nextBal has not changed
    since we read the state. The cache follows the store: updated only when
    the conditional write lands, dropped when it does not (someone else owns
-   the row's current value). [vote] is [state.vote] already encoded. *)
-let save t g ~pos ~expected_nb ~vote (state : Txn.entry Acceptor.state) =
+   the row's current value). [raw] is [state.vote] already encoded. *)
+let save t g ~pos ~expected_nb ~raw (state : Txn.entry Acceptor.state) =
   let nb = Ballot.to_string state.next_bal in
-  let attrs = [ ("nb", nb); ("vote", vote) ] in
+  let attrs = [ ("nb", nb); ("vote", raw) ] in
   let ok =
     Store.check_and_write_at g.paxos pos ~test_attribute:"nb"
       ~test_value:expected_nb attrs
@@ -92,22 +125,23 @@ let save t g ~pos ~expected_nb ~vote (state : Txn.entry Acceptor.state) =
      reply leaves this datacenter. *)
   if ok then begin
     Store.sync t.store;
-    Hashtbl.replace g.cache pos { state; nb = Some nb; vote }
+    Slots.set g.cache pos
+      { next_bal = state.next_bal; vote = state.vote; nb = Some nb; raw }
   end
-  else Hashtbl.remove g.cache pos;
+  else Slots.clear g.cache pos;
   ok
 
-let state t ~group:name ~pos = (load (group t name) ~pos).state
+let state t ~group:name ~pos = state_of (load (group t name) ~pos)
 
 let prepare t ~group:name ~pos ~ballot =
   let g = group t name in
   let rec go () =
     let c = load g ~pos in
-    let state', reply = Acceptor.on_prepare c.state ballot in
+    let state', reply = Acceptor.on_prepare (state_of c) ballot in
     match reply with
     | Acceptor.Reject next_bal -> Messages.Prepare_reject { next_bal }
     | Acceptor.Promise vote ->
-        if save t g ~pos ~expected_nb:c.nb ~vote:c.vote state' then
+        if save t g ~pos ~expected_nb:c.nb ~raw:c.raw state' then
           Messages.Promise { vote }
         else go () (* state changed: retry *)
   in
@@ -135,7 +169,7 @@ let sequenced_ok t g ~name ~pos ~ballot ~prev =
   pos > 1
   && pos - 1 > Wal.compacted_position t.wal ~group:name
   &&
-  match (load g ~pos:(pos - 1)).state.Acceptor.vote with
+  match (load g ~pos:(pos - 1)).vote with
   | Some (pb, pe) -> Ballot.equal pb ballot && Txn.equal_entry pe prev
   | None -> false
 
@@ -148,13 +182,11 @@ let accept t ~group:name ~pos ~ballot ~entry ~vote ~sequenced =
       | Some prev -> not (sequenced_ok t g ~name ~pos ~ballot ~prev)
     in
     let c = load g ~pos in
-    if refused then
-      Messages.Accept_reply { ok = false; next_bal = c.state.Acceptor.next_bal }
+    if refused then Messages.Accept_reply { ok = false; next_bal = c.next_bal }
     else
-      let state', ok = Acceptor.on_accept c.state ballot entry in
-      if not ok then
-        Messages.Accept_reply { ok = false; next_bal = c.state.next_bal }
-      else if save t g ~pos ~expected_nb:c.nb ~vote state' then
+      let state', ok = Acceptor.on_accept (state_of c) ballot entry in
+      if not ok then Messages.Accept_reply { ok = false; next_bal = c.next_bal }
+      else if save t g ~pos ~expected_nb:c.nb ~raw:vote state' then
         Messages.Accept_reply { ok = true; next_bal = state'.next_bal }
       else go ()
   in
@@ -173,11 +205,7 @@ let accept t ~group:name ~pos ~ballot ~entry ~vote ~sequenced =
    two rival round-0 votes, which ballot order cannot arbitrate. *)
 let claim t ~group:name ~pos ~claimant =
   let claims = (group t name).claim in
-  let owner () =
-    match Store.read_at claims pos with
-    | Some (_, attrs) -> Row.attribute attrs "owner"
-    | None -> None
-  in
+  let owner () = Store.attribute_at claims pos "owner" in
   match owner () with
   | Some winner ->
       (* A replayed claim from the registered owner (duplicated link or
@@ -203,14 +231,19 @@ let claim t ~group:name ~pos ~claimant =
 
 (* A compacted position can never be proposed again, so its acceptor
    state is dead weight: the rows go, and the decoded cache is pruned
-   with the rows it mirrors. *)
+   with the rows it mirrors. Each compaction deletes only the span past
+   the previous one. The watermark is this process's own, not the WAL's
+   compaction point: a snapshot install raises that point without
+   pruning, and after a restart the watermark starts again at 0, so the
+   rows such an install skipped are still reclaimed. *)
 let prune t ~group:name ~upto =
   let g = group t name in
-  for pos = 1 to upto do
+  for pos = g.pruned + 1 to upto do
     Store.delete_at g.paxos pos;
     Store.delete_at g.claim pos;
-    Hashtbl.remove g.cache pos
-  done
+    Slots.clear g.cache pos
+  done;
+  if upto > g.pruned then g.pruned <- upto
 
 (* Scrub the group's Paxos and claim rows; positions whose rows held
    checksum-invalid versions are the damage set — their durable state
@@ -236,41 +269,39 @@ let scrub t ~group:name =
 (* ------------------------------------------------------------------ *)
 (* Cache coherence: the decoded view equals a fresh decode of the rows. *)
 
+exception Incoherent of string
+
 let equal_vote a b =
   match (a, b) with
   | None, None -> true
   | Some (ba, va), Some (bb, vb) -> Ballot.equal ba bb && Txn.equal_entry va vb
   | _ -> false
 
-let equal_state (a : Txn.entry Acceptor.state) (b : Txn.entry Acceptor.state) =
-  Ballot.equal a.next_bal b.next_bal && equal_vote a.vote b.vote
-
+(* The first position, ascending, whose cached state differs from its
+   row. *)
 let coherent t ~group:name =
-  match Hashtbl.find_opt t.groups name with
+  match Strtbl.find_opt t.groups name with
   | None -> Ok ()
   | Some g ->
-      Hashtbl.fold
-        (fun pos cached acc ->
-          match acc with
-          | Error _ -> acc
-          | Ok () ->
-              let fresh = load_fresh g ~pos in
-              if not (equal_state cached.state fresh.state) then
-                Error
-                  (Printf.sprintf
-                     "acceptor/%s/%d: cached state differs from durable decode"
-                     name pos)
-              else if cached.nb <> fresh.nb then
-                Error
-                  (Printf.sprintf
-                     "acceptor/%s/%d: cached nextBal attribute %s, store %s"
-                     name pos
-                     (Option.value cached.nb ~default:"<absent>")
-                     (Option.value fresh.nb ~default:"<absent>"))
-              else if not (String.equal cached.vote fresh.vote) then
-                Error
-                  (Printf.sprintf
-                     "acceptor/%s/%d: cached vote bytes differ from the store"
-                     name pos)
-              else Ok ())
-        g.cache (Ok ())
+      let fail fmt = Printf.ksprintf (fun m -> raise (Incoherent m)) fmt in
+      let check pos cached =
+        let fresh = load_fresh g ~pos in
+        if
+          not
+            (Ballot.equal cached.next_bal fresh.next_bal
+            && equal_vote cached.vote fresh.vote)
+        then
+          fail "acceptor/%s/%d: cached state differs from durable decode" name
+            pos
+        else if cached.nb <> fresh.nb then
+          fail "acceptor/%s/%d: cached nextBal attribute %s, store %s" name pos
+            (Option.value cached.nb ~default:"<absent>")
+            (Option.value fresh.nb ~default:"<absent>")
+        else if not (String.equal cached.raw fresh.raw) then
+          fail "acceptor/%s/%d: cached vote bytes differ from the store" name
+            pos
+      in
+      try
+        Slots.iter check g.cache;
+        Ok ()
+      with Incoherent msg -> Error msg

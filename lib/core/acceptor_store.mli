@@ -8,9 +8,12 @@
     row are positional families of the store
     ({!Mdds_kvstore.Store.family}): they are read and written by position,
     with no key built, but their keys are the ones above. A decoded
-    write-through cache of the paxos rows serves repeat reads, and keeps
-    each row's raw vote bytes so a promise rewrites them as they are; it
-    is volatile (see {!reset}) and always rebuildable from the rows.
+    write-through cache of the paxos rows serves repeat reads: one flat
+    record per position ({!Mdds_kvstore.Slots}), holding nextBal and the
+    decoded vote beside the row's raw [nb] and vote bytes, so the next
+    conditional save tests the stored [nb] and a promise rewrites the
+    vote bytes as they are. It is volatile (see {!reset}) and always
+    rebuildable from the rows.
 
     The caller guards compacted and quarantined positions; everything
     here answers from the rows as they stand. *)
@@ -61,7 +64,11 @@ val state :
 
 val prune : t -> group:string -> upto:int -> unit
 (** Compaction: delete the paxos and claim rows of positions 1..[upto]
-    and their cache entries. Does not sync. *)
+    and their cache entries. Only the span above the group's pruned
+    watermark is visited: the highest [upto] pruned since the last
+    {!reset}, so a restart starts again from position 1 (and reclaims
+    rows a snapshot install left below the compaction point). Does not
+    sync. *)
 
 val scrub : t -> group:string -> int * int list
 (** Crash recovery: drop checksum-invalid versions from the group's
@@ -72,4 +79,4 @@ val coherent : t -> group:string -> (unit, string) result
 (** Every cached entry equals a fresh decode of its row. Mutates nothing. *)
 
 val reset : t -> unit
-(** Restart: drop the decoded cache. *)
+(** Restart: drop the decoded cache and the pruned watermarks. *)

@@ -125,6 +125,11 @@ let save_quarantine t ~group tbl =
             tbl []));
   Store.sync t.store
 
+let suspect t ~group ~pos =
+  match Hashtbl.find_opt t.suspect group with
+  | None -> false
+  | Some tbl -> Hashtbl.mem tbl pos
+
 (* True while the position must still be refused: its durable promise or
    claim may understate what this acceptor once said (a crash damaged the
    row), so answering Paxos from the reverted state could cast a second,

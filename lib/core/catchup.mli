@@ -35,6 +35,10 @@ val quarantined : t -> group:string -> pos:int -> bool
     tries one learn-or-snapshot, unless one is already running for the
     position. *)
 
+val suspect : t -> group:string -> pos:int -> bool
+(** The position is in the quarantine set: asking {!quarantined} may
+    block on a learn. Never blocks itself. *)
+
 val recover : t -> group:string -> unit
 (** The restart-time crash scan of one group: {!Mdds_wal.Wal.recover},
     scrub the quarantine row and the acceptor rows

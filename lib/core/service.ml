@@ -139,11 +139,29 @@ let handle t ~src:_ request =
       let applied, rows = Wal.snapshot t.wal ~group in
       Messages.Snapshot_reply { applied; rows }
 
+(* Which requests run inline (DESIGN.md §2.1): every handler but the
+   ones that can block. A read may have to learn missing positions
+   first, and a submission waits for its commit; a Paxos message or a
+   claim for a quarantined position may start a re-learn, so it gets a
+   process too. The predicate is asked when the handler starts, in the
+   same event, so the quarantine it sees is the one the handler meets. *)
+let inline t = function
+  | Messages.Read _ | Messages.Submit _ -> false
+  | Messages.Prepare { group; pos; _ }
+  | Messages.Accept { group; pos; _ }
+  | Messages.Claim_leadership { group; pos; _ } ->
+      not (Catchup.suspect t.catchup ~group ~pos)
+  | Messages.Get_read_position _ | Messages.Apply _ | Messages.Get_snapshot _
+    ->
+      true
+
 (* Groups present in the durable store, recovered from the row-key layout
-   [<kind>/<group>[/...]] (restart cannot trust any volatile group list). *)
+   [<kind>/<group>[/...]] (restart cannot trust any volatile group list).
+   A positional family's prefix names its group, so a family row's key is
+   never formatted. *)
 let durable_groups t =
   let kinds = [ "logmeta"; "log"; "data"; "paxos"; "claim"; "recover" ] in
-  Store.keys t.store
+  Store.family_prefixes t.store @ Store.named_keys t.store
   |> List.filter_map (fun key ->
          match String.split_on_char '/' key with
          | kind :: group :: _ when group <> "" && List.mem kind kinds ->
@@ -233,6 +251,6 @@ let start ?(storage = Store.Sync_always) ~rpc ~config ~dc ~dcs ~trace () =
       counters;
     }
   in
-  Rpc.serve rpc ~node:dc ~processing:processing_delay (fun ~src request ->
-      handle t ~src request);
+  Rpc.serve rpc ~node:dc ~processing:processing_delay ~inline:(inline t)
+    (fun ~src request -> handle t ~src request);
   t

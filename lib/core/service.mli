@@ -105,6 +105,11 @@ val restart : t -> unit
 
 (** {1 Direct (in-process) access for tests and checkers} *)
 
+val durable_groups : t -> string list
+(** The groups with a row in the store (sorted): those {!restart} scans.
+    Learned from the row-key layout [<kind>/<group>[/...]], taking each
+    positional family's prefix for its rows. *)
+
 val acceptor_state :
   t -> group:string -> pos:int ->
   Mdds_types.Txn.entry Mdds_paxos.Acceptor.state

@@ -1,13 +1,17 @@
 type value = (string * string) list
 
-(* Versions kept as a list sorted by decreasing timestamp; rows have few
-   versions relative to accesses and reads want the newest first.
-   [epoch] belongs to {!Mdds_kvstore.Store}'s write-buffer journal: it
-   marks the last sync epoch in which the row was journaled, so the store
-   snapshots each row at most once per epoch with one integer compare. *)
-type t = { mutable versions : (int * value) list; mutable epoch : int }
+(* Versions newest first, one immutable four-word node per version.
+   Rows have few versions relative to accesses and reads want the newest
+   first. Being immutable, a chain is its own snapshot: the store's
+   write-buffer journal keeps the chain a row had, not a copy.
+   [epoch] belongs to that journal: it marks the last sync epoch in
+   which the row was journaled, so the store snapshots each row at most
+   once per epoch with one integer compare. *)
+type chain = Nil | Version of { ts : int; value : value; next : chain }
 
-let create () = { versions = []; epoch = 0 }
+type t = { mutable chain : chain; mutable epoch : int }
+
+let create () = { chain = Nil; epoch = 0 }
 
 let epoch t = t.epoch
 let set_epoch t e = t.epoch <- e
@@ -32,34 +36,49 @@ let normalize value =
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   end
 
-let latest t = match t.versions with [] -> None | v :: _ -> Some v
+let chain t = t.chain
+
+let rec find chain timestamp =
+  match chain with
+  | Nil -> Nil
+  | Version v -> if v.ts <= timestamp then chain else find v.next timestamp
+
+let at t timestamp = find t.chain timestamp
+
+let pair = function Nil -> None | Version v -> Some (v.ts, v.value)
+
+let latest t = pair t.chain
 
 let read t ?timestamp () =
-  match timestamp with
-  | None -> latest t
-  | Some ts -> List.find_opt (fun (vts, _) -> vts <= ts) t.versions
+  match timestamp with None -> latest t | Some ts -> pair (at t ts)
 
 let write t ?timestamp value =
   let value = normalize value in
   match timestamp with
   | None ->
-      let ts = match t.versions with [] -> 1 | (vts, _) :: _ -> vts + 1 in
-      t.versions <- (ts, value) :: t.versions;
+      let ts = match t.chain with Nil -> 1 | Version v -> v.ts + 1 in
+      t.chain <- Version { ts; value; next = t.chain };
       Ok ts
   | Some ts -> (
-      match t.versions with
-      | (vts, _) :: _ when vts > ts -> Error `Stale
-      | (vts, _) :: rest when vts = ts ->
-          t.versions <- (ts, value) :: rest;
+      match t.chain with
+      | Version v when v.ts > ts -> Error `Stale
+      | Version v when v.ts = ts ->
+          t.chain <- Version { ts; value; next = v.next };
           Ok ts
       | _ ->
-          t.versions <- (ts, value) :: t.versions;
+          t.chain <- Version { ts; value; next = t.chain };
           Ok ts)
 
 let attribute value name = List.assoc_opt name value
 
-let versions t = t.versions
+let rec to_list = function
+  | Nil -> []
+  | Version v -> (v.ts, v.value) :: to_list v.next
 
-let restore t versions = t.versions <- versions
+let versions t = to_list t.chain
 
-let version_count t = List.length t.versions
+let restore t chain = t.chain <- chain
+
+let version_count t =
+  let rec count n = function Nil -> n | Version v -> count (n + 1) v.next in
+  count 0 t.chain

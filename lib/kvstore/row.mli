@@ -10,6 +10,12 @@ type value = (string * string) list
 (** Attribute name/value pairs. Construction normalizes: attributes are
     sorted, later bindings win. *)
 
+type chain = Nil | Version of { ts : int; value : value; next : chain }
+(** A row's versions, newest first: one immutable node per version.
+    Immutability makes a chain its own snapshot, which is how
+    {!Mdds_kvstore.Store}'s write-buffer journal records a row's state
+    before a buffered write. *)
+
 type t
 
 val create : unit -> t
@@ -17,6 +23,13 @@ val create : unit -> t
 
 val normalize : value -> value
 (** Sort attributes and drop duplicate names (last binding wins). *)
+
+val chain : t -> chain
+(** The whole chain; its head is the most recent version. *)
+
+val at : t -> int -> chain
+(** The chain from the most recent version with timestamp ≤ the given
+    one ([Nil] if none). Allocates nothing, unlike {!read}. *)
 
 val latest : t -> (int * value) option
 (** Most recent version with its timestamp. *)
@@ -35,12 +48,12 @@ val attribute : value -> string -> string option
 (** Look up one attribute in a version value. *)
 
 val versions : t -> (int * value) list
-(** All versions, newest first (for debugging and tests). *)
+(** All versions, newest first, as a list (for debugging and tests). *)
 
-val restore : t -> (int * value) list -> unit
-(** Replace the whole version chain (newest first). Only
-    {!Mdds_kvstore.Store} may call this: its crash/recovery machinery
-    rewinds a row to a previously captured {!versions} snapshot, and its
+val restore : t -> chain -> unit
+(** Replace the whole version chain. Only {!Mdds_kvstore.Store} (and
+    tests forging damage) may call this: its crash/recovery machinery
+    rewinds a row to a previously captured {!chain}, and its
     auto-stamped writes replace a register row's history. *)
 
 (**/**)

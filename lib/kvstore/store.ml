@@ -2,25 +2,13 @@ type value = Row.value
 
 type mode = Sync_always | Sync_explicit
 
-(* Named rows: one table keyed by the full key. Its equality is
-   [String.equal] rather than the polymorphic [compare_val]; its hash is
-   the polymorphic table's, so bucket order is what it was. *)
-module Rows = Hashtbl.Make (struct
-  type t = string
-
-  let equal = String.equal
-  let hash = Hashtbl.hash
-end)
+(* Named rows: one table keyed by the full key. *)
+module Rows = Strtbl
 
 (* A positional row family: the rows whose key is [prefix ^ string_of_int
-   pos], kept in a dense array indexed by [pos] — no key string and no
-   bucket per row. [absent] marks an empty slot. *)
-type family = {
-  owner : t;
-  prefix : string;
-  mutable slots : Row.t array;
-  mutable live : int;  (* slots holding a row *)
-}
+   pos], kept in slots indexed by [pos] — no key string and no bucket per
+   row. [absent] marks an empty slot. *)
+type family = { owner : t; prefix : string; slots : Row.t Slots.t }
 
 (* Where a row lives, as the undo journal records it. *)
 and loc = Key of string | Slot of family * int
@@ -30,9 +18,9 @@ and loc = Key of string | Slot of family * int
    replaying the journal newest-first rewinds the store to exactly its
    state at the last sync point. *)
 and undo =
-  | Mutated of Row.t * (int * value) list  (* row existed: restore versions *)
+  | Mutated of Row.t * Row.chain  (* row existed: restore its chain *)
   | Created of loc  (* row did not exist: remove it *)
-  | Deleted of loc * Row.t * (int * value) list  (* row removed: re-insert *)
+  | Deleted of loc * Row.t * Row.chain  (* row removed: re-insert *)
 
 and t = {
   rows : Row.t Rows.t;  (* every row outside a family *)
@@ -115,7 +103,7 @@ let absent = Row.create ()
 
 (* A key spelling a larger number stays a named row, so no stray key
    sizes an array. *)
-let max_position = 1 lsl 22
+let max_position = Slots.limit
 
 let is_digit c = c >= '0' && c <= '9'
 
@@ -178,25 +166,9 @@ let checked pos =
     invalid_arg (Printf.sprintf "Store: family position %d out of range" pos);
   pos
 
-let slot f pos =
-  if pos < Array.length f.slots then Array.unsafe_get f.slots pos else absent
-
-let set_slot f pos row =
-  let n = Array.length f.slots in
-  if pos >= n then begin
-    let size = min max_position (max (pos + 1) (max 64 (2 * n))) in
-    let slots = Array.make size absent in
-    Array.blit f.slots 0 slots 0 n;
-    f.slots <- slots
-  end;
-  if f.slots.(pos) == absent then f.live <- f.live + 1;
-  f.slots.(pos) <- row
-
-let clear_slot f pos =
-  if slot f pos != absent then begin
-    f.slots.(pos) <- absent;
-    f.live <- f.live - 1
-  end
+let slot f pos = Slots.get f.slots pos
+let set_slot f pos row = Slots.set f.slots pos row
+let clear_slot f pos = Slots.clear f.slots pos
 
 (* The row a key names, [absent] if none. *)
 let lookup t key =
@@ -222,7 +194,7 @@ let family t ~prefix =
   | None ->
       if n = 0 || prefix.[n - 1] <> '/' then
         invalid_arg ("Store.family: prefix " ^ prefix ^ " does not end in '/'");
-      let f = { owner = t; prefix; slots = [||]; live = 0 } in
+      let f = { owner = t; prefix; slots = Slots.create absent } in
       t.families <- f :: t.families;
       (* Adopt the rows already stored under the prefix. *)
       Rows.fold
@@ -257,7 +229,7 @@ let family t ~prefix =
 let note_mutation t row =
   if t.mode <> Sync_always && Row.epoch row <> t.epoch then begin
     Row.set_epoch row t.epoch;
-    t.journal <- Mutated (row, Row.versions row) :: t.journal
+    t.journal <- Mutated (row, Row.chain row) :: t.journal
   end
 
 (* A new, empty row at [loc]. *)
@@ -290,6 +262,14 @@ let read_at f pos =
   let row = slot f (checked pos) in
   if row == absent then None else Row.latest row
 
+let latest_attribute row name =
+  match Row.chain row with
+  | Row.Nil -> None
+  | Row.Version v -> Row.attribute v.value name
+
+let attribute t ~key name = latest_attribute (lookup t key) name
+let attribute_at f pos name = latest_attribute (slot f (checked pos)) name
+
 (* Retention. A timestamped write is an MVCC data version and joins the
    row's history, which [read ~timestamp] serves. An auto-stamped write is
    a register update (WAL metadata and log rows, acceptor state, claims,
@@ -297,21 +277,23 @@ let read_at f pos =
    history. [Sync_explicit] keeps one predecessor, the version a damaged
    newest one scrubs back to; older versions are unreachable, since the
    undo journal holds its own snapshot of the row. When the row holds
-   only the predecessor its list is reused, so the write allocates what a
-   prepend does. *)
+   only the predecessor its node is reused, so the write allocates one
+   node. *)
 let replace t row value =
   let value = Row.normalize value in
-  match Row.versions row with
-  | [] ->
-      Row.restore row [ (1, value) ];
+  match Row.chain row with
+  | Row.Nil ->
+      Row.restore row (Row.Version { ts = 1; value; next = Row.Nil });
       1
-  | ((ts, _) as prev) :: older as versions ->
-      let ts = ts + 1 in
-      Row.restore row
-        (match t.mode with
-        | Sync_always -> [ (ts, value) ]
-        | Sync_explicit ->
-            (ts, value) :: (match older with [] -> versions | _ -> [ prev ]));
+  | Row.Version prev as chain ->
+      let ts = prev.ts + 1 in
+      let next =
+        match (t.mode, prev.next) with
+        | Sync_always, _ -> Row.Nil
+        | Sync_explicit, Row.Nil -> chain
+        | Sync_explicit, Row.Version _ -> Row.Version { prev with next = Row.Nil }
+      in
+      Row.restore row (Row.Version { ts; value; next });
       ts
 
 let put t row ?timestamp value =
@@ -337,9 +319,6 @@ let write_at f pos value =
   | Ok _ -> ()
   | Error `Stale -> assert false (* auto-stamped writes cannot be stale *)
 
-let latest_attribute row name =
-  match Row.versions row with [] -> None | (_, v) :: _ -> Row.attribute v name
-
 let check_and_write t ~key ~test_attribute ~test_value value =
   Option.equal String.equal
     (latest_attribute (lookup t key) test_attribute)
@@ -352,12 +331,10 @@ let check_and_write_at f pos ~test_attribute ~test_value value =
     test_value
   && (write_at f pos value; true)
 
-let attribute t ~key name = latest_attribute (lookup t key) name
-
 let forget t loc row =
   if t.mode <> Sync_always then begin
     Row.set_epoch row t.epoch;
-    t.journal <- Deleted (loc, row, Row.versions row) :: t.journal
+    t.journal <- Deleted (loc, row, Row.chain row) :: t.journal
   end;
   remove t loc
 
@@ -369,12 +346,7 @@ let delete_at f pos =
   let row = slot f (checked pos) in
   if row != absent then forget f.owner (Slot (f, pos)) row
 
-let positions f =
-  let acc = ref [] in
-  for pos = Array.length f.slots - 1 downto 0 do
-    if Array.unsafe_get f.slots pos != absent then acc := pos :: !acc
-  done;
-  !acc
+let positions f = Slots.positions f.slots
 
 let keys ?(prefix = "") t =
   let named =
@@ -397,16 +369,19 @@ let keys ?(prefix = "") t =
       else acc)
     named t.families
 
+let named_keys t = Rows.fold (fun key _ acc -> key :: acc) t.rows []
+
+let family_prefixes t =
+  List.filter_map
+    (fun f -> if Slots.live f.slots > 0 then Some f.prefix else None)
+    t.families
+
 let row_count t =
-  List.fold_left (fun n f -> n + f.live) (Rows.length t.rows) t.families
+  List.fold_left (fun n f -> n + Slots.live f.slots) (Rows.length t.rows) t.families
 
 let reset t =
   Rows.reset t.rows;
-  List.iter
-    (fun f ->
-      f.slots <- [||];
-      f.live <- 0)
-    t.families;
+  List.iter (fun f -> Slots.reset f.slots) t.families;
   t.journal <- [];
   t.inflight <- None;
   t.epoch <- t.epoch + 1
@@ -428,10 +403,10 @@ let unsynced t = List.length t.journal
 let rollback t =
   List.iter
     (function
-      | Mutated (row, versions) -> Row.restore row versions
+      | Mutated (row, chain) -> Row.restore row chain
       | Created loc -> remove t loc
-      | Deleted (loc, row, versions) ->
-          Row.restore row versions;
+      | Deleted (loc, row, chain) ->
+          Row.restore row chain;
           insert t loc row)
     t.journal
 
@@ -442,14 +417,14 @@ let rollback t =
    fixed function of the attribute count, keeping chaos runs a pure
    function of (seed, schedule). *)
 let tear row =
-  match Row.versions row with
-  | [] -> ()
-  | (ts, value) :: rest ->
-      let n = List.length value in
+  match Row.chain row with
+  | Row.Nil -> ()
+  | Row.Version v ->
+      let n = List.length v.value in
       if n >= 2 then begin
         let keep = max 1 (n / 2) in
-        let torn = List.filteri (fun i _ -> i < keep) value in
-        Row.restore row ((ts, torn) :: rest)
+        let torn = List.filteri (fun i _ -> i < keep) v.value in
+        Row.restore row (Row.Version { v with value = torn })
       end
 
 let crash ?(torn = false) t ~lose_unsynced =
@@ -464,9 +439,9 @@ let crash ?(torn = false) t ~lose_unsynced =
           match inflight with
           | None -> None
           | Some row -> (
-              match Row.versions row with
-              | (ts, value) :: _ -> Some (row, ts, value)
-              | [] -> None)
+              match Row.chain row with
+              | Row.Version v -> Some (row, v.ts, v.value)
+              | Row.Nil -> None)
       in
       rollback t;
       match victim with
@@ -496,25 +471,27 @@ let same_loc a b =
   | Slot (f, p), Slot (g, q) -> f == g && p = q
   | Key _, Slot _ | Slot _, Key _ -> false
 
+(* The checksum-valid versions of a chain, as a list. *)
+let rec valid_versions = function
+  | Row.Nil -> []
+  | Row.Version v ->
+      if checksum_valid v.value then (v.ts, v.value) :: valid_versions v.next
+      else valid_versions v.next
+
 let durable_versions_of t loc row =
-  let state =
-    ref (if row == absent then None else Some (row, Row.versions row))
-  in
+  let state = ref (if row == absent then None else Some (row, Row.chain row)) in
   List.iter
     (fun u ->
       match u with
       | Created l when same_loc l loc -> state := None
-      | Deleted (l, row, versions) when same_loc l loc ->
-          state := Some (row, versions)
-      | Mutated (row, versions) -> (
+      | Deleted (l, row, chain) when same_loc l loc -> state := Some (row, chain)
+      | Mutated (row, chain) -> (
           match !state with
-          | Some (r, _) when r == row -> state := Some (row, versions)
+          | Some (r, _) when r == row -> state := Some (row, chain)
           | _ -> ())
       | Created _ | Deleted _ -> ())
     t.journal;
-  match !state with
-  | None -> []
-  | Some (_, versions) -> List.filter (fun (_, v) -> checksum_valid v) versions
+  match !state with None -> [] | Some (_, chain) -> valid_versions chain
 
 let durable_versions t ~key =
   durable_versions_of t (loc_of_key t key) (lookup t key)
@@ -528,14 +505,25 @@ let durable_versions_at f pos =
    the repair is authoritative — it is not journaled, and becomes durable
    at the recovery scan's closing {!sync}. *)
 
+let rec count_invalid n = function
+  | Row.Nil -> n
+  | Row.Version v -> count_invalid (if checksum_valid v.value then n else n + 1) v.next
+
+let rec keep_valid = function
+  | Row.Nil -> Row.Nil
+  | Row.Version v ->
+      if checksum_valid v.value then Row.Version { v with next = keep_valid v.next }
+      else keep_valid v.next
+
 let scrub_row t loc row =
   if row == absent then 0
   else
-    let versions = Row.versions row in
-    let valid = List.filter (fun (_, v) -> checksum_valid v) versions in
-    let dropped = List.length versions - List.length valid in
-    if dropped > 0 then
-      if valid = [] then remove t loc else Row.restore row valid;
+    let dropped = count_invalid 0 (Row.chain row) in
+    if dropped > 0 then begin
+      match keep_valid (Row.chain row) with
+      | Row.Nil -> remove t loc
+      | valid -> Row.restore row valid
+    end;
     dropped
 
 let scrub t ~key = scrub_row t (loc_of_key t key) (lookup t key)

@@ -76,7 +76,8 @@ val check_and_write :
     replaces the row's history as {!write} does. *)
 
 val attribute : t -> key:string -> string -> string option
-(** Latest version's attribute, if any. *)
+(** Latest version's attribute, if any. Allocates only the answer, unlike
+    {!read}. *)
 
 (** {1 Row handles (fast path)}
 
@@ -109,6 +110,14 @@ val keys : ?prefix:string -> t -> string list
 (** All row keys starting with [prefix] (default: every key), unordered.
     Family rows are listed under the key they answer to. *)
 
+val named_keys : t -> string list
+(** The keys of the rows outside every family, unordered. *)
+
+val family_prefixes : t -> string list
+(** The prefixes of the opened families that hold at least one row.
+    With {!named_keys}, this names every row of the store without
+    formatting a key per family row. *)
+
 val row_count : t -> int
 
 val reset : t -> unit
@@ -122,7 +131,7 @@ val reset : t -> unit
     its log entries, acceptor state and leadership claims
     ([log/<group>/<pos>], [paxos/<group>/<pos>], [claim/<group>/<pos>]).
     A {e family} holds the rows whose key is [prefix ^ string_of_int pos]
-    in a dense array indexed by [pos]: no key string, no hash-table bucket,
+    in {!Slots} indexed by [pos]: no key string, no hash-table bucket,
     and an access that neither builds nor hashes a key.
 
     A family changes where rows live, never what the store holds:
@@ -148,6 +157,9 @@ val family : t -> prefix:string -> family
 
 val read_at : family -> int -> (int * value) option
 (** The latest version at a position ({!read} without [timestamp]). *)
+
+val attribute_at : family -> int -> string -> string option
+(** {!attribute} at a position. *)
 
 val write_at : family -> int -> value -> unit
 (** An auto-stamped {!write} at a position. *)
@@ -199,8 +211,10 @@ val scrub : t -> key:string -> int
 
 val durable_versions : t -> key:string -> (int * value) list
 (** The versions a [crash ~lose_unsynced:true] would leave for this key:
-    the write buffer rolled back, checksum-invalid versions dropped.
-    Mutates nothing (the {!Mdds_wal.Wal.durable_coherent} oracle). *)
+    the write buffer rolled back, checksum-invalid versions dropped,
+    newest first. Mutates nothing (the {!Mdds_wal.Wal.durable_coherent}
+    oracle). The journal records each row's {!Row.chain} as it stood, so
+    only this answer is built as a list. *)
 
 val scrub_at : family -> int -> int
 (** {!scrub} at a position. *)

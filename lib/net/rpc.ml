@@ -30,9 +30,11 @@ let create net =
   { net }
 
 (* The processing delay is drawn when the request lands, from the node's
-   own stream and in delivery order, and the handler process starts once
-   it has elapsed: one heap event per request (DESIGN.md §2.1). *)
-let serve t ~node ?(processing = 0.0) handler =
+   own stream and in delivery order, and the handler starts once it has
+   elapsed: one heap event per request (DESIGN.md §2.1). An [inline]
+   request's handler runs in that event as a plain callback; any other
+   starts a process there, as a spawn would. *)
+let serve t ~node ?(processing = 0.0) ?(inline = fun _ -> false) handler =
   let engine = engine t in
   let rng = Rng.split (Engine.rng engine) in
   Network.listen t.net ~node (fun ~src packet ->
@@ -46,13 +48,16 @@ let serve t ~node ?(processing = 0.0) handler =
               +. Rng.uniform rng (0.5 *. processing) (1.5 *. processing)
             else Engine.now engine
           in
-          Engine.spawn ~at engine (fun () ->
-              let resp = handler ~src payload in
-              match reply with
-              | Some waiter ->
-                  Network.send t.net ~src:node ~dst:src
-                    (Response { payload = resp; waiter })
-              | None -> ())
+          let run () =
+            let resp = handler ~src payload in
+            match reply with
+            | Some waiter ->
+                Network.send t.net ~src:node ~dst:src
+                  (Response { payload = resp; waiter })
+            | None -> ()
+          in
+          Engine.schedule engine ~at (fun () ->
+              if inline payload then run () else Engine.start engine run)
       | Response _ -> receive ~src packet)
 
 let call t ~src ~dst ~timeout req =

@@ -32,15 +32,23 @@ val serve :
   ('req, 'resp) t ->
   node:int ->
   ?processing:float ->
+  ?inline:('req -> bool) ->
   (src:int -> 'req -> 'resp) ->
   unit
 (** Serve requests at [node]. Each incoming request is handled in its
-    own spawned process (the paper's stateless per-request service
-    processes), after an optional randomized delay of mean [processing]
-    (uniform within +/-50%, modelling store/OS work). The delay is drawn
-    at delivery, in delivery order, from a stream split off the engine's
+    own process (the paper's stateless per-request service processes),
+    after an optional randomized delay of mean [processing] (uniform
+    within +/-50%, modelling store/OS work). The delay is drawn at
+    delivery, in delivery order, from a stream split off the engine's
     root stream by this call. The handler may block (e.g. perform nested
-    RPCs). *)
+    RPCs).
+
+    [inline] (default: none) is asked when a request's handler is due to
+    start. A request it accepts is handled right there as a plain
+    callback, without a process of its own: {b its handler must not
+    block} ([Engine.sleep], [Engine.suspend], {!call}, {!broadcast}), or
+    the simulation fails. Inline or not, a request costs the same events
+    at the same instants, so the choice changes no run. *)
 
 val call :
   ('req, 'resp) t -> src:int -> dst:int -> timeout:float -> 'req -> 'resp option

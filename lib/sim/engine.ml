@@ -102,7 +102,7 @@ let engine_of_process () =
 (* Run a process step under the effect handler. Continuations re-enter
    through the event queue, so the handler installs itself only once per
    process: [continue] resumes under the same (deep) handler. *)
-let start_process _t f =
+let start _t f =
   match_with f ()
     {
       retc = (fun () -> ());
@@ -123,7 +123,7 @@ let start_process _t f =
 
 let spawn ?at t f =
   let at = match at with None -> t.clock | Some x -> x in
-  schedule t ~at (fun () -> start_process t f)
+  schedule t ~at (fun () -> start t f)
 
 let sleep d =
   check_delay "Engine.sleep" d;

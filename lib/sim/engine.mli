@@ -55,6 +55,12 @@ val schedule : t -> at:float -> (unit -> unit) -> unit
 (** Low-level: run a callback (not a blocking process) at the given time,
     clamped to [now t]. Raises [Invalid_argument] on a NaN time. *)
 
+val start : t -> (unit -> unit) -> unit
+(** [start t f] runs [f] as a process at once, from inside an event
+    callback of [t]: what a {!spawn}ed process does when its event fires,
+    so [schedule t ~at (fun () -> start t f)] is [spawn ~at t f]. Lets a
+    callback decide, when it runs, whether its work may block. *)
+
 type timer
 (** Handle to a pending one-shot callback. *)
 

@@ -1,5 +1,7 @@
 module Store = Mdds_kvstore.Store
 module Row = Mdds_kvstore.Row
+module Slots = Mdds_kvstore.Slots
+module Strtbl = Mdds_kvstore.Strtbl
 module Txn = Mdds_types.Txn
 module Codec = Mdds_codec.Codec
 
@@ -11,11 +13,12 @@ module Codec = Mdds_codec.Codec
    chaos engine checks it after every fault event). [invalidate] drops the
    whole view (a process restart); it is rebuilt lazily from the store. *)
 type group_cache = {
+  name : string;
   log : Store.family;  (* rows "log/<group>/<pos>", by position *)
   data_prefix : string;  (* "data/<group>/" *)
   meta_key : string;  (* "logmeta/<group>" *)
-  entries : (int, Txn.entry) Hashtbl.t;  (* decoded log entries by position *)
-  txids : (string, int list) Hashtbl.t;
+  entries : Txn.entry Slots.t;  (* decoded log entries by position *)
+  txids : int list Strtbl.t;
       (* Transaction id -> the positions in [entries] whose entry holds
          it, so replay detection need not scan the log. Only the leader's
          replay check reads it, so it is built on a group's first
@@ -29,42 +32,63 @@ type group_cache = {
   mutable applied : int;
   mutable compacted : int;
   mutable meta_loaded : bool;  (* the three ints mirror the store *)
-  data_rows : (string, Row.t) Hashtbl.t;  (* data key -> store row handle *)
+  data_rows : Row.t Strtbl.t;  (* data key -> store row handle *)
   mutable data_indexed : bool;
       (* [data_rows] holds *every* data key of the group, so snapshots and
          negative lookups need not scan [Store.keys]. *)
 }
 
-type t = { store : Store.t; groups : (string, group_cache) Hashtbl.t }
+type t = {
+  store : Store.t;
+  groups : group_cache Strtbl.t;
+  mutable recent : group_cache option;
+      (* The group resolved last: most accesses repeat it, and the check
+         costs one string compare instead of a hash. *)
+}
 
-let create store = { store; groups = Hashtbl.create 4 }
+let create store = { store; groups = Strtbl.create 4; recent = None }
 let store t = t.store
 
-let cache t ~group =
-  match Hashtbl.find_opt t.groups group with
+(* The empty slot of [entries]: a block no decode returns. *)
+let absent : Txn.entry =
+  [ Txn.make_record ~txn_id:"" ~origin:(-1) ~read_position:0 ~reads:[] ~writes:[] ]
+
+let lookup t group =
+  match Strtbl.find_opt t.groups group with
   | Some c -> c
   | None ->
       let c =
         {
+          name = group;
           log = Store.family t.store ~prefix:("log/" ^ group ^ "/");
           data_prefix = "data/" ^ group ^ "/";
           meta_key = "logmeta/" ^ group;
-          entries = Hashtbl.create 64;
-          txids = Hashtbl.create 64;
+          entries = Slots.create absent;
+          txids = Strtbl.create 64;
           txids_indexed = false;
           contiguous = 0;
           last = 0;
           applied = 0;
           compacted = 0;
           meta_loaded = false;
-          data_rows = Hashtbl.create 64;
+          data_rows = Strtbl.create 64;
           data_indexed = false;
         }
       in
-      Hashtbl.replace t.groups group c;
+      Strtbl.replace t.groups group c;
       c
 
-let invalidate t = Hashtbl.reset t.groups
+let cache t ~group =
+  match t.recent with
+  | Some c when String.equal c.name group -> c
+  | _ ->
+      let c = lookup t group in
+      t.recent <- Some c;
+      c
+
+let invalidate t =
+  Strtbl.reset t.groups;
+  t.recent <- None
 
 let meta_attr t c name =
   match Store.attribute t.store ~key:c.meta_key name with
@@ -95,84 +119,86 @@ let flush_meta t c =
 
 (* Presence discovered through the cache advances the gap-scan watermark. *)
 let rec advance c =
-  if Hashtbl.mem c.entries (c.contiguous + 1) then begin
+  if Slots.mem c.entries (c.contiguous + 1) then begin
     c.contiguous <- c.contiguous + 1;
     advance c
   end
 
-let held c txn_id = Option.value (Hashtbl.find_opt c.txids txn_id) ~default:[]
+let held c txn_id = Option.value (Strtbl.find_opt c.txids txn_id) ~default:[]
 
 let index_entry c pos e =
   List.iter
     (fun (r : Txn.record) ->
       let held = held c r.Txn.txn_id in
       if not (List.mem pos held) then
-        Hashtbl.replace c.txids r.Txn.txn_id (pos :: held))
+        Strtbl.replace c.txids r.Txn.txn_id (pos :: held))
     e
 
 (* Every change to [entries] goes through these two, which keep the
    transaction id index, once built, in step with it. *)
 let cache_entry c pos e =
-  Hashtbl.replace c.entries pos e;
+  Slots.set c.entries pos e;
   if c.txids_indexed then index_entry c pos e;
   advance c
 
 let uncache_entry c pos =
-  match Hashtbl.find_opt c.entries pos with
-  | None -> ()
-  | Some e ->
-      Hashtbl.remove c.entries pos;
-      if c.txids_indexed then
-        List.iter
-          (fun (r : Txn.record) ->
-            match List.filter (fun p -> p <> pos) (held c r.Txn.txn_id) with
-            | [] -> Hashtbl.remove c.txids r.Txn.txn_id
-            | rest -> Hashtbl.replace c.txids r.Txn.txn_id rest)
-          e
+  let e = Slots.get c.entries pos in
+  if e != absent then begin
+    Slots.clear c.entries pos;
+    if c.txids_indexed then
+      List.iter
+        (fun (r : Txn.record) ->
+          match List.filter (fun p -> p <> pos) (held c r.Txn.txn_id) with
+          | [] -> Strtbl.remove c.txids r.Txn.txn_id
+          | rest -> Strtbl.replace c.txids r.Txn.txn_id rest)
+        e
+  end
 
 let ensure_txids c =
   if not c.txids_indexed then begin
-    Hashtbl.iter (index_entry c) c.entries;
+    Slots.iter (index_entry c) c.entries;
     c.txids_indexed <- true
   end
 
-let decode_log_row = function
-  | None -> None
-  | Some (_, attrs) -> (
-      match Row.attribute attrs "entry" with
-      | None -> None
-      | Some encoded -> Some (Codec.decode_exn Txn.entry_codec encoded))
+(* The durable entry at a position, decoded; [absent] if none. *)
+let decode_at c pos =
+  match Store.attribute_at c.log pos "entry" with
+  | None -> absent
+  | Some encoded -> Codec.decode_exn Txn.entry_codec encoded
 
-let entry_in c pos =
-  match Hashtbl.find_opt c.entries pos with
-  | Some _ as hit -> hit
-  | None -> (
-      match decode_log_row (Store.read_at c.log pos) with
-      | None -> None
-      | Some e as hit ->
-          cache_entry c pos e;
-          hit)
+(* The entry at a position, decoded and cached on first sight; [absent]
+   if the log holds none. *)
+let find c pos =
+  let e = Slots.get c.entries pos in
+  if e != absent then e
+  else
+    let e = decode_at c pos in
+    if e != absent then cache_entry c pos e;
+    e
 
-let entry t ~group ~pos = entry_in (cache t ~group) pos
+let entry t ~group ~pos =
+  let e = find (cache t ~group) pos in
+  if e == absent then None else Some e
 
 let append t ~group ~pos ?encoded e =
   let c = cache t ~group in
   load_meta t c;
-  (match entry_in c pos with
-  | Some existing when not (Txn.equal_entry existing e) ->
-      failwith
-        (Printf.sprintf
-           "Wal.append: conflicting entry for %s position %d (R1 violation)"
-           group pos)
-  | Some _ -> () (* duplicate apply: idempotent *)
-  | None -> (
-      let encoded =
-        match encoded with
-        | Some bytes -> bytes
-        | None -> Codec.encode Txn.entry_codec e
-      in
-      Store.write_at c.log pos [ ("entry", encoded) ];
-      cache_entry c pos e));
+  let existing = find c pos in
+  if existing == absent then begin
+    let encoded =
+      match encoded with
+      | Some bytes -> bytes
+      | None -> Codec.encode Txn.entry_codec e
+    in
+    Store.write_at c.log pos [ ("entry", encoded) ];
+    cache_entry c pos e
+  end
+  else if not (Txn.equal_entry existing e) then
+    failwith
+      (Printf.sprintf
+         "Wal.append: conflicting entry for %s position %d (R1 violation)"
+         group pos);
+  (* else a duplicate apply: idempotent *)
   if pos > c.last then begin
     c.last <- pos;
     flush_meta t c
@@ -194,8 +220,8 @@ let first_gap t ~group ~upto =
     else if pos > c.compacted && pos <= c.contiguous then
       (* Known-present prefix: skip to the first unknown position. *)
       go (c.contiguous + 1)
-    else
-      match entry_in c pos with None -> Some pos | Some _ -> go (pos + 1)
+    else if find c pos == absent then Some pos
+    else go (pos + 1)
   in
   go 1
 
@@ -217,11 +243,11 @@ let logged_at t ~group ~txn_id ~from ~upto =
   in
   let rec probe pos =
     if pos >= indexed then None
-    else if Hashtbl.mem c.entries pos then probe (pos + 1)
+    else if Slots.mem c.entries pos then probe (pos + 1)
     else
-      match entry_in c pos with
-      | Some e when Txn.mem_entry ~txn_id e -> Some pos
-      | _ -> probe (pos + 1)
+      let e = find c pos in
+      if e != absent && Txn.mem_entry ~txn_id e then Some pos
+      else probe (pos + 1)
   in
   match probe (max from (c.contiguous + 1)) with
   | Some _ as hit -> hit
@@ -241,24 +267,24 @@ let compacted_position t ~group =
    per-write cost is one small-hashtable probe instead of key sprintf +
    store lookup. *)
 let data_row t c key =
-  match Hashtbl.find_opt c.data_rows key with
+  match Strtbl.find_opt c.data_rows key with
   | Some row -> row
   | None ->
       let row = Store.row t.store ~key:(c.data_prefix ^ key) in
-      Hashtbl.replace c.data_rows key row;
+      Strtbl.replace c.data_rows key row;
       row
 
 (* Read path: must not create rows for absent keys. Once the group is
    fully indexed, negative lookups are answered from the index alone. *)
 let find_data_row t c key =
-  match Hashtbl.find_opt c.data_rows key with
+  match Strtbl.find_opt c.data_rows key with
   | Some _ as hit -> hit
   | None ->
       if c.data_indexed then None
       else (
         match Store.row_handle t.store ~key:(c.data_prefix ^ key) with
         | Some row ->
-            Hashtbl.replace c.data_rows key row;
+            Strtbl.replace c.data_rows key row;
             Some row
         | None -> None)
 
@@ -268,9 +294,9 @@ let ensure_data_index t c =
     List.iter
       (fun key ->
         let data_key = String.sub key n (String.length key - n) in
-        if not (Hashtbl.mem c.data_rows data_key) then
+        if not (Strtbl.mem c.data_rows data_key) then
           match Store.row_handle t.store ~key with
-          | Some row -> Hashtbl.replace c.data_rows data_key row
+          | Some row -> Strtbl.replace c.data_rows data_key row
           | None -> ())
       (Store.keys ~prefix:c.data_prefix t.store);
     c.data_indexed <- true
@@ -291,7 +317,7 @@ let marker_applied t c (record : Txn.record) =
       String.starts_with ~prefix:twopc_prefix w.Txn.key
       &&
       match find_data_row t c w.Txn.key with
-      | Some row -> Row.latest row <> None
+      | Some row -> Row.chain row != Row.Nil
       | None -> false)
     record.Txn.writes
 
@@ -325,12 +351,13 @@ let apply t ~group ~upto =
   let rec go pos =
     if pos > upto then Ok ()
     else
-      match entry_in c pos with
-      | None -> Error (`Gap pos)
-      | Some e ->
-          apply_entry t c ~pos e;
-          c.applied <- pos;
-          go (pos + 1)
+      let e = find c pos in
+      if e == absent then Error (`Gap pos)
+      else begin
+        apply_entry t c ~pos e;
+        c.applied <- pos;
+        go (pos + 1)
+      end
   in
   let from = max c.applied c.compacted + 1 in
   let result = go from in
@@ -372,14 +399,14 @@ let snapshot t ~group =
   load_meta t c;
   ensure_data_index t c;
   let rows =
-    Hashtbl.fold
+    Strtbl.fold
       (fun data_key row acc ->
-        match Row.latest row with
-        | Some (version, attrs) -> (
-            match Row.attribute attrs "v" with
-            | Some value -> (data_key, version, value) :: acc
+        match Row.chain row with
+        | Row.Version v -> (
+            match Row.attribute v.value "v" with
+            | Some value -> (data_key, v.ts, value) :: acc
             | None -> acc)
-        | None -> acc)
+        | Row.Nil -> acc)
       c.data_rows []
   in
   (c.applied, rows)
@@ -413,18 +440,16 @@ let read_data t ~group ~key ~at =
   match find_data_row t c key with
   | None -> None
   | Some row -> (
-      match Row.read row ~timestamp:at () with
-      | None -> None
-      | Some (_, attrs) -> Row.attribute attrs "v")
+      match Row.at row at with
+      | Row.Nil -> None
+      | Row.Version v -> Row.attribute v.value "v")
 
 let data_version t ~group ~key ~at =
   let c = cache t ~group in
   match find_data_row t c key with
   | None -> None
   | Some row -> (
-      match Row.read row ~timestamp:at () with
-      | None -> None
-      | Some (ts, _) -> Some ts)
+      match Row.at row at with Row.Nil -> None | Row.Version v -> Some v.ts)
 
 let dump t ~group =
   let c = cache t ~group in
@@ -432,9 +457,8 @@ let dump t ~group =
   let rec go pos acc =
     if pos < 1 then acc
     else
-      match entry_in c pos with
-      | None -> go (pos - 1) acc
-      | Some e -> go (pos - 1) ((pos, e) :: acc)
+      let e = find c pos in
+      if e == absent then go (pos - 1) acc else go (pos - 1) ((pos, e) :: acc)
   in
   go c.last []
 
@@ -444,7 +468,7 @@ let dump t ~group =
 exception Incoherent of string
 
 let coherence t ~group =
-  match Hashtbl.find_opt t.groups group with
+  match Strtbl.find_opt t.groups group with
   | None -> Ok () (* no cached view: trivially coherent *)
   | Some c -> (
       let fail fmt =
@@ -464,19 +488,18 @@ let coherence t ~group =
         if c.contiguous < c.compacted then
           fail "contiguous %d below compacted %d" c.contiguous c.compacted;
         for pos = c.compacted + 1 to c.contiguous do
-          if not (Hashtbl.mem c.entries pos) then
+          if not (Slots.mem c.entries pos) then
             fail "position %d inside the contiguous watermark is not cached" pos
         done;
-        Hashtbl.iter
+        Slots.iter
           (fun pos cached ->
-            match decode_log_row (Store.read_at c.log pos) with
-            | None -> fail "cached entry at %d has no durable row" pos
-            | Some stored ->
-                if not (Txn.equal_entry cached stored) then
-                  fail "cached entry at %d differs from durable decode" pos)
+            let stored = decode_at c pos in
+            if stored == absent then fail "cached entry at %d has no durable row" pos
+            else if not (Txn.equal_entry cached stored) then
+              fail "cached entry at %d differs from durable decode" pos)
           c.entries;
         if c.txids_indexed then begin
-        Hashtbl.iter
+        Slots.iter
           (fun pos cached ->
             List.iter
               (fun (r : Txn.record) ->
@@ -485,21 +508,20 @@ let coherence t ~group =
                     r.Txn.txn_id pos)
               cached)
           c.entries;
-        Hashtbl.iter
+        Strtbl.iter
           (fun txn_id positions ->
             if positions = [] then fail "txid %s indexed at no position" txn_id;
             List.iter
               (fun pos ->
-                match Hashtbl.find_opt c.entries pos with
-                | Some e when Txn.mem_entry ~txn_id e -> ()
-                | Some _ ->
-                    fail "txid %s indexed at %d, not in its entry" txn_id pos
-                | None ->
-                    fail "txid %s indexed at uncached position %d" txn_id pos)
+                let e = Slots.get c.entries pos in
+                if e == absent then
+                  fail "txid %s indexed at uncached position %d" txn_id pos
+                else if not (Txn.mem_entry ~txn_id e) then
+                  fail "txid %s indexed at %d, not in its entry" txn_id pos)
               positions)
           c.txids
         end;
-        Hashtbl.iter
+        Strtbl.iter
           (fun data_key row ->
             match Store.row_handle t.store ~key:(c.data_prefix ^ data_key) with
             | Some stored when stored == row -> ()
@@ -511,7 +533,7 @@ let coherence t ~group =
           List.iter
             (fun key ->
               let data_key = String.sub key n (String.length key - n) in
-              if not (Hashtbl.mem c.data_rows data_key) then
+              if not (Strtbl.mem c.data_rows data_key) then
                 fail "durable data row %s missing from the index" data_key)
             (Store.keys ~prefix:c.data_prefix t.store)
         end;
@@ -519,7 +541,7 @@ let coherence t ~group =
       with Incoherent msg -> Error msg)
 
 let coherent t =
-  Hashtbl.fold
+  Strtbl.fold
     (fun group _ acc ->
       match acc with Ok () -> coherence t ~group | Error _ -> acc)
     t.groups (Ok ())
@@ -534,7 +556,7 @@ let coherent t =
    and re-derived from the log on recovery. *)
 
 let durable_coherent t ~group =
-  match Hashtbl.find_opt t.groups group with
+  match Strtbl.find_opt t.groups group with
   | None -> Ok ()
   | Some c -> (
       let fail fmt =
@@ -559,7 +581,7 @@ let durable_coherent t ~group =
             fail "meta compacted: cached %d, durable %d" c.compacted
               (attr "compacted")
         end;
-        Hashtbl.iter
+        Slots.iter
           (fun pos cached ->
             let durable = Store.durable_versions_at c.log pos in
             let reproducible =
@@ -597,7 +619,8 @@ type recovery = {
 
 let recover t ~group =
   (* Decode from scratch: recovery must trust nothing volatile. *)
-  Hashtbl.remove t.groups group;
+  Strtbl.remove t.groups group;
+  t.recent <- None;
   let c = cache t ~group in
   let scrubbed = ref (Store.scrub t.store ~key:c.meta_key) in
   let scrub key = scrubbed := !scrubbed + Store.scrub t.store ~key in
@@ -622,13 +645,13 @@ let recover t ~group =
   let reapplied = ref 0 in
   let rec go pos =
     if pos <= last then
-      match entry_in c pos with
-      | None -> ()
-      | Some e ->
-          apply_entry t c ~pos e;
-          c.applied <- pos;
-          incr reapplied;
-          go (pos + 1)
+      let e = find c pos in
+      if e != absent then begin
+        apply_entry t c ~pos e;
+        c.applied <- pos;
+        incr reapplied;
+        go (pos + 1)
+      end
   in
   go (c.applied + 1);
   flush_meta t c;

@@ -24,7 +24,8 @@
 
     {b Decoded view vs durable truth.} The encoded rows are the sole source
     of truth; on top of them the WAL keeps a volatile, write-through decoded
-    view per group — log entries decoded once and cached by position, the
+    view per group — log entries decoded once and cached by position (in
+    {!Mdds_kvstore.Slots}: one word per position, no table bucket), the
     [last]/[applied]/[compacted] watermarks as plain ints, a
     contiguous-prefix watermark that lets gap scans skip the known-present
     prefix, an index from transaction id to the cached positions holding

@@ -176,6 +176,49 @@ let test_service_read_with_learn () =
   Cluster.run cluster;
   Alcotest.(check bool) "ran" true !done_
 
+(* Restart scans every group with a durable row. The groups come from
+   the named rows and the families' prefixes, and must be the ones a
+   scan of every row key finds. *)
+let test_durable_groups () =
+  with_service (fun _cluster service ->
+      let store = Service.store service in
+      let entry = [ record "t1" ~writes:[ ("x", "1") ] ] in
+      ignore (Service.handle service ~src:1 (Messages.Prepare { group; pos = 1; ballot = b 2 1 }));
+      ignore (Service.handle service ~src:1 (Messages.apply ~group ~pos:1 entry));
+      ignore
+        (Service.handle service ~src:0
+           (Messages.Claim_leadership { group = "claims"; pos = 3; claimant = "a" }));
+      ignore
+        (Service.handle service ~src:1
+           (Messages.Prepare { group = "votes"; pos = 2; ballot = b 2 1 }));
+      ignore (Mdds_kvstore.Store.write store ~key:"data/only-data/k" [ ("v", "1") ]);
+      ignore (Mdds_kvstore.Store.write store ~key:"recover/only-recover" [ ("4", "1") ]);
+      ignore (Mdds_kvstore.Store.write store ~key:"other/ignored" [ ("v", "1") ]);
+      (* A family emptied by compaction names no group by itself. *)
+      ignore
+        (Service.handle service ~src:1
+           (Messages.Prepare { group = "gone"; pos = 1; ballot = b 2 1 }));
+      Mdds_kvstore.Store.delete store ~key:"paxos/gone/1";
+      let by_keys =
+        Mdds_kvstore.Store.keys store
+        |> List.filter_map (fun key ->
+               match String.split_on_char '/' key with
+               | kind :: g :: _
+                 when g <> ""
+                      && List.mem kind
+                           [ "logmeta"; "log"; "data"; "paxos"; "claim"; "recover" ] ->
+                   Some g
+               | _ -> None)
+        |> List.sort_uniq String.compare
+      in
+      Alcotest.(check (list string)) "the groups every row key names"
+        [ "claims"; "g"; "only-data"; "only-recover"; "votes" ] by_keys;
+      Alcotest.(check (list string)) "durable_groups" by_keys
+        (Service.durable_groups service);
+      Service.restart service;
+      Alcotest.(check (list string)) "after a restart" by_keys
+        (Service.durable_groups service))
+
 let test_service_restart_keeps_promises () =
   with_service (fun _cluster service ->
       (* Promise ballot (5,1), vote at it, then restart. *)
@@ -864,6 +907,8 @@ let () =
           Alcotest.test_case "leadership claims" `Quick test_service_claim;
           Alcotest.test_case "read triggers learn" `Quick test_service_read_with_learn;
           Alcotest.test_case "restart keeps promises" `Quick test_service_restart_keeps_promises;
+          Alcotest.test_case "durable groups from rows and families" `Quick
+            test_durable_groups;
           Alcotest.test_case "proposer adopts existing vote" `Quick test_proposer_adopts_existing_vote;
           Alcotest.test_case "fast path falls back" `Quick test_fast_path_falls_back;
         ] );

@@ -559,10 +559,12 @@ let mangle_checksum store key =
   (* Forge torn damage behind the service's back: the row's latest version
      keeps its body but its checksum can no longer match. *)
   let row = Store.row store ~key in
-  match Row.versions row with
-  | (ts, v) :: rest ->
-      Row.restore row ((ts, ("#sum", "00000000") :: List.remove_assoc "#sum" v) :: rest)
-  | [] -> Alcotest.failf "no versions to mangle at %s" key
+  match Row.chain row with
+  | Row.Version v ->
+      Row.restore row
+        (Row.Version
+           { v with value = ("#sum", "00000000") :: List.remove_assoc "#sum" v.value })
+  | Row.Nil -> Alcotest.failf "no versions to mangle at %s" key
 
 let test_dirty_crashes_racing_commits () =
   (* Storage-level power losses fired while commits are mid-flight: every
@@ -668,6 +670,43 @@ let test_torn_damage_quarantines_until_relearned () =
             (Mdds_types.Txn.equal_entry e entry)
       | None -> Alcotest.fail "entry missing after release");
   Cluster.run cluster;
+  Verify.check_exn cluster ~group
+
+(* The same damage, met over the network: a client at dc2, which never
+   saw position 1, races for it, so its prepare reaches dc1's service
+   through the RPC layer while the position is quarantined. Answering it
+   re-learns the position first, a blocking call, so the service must
+   run that handler as a process, not inline. *)
+let test_quarantined_prepare_over_rpc () =
+  let config = { Config.default with rpc_timeout = 0.3; max_rounds = 3 } in
+  let cluster =
+    Cluster.create ~seed:3 ~config ~storage:Store.Sync_explicit
+      (Topology.ec2 "VVV")
+  in
+  let b = Mdds_paxos.Ballot.make ~round:2 ~proposer:0 in
+  let entry =
+    [
+      Mdds_types.Txn.make_record ~txn_id:"victim" ~origin:0 ~read_position:0
+        ~reads:[]
+        ~writes:[ { Mdds_types.Txn.key = "x"; value = "decided" } ];
+    ]
+  in
+  Cluster.spawn cluster (fun () ->
+      List.iter
+        (fun dc ->
+          let s = Cluster.service cluster dc in
+          ignore (Service.handle s ~src:0 (Messages.Prepare { group; pos = 1; ballot = b }));
+          ignore (Service.handle s ~src:0 (Messages.accept ~group ~pos:1 ~ballot:b entry)))
+        [ 0; 1 ];
+      mangle_checksum (Service.store (Cluster.service cluster 1)) ("paxos/" ^ group ^ "/1");
+      Cluster.dirty_restart cluster 1;
+      let txn = Client.begin_ (Cluster.client cluster ~dc:2) ~group in
+      Alcotest.(check int) "dc2 reads before position 1" 0 (Client.read_position txn);
+      Client.write txn "y" "racer";
+      ignore (Client.commit txn));
+  Cluster.run cluster;
+  Alcotest.(check bool) "dc1 re-learned the position" true
+    ((Service.recovery_stats (Cluster.service cluster 1)).Service.relearned >= 1);
   Verify.check_exn cluster ~group
 
 let test_exhausted_recovery_ladder_aborts () =
@@ -800,6 +839,8 @@ let () =
             test_dirty_crashes_racing_commits;
           Alcotest.test_case "torn vote quarantined until re-learned" `Quick
             test_torn_damage_quarantines_until_relearned;
+          Alcotest.test_case "quarantined prepare over RPC" `Quick
+            test_quarantined_prepare_over_rpc;
           Alcotest.test_case "exhausted ladder aborts, never hangs" `Quick
             test_exhausted_recovery_ladder_aborts;
           QCheck_alcotest.to_alcotest crash_recovery_prop;

@@ -249,10 +249,10 @@ let headroom = 0.02
 (* shape, simulation words/commit, oracle words/commit *)
 let ceilings =
   [
-    ("ycsb-cp", 5398.6, 115.5);
-    ("batched leader", 6521.8, 116.5);
-    ("failover", 9095.6, 127.0);
-    ("cross-group", 11756.5, 846.0);
+    ("ycsb-cp", 5053.6, 109.5);
+    ("batched leader", 6102.2, 110.7);
+    ("failover", 8489.2, 116.9);
+    ("cross-group", 11189.4, 819.4);
   ]
 
 let batched = Config.throughput ~batch_max:8 ~pipeline_depth:4 Config.leader
@@ -346,6 +346,45 @@ let test_alloc_budget name setup () =
     within "oracle" oracle oracle_ceiling
   end
 
+(* Resident budget: the words the cluster still holds once its run is
+   over ([Obj.reachable_words] of the whole cluster: stores, logs,
+   decoded views, audit trail), per commit, on the same four shapes.
+   Like minor words, the count is a pure function of the shape and the
+   compiler, so the same warm-up and identity rules apply; what it
+   prices is the per-position footprint a replica keeps, which the major
+   GC marks on every cycle. *)
+let resident_ceilings =
+  [
+    ("ycsb-cp", 495.8);
+    ("batched leader", 577.5);
+    ("failover", 1297.0);
+    ("cross-group", 1357.1);
+  ]
+
+let resident_per_commit setup =
+  let cluster, _, _ = setup () in
+  Cluster.run cluster;
+  let commits =
+    float_of_int (Audit.summarize (Audit.events (Cluster.audit cluster))).commits
+  in
+  (commits, float_of_int (Obj.reachable_words (Obj.repr cluster)) /. commits)
+
+let test_resident_budget name setup () =
+  Mdds_parallel.Pool.set_jobs (Some 1);
+  Fun.protect ~finally:(fun () -> Mdds_parallel.Pool.set_jobs None)
+  @@ fun () ->
+  ignore (resident_per_commit setup);
+  let ((commits, words) as first) = resident_per_commit setup in
+  Alcotest.(check (pair (float 0.0) (float 0.0)))
+    "identical words on a second run" first (resident_per_commit setup);
+  Printf.printf "%s on OCaml %s, %.0f commits: resident %.1f words/commit\n"
+    name Sys.ocaml_version commits words;
+  let ceiling = List.assoc name resident_ceilings in
+  if String.equal Sys.ocaml_version recorded_on && words > ceiling *. (1.0 +. headroom)
+  then
+    Alcotest.failf "%s: resident %.1f words/commit is above its ceiling %.1f (+%.0f%%)"
+      name words ceiling (100.0 *. headroom)
+
 (* Every id resolves before any figure runs: an unknown one is refused
    without first printing the tables of the ids before it. *)
 let test_unknown_figure_rejected () =
@@ -396,6 +435,11 @@ let () =
         List.map
           (fun (name, setup) ->
             Alcotest.test_case name `Quick (test_alloc_budget name setup))
+          budget_shapes );
+      ( "resident-budget",
+        List.map
+          (fun (name, setup) ->
+            Alcotest.test_case name `Quick (test_resident_budget name setup))
           budget_shapes );
       ( "figures",
         [

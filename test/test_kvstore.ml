@@ -158,10 +158,12 @@ let mangle_checksum store key =
      that cannot match its body. [Row.restore] bypasses the write buffer,
      exactly like a disk sector going bad behind the store's back. *)
   let row = Store.row store ~key in
-  match Row.versions row with
-  | (ts, v) :: rest ->
-      Row.restore row ((ts, ("#sum", "00000000") :: List.remove_assoc "#sum" v) :: rest)
-  | [] -> Alcotest.failf "no versions to mangle at %s" key
+  match Row.chain row with
+  | Row.Version v ->
+      Row.restore row
+        (Row.Version
+           { v with value = ("#sum", "00000000") :: List.remove_assoc "#sum" v.value })
+  | Row.Nil -> Alcotest.failf "no versions to mangle at %s" key
 
 let test_sync_always_crash_noop () =
   (* Default mode: every write is durable as it lands, crash loses
@@ -808,6 +810,36 @@ let prop_family_matches_plain mode name =
        QCheck.Gen.(list_size (1 -- 40) fop_gen))
     (run_family_model mode)
 
+(* Positional slots: absent outside what was set, negative positions
+   included; growth keeps what was set; iteration is ascending. *)
+let test_slots () =
+  let module Slots = Mdds_kvstore.Slots in
+  let absent = ref 0 in
+  let t = Slots.create absent in
+  Alcotest.(check bool) "empty reads absent" true (Slots.get t 5 == absent);
+  Alcotest.(check bool) "negative reads absent" true (Slots.get t (-1) == absent);
+  let a = ref 1 and b = ref 2 in
+  Slots.set t 3 a;
+  Slots.set t 200 b;
+  Slots.set t 3 a;
+  Alcotest.(check bool) "kept across growth" true (Slots.get t 3 == a);
+  Alcotest.(check int) "live" 2 (Slots.live t);
+  Alcotest.(check (list int)) "positions" [ 3; 200 ] (Slots.positions t);
+  let seen = ref [] in
+  Slots.iter (fun pos v -> seen := (pos, !v) :: !seen) t;
+  Alcotest.(check (list (pair int int))) "iter ascending" [ (3, 1); (200, 2) ]
+    (List.rev !seen);
+  Slots.clear t 3;
+  Slots.clear t 3;
+  Alcotest.(check bool) "cleared" false (Slots.mem t 3);
+  Alcotest.(check int) "live after clear" 1 (Slots.live t);
+  Alcotest.check_raises "out of range"
+    (Invalid_argument "Slots.set: position -1 out of range") (fun () ->
+      Slots.set t (-1) a);
+  Slots.reset t;
+  Alcotest.(check (list int)) "reset" [] (Slots.positions t);
+  Alcotest.(check int) "live after reset" 0 (Slots.live t)
+
 let () =
   Alcotest.run "kvstore"
     [
@@ -856,6 +888,7 @@ let () =
         ] );
       ( "families",
         [
+          Alcotest.test_case "positional slots" `Quick test_slots;
           Alcotest.test_case "opening adopts stored rows" `Quick test_family_adopts_rows;
           Alcotest.test_case "leading zero stays a named row" `Quick
             test_family_leading_zero_is_named;

@@ -389,6 +389,38 @@ let test_rpc_concurrent_handlers () =
   Engine.run engine;
   Alcotest.(check (list string)) "fast overtakes slow" [ "slow"; "fast" ] !order
 
+(* An inline handler runs without a process of its own and replies; a
+   request the predicate turns down still gets one, so its handler may
+   sleep. Either way a request costs the same events at the same
+   instants: the run with the predicate matches the run without it. *)
+let test_rpc_inline_handlers () =
+  let run inline =
+    let engine, _net, rpc = make_rpc () in
+    Rpc.serve rpc ~node:1 ?inline ~processing:0.02 (fun ~src:_ req ->
+        if req = "slow" then Engine.sleep 1.0;
+        req ^ "-done");
+    let replies = ref [] in
+    let ask ~after req =
+      Engine.spawn engine (fun () ->
+          Engine.sleep after;
+          let reply = Rpc.call rpc ~src:0 ~dst:1 ~timeout:5.0 req in
+          replies := (reply, Engine.now engine) :: !replies)
+    in
+    ask ~after:0.0 "slow";
+    ask ~after:0.01 "fast";
+    ask ~after:0.02 "fast";
+    Engine.run engine;
+    (List.rev !replies, Engine.processed engine)
+  in
+  let inline_replies, inline_events = run (Some (fun req -> req <> "slow")) in
+  Alcotest.(check (list (option string))) "every request answered"
+    [ Some "fast-done"; Some "fast-done"; Some "slow-done" ]
+    (List.map fst inline_replies);
+  let spawned_replies, spawned_events = run None in
+  Alcotest.(check (list (pair (option string) (float 0.0))))
+    "same replies at the same instants" spawned_replies inline_replies;
+  Alcotest.(check int) "same events" spawned_events inline_events
+
 let test_rpc_lossy_statistics () =
   (* Under heavy loss, calls may fail but never mis-deliver. *)
   let engine, _net, rpc = make_rpc ~loss:0.3 ~seed:5 () in
@@ -533,6 +565,7 @@ let () =
           Alcotest.test_case "broadcast partial on timeout" `Quick test_rpc_broadcast_timeout_partial;
           Alcotest.test_case "notify one-way" `Quick test_rpc_notify;
           Alcotest.test_case "concurrent handlers" `Quick test_rpc_concurrent_handlers;
+          Alcotest.test_case "inline handlers" `Quick test_rpc_inline_handlers;
           Alcotest.test_case "lossy calls stay correct" `Quick test_rpc_lossy_statistics;
           Alcotest.test_case "late responses dropped" `Quick test_rpc_late_response_dropped;
           Alcotest.test_case "completed calls cancel their timers" `Quick

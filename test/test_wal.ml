@@ -373,11 +373,12 @@ let explicit () =
 let mangle_checksum store key =
   (* Forge torn damage behind the WAL's back (callers must invalidate). *)
   let row = Store.row store ~key in
-  match Mdds_kvstore.Row.versions row with
-  | (ts, v) :: rest ->
+  match Mdds_kvstore.Row.chain row with
+  | Mdds_kvstore.Row.Version v ->
       Mdds_kvstore.Row.restore row
-        ((ts, ("#sum", "00000000") :: List.remove_assoc "#sum" v) :: rest)
-  | [] -> Alcotest.failf "no versions to mangle at %s" key
+        (Mdds_kvstore.Row.Version
+           { v with value = ("#sum", "00000000") :: List.remove_assoc "#sum" v.value })
+  | Mdds_kvstore.Row.Nil -> Alcotest.failf "no versions to mangle at %s" key
 
 let test_recover_reapplies_lazy_applies () =
   (* Appends sync (they are the commit point); data applies are lazy and

@@ -167,8 +167,6 @@ let checked pos =
   pos
 
 let slot f pos = Slots.get f.slots pos
-let set_slot f pos row = Slots.set f.slots pos row
-let clear_slot f pos = Slots.clear f.slots pos
 
 (* The row a key names, [absent] if none. *)
 let lookup t key =
@@ -180,12 +178,12 @@ let lookup t key =
 let insert t loc row =
   match loc with
   | Key key -> Rows.replace t.rows key row
-  | Slot (f, pos) -> set_slot f pos row
+  | Slot (f, pos) -> Slots.set f.slots pos row
 
 let remove t loc =
   match loc with
   | Key key -> Rows.remove t.rows key
-  | Slot (f, pos) -> clear_slot f pos
+  | Slot (f, pos) -> Slots.clear f.slots pos
 
 let family t ~prefix =
   let n = String.length prefix in
@@ -205,7 +203,7 @@ let family t ~prefix =
         t.rows []
       |> List.iter (fun (key, row) ->
              Rows.remove t.rows key;
-             set_slot f (parse_position key n) row);
+             Slots.set f.slots (parse_position key n) row);
       (* Journal records say where a row lived; re-point those the family
          now owns, so a rollback puts them back in its slots. *)
       let move = function Key key -> loc_of_key t key | Slot _ as loc -> loc in

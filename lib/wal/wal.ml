@@ -53,36 +53,35 @@ let store t = t.store
 let absent : Txn.entry =
   [ Txn.make_record ~txn_id:"" ~origin:(-1) ~read_position:0 ~reads:[] ~writes:[] ]
 
-let lookup t group =
-  match Strtbl.find_opt t.groups group with
-  | Some c -> c
-  | None ->
-      let c =
-        {
-          name = group;
-          log = Store.family t.store ~prefix:("log/" ^ group ^ "/");
-          data_prefix = "data/" ^ group ^ "/";
-          meta_key = "logmeta/" ^ group;
-          entries = Slots.create absent;
-          txids = Strtbl.create 64;
-          txids_indexed = false;
-          contiguous = 0;
-          last = 0;
-          applied = 0;
-          compacted = 0;
-          meta_loaded = false;
-          data_rows = Strtbl.create 64;
-          data_indexed = false;
-        }
-      in
-      Strtbl.replace t.groups group c;
-      c
-
 let cache t ~group =
   match t.recent with
   | Some c when String.equal c.name group -> c
   | _ ->
-      let c = lookup t group in
+      let c =
+        match Strtbl.find_opt t.groups group with
+        | Some c -> c
+        | None ->
+            let c =
+              {
+                name = group;
+                log = Store.family t.store ~prefix:("log/" ^ group ^ "/");
+                data_prefix = "data/" ^ group ^ "/";
+                meta_key = "logmeta/" ^ group;
+                entries = Slots.create absent;
+                txids = Strtbl.create 64;
+                txids_indexed = false;
+                contiguous = 0;
+                last = 0;
+                applied = 0;
+                compacted = 0;
+                meta_loaded = false;
+                data_rows = Strtbl.create 64;
+                data_indexed = false;
+              }
+            in
+            Strtbl.replace t.groups group c;
+            c
+      in
       t.recent <- Some c;
       c
 

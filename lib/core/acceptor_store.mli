@@ -1,13 +1,12 @@
 (** The acceptor side of Algorithm 1, kept in the key-value store.
 
     Every piece of Paxos acceptor state lives in durable rows — one
-    [paxos/<group>/<pos>] row (nextBal and vote) and one
-    [claim/<group>/<pos>] row (the leadership-claim register) per log
+    row (nextBal and vote) in the family [paxos/<group>/] and one (the
+    leadership-claim register) in the family [claim/<group>/] per log
     position — and is updated only through [check_and_write] retry
-    loops, so any number of concurrent handlers are safe. Both kinds of
-    row are positional families of the store
-    ({!Mdds_kvstore.Store.family}): they are read and written by position,
-    with no key built, but their keys are the ones above. A decoded
+    loops, so any number of concurrent handlers are safe. The families
+    are the store's positional ones ({!Mdds_kvstore.Store.family}): their
+    rows are reached by position only and have no string key. A decoded
     write-through cache of the paxos rows serves repeat reads: one flat
     record per position ({!Mdds_kvstore.Slots}), holding nextBal and the
     decoded vote beside the row's raw [nb] and vote bytes, so the next

@@ -74,17 +74,19 @@ let fetch_snapshot t ~group ~at_least =
 type fill = Learned | Installed | Unfilled
 
 (* Fill one missing position: learn its decided entry from the acceptors,
-   or — unlearnable, possibly compacted away everywhere — install a peer
-   snapshot that covers it. *)
+   or install a peer snapshot that covers it. The learner stops at the
+   first prepare round a majority refuses as compacted, so a position
+   compacted away goes straight to the snapshot; one it could not learn
+   for want of a quorum tries the snapshot too. *)
 let fill t ~group ~pos =
   match Proposer.learn t.env ~group ~pos with
-  | Some entry ->
+  | Ok entry ->
       Counters.incr t.counters Learns;
       Trace.record t.env.trace ~source:t.source ~category:"learn"
         "learned entry for pos %d" pos;
       Wal.append t.wal ~group ~pos entry;
       Learned
-  | None ->
+  | Error (`Compacted | `Unavailable) ->
       if fetch_snapshot t ~group ~at_least:pos then Installed else Unfilled
 
 let ensure_applied t ~group ~upto =

@@ -28,6 +28,10 @@ val ensure_applied : t -> group:string -> upto:int -> (unit, int) result
     three snapshot installs; [Error pos] names the first position that
     could be neither learned nor covered by a snapshot. *)
 
+val fetch_snapshot : t -> group:string -> at_least:int -> bool
+(** Install the first peer snapshot whose applied watermark reaches
+    [at_least]; [false] if no peer answered with one. *)
+
 val quarantined : t -> group:string -> pos:int -> bool
 (** [true] while Paxos messages for the position must be refused. A
     quarantined position is re-entered (and the durable set updated)

@@ -78,7 +78,7 @@ let request_with_fallback t req ~describe =
           Rpc.call t.env.Proposer.rpc ~src:t.env.Proposer.dc ~dst
             ~timeout:(Proposer.timeout_for t.env ~dst) req
         with
-        | Some (Messages.Failed _) | None -> go (attempts - 1) rest
+        | Some (Messages.Unlearnable _) | None -> go (attempts - 1) rest
         | Some resp ->
             (match t.env.Proposer.rtt with
             | Some rtt -> Rtt.observe rtt ~dst (now t -. started)
@@ -192,7 +192,7 @@ let commit_basic t txn (record : Txn.record) =
   | Proposer.Observed _ ->
       (* The basic chooser never stops early. *)
       assert false
-  | Proposer.Unavailable ->
+  | Proposer.Unavailable | Proposer.Compacted ->
       if !exposed then (Audit.Unknown, stats)
       else (Audit.Aborted { reason = Audit.Unavailable; promotions = 0 }, stats)
 
@@ -254,7 +254,7 @@ let commit_cp t txn (record : Txn.record) =
           | Some cap when promotions >= cap ->
               (Audit.Aborted { reason = Audit.Promotion_limit; promotions }, acc)
           | _ -> go (pos + 1) (promotions + 1) acc)
-    | Proposer.Unavailable ->
+    | Proposer.Unavailable | Proposer.Compacted ->
         if !exposed then (Audit.Unknown, acc)
         else (Audit.Aborted { reason = Audit.Unavailable; promotions }, acc)
   in

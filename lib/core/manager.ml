@@ -264,6 +264,12 @@ let propose_sync (t : t) b ~pos batch =
       if Txn.equal_entry entry' entry then Hashtbl.replace t.won group pos;
       deliver_decided b ~pos entry' batch
   | Proposer.Observed entry', _ -> deliver_decided b ~pos entry' batch
+  | Proposer.Compacted, _ ->
+      (* This replica's log ended below a position a majority has decided
+         and compacted: install a peer's snapshot past it, and the batch
+         lost the position, so the next one starts after the snapshot. *)
+      ignore (Catchup.fetch_snapshot t.catchup ~group ~at_least:pos);
+      deliver_decided b ~pos [] batch
   | Proposer.Unavailable, _ -> List.iter (give_up b) batch
 
 (* A pipelined round failed (refused sequenced accept, timeout, or a rival
@@ -344,7 +350,7 @@ let resolve_window (t : t) ~submit b =
                   Hashtbl.replace t.won group slot.sl_pos
                 else prefix_ok := false;
                 deliver_decided b ~pos:slot.sl_pos entry slot.sl_pendings
-            | Proposer.Unavailable, _ ->
+            | (Proposer.Unavailable | Proposer.Compacted), _ ->
                 unavailable := true;
                 in_doubt ()
           end)

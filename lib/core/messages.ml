@@ -34,7 +34,9 @@ type response =
   | Claim_reply of { first : bool }
   | Submit_reply of { result : submit_result }
   | Snapshot_reply of { applied : int; rows : (string * int * string) list }
-  | Failed of string
+  | Compacted of int
+  | Recovering
+  | Unlearnable of int
 
 let encode_entry entry = Mdds_codec.Codec.encode Txn.entry_codec entry
 
@@ -101,4 +103,6 @@ let pp_response ppf = function
         | In_doubt -> "in-doubt")
   | Snapshot_reply { applied; rows } ->
       Format.fprintf ppf "snapshot(applied=%d,%d rows)" applied (List.length rows)
-  | Failed msg -> Format.fprintf ppf "failed(%s)" msg
+  | Compacted upto -> Format.fprintf ppf "failed(compacted through %d)" upto
+  | Recovering -> Format.fprintf ppf "failed(position recovering)"
+  | Unlearnable pos -> Format.fprintf ppf "failed(cannot learn log position %d)" pos

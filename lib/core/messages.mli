@@ -85,9 +85,16 @@ type response =
   | Snapshot_reply of { applied : int; rows : (string * int * string) list }
       (** The peer's applied watermark and latest [(key, version, value)]
           per data row of the group. *)
-  | Failed of string
-      (** Service-side failure (e.g. could not learn a missing log entry
-          because no quorum is reachable). *)
+  | Compacted of int
+      (** A Paxos message or claim refused: the position is at or below
+          this replica's compaction point, carried here. It is decided and
+          applied, and its acceptor state is gone. *)
+  | Recovering
+      (** A Paxos message or claim refused: the position is quarantined
+          until this replica re-learns it (storage damage, PROTOCOL.md §7). *)
+  | Unlearnable of int
+      (** A read refused: this log position is missing here and could be
+          neither learned nor covered by a peer's snapshot. *)
 
 val encode_entry : Txn.entry -> string
 (** [Codec.encode Txn.entry_codec]: the bytes [Accept] and [Apply] carry. *)

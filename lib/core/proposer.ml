@@ -45,7 +45,11 @@ let observer env =
 
 type choice = Propose of Txn.entry | Stop of Txn.entry | Retry
 
-type result = Decided of Txn.entry | Observed of Txn.entry | Unavailable
+type result =
+  | Decided of Txn.entry
+  | Observed of Txn.entry
+  | Unavailable
+  | Compacted
 
 type stats = { prepare_rounds : int; accept_rounds : int; fast_path_used : bool }
 
@@ -117,19 +121,30 @@ let accept_round ?sequenced env ~group ~pos ~ballot ~encoded entry =
   in
   (oks >= quorum env, max_seen)
 
-(* One prepare round: Some (votes) once a majority promised, None with the
-   highest nextBal hint otherwise. *)
+(* How one prepare round ended. *)
+type prepared =
+  | Promised of Txn.entry Tally.response list  (* a majority promised *)
+  | Rejected of Ballot.t  (* the highest nextBal hint seen *)
+  | Closed  (* a majority refused the position as compacted *)
+
+let rec count p n = function
+  | [] -> n
+  | (_, r) :: rest -> count p (if p r then n + 1 else n) rest
+
+let is_promise = function Messages.Promise _ -> true | _ -> false
+let is_compacted = function Messages.Compacted _ -> true | _ -> false
+
+(* One prepare round. A compacted position is decided and its acceptor
+   state gone wherever it was compacted, so once a majority says so no
+   later round can gather a majority of promises: the round ends there. *)
 let prepare_round env ~group ~pos ~ballot =
   let replies =
     Rpc.broadcast env.rpc ~src:env.dc ~dsts:env.dcs
       ~timeout:(broadcast_timeout env) ?observe:(observer env)
       ~linger:prepare_linger
       ~enough:(fun responses ->
-        List.length
-          (List.filter
-             (function _, Messages.Promise _ -> true | _ -> false)
-             responses)
-        >= quorum env)
+        count is_promise 0 responses >= quorum env
+        || count is_compacted 0 responses >= quorum env)
       (Messages.Prepare { group; pos; ballot })
   in
   let votes, max_seen =
@@ -142,8 +157,9 @@ let prepare_round env ~group ~pos ~ballot =
         | _ -> (votes, seen))
       ([], Ballot.bottom) replies
   in
-  if List.length votes >= quorum env then Ok (List.rev votes)
-  else Error max_seen
+  if List.length votes >= quorum env then Promised (List.rev votes)
+  else if count is_compacted 0 replies >= quorum env then Closed
+  else Rejected max_seen
 
 let run env ~group ~pos ?fast ~choose () =
   let stats = ref { prepare_rounds = 0; accept_rounds = 0; fast_path_used = false } in
@@ -188,10 +204,14 @@ let run env ~group ~pos ?fast ~choose () =
           Trace.record env.trace ~source ~category:"prepare" "pos %d ballot %a round %d"
             pos show_ballot ballot round;
           match prepare_round env ~group ~pos ~ballot with
-          | Error seen ->
+          | Closed ->
+              Trace.record env.trace ~level:Trace.Warn ~source ~category:"giveup"
+                "pos %d: compacted at a majority" pos;
+              (Compacted, !stats)
+          | Rejected seen ->
               backoff env;
               attempt (Ballot.next ~after:(if Ballot.compare seen ballot > 0 then seen else ballot) ~proposer:env.dc) (round + 1)
-          | Ok votes -> (
+          | Promised votes -> (
               match choose votes with
               | Stop entry -> (Observed entry, !stats)
               | Retry ->
@@ -255,5 +275,6 @@ let learn env ~group ~pos =
     | None -> Retry
   in
   match run env ~group ~pos ~choose () with
-  | Decided entry, _ | Observed entry, _ -> Some entry
-  | Unavailable, _ -> None
+  | Decided entry, _ | Observed entry, _ -> Ok entry
+  | Compacted, _ -> Error `Compacted
+  | Unavailable, _ -> Error `Unavailable

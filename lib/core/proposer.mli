@@ -72,6 +72,10 @@ type result =
   | Unavailable
       (** [max_rounds] exhausted without a quorum — datacenters down,
           partition, or persistent contention. *)
+  | Compacted
+      (** A majority refused a prepare because the position is at or
+          below their compaction point: it is decided, and no later round
+          can gather a majority of promises. *)
 
 type stats = {
   prepare_rounds : int;
@@ -105,7 +109,13 @@ val run_fast :
     whole in-flight prefix is chosen with this leader's entries (safe to
     report out of order). *)
 
-val learn : env -> group:string -> pos:int -> Txn.entry option
+val learn :
+  env ->
+  group:string ->
+  pos:int ->
+  (Txn.entry, [ `Compacted | `Unavailable ]) Stdlib.result
 (** Drive the instance for a position whose value this datacenter missed,
-    returning the chosen value ([None] if no quorum is reachable or no
-    value has been proposed yet). Never introduces a new value. *)
+    returning the chosen value. [`Compacted]: a majority has compacted the
+    position, so only a peer's snapshot can cover it. [`Unavailable]: no
+    quorum reachable, or no value proposed yet. Never introduces a new
+    value. *)

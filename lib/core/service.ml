@@ -86,10 +86,10 @@ let leader_of_position t ~group ~pos =
    quarantined position is refused until it is re-learned
    ({!Catchup.quarantined}). *)
 let guarded t ~group ~pos answer =
-  if pos <= Wal.compacted_position t.wal ~group then
-    Messages.Failed (Printf.sprintf "position %d compacted" pos)
+  let compacted = Wal.compacted_position t.wal ~group in
+  if pos <= compacted then Messages.Compacted compacted
   else if Catchup.quarantined t.catchup ~group ~pos then
-    Messages.Failed (Printf.sprintf "position %d recovering" pos)
+    Messages.Recovering
   else answer ()
 
 let handle t ~src:_ request =
@@ -103,8 +103,7 @@ let handle t ~src:_ request =
       | Ok () ->
           Messages.Value
             { value = Wal.read_data t.wal ~group ~key ~at:position }
-      | Error pos ->
-          Messages.Failed (Printf.sprintf "cannot learn log position %d" pos))
+      | Error pos -> Messages.Unlearnable pos)
   | Messages.Prepare { group; pos; ballot } ->
       guarded t ~group ~pos (fun () ->
           Acceptor_store.prepare t.acceptors ~group ~pos ~ballot)
@@ -156,12 +155,12 @@ let inline t = function
       true
 
 (* Groups present in the durable store, recovered from the row-key layout
-   [<kind>/<group>[/...]] (restart cannot trust any volatile group list).
-   A positional family's prefix names its group, so a family row's key is
-   never formatted. *)
+   [<kind>/<group>[/...]] (restart cannot trust any volatile group list):
+   the named rows' keys, and the prefixes of the positional families that
+   hold rows. *)
 let durable_groups t =
   let kinds = [ "logmeta"; "log"; "data"; "paxos"; "claim"; "recover" ] in
-  Store.family_prefixes t.store @ Store.named_keys t.store
+  Store.family_prefixes t.store @ Store.keys t.store
   |> List.filter_map (fun key ->
          match String.split_on_char '/' key with
          | kind :: group :: _ when group <> "" && List.mem kind kinds ->

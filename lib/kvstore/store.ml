@@ -5,9 +5,8 @@ type mode = Sync_always | Sync_explicit
 (* Named rows: one table keyed by the full key. *)
 module Rows = Strtbl
 
-(* A positional row family: the rows whose key is [prefix ^ string_of_int
-   pos], kept in slots indexed by [pos] — no key string and no bucket per
-   row. [absent] marks an empty slot. *)
+(* A positional row family: rows kept in slots indexed by position — no
+   key string and no bucket per row. [absent] marks an empty slot. *)
 type family = { owner : t; prefix : string; slots : Row.t Slots.t }
 
 (* Where a row lives, as the undo journal records it. *)
@@ -91,89 +90,23 @@ let stamp t value =
       (checksum_attr, checksum_body value) :: value
 
 (* ------------------------------------------------------------------ *)
-(* Row families and key routing. A string key reaches a family row when
-   its tail after the last '/' is the canonical decimal of a position
-   (digits, no leading zero, below [max_position]) and the part up to
-   and including that '/' is an opened family's prefix. Every other key
-   is a named row. *)
+(* Row families. A family's rows live only in its slots: a string key
+   always names a row of [rows], whatever it spells. *)
 
 (* One row stands for every empty slot; it is never written nor handed
    out. *)
 let absent = Row.create ()
 
-(* A key spelling a larger number stays a named row, so no stray key
-   sizes an array. *)
-let max_position = Slots.limit
-
-let is_digit c = c >= '0' && c <= '9'
-
-let parse_position key i =
-  let pos = ref 0 in
-  for j = i to String.length key - 1 do
-    pos := (!pos * 10) + Char.code (String.unsafe_get key j) - Char.code '0'
-  done;
-  !pos
-
-(* The index where [key]'s position starts (just after its last '/'),
-   or -1 when its tail spells no family position. Allocates nothing, so
-   named keys pay one backward scan over their trailing digits. *)
-let tail_start key =
-  let n = String.length key in
-  let rec back i =
-    if i > 0 && is_digit (String.unsafe_get key (i - 1)) then back (i - 1) else i
-  in
-  let i = back n in
-  let digits = n - i in
-  if
-    digits = 0 || digits > 7 || i = 0
-    || key.[i - 1] <> '/'
-    || (digits > 1 && key.[i] = '0')
-    || parse_position key i >= max_position
-  then -1
-  else i
-
-(* The family whose prefix is [key]'s first [n] bytes, compared in place
-   so a named key with a numeric tail allocates nothing either. *)
-let rec same_bytes a b i =
-  i < 0
-  || (String.unsafe_get a i = String.unsafe_get b i && same_bytes a b (i - 1))
-
-let rec owner_of families key n =
-  match families with
-  | [] -> None
-  | f :: rest ->
-      if String.length f.prefix = n && same_bytes f.prefix key (n - 1) then
-        Some f
-      else owner_of rest key n
-
-(* A lookup's route. Unlike [loc], its named case is an immediate, so
-   routing a named key allocates nothing. *)
-type route = Named | At of family * int
-
-let route t key =
-  let i = tail_start key in
-  if i < 0 then Named
-  else
-    match owner_of t.families key i with
-    | None -> Named
-    | Some f -> At (f, parse_position key i)
-
-let loc_of_key t key =
-  match route t key with Named -> Key key | At (f, pos) -> Slot (f, pos)
-
 let checked pos =
-  if pos < 0 || pos >= max_position then
+  if pos < 0 || pos >= Slots.limit then
     invalid_arg (Printf.sprintf "Store: family position %d out of range" pos);
   pos
 
 let slot f pos = Slots.get f.slots pos
 
-(* The row a key names, [absent] if none. *)
+(* The named row [key], [absent] if none. *)
 let lookup t key =
-  match route t key with
-  | Named -> (
-      match Rows.find_opt t.rows key with Some row -> row | None -> absent)
-  | At (f, pos) -> slot f pos
+  match Rows.find_opt t.rows key with Some row -> row | None -> absent
 
 let insert t loc row =
   match loc with
@@ -186,34 +119,14 @@ let remove t loc =
   | Slot (f, pos) -> Slots.clear f.slots pos
 
 let family t ~prefix =
-  let n = String.length prefix in
-  match owner_of t.families prefix n with
+  match List.find_opt (fun f -> String.equal f.prefix prefix) t.families with
   | Some f -> f
   | None ->
+      let n = String.length prefix in
       if n = 0 || prefix.[n - 1] <> '/' then
         invalid_arg ("Store.family: prefix " ^ prefix ^ " does not end in '/'");
       let f = { owner = t; prefix; slots = Slots.create absent } in
       t.families <- f :: t.families;
-      (* Adopt the rows already stored under the prefix. *)
-      Rows.fold
-        (fun key row acc ->
-          if tail_start key = n && String.starts_with ~prefix key then
-            (key, row) :: acc
-          else acc)
-        t.rows []
-      |> List.iter (fun (key, row) ->
-             Rows.remove t.rows key;
-             Slots.set f.slots (parse_position key n) row);
-      (* Journal records say where a row lived; re-point those the family
-         now owns, so a rollback puts them back in its slots. *)
-      let move = function Key key -> loc_of_key t key | Slot _ as loc -> loc in
-      t.journal <-
-        List.map
-          (function
-            | Created loc -> Created (move loc)
-            | Deleted (loc, row, versions) -> Deleted (move loc, row, versions)
-            | Mutated _ as u -> u)
-          t.journal;
       f
 
 (* ------------------------------------------------------------------ *)
@@ -240,13 +153,13 @@ let create_row t loc =
   insert t loc row;
   row
 
-let row_handle t ~key =
-  let row = lookup t key in
-  if row == absent then None else Some row
+let handle row = if row == absent then None else Some row
+let row_handle t ~key = handle (lookup t key)
+let row_handle_at f pos = handle (slot f (checked pos))
 
 let row t ~key =
   let row = lookup t key in
-  if row != absent then row else create_row t (loc_of_key t key)
+  if row != absent then row else create_row t (Key key)
 
 let row_at f pos =
   let row = slot f pos in
@@ -338,7 +251,7 @@ let forget t loc row =
 
 let delete t ~key =
   let row = lookup t key in
-  if row != absent then forget t (loc_of_key t key) row
+  if row != absent then forget t (Key key) row
 
 let delete_at f pos =
   let row = slot f (checked pos) in
@@ -347,27 +260,9 @@ let delete_at f pos =
 let positions f = Slots.positions f.slots
 
 let keys ?(prefix = "") t =
-  let named =
-    Rows.fold
-      (fun key _ acc ->
-        if String.starts_with ~prefix key then key :: acc else acc)
-      t.rows []
-  in
-  List.fold_left
-    (fun acc f ->
-      if
-        String.starts_with ~prefix f.prefix
-        || String.starts_with ~prefix:f.prefix prefix
-      then
-        List.fold_left
-          (fun acc pos ->
-            let key = f.prefix ^ string_of_int pos in
-            if String.starts_with ~prefix key then key :: acc else acc)
-          acc (positions f)
-      else acc)
-    named t.families
-
-let named_keys t = Rows.fold (fun key _ acc -> key :: acc) t.rows []
+  Rows.fold
+    (fun key _ acc -> if String.starts_with ~prefix key then key :: acc else acc)
+    t.rows []
 
 let family_prefixes t =
   List.filter_map
@@ -492,7 +387,7 @@ let durable_versions_of t loc row =
   match !state with None -> [] | Some (_, chain) -> valid_versions chain
 
 let durable_versions t ~key =
-  durable_versions_of t (loc_of_key t key) (lookup t key)
+  durable_versions_of t (Key key) (lookup t key)
 
 let durable_versions_at f pos =
   durable_versions_of f.owner (Slot (f, checked pos)) (slot f pos)
@@ -524,6 +419,6 @@ let scrub_row t loc row =
     end;
     dropped
 
-let scrub t ~key = scrub_row t (loc_of_key t key) (lookup t key)
+let scrub t ~key = scrub_row t (Key key) (lookup t key)
 
 let scrub_at f pos = scrub_row f.owner (Slot (f, checked pos)) (slot f pos)

@@ -107,16 +107,12 @@ val delete : t -> key:string -> unit
 (** Drop a row and all its versions (used by log compaction). *)
 
 val keys : ?prefix:string -> t -> string list
-(** All row keys starting with [prefix] (default: every key), unordered.
-    Family rows are listed under the key they answer to. *)
-
-val named_keys : t -> string list
-(** The keys of the rows outside every family, unordered. *)
+(** The keys of the named rows starting with [prefix] (default: every
+    key), unordered. Family rows have no key and are not listed. *)
 
 val family_prefixes : t -> string list
 (** The prefixes of the opened families that hold at least one row.
-    With {!named_keys}, this names every row of the store without
-    formatting a key per family row. *)
+    With {!keys}, this names every row of the store. *)
 
 val row_count : t -> int
 
@@ -128,23 +124,20 @@ val reset : t -> unit
 (** {1 Positional row families}
 
     The transaction tier keeps one row per log position and group for
-    its log entries, acceptor state and leadership claims
-    ([log/<group>/<pos>], [paxos/<group>/<pos>], [claim/<group>/<pos>]).
-    A {e family} holds the rows whose key is [prefix ^ string_of_int pos]
-    in {!Slots} indexed by [pos]: no key string, no hash-table bucket,
-    and an access that neither builds nor hashes a key.
+    its log entries, acceptor state and leadership claims. A {e family}
+    holds such rows in {!Slots} indexed by position: no key string, no
+    hash-table bucket, and an access that neither builds nor hashes a
+    key.
 
-    A family changes where rows live, never what the store holds:
-    - A string key reaches a family row when its tail after the last
-      ['/'] is the canonical decimal of a position (no leading zero,
-      below 2{^22}) and the part through that ['/'] is a family's prefix.
-      ["log/g/7"] and position 7 of family ["log/g/"] are one row;
-      ["log/g/07"] and ["log/g/x"] stay named rows.
-    - Opening a family adopts the rows already stored under its prefix.
-    - Every operation behaves exactly as its string-key counterpart on
-      the key the position spells: retention, the write buffer's journal,
-      dirty and torn crashes, {!scrub} and {!durable_versions}. {!keys}
-      and {!row_count} count family rows like any other.
+    Named rows and family rows are two disjoint namespaces:
+    - A string key always names a named row. ["log/g/7"] is an ordinary
+      named row, even beside an opened family ["log/g/"], and position 7
+      of that family is a different row that only the handle reaches.
+    - A family starts empty. Opening it adopts nothing.
+    - Every positional operation behaves as its string-key counterpart
+      does on a named row: retention, the write buffer's journal, dirty
+      and torn crashes, {!scrub} and {!durable_versions}. {!row_count}
+      counts family rows; {!keys} does not list them.
 
     Positional calls raise [Invalid_argument] for a position outside
     [0, 2{^22}). *)
@@ -152,8 +145,9 @@ val reset : t -> unit
 type family
 
 val family : t -> prefix:string -> family
-(** The family of [prefix] (which must end in ['/']), opened on first
-    use and the same handle afterwards. It stays valid across {!reset}. *)
+(** The family of [prefix] (which must end in ['/']), opened empty on
+    first use and the same handle afterwards. It stays valid across
+    {!reset}. *)
 
 val read_at : family -> int -> (int * value) option
 (** The latest version at a position ({!read} without [timestamp]). *)
@@ -179,6 +173,9 @@ val delete_at : family -> int -> unit
 val positions : family -> int list
 (** The positions that hold a row, ascending. *)
 
+val row_handle_at : family -> int -> Row.t option
+(** {!row_handle} at a position. *)
+
 (** {1 Sync points and crashes (crash-consistency model)} *)
 
 val sync : t -> unit
@@ -186,7 +183,10 @@ val sync : t -> unit
     No-op in [Sync_always] mode, where writes are durable as they land. *)
 
 val unsynced : t -> int
-(** Number of keys with buffered (not yet durable) changes. *)
+(** Length of the write buffer's undo journal. A row adds one record
+    for its first write after a sync point (its creation, if it is new)
+    and one for each deletion, so a row written and then deleted before
+    the next sync point counts twice. Always 0 in [Sync_always] mode. *)
 
 val crash : ?torn:bool -> t -> lose_unsynced:bool -> unit
 (** Power-loss at the storage level. With [~lose_unsynced:true] the store

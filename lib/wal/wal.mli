@@ -13,14 +13,16 @@
     application watermark.
 
     Row layout (one store, many groups):
-    - ["log/<group>/<pos>"]: attribute ["entry"] = encoded {!Mdds_types.Txn.entry};
-    - ["logmeta/<group>"]: attributes ["last"], ["applied"], ["compacted"];
-    - ["data/<group>/<key>"]: attribute ["v"], versioned by log position.
+    - position [pos] of the family ["log/<group>/"]
+      ({!Mdds_kvstore.Store.family}): attribute ["entry"] = encoded
+      {!Mdds_types.Txn.entry};
+    - named row ["logmeta/<group>"]: attributes ["last"], ["applied"],
+      ["compacted"];
+    - named rows ["data/<group>/<key>"]: attribute ["v"], versioned by log
+      position.
 
-    The log rows are a positional family of the store
-    ({!Mdds_kvstore.Store.family}, prefix ["log/<group>/"]): the WAL reads
-    and writes them by position and never builds their keys, but the keys
-    and the rows under them are the ones listed above.
+    A log row is reached by position only: it has no string key, and a
+    named row whose key spells ["log/<group>/<pos>"] is a different row.
 
     {b Decoded view vs durable truth.} The encoded rows are the sole source
     of truth; on top of them the WAL keeps a volatile, write-through decoded

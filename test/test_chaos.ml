@@ -407,6 +407,18 @@ let test_throughput_cross_seeds () =
     seeds
     (Runner.run_many (List.map (cross_spec ~throughput:true) seeds))
 
+(* Seed 178 of both cross-group soaks: dc0 came back with its log ending
+   below positions its peers had compacted. Its learner spent all its
+   prepare rounds on a position every peer refused as compacted, and its
+   manager kept proposing there, so the post-heal probe in dc0 never
+   committed. A majority of [Compacted] refusals now ends the learner's
+   ladder at a snapshot install, and the manager's proposal with one. *)
+let test_compacted_catch_up_seed () =
+  List.iter2
+    (fun mode r -> expect_clean (Printf.sprintf "%s cross seed 178" mode) r)
+    [ "unbatched"; "throughput" ]
+    (Runner.run_many [ cross_spec 178; cross_spec ~throughput:true 178 ])
+
 (* Shrunk repro (cross-group soak seed 129, unbatched leader): the same
    orphaned-drainer L1 violation with batch 1 / depth 1. A drainer
    blocked in the learner's catch-up survived the manager's restart,
@@ -518,6 +530,8 @@ let () =
             test_throughput_cross_seeds;
           Alcotest.test_case "unbatched restart during catch-up stays honest"
             `Quick test_unbatched_restart_during_catch_up;
+          Alcotest.test_case "compacted catch-up seed stays available" `Quick
+            test_compacted_catch_up_seed;
         ] );
       ( "spec",
         List.map

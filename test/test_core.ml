@@ -177,10 +177,11 @@ let test_service_read_with_learn () =
   Alcotest.(check bool) "ran" true !done_
 
 (* Restart scans every group with a durable row. The groups come from
-   the named rows and the families' prefixes, and must be the ones a
-   scan of every row key finds. *)
+   the named rows' keys and from the families that hold rows, which
+   name no key; the reference reads each family through its handle. *)
 let test_durable_groups () =
   with_service (fun _cluster service ->
+      let module Store = Mdds_kvstore.Store in
       let store = Service.store service in
       let entry = [ record "t1" ~writes:[ ("x", "1") ] ] in
       ignore (Service.handle service ~src:1 (Messages.Prepare { group; pos = 1; ballot = b 2 1 }));
@@ -191,16 +192,16 @@ let test_durable_groups () =
       ignore
         (Service.handle service ~src:1
            (Messages.Prepare { group = "votes"; pos = 2; ballot = b 2 1 }));
-      ignore (Mdds_kvstore.Store.write store ~key:"data/only-data/k" [ ("v", "1") ]);
-      ignore (Mdds_kvstore.Store.write store ~key:"recover/only-recover" [ ("4", "1") ]);
-      ignore (Mdds_kvstore.Store.write store ~key:"other/ignored" [ ("v", "1") ]);
+      ignore (Store.write store ~key:"data/only-data/k" [ ("v", "1") ]);
+      ignore (Store.write store ~key:"recover/only-recover" [ ("4", "1") ]);
+      ignore (Store.write store ~key:"other/ignored" [ ("v", "1") ]);
       (* A family emptied by compaction names no group by itself. *)
       ignore
         (Service.handle service ~src:1
            (Messages.Prepare { group = "gone"; pos = 1; ballot = b 2 1 }));
-      Mdds_kvstore.Store.delete store ~key:"paxos/gone/1";
-      let by_keys =
-        Mdds_kvstore.Store.keys store
+      Store.delete_at (Store.family store ~prefix:"paxos/gone/") 1;
+      let named =
+        Store.keys store
         |> List.filter_map (fun key ->
                match String.split_on_char '/' key with
                | kind :: g :: _
@@ -211,12 +212,23 @@ let test_durable_groups () =
                | _ -> None)
         |> List.sort_uniq String.compare
       in
-      Alcotest.(check (list string)) "the groups every row key names"
-        [ "claims"; "g"; "only-data"; "only-recover"; "votes" ] by_keys;
-      Alcotest.(check (list string)) "durable_groups" by_keys
+      Alcotest.(check (list string)) "the groups the named rows name"
+        [ "g"; "only-data"; "only-recover" ] named;
+      let in_families =
+        List.filter
+          (fun g ->
+            List.exists
+              (fun kind -> Store.positions (Store.family store ~prefix:(kind ^ "/" ^ g ^ "/")) <> [])
+              [ "log"; "paxos"; "claim" ])
+          [ "claims"; "g"; "gone"; "votes" ]
+      in
+      Alcotest.(check (list string)) "the groups whose families hold rows"
+        [ "claims"; "g"; "votes" ] in_families;
+      let expected = List.sort_uniq String.compare (named @ in_families) in
+      Alcotest.(check (list string)) "durable_groups" expected
         (Service.durable_groups service);
       Service.restart service;
-      Alcotest.(check (list string)) "after a restart" by_keys
+      Alcotest.(check (list string)) "after a restart" expected
         (Service.durable_groups service))
 
 let test_service_restart_keeps_promises () =

@@ -237,7 +237,7 @@ let test_oracle_catches_log_divergence () =
      entry, bypassing the protocol. *)
   let wal = Service.wal (Cluster.service cluster 1) in
   let store = Service.store (Cluster.service cluster 1) in
-  Mdds_kvstore.Store.delete store ~key:(Printf.sprintf "log/%s/2" group);
+  Mdds_kvstore.Store.(delete_at (family store ~prefix:("log/" ^ group ^ "/")) 2);
   (* The raw delete went behind the WAL's decoded cache: drop it so the
      forged append below sees the corrupted durable state. *)
   Wal.invalidate wal;

@@ -11,7 +11,6 @@ module Wal = Mdds_wal.Wal
 module Topology = Mdds_net.Topology
 module Engine = Mdds_sim.Engine
 module Store = Mdds_kvstore.Store
-module Row = Mdds_kvstore.Row
 module Messages = Mdds_core.Messages
 
 let group = "g"
@@ -249,6 +248,8 @@ let test_compaction_snapshot_catchup () =
   Cluster.run cluster;
   (* Reading at the new head through dc2: Paxos learning is impossible for
      the compacted prefix, so it must install a snapshot. *)
+  let trace = Cluster.trace cluster in
+  Mdds_sim.Trace.enable trace;
   let reader = Cluster.client cluster ~dc:2 in
   let seen = ref None in
   Cluster.spawn cluster (fun () ->
@@ -260,7 +261,15 @@ let test_compaction_snapshot_catchup () =
   let dc2 = Cluster.service cluster 2 in
   Alcotest.(check bool) "used a snapshot" true (Service.snapshots dc2 > 0);
   Alcotest.(check bool) "watermark advanced" true
-    (Wal.applied_position (Service.wal dc2) ~group >= head)
+    (Wal.applied_position (Service.wal dc2) ~group >= head);
+  (* Both peers refuse the learner's first prepare as compacted: it
+     stops there instead of spending its round budget. *)
+  Alcotest.(check int) "one prepare round before the snapshot" 1
+    (List.length
+       (List.filter
+          (fun (e : Mdds_sim.Trace.event) ->
+            e.source = "prop.dc2" && e.category = "prepare")
+          (Mdds_sim.Trace.events trace)))
 
 (* Chaos: random outages, partitions and heals injected throughout a
    random workload, under each protocol. Whatever happens, the execution
@@ -486,7 +495,8 @@ let test_compacted_claim_not_regranted () =
      Service.handle dc0 ~src:1
        (Messages.Claim_leadership { group; pos = 2; claimant = "rival" })
    with
-  | Messages.Failed _ -> ()
+  | Messages.Compacted upto ->
+      Alcotest.(check int) "refusal carries the compaction point" head upto
   | Messages.Claim_reply { first } ->
       Alcotest.(check bool) "claim at compacted position re-granted" false
         first
@@ -555,16 +565,12 @@ let test_multiple_groups_independent () =
    ladder (PROTOCOL.md §7). These run the store in Sync_explicit mode so
    dirty and torn crashes have something to lose.                       *)
 
-let mangle_checksum store key =
-  (* Forge torn damage behind the service's back: the row's latest version
-     keeps its body but its checksum can no longer match. *)
-  let row = Store.row store ~key in
-  match Row.chain row with
-  | Row.Version v ->
-      Row.restore row
-        (Row.Version
-           { v with value = ("#sum", "00000000") :: List.remove_assoc "#sum" v.value })
-  | Row.Nil -> Alcotest.failf "no versions to mangle at %s" key
+(* Forge torn damage behind the service's back on dc1's vote row at
+   position 1. *)
+let tear_vote cluster =
+  Forge.mangle_checksum
+    (Forge.family_row (Service.store (Cluster.service cluster 1))
+       ~prefix:("paxos/" ^ group ^ "/") 1)
 
 let test_dirty_crashes_racing_commits () =
   (* Storage-level power losses fired while commits are mid-flight: every
@@ -632,7 +638,7 @@ let test_torn_damage_quarantines_until_relearned () =
       (* dc1's durable vote row is torn; the storage crash takes the
          service down with it. The recovery scan must scrub the damage and
          quarantine the position. *)
-      mangle_checksum (Service.store (Cluster.service cluster 1)) ("paxos/" ^ group ^ "/1");
+      tear_vote cluster;
       Cluster.dirty_restart cluster 1;
       let dc1 = Cluster.service cluster 1 in
       Alcotest.(check bool) "scrub counted" true
@@ -646,8 +652,7 @@ let test_torn_damage_quarantines_until_relearned () =
            (Messages.Prepare
               { group; pos = 1; ballot = Mdds_paxos.Ballot.make ~round:1 ~proposer:2 })
        with
-      | Messages.Failed msg ->
-          Alcotest.(check string) "fenced while unlearnable" "position 1 recovering" msg
+      | Messages.Recovering -> ()
       | Messages.Promise _ -> Alcotest.fail "silent re-vote from reverted state"
       | r -> Alcotest.failf "unexpected reply: %a" Messages.pp_response r);
       (* Peers return: the decided value is re-learned and the position
@@ -698,7 +703,7 @@ let test_quarantined_prepare_over_rpc () =
           ignore (Service.handle s ~src:0 (Messages.Prepare { group; pos = 1; ballot = b }));
           ignore (Service.handle s ~src:0 (Messages.accept ~group ~pos:1 ~ballot:b entry)))
         [ 0; 1 ];
-      mangle_checksum (Service.store (Cluster.service cluster 1)) ("paxos/" ^ group ^ "/1");
+      tear_vote cluster;
       Cluster.dirty_restart cluster 1;
       let txn = Client.begin_ (Cluster.client cluster ~dc:2) ~group in
       Alcotest.(check int) "dc2 reads before position 1" 0 (Client.read_position txn);
@@ -737,7 +742,7 @@ let test_exhausted_recovery_ladder_aborts () =
       (match
          Service.handle dc2 ~src:2 (Messages.Read { group; key = "k0-1"; position = head })
        with
-      | Messages.Failed msg -> service_error := Some msg
+      | Messages.Unlearnable pos -> service_error := Some pos
       | _ -> Alcotest.fail "read served despite an unfillable gap");
       (* Client level: the failure surfaces as an abort, not a hang. *)
       try
@@ -748,9 +753,9 @@ let test_exhausted_recovery_ladder_aborts () =
       with Client.Unavailable _ -> client_aborted := true);
   Cluster.run ~until:400.0 cluster;
   (match !service_error with
-  | Some msg ->
-      Alcotest.(check bool) "names the unlearnable position" true
-        (String.starts_with ~prefix:"cannot learn log position" msg)
+  | Some pos ->
+      Alcotest.(check (option int)) "names the unlearnable position"
+        (Wal.first_gap (Service.wal dc2) ~group ~upto:head) (Some pos)
   | None -> Alcotest.fail "service never answered");
   Alcotest.(check bool) "client aborted rather than hanging" true !client_aborted;
   Cluster.bring_up cluster 0;

@@ -249,10 +249,10 @@ let headroom = 0.02
 (* shape, simulation words/commit, oracle words/commit *)
 let ceilings =
   [
-    ("ycsb-cp", 5053.6, 109.5);
-    ("batched leader", 6102.2, 110.7);
-    ("failover", 8489.2, 116.9);
-    ("cross-group", 11189.4, 819.4);
+    ("ycsb-cp", 5021.8, 109.5);
+    ("batched leader", 6078.3, 110.7);
+    ("failover", 8409.6, 116.9);
+    ("cross-group", 10992.6, 819.4);
   ]
 
 let batched = Config.throughput ~batch_max:8 ~pipeline_depth:4 Config.leader

@@ -153,18 +153,6 @@ let test_store_reset () =
 
 let explicit () = Store.create ~mode:Store.Sync_explicit ()
 
-let mangle_checksum store key =
-  (* Forge torn damage: rewrite the row's latest version with a checksum
-     that cannot match its body. [Row.restore] bypasses the write buffer,
-     exactly like a disk sector going bad behind the store's back. *)
-  let row = Store.row store ~key in
-  match Row.chain row with
-  | Row.Version v ->
-      Row.restore row
-        (Row.Version
-           { v with value = ("#sum", "00000000") :: List.remove_assoc "#sum" v.value })
-  | Row.Nil -> Alcotest.failf "no versions to mangle at %s" key
-
 let test_sync_always_crash_noop () =
   (* Default mode: every write is durable as it lands, crash loses
      nothing — the pre-existing behaviour every figure run relies on. *)
@@ -186,6 +174,10 @@ let test_dirty_crash_rewinds_to_sync_point () =
   (* Buffered writes are visible immediately (page-cache semantics). *)
   Alcotest.(check (option string)) "buffered visible" (Some "buffered") (read_attr store "k");
   Alcotest.(check int) "two dirty keys" 2 (Store.unsynced store);
+  (* [unsynced] counts journal records: "k"'s write and its delete are
+     two, one row. *)
+  Store.delete store ~key:"k";
+  Alcotest.(check int) "written then deleted counts twice" 3 (Store.unsynced store);
   Store.crash store ~lose_unsynced:true;
   Alcotest.(check (option string)) "rewound to sync point" (Some "durable")
     (read_attr store "k");
@@ -261,14 +253,14 @@ let test_scrub_drops_forged_damage () =
   Store.sync store;
   ignore (Store.write store ~key:"k" (value "bad"));
   Store.sync store;
-  mangle_checksum store "k";
+  Forge.mangle_checksum (Store.row store ~key:"k");
   Alcotest.(check int) "one version dropped" 1 (Store.scrub store ~key:"k");
   Alcotest.(check (option string)) "valid predecessor restored" (Some "good")
     (read_attr store "k");
   (* A row whose every version is damaged disappears entirely. *)
   ignore (Store.write store ~key:"solo" (value "x"));
   Store.sync store;
-  mangle_checksum store "solo";
+  Forge.mangle_checksum (Store.row store ~key:"solo");
   ignore (Store.scrub store ~key:"solo");
   Alcotest.(check bool) "fully damaged row deleted" true
     (Store.read store ~key:"solo" () = None)
@@ -589,43 +581,13 @@ let prop_retention_matches_model mode name =
     (run_model mode)
 
 (* ------------------------------------------------------------------ *)
-(* Positional row families: where a row lives, never what the store
-   holds.                                                              *)
+(* Positional row families: a second namespace beside the named rows.   *)
 
 let sorted_keys store = List.sort String.compare (Store.keys store)
 
 let latest_v = function
   | None -> None
   | Some (_, attrs) -> Row.attribute attrs "v"
-
-let test_family_adopts_rows () =
-  let store = Store.create () in
-  ignore (Store.write store ~key:"log/g/3" (value "three"));
-  ignore (Store.write store ~key:"log/g/10" (value "ten"));
-  ignore (Store.write store ~key:"logmeta/g" (value "meta"));
-  let before = sorted_keys store in
-  let log = Store.family store ~prefix:"log/g/" in
-  Alcotest.(check (option string)) "adopted 3" (Some "three") (latest_v (Store.read_at log 3));
-  Alcotest.(check (option string)) "adopted 10" (Some "ten") (latest_v (Store.read_at log 10));
-  Alcotest.(check (list int)) "positions" [ 3; 10 ] (Store.positions log);
-  Alcotest.(check (list string)) "same keys" before (sorted_keys store);
-  Alcotest.(check int) "same count" 3 (Store.row_count store);
-  Alcotest.(check bool) "reopening gives the same handle" true
-    (Store.family store ~prefix:"log/g/" == log)
-
-let test_family_leading_zero_is_named () =
-  let store = Store.create () in
-  let log = Store.family store ~prefix:"log/g/" in
-  ignore (Store.write store ~key:"log/g/07" (value "named"));
-  ignore (Store.write store ~key:"log/g/x" (value "x"));
-  Alcotest.(check bool) "position 7 empty" true (Store.read_at log 7 = None);
-  Alcotest.(check (list int)) "no positions" [] (Store.positions log);
-  Store.write_at log 7 (value "seven");
-  Alcotest.(check (option string)) "named row kept" (Some "named") (read_attr store "log/g/07");
-  Alcotest.(check (option string)) "position row" (Some "seven") (read_attr store "log/g/7");
-  Alcotest.(check (list string)) "three rows"
-    [ "log/g/07"; "log/g/7"; "log/g/x" ] (sorted_keys store);
-  Alcotest.(check int) "count" 3 (Store.row_count store)
 
 let test_family_survives_reset () =
   let store = Store.create () in
@@ -635,36 +597,31 @@ let test_family_survives_reset () =
   Alcotest.(check bool) "emptied" true (Store.read_at log 1 = None);
   Alcotest.(check int) "no rows" 0 (Store.row_count store);
   Store.write_at log 2 (value "b");
-  Alcotest.(check (option string)) "handle still writes" (Some "b") (read_attr store "log/g/2");
-  Alcotest.(check (list string)) "keys" [ "log/g/2" ] (sorted_keys store)
+  Alcotest.(check (option string)) "handle still writes" (Some "b")
+    (latest_v (Store.read_at log 2));
+  Alcotest.(check (list int)) "positions" [ 2 ] (Store.positions log)
 
-let test_family_one_row_two_names () =
-  let store = explicit () in
-  let paxos = Store.family store ~prefix:"paxos/g/" in
-  ignore (Store.write store ~key:"paxos/g/5" [ ("nb", "1") ]);
-  Alcotest.(check bool) "positional cas sees the keyed write" true
-    (Store.check_and_write_at paxos 5 ~test_attribute:"nb" ~test_value:(Some "1")
-       [ ("nb", "2") ]);
-  Alcotest.(check (option string)) "keyed read sees it" (Some "2")
-    (Store.attribute store ~key:"paxos/g/5" "nb");
-  (match (Store.row_handle store ~key:"paxos/g/5", Store.row store ~key:"paxos/g/5") with
-  | Some a, b -> Alcotest.(check bool) "one handle" true (a == b)
-  | None, _ -> Alcotest.fail "no handle");
-  Store.sync store;
-  Store.delete_at paxos 5;
-  Alcotest.(check bool) "keyed read sees the delete" true
-    (Store.read store ~key:"paxos/g/5" () = None);
-  Store.crash store ~lose_unsynced:true;
-  Alcotest.(check (option string)) "rollback restores the slot" (Some "2")
-    (Option.bind (Store.read_at paxos 5) (fun (_, v) -> Row.attribute v "nb"));
-  Alcotest.(check int) "one row" 1 (Store.row_count store)
+let test_family_apart_from_named () =
+  let store = Store.create () in
+  let log = Store.family store ~prefix:"log/g/" in
+  ignore (Store.write store ~key:"log/g/7" (value "named"));
+  Alcotest.(check bool) "read_at misses the named row" true (Store.read_at log 7 = None);
+  Alcotest.(check (list int)) "no positions" [] (Store.positions log);
+  Store.write_at log 7 (value "seven");
+  Alcotest.(check (option string)) "named row kept" (Some "named") (read_attr store "log/g/7");
+  Alcotest.(check (option string)) "position row" (Some "seven")
+    (latest_v (Store.read_at log 7));
+  Alcotest.(check (list string)) "keys lists no family row" [ "log/g/7" ] (sorted_keys store);
+  Alcotest.(check int) "two rows" 2 (Store.row_count store);
+  Alcotest.(check bool) "reopening gives the same handle" true
+    (Store.family store ~prefix:"log/g/" == log)
 
-(* A store with families must answer every question exactly as one that
-   opened none, whichever API reached each row. [Open] may come late, so
-   adoption of rows (and of their journal records) is exercised too. *)
+(* The reference model: positional operations on a store with families
+   must answer exactly as the keys the positions spell do on a plain
+   store that opened none. *)
 let fam_prefixes = [| "log/g/"; "paxos/g/" |]
 
-(* Key, and the (family, position) it spells. *)
+(* Key, and the (family, position) it spells; [None] for a named row. *)
 let fam_keys =
   [|
     ("log/g/0", Some (0, 0));
@@ -679,66 +636,55 @@ let fam_keys =
   |]
 
 type fop =
-  | Open of int
-  | Fwrite of int * string * bool  (* key, value, positional *)
-  | Fwrite_ts of int * int * string
-  | Fcas of int * string option * string * bool
-  | Fdelete of int * bool
+  | Fwrite of int * string
+  | Fwrite_ts of int * int * string  (* named keys only *)
+  | Fcas of int * string option * string
+  | Fdelete of int
   | Fsync
   | Fcrash of bool * bool
-  | Fscrub of int * bool
+  | Fscrub of int
   | Freset
 
 let pp_fop = function
-  | Open f -> Printf.sprintf "open %s" fam_prefixes.(f)
-  | Fwrite (k, v, p) -> Printf.sprintf "write %s %s%s" (fst fam_keys.(k)) v (if p then " @" else "")
+  | Fwrite (k, v) -> Printf.sprintf "write %s %s" (fst fam_keys.(k)) v
   | Fwrite_ts (k, ts, v) -> Printf.sprintf "write %s ts=%d %s" (fst fam_keys.(k)) ts v
-  | Fcas (k, e, v, p) ->
-      Printf.sprintf "cas %s %s %s%s" (fst fam_keys.(k)) (Option.value e ~default:"-") v
-        (if p then " @" else "")
-  | Fdelete (k, p) -> Printf.sprintf "delete %s%s" (fst fam_keys.(k)) (if p then " @" else "")
+  | Fcas (k, e, v) ->
+      Printf.sprintf "cas %s %s %s" (fst fam_keys.(k)) (Option.value e ~default:"-") v
+  | Fdelete k -> Printf.sprintf "delete %s" (fst fam_keys.(k))
   | Fsync -> "sync"
   | Fcrash (torn, lose) -> Printf.sprintf "crash torn=%b lose=%b" torn lose
-  | Fscrub (k, p) -> Printf.sprintf "scrub %s%s" (fst fam_keys.(k)) (if p then " @" else "")
+  | Fscrub k -> Printf.sprintf "scrub %s" (fst fam_keys.(k))
   | Freset -> "reset"
 
 let fop_gen =
   let open QCheck.Gen in
   let k = int_bound (Array.length fam_keys - 1) in
+  let named = int_range 5 (Array.length fam_keys - 1) in
   let v = map string_of_int (int_bound 5) in
   frequency
     [
-      (2, map (fun f -> Open f) (int_bound 1));
-      (5, map3 (fun k v p -> Fwrite (k, v, p)) k v bool);
-      (1, map3 (fun k ts v -> Fwrite_ts (k, ts, v)) k (int_bound 6) v);
-      (4, map3 (fun (k, p) e v -> Fcas (k, e, v, p)) (pair k bool) (opt v) v);
-      (2, map2 (fun k p -> Fdelete (k, p)) k bool);
+      (5, map2 (fun k v -> Fwrite (k, v)) k v);
+      (1, map3 (fun k ts v -> Fwrite_ts (k, ts, v)) named (int_bound 6) v);
+      (4, map3 (fun k e v -> Fcas (k, e, v)) k (opt v) v);
+      (2, map (fun k -> Fdelete k) k);
       (2, return Fsync);
       (2, map2 (fun t l -> Fcrash (t, l)) bool bool);
-      (1, map2 (fun k p -> Fscrub (k, p)) k bool);
+      (1, map (fun k -> Fscrub k) k);
       (1, return Freset);
     ]
 
 let run_family_model mode ops =
   let plain = Store.create ~mode () and store = Store.create ~mode () in
-  let opened = Array.make (Array.length fam_prefixes) None in
+  let fams = Array.map (fun prefix -> Store.family store ~prefix) fam_prefixes in
   let attrs v = [ ("a", v); ("b", v ^ v); ("c", "x") ] in
-  (* The positional handle for key [k], when asked for and opened. *)
-  let at k positional =
-    match snd fam_keys.(k) with
-    | Some (f, pos) when positional -> Option.map (fun fam -> (fam, pos)) opened.(f)
-    | _ -> None
-  in
+  let at k = Option.map (fun (f, pos) -> (fams.(f), pos)) (snd fam_keys.(k)) in
   let same what a b = if a <> b then failwith (what ^ " differs") in
   let step op =
     match op with
-    | Open f ->
-        if opened.(f) = None then
-          opened.(f) <- Some (Store.family store ~prefix:fam_prefixes.(f))
-    | Fwrite (k, v, p) -> (
+    | Fwrite (k, v) -> (
         let key = fst fam_keys.(k) in
         let expected = Store.write plain ~key (attrs v) in
-        match at k p with
+        match at k with
         | Some (fam, pos) -> Store.write_at fam pos (attrs v)
         | None -> same "write" expected (Store.write store ~key (attrs v)))
     | Fwrite_ts (k, timestamp, v) ->
@@ -746,20 +692,20 @@ let run_family_model mode ops =
         same "timestamped write"
           (Store.write plain ~key ~timestamp (attrs v))
           (Store.write store ~key ~timestamp (attrs v))
-    | Fcas (k, test_value, v, p) ->
+    | Fcas (k, test_value, v) ->
         let key = fst fam_keys.(k) in
         let expected =
           Store.check_and_write plain ~key ~test_attribute:"a" ~test_value (attrs v)
         in
         same "check_and_write" expected
-          (match at k p with
+          (match at k with
           | Some (fam, pos) ->
               Store.check_and_write_at fam pos ~test_attribute:"a" ~test_value (attrs v)
           | None -> Store.check_and_write store ~key ~test_attribute:"a" ~test_value (attrs v))
-    | Fdelete (k, p) -> (
+    | Fdelete k -> (
         let key = fst fam_keys.(k) in
         Store.delete plain ~key;
-        match at k p with
+        match at k with
         | Some (fam, pos) -> Store.delete_at fam pos
         | None -> Store.delete store ~key)
     | Fsync ->
@@ -768,10 +714,10 @@ let run_family_model mode ops =
     | Fcrash (torn, lose_unsynced) ->
         Store.crash ~torn plain ~lose_unsynced;
         Store.crash ~torn store ~lose_unsynced
-    | Fscrub (k, p) ->
+    | Fscrub k ->
         let key = fst fam_keys.(k) in
         same "scrub" (Store.scrub plain ~key)
-          (match at k p with
+          (match at k with
           | Some (fam, pos) -> Store.scrub_at fam pos
           | None -> Store.scrub store ~key)
     | Freset ->
@@ -782,17 +728,24 @@ let run_family_model mode ops =
     Array.iteri
       (fun k (key, _) ->
         let read = Store.read plain ~key () in
-        same ("read " ^ key) read (Store.read store ~key ());
-        same ("durable " ^ key) (Store.durable_versions plain ~key)
-          (Store.durable_versions store ~key);
-        match at k true with
+        let durable = Store.durable_versions plain ~key in
+        match at k with
         | Some (fam, pos) ->
             same ("read_at " ^ key) read (Store.read_at fam pos);
-            same ("durable_at " ^ key) (Store.durable_versions plain ~key)
-              (Store.durable_versions_at fam pos)
-        | None -> ())
+            same ("durable_at " ^ key) durable (Store.durable_versions_at fam pos)
+        | None ->
+            same ("read " ^ key) read (Store.read store ~key ());
+            same ("durable " ^ key) durable (Store.durable_versions store ~key))
       fam_keys;
-    same "keys" (sorted_keys plain) (sorted_keys store);
+    (* The plain store lists every row by key; the other lists its named
+       rows, and each family its positions. *)
+    let spelled =
+      Array.to_list fams
+      |> List.mapi (fun f fam ->
+             List.map (fun pos -> fam_prefixes.(f) ^ string_of_int pos) (Store.positions fam))
+      |> List.concat
+    in
+    same "keys" (sorted_keys plain) (List.sort String.compare (Store.keys store @ spelled));
     same "row_count" (Store.row_count plain) (Store.row_count store);
     same "unsynced" (Store.unsynced plain) (Store.unsynced store)
   in
@@ -889,12 +842,9 @@ let () =
       ( "families",
         [
           Alcotest.test_case "positional slots" `Quick test_slots;
-          Alcotest.test_case "opening adopts stored rows" `Quick test_family_adopts_rows;
-          Alcotest.test_case "leading zero stays a named row" `Quick
-            test_family_leading_zero_is_named;
           Alcotest.test_case "handle survives reset" `Quick test_family_survives_reset;
-          Alcotest.test_case "key and position reach one row" `Quick
-            test_family_one_row_two_names;
+          Alcotest.test_case "named key beside a family" `Quick
+            test_family_apart_from_named;
           QCheck_alcotest.to_alcotest
             (prop_family_matches_plain Store.Sync_always
                "Sync_always families agree with a plain store");

@@ -114,7 +114,9 @@ let test_vote_bytes_spliced () =
   let expected =
     Codec.encode Acceptor_store.vote_codec (Some (b 2 1, entry))
   in
-  let vote_row () = Store.attribute store ~key:"paxos/g/1" "vote" in
+  let vote_row () =
+    Store.attribute_at (Store.family store ~prefix:"paxos/g/") 1 "vote"
+  in
   (match
      Acceptor_store.accept s.acceptors ~group ~pos:1 ~ballot:(b 2 1) ~entry
        ~vote ~sequenced:None
@@ -184,6 +186,10 @@ let test_replayed_claim_counted () =
   Alcotest.(check int) "one replay counted" 1
     (Counters.get s.counters Dup_claims)
 
+(* Group g's [kind] row ("paxos" or "claim") at [pos] exists. *)
+let present store kind pos =
+  Store.read_at (Store.family store ~prefix:(kind ^ "/g/")) pos <> None
+
 let test_prune_rows_and_cache () =
   let store = Store.create () in
   let s = stack ~store () in
@@ -194,8 +200,7 @@ let test_prune_rows_and_cache () =
   for pos = 1 to 6 do
     write pos
   done;
-  let present key = Store.read store ~key () <> None in
-  let rows kind = List.map (fun p -> present (Printf.sprintf "%s/g/%d" kind p)) in
+  let rows kind = List.map (present store kind) in
   Acceptor_store.prune s.acceptors ~group ~upto:2;
   Alcotest.(check (list bool)) "paxos rows 1-2 gone, 3 kept"
     [ false; false; true ] (rows "paxos" [ 1; 2; 3 ]);
@@ -223,14 +228,10 @@ let test_prune_rows_and_cache () =
     (rows "paxos" [ 1 ] @ rows "claim" [ 1 ]);
   Alcotest.(check bool) "coherent after the restart's prune" true (coherent s)
 
-(* Every paxos and claim row at 1..upto is gone. *)
+(* The positions 1..upto that still hold a paxos or claim row. *)
 let none_below store ~upto =
   List.concat_map
-    (fun kind ->
-      List.filter
-        (fun pos ->
-          Store.read store ~key:(Printf.sprintf "%s/g/%d" kind pos) () <> None)
-        (List.init upto (fun i -> i + 1)))
+    (fun kind -> List.filter (present store kind) (List.init upto (fun i -> i + 1)))
     [ "paxos"; "claim" ]
 
 let test_prune_twice () =
@@ -245,7 +246,7 @@ let test_prune_twice () =
   Alcotest.(check (list int)) "no row at 1..20" [] (none_below store ~upto:20);
   Alcotest.(check (list int)) "rows at 21..25 kept" []
     (List.filter
-       (fun pos -> Store.read store ~key:(Printf.sprintf "paxos/g/%d" pos) () = None)
+       (fun pos -> not (present store "paxos" pos))
        [ 21; 22; 23; 24; 25 ]);
   Alcotest.(check bool) "coherent" true (coherent s)
 
@@ -278,7 +279,7 @@ let test_snapshot_then_compact () =
   Alcotest.(check (list int)) "no row at or below the compaction point" []
     (none_below store ~upto:11);
   Alcotest.(check bool) "position 12 kept" true
-    (Store.read store ~key:"paxos/g/12" () <> None);
+    (present store "paxos" 12);
   Alcotest.(check bool) "coherent" true (coherent s)
 
 (* ------------------------------------------------------------------ *)
@@ -385,7 +386,7 @@ let test_quarantine_survives_reopen () =
   let store = Store.create ~mode:Store.Sync_explicit () in
   let s = stack ~store () in
   ignore (Acceptor_store.prepare s.acceptors ~group ~pos:2 ~ballot:(b 1 1));
-  ignore (Store.write store ~key:"paxos/g/2" [ ("nb", "x"); ("vote", "y") ]);
+  Store.write_at (Store.family store ~prefix:"paxos/g/") 2 [ ("nb", "x"); ("vote", "y") ];
   Store.crash ~torn:true store ~lose_unsynced:true;
   Catchup.recover s.catchup ~group;
   Alcotest.(check int) "torn version scrubbed" 1

@@ -370,16 +370,6 @@ let explicit () =
   let store = Store.create ~mode:Store.Sync_explicit () in
   (store, Wal.create store)
 
-let mangle_checksum store key =
-  (* Forge torn damage behind the WAL's back (callers must invalidate). *)
-  let row = Store.row store ~key in
-  match Mdds_kvstore.Row.chain row with
-  | Mdds_kvstore.Row.Version v ->
-      Mdds_kvstore.Row.restore row
-        (Mdds_kvstore.Row.Version
-           { v with value = ("#sum", "00000000") :: List.remove_assoc "#sum" v.value })
-  | Mdds_kvstore.Row.Nil -> Alcotest.failf "no versions to mangle at %s" key
-
 let test_recover_reapplies_lazy_applies () =
   (* Appends sync (they are the commit point); data applies are lazy and
      ride the write buffer. A dirty crash loses the applies; [recover]
@@ -411,7 +401,7 @@ let test_recover_truncates_torn_tail () =
     Wal.append wal ~group ~pos
       [ record (Printf.sprintf "t%d" pos) ~writes:[ ("x", string_of_int pos) ] ]
   done;
-  mangle_checksum store ("log/" ^ group ^ "/3");
+  Forge.mangle_checksum (Forge.family_row store ~prefix:("log/" ^ group ^ "/") 3);
   Wal.invalidate wal;
   let r = Wal.recover wal ~group in
   Alcotest.(check int) "torn version scrubbed" 1 r.Wal.scrubbed;
@@ -435,7 +425,7 @@ let test_durable_coherent_catches_skipped_recovery () =
   let store, wal = explicit () in
   Wal.append wal ~group ~pos:1 [ record "t1" ~writes:[ ("x", "1") ] ];
   Wal.append wal ~group ~pos:2 [ record "t2" ~writes:[ ("x", "2") ] ];
-  mangle_checksum store ("log/" ^ group ^ "/2");
+  Forge.mangle_checksum (Forge.family_row store ~prefix:("log/" ^ group ^ "/") 2);
   (match Wal.durable_coherent wal ~group with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "oracle blessed a view the durable store cannot re-produce");

@@ -381,7 +381,7 @@ let chaos_cmd =
           Runner.spec ~config ~duration ~kinds ~workload ~seed topology)
         seeds
     in
-    let reports = Runner.run_many ?schedule:explicit_schedule specs in
+    let reports = Runner.run_many ?schedule:explicit_schedule ~trace_tail specs in
     List.iter2
       (fun spec report ->
         Format.printf "%a@." Runner.pp_report report;
@@ -390,10 +390,7 @@ let chaos_cmd =
           incr failures;
           Format.printf "  schedule: %s@." (Schedule.to_string report.schedule);
           Format.printf "  repro:    %s@." (Runner.repro report);
-          List.iter (Format.printf "  trace  %s@.")
-            (let tail = report.trace_tail in
-             let n = List.length tail in
-             List.filteri (fun i _ -> i >= n - trace_tail) tail);
+          List.iter (Format.printf "  trace  %s@.") report.trace_tail;
           if shrink then (
             Format.printf "  shrinking...@.";
             let fails sch =

@@ -216,7 +216,7 @@ let first_error checks =
     (fun acc check -> match acc with Some _ -> acc | None -> check ())
     None checks
 
-let run ?schedule ?extra_oracle spec =
+let run ?schedule ?extra_oracle ?(trace_tail = 40) spec =
   let topo = Topology.ec2 spec.topology in
   let dcs = Topology.size topo in
   let schedule =
@@ -444,9 +444,11 @@ let run ?schedule ?extra_oracle spec =
       ]
   in
   let trace_tail =
-    List.map
-      (Format.asprintf "%a" Trace.pp_event)
-      (Trace.tail (Cluster.trace cluster) 40)
+    if violation = None then []
+    else
+      List.map
+        (Format.asprintf "%a" Trace.pp_event)
+        (Trace.tail (Cluster.trace cluster) trace_tail)
   in
   {
     run_spec = spec;
@@ -472,11 +474,13 @@ let run ?schedule ?extra_oracle spec =
    the long soaks first. Shrinking stays sequential (each ddmin step
    depends on the last), so callers shrink from the returned reports
    afterwards. *)
-let run_many ?schedule ?extra_oracle specs =
+let run_many ?schedule ?extra_oracle ?trace_tail specs =
   let cost (s : spec) =
     s.duration *. float_of_int (String.length s.topology)
   in
-  Mdds_parallel.Pool.map ~cost (fun spec -> run ?schedule ?extra_oracle spec) specs
+  Mdds_parallel.Pool.map ~cost
+    (fun spec -> run ?schedule ?extra_oracle ?trace_tail spec)
+    specs
 
 let repro r =
   Printf.sprintf

@@ -131,22 +131,27 @@ type report = {
       (** Per injected fault: seconds from injection to the first probe
           commit completed at-or-after it ([None] = none ever did). *)
   violation : string option;  (** [None] = every oracle passed. *)
-  trace_tail : string list;  (** Last trace events, for repros. *)
+  trace_tail : string list;
+      (** A failed run's last trace events, oldest first, for repros
+          ([[]] when every oracle passed). *)
 }
 
 val run :
   ?schedule:Schedule.t ->
   ?extra_oracle:(Mdds_core.Cluster.t -> (unit, string) result) ->
+  ?trace_tail:int ->
   spec ->
   report
 (** Execute one chaos run. [?schedule] replays an explicit schedule
     (repro/shrinking) instead of generating one; [?extra_oracle] runs
     after the built-in suite (tests use it to inject failures for the
-    shrinker). *)
+    shrinker); a failed run's report keeps its last [trace_tail]
+    (default 40) trace events. *)
 
 val run_many :
   ?schedule:Schedule.t ->
   ?extra_oracle:(Mdds_core.Cluster.t -> (unit, string) result) ->
+  ?trace_tail:int ->
   spec list ->
   report list
 (** Run independent specs (typically a seed battery) in parallel with

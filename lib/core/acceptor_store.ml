@@ -1,4 +1,5 @@
 module Store = Mdds_kvstore.Store
+module Row = Mdds_kvstore.Row
 module Slots = Mdds_kvstore.Slots
 module Strtbl = Mdds_kvstore.Strtbl
 module Wal = Mdds_wal.Wal
@@ -115,10 +116,10 @@ let state_of c = { Acceptor.next_bal = c.next_bal; vote = c.vote }
    the row's current value). [raw] is [state.vote] already encoded. *)
 let save t g ~pos ~expected_nb ~raw (state : Txn.entry Acceptor.state) =
   let nb = Ballot.to_string state.next_bal in
-  let attrs = [ ("nb", nb); ("vote", raw) ] in
   let ok =
     Store.check_and_write_at g.paxos pos ~test_attribute:"nb"
-      ~test_value:expected_nb attrs
+      ~test_value:expected_nb
+      (Row.of_array [| "nb"; nb; "vote"; raw |])
   in
   (* Promises and votes are the durability the whole protocol rests on
      (§4.1: an acceptor must come back remembering them): sync before the
@@ -217,7 +218,7 @@ let claim t ~group:name ~pos ~claimant =
       if
         Store.check_and_write_at claims pos ~test_attribute:"owner"
           ~test_value:None
-          [ ("owner", claimant) ]
+          (Row.of_array [| "owner"; claimant |])
       then begin
         (* The claim is a durable first-wins register (see above): a grant
            lost at a crash boundary could be re-granted to a rival. *)

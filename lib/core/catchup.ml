@@ -1,4 +1,5 @@
 module Store = Mdds_kvstore.Store
+module Row = Mdds_kvstore.Row
 module Wal = Mdds_wal.Wal
 module Rpc = Mdds_net.Rpc
 module Trace = Mdds_sim.Trace
@@ -114,7 +115,8 @@ let quarantine_key group = "recover/" ^ group
 let load_quarantine t ~group =
   match Store.read t.store ~key:(quarantine_key group) () with
   | None -> []
-  | Some (_, attrs) -> List.filter_map (fun (k, _) -> int_of_string_opt k) attrs
+  | Some (_, attrs) ->
+      List.filter_map (fun (k, _) -> int_of_string_opt k) (Row.bindings attrs)
 
 let save_quarantine t ~group tbl =
   let key = quarantine_key group in

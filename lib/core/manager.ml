@@ -350,7 +350,16 @@ let resolve_window (t : t) ~submit b =
                   Hashtbl.replace t.won group slot.sl_pos
                 else prefix_ok := false;
                 deliver_decided b ~pos:slot.sl_pos entry slot.sl_pendings
-            | (Proposer.Unavailable | Proposer.Compacted), _ ->
+            | Proposer.Compacted, _ ->
+                (* A majority compacted past this position: install a
+                   peer's snapshot, as [propose_sync] does, or the next
+                   drain reopens the same position. The pendings stay in
+                   doubt: our round-0 vote there may have been chosen. *)
+                ignore
+                  (Catchup.fetch_snapshot t.catchup ~group ~at_least:slot.sl_pos);
+                unavailable := true;
+                in_doubt ()
+            | Proposer.Unavailable, _ ->
                 unavailable := true;
                 in_doubt ()
           end)

@@ -1,4 +1,6 @@
-type value = (string * string) list
+(* Names and values alternate: [| k0; v0; k1; v1; ... |]. Never mutated
+   once built, so chains and journal snapshots may share blocks. *)
+type value = string array
 
 (* Versions newest first, one immutable four-word node per version.
    Rows have few versions relative to accesses and reads want the newest
@@ -36,6 +38,64 @@ let normalize value =
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   end
 
+(* Top-level loops over the block: a local closure would be allocated
+   per call. *)
+let rec fill block i = function
+  | [] -> block
+  | (k, v) :: rest ->
+      Array.unsafe_set block i k;
+      Array.unsafe_set block (i + 1) v;
+      fill block (i + 2) rest
+
+let of_list attrs =
+  let attrs = normalize attrs in
+  fill (Array.make (2 * List.length attrs) "") 0 attrs
+
+let rec sorted_from value i =
+  i + 2 >= Array.length value
+  || String.compare (Array.unsafe_get value i) (Array.unsafe_get value (i + 2)) < 0
+     && sorted_from value (i + 2)
+
+let rec bindings_to value i acc =
+  if i < 0 then acc else bindings_to value (i - 2) ((value.(i), value.(i + 1)) :: acc)
+
+let bindings value = bindings_to value (Array.length value - 2) []
+
+let of_array value =
+  if Array.length value land 1 = 1 || not (sorted_from value 0) then
+    invalid_arg "Row.of_array: not name/value pairs with increasing names";
+  value
+
+let prepend name v value =
+  let n = Array.length value in
+  if n = 0 || String.compare name (Array.unsafe_get value 0) < 0 then begin
+    let block = Array.make (n + 2) name in
+    Array.unsafe_set block 1 v;
+    Array.blit value 0 block 2 n;
+    block
+  end
+  else of_list ((name, v) :: bindings value)
+
+let rec scan value name i =
+  if i >= Array.length value then None
+  else if String.equal (Array.unsafe_get value i) name then
+    Some (Array.unsafe_get value (i + 1))
+  else scan value name (i + 2)
+
+let attribute value name = scan value name 0
+
+let length value = Array.length value / 2
+
+let prefix value n = Array.sub value 0 (2 * n)
+
+let rec fold_from f value i acc =
+  if i >= Array.length value then acc
+  else
+    fold_from f value (i + 2)
+      (f (Array.unsafe_get value i) (Array.unsafe_get value (i + 1)) acc)
+
+let fold f value init = fold_from f value 0 init
+
 let chain t = t.chain
 
 let rec find chain timestamp =
@@ -53,7 +113,6 @@ let read t ?timestamp () =
   match timestamp with None -> latest t | Some ts -> pair (at t ts)
 
 let write t ?timestamp value =
-  let value = normalize value in
   match timestamp with
   | None ->
       let ts = match t.chain with Nil -> 1 | Version v -> v.ts + 1 in
@@ -68,8 +127,6 @@ let write t ?timestamp value =
       | _ ->
           t.chain <- Version { ts; value; next = t.chain };
           Ok ts)
-
-let attribute value name = List.assoc_opt name value
 
 let rec to_list = function
   | Nil -> []

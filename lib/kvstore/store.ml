@@ -71,23 +71,21 @@ let hex8 h =
   done;
   Bytes.unsafe_to_string b
 
-let checksum_body value =
-  hex8
-    (List.fold_left
-       (fun h (k, v) -> if String.equal k checksum_attr then h else feed (feed h k) v)
-       0x811c9dc5 value)
+let digest k v h = if String.equal k checksum_attr then h else feed (feed h k) v
+let fnv_basis = 0x811c9dc5
 
 let checksum_valid value =
   match Row.attribute value checksum_attr with
   | None -> true (* written in Sync_always mode: no torn-write arm *)
-  | Some sum -> String.equal sum (checksum_body value)
+  | Some sum -> String.equal sum (hex8 (Row.fold digest value fnv_basis))
 
+(* The block a write stores: in [Sync_explicit], a copy with the
+   checksum in front. *)
 let stamp t value =
   match t.mode with
   | Sync_always -> value
   | Sync_explicit ->
-      let value = Row.normalize value in
-      (checksum_attr, checksum_body value) :: value
+      Row.prepend checksum_attr (hex8 (Row.fold digest value fnv_basis)) value
 
 (* ------------------------------------------------------------------ *)
 (* Row families. A family's rows live only in its slots: a string key
@@ -191,7 +189,6 @@ let attribute_at f pos name = latest_attribute (slot f (checked pos)) name
    only the predecessor its node is reused, so the write allocates one
    node. *)
 let replace t row value =
-  let value = Row.normalize value in
   match Row.chain row with
   | Row.Nil ->
       Row.restore row (Row.Version { ts = 1; value; next = Row.Nil });
@@ -223,18 +220,19 @@ let write_row t row ?timestamp value =
     result
   end
 
-let write t ~key ?timestamp value = write_row t (row t ~key) ?timestamp value
+let write t ~key ?timestamp attrs =
+  write_row t (row t ~key) ?timestamp (Row.of_list attrs)
 
 let write_at f pos value =
   match write_row f.owner (row_at f (checked pos)) value with
   | Ok _ -> ()
   | Error `Stale -> assert false (* auto-stamped writes cannot be stale *)
 
-let check_and_write t ~key ~test_attribute ~test_value value =
+let check_and_write t ~key ~test_attribute ~test_value attrs =
   Option.equal String.equal
     (latest_attribute (lookup t key) test_attribute)
     test_value
-  && match write t ~key value with Ok _ -> true | Error `Stale -> false
+  && match write t ~key attrs with Ok _ -> true | Error `Stale -> false
 
 let check_and_write_at f pos ~test_attribute ~test_value value =
   Option.equal String.equal
@@ -313,12 +311,9 @@ let tear row =
   match Row.chain row with
   | Row.Nil -> ()
   | Row.Version v ->
-      let n = List.length v.value in
-      if n >= 2 then begin
-        let keep = max 1 (n / 2) in
-        let torn = List.filteri (fun i _ -> i < keep) v.value in
-        Row.restore row (Row.Version { v with value = torn })
-      end
+      let n = Row.length v.value in
+      if n >= 2 then
+        Row.restore row (Row.Version { v with value = Row.prefix v.value (max 1 (n / 2)) })
 
 let crash ?(torn = false) t ~lose_unsynced =
   if t.mode <> Sync_always then begin

@@ -43,6 +43,14 @@
 type t
 
 type value = Row.value
+(** A version's attributes: one immutable flat block of alternating
+    names and values, 2 words per attribute plus a one-word header, where
+    an attribute list costs 6 per attribute (see {!Row.value}). The
+    named-row writes take attribute lists, which live only until
+    {!Row.of_list} has flattened them; the fast path (row handles and
+    positions) takes a block the caller built, usually with
+    {!Row.of_array} and no list at all. Reads hand out the stored block
+    itself: {!Row.attribute} scans it, {!Row.bindings} lists it. *)
 
 type mode = Sync_always | Sync_explicit
 
@@ -55,8 +63,10 @@ val read : t -> key:string -> ?timestamp:int -> unit -> (int * value) option
 (** Most recent version of the row with timestamp ≤ [timestamp] (latest if
     omitted); [None] if the row does not exist or has no such version. *)
 
-val write : t -> key:string -> ?timestamp:int -> value -> (int, [ `Stale ]) result
-(** Create a new version of the row (see {!Row.write}). Without
+val write :
+  t -> key:string -> ?timestamp:int -> (string * string) list -> (int, [ `Stale ]) result
+(** Create a new version of the row from its attributes, {!Row.normalize}d
+    and flattened (see {!Row.write}). Without
     [timestamp] the version is stamped [latest + 1] and replaces the
     row's history (see {e Retention} above). *)
 
@@ -65,7 +75,7 @@ val check_and_write :
   key:string ->
   test_attribute:string ->
   test_value:string option ->
-  value ->
+  (string * string) list ->
   bool
 (** Atomic conditional write: if the latest version's [test_attribute]
     equals [test_value] ([None] means "attribute absent or row missing"),
@@ -96,8 +106,7 @@ val row_handle : t -> key:string -> Row.t option
 val row : t -> key:string -> Row.t
 (** The row's handle, creating an empty row (no versions) if absent. *)
 
-val write_row :
-  t -> Row.t -> ?timestamp:int -> value -> (int, [ `Stale ]) result
+val write_row : t -> Row.t -> ?timestamp:int -> value -> (int, [ `Stale ]) result
 (** {!write} through a row handle obtained from {!row}/{!row_handle} of
     this store: same per-row atomic semantics, same buffer journaling and
     checksum stamping, minus the key hash. The WAL's data-apply fast path
@@ -214,7 +223,8 @@ val durable_versions : t -> key:string -> (int * value) list
     the write buffer rolled back, checksum-invalid versions dropped,
     newest first. Mutates nothing (the {!Mdds_wal.Wal.durable_coherent}
     oracle). The journal records each row's {!Row.chain} as it stood, so
-    only this answer is built as a list. *)
+    only this answer is built as a list; its values are the stored
+    blocks. *)
 
 val scrub_at : family -> int -> int
 (** {!scrub} at a position. *)

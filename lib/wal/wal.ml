@@ -105,13 +105,15 @@ let load_meta t c =
 
 let flush_meta t c =
   match
-    Store.write t.store ~key:c.meta_key
-      (* Sorted by attribute, so [Row.normalize] keeps it as is. *)
-      [
-        ("applied", string_of_int c.applied);
-        ("compacted", string_of_int c.compacted);
-        ("last", string_of_int c.last);
-      ]
+    Store.write_row t.store
+      (Store.row t.store ~key:c.meta_key)
+      (* Sorted by name, so the array is the stored block. *)
+      (Row.of_array
+         [|
+           "applied"; string_of_int c.applied;
+           "compacted"; string_of_int c.compacted;
+           "last"; string_of_int c.last;
+         |])
   with
   | Ok _ -> ()
   | Error `Stale -> assert false (* auto-stamped writes cannot be stale *)
@@ -189,7 +191,7 @@ let append t ~group ~pos ?encoded e =
       | Some bytes -> bytes
       | None -> Codec.encode Txn.entry_codec e
     in
-    Store.write_at c.log pos [ ("entry", encoded) ];
+    Store.write_at c.log pos (Row.of_array [| "entry"; encoded |]);
     cache_entry c pos e
   end
   else if not (Txn.equal_entry existing e) then
@@ -332,7 +334,7 @@ let apply_entry t c ~pos e =
         (fun (w : Txn.write) ->
           match
             Store.write_row t.store (data_row t c w.key) ~timestamp:pos
-              [ ("v", w.value) ]
+              (Row.of_array [| "v"; w.value |])
           with
           | Ok _ -> ()
           | Error `Stale ->
@@ -417,7 +419,7 @@ let install_snapshot t ~group ~applied rows =
     (fun (key, version, value) ->
       match
         Store.write_row t.store (data_row t c key) ~timestamp:version
-          [ ("v", value) ]
+          (Row.of_array [| "v"; value |])
       with
       | Ok _ | Error `Stale -> () (* local state already newer: keep it *))
     rows;

@@ -6,7 +6,12 @@ let mangle_checksum row =
   | Row.Version v ->
       Row.restore row
         (Row.Version
-           { v with value = ("#sum", "00000000") :: List.remove_assoc "#sum" v.value })
+           {
+             v with
+             value =
+               Row.of_list
+                 (("#sum", "00000000") :: List.remove_assoc "#sum" (Row.bindings v.value));
+           })
   | Row.Nil -> Alcotest.fail "no versions to mangle"
 
 let family_row store ~prefix pos =

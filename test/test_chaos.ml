@@ -94,6 +94,20 @@ let test_throughput_battery () =
   Alcotest.(check bool) "pipelined rounds overlapped" true (pipelined > 0);
   Alcotest.(check bool) "stalled windows were resolved" true (stalls > 0)
 
+(* A failed run keeps as many trace events as asked for, past the old
+   fixed 40; a passing run keeps none. *)
+let test_trace_tail_length () =
+  let spec = Runner.spec ~seed:1 "VVV" in
+  let forced _ = Error "injected failure" in
+  let tail n = (Runner.run ~extra_oracle:forced ~trace_tail:n spec).Runner.trace_tail in
+  Alcotest.(check int) "100 asked, 100 kept" 100 (List.length (tail 100));
+  Alcotest.(check int) "5 asked, 5 kept" 5 (List.length (tail 5));
+  Alcotest.(check (list string)) "the 5 are the newest of the 100"
+    (List.filteri (fun i _ -> i >= 95) (tail 100))
+    (tail 5);
+  Alcotest.(check (list string)) "a passing run keeps none" []
+    (Runner.run ~trace_tail:100 spec).Runner.trace_tail
+
 (* ------------------------------------------------------------------ *)
 (* Reproducibility: the same spec twice gives byte-identical schedules,
    outcome counts and repro line. *)
@@ -419,6 +433,25 @@ let test_compacted_catch_up_seed () =
     [ "unbatched"; "throughput" ]
     (Runner.run_many [ cross_spec 178; cross_spec ~throughput:true 178 ])
 
+(* Seed 61 of [mdds chaos --throughput --faults
+   dirty-crash,torn-write,crash,compact]: dc0's leader had a pipelined
+   window open at position 7 when its peers compacted past it. The
+   window's resolution treated the [Compacted] refusal as unavailability
+   and installed no snapshot, so every later drain reopened position 7
+   through the fast path, and the post-heal probe in dc0 could not commit
+   until 38.8 s. The resolution now installs a peer's snapshot there. *)
+let test_compacted_window_seed () =
+  let duration = 20.0 in
+  let spec =
+    Runner.spec
+      ~config:(Runner.throughput_config ~seed:61 (Runner.default_config Config.Cp))
+      ~duration
+      ~kinds:Schedule.[ Dirty_crashes; Torn_writes; Crashes; Compactions ]
+      ~workload:(Runner.throughput_workload ~dcs:3 ~duration)
+      ~seed:61 "VVV"
+  in
+  expect_clean "compacted window seed 61" (Runner.run spec)
+
 (* Shrunk repro (cross-group soak seed 129, unbatched leader): the same
    orphaned-drainer L1 violation with batch 1 / depth 1. A drainer
    blocked in the learner's catch-up survived the manager's restart,
@@ -532,6 +565,10 @@ let () =
             `Quick test_unbatched_restart_during_catch_up;
           Alcotest.test_case "compacted catch-up seed stays available" `Quick
             test_compacted_catch_up_seed;
+          Alcotest.test_case "compacted pipelined window seed stays available"
+            `Quick test_compacted_window_seed;
+          Alcotest.test_case "failed run keeps the trace tail asked for" `Quick
+            test_trace_tail_length;
         ] );
       ( "spec",
         List.map

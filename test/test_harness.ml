@@ -249,10 +249,10 @@ let headroom = 0.02
 (* shape, simulation words/commit, oracle words/commit *)
 let ceilings =
   [
-    ("ycsb-cp", 5021.8, 109.5);
-    ("batched leader", 6078.3, 110.7);
-    ("failover", 8409.6, 116.9);
-    ("cross-group", 10992.6, 819.4);
+    ("ycsb-cp", 4914.9, 109.5);
+    ("batched leader", 5989.6, 110.7);
+    ("failover", 8191.9, 116.9);
+    ("cross-group", 10719.2, 819.4);
   ]
 
 let batched = Config.throughput ~batch_max:8 ~pipeline_depth:4 Config.leader
@@ -355,10 +355,10 @@ let test_alloc_budget name setup () =
    GC marks on every cycle. *)
 let resident_ceilings =
   [
-    ("ycsb-cp", 495.8);
-    ("batched leader", 577.5);
-    ("failover", 1297.0);
-    ("cross-group", 1357.1);
+    ("ycsb-cp", 446.8);
+    ("batched leader", 530.9);
+    ("failover", 1019.2);
+    ("cross-group", 1201.6);
   ]
 
 let resident_per_commit setup =

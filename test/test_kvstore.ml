@@ -4,6 +4,7 @@ module Row = Mdds_kvstore.Row
 module Store = Mdds_kvstore.Store
 
 let value v = [ ("v", v) ]
+let block v = Row.of_list (value v)
 
 let read_attr store key =
   match Store.read store ~key () with
@@ -16,8 +17,8 @@ let read_attr store key =
 let test_row_versions () =
   let row = Row.create () in
   Alcotest.(check bool) "no versions" true (Row.latest row = None);
-  Alcotest.(check bool) "auto ts 1" true (Row.write row (value "a") = Ok 1);
-  Alcotest.(check bool) "auto ts 2" true (Row.write row (value "b") = Ok 2);
+  Alcotest.(check bool) "auto ts 1" true (Row.write row (block "a") = Ok 1);
+  Alcotest.(check bool) "auto ts 2" true (Row.write row (block "b") = Ok 2);
   Alcotest.(check int) "count" 2 (Row.version_count row);
   match Row.latest row with
   | Some (2, attrs) -> Alcotest.(check (option string)) "latest" (Some "b") (Row.attribute attrs "v")
@@ -25,8 +26,8 @@ let test_row_versions () =
 
 let test_row_read_at_timestamp () =
   let row = Row.create () in
-  ignore (Row.write row ~timestamp:10 (value "ten"));
-  ignore (Row.write row ~timestamp:20 (value "twenty"));
+  ignore (Row.write row ~timestamp:10 (block "ten"));
+  ignore (Row.write row ~timestamp:20 (block "twenty"));
   let at ts =
     match Row.read row ~timestamp:ts () with
     | None -> None
@@ -40,10 +41,10 @@ let test_row_read_at_timestamp () =
 
 let test_row_stale_write () =
   let row = Row.create () in
-  ignore (Row.write row ~timestamp:5 (value "x"));
-  Alcotest.(check bool) "stale rejected" true (Row.write row ~timestamp:3 (value "y") = Error `Stale);
+  ignore (Row.write row ~timestamp:5 (block "x"));
+  Alcotest.(check bool) "stale rejected" true (Row.write row ~timestamp:3 (block "y") = Error `Stale);
   (* Same timestamp overwrites (idempotent log re-apply). *)
-  Alcotest.(check bool) "same ts ok" true (Row.write row ~timestamp:5 (value "z") = Ok 5);
+  Alcotest.(check bool) "same ts ok" true (Row.write row ~timestamp:5 (block "z") = Ok 5);
   Alcotest.(check int) "no duplicate version" 1 (Row.version_count row)
 
 let test_row_normalize () =
@@ -67,6 +68,32 @@ let test_row_normalize () =
   Alcotest.(check (list (pair string string))) "sorted with a duplicate"
     [ ("a", "2"); ("b", "3") ]
     (Row.normalize [ ("a", "1"); ("a", "2"); ("b", "3") ])
+
+let test_flat_block () =
+  let pairs = Alcotest.(list (pair string string)) in
+  let b = Row.of_list [ ("b", "1"); ("a", "2"); ("b", "3") ] in
+  Alcotest.(check pairs) "of_list normalizes" [ ("a", "2"); ("b", "3") ] (Row.bindings b);
+  Alcotest.(check int) "length" 2 (Row.length b);
+  Alcotest.(check (option string)) "attribute" (Some "3") (Row.attribute b "b");
+  Alcotest.(check (option string)) "absent attribute" None (Row.attribute b "2");
+  Alcotest.(check pairs) "prefix keeps whole pairs" [ ("a", "2") ]
+    (Row.bindings (Row.prefix b 1));
+  Alcotest.(check pairs) "fold in order" (Row.bindings b)
+    (List.rev (Row.fold (fun k v acc -> (k, v) :: acc) b []));
+  Alcotest.(check pairs) "of_array takes sorted pairs as they are"
+    [ ("a", "1"); ("c", "2") ] (Row.bindings (Row.of_array [| "a"; "1"; "c"; "2" |]));
+  List.iter
+    (fun bad ->
+      Alcotest.check_raises "of_array refuses it"
+        (Invalid_argument "Row.of_array: not name/value pairs with increasing names")
+        (fun () -> ignore (Row.of_array bad)))
+    [ [| "a" |]; [| "b"; "1"; "a"; "2" |]; [| "a"; "1"; "a"; "2" |] ];
+  Alcotest.(check pairs) "prepend in front" [ ("#", "0"); ("a", "2"); ("b", "3") ]
+    (Row.bindings (Row.prepend "#" "0" b));
+  Alcotest.(check pairs) "prepend keeps an existing binding"
+    [ ("a", "2"); ("b", "3") ] (Row.bindings (Row.prepend "b" "0" b));
+  Alcotest.(check pairs) "prepend sorts" [ ("a", "2"); ("ab", "0"); ("b", "3") ]
+    (Row.bindings (Row.prepend "ab" "0" b))
 
 (* Reference implementation of the normalize contract (the original
    quadratic walk); the optimized version must agree on any input. *)
@@ -228,7 +255,7 @@ let test_torn_crash_persists_prefix () =
   | Some (_, attrs) ->
       Alcotest.(check bool) "torn version detectable" false (Store.checksum_valid attrs);
       Alcotest.(check bool) "strictly fewer attributes" true
-        (List.length attrs < 4 (* a b c + #sum *)));
+        (Row.length attrs < 4 (* a b c + #sum *)));
   let dropped = Store.scrub store ~key:"k" in
   Alcotest.(check int) "scrub drops the torn version" 1 dropped;
   (match Store.read store ~key:"k" () with
@@ -416,7 +443,7 @@ let test_timestamped_writes_keep_history () =
         let v = value (string_of_int ts) in
         ignore
           (if ts mod 2 = 0 then Store.write store ~key:"data" ~timestamp:ts v
-           else Store.write_row store row ~timestamp:ts v)
+           else Store.write_row store row ~timestamp:ts (Row.of_list v))
       done;
       Alcotest.(check int) "every version kept" 1000 (version_count store "data");
       List.iter
@@ -436,8 +463,8 @@ let test_timestamped_writes_keep_history () =
    the versions a dirty crash rewinds it to; [dirty] marks keys written
    since the last sync point. *)
 type model_key = {
-  mutable cur : (int * Row.value) list;
-  mutable synced : (int * Row.value) list;
+  mutable cur : (int * (string * string) list) list;
+  mutable synced : (int * (string * string) list) list;
   mutable dirty : bool;
 }
 
@@ -470,12 +497,15 @@ let op_gen =
     ]
 
 let model_valid (_, v) =
-  match Row.attribute v "#sum" with
+  match List.assoc_opt "#sum" v with
   | None -> true
   | Some sum -> String.equal sum (reference_checksum v)
 
 let head = function v :: _ -> Some v | [] -> None
-let head_attr versions = Option.bind (head versions) (fun (_, v) -> Row.attribute v "a")
+let head_attr versions = Option.bind (head versions) (fun (_, v) -> List.assoc_opt "a" v)
+
+(* A stored version as the list model holds it. *)
+let listed (ts, v) = (ts, Row.bindings v)
 
 let run_model mode ops =
   let explicit = mode = Store.Sync_explicit in
@@ -561,10 +591,10 @@ let run_model mode ops =
       | Some row -> Row.versions row
     in
     let valid = List.filter (fun (_, v) -> Store.checksum_valid v) versions in
-    Store.read store ~key () = head m.cur
+    Option.map listed (Store.read store ~key ()) = head m.cur
     && Store.attribute store ~key "a" = head_attr m.cur
-    && head (Store.durable_versions store ~key) = head durable
-    && head valid = head (List.filter model_valid m.cur)
+    && Option.map listed (head (Store.durable_versions store ~key)) = head durable
+    && Option.map listed (head valid) = head (List.filter model_valid m.cur)
     && List.length valid <= if explicit then 2 else 1
   in
   List.for_all
@@ -581,6 +611,219 @@ let prop_retention_matches_model mode name =
     (run_model mode)
 
 (* ------------------------------------------------------------------ *)
+(* Flat rows against a list model, where each version is a normalized
+   [(string * string) list]. The model keeps each row's retained
+   versions, newest first, and the versions a dirty crash rewinds it to;
+   the store keeps flat blocks. Writes carry unsorted attributes with
+   repeated names, so normalization is in play; every answer a reader
+   can get must be the model's, as lists. *)
+
+type list_row = {
+  mutable versions : (int * (string * string) list) list;
+  mutable durable : (int * (string * string) list) list;
+  mutable written : bool;  (* since the last sync point *)
+}
+
+type flat_op =
+  | Put of int * (string * string) list
+  | Put_ts of int * int * (string * string) list  (* named rows only *)
+  | Put_if of int * string option * (string * string) list
+  | Flush
+  | Power_loss of bool * bool  (* torn, lose_unsynced *)
+  | Repair of int
+
+(* Two named rows and one family position. *)
+let flat_rows = [| "k0"; "k1"; "log/g/1" |]
+
+let pp_attrs attrs =
+  String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) attrs)
+
+let pp_flat_op = function
+  | Put (k, a) -> Printf.sprintf "put %s [%s]" flat_rows.(k) (pp_attrs a)
+  | Put_ts (k, ts, a) -> Printf.sprintf "put %s ts=%d [%s]" flat_rows.(k) ts (pp_attrs a)
+  | Put_if (k, e, a) ->
+      Printf.sprintf "put-if %s a=%s [%s]" flat_rows.(k)
+        (Option.value e ~default:"-") (pp_attrs a)
+  | Flush -> "sync"
+  | Power_loss (torn, lose) -> Printf.sprintf "crash torn=%b lose=%b" torn lose
+  | Repair k -> Printf.sprintf "scrub %s" flat_rows.(k)
+
+let flat_op_gen =
+  let open QCheck.Gen in
+  let k = int_bound 2 in
+  let v = oneofl [ ""; "0"; "1"; "xy" ] in
+  let attrs = list_size (0 -- 4) (pair (oneofl [ "a"; "b"; "c"; "d" ]) v) in
+  frequency
+    [
+      (4, map2 (fun k a -> Put (k, a)) k attrs);
+      (3, map3 (fun k ts a -> Put_ts (k, ts, a)) (int_bound 1) (int_range 1 6) attrs);
+      (3, map3 (fun k e a -> Put_if (k, e, a)) k (opt v) attrs);
+      (2, return Flush);
+      (2, map2 (fun t l -> Power_loss (t, l)) bool bool);
+      (2, map (fun k -> Repair k) k);
+    ]
+
+let run_flat_model mode ops =
+  let explicit = mode = Store.Sync_explicit in
+  let store = Store.create ~mode () in
+  let fam = Store.family store ~prefix:"log/g/" in
+  let model = Array.init 3 (fun _ -> { versions = []; durable = []; written = false }) in
+  let inflight = ref None in
+  let same what a b = if a <> b then failwith (what ^ " differs") in
+  (* What the list rows stored: normalized, and in [Sync_explicit] with
+     the checksum in front ('#' sorts before every name used here). *)
+  let stored attrs =
+    let attrs = reference_normalize attrs in
+    if explicit then ("#sum", reference_checksum attrs) :: attrs else attrs
+  in
+  let wrote k =
+    if explicit then begin
+      model.(k).written <- true;
+      inflight := Some k
+    end
+  in
+  (* A timestamped version: stale below the newest, replacing it at its
+     own timestamp. *)
+  let put_ts versions ts value =
+    match versions with
+    | (newest, _) :: _ when newest > ts -> None
+    | (newest, _) :: older when newest = ts -> Some ((ts, value) :: older)
+    | _ -> Some ((ts, value) :: versions)
+  in
+  (* An auto-stamped version replaces the history but for one
+     predecessor in [Sync_explicit]. *)
+  let put k attrs =
+    let m = model.(k) in
+    let ts, kept =
+      match m.versions with
+      | [] -> (1, [])
+      | ((ts, _) as newest) :: _ -> (ts + 1, if explicit then [ newest ] else [])
+    in
+    m.versions <- (ts, stored attrs) :: kept;
+    wrote k
+  in
+  let sync_point () =
+    Array.iter
+      (fun m ->
+        m.durable <- m.versions;
+        m.written <- false)
+      model;
+    inflight := None
+  in
+  let newest_a k = Option.bind (head model.(k).versions) (fun (_, v) -> List.assoc_opt "a" v) in
+  let step = function
+    | Put (k, attrs) ->
+        (if k = 2 then Store.write_at fam 1 (Row.of_list attrs)
+         else ignore (Store.write store ~key:flat_rows.(k) attrs));
+        put k attrs
+    | Put_ts (k, timestamp, attrs) ->
+        let got = Store.write store ~key:flat_rows.(k) ~timestamp attrs in
+        let m = model.(k) in
+        let expected =
+          match put_ts m.versions timestamp (stored attrs) with
+          | None -> Error `Stale
+          | Some versions ->
+              m.versions <- versions;
+              wrote k;
+              Ok timestamp
+        in
+        same "timestamped write" expected got
+    | Put_if (k, test_value, attrs) ->
+        let ok =
+          if k = 2 then
+            Store.check_and_write_at fam 1 ~test_attribute:"a" ~test_value (Row.of_list attrs)
+          else Store.check_and_write store ~key:flat_rows.(k) ~test_attribute:"a" ~test_value attrs
+        in
+        same "check_and_write verdict" (newest_a k = test_value) ok;
+        if ok then put k attrs
+    | Flush ->
+        Store.sync store;
+        if explicit then sync_point ()
+    | Power_loss (torn, lose_unsynced) ->
+        Store.crash ~torn store ~lose_unsynced;
+        if explicit then begin
+          if lose_unsynced then begin
+            let victim =
+              match !inflight with
+              | Some k when torn -> Option.map (fun v -> (k, v)) (head model.(k).versions)
+              | _ -> None
+            in
+            Array.iter (fun m -> m.versions <- m.durable) model;
+            match victim with
+            | Some (k, (ts, value)) when model.(k).versions <> [] -> (
+                (* Re-persisted over the rewound row, then cut to a prefix
+                   of whole pairs; a row rewound to absent stays absent. *)
+                let n = List.length value in
+                let value =
+                  if n >= 2 then List.filteri (fun i _ -> i < max 1 (n / 2)) value
+                  else value
+                in
+                match put_ts model.(k).versions ts value with
+                | Some versions -> model.(k).versions <- versions
+                | None -> ())
+            | _ -> ()
+          end;
+          sync_point ()
+        end
+    | Repair k ->
+        let dropped =
+          if k = 2 then Store.scrub_at fam 1 else Store.scrub store ~key:flat_rows.(k)
+        in
+        let m = model.(k) in
+        let valid = List.filter model_valid m.versions in
+        same "scrub count" (List.length m.versions - List.length valid) dropped;
+        m.versions <- valid;
+        (* Scrubs are not journaled: a clean row keeps the repair. *)
+        if not m.written then m.durable <- valid
+  in
+  let agree k =
+    let m = model.(k) and key = flat_rows.(k) in
+    let name = "row " ^ key ^ ": " in
+    let handle = if k = 2 then Store.row_handle_at fam 1 else Store.row_handle store ~key in
+    let versions = match handle with None -> [] | Some row -> Row.versions row in
+    same (name ^ "versions") m.versions (List.map listed versions);
+    List.iter
+      (fun ((_, block) as version) ->
+        same (name ^ "checksum verdict") (model_valid (listed version))
+          (Store.checksum_valid block);
+        same (name ^ "attribute count") (List.length (Row.bindings block)) (Row.length block))
+      versions;
+    let read = if k = 2 then Store.read_at fam 1 else Store.read store ~key () in
+    same (name ^ "read") (head m.versions) (Option.map listed read);
+    if k < 2 then
+      for timestamp = 0 to 7 do
+        same (name ^ "read at a timestamp")
+          (List.find_opt (fun (ts, _) -> ts <= timestamp) m.versions)
+          (Option.map listed (Store.read store ~key ~timestamp ()))
+      done;
+    List.iter
+      (fun attr ->
+        same (name ^ "attribute " ^ attr)
+          (Option.bind (head m.versions) (fun (_, v) -> List.assoc_opt attr v))
+          (if k = 2 then Store.attribute_at fam 1 attr else Store.attribute store ~key attr))
+      [ "#sum"; "a"; "b"; "d" ];
+    let durable =
+      if k = 2 then Store.durable_versions_at fam 1 else Store.durable_versions store ~key
+    in
+    same (name ^ "durable versions")
+      (List.filter model_valid (if explicit then m.durable else m.versions))
+      (List.map listed durable)
+  in
+  List.iter
+    (fun op ->
+      step op;
+      Array.iteri (fun k _ -> agree k) flat_rows)
+    ops;
+  true
+
+let prop_flat_matches_list_model mode name =
+  QCheck.Test.make ~name ~count:500
+    (QCheck.make ~shrink:QCheck.Shrink.list
+       ~print:(fun ops -> String.concat "; " (List.map pp_flat_op ops))
+       QCheck.Gen.(list_size (1 -- 40) flat_op_gen))
+    (run_flat_model mode)
+
+(* ------------------------------------------------------------------ *)
 (* Positional row families: a second namespace beside the named rows.   *)
 
 let sorted_keys store = List.sort String.compare (Store.keys store)
@@ -592,11 +835,11 @@ let latest_v = function
 let test_family_survives_reset () =
   let store = Store.create () in
   let log = Store.family store ~prefix:"log/g/" in
-  Store.write_at log 1 (value "a");
+  Store.write_at log 1 (block "a");
   Store.reset store;
   Alcotest.(check bool) "emptied" true (Store.read_at log 1 = None);
   Alcotest.(check int) "no rows" 0 (Store.row_count store);
-  Store.write_at log 2 (value "b");
+  Store.write_at log 2 (block "b");
   Alcotest.(check (option string)) "handle still writes" (Some "b")
     (latest_v (Store.read_at log 2));
   Alcotest.(check (list int)) "positions" [ 2 ] (Store.positions log)
@@ -607,7 +850,7 @@ let test_family_apart_from_named () =
   ignore (Store.write store ~key:"log/g/7" (value "named"));
   Alcotest.(check bool) "read_at misses the named row" true (Store.read_at log 7 = None);
   Alcotest.(check (list int)) "no positions" [] (Store.positions log);
-  Store.write_at log 7 (value "seven");
+  Store.write_at log 7 (block "seven");
   Alcotest.(check (option string)) "named row kept" (Some "named") (read_attr store "log/g/7");
   Alcotest.(check (option string)) "position row" (Some "seven")
     (latest_v (Store.read_at log 7));
@@ -685,7 +928,7 @@ let run_family_model mode ops =
         let key = fst fam_keys.(k) in
         let expected = Store.write plain ~key (attrs v) in
         match at k with
-        | Some (fam, pos) -> Store.write_at fam pos (attrs v)
+        | Some (fam, pos) -> Store.write_at fam pos (Row.of_list (attrs v))
         | None -> same "write" expected (Store.write store ~key (attrs v)))
     | Fwrite_ts (k, timestamp, v) ->
         let key = fst fam_keys.(k) in
@@ -700,7 +943,8 @@ let run_family_model mode ops =
         same "check_and_write" expected
           (match at k with
           | Some (fam, pos) ->
-              Store.check_and_write_at fam pos ~test_attribute:"a" ~test_value (attrs v)
+              Store.check_and_write_at fam pos ~test_attribute:"a" ~test_value
+                (Row.of_list (attrs v))
           | None -> Store.check_and_write store ~key ~test_attribute:"a" ~test_value (attrs v))
     | Fdelete k -> (
         let key = fst fam_keys.(k) in
@@ -802,6 +1046,7 @@ let () =
           Alcotest.test_case "read at timestamp" `Quick test_row_read_at_timestamp;
           Alcotest.test_case "stale write" `Quick test_row_stale_write;
           Alcotest.test_case "normalize" `Quick test_row_normalize;
+          Alcotest.test_case "flat block" `Quick test_flat_block;
         ] );
       ( "store",
         [
@@ -851,6 +1096,15 @@ let () =
           QCheck_alcotest.to_alcotest
             (prop_family_matches_plain Store.Sync_explicit
                "Sync_explicit families agree with a plain store");
+        ] );
+      ( "flat rows",
+        [
+          QCheck_alcotest.to_alcotest
+            (prop_flat_matches_list_model Store.Sync_always
+               "Sync_always flat rows agree with the list model");
+          QCheck_alcotest.to_alcotest
+            (prop_flat_matches_list_model Store.Sync_explicit
+               "Sync_explicit flat rows agree with the list model");
         ] );
       ( "retention",
         [

@@ -386,7 +386,8 @@ let test_quarantine_survives_reopen () =
   let store = Store.create ~mode:Store.Sync_explicit () in
   let s = stack ~store () in
   ignore (Acceptor_store.prepare s.acceptors ~group ~pos:2 ~ballot:(b 1 1));
-  Store.write_at (Store.family store ~prefix:"paxos/g/") 2 [ ("nb", "x"); ("vote", "y") ];
+  Store.write_at (Store.family store ~prefix:"paxos/g/") 2
+    (Mdds_kvstore.Row.of_array [| "nb"; "x"; "vote"; "y" |]);
   Store.crash ~torn:true store ~lose_unsynced:true;
   Catchup.recover s.catchup ~group;
   Alcotest.(check int) "torn version scrubbed" 1

@@ -11,8 +11,9 @@ type value
     values alternate ([k0; v0; k1; v1; ...]), sorted by name, one binding
     per name. It costs two words per attribute plus a one-word header,
     where a [(string * string) list] pays six (a cons cell and a pair).
-    Writers pass attribute lists; {!of_list} flattens them, and only
-    {!bindings} turns a block back into a list. *)
+    A block is built by {!of_list} from an attribute list or by
+    {!of_array} from an array already in order; only {!bindings} turns
+    one back into a list. *)
 
 type chain = Nil | Version of { ts : int; value : value; next : chain }
 (** A row's versions, newest first: one immutable node per version.

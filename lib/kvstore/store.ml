@@ -72,12 +72,12 @@ let hex8 h =
   Bytes.unsafe_to_string b
 
 let digest k v h = if String.equal k checksum_attr then h else feed (feed h k) v
-let fnv_basis = 0x811c9dc5
+let checksum_body value = hex8 (Row.fold digest value 0x811c9dc5)
 
 let checksum_valid value =
   match Row.attribute value checksum_attr with
   | None -> true (* written in Sync_always mode: no torn-write arm *)
-  | Some sum -> String.equal sum (hex8 (Row.fold digest value fnv_basis))
+  | Some sum -> String.equal sum (checksum_body value)
 
 (* The block a write stores: in [Sync_explicit], a copy with the
    checksum in front. *)
@@ -85,7 +85,7 @@ let stamp t value =
   match t.mode with
   | Sync_always -> value
   | Sync_explicit ->
-      Row.prepend checksum_attr (hex8 (Row.fold digest value fnv_basis)) value
+      Row.prepend checksum_attr (checksum_body value) value
 
 (* ------------------------------------------------------------------ *)
 (* Row families. A family's rows live only in its slots: a string key

@@ -721,7 +721,12 @@ let run_flat_model mode ops =
         let m = model.(k) in
         let expected =
           match put_ts m.versions timestamp (stored attrs) with
-          | None -> Error `Stale
+          | None ->
+              (* The store journals the row before it finds the write
+                 stale, so a dirty crash rewinds the row (undoing a
+                 scrub), but the write is not the torn victim. *)
+              if explicit then m.written <- true;
+              Error `Stale
           | Some versions ->
               m.versions <- versions;
               wrote k;

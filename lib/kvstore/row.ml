@@ -112,15 +112,17 @@ let latest t = pair t.chain
 let read t ?timestamp () =
   match timestamp with None -> latest t | Some ts -> pair (at t ts)
 
+let stale t ts = match t.chain with Version v -> v.ts > ts | Nil -> false
+
 let write t ?timestamp value =
   match timestamp with
   | None ->
       let ts = match t.chain with Nil -> 1 | Version v -> v.ts + 1 in
       t.chain <- Version { ts; value; next = t.chain };
       Ok ts
+  | Some ts when stale t ts -> Error `Stale
   | Some ts -> (
       match t.chain with
-      | Version v when v.ts > ts -> Error `Stale
       | Version v when v.ts = ts ->
           t.chain <- Version { ts; value; next = v.next };
           Ok ts

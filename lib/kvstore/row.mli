@@ -75,6 +75,10 @@ val latest : t -> (int * value) option
 val read : t -> ?timestamp:int -> unit -> (int * value) option
 (** Most recent version with timestamp ≤ [timestamp] (latest if omitted). *)
 
+val stale : t -> int -> bool
+(** [stale t ts]: a version with a timestamp strictly greater than [ts]
+    exists, so {!write} refuses [ts]. *)
+
 val write : t -> ?timestamp:int -> value -> (int, [ `Stale ]) result
 (** Append a version. With an explicit [timestamp], fails with [`Stale] if a
     version with a strictly greater timestamp exists (the key-value-store

@@ -210,15 +210,18 @@ let put t row ?timestamp value =
   | Some timestamp -> Row.write row ~timestamp value
 
 (* Write through a row handle: the same per-row atomic write as {!write},
-   used by the WAL fast path. *)
+   used by the WAL fast path. A stale write is refused before the row is
+   journaled, so it leaves no undo record for a dirty crash to replay. *)
 let write_row t row ?timestamp value =
   if t.mode = Sync_always then put t row ?timestamp value
-  else begin
-    note_mutation t row;
-    let result = put t row ?timestamp (stamp t value) in
-    (match result with Ok _ -> t.inflight <- Some row | Error `Stale -> ());
-    result
-  end
+  else
+    match timestamp with
+    | Some ts when Row.stale row ts -> Error `Stale
+    | _ ->
+        note_mutation t row;
+        let result = put t row ?timestamp (stamp t value) in
+        t.inflight <- Some row;
+        result
 
 let write t ~key ?timestamp attrs =
   write_row t (row t ~key) ?timestamp (Row.of_list attrs)

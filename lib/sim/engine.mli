@@ -32,18 +32,21 @@ val rng : t -> Rng.t
 val run : ?until:float -> t -> unit
 (** Execute events until the queue is empty (all processes finished or
     blocked forever) or the clock would pass [until]; in the latter case the
-    clock advances to [until], never backwards. Can be called again after
-    adding more work. *)
+    clock advances to [until], never backwards. A run that ends on
+    cancelled timers leaves the clock at the latest of their deadlines (at
+    most [until]). Can be called again after adding more work. *)
 
 val processed : t -> int
-(** Number of events executed so far (debugging/telemetry). *)
+(** Number of events executed so far (debugging/telemetry). A cancelled
+    timer is not an event: it never runs and is not counted. *)
 
 val pending : t -> int
-(** Live events currently queued, in either lane — cancelled timers whose
-    slot has not yet drained are excluded. Used by tests guarding against timer
-    leaks: a component that cancels its one-shot timers when the awaited
-    event arrives keeps this bounded by its in-flight window, instead of
-    growing with every call whose long timeout has not yet expired. *)
+(** Live events currently queued in any of the three lanes (events due
+    now, later events, timers); cancelled timers are not counted. Used by
+    tests guarding against timer leaks: a component that cancels its
+    one-shot timers when the awaited event arrives keeps this bounded by
+    its in-flight window, instead of growing with every call whose long
+    timeout has not yet expired. *)
 
 (** {1 Processes and scheduling} *)
 
@@ -69,7 +72,8 @@ val after : t -> float -> (unit -> unit) -> timer
     Raises [Invalid_argument] on a NaN delay. *)
 
 val cancel : timer -> unit
-(** Cancel a pending timer; harmless if it already fired. *)
+(** Cancel a pending timer; harmless if it already fired. The callback,
+    and what it captured, is released at once, not at the deadline. *)
 
 (** {1 Blocking operations — valid only inside a process} *)
 

@@ -69,41 +69,75 @@ let min_seq t =
   if t.size = 0 then invalid_arg "Heap.min_seq: empty";
   Array.unsafe_get t.seqs 0
 
+let due t time = t.size > 0 && Float.Array.unsafe_get t.times 0 <= time
+
+let precedes a b =
+  a.size > 0
+  && (b.size = 0
+     || before a 0 (Float.Array.unsafe_get b.times 0) (Array.unsafe_get b.seqs 0))
+
+let top t =
+  if t.size = 0 then invalid_arg "Heap.top: empty";
+  Array.unsafe_get t.items 0
+
+(* Sift the entry in slot [src] down from the hole at [hole], among the
+   first [size] slots. It takes the slot index rather than the key, so no
+   float crosses a call boundary boxed. *)
+let sift_down t ~hole ~src ~size =
+  let time = Float.Array.unsafe_get t.times src in
+  let seq = Array.unsafe_get t.seqs src in
+  let item = Array.unsafe_get t.items src in
+  let hole = ref hole in
+  let sifting = ref true in
+  while !sifting do
+    let l = (2 * !hole) + 1 in
+    if l >= size then sifting := false
+    else begin
+      let r = l + 1 in
+      let child =
+        if r < size
+           && before t r (Float.Array.unsafe_get t.times l) (Array.unsafe_get t.seqs l)
+        then r
+        else l
+      in
+      if before t child time seq then begin
+        move t ~src:child ~dst:!hole;
+        hole := child
+      end
+      else sifting := false
+    end
+  done;
+  place t !hole time seq item
+
 let pop t =
   if t.size = 0 then invalid_arg "Heap.pop: empty";
   let top = Array.unsafe_get t.items 0 in
   let last = t.size - 1 in
   t.size <- last;
-  let time = Float.Array.unsafe_get t.times last in
-  let seq = Array.unsafe_get t.seqs last in
-  let item = Array.unsafe_get t.items last in
+  (* Sift the former last entry down from the root. *)
+  if last > 0 then sift_down t ~hole:0 ~src:last ~size:last;
   Array.unsafe_set t.items last t.filler;
-  if last > 0 then begin
-    (* Sift the former last entry down from the root. *)
-    let hole = ref 0 in
-    let sifting = ref true in
-    while !sifting do
-      let l = (2 * !hole) + 1 in
-      if l >= last then sifting := false
-      else begin
-        let r = l + 1 in
-        let child =
-          if r < last
-             && before t r (Float.Array.unsafe_get t.times l) (Array.unsafe_get t.seqs l)
-          then r
-          else l
-        in
-        if before t child time seq then begin
-          move t ~src:child ~dst:!hole;
-          hole := child
-        end
-        else sifting := false
-      end
-    done;
-    place t !hole time seq item
-  end;
   top
 
-let clear t =
-  Array.fill t.items 0 t.size t.filler;
-  t.size <- 0
+(* Compact the kept entries to the front, in slot order, then restore the
+   heap property bottom-up (Floyd): O(size). Keys are unique, so the pop
+   order of the kept entries does not depend on the heap's shape. *)
+let filter t keep =
+  let latest = ref neg_infinity in
+  let n = ref 0 in
+  for i = 0 to t.size - 1 do
+    if keep (Array.unsafe_get t.items i) then begin
+      if !n < i then move t ~src:i ~dst:!n;
+      incr n
+    end
+    else begin
+      let time = Float.Array.unsafe_get t.times i in
+      if time > !latest then latest := time
+    end
+  done;
+  Array.fill t.items !n (t.size - !n) t.filler;
+  t.size <- !n;
+  for i = (!n / 2) - 1 downto 0 do
+    sift_down t ~hole:i ~src:i ~size:!n
+  done;
+  !latest

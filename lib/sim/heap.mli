@@ -29,8 +29,23 @@ val min_seq : 'a t -> int
 (** Sequence number of the minimum element. Raises [Invalid_argument] if
     empty. *)
 
+val due : 'a t -> float -> bool
+(** [due t time]: [t] is not empty and its minimum is due by [time]. *)
+
+val precedes : 'a t -> 'b t -> bool
+(** [precedes a b]: [a] is not empty, and its minimum orders before [b]'s
+    (or [b] is empty). *)
+
+val top : 'a t -> 'a
+(** Item of the minimum element, left in place. Raises [Invalid_argument]
+    if empty. *)
+
 val pop : 'a t -> 'a
 (** Remove the minimum element and return its item. Raises
     [Invalid_argument] if empty. *)
 
-val clear : 'a t -> unit
+val filter : 'a t -> ('a -> bool) -> float
+(** [filter t keep] removes, in place, every entry whose item fails
+    [keep], and returns the latest time among the removed entries
+    ([neg_infinity] if none). The surviving entries pop in the same
+    [(time, seq)] order as before. O([length t]). *)

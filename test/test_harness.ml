@@ -249,10 +249,10 @@ let headroom = 0.02
 (* shape, simulation words/commit, oracle words/commit *)
 let ceilings =
   [
-    ("ycsb-cp", 4914.9, 109.5);
-    ("batched leader", 5989.6, 110.7);
-    ("failover", 8191.9, 116.9);
-    ("cross-group", 10719.2, 819.4);
+    ("ycsb-cp", 4799.3, 109.5);
+    ("batched leader", 5829.9, 110.7);
+    ("failover", 8037.6, 116.9);
+    ("cross-group", 10537.8, 819.4);
   ]
 
 let batched = Config.throughput ~batch_max:8 ~pipeline_depth:4 Config.leader
@@ -355,10 +355,10 @@ let test_alloc_budget name setup () =
    GC marks on every cycle. *)
 let resident_ceilings =
   [
-    ("ycsb-cp", 446.8);
-    ("batched leader", 530.9);
-    ("failover", 1019.2);
-    ("cross-group", 1201.6);
+    ("ycsb-cp", 440.8);
+    ("batched leader", 506.7);
+    ("failover", 1006.3);
+    ("cross-group", 1191.8);
   ]
 
 let resident_per_commit setup =

@@ -292,6 +292,37 @@ let test_scrub_drops_forged_damage () =
   Alcotest.(check bool) "fully damaged row deleted" true
     (Store.read store ~key:"solo" () = None)
 
+let test_stale_write_leaves_no_undo () =
+  (* A refused stale write changes nothing, so it must leave no undo
+     record either: a dirty crash replaying one would rewind the row to
+     its state before the refusal and bring back a version scrubbed
+     since. *)
+  let store = explicit () in
+  let attrs v = [ ("a", v); ("b", v); ("c", v) ] in
+  ignore (Store.write store ~key:"k" (attrs "one"));
+  Store.sync store;
+  ignore (Store.write store ~key:"k" (attrs "two"));
+  Store.crash ~torn:true store ~lose_unsynced:true;
+  Alcotest.(check bool) "torn version at ts 2" true
+    (match Store.read store ~key:"k" () with
+    | Some (2, block) -> not (Store.checksum_valid block)
+    | _ -> false);
+  ignore (Store.write store ~key:"k" ~timestamp:6 (attrs "six"));
+  Store.crash store ~lose_unsynced:false;
+  Alcotest.(check bool) "stale write refused" true
+    (Store.write store ~key:"k" ~timestamp:2 (attrs "late") = Error `Stale);
+  Alcotest.(check int) "nothing journaled" 0 (Store.unsynced store);
+  Alcotest.(check int) "scrub drops the torn version" 1 (Store.scrub store ~key:"k");
+  Store.crash store ~lose_unsynced:true;
+  let versions = match Store.row_handle store ~key:"k" with
+    | None -> []
+    | Some row -> Row.versions row
+  in
+  Alcotest.(check (list int)) "scrub survives the dirty crash" [ 6; 1 ]
+    (List.map fst versions);
+  Alcotest.(check bool) "every version checksums" true
+    (List.for_all (fun (_, block) -> Store.checksum_valid block) versions)
+
 let test_durable_versions_oracle () =
   let store = explicit () in
   ignore (Store.write store ~key:"k" ~timestamp:1 (value "durable"));
@@ -722,10 +753,9 @@ let run_flat_model mode ops =
         let expected =
           match put_ts m.versions timestamp (stored attrs) with
           | None ->
-              (* The store journals the row before it finds the write
-                 stale, so a dirty crash rewinds the row (undoing a
-                 scrub), but the write is not the torn victim. *)
-              if explicit then m.written <- true;
+              (* Refused before the row is journaled: a dirty crash does
+                 not rewind the row, and the write is not the torn
+                 victim. *)
               Error `Stale
           | Some versions ->
               m.versions <- versions;
@@ -1078,6 +1108,8 @@ let () =
             test_torn_crash_on_created_row_stays_absent;
           Alcotest.test_case "scrub repairs forged damage" `Quick
             test_scrub_drops_forged_damage;
+          Alcotest.test_case "refused stale write leaves no undo" `Quick
+            test_stale_write_leaves_no_undo;
           Alcotest.test_case "durable_versions oracle" `Quick
             test_durable_versions_oracle;
         ] );

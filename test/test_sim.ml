@@ -34,12 +34,6 @@ let test_heap_fifo_ties () =
   Alcotest.(check (list int)) "FIFO at equal time" [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ]
     (pop_all h)
 
-let test_heap_clear () =
-  let h = Heap.create ~filler:() () in
-  Heap.push h ~time:1.0 ~seq:1 ();
-  Heap.clear h;
-  Alcotest.(check bool) "cleared" true (Heap.is_empty h)
-
 let test_heap_no_allocation () =
   (* Past its high-water mark the heap allocates nothing: pushing and
      popping at steady state leaves the minor heap untouched. *)
@@ -137,6 +131,61 @@ let heap_interleaved_prop =
         (fun (t, s) (t', s') -> Float.equal t t' && s = s')
         (List.sort by_key !pushed)
         (List.sort by_key !popped))
+
+type heap_op = Push of float | Pop | Filter of int
+
+(* Interleaved push, pop and filter against a sorted list of keys: the
+   entries that survive a filter pop in the model's (time, seq) order,
+   nothing a filter removed comes back, and [filter] reports the latest
+   time it removed. *)
+let heap_filter_prop =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (5, map (fun t -> Push (float_of_int t /. 4.0)) (int_bound 40));
+          (3, return Pop);
+          (1, map (fun m -> Filter m) (int_range 1 4));
+        ])
+  in
+  let pp = function
+    | Push t -> Printf.sprintf "push %g" t
+    | Pop -> "pop"
+    | Filter m -> Printf.sprintf "filter seq mod %d <> 0" m
+  in
+  QCheck.Test.make ~name:"heap filter keeps the (time, seq) order of the survivors"
+    ~count:300
+    (QCheck.make ~print:(fun ops -> String.concat "; " (List.map pp ops))
+       QCheck.Gen.(list_size (int_bound 120) op))
+    (fun ops ->
+      let h = Heap.create ~filler:0 () in
+      let model = ref [] in
+      let seq = ref 0 in
+      let same_key (t, s) (t', s') = Float.equal t t' && s = s' in
+      List.iter
+        (function
+          | Push t ->
+              incr seq;
+              Heap.push h ~time:t ~seq:!seq !seq;
+              model := List.merge compare !model [ (t, !seq) ]
+          | Pop -> (
+              match !model with
+              | [] -> ()
+              | key :: rest ->
+                  let got = (Heap.min_time h, Heap.min_seq h) in
+                  if Heap.pop h <> snd got then QCheck.Test.fail_report "payload mismatch";
+                  if not (same_key key got) then QCheck.Test.fail_report "pop order";
+                  model := rest)
+          | Filter m ->
+              let keep s = s mod m <> 0 in
+              let removed = List.filter (fun (_, s) -> not (keep s)) !model in
+              let latest = List.fold_left (fun l (t, _) -> Float.max l t) neg_infinity removed in
+              if not (Float.equal latest (Heap.filter h keep)) then
+                QCheck.Test.fail_report "latest removed time";
+              model := List.filter (fun (_, s) -> keep s) !model;
+              if Heap.length h <> List.length !model then QCheck.Test.fail_report "length")
+        ops;
+      List.equal same_key !model (drain_keys h))
 
 (* ------------------------------------------------------------------ *)
 (* RNG.                                                                 *)
@@ -298,9 +347,9 @@ let test_engine_timer_cancel () =
   Alcotest.(check bool) "cancelled timer silent" false !fired
 
 let test_engine_pending_excludes_cancelled () =
-  (* [pending] counts live events only: a cancelled timer's heap slot
-     lingers (lazy deletion keeps event order stable) but must not be
-     reported, and double-cancel must not double-count. *)
+  (* [pending] counts live events only: a cancelled timer may wait in
+     its lane until it reaches the top but must not be reported, and
+     double-cancel must not double-count. *)
   let engine = Engine.create () in
   let t1 = Engine.after engine 1.0 (fun () -> ()) in
   let _t2 = Engine.after engine 2.0 (fun () -> ()) in
@@ -314,6 +363,82 @@ let test_engine_pending_excludes_cancelled () =
   (* Cancelling after the fact stays harmless. *)
   Engine.cancel t1;
   Alcotest.(check int) "still drained" 0 (Engine.pending engine)
+
+let test_engine_cancel_releases_closure () =
+  (* A cancelled timer's closure, and what it captured, is unreachable
+     at once, not at its deadline. *)
+  let engine = Engine.create () in
+  let collected = ref false in
+  (* Allocated out of line, so no stack slot of this frame keeps it. *)
+  let[@inline never] arm () =
+    let captured = ref 0 in
+    Gc.finalise_last (fun () -> collected := true) captured;
+    Engine.after engine 2.0 (fun () -> incr captured)
+  in
+  let timer = arm () in
+  Engine.cancel timer;
+  Gc.full_major ();
+  Alcotest.(check bool) "captured value collected" true !collected;
+  (* Keeps the engine and the timer reachable across the collection. *)
+  Engine.cancel (Sys.opaque_identity timer);
+  Engine.run engine;
+  Alcotest.(check int) "nothing ran" 0 (Engine.processed engine)
+
+let test_engine_rebuild_releases_dead_timers () =
+  (* Once more than half of the timer lane is dead, the next [after]
+     rebuilds it without them, long before their deadlines. *)
+  let engine = Engine.create () in
+  let released = ref 0 in
+  let[@inline never] arm_and_cancel () =
+    for i = 1 to 100 do
+      let timer = Engine.after engine (float_of_int i) ignore in
+      Gc.finalise_last (fun () -> incr released) timer;
+      Engine.cancel timer
+    done
+  in
+  arm_and_cancel ();
+  ignore (Engine.after engine 1000.0 ignore);
+  Gc.full_major ();
+  Alcotest.(check int) "dead timers released" 100 !released;
+  Alcotest.(check int) "one live" 1 (Engine.pending engine);
+  Engine.run engine;
+  Alcotest.(check int) "one event" 1 (Engine.processed engine);
+  Alcotest.(check (float 0.0)) "at its deadline" 1000.0 (Engine.now engine)
+
+let test_engine_dead_timers_end_clock () =
+  (* Cancelled timers are not events, but a run that ends on them leaves
+     the clock at their latest deadline, as popping them did. *)
+  let engine = Engine.create () in
+  Engine.schedule engine ~at:1.0 ignore;
+  Engine.cancel (Engine.after engine 5.0 ignore);
+  Engine.cancel (Engine.after engine 3.0 ignore);
+  Engine.run engine;
+  Alcotest.(check (float 0.0)) "latest dead deadline" 5.0 (Engine.now engine);
+  Alcotest.(check int) "one event" 1 (Engine.processed engine);
+  (* Under [~until], a dead deadline past the bound stops the clock at the
+     bound, and a later run reaches it. *)
+  let engine = Engine.create () in
+  Engine.cancel (Engine.after engine 4.0 ignore);
+  Engine.cancel (Engine.after engine 9.0 ignore);
+  Engine.run ~until:6.0 engine;
+  Alcotest.(check (float 0.0)) "bounded" 6.0 (Engine.now engine);
+  Engine.run ~until:2.0 engine;
+  Alcotest.(check (float 0.0)) "never back" 6.0 (Engine.now engine);
+  Engine.run engine;
+  Alcotest.(check (float 0.0)) "unbounded" 9.0 (Engine.now engine);
+  (* The same when the dead timers left the lane through a rebuild
+     rather than through its top. *)
+  let engine = Engine.create () in
+  let timers = List.init 10 (fun i -> Engine.after engine (float_of_int (i + 1)) ignore) in
+  List.iter Engine.cancel timers;
+  ignore (Engine.after engine 0.5 ignore);
+  Alcotest.(check int) "one live" 1 (Engine.pending engine);
+  Engine.run ~until:7.5 engine;
+  Alcotest.(check (float 0.0)) "rebuilt, bounded" 7.5 (Engine.now engine);
+  Engine.run engine;
+  Alcotest.(check (float 0.0)) "rebuilt, unbounded" 10.0 (Engine.now engine);
+  Alcotest.(check int) "only the live timer ran" 1 (Engine.processed engine);
+  Alcotest.(check int) "drained" 0 (Engine.pending engine)
 
 let test_engine_suspend_wake () =
   let engine = Engine.create () in
@@ -414,7 +539,7 @@ let test_engine_run_until_never_rewinds () =
   Alcotest.(check (float 0.0)) "final clock" 9.0 (Engine.now engine)
 
 (* ------------------------------------------------------------------ *)
-(* Executable spec: the single-heap engine the two-lane queue replaced. *)
+(* Executable spec: the single-heap engine the three-lane queue replaced. *)
 
 (* The boxed binary heap the engine used before the struct-of-arrays
    rewrite, kept as the order oracle. *)
@@ -476,21 +601,30 @@ module Spec_heap = struct
 end
 
 (* Every event, same-instant or not, goes through one (time, seq) heap.
-   Only [run ~until] differs from the old engine: it carries the fix that
-   the clock never moves backwards. *)
+   A cancelled timer keeps its slot and moves the clock when popped, but
+   is not an event: [processed] does not count it. Only [run ~until]
+   differs from the old engine otherwise: it carries the fix that the
+   clock never moves backwards. *)
 module Spec_engine = struct
   open Effect
   open Effect.Deep
 
-  type t = {
+  type timer = {
+    mutable cancelled : bool;
+    mutable fired : bool;
+    owner : t;
+    action : unit -> unit;
+  }
+
+  and item = Event of (unit -> unit) | Timer of timer
+
+  and t = {
     mutable clock : float;
     mutable seq : int;
-    events : (unit -> unit) Spec_heap.t;
+    events : item Spec_heap.t;
     mutable executed : int;
     mutable dead : int;
   }
-
-  type timer = { mutable cancelled : bool; mutable fired : bool; owner : t }
 
   type _ Effect.t +=
     | Sleep : (t * float) -> unit Effect.t
@@ -505,16 +639,16 @@ module Spec_engine = struct
   let processed t = t.executed
   let pending t = Spec_heap.length t.events - t.dead
 
-  let schedule t ~at f =
+  let push t ~at item =
     let at = if at < t.clock then t.clock else at in
     t.seq <- t.seq + 1;
-    Spec_heap.push t.events ~time:at ~seq:t.seq f
+    Spec_heap.push t.events ~time:at ~seq:t.seq item
 
-  let after t d f =
-    let tm = { cancelled = false; fired = false; owner = t } in
-    schedule t ~at:(t.clock +. d) (fun () ->
-        tm.fired <- true;
-        if tm.cancelled then t.dead <- t.dead - 1 else f ());
+  let schedule t ~at f = push t ~at (Event f)
+
+  let after t d action =
+    let tm = { cancelled = false; fired = false; owner = t; action } in
+    push t ~at:(t.clock +. d) (Timer tm);
     tm
 
   let cancel tm =
@@ -559,10 +693,19 @@ module Spec_engine = struct
       | Some _ -> (
           match Spec_heap.pop t.events with
           | None -> assert false
-          | Some (time, _, f) ->
+          | Some (time, _, Timer ({ cancelled = true; _ } as tm)) ->
+              t.clock <- time;
+              tm.fired <- true;
+              t.dead <- t.dead - 1;
+              loop ()
+          | Some (time, _, item) ->
               t.clock <- time;
               t.executed <- t.executed + 1;
-              f ();
+              (match item with
+              | Event f -> f ()
+              | Timer tm ->
+                  tm.fired <- true;
+                  tm.action ());
               loop ())
     in
     loop ()
@@ -703,8 +846,8 @@ let program_gen =
   in
   pair (oneofl [ 0.0; 0.5; 1.0; 2.0; 3.5 ]) (list_size (int_range 1 8) op)
 
-let two_lane_matches_spec_prop =
-  QCheck.Test.make ~name:"two-lane engine runs programs in the spec's order"
+let three_lanes_match_spec_prop =
+  QCheck.Test.make ~name:"three-lane engine runs programs in the spec's order"
     ~count:500
     (QCheck.make program_gen ~print:(fun (until, prog) ->
          Printf.sprintf "until %g: %s" until (pp_ops prog)))
@@ -756,7 +899,7 @@ let test_pinned_cluster_run () =
     (Audit.summarize (Audit.events (Cluster.audit cluster))).commits;
   Alcotest.(check string) "outcome digest" "4e0d29e53a8cd64c4aec95ca69089d50"
     (Digest.to_hex (Digest.string (Buffer.contents buf)));
-  Alcotest.(check int) "events processed" 9033 (Engine.processed engine)
+  Alcotest.(check int) "events processed" 7656 (Engine.processed engine)
 
 let determinism_prop =
   QCheck.Test.make ~name:"identical seeds give identical executions" ~count:20
@@ -784,12 +927,12 @@ let () =
         [
           Alcotest.test_case "basic order" `Quick test_heap_basic;
           Alcotest.test_case "FIFO on ties" `Quick test_heap_fifo_ties;
-          Alcotest.test_case "clear" `Quick test_heap_clear;
           Alcotest.test_case "no allocation at steady state" `Quick
             test_heap_no_allocation;
           Alcotest.test_case "releases popped items" `Quick test_heap_releases_popped;
           QCheck_alcotest.to_alcotest heap_sorted_prop;
           QCheck_alcotest.to_alcotest heap_interleaved_prop;
+          QCheck_alcotest.to_alcotest heap_filter_prop;
         ] );
       ( "rng",
         [
@@ -811,6 +954,12 @@ let () =
           Alcotest.test_case "timer cancel" `Quick test_engine_timer_cancel;
           Alcotest.test_case "pending excludes cancelled" `Quick
             test_engine_pending_excludes_cancelled;
+          Alcotest.test_case "cancel releases the closure" `Quick
+            test_engine_cancel_releases_closure;
+          Alcotest.test_case "rebuild releases dead timers" `Quick
+            test_engine_rebuild_releases_dead_timers;
+          Alcotest.test_case "dead timers set the end clock" `Quick
+            test_engine_dead_timers_end_clock;
           Alcotest.test_case "suspend/wake" `Quick test_engine_suspend_wake;
           Alcotest.test_case "yield interleaves" `Quick test_engine_yield_interleaves;
           Alcotest.test_case "exceptions propagate" `Quick test_engine_exception_propagates;
@@ -821,7 +970,7 @@ let () =
           Alcotest.test_case "run until never rewinds" `Quick
             test_engine_run_until_never_rewinds;
           QCheck_alcotest.to_alcotest determinism_prop;
-          QCheck_alcotest.to_alcotest two_lane_matches_spec_prop;
+          QCheck_alcotest.to_alcotest three_lanes_match_spec_prop;
           Alcotest.test_case "pinned cluster run" `Quick test_pinned_cluster_run;
         ] );
     ]

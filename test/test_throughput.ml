@@ -745,14 +745,14 @@ let test_restart_tied_fast_votes () =
    a digest is a behaviour change of the drainer. *)
 let pinned_long_fill =
   [
-    (("VVV", 64, 1, 0.05, 1, false), ("738aac815fcb7eda76804580aa0de95b", 2670));
-    (("VVV", 8, 1, 0.05, 2, true), ("23d65a96bd1b0c7c940a0816144bf6ad", 3185));
-    (("VOC", 4, 2, 0.15, 3, false), ("6815084eb2255f3f6d59776fd1f121be", 2393));
-    (("VVVOC", 2, 4, 0.02, 4, true), ("a9bec07a37d3288749d9bbc065b270f9", 3733));
-    (("VVVOC", 64, 2, 0.15, 5, false), ("0bccaa96face0fa1be7cd8ea86fd23e6", 2635));
-    (("VOC", 1, 4, 0.05, 6, true), ("2f5215861d692f12aa113d9fd9ca4e6c", 3276));
-    (("VVV", 2, 2, 0.08, 7, true), ("1311c102df9b7d8e73846f93f3389628", 2851));
-    (("VVVOC", 8, 4, 0.05, 8, true), ("404a599d5b917320fbda5f7400675ea5", 3256));
+    (("VVV", 64, 1, 0.05, 1, false), ("738aac815fcb7eda76804580aa0de95b", 2272));
+    (("VVV", 8, 1, 0.05, 2, true), ("23d65a96bd1b0c7c940a0816144bf6ad", 2756));
+    (("VOC", 4, 2, 0.15, 3, false), ("6815084eb2255f3f6d59776fd1f121be", 2030));
+    (("VVVOC", 2, 4, 0.02, 4, true), ("a9bec07a37d3288749d9bbc065b270f9", 3308));
+    (("VVVOC", 64, 2, 0.15, 5, false), ("0bccaa96face0fa1be7cd8ea86fd23e6", 2269));
+    (("VOC", 1, 4, 0.05, 6, true), ("2f5215861d692f12aa113d9fd9ca4e6c", 2826));
+    (("VVV", 2, 2, 0.08, 7, true), ("1311c102df9b7d8e73846f93f3389628", 2435));
+    (("VVVOC", 8, 4, 0.05, 8, true), ("404a599d5b917320fbda5f7400675ea5", 2859));
   ]
 
 let test_long_fill_digests_pinned () =

@@ -112,7 +112,13 @@ let begin_ t ~group =
 let txn_id txn = txn.txn_id
 let read_position txn = txn.read_position
 
+(* A client write under the reserved prefix would be taken for a marker. *)
+let unreserved ~what key =
+  if Txn.is_reserved key then
+    invalid_arg (Printf.sprintf "Client.%s: key %S is reserved" what key)
+
 let read txn key =
+  unreserved ~what:"read" key;
   match List.assoc_opt key txn.writes with
   | Some v -> Some v (* property (A1): read your own writes *)
   | None -> (
@@ -131,6 +137,7 @@ let read txn key =
           | _ -> raise (Unavailable "read: unexpected response")))
 
 let write txn key value =
+  unreserved ~what:"write" key;
   txn.writes <- (key, value) :: List.remove_assoc key txn.writes
 
 (* ------------------------------------------------------------------ *)

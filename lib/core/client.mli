@@ -54,6 +54,8 @@ val read : txn -> Txn.key -> string option
 (** [None] if the key has never been written (as of the read position). *)
 
 val write : txn -> Txn.key -> string -> unit
+(** Buffers the write until {!commit}. {!read} and [write] raise
+    [Invalid_argument] on a key under {!Txn.reserved_prefix}. *)
 
 val commit : txn -> Audit.outcome
 (** Run the commit protocol; records the transaction in the audit trail and

@@ -1,14 +1,13 @@
 module Txn = Mdds_types.Txn
 module Codec = Mdds_codec.Codec
 
-(* Reserved key prefix: no workload key may start with it. Everything the
-   multi-shot commit protocol persists rides inside ordinary log records
-   as writes to these keys, so the per-group Paxos machinery (durability,
-   replication, dedup, recovery) applies to 2PC state unchanged. *)
-let reserved_prefix = "__2pc/"
-let prepare_prefix = "__2pc/p/"
-let outcome_prefix = "__2pc/o/"
-let decision_prefix = "__2pc/d/"
+(* Everything the multi-shot commit protocol persists rides inside
+   ordinary log records as writes to keys under {!Txn.reserved_prefix}, so
+   the per-group Paxos machinery (durability, replication, dedup,
+   recovery) applies to 2PC state unchanged. *)
+let prepare_prefix = Txn.reserved_prefix ^ "p/"
+let outcome_prefix = Txn.reserved_prefix ^ "o/"
+let decision_prefix = Txn.reserved_prefix ^ "d/"
 
 let prepare_key txid = prepare_prefix ^ txid
 let outcome_key txid = outcome_prefix ^ txid
@@ -46,8 +45,7 @@ let strip prefix key =
    decodes nothing: a prepare's payload is read only by {!payload}. *)
 let classify (r : Txn.record) =
   match r.Txn.writes with
-  | { Txn.key; value } :: _ when String.starts_with ~prefix:reserved_prefix key
-    ->
+  | { Txn.key; value } :: _ when Txn.is_reserved key ->
       if String.starts_with ~prefix:prepare_prefix key then
         Prepare { txid = strip prepare_prefix key }
       else if String.starts_with ~prefix:outcome_prefix key then
@@ -64,7 +62,7 @@ let payload (r : Txn.record) =
 
 let is_marker (r : Txn.record) =
   match r.Txn.writes with
-  | { Txn.key; _ } :: _ -> String.starts_with ~prefix:reserved_prefix key
+  | { Txn.key; _ } :: _ -> Txn.is_reserved key
   | [] -> false
 
 (* The prepare both locks the transaction's footprint in this group and

@@ -4,7 +4,7 @@
 
     A cross-group transaction's 2PC state machine is persisted as
     ordinary {!Mdds_types.Txn.record}s whose writes target keys under
-    the reserved ["__2pc/"] prefix, so every record rides the existing
+    {!Mdds_types.Txn.reserved_prefix}, so every record rides the existing
     per-group Paxos log unchanged:
 
     - [Prepare]: logged in every participant group; its read set is the
@@ -18,9 +18,6 @@
       writes on commit, nothing on abort. *)
 
 module Txn := Mdds_types.Txn
-
-val reserved_prefix : string
-(** ["__2pc/"] — workload keys must never start with this. *)
 
 val prepare_key : string -> string
 val decision_key : string -> string

@@ -1,4 +1,5 @@
 module Checker = Mdds_serial.Checker
+module Strtbl = Mdds_kvstore.Strtbl
 module Txn = Mdds_types.Txn
 
 (* Merge an archived log (entries captured before compaction discarded
@@ -39,12 +40,12 @@ let merge_archive ~archive live =
    copied, and a log without marker records (every single-group run) is
    returned as it is. *)
 let effective_log ?(dropped = ignore) log =
-  let seen = Hashtbl.create 16 in
+  let seen = Strtbl.create 16 in
   (* Marker records carry the marker as their first write. *)
   let inert (r : Txn.record) =
     match r.Txn.writes with
     | w :: _ when Twopc.is_marker r ->
-        Hashtbl.mem seen w.Txn.key || (Hashtbl.add seen w.Txn.key (); false)
+        Strtbl.mem seen w.Txn.key || (Strtbl.add seen w.Txn.key (); false)
     | _ -> false
   in
   let rec effective = function
@@ -130,263 +131,238 @@ let check_exn ?archive cluster ~group =
   match check ?archive cluster ~group with Ok () -> () | Error msg -> failwith msg
 
 (* ------------------------------------------------------------------ *)
-(* Cross-group atomicity oracle (PROTOCOL.md §10).
+(* Cross-group atomicity oracle (PROTOCOL.md §10): the multi-shot commit
+   specification (after Chockler & Gotsman), checked on the participant
+   groups' effective logs — the marker records ({!Twopc}) are the
+   protocol's only durable state — and on the pseudo-group audit events.
+   Every marker left in an effective log is the one that took (write-once,
+   first wins), so each is recorded as it comes. *)
 
-   Works from the participant groups' merged logs alone — the marker
-   records ({!Twopc}) are the protocol's only durable state — plus the
-   pseudo-group audit events for outcome honesty. The effective
-   (write-once, first-wins) marker per key is the one that took. *)
+(* A prepare in the group with index [slot] in [groups]. *)
+type prepare = {
+  txid : string;
+  slot : int;
+  pos : int;
+  payload : Twopc.payload;
+  footprint : Txn.key array;  (* reads ∪ write keys *)
+  later : (int * Txn.entry) list;  (* the effective log after [pos] *)
+  txn : markers;
+}
+
+(* One transaction's effective markers, by slot. *)
+and markers = {
+  prepared : prepare option array;
+  outcomes : (int * string * Txn.write list) option array;  (* pos, verdict *)
+  decisions : string option array;
+}
 
 (* An outcome's writes, less its markers, are exactly the prepared
    [(key, value)] writes, in order. *)
 let rec applies_exactly (writes : Txn.write list) prepared =
   match (writes, prepared) with
-  | w :: rest, _ when String.starts_with ~prefix:Twopc.reserved_prefix w.key ->
-      applies_exactly rest prepared
+  | w :: rest, _ when Txn.is_reserved w.key -> applies_exactly rest prepared
   | w :: rest, (key, value) :: more ->
       String.equal w.key key && String.equal w.value value
       && applies_exactly rest more
   | [], [] -> true
   | _ -> false
 
+(* An observed ["g/k"] as ["k"], if [prefix] is ["g/"]. *)
+let unqualify prefix (qkey, value) =
+  let n = String.length prefix in
+  if String.starts_with ~prefix qkey then
+    Some (String.sub qkey n (String.length qkey - n), value)
+  else None
+
+(* Whether [r] reads a footprint key or writes one (markers aside). *)
+let touches footprint (r : Txn.record) =
+  let mem key = Array.exists (String.equal key) footprint in
+  Array.exists mem (Txn.read_keys r)
+  || Array.exists (fun k -> (not (Txn.is_reserved k)) && mem k) (Txn.write_keys r)
+
 let check_cross ?(archives = []) cluster ~groups =
-  let ( let* ) = Result.bind in
-  let errf fmt = Printf.ksprintf (fun s -> Error ("cross: " ^ s)) fmt in
-  let* logs =
-    List.fold_left
-      (fun acc group ->
-        let* acc = acc in
-        let* log = Cluster.agreed_log cluster ~group in
-        let archive =
-          Option.value (List.assoc_opt group archives) ~default:[]
-        in
-        let* log = merge_archive ~archive log in
-        Ok ((group, log) :: acc))
-      (Ok []) groups
+  let exception Violation of string in
+  let fail fmt = Format.kasprintf (fun s -> raise (Violation ("cross: " ^ s))) fmt in
+  let effective group =
+    let archive = Option.value (List.assoc_opt group archives) ~default:[] in
+    let log = Cluster.agreed_log cluster ~group in
+    match Result.bind log (merge_archive ~archive) with
+    | Ok log -> effective_log log
+    | Error s -> raise (Violation s)
   in
-  let logs = List.rev logs in
-  (* Effective (first in log order) marker record per (txid, group). *)
-  let prepares = Hashtbl.create 64 in (* -> pos, record, payload, later log *)
-  let outcomes = Hashtbl.create 64 in (* -> pos, verdict, record *)
-  let decisions = Hashtbl.create 64 in (* -> verdict *)
-  List.iter
-    (fun (group, log) ->
-      let rec scan = function
-        | [] -> ()
-        | (pos, entry) :: later ->
-            List.iter
-              (fun (r : Txn.record) ->
-                match Twopc.classify r with
-                | Twopc.Prepare { txid } ->
-                    if not (Hashtbl.mem prepares (txid, group)) then
-                      Hashtbl.add prepares (txid, group)
-                        (pos, r, Twopc.payload r, later)
-                | Twopc.Outcome { txid; verdict } ->
-                    if not (Hashtbl.mem outcomes (txid, group)) then
-                      Hashtbl.add outcomes (txid, group) (pos, verdict, r)
-                | Twopc.Decision { txid; verdict } ->
-                    if not (Hashtbl.mem decisions (txid, group)) then
-                      Hashtbl.add decisions (txid, group) verdict
-                | Twopc.Plain -> ())
-              entry;
-            scan later
-      in
-      scan log)
-    logs;
-  let fold_tbl tbl f = Hashtbl.fold (fun k v acc -> let* () = acc in f k v) tbl (Ok ()) in
-  (* Every logged prepare is resolved, by an outcome agreeing with the
-     decision logged in its coordinator's group — never an invented one. *)
-  let* () =
-    fold_tbl prepares (fun (txid, group) (pos, _, payload, _) ->
-        match Hashtbl.find_opt outcomes (txid, group) with
-        | None ->
-            errf "prepare %s in %s (pos %d) left unresolved: no outcome logged"
-              txid group pos
-        | Some (opos, verdict, _) -> (
-            match Hashtbl.find_opt decisions (txid, payload.Twopc.coordinator) with
-            | None ->
-                errf
-                  "outcome %s for %s in %s (pos %d) without a decision in \
-                   coordinator %s"
-                  verdict txid group opos payload.Twopc.coordinator
-            | Some dverdict when not (String.equal dverdict verdict) ->
-                errf "outcome %s for %s in %s (pos %d) contradicts decision %s"
-                  verdict txid group opos dverdict
-            | Some _ -> Ok ()))
-  in
-  (* Prepares of one transaction agree on coordinator and participants;
-     a committed transaction prepared — and committed — everywhere, with
-     the outcome applying exactly the prepared writes. *)
-  let* () =
-    fold_tbl prepares (fun (txid, group) (_, _, payload, _) ->
-        let* () =
-          List.fold_left
-            (fun acc g ->
-              let* () = acc in
-              match Hashtbl.find_opt prepares (txid, g) with
-              | Some (_, _, other, _)
-                when other.Twopc.coordinator <> payload.Twopc.coordinator
-                     || other.Twopc.participants <> payload.Twopc.participants
-                ->
-                  errf "prepares for %s in %s and %s disagree on the payload"
-                    txid group g
-              | _ -> Ok ())
-            (Ok ()) groups
-        in
-        let* () =
-          match Hashtbl.find_opt decisions (txid, payload.Twopc.coordinator) with
-          | Some d when String.equal d Twopc.commit_verdict ->
-              List.fold_left
-                (fun acc g ->
-                  let* () = acc in
-                  match
-                    ( Hashtbl.find_opt prepares (txid, g),
-                      Hashtbl.find_opt outcomes (txid, g) )
-                  with
-                  | None, _ ->
-                      errf "%s committed but participant %s has no prepare"
-                        txid g
-                  | _, None ->
-                      errf "%s committed but participant %s has no outcome"
-                        txid g
-                  | Some (_, _, pl, _), Some (opos, verdict, o) ->
-                      if not (String.equal verdict Twopc.commit_verdict) then
-                        errf "%s committed but %s logged outcome %s" txid g
-                          verdict
-                      else if not (applies_exactly o.Txn.writes pl.Twopc.writes)
-                      then
-                        errf
-                          "%s commit outcome in %s (pos %d) does not apply the \
-                           prepared writes"
-                          txid g opos
-                      else Ok ())
-                (Ok ()) payload.Twopc.participants
-          | _ -> Ok ()
-        in
-        if not (List.mem group payload.Twopc.participants) then
-          errf "prepare %s logged in %s, not a listed participant" txid group
-        else Ok ())
-  in
-  (* Window exclusivity — the 1SR linchpin: between a prepare and its
-     first outcome, no other effective record may touch the prepared
-     footprint in that group (the in-doubt table's admission blocking,
-     verified from the log after the fact). Each window is walked along
-     the log from just after its prepare, so the check costs the windows'
-     total length, not one log pass per prepare. *)
-  let* () =
-    fold_tbl prepares (fun (txid, group) (ppos, prep, _, later) ->
-        match Hashtbl.find_opt outcomes (txid, group) with
-        | Some (opos, _, _) when opos > ppos + 1 ->
-            let footprint = Txn.read_keys prep in
-            let in_footprint key = Array.exists (String.equal key) footprint in
-            let check_record pos acc (r : Txn.record) =
-              let* () = acc in
-              let effective =
-                match Twopc.classify r with
-                | Twopc.Plain -> true
-                | Twopc.Prepare { txid = id } -> (
-                    match Hashtbl.find_opt prepares (id, group) with
-                    | Some (p, _, _, _) -> p = pos
-                    | None -> false)
-                | Twopc.Outcome { txid = id; _ } -> (
-                    match Hashtbl.find_opt outcomes (id, group) with
-                    | Some (p, _, _) -> p = pos
-                    | None -> false)
-                | Twopc.Decision _ -> false (* marker-only writes *)
-              in
-              let touched () =
-                Array.exists in_footprint (Txn.read_keys r)
-                || List.exists
-                     (fun (w : Txn.write) ->
-                       (not
-                          (String.starts_with ~prefix:Twopc.reserved_prefix
-                             w.Txn.key))
-                       && in_footprint w.Txn.key)
-                     r.Txn.writes
-              in
-              if effective && touched () then
-                errf
-                  "record %s at pos %d in %s inside the in-doubt window of %s \
-                   (prepare %d, outcome %d)"
-                  r.Txn.txn_id pos group txid ppos opos
-              else Ok ()
-            in
+  try
+    let logs = Array.of_list (List.map effective groups) in
+    let names = Array.of_list groups in
+    let slot group = List.find_index (String.equal group) groups in
+    let decision txn g = Option.bind (slot g) (Array.get txn.decisions) in
+    (* One fold over each effective log fills one record per txid. The
+       prepares come out in (groups, log) order: each phase below reports
+       its first violation in that order. *)
+    let txns = Strtbl.create 64 and prepares = ref [] in
+    let markers txid =
+      match Strtbl.find_opt txns txid with
+      | Some txn -> txn
+      | None ->
+          let none () = Array.make (Array.length names) None in
+          let txn = { prepared = none (); outcomes = none (); decisions = none () } in
+          Strtbl.add txns txid txn;
+          txn
+    in
+    let note slot pos later (r : Txn.record) =
+      match Twopc.classify r with
+      | Twopc.Prepare { txid } ->
+          let txn = markers txid in
+          let payload = Twopc.payload r and footprint = Txn.read_keys r in
+          let p = { txid; slot; pos; payload; footprint; later; txn } in
+          txn.prepared.(slot) <- Some p;
+          prepares := p :: !prepares
+      | Twopc.Outcome { txid; verdict } ->
+          (markers txid).outcomes.(slot) <- Some (pos, verdict, r.writes)
+      | Twopc.Decision { txid; verdict } ->
+          (markers txid).decisions.(slot) <- Some verdict
+      | Twopc.Plain -> ()
+    in
+    let rec scan slot = function
+      | [] -> ()
+      | (pos, entry) :: later ->
+          List.iter (note slot pos later) entry;
+          scan slot later
+    in
+    Array.iteri scan logs;
+    let prepares = List.rev !prepares in
+    (* Resolution: every prepare is settled by an outcome equal to the
+       decision logged in its coordinator's group — never an invented
+       one. *)
+    List.iter
+      (fun p ->
+        let group = names.(p.slot) and coordinator = p.payload.coordinator in
+        match (p.txn.outcomes.(p.slot), decision p.txn coordinator) with
+        | None, _ ->
+            fail "prepare %s in %s (pos %d) left unresolved: no outcome logged"
+              p.txid group p.pos
+        | Some (opos, verdict, _), None ->
+            fail
+              "outcome %s for %s in %s (pos %d) without a decision in \
+               coordinator %s"
+              verdict p.txid group opos coordinator
+        | Some (opos, verdict, _), Some d when not (String.equal d verdict) ->
+            fail "outcome %s for %s in %s (pos %d) contradicts decision %s"
+              verdict p.txid group opos d
+        | Some _, Some _ -> ())
+      prepares;
+    (* Agreement, commit completeness, membership: a transaction's
+       prepares agree on coordinator and participants; a committed one is
+       prepared in every participant, and each of its outcomes (the
+       commit, by resolution) applies exactly the prepared writes; no
+       other group prepared it. *)
+    List.iter
+      (fun p ->
+        let group = names.(p.slot) in
+        let { Twopc.coordinator; participants; writes } = p.payload in
+        Array.iteri
+          (fun i -> function
+            | Some q
+              when q.payload.coordinator <> coordinator
+                   || q.payload.participants <> participants ->
+                fail "prepares for %s in %s and %s disagree on the payload"
+                  p.txid group names.(i)
+            | _ -> ())
+          p.txn.prepared;
+        if decision p.txn coordinator = Some Twopc.commit_verdict then begin
+          List.iter
+            (fun g ->
+              if Option.is_none (Option.bind (slot g) (Array.get p.txn.prepared))
+              then fail "%s committed but participant %s has no prepare" p.txid g)
+            participants;
+          match p.txn.outcomes.(p.slot) with
+          | Some (opos, _, applied) when not (applies_exactly applied writes) ->
+              fail
+                "%s commit outcome in %s (pos %d) does not apply the prepared \
+                 writes"
+                p.txid group opos
+          | _ -> ()
+        end;
+        if not (List.exists (String.equal group) participants) then
+          fail "prepare %s logged in %s, not a listed participant" p.txid group)
+      prepares;
+    (* Window exclusivity — the 1SR linchpin: between a prepare and its
+       outcome no record of the effective log touches the prepared
+       footprint (the in-doubt table's admission blocking, verified from
+       the log after the fact). A decision touches nothing: no reads,
+       marker-only writes. Each window is walked from just after its
+       prepare, so the check costs the windows' total length. *)
+    List.iter
+      (fun p ->
+        match p.txn.outcomes.(p.slot) with
+        | None -> ()
+        | Some (opos, _, _) ->
             let rec walk = function
               | (pos, entry) :: later when pos < opos ->
-                  let* () = List.fold_left (check_record pos) (Ok ()) entry in
+                  List.iter
+                    (fun (r : Txn.record) ->
+                      if touches p.footprint r then
+                        fail
+                          "record %s at pos %d in %s inside the in-doubt \
+                           window of %s (prepare %d, outcome %d)"
+                          r.txn_id pos names.(p.slot) p.txid p.pos opos)
+                    entry;
                   walk later
-              | _ -> Ok ()
+              | _ -> ()
             in
-            walk later
-        | _ -> Ok ())
-  in
-  (* Outcome honesty against the pseudo-group audit events, and
-     value-level verification of every cross-group read: each group's
-     effective log, replayed serially, must reproduce the values the
-     client observed at its per-group read position (the prepare record
-     in that log carries the footprint and read position). *)
-  let events =
-    List.fold_left
-      (fun events (e : Audit.event) ->
-        if Twopc.is_audit_group e.group then e :: events else events)
-      []
-      (Audit.newest_first (Cluster.audit cluster))
-  in
-  let* () =
-    List.fold_left
-      (fun acc (e : Audit.event) ->
-        let* () = acc in
-        let txid = e.record.Txn.txn_id in
-        let committed_somewhere =
-          List.exists
-            (fun g ->
-              Hashtbl.find_opt decisions (txid, g)
-              = Some Twopc.commit_verdict)
-            groups
+            walk p.later)
+      prepares;
+    (* One pass over the cross-group audit events, newest first, for
+       outcome honesty (a reported commit ⇔ a logged commit decision; the
+       oldest dishonest report is named) and each transaction's observed
+       values, those of its newest event. *)
+    let observed = Strtbl.create 64 in
+    let dishonest =
+      List.fold_left
+        (fun dishonest (e : Audit.event) ->
+          if not (Twopc.is_audit_group e.group) then dishonest
+          else begin
+            let txid = e.record.txn_id in
+            if not (Strtbl.mem observed txid) then
+              Strtbl.add observed txid e.observed;
+            let committed =
+              match Strtbl.find_opt txns txid with
+              | Some txn -> Array.mem (Some Twopc.commit_verdict) txn.decisions
+              | None -> false
+            in
+            match e.outcome with
+            | Audit.Committed _ when not committed ->
+                Some (txid, "committed but no commit decision is logged")
+            | Audit.Aborted _ when committed ->
+                Some (txid, "aborted but a commit decision is logged")
+            | _ -> dishonest
+          end)
+        None
+        (Audit.newest_first (Cluster.audit cluster))
+    in
+    Option.iter (fun (txid, what) -> fail "client reported %s %s" txid what)
+      dishonest;
+    (* Value level: each group's effective log, replayed serially (and
+       checked for (L3) on the way), reproduces every value a cross-group
+       transaction observed in that group, at its read position there
+       (its prepare carries the footprint and the read position). *)
+    Array.iteri
+      (fun i log ->
+        let prefix = names.(i) ^ "/" in
+        let observed txid =
+          match Strtbl.find_opt observed txid with
+          | None -> None
+          | Some pairs -> (
+              match List.filter_map (unqualify prefix) pairs with
+              | [] -> None
+              | mine -> Some mine)
         in
-        match e.outcome with
-        | Audit.Committed _ when not committed_somewhere ->
-            errf "client reported %s committed but no commit decision is logged"
-              txid
-        | Audit.Aborted _ when committed_somewhere ->
-            errf "client reported %s aborted but a commit decision is logged"
-              txid
-        | _ -> Ok ())
-      (Ok ()) events
-  in
-  let observed_in group =
-    let tbl = Hashtbl.create 64 in
-    let prefix = group ^ "/" in
-    List.iter
-      (fun (e : Audit.event) ->
-        let mine =
-          List.filter_map
-            (fun (qkey, v) ->
-              if String.starts_with ~prefix qkey then
-                Some
-                  ( String.sub qkey (String.length prefix)
-                      (String.length qkey - String.length prefix),
-                    v )
-              else None)
-            e.observed
-        in
-        if mine <> [] then Hashtbl.replace tbl e.record.Txn.txn_id mine)
-      events;
-    tbl
-  in
-  List.fold_left
-    (fun acc (group, log) ->
-      let* () = acc in
-      let tbl = observed_in group in
-      match
-        Checker.check_log (effective_log log) ~observed:(Hashtbl.find_opt tbl)
-      with
-      | Ok () -> Ok ()
-      | Error v ->
-          Error
-            (Format.asprintf "cross: %s in %s: %a" v.property group
-               Checker.pp_violation v))
-    (Ok ()) logs
+        match Checker.check_log log ~observed with
+        | Ok () -> ()
+        | Error v ->
+            fail "%s in %s: %a" v.property names.(i) Checker.pp_violation v)
+      logs;
+    Ok ()
+  with Violation s -> Error s
 
 let check_cross_exn ?archives cluster ~groups =
   match check_cross ?archives cluster ~groups with

@@ -34,25 +34,29 @@ val check_cross :
   ?archives:(string * (int * Mdds_types.Txn.entry) list) list ->
   Cluster.t -> groups:string list -> (unit, string) result
 (** Cross-group atomicity oracle (PROTOCOL.md §10) over the participant
-    groups' merged logs and the pseudo-group audit events:
+    groups' effective logs and the pseudo-group audit events, in phases:
 
-    + every logged prepare is resolved by an outcome whose verdict equals
-      the decision logged in its coordinator's group — in-doubt
-      transactions are settled, never invented;
-    + a committed transaction has a prepare and a commit outcome applying
-      exactly the prepared writes in {e every} participant group, and its
-      prepares agree on coordinator and participants;
-    + window exclusivity: between a prepare and its first outcome no
-      other effective record touches the prepared footprint in that
-      group (the guarantee cross-group 1SR rests on);
+    + resolution: every logged prepare is resolved by an outcome whose
+      verdict equals the decision logged in its coordinator's group;
+    + a transaction's prepares agree on coordinator and participants; a
+      committed one is prepared in {e every} participant group, where its
+      outcome applies exactly the prepared writes; no other group
+      prepared it;
+    + window exclusivity: between a prepare and its outcome no other
+      record touches the prepared footprint in that group (the guarantee
+      cross-group 1SR rests on);
     + outcome honesty: a client-reported commit ⇔ a logged commit
-      decision (write-once, first wins);
+      decision;
     + value-level: each group's effective log, replayed serially (and
       checked for (L3) on the way), reproduces every value the
       cross-group transaction observed at its per-group read position.
 
-    [archives] maps a group name to log entries archived before
-    compaction, sorted as {!check}'s [archive] must be. *)
+    The first phase that fails is reported; within phases 1–3, its
+    first violation in ([groups] order, log position) of the prepare;
+    honesty names the oldest dishonest report, the replay the first
+    failing group. [archives] maps a group name to log entries archived
+    before compaction, sorted as {!check}'s [archive] must be. An
+    archive or (R1) error of a group comes before every phase. *)
 
 val check_cross_exn :
   ?archives:(string * (int * Mdds_types.Txn.entry) list) list ->

@@ -2,6 +2,17 @@ module Codec = Mdds_codec.Codec
 
 type key = string
 
+let reserved_prefix = "__2pc/"
+
+(* [String.starts_with] less its closure: this runs on every client read
+   and write and on every record the WAL applies. *)
+let rec reserved_from key i =
+  i = String.length reserved_prefix
+  || (key.[i] = reserved_prefix.[i] && reserved_from key (i + 1))
+
+let is_reserved key =
+  String.length key >= String.length reserved_prefix && reserved_from key 0
+
 type write = { key : key; value : string }
 
 (* ------------------------------------------------------------------ *)

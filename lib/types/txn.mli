@@ -19,6 +19,12 @@
 type key = string
 (** A data item identifier, unique within its transaction group. *)
 
+val reserved_prefix : string
+(** ["__2pc/"]: the cross-group commit protocol's marker keys, which no
+    client may read or write. *)
+
+val is_reserved : key -> bool
+
 (** Process-global key interner: data-item name -> dense int id. Ids are
     stable for the lifetime of the process but their numeric values depend
     on first-intern order, which is not deterministic under the domain

@@ -303,19 +303,17 @@ let ensure_data_index t c =
     c.data_indexed <- true
   end
 
-(* Multi-shot commit markers (keys under "__2pc/") are write-once: the
-   first record in log order to write a given marker applies in full;
-   any later record carrying the same marker (a racing resolver's
-   duplicate outcome or decision) is skipped *entirely*, real writes
-   included, so apply stays all-or-nothing per record. Log order is
+(* Multi-shot commit markers (keys under {!Txn.reserved_prefix}) are
+   write-once: the first record in log order to write a given marker
+   applies in full; any later record carrying the same marker (a racing
+   resolver's duplicate outcome or decision) is skipped *entirely*, real
+   writes included, so apply stays all-or-nothing per record. Log order is
    identical on every replica and under {!recover}'s replay, so all
    copies agree on which record applied. *)
-let twopc_prefix = "__2pc/"
-
 let marker_applied t c (record : Txn.record) =
   List.exists
     (fun (w : Txn.write) ->
-      String.starts_with ~prefix:twopc_prefix w.Txn.key
+      Txn.is_reserved w.Txn.key
       &&
       match find_data_row t c w.Txn.key with
       | Some row -> Row.chain row != Row.Nil

@@ -249,10 +249,10 @@ let headroom = 0.02
 (* shape, simulation words/commit, oracle words/commit *)
 let ceilings =
   [
-    ("ycsb-cp", 4799.3, 109.5);
-    ("batched leader", 5829.9, 110.7);
-    ("failover", 8037.6, 116.9);
-    ("cross-group", 10537.8, 819.4);
+    ("ycsb-cp", 4747.6, 103.5);
+    ("batched leader", 5743.4, 104.7);
+    ("failover", 7813.4, 110.8);
+    ("cross-group", 10235.1, 665.0);
   ]
 
 let batched = Config.throughput ~batch_max:8 ~pipeline_depth:4 Config.leader
@@ -304,7 +304,8 @@ let budget_shapes =
         } );
   ]
 
-(* Minor words per commit of the simulation and of the oracles. *)
+(* Minor words per commit of the simulation, of the per-group oracles
+   and of the cross-group oracle. *)
 let words_per_commit setup =
   let cluster, groups, cross = setup () in
   let words f =
@@ -313,29 +314,35 @@ let words_per_commit setup =
     Gc.minor_words () -. before
   in
   let sim = words (fun () -> Cluster.run cluster) in
-  let oracle =
+  let check =
     words (fun () ->
-        List.iter (fun group -> Verify.check_exn cluster ~group) groups;
-        if cross then Verify.check_cross_exn cluster ~groups)
+        List.iter (fun group -> Verify.check_exn cluster ~group) groups)
+  in
+  let check_cross =
+    words (fun () -> if cross then Verify.check_cross_exn cluster ~groups)
   in
   let commits =
     float_of_int (Audit.summarize (Audit.events (Cluster.audit cluster))).commits
   in
-  (commits, sim /. commits, oracle /. commits)
+  (commits, sim /. commits, (check /. commits, check_cross /. commits))
 
 let test_alloc_budget name setup () =
   Mdds_parallel.Pool.set_jobs (Some 1);
   Fun.protect ~finally:(fun () -> Mdds_parallel.Pool.set_jobs None)
   @@ fun () ->
   ignore (words_per_commit setup);
-  let ((commits, sim, oracle) as first) = words_per_commit setup in
-  Alcotest.(check (triple (float 0.0) (float 0.0) (float 0.0)))
+  let ((commits, sim, (per_group, cross_group)) as first) = words_per_commit setup in
+  Alcotest.(check (triple (float 0.0) (float 0.0) (pair (float 0.0) (float 0.0))))
     "identical words on a second run" first (words_per_commit setup);
   let _, sim_ceiling, oracle_ceiling =
     List.find (fun (n, _, _) -> String.equal n name) ceilings
   in
-  Printf.printf "%s on OCaml %s, %.0f commits: simulate %.1f, oracle %.1f words/commit\n"
+  let oracle = per_group +. cross_group in
+  Printf.printf "%s on OCaml %s, %.0f commits: simulate %.1f, oracle %.1f words/commit"
     name Sys.ocaml_version commits sim oracle;
+  if cross_group > 0.0 then
+    Printf.printf " (check %.1f + check_cross %.1f)" per_group cross_group;
+  print_newline ();
   if String.equal Sys.ocaml_version recorded_on then begin
     let within what words ceiling =
       if words > ceiling *. (1.0 +. headroom) then

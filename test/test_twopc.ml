@@ -338,6 +338,160 @@ let test_window_violation_reported () =
         (prepare 1, outcome 5)")
     (check [ plain "w" "k" ])
 
+(* Every other message of the oracle, each from one hand-built history:
+   [logs] maps a group to its log (fed through [~archives]), [events]
+   are the client's cross-group reports. *)
+let cross_verdict ?(events = []) ~groups logs =
+  let cluster = make () in
+  List.iter
+    (fun (txid, outcome, observed) ->
+      Audit.record (Cluster.audit cluster)
+        {
+          Audit.group = Twopc.audit_group groups;
+          record =
+            Txn.make_record ~txn_id:txid ~origin:0 ~read_position:0
+              ~reads:(List.map fst observed) ~writes:[];
+          observed;
+          outcome;
+          began_at = 0.0;
+          committed_at = 0.0;
+          commit_started_at = 0.0;
+          client_dc = 0;
+          stats = Audit.no_stats;
+        })
+    events;
+  Verify.check_cross cluster ~groups ~archives:logs
+
+let prepare ?(coordinator = "a") ?(participants = [ "a" ]) ?(read_position = 0)
+    ?(reads = [ "k" ]) ?(writes = [ ("k", "1") ]) txid =
+  Twopc.prepare_record ~txid ~origin:0 ~read_position ~reads
+    ~payload:{ Twopc.coordinator; participants; writes }
+
+let decision ?(verdict = Twopc.commit_verdict) txid =
+  Twopc.decision_record ~txid ~tag:"cli" ~origin:0 ~verdict
+
+let outcome ?(verdict = Twopc.commit_verdict) ?(writes = [ ("k", "1") ]) txid =
+  Twopc.outcome_record ~txid ~tag:"cli" ~origin:0 ~prepare_position:1 ~verdict
+    ~writes
+
+let committed_at position =
+  Audit.Committed { position; promotions = 0; combined = false }
+
+let test_oracle_messages () =
+  let case name expected ?events ?(groups = [ "a" ]) logs =
+    Alcotest.(check (result unit string)) name (Error expected)
+      (cross_verdict ?events ~groups logs)
+  in
+  let abort = Twopc.abort_verdict in
+  case "unresolved prepare"
+    "cross: prepare t1 in a (pos 1) left unresolved: no outcome logged"
+    [ ("a", [ (1, [ prepare "t1" ]) ]) ];
+  case "outcome without a decision"
+    "cross: outcome commit for t1 in a (pos 2) without a decision in \
+     coordinator a"
+    [ ("a", [ (1, [ prepare "t1" ]); (2, [ outcome "t1" ]) ]) ];
+  case "outcome contradicts the decision"
+    "cross: outcome commit for t1 in a (pos 3) contradicts decision abort"
+    [
+      ( "a",
+        [
+          (1, [ prepare "t1" ]);
+          (2, [ decision ~verdict:abort "t1" ]);
+          (3, [ outcome "t1" ]);
+        ] );
+    ];
+  (* Each group's prepare names its own group as the coordinator, whose
+     abort decision its outcome follows. *)
+  case "prepares disagree on the payload"
+    "cross: prepares for t1 in a and b disagree on the payload"
+    ~groups:[ "a"; "b" ]
+    [
+      ( "a",
+        [
+          (1, [ prepare ~participants:[ "a"; "b" ] "t1" ]);
+          (2, [ decision ~verdict:abort "t1" ]);
+          (3, [ outcome ~verdict:abort "t1" ]);
+        ] );
+      ( "b",
+        [
+          (1, [ prepare ~coordinator:"b" ~participants:[ "a"; "b" ] "t1" ]);
+          (2, [ decision ~verdict:abort "t1" ]);
+          (3, [ outcome ~verdict:abort "t1" ]);
+        ] );
+    ];
+  case "committed without a participant's prepare"
+    "cross: t1 committed but participant b has no prepare" ~groups:[ "a"; "b" ]
+    [
+      ( "a",
+        [
+          (1, [ prepare ~participants:[ "a"; "b" ] "t1" ]);
+          (2, [ decision "t1" ]);
+          (3, [ outcome "t1" ]);
+        ] );
+      ("b", []);
+    ];
+  case "commit outcome misses the prepared writes"
+    "cross: t1 commit outcome in a (pos 3) does not apply the prepared writes"
+    [
+      ( "a",
+        [
+          (1, [ prepare "t1" ]);
+          (2, [ decision "t1" ]);
+          (3, [ outcome ~writes:[ ("k", "2") ] "t1" ]);
+        ] );
+    ];
+  case "prepare outside the participants"
+    "cross: prepare t1 logged in a, not a listed participant"
+    [
+      ( "a",
+        [
+          (1, [ prepare ~participants:[ "b" ] "t1" ]);
+          (2, [ decision ~verdict:abort "t1" ]);
+          (3, [ outcome ~verdict:abort "t1" ]);
+        ] );
+    ];
+  let committed_log =
+    [
+      ( "a",
+        [ (1, [ prepare "t1" ]); (2, [ decision "t1" ]); (3, [ outcome "t1" ]) ]
+      );
+    ]
+  in
+  case "dishonest commit report"
+    "cross: client reported t9 committed but no commit decision is logged"
+    ~events:[ ("t9", committed_at 7, []) ]
+    committed_log;
+  case "dishonest abort report"
+    "cross: client reported t1 aborted but a commit decision is logged"
+    ~events:
+      [ ("t1", Audit.Aborted { reason = Audit.Conflict; promotions = 0 }, []) ]
+    committed_log;
+  (* t2 read k at position 3, where the serial history holds t1's value. *)
+  case "cross-group read replayed"
+    "cross: replay in a: txn t2 at position 4: read k = \"0\" but the serial \
+     execution holds \"1\""
+    ~events:[ ("t2", committed_at 5, [ ("a/k", Some "0") ]) ]
+    [
+      ( "a",
+        List.assoc "a" committed_log
+        @ [
+            (4, [ prepare ~read_position:3 "t2" ]);
+            (5, [ decision "t2" ]);
+            (6, [ outcome "t2" ]);
+          ] );
+    ]
+
+(* Two violations of one phase, in two groups: the first group in
+   [groups] order is reported, whatever the log positions. *)
+let test_oracle_precedence () =
+  Alcotest.(check (result unit string)) "first group's violation"
+    (Error "cross: prepare t3 in a (pos 2) left unresolved: no outcome logged")
+    (cross_verdict ~groups:[ "a"; "b" ]
+       [
+         ("a", [ (2, [ prepare ~participants:[ "a"; "b" ] "t3" ]) ]);
+         ("b", [ (1, [ prepare ~participants:[ "a"; "b" ] "t1" ]) ]);
+       ])
+
 (* ------------------------------------------------------------------ *)
 (* API misuse.                                                          *)
 
@@ -359,6 +513,29 @@ let test_invalid_args () =
       match Client.commit_multi m with
       | exception Invalid_argument _ -> ()
       | _ -> Alcotest.fail "commit_multi accepted a non-leader protocol");
+  Cluster.run cluster
+
+(* A client key under the reserved prefix would be taken for a marker: a
+   prepare "payload" that does not decode, or a decision whose second
+   write the WAL's write-once rule drops while reporting a commit. *)
+let test_reserved_keys_refused () =
+  let cluster = make () in
+  let client = Cluster.client cluster ~dc:0 in
+  Cluster.spawn cluster (fun () ->
+      let txn = Client.begin_ client ~group:"a" in
+      Alcotest.check_raises "write"
+        (Invalid_argument "Client.write: key \"__2pc/d/x\" is reserved")
+        (fun () -> Client.write txn "__2pc/d/x" "v");
+      Alcotest.check_raises "read"
+        (Invalid_argument "Client.read: key \"__2pc/p/x\" is reserved")
+        (fun () -> ignore (Client.read txn "__2pc/p/x"));
+      let m = Client.begin_multi client ~groups:[ "a"; "b" ] in
+      Alcotest.check_raises "write_in"
+        (Invalid_argument "Client.write: key \"__2pc/o/x\" is reserved")
+        (fun () -> Client.write_in m ~group:"b" "__2pc/o/x" "v");
+      Alcotest.check_raises "read_in"
+        (Invalid_argument "Client.read: key \"__2pc/\" is reserved")
+        (fun () -> ignore (Client.read_in m ~group:"a" "__2pc/")));
   Cluster.run cluster
 
 let () =
@@ -389,7 +566,15 @@ let () =
         [
           Alcotest.test_case "window violation reported" `Quick
             test_window_violation_reported;
+          Alcotest.test_case "every other violation reported" `Quick
+            test_oracle_messages;
+          Alcotest.test_case "first group's violation first" `Quick
+            test_oracle_precedence;
         ] );
       ( "api",
-        [ Alcotest.test_case "invalid arguments rejected" `Quick test_invalid_args ] );
+        [
+          Alcotest.test_case "invalid arguments rejected" `Quick test_invalid_args;
+          Alcotest.test_case "reserved keys refused" `Quick
+            test_reserved_keys_refused;
+        ] );
     ]

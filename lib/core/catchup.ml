@@ -3,6 +3,25 @@ module Row = Mdds_kvstore.Row
 module Wal = Mdds_wal.Wal
 module Rpc = Mdds_net.Rpc
 module Trace = Mdds_sim.Trace
+module Strtbl = Mdds_kvstore.Strtbl
+
+(* One group's quarantine, created by the crash scan that finds damage. *)
+type group = {
+  suspect : (int, unit) Hashtbl.t;
+      (* Positions whose durable acceptor/claim state was damaged by a
+         crash (checksum-invalid versions scrubbed at restart). The
+         service must not vote at these from its reverted state — that
+         would be the claim-registry double-vote bug (DESIGN.md §8) at the
+         storage level — so they are quarantined until re-learned from
+         peers. *)
+  relearning : (int, unit) Hashtbl.t;
+      (* Quarantined positions whose re-learn ladder is currently running.
+         The learner's own prepare broadcast reaches this service too; if
+         that re-entrant message started another ladder, each round would
+         spawn a new learner and the recursion would never bottom out
+         while peers are unreachable. Re-entrant messages for a position
+         already being re-learned are refused immediately instead. *)
+}
 
 type t = {
   env : Proposer.env;
@@ -10,20 +29,7 @@ type t = {
   wal : Wal.t;
   acceptors : Acceptor_store.t;
   source : string;  (* the service's trace source *)
-  suspect : (string, (int, unit) Hashtbl.t) Hashtbl.t;
-      (* Positions whose durable acceptor/claim state was damaged by a
-         crash (checksum-invalid versions scrubbed at restart). The
-         service must not vote at these from its reverted state — that
-         would be the claim-registry double-vote bug (DESIGN.md §8) at the
-         storage level — so they are quarantined until re-learned from
-         peers. *)
-  relearning : (string * int, unit) Hashtbl.t;
-      (* Quarantined positions whose re-learn ladder is currently running.
-         The learner's own prepare broadcast reaches this service too; if
-         that re-entrant message started another ladder, each round would
-         spawn a new learner and the recursion would never bottom out
-         while peers are unreachable. Re-entrant messages for a position
-         already being re-learned are refused immediately instead. *)
+  groups : group Strtbl.t;  (* only groups with a quarantine *)
   counters : Counters.t;
 }
 
@@ -34,14 +40,11 @@ let create ~env ~store ~wal ~acceptors ~counters ~source =
     wal;
     acceptors;
     source;
-    suspect = Hashtbl.create 4;
-    relearning = Hashtbl.create 4;
+    groups = Strtbl.create 4;
     counters;
   }
 
-let reset t =
-  Hashtbl.reset t.suspect;
-  Hashtbl.reset t.relearning
+let reset t = Strtbl.reset t.groups
 
 (* ------------------------------------------------------------------ *)
 (* Log catch-up (§4.1 Fault Tolerance and Recovery).                   *)
@@ -130,9 +133,9 @@ let save_quarantine t ~group tbl =
   Store.sync t.store
 
 let suspect t ~group ~pos =
-  match Hashtbl.find_opt t.suspect group with
+  match Strtbl.find_opt t.groups group with
   | None -> false
-  | Some tbl -> Hashtbl.mem tbl pos
+  | Some g -> Hashtbl.mem g.suspect pos
 
 (* True while the position must still be refused: its durable promise or
    claim may understate what this acceptor once said (a crash damaged the
@@ -141,33 +144,33 @@ let suspect t ~group ~pos =
    value is known — re-learned from peers, or checkpointed past — via the
    recovery ladder; the service never invents a value locally. *)
 let quarantined t ~group ~pos =
-  match Hashtbl.find_opt t.suspect group with
+  match Strtbl.find_opt t.groups group with
   | None -> false
-  | Some tbl ->
-      if not (Hashtbl.mem tbl pos) then false
+  | Some g ->
+      if not (Hashtbl.mem g.suspect pos) then false
       else
         let resolved () =
           Wal.entry t.wal ~group ~pos <> None
           || pos <= Wal.compacted_position t.wal ~group
         in
         let release () =
-          Hashtbl.remove tbl pos;
+          Hashtbl.remove g.suspect pos;
           Counters.incr t.counters Relearned;
-          save_quarantine t ~group tbl;
+          save_quarantine t ~group g.suspect;
           Trace.record t.env.trace ~source:t.source ~category:"recover"
             "re-entered quarantined position %d" pos;
           false
         in
         if resolved () then release ()
-        else if Hashtbl.mem t.relearning (group, pos) then
+        else if Hashtbl.mem g.relearning pos then
           (* A ladder for this position is already in flight (this message
              may well be that ladder's own prepare echoed back). Refuse
              now; the running ladder will release the position. *)
           true
         else begin
-          Hashtbl.add t.relearning (group, pos) ();
+          Hashtbl.add g.relearning pos ();
           Fun.protect
-            ~finally:(fun () -> Hashtbl.remove t.relearning (group, pos))
+            ~finally:(fun () -> Hashtbl.remove g.relearning pos)
             (fun () -> ignore (fill t ~group ~pos));
           if resolved () then release () else true
         end
@@ -201,10 +204,19 @@ let recover t ~group =
   end;
   let carried = load_quarantine t ~group in
   if damaged <> [] || carried <> [] then begin
-    let tbl = Tbl.find_or_add t.suspect group (fun () -> Hashtbl.create 8) in
-    List.iter (fun pos -> Hashtbl.replace tbl pos ()) damaged;
-    List.iter (fun pos -> Hashtbl.replace tbl pos ()) carried;
-    save_quarantine t ~group tbl;
+    let g =
+      match Strtbl.find_opt t.groups group with
+      | Some g -> g
+      | None ->
+          let g =
+            { suspect = Hashtbl.create 8; relearning = Hashtbl.create 4 }
+          in
+          Strtbl.replace t.groups group g;
+          g
+    in
+    List.iter (fun pos -> Hashtbl.replace g.suspect pos ()) damaged;
+    List.iter (fun pos -> Hashtbl.replace g.suspect pos ()) carried;
+    save_quarantine t ~group g.suspect;
     Trace.record t.env.trace ~source:t.source ~category:"recover"
-      "quarantined %d damaged positions in %s" (Hashtbl.length tbl) group
+      "quarantined %d damaged positions in %s" (Hashtbl.length g.suspect) group
   end

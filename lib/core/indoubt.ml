@@ -3,19 +3,28 @@ module Txn = Mdds_types.Txn
 module Engine = Mdds_sim.Engine
 module Trace = Mdds_sim.Trace
 module Rpc = Mdds_net.Rpc
+module Strtbl = Mdds_kvstore.Strtbl
 
 type submit = group:string -> Txn.record -> Messages.submit_result
 
 (* One prepared-but-undecided cross-group transaction (PROTOCOL.md §10),
    as derived from the group's log: a Prepare marker record without a
-   later Outcome marker. Its footprint excludes conflicting admissions
-   until resolved. *)
-type indoubt = {
-  footprint : string array;
-      (* The prepare record's read set — reads ∪ write keys by
-         construction (see {!Twopc.prepare_record}). *)
-  payload : Twopc.payload;
-  pos : int;  (* log position of the prepare *)
+   later Outcome marker. Its footprint, the record's read set (reads ∪
+   write keys, see {!Twopc.prepare_record}), excludes conflicting
+   admissions until resolved; only a resolver decodes the payload. *)
+type prepared = {
+  record : Txn.record;  (* the prepare marker record *)
+  pos : int;  (* its log position *)
+}
+
+(* One group's 2PC state, volatile: re-derived from the log by an
+   incremental scan ({!scan}), dropped on restart and rebuilt. *)
+type group = {
+  prepared : prepared Strtbl.t;  (* the in-doubt table, by txid *)
+  mutable scanned : int;
+      (* Contiguous log prefix already absorbed into [prepared]; -1 until
+         the first scan, when the compaction point stands in for it. *)
+  mutable resolving : string list;  (* txids with a live resolver: few *)
 }
 
 type t = {
@@ -23,14 +32,7 @@ type t = {
   wal : Wal.t;
   catchup : Catchup.t;
   source : string;  (* the service's trace source *)
-  tables : (string, (string, indoubt) Hashtbl.t) Hashtbl.t;
-      (* In-doubt table per group, volatile: re-derived from the log by
-         an incremental scan ({!scan}); reset and rebuilt on restart.
-         Never allocated into when no cross-group transactions run. *)
-  scanned : (string, int) Hashtbl.t;
-      (* Contiguous log prefix already absorbed into the in-doubt table. *)
-  resolving : (string * string, unit) Hashtbl.t;
-      (* (group, txid) pairs with a live resolver fiber (spawn dedup). *)
+  groups : group Strtbl.t;  (* created on first use *)
   mutable epoch : int;
       (* Bumped by restart so orphaned resolver fibers exit quietly. *)
   mutable trap : (unit -> unit) option;
@@ -46,25 +48,27 @@ let create ~env ~wal ~catchup ~counters ~source =
     wal;
     catchup;
     source;
-    tables = Hashtbl.create 4;
-    scanned = Hashtbl.create 4;
-    resolving = Hashtbl.create 8;
+    groups = Strtbl.create 4;
     epoch = 0;
     trap = None;
     counters;
   }
 
-(* 2PC state is volatile and log-derived: restart drops it and orphans
-   every resolver fiber (the epoch bump makes them exit at their next
-   wake); the caller rebuilds it from the recovered log with {!scan}. *)
+(* 2PC state is volatile and log-derived: restart drops every group record
+   and orphans every resolver fiber (the epoch bump makes them exit at
+   their next wake); the caller rebuilds it from the log with {!scan}. *)
 let reset t =
   t.epoch <- t.epoch + 1;
-  Hashtbl.reset t.tables;
-  Hashtbl.reset t.scanned;
-  Hashtbl.reset t.resolving;
+  Strtbl.reset t.groups;
   t.trap <- None
 
-let table t ~group = Tbl.find_or_add t.tables group (fun () -> Hashtbl.create 8)
+let group_of t name =
+  match Strtbl.find_opt t.groups name with
+  | Some g -> g
+  | None ->
+      let g = { prepared = Strtbl.create 8; scanned = -1; resolving = [] } in
+      Strtbl.replace t.groups name g;
+      g
 
 (* ------------------------------------------------------------------ *)
 (* The conflict rule (PROTOCOL.md §10). A prepared-but-undecided
@@ -103,24 +107,27 @@ let conflicts prepares record = blocker (List.to_seq prepares) record <> None
 
 (* Prepares in log entries not yet absorbed into the table (decided or
    in-flight positions above the applied watermark), minus those an
-   outcome among the same entries already released. *)
+   outcome among the same entries already released, in any order. One
+   pass classifies each record once. *)
 let unresolved entries =
-  let markers f = List.concat_map (fun (_, entry) -> List.filter_map f entry) in
-  let released =
-    markers
-      (fun r ->
-        match Twopc.classify r with
-        | Twopc.Outcome { txid; _ } -> Some txid
-        | _ -> None)
-      entries
-  in
-  markers
-    (fun r ->
-      match Twopc.classify r with
-      | Twopc.Prepare { txid } when not (List.mem txid released) ->
-          Some (txid, Txn.read_keys r)
-      | _ -> None)
-    entries
+  let prepares = ref [] and released = ref [] in
+  List.iter
+    (fun (_, entry) ->
+      List.iter
+        (fun r ->
+          match Twopc.classify r with
+          | Twopc.Prepare { txid } ->
+              prepares := (txid, Txn.read_keys r) :: !prepares
+          | Twopc.Outcome { txid; _ } -> released := txid :: !released
+          | Twopc.Decision _ | Twopc.Plain -> ())
+        entry)
+    entries;
+  match !released with
+  | [] -> !prepares
+  | released ->
+      let set = Strtbl.create 8 in
+      List.iter (fun txid -> Strtbl.replace set txid ()) released;
+      List.filter (fun (txid, _) -> not (Strtbl.mem set txid)) !prepares
 
 (* ------------------------------------------------------------------ *)
 (* In-doubt resolution (PROTOCOL.md §10). A resolver presumes abort for
@@ -144,22 +151,20 @@ let first_delay t =
 
 let attempts = 100
 
-let scanned_upto t ~group =
-  match Hashtbl.find_opt t.scanned group with
-  | Some p -> p
-  | None -> Wal.compacted_position t.wal ~group
+let rec without txid = function
+  | [] -> []
+  | r :: rest -> if String.equal r txid then rest else r :: without txid rest
 
 let rec note t ~submit ~group ~pos (r : Txn.record) =
   match Twopc.classify r with
   | Twopc.Prepare { txid } ->
-      let tbl = table t ~group in
-      if not (Hashtbl.mem tbl txid) then begin
-        Hashtbl.replace tbl txid
-          { footprint = Txn.read_keys r; payload = Twopc.payload r; pos };
+      let g = group_of t group in
+      if not (Strtbl.mem g.prepared txid) then begin
+        Strtbl.replace g.prepared txid { record = r; pos };
         Counters.incr t.counters Twopc_prepares;
         watch t ~submit ~group txid
       end
-  | Twopc.Outcome { txid; _ } -> Hashtbl.remove (table t ~group) txid
+  | Twopc.Outcome { txid; _ } -> Strtbl.remove (group_of t group).prepared txid
   | Twopc.Decision _ | Twopc.Plain -> ()
 
 (* Incremental, contiguous scan of the group's log for 2PC markers: the
@@ -168,9 +173,8 @@ let rec note t ~submit ~group ~pos (r : Txn.record) =
    entry is classified once per service lifetime, and classification is
    one prefix test per record. *)
 and scan t ~submit ~group =
-  let scanned =
-    max (scanned_upto t ~group) (Wal.compacted_position t.wal ~group)
-  in
+  let g = group_of t group in
+  let scanned = max g.scanned (Wal.compacted_position t.wal ~group) in
   let last = Wal.last_position t.wal ~group in
   let rec go pos =
     if pos > last then pos - 1
@@ -181,7 +185,7 @@ and scan t ~submit ~group =
           List.iter (note t ~submit ~group ~pos) entry;
           go (pos + 1)
   in
-  Hashtbl.replace t.scanned group (go (scanned + 1))
+  g.scanned <- go (scanned + 1)
 
 (* Authoritative check: refresh the table from the log first. The scan,
    not the table, is the truth — a late duplicated apply may have left a
@@ -189,12 +193,11 @@ and scan t ~submit ~group =
 and still_indoubt t ~submit ~group txid =
   ignore (Wal.apply_available t.wal ~group);
   scan t ~submit ~group;
-  match Hashtbl.find_opt t.tables group with
-  | None -> None
-  | Some tbl -> Hashtbl.find_opt tbl txid
+  Strtbl.find_opt (group_of t group).prepared txid
 
-and resolve t ~submit ~group txid ind =
-  let coord = ind.payload.Twopc.coordinator in
+and resolve t ~submit ~group txid prepared =
+  let payload = Twopc.payload prepared.record in
+  let coord = payload.Twopc.coordinator in
   let tag = "dc" ^ string_of_int t.env.dc in
   let drec =
     Twopc.decision_record ~txid ~tag ~origin:t.env.dc
@@ -218,12 +221,12 @@ and resolve t ~submit ~group txid ind =
           in
           let orec =
             Twopc.outcome_record ~txid ~tag ~origin:t.env.dc
-              ~prepare_position:ind.pos ~verdict
-              ~writes:ind.payload.Twopc.writes
+              ~prepare_position:prepared.pos ~verdict
+              ~writes:payload.Twopc.writes
           in
           match submit ~group orec with
           | Messages.Accepted_at _ ->
-              Hashtbl.remove (table t ~group) txid;
+              Strtbl.remove (group_of t group).prepared txid;
               Counters.incr t.counters Twopc_resolved;
               Trace.record t.env.trace ~source:t.source ~category:"2pc"
                 "resolved in-doubt %s in %s: %s" txid group verdict;
@@ -231,15 +234,17 @@ and resolve t ~submit ~group txid ind =
           | _ -> false))
   | _ -> false
 
-(* Arm a resolver for [txid] unless one is already running. *)
+(* Arm a resolver for [txid] unless one is already running. The fiber
+   clears its mark in the record it set it in: after a restart that
+   record is gone, and the mark of the resolver armed since stays. *)
 and watch t ~submit ~group txid =
-  let key = (group, txid) in
-  if not (Hashtbl.mem t.resolving key) then begin
-    Hashtbl.add t.resolving key ();
+  let g = group_of t group in
+  if not (List.mem txid g.resolving) then begin
+    g.resolving <- txid :: g.resolving;
     let epoch = t.epoch in
     Engine.spawn (Rpc.engine t.env.rpc) (fun () ->
         Fun.protect
-          ~finally:(fun () -> Hashtbl.remove t.resolving key)
+          ~finally:(fun () -> g.resolving <- without txid g.resolving)
           (fun () ->
             Engine.sleep (first_delay t);
             (* Bounded, RNG-free ladder: the run quiesces even if the
@@ -248,8 +253,8 @@ and watch t ~submit ~group txid =
               if attempts > 0 && t.epoch = epoch then
                 match still_indoubt t ~submit ~group txid with
                 | None -> ()
-                | Some ind ->
-                    if not (resolve t ~submit ~group txid ind) then begin
+                | Some prepared ->
+                    if not (resolve t ~submit ~group txid prepared) then begin
                       Engine.sleep (2.0 *. rpc_timeout t);
                       loop (attempts - 1)
                     end
@@ -265,22 +270,26 @@ and watch t ~submit ~group txid =
    is the authority; a late prepare must not resurrect a resolved
    transaction). *)
 let note_applied t ~submit ~group ~pos entry =
-  if pos > scanned_upto t ~group then
-    List.iter (note t ~submit ~group ~pos) entry
+  let scanned =
+    match Strtbl.find_opt t.groups group with
+    | Some g when g.scanned >= 0 -> g.scanned
+    | _ -> Wal.compacted_position t.wal ~group
+  in
+  if pos > scanned then List.iter (note t ~submit ~group ~pos) entry
 
 (* Admission blocking against the table. A refusal re-arms the resolver
    for the blocking transaction, so a dead coordinator cannot wedge a key
    range forever. *)
 let blocked t ~submit ~group record =
   let blocker =
-    match Hashtbl.find_opt t.tables group with
+    match Strtbl.find_opt t.groups group with
     | None -> None
-    | Some tbl when Hashtbl.length tbl = 0 -> None
-    | Some tbl ->
+    | Some g when Strtbl.length g.prepared = 0 -> None
+    | Some g ->
         blocker
           (Seq.map
-             (fun (txid, ind) -> (txid, ind.footprint))
-             (Hashtbl.to_seq tbl))
+             (fun (txid, p) -> (txid, Txn.read_keys p.record))
+             (Strtbl.to_seq g.prepared))
           record
   in
   Option.iter (watch t ~submit ~group) blocker;
@@ -292,7 +301,7 @@ let blocked t ~submit ~group record =
    is short-lived. *)
 let compaction_bound t ~submit ~group ~upto =
   scan t ~submit ~group;
-  Hashtbl.fold (fun _ ind acc -> min acc (ind.pos - 1)) (table t ~group) upto
+  Strtbl.fold (fun _ p acc -> min acc (p.pos - 1)) (group_of t group).prepared upto
 
 let arm_trap t f = t.trap <- Some f
 

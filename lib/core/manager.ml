@@ -3,6 +3,7 @@ module Txn = Mdds_types.Txn
 module Ballot = Mdds_paxos.Ballot
 module Engine = Mdds_sim.Engine
 module Rpc = Mdds_net.Rpc
+module Strtbl = Mdds_kvstore.Strtbl
 
 (* One queued submission. The handler fiber that received the Submit
    suspends on [p_wakers]; whichever fiber resolves the outcome (a
@@ -31,7 +32,7 @@ type batcher = {
   bt_group : string;
   bt_queue : pending Queue.t;  (* fresh submissions, FIFO *)
   bt_requeue : pending Queue.t;  (* lost-position retries, drained first *)
-  bt_by_id : (string, pending) Hashtbl.t;  (* queued or in flight *)
+  bt_by_id : pending Strtbl.t;  (* queued or in flight, by txn id *)
   mutable bt_window : slot list;  (* in-flight positions, ascending *)
   mutable bt_next_pos : int;  (* next position while the window is open *)
   mutable bt_prev : Txn.entry option;
@@ -50,8 +51,8 @@ type t = {
   wal : Wal.t;
   catchup : Catchup.t;
   indoubt : Indoubt.t;
-  won : (string, int) Hashtbl.t;  (* last position this manager decided *)
-  batchers : (string, batcher) Hashtbl.t;
+  won : int Strtbl.t;  (* last position this manager decided, per group *)
+  batchers : batcher Strtbl.t;
       (* Per-group pending queue + pipelined window: every Submit, from
          clients and from the 2PC resolvers, runs through one. *)
   counters : Counters.t;
@@ -63,8 +64,8 @@ let create ~env ~wal ~catchup ~indoubt ~counters =
     wal;
     catchup;
     indoubt;
-    won = Hashtbl.create 8;
-    batchers = Hashtbl.create 4;
+    won = Strtbl.create 8;
+    batchers = Strtbl.create 4;
     counters;
   }
 
@@ -95,19 +96,25 @@ let stale_at t ~group ~at (r : Txn.record) =
     (Txn.read_keys r)
 
 let batcher t ~group =
-  Tbl.find_or_add t.batchers group (fun () ->
-      {
-        bt_group = group;
-        bt_queue = Queue.create ();
-        bt_requeue = Queue.create ();
-        bt_by_id = Hashtbl.create 32;
-        bt_window = [];
-        bt_next_pos = 0;
-        bt_prev = None;
-        bt_running = false;
-        bt_wake = None;
-        bt_stopped = false;
-      })
+  match Strtbl.find_opt t.batchers group with
+  | Some b -> b
+  | None ->
+      let b =
+        {
+          bt_group = group;
+          bt_queue = Queue.create ();
+          bt_requeue = Queue.create ();
+          bt_by_id = Strtbl.create 32;
+          bt_window = [];
+          bt_next_pos = 0;
+          bt_prev = None;
+          bt_running = false;
+          bt_wake = None;
+          bt_stopped = false;
+        }
+      in
+      Strtbl.replace t.batchers group b;
+      b
 
 let wake_batcher b =
   match b.bt_wake with
@@ -123,7 +130,7 @@ let wait_batcher b =
 let resolve_pending b p result =
   if p.p_result = None then begin
     p.p_result <- Some result;
-    Hashtbl.remove b.bt_by_id p.p_record.Txn.txn_id;
+    Strtbl.remove b.bt_by_id p.p_record.Txn.txn_id;
     let wakers = List.rev p.p_wakers in
     p.p_wakers <- [];
     List.iter (fun w -> w ()) wakers
@@ -261,7 +268,7 @@ let propose_sync (t : t) b ~pos batch =
   in
   match Proposer.run t.env ~group ~pos ~choose () with
   | Proposer.Decided entry', _ ->
-      if Txn.equal_entry entry' entry then Hashtbl.replace t.won group pos;
+      if Txn.equal_entry entry' entry then Strtbl.replace t.won group pos;
       deliver_decided b ~pos entry' batch
   | Proposer.Observed entry', _ -> deliver_decided b ~pos entry' batch
   | Proposer.Compacted, _ ->
@@ -347,7 +354,7 @@ let resolve_window (t : t) ~submit b =
             match Proposer.run t.env ~group ~pos:slot.sl_pos ~choose () with
             | Proposer.Decided entry, _ | Proposer.Observed entry, _ ->
                 if Txn.equal_entry entry slot.sl_entry then
-                  Hashtbl.replace t.won group slot.sl_pos
+                  Strtbl.replace t.won group slot.sl_pos
                 else prefix_ok := false;
                 deliver_decided b ~pos:slot.sl_pos entry slot.sl_pendings
             | Proposer.Compacted, _ ->
@@ -459,7 +466,7 @@ and launch (t : t) ~submit b =
            round-0 vote there to match it exactly. *)
         let sequenced = if b.bt_window = [] then None else b.bt_prev in
         assert (b.bt_window = [] || sequenced <> None);
-        let streak = Hashtbl.find_opt t.won group = Some (pos - 1) in
+        let streak = Strtbl.find_opt t.won group = Some (pos - 1) in
         if sequenced <> None || streak then begin
           let slot =
             {
@@ -483,9 +490,9 @@ and launch (t : t) ~submit b =
                    at this position proves every earlier open position is
                    chosen with this manager's entry (see
                    {!Acceptor_store.accept}). *)
-                (match Hashtbl.find_opt t.won group with
+                (match Strtbl.find_opt t.won group with
                 | Some w when w >= pos -> ()
-                | _ -> Hashtbl.replace t.won group pos);
+                | _ -> Strtbl.replace t.won group pos);
                 List.iter
                   (fun p -> resolve_pending b p (Messages.Accepted_at pos))
                   slot.sl_pendings
@@ -500,7 +507,7 @@ and launch (t : t) ~submit b =
 let rec submit t ~group (record : Txn.record) =
   let b = batcher t ~group in
   let p =
-    match Hashtbl.find_opt b.bt_by_id record.Txn.txn_id with
+    match Strtbl.find_opt b.bt_by_id record.Txn.txn_id with
     | Some p ->
         (* Duplicate Submit while the original is queued or in flight
            (duplicating link, or a client retrying into the same manager):
@@ -518,7 +525,7 @@ let rec submit t ~group (record : Txn.record) =
           }
         in
         Queue.push p b.bt_queue;
-        Hashtbl.replace b.bt_by_id record.Txn.txn_id p;
+        Strtbl.replace b.bt_by_id record.Txn.txn_id p;
         if not b.bt_running then begin
           b.bt_running <- true;
           Engine.spawn (Rpc.engine t.env.rpc) (fun () ->
@@ -547,22 +554,22 @@ let rec submit t ~group (record : Txn.record) =
    queues: the orphaned drainer re-checks [bt_stopped] right before every
    admission pass and never proposes from them. *)
 let restart t =
-  Hashtbl.reset t.won;
-  Hashtbl.iter
+  Strtbl.reset t.won;
+  Strtbl.iter
     (fun _ b ->
       b.bt_stopped <- true;
-      let queued = Hashtbl.create 16 in
-      let note p = Hashtbl.replace queued p.p_record.Txn.txn_id () in
+      let queued = Strtbl.create 16 in
+      let note p = Strtbl.replace queued p.p_record.Txn.txn_id () in
       Queue.iter note b.bt_queue;
       Queue.iter note b.bt_requeue;
-      let orphans = Hashtbl.fold (fun _ p acc -> p :: acc) b.bt_by_id [] in
+      let orphans = Strtbl.fold (fun _ p acc -> p :: acc) b.bt_by_id [] in
       List.iter
         (fun p ->
           resolve_pending b p
-            (if p.p_exposed || not (Hashtbl.mem queued p.p_record.Txn.txn_id)
+            (if p.p_exposed || not (Strtbl.mem queued p.p_record.Txn.txn_id)
              then Messages.In_doubt
              else Messages.No_quorum))
         orphans;
       wake_batcher b)
     t.batchers;
-  Hashtbl.reset t.batchers
+  Strtbl.reset t.batchers

@@ -37,20 +37,19 @@ type kind =
   | Decision of { txid : string; verdict : string }
   | Plain
 
-let strip prefix key =
-  String.sub key (String.length prefix) (String.length key - String.length prefix)
-
-(* Marker records carry their marker as the first write (constructors
-   below), so classification is one prefix test on the hot path, and it
+(* Marker records carry their marker (the reserved prefix, a kind letter,
+   '/' and the txid) as the first write, so classification is one prefix
+   test and one letter on the hot path. It allocates only its result and
    decodes nothing: a prepare's payload is read only by {!payload}. *)
 let classify (r : Txn.record) =
   match r.Txn.writes with
-  | { Txn.key; value } :: _ when Txn.is_reserved key ->
-      if String.starts_with ~prefix:prepare_prefix key then
-        Prepare { txid = strip prepare_prefix key }
-      else if String.starts_with ~prefix:outcome_prefix key then
-        Outcome { txid = strip outcome_prefix key; verdict = value }
-      else Decision { txid = strip decision_prefix key; verdict = value }
+  | { Txn.key; value } :: _ when Txn.is_reserved key -> (
+      let at = String.length prepare_prefix in
+      let txid = String.sub key at (String.length key - at) in
+      match key.[String.length Txn.reserved_prefix] with
+      | 'p' -> Prepare { txid }
+      | 'o' -> Outcome { txid; verdict = value }
+      | _ -> Decision { txid; verdict = value })
   | _ -> Plain
 
 let payload (r : Txn.record) =

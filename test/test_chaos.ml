@@ -94,20 +94,6 @@ let test_throughput_battery () =
   Alcotest.(check bool) "pipelined rounds overlapped" true (pipelined > 0);
   Alcotest.(check bool) "stalled windows were resolved" true (stalls > 0)
 
-(* A failed run keeps as many trace events as asked for, past the old
-   fixed 40; a passing run keeps none. *)
-let test_trace_tail_length () =
-  let spec = Runner.spec ~seed:1 "VVV" in
-  let forced _ = Error "injected failure" in
-  let tail n = (Runner.run ~extra_oracle:forced ~trace_tail:n spec).Runner.trace_tail in
-  Alcotest.(check int) "100 asked, 100 kept" 100 (List.length (tail 100));
-  Alcotest.(check int) "5 asked, 5 kept" 5 (List.length (tail 5));
-  Alcotest.(check (list string)) "the 5 are the newest of the 100"
-    (List.filteri (fun i _ -> i >= 95) (tail 100))
-    (tail 5);
-  Alcotest.(check (list string)) "a passing run keeps none" []
-    (Runner.run ~trace_tail:100 spec).Runner.trace_tail
-
 (* ------------------------------------------------------------------ *)
 (* Reproducibility: the same spec twice gives byte-identical schedules,
    outcome counts and repro line. *)
@@ -383,8 +369,7 @@ let test_restart_mid_propose_honesty () =
 
 (* The cross-group soak's spec: [mdds chaos --groups 4 --cross-ratio
    0.3], plus [--throughput] when [throughput]. *)
-let cross_spec ?(throughput = false) seed =
-  let duration = 20.0 in
+let cross_spec ?(throughput = false) ?(duration = 20.0) seed =
   let base = Runner.default_config Config.Leader in
   let config =
     if throughput then Runner.throughput_config ~seed base else base
@@ -403,6 +388,28 @@ let expect_clean what (r : Runner.report) =
   match r.Runner.violation with
   | None -> ()
   | Some v -> Alcotest.failf "%s: %s@.repro: %s" what v (Runner.repro r)
+
+(* A failed run keeps as many trace events as asked for, past the old
+   fixed 40, on the batched cross-group shape too; a passing run keeps
+   none. The failures are forced, so no failing seed is needed. *)
+let test_trace_tail_length () =
+  let spec = Runner.spec ~seed:1 "VVV" in
+  let forced _ = Error "injected failure" in
+  let tail ?(spec = spec) n =
+    (Runner.run ~extra_oracle:forced ~trace_tail:n spec).Runner.trace_tail
+  in
+  Alcotest.(check int) "100 asked, 100 kept" 100 (List.length (tail 100));
+  Alcotest.(check int) "5 asked, 5 kept" 5 (List.length (tail 5));
+  Alcotest.(check (list string)) "the 5 are the newest of the 100"
+    (List.filteri (fun i _ -> i >= 95) (tail 100))
+    (tail 5);
+  Alcotest.(check (list string)) "a passing run keeps none" []
+    (Runner.run ~trace_tail:100 spec).Runner.trace_tail;
+  let cross =
+    List.length (tail ~spec:(cross_spec ~throughput:true ~duration:5.0 1) 100)
+  in
+  if cross <= 40 || cross > 100 then
+    Alcotest.failf "batched cross-group: %d trace lines, want 41 to 100" cross
 
 (* Regressions from the batched cross-group soak. Seeds 63, 105 and 219
    broke L1: a restart answered queued submissions No_quorum while the

@@ -250,9 +250,9 @@ let headroom = 0.02
 let ceilings =
   [
     ("ycsb-cp", 4747.6, 103.5);
-    ("batched leader", 5743.4, 104.7);
-    ("failover", 7813.4, 110.8);
-    ("cross-group", 10235.1, 665.0);
+    ("batched leader", 5720.5, 104.7);
+    ("failover", 7792.3, 110.8);
+    ("cross-group", 9739.8, 650.2);
   ]
 
 let batched = Config.throughput ~batch_max:8 ~pipeline_depth:4 Config.leader
@@ -362,10 +362,10 @@ let test_alloc_budget name setup () =
    GC marks on every cycle. *)
 let resident_ceilings =
   [
-    ("ycsb-cp", 440.8);
-    ("batched leader", 506.7);
-    ("failover", 1006.3);
-    ("cross-group", 1191.8);
+    ("ycsb-cp", 438.7);
+    ("batched leader", 505.0);
+    ("failover", 1004.2);
+    ("cross-group", 1189.7);
   ]
 
 let resident_per_commit setup =

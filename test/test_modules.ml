@@ -375,6 +375,33 @@ let prop_table_matches_overhang =
       let overhang = List.mapi (fun i e -> (i + 1, e)) entries in
       blocked s probe = Indoubt.conflicts (Indoubt.unresolved overhang) probe)
 
+(* A restart orphans the running resolver, and the scan after it arms a
+   new one for the same prepare. The orphan wakes, sees the new epoch and
+   exits; its cleanup must not clear the new resolver's mark, or the next
+   refusal arms a second live resolver beside it. With every submit
+   refused, one resolver asks for a decision once per 2 × rpc_timeout
+   (1 s here), so a 10 s window holds 10 of its requests. *)
+let test_restart_keeps_one_resolver () =
+  let s = stack () in
+  let asked = ref [] in
+  let submit ~group:_ r =
+    (match Twopc.classify r with
+    | Twopc.Decision { txid = "x"; _ } -> asked := Engine.now s.engine :: !asked
+    | _ -> ());
+    Messages.No_quorum
+  in
+  Wal.append s.wal ~group ~pos:1 [ prepare "x" ];
+  Indoubt.scan s.indoubt ~submit ~group;
+  Indoubt.reset s.indoubt;
+  Indoubt.scan s.indoubt ~submit ~group;
+  (* Past the orphan's wake at 4 × rpc_timeout. *)
+  Engine.run ~until:2.5 s.engine;
+  Alcotest.(check bool) "a conflicting write is blocked" true
+    (Indoubt.blocked s.indoubt ~submit ~group (record ~writes:[ "k" ] "w"));
+  Engine.run s.engine;
+  Alcotest.(check int) "decision requests in [4.75 s, 14.75 s)" 10
+    (List.length (List.filter (fun at -> at >= 4.75 && at < 14.75) !asked))
+
 (* ------------------------------------------------------------------ *)
 (* Catchup.                                                             *)
 
@@ -472,6 +499,8 @@ let () =
           Alcotest.test_case "outcome and decision exempt" `Quick
             test_markers_exempt;
           QCheck_alcotest.to_alcotest prop_table_matches_overhang;
+          Alcotest.test_case "one resolver per prepare after a restart" `Quick
+            test_restart_keeps_one_resolver;
         ] );
       ( "manager",
         [

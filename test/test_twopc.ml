@@ -538,11 +538,61 @@ let test_reserved_keys_refused () =
         (fun () -> ignore (Client.read_in m ~group:"a" "__2pc/")));
   Cluster.run cluster
 
+(* Every record of every applied entry is classified, so a plain record
+   allocates nothing and a marker allocates only its result: the txid
+   string and the constructor's block. *)
+let test_classify_words () =
+  let per_call r =
+    let n = 1000 in
+    let before = Gc.minor_words () in
+    for _ = 1 to n do
+      ignore (Sys.opaque_identity (Twopc.classify r))
+    done;
+    Float.to_int (Float.round ((Gc.minor_words () -. before) /. float_of_int n))
+  in
+  (* A string's block: a header and [length / 8 + 1] words of bytes. *)
+  let string_words s = 1 + (String.length s / 8) + 1 in
+  let plain =
+    Txn.make_record ~txn_id:"t2" ~origin:0 ~read_position:0 ~reads:[ "x" ]
+      ~writes:[ { Txn.key = "x"; value = "v" } ]
+  in
+  Alcotest.(check int) "plain record" 0 (per_call plain);
+  List.iter
+    (fun txid ->
+      let payload = { Twopc.coordinator = "a"; participants = [ "a" ]; writes = [] } in
+      let markers =
+        [
+          ( "prepare",
+            Twopc.prepare_record ~txid ~origin:0 ~read_position:0 ~reads:[]
+              ~payload,
+            2 );
+          ( "outcome",
+            Twopc.outcome_record ~txid ~tag:"dc0" ~origin:0 ~prepare_position:1
+              ~verdict:Twopc.abort_verdict ~writes:[],
+            3 );
+          ( "decision",
+            Twopc.decision_record ~txid ~tag:"dc0" ~origin:0
+              ~verdict:Twopc.abort_verdict,
+            3 );
+        ]
+      in
+      List.iter
+        (fun (kind, r, block) ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s of %S" kind txid)
+            (block + string_words txid) (per_call r))
+        markers)
+    [ "t1"; "client-7/txn-000123456" ]
+
 let () =
   Alcotest.run "twopc"
     [
       ( "codec",
-        [ Alcotest.test_case "marker records roundtrip" `Quick test_marker_codec ] );
+        [
+          Alcotest.test_case "marker records roundtrip" `Quick test_marker_codec;
+          Alcotest.test_case "classify allocates only its result" `Quick
+            test_classify_words;
+        ] );
       ( "protocol",
         [
           Alcotest.test_case "cross commit is atomic" `Quick test_cross_commit_atomic;
